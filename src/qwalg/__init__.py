@@ -9,8 +9,7 @@ engine-verified embeddings and localizations.
 __version__ = "0.1.0"
 
 from .scalars import (GroupMismatch, Scalar, ScalarGroup, SubgroupDescription,
-                      format_scalar, scalar_mul, scalar_pow,
-                      subgroup_canonical_form)
+                      format_scalar, subgroup_canonical_form)
 from .presentation import (Additive, AddMultiple, AdmissibilityReport, Eulerian,
                            EulerianNotSupported, Multiplicative, Permute,
                            Presentation, PresentationError, Scale,

@@ -8,6 +8,7 @@ under ``check``, 2 for any input or processing error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -17,14 +18,13 @@ from .embeddings import (Verified, embed_mixed, embed_torus,
 from .mixed import (Equivalent, NotEquivalent, equivalence_decide, invariants,
                     reduce_to_canonical)
 from .presentation import Presentation, check_admissible, certified_system
-from .qwa import ParseError, format_presentation, parse_document
+from .qwa import format_presentation, parse_document
 from .qweyl import (QuantumWeylAlgebra, localize_to_mixed,
                     qweyl_equivalence_necessary, qweyl_invariants)
 from .rewrite import Confluent
-from .scalars import format_scalar
+from .scalars import format_scalar, merge_groups
 from .torus import (Iso, NotIso, QuantumTorus, Violation, central_lattice,
-                    check_morphism, is_isomorphism, is_simple,
-                    uniparameter_iso_decide)
+                    check_morphism, is_isomorphism, uniparameter_iso_decide)
 
 DISCLAIMER = ("verdicts are relative to the declared scalar group: free symbols "
               "are taken multiplicatively independent")
@@ -42,64 +42,32 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
-def _load_presentation(path: str) -> Presentation:
-    doc = parse_document(_read(path))
-    if doc.presentation is None:
-        raise CliError(f"{path} does not contain a presentation")
-    return doc.presentation
+def _load(paths, part: str) -> list:
+    """Parse the files and return the ``part`` ("presentation" or "qweyl") of
+    each, all over one scalar group: the merge of the declared groups.  A file
+    whose declared group differs from the merge is parsed again into it."""
+    texts, docs = [], []
+    for path in paths:
+        texts.append(_read(path))
+        docs.append(parse_document(texts[-1]))
+        if getattr(docs[-1], part) is None:
+            what = "a presentation" if part == "presentation" else "a qweyl block"
+            raise CliError(f"{path} does not contain {what}")
+    group = functools.reduce(merge_groups, (d.group for d in docs))
+    return [getattr(d if d.group == group else parse_document(t, group), part)
+            for d, t in zip(docs, texts)]
 
 
-def _load_torus(path: str) -> QuantumTorus:
-    p = _load_presentation(path)
-    return QuantumTorus.from_presentation(p)
+def _load_presentations(*paths: str) -> list[Presentation]:
+    return _load(paths, "presentation")
 
 
-def _load_qweyl(path: str) -> QuantumWeylAlgebra:
-    doc = parse_document(_read(path))
-    if doc.qweyl is None:
-        raise CliError(f"{path} does not contain a qweyl block")
-    return QuantumWeylAlgebra.from_spec(doc.qweyl)
+def _load_tori(*paths: str) -> list[QuantumTorus]:
+    return [QuantumTorus.from_presentation(p) for p in _load(paths, "presentation")]
 
 
-def _merged(objs, rebuild):
-    """Rebuild the given objects over the common refinement of their groups."""
-    from .scalars import merge_groups
-    group = objs[0].group
-    for o in objs[1:]:
-        group = merge_groups(group, o.group)
-    return [rebuild(o, group) for o in objs]
-
-
-def _torus_in(t: QuantumTorus, group) -> QuantumTorus:
-    from .scalars import transport_scalar
-    lam = [[transport_scalar(s, group) for s in row] for row in t.lam]
-    return QuantumTorus(group, lam)
-
-
-def _qweyl_in(a: QuantumWeylAlgebra, group) -> QuantumWeylAlgebra:
-    from .scalars import transport_scalar
-    if a.group == group:
-        return a
-    qs = [transport_scalar(s, group) for s in a.qs]
-    lam = [[transport_scalar(s, group) for s in row] for row in a.lam]
-    return QuantumWeylAlgebra(group, a.n, qs, lam)
-
-
-def _presentation_in(p: Presentation, group) -> Presentation:
-    from .presentation import Multiplicative
-    from .scalars import transport_scalar
-    if p.group == group:
-        return p
-    from .presentation import Eulerian
-    items = []
-    for (i, j), rel in p.rels.items():
-        if isinstance(rel, Multiplicative):
-            rel = Multiplicative(transport_scalar(rel.weight, group))
-        if isinstance(rel, Eulerian) and rel.w_index == j:
-            items.append((j, i, rel))
-        else:
-            items.append((i, j, rel))
-    return Presentation.build(group, p.gens, items)
+def _load_qweyls(*paths: str) -> list[QuantumWeylAlgebra]:
+    return [QuantumWeylAlgebra.from_spec(s) for s in _load(paths, "qweyl")]
 
 
 def _mat(m) -> str:
@@ -138,7 +106,7 @@ def _subgroup_fields(prefix: str, sub) -> dict:
 
 
 def cmd_check(args) -> int:
-    p = _load_presentation(args.file)
+    p, = _load_presentations(args.file)
     report = check_admissible(p)
     from .presentation import system_from_presentation
     verdict = system_from_presentation(p).check_confluence()
@@ -164,7 +132,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    p = _load_presentation(args.file)
+    p, = _load_presentations(args.file)
     algebra, cert = reduce_to_canonical(p)
     machine = {
         "command": "reduce",
@@ -192,7 +160,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    p = _load_presentation(args.file)
+    p, = _load_presentations(args.file)
     algebra, _ = reduce_to_canonical(p)
     inv = invariants(algebra)
     machine = {
@@ -223,9 +191,9 @@ def cmd_invariants(args) -> int:
 
 def cmd_torus(args) -> int:
     if args.sub == "simple":
-        t = _load_torus(args.files[0])
-        simple = is_simple(t)
+        t, = _load_tori(args.files[0])
         witness = central_lattice(t)
+        simple = not witness
         machine = {"command": "torus.simple", "file": args.files[0],
                    "simple": str(simple).lower()}
         human = [f"torus on {t.n} generators: "
@@ -236,7 +204,7 @@ def cmd_torus(args) -> int:
         _emit(machine, human, args)
         return 0
     if args.sub == "center":
-        t = _load_torus(args.files[0])
+        t, = _load_tori(args.files[0])
         basis = central_lattice(t)
         machine = {"command": "torus.center", "file": args.files[0],
                    "rank": len(basis), "basis": _mat(basis)}
@@ -246,7 +214,7 @@ def cmd_torus(args) -> int:
     if args.sub == "iso":
         if len(args.files) != 2 or not args.param:
             raise CliError("torus iso needs two files and --param")
-        t1, t2 = _merged([_load_torus(f) for f in args.files], _torus_in)
+        t1, t2 = _load_tori(*args.files)
         res = uniparameter_iso_decide(t1, t2, args.param)
         machine = {"command": "torus.iso", "file_a": args.files[0],
                    "file_b": args.files[1], "param": args.param}
@@ -268,7 +236,7 @@ def cmd_torus(args) -> int:
     if args.sub == "morphism":
         if len(args.files) != 2 or not args.matrix:
             raise CliError("torus morphism needs two files and --matrix")
-        t1, t2 = _merged([_load_torus(f) for f in args.files], _torus_in)
+        t1, t2 = _load_tori(*args.files)
         h = json.loads(args.matrix)
         res = check_morphism(t1, t2, h)
         machine = {"command": "torus.morphism", "file_a": args.files[0],
@@ -289,7 +257,7 @@ def cmd_torus(args) -> int:
 
 def cmd_qweyl(args) -> int:
     if args.sub == "localize":
-        a = _load_qweyl(args.files[0])
+        a, = _load_qweyls(args.files[0])
         res = localize_to_mixed(a)
         machine = {
             "command": "qweyl.localize", "file": args.files[0],
@@ -304,7 +272,7 @@ def cmd_qweyl(args) -> int:
         _emit(machine, human, args)
         return 0
     if args.sub == "invariants":
-        a = _load_qweyl(args.files[0])
+        a, = _load_qweyls(args.files[0])
         inv = qweyl_invariants(a)
         machine = {"command": "qweyl.invariants", "file": args.files[0],
                    "gk_dim": inv.gk_dim, "w_supdeg": inv.w_supdeg,
@@ -317,7 +285,7 @@ def cmd_qweyl(args) -> int:
     if args.sub == "equiv":
         if len(args.files) != 2:
             raise CliError("qweyl equiv needs two files")
-        a, b = _merged([_load_qweyl(f) for f in args.files], _qweyl_in)
+        a, b = _load_qweyls(*args.files)
         verdict = qweyl_equivalence_necessary(a, b, param=args.param)
         machine = {"command": "qweyl.equiv", "file_a": args.files[0],
                    "file_b": args.files[1]}
@@ -329,7 +297,7 @@ def cmd_qweyl(args) -> int:
 
 def cmd_embed(args) -> int:
     if args.sub == "torus":
-        t = _load_torus(args.files[0])
+        t, = _load_tori(args.files[0])
         gmap, field = embed_torus(t)
         machine = {"command": "embed.torus", "file": args.files[0],
                    "verified": "true", "m": field.m, "planes": field.n,
@@ -340,7 +308,7 @@ def cmd_embed(args) -> int:
         _emit(machine, human, args)
         return 0
     if args.sub == "mixed":
-        p = _load_presentation(args.files[0])
+        p, = _load_presentations(args.files[0])
         algebra, _ = reduce_to_canonical(p)
         gmap, field = embed_mixed(algebra)
         machine = {"command": "embed.mixed", "file": args.files[0],
@@ -354,8 +322,8 @@ def cmd_embed(args) -> int:
     if args.sub == "verify":
         if len(args.files) != 3:
             raise CliError("embed verify needs SOURCE.qwa TARGET.qwa MAP")
-        src = _load_presentation(args.files[0])
-        tgt = _load_presentation(args.files[1])
+        src, = _load_presentations(args.files[0])
+        tgt, = _load_presentations(args.files[1])
         sys_t = certified_system(tgt)
         if args.invert:
             for name in args.invert.split(","):
@@ -391,8 +359,7 @@ def _equiv_human(verdict, machine: dict) -> list[str]:
 
 
 def cmd_equiv(args) -> int:
-    pa, pb = _merged([_load_presentation(f) for f in args.files],
-                     _presentation_in)
+    pa, pb = _load_presentations(*args.files)
     a, _ = reduce_to_canonical(pa)
     b, _ = reduce_to_canonical(pb)
     h = json.loads(args.matrix) if args.matrix else None
@@ -471,8 +438,11 @@ def main(argv=None) -> int:
         if args.cmd == "equiv":
             return cmd_equiv(args)
         raise CliError(f"unknown command {args.cmd!r}")
-    except (CliError, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit contract: every failure is exit 2
+        # Input errors (ParseError and GroupMismatch are ValueErrors) speak
+        # for themselves; anything else is named by its type.
+        kind = "" if isinstance(exc, (CliError, ValueError)) else f"{type(exc).__name__}: "
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 
 

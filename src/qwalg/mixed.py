@@ -42,10 +42,10 @@ class CanonicalMixedAlgebra:
         self.n = n
         self.r = r
         self.lam = tuple(tuple(row) for row in lam)
-        QuantumTorus(group, [list(row) for row in self.lam])  # validates the matrix
+        self._torus = QuantumTorus(group, [list(row) for row in self.lam])  # validates
 
     def torus(self) -> QuantumTorus:
-        return QuantumTorus(self.group, [list(row) for row in self.lam])
+        return self._torus
 
     def gens(self) -> tuple[str, ...]:
         return tuple(f"y{i+1}" for i in range(self.n)) + \
@@ -241,7 +241,7 @@ def reduce_to_canonical(p: Presentation) -> tuple[CanonicalMixedAlgebra, Reducti
            for i in range(n)]
     algebra = CanonicalMixedAlgebra(p.group, n, r, lam)
     canon = algebra.to_presentation()
-    if work.relation_table() != canon.relation_table():
+    if work.rels != canon.rels:
         raise AssertionError("reduced table does not match the canonical table")
     if 2 * r != rank_in:
         raise AssertionError("Weyl matrix rank does not match the pair count")
@@ -304,24 +304,27 @@ class AlgebraInvariants:
     torus_simple: bool
 
 
+def center_lattices(s: CanonicalMixedAlgebra) -> tuple[list[list[int]], list[list[int]]]:
+    """The central lattice of the parameter torus, and its sublattice on the
+    coordinates k >= r, which leaves out the Weyl-paired y's."""
+    full = central_lattice(s.torus())
+    if not s.r:
+        return full, full
+    coord = intlattice.identity(s.n)[s.r:]
+    return full, intlattice.lattice_intersect(full, coord, s.n) if coord else []
+
+
 def invariants(s: CanonicalMixedAlgebra) -> AlgebraInvariants:
-    t = s.torus()
-    center = central_lattice(t)
-    if s.r:
-        coord = [[intlattice.identity(s.n)[k][j] for j in range(s.n)]
-                 for k in range(s.r, s.n)]
-        center = intlattice.lattice_intersect(center, coord, s.n) if coord else []
-    gsub = subgroup_canonical_form(
-        s.group, [s.lam[i][j] for i in range(s.n) for j in range(i + 1, s.n)])
+    full, center = center_lattices(s)
     return AlgebraInvariants(
         gk_dim=s.n + s.r,
         gk_trdeg=s.n + s.r,
         w_supdeg=2 * s.r,
         e_is_field=s.r >= 1,
-        g_subgroup=gsub,
+        g_subgroup=g_invariant(s),
         center_basis=tuple(tuple(row) for row in center),
         center_rank=len(center),
-        torus_simple=is_simple(t),
+        torus_simple=not full,
     )
 
 

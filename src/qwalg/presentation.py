@@ -134,10 +134,6 @@ class Presentation:
     def __repr__(self):
         return f"Presentation(gens={self.gens!r}, rels={self.rels!r})"
 
-    def relation_table(self) -> dict:
-        """Index-keyed table for structural comparison (names ignored)."""
-        return dict(self.rels)
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:

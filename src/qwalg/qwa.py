@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .presentation import Additive, Eulerian, Multiplicative, Presentation
-from .scalars import Scalar, ScalarGroup, format_scalar
+from .scalars import GroupMismatch, Scalar, ScalarGroup, format_scalar, merge_groups
 
 
 class ParseError(ValueError):
@@ -118,9 +118,12 @@ def _parse_scalars_block(body: list[tuple[int, str]]) -> ScalarGroup:
         raise ParseError(first_line, str(exc)) from None
 
 
-def parse_document(text: str) -> Document:
+def parse_document(text: str, group: ScalarGroup | None = None) -> Document:
+    """Parse a .qwa file.  With ``group``, every scalar is built in that group,
+    into which the file's declared group must embed (same-name symbols
+    identified); pair commands use this to compare two files."""
     lines = text.splitlines()
-    group: ScalarGroup | None = None
+    declared: ScalarGroup | None = None
     gens: tuple[str, ...] | None = None
     rel_lines: list[tuple[int, str]] = []
     qweyl_lines: list[tuple[int, str]] = []
@@ -162,10 +165,10 @@ def parse_document(text: str) -> Document:
             i += 1
             continue
         if s.startswith("scalars"):
-            if group is not None:
+            if declared is not None:
                 raise ParseError(i + 1, "duplicate scalars block")
             body, i = read_block(i, "scalars")
-            group = _parse_scalars_block(body)
+            declared = _parse_scalars_block(body)
             continue
         if s.startswith("generators"):
             if gens is not None:
@@ -192,8 +195,11 @@ def parse_document(text: str) -> Document:
             continue
         raise ParseError(i + 1, f"unrecognized line {s!r}")
 
+    declared = declared or ScalarGroup()
     if group is None:
-        group = ScalarGroup()
+        group = declared
+    elif merge_groups(group, declared) != group:
+        raise GroupMismatch("declared scalars do not embed in the given group")
 
     presentation = None
     if gens is not None:

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 from .cyclo import Coeff, CoeffRing
 from .embeddings import GeneratorMap, Verified, verify_homomorphism
-from .mixed import CanonicalMixedAlgebra, NotEquivalent, equivalence_decide
+from .mixed import (CanonicalMixedAlgebra, NotEquivalent, center_lattices,
+                    equivalence_decide)
 from .qwa import QWeylSpec
 from .rewrite import Element, Failing, ReductionSystem, Rule
 from .scalars import Scalar, ScalarGroup
-from . import intlattice
-from .torus import QuantumTorus, central_lattice
+from .torus import QuantumTorus
 
 
 class VerificationError(RuntimeError):
@@ -172,12 +172,12 @@ def localize_to_mixed(a: QuantumWeylAlgebra) -> LocalizationResult:
     normal_scalars: dict[int, dict[str, Scalar]] = {}
     zinv_label: dict[int, str] = {}
     for i in ii:
-        el = a.z_element(sys, i)
-        scalars = sys.commutation_with_generators(el)
-        if scalars is None:
-            raise VerificationError(f"z_{i+1} is not scalar-normal")
-        normal_scalars[i] = scalars
-        sys, label = sys.adjoin_inverse(el, f"z{i+1}^-1")
+        ext, label = sys.adjoin_inverse(a.z_element(sys, i), f"z{i+1}^-1")
+        # The new letter Z equals z_i, so its rules carry z_i's twists.
+        z = len(sys.letters)
+        normal_scalars[i] = {name: ext.pair_rule_form(z, g)[1]
+                             for g, name in enumerate(sys.letters)}
+        sys = ext
         zinv_label[i] = label
 
     def prev_quantum(j: int) -> int | None:
@@ -225,19 +225,10 @@ def qweyl_invariants(a: QuantumWeylAlgebra) -> QWeylInvariants:
     applicable = all(q.is_one() or any(q.free) for q in a.qs)
     center_trivial = None
     if applicable:
-        canonical = localized_lambda(a)
-        inv_center = _canonical_center_rank(canonical)
-        center_trivial = inv_center == 0
+        _, center = center_lattices(localized_lambda(a))
+        center_trivial = not center
     return QWeylInvariants(gk_dim=2 * a.n, w_supdeg=2 * r,
                            center_trivial=center_trivial)
-
-
-def _canonical_center_rank(s: CanonicalMixedAlgebra) -> int:
-    center = central_lattice(s.torus())
-    if s.r:
-        coord = [row for k, row in enumerate(intlattice.identity(s.n)) if k >= s.r]
-        center = intlattice.lattice_intersect(center, coord, s.n) if coord else []
-    return len(center)
 
 
 def qweyl_equivalence_necessary(a: QuantumWeylAlgebra, b: QuantumWeylAlgebra,

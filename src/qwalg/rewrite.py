@@ -302,8 +302,11 @@ class ReductionSystem:
 
     # -- normality and localization ---------------------------------------------
 
-    def commutation_with_generators(self, el: Element, include_inverses: bool = False):
-        """Per-generator scalars mu with el*g = mu*g*el, or None if not scalar-normal."""
+    def commutation_with_generators(self, el: Element) -> dict[str, Scalar] | None:
+        """Per-letter scalars mu with el*g = mu*g*el, or None if not scalar-normal.
+
+        Every letter is covered, inverse letters included, in letter order.
+        """
         if not self._certified:
             raise NotCertifiedError("confluence has not been certified for this system")
         nf = self._reduce(el)
@@ -311,8 +314,6 @@ class ReductionSystem:
             return None
         out: dict[str, Scalar] = {}
         for idx, name in enumerate(self.letters):
-            if not include_inverses and idx in self.inverse_letters:
-                continue
             g = Element.from_word(self.ring, (idx,))
             a = self._reduce(nf.concat(g))
             b = self._reduce(g.concat(nf))
@@ -328,24 +329,6 @@ class ReductionSystem:
             out[name] = mu
         return out
 
-    def _twists_all_letters(self, el: Element) -> dict[int, Scalar] | None:
-        nf = self._reduce(el)
-        if nf.is_zero():
-            return None
-        out: dict[int, Scalar] = {}
-        for idx in range(len(self.letters)):
-            g = Element.from_word(self.ring, (idx,))
-            a = self._reduce(nf.concat(g))
-            b = self._reduce(g.concat(nf))
-            if set(a.terms) != set(b.terms) or not a.terms:
-                return None
-            w0 = next(iter(a.terms))
-            mu = coeff_to_scalar(a.terms[w0].mul(b.terms[w0].inv()))
-            if mu is None or a != b.scale(Coeff.from_scalar(self.ring, mu)):
-                return None
-            out[idx] = mu
-        return out
-
     def adjoin_inverse(self, el: Element, label: str) -> tuple["ReductionSystem", str]:
         """Extend the system with letters Z, Z^-1 representing a scalar-normal
         element and its inverse.
@@ -359,7 +342,7 @@ class ReductionSystem:
         if not self._certified:
             raise NotCertifiedError("confluence has not been certified for this system")
         nf = self._reduce(el)
-        twists = self._twists_all_letters(nf)
+        twists = self.commutation_with_generators(nf)
         if twists is None:
             raise NotNormalError("element does not commute with every generator "
                                  "up to a scalar")
@@ -381,7 +364,7 @@ class ReductionSystem:
         z_label = label[:-3] if label.endswith("^-1") else label + "~"
         letters = self.letters + (z_label, label)
         rules = list(self.rules)
-        for idx, mu in twists.items():
+        for idx, mu in enumerate(twists.values()):
             rules.append(Rule((z_idx, idx),
                               Element.from_word(ring, (idx, z_idx),
                                                 Coeff.from_scalar(ring, mu))))
@@ -432,7 +415,7 @@ class ReductionSystem:
         for idx in range(len(self.letters)):
             if idx == gidx:
                 continue
-            rel = self._pair_rule_form(gidx, idx)
+            rel = self.pair_rule_form(gidx, idx)
             if rel is None:
                 raise NotNormalError(f"cannot invert {name!r}: relation with "
                                      f"{self.letters[idx]!r} is not a twist")
@@ -486,7 +469,7 @@ class ReductionSystem:
             raise NotNormalError(f"inversion of {name!r} breaks confluence at {verdict.word}")
         return ext, label
 
-    def _pair_rule_form(self, gidx: int, idx: int):
+    def pair_rule_form(self, gidx: int, idx: int):
         """Classify the relation between two letters from the stored rule.
 
         Returns ("scalar", mu) when g*h = mu*h*g, ("euler", None) when

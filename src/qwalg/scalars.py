@@ -46,7 +46,7 @@ class ScalarGroup:
         return Scalar(self, torsion % self.torsion_order, free)
 
     def root(self, power: int = 1) -> "Scalar":
-        if self.torsion_order == 1 and power % self.torsion_order != 0:
+        if self.torsion_order == 1:
             raise ValueError("group has no root of unity")
         return self.scalar(torsion=power)
 
@@ -104,14 +104,6 @@ class Scalar:
         return format_scalar(self)
 
 
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    return a.mul(b)
-
-
-def scalar_pow(a: Scalar, k: int) -> Scalar:
-    return a.pow(k)
-
-
 def format_scalar(s: Scalar) -> str:
     """Render a scalar in the product-of-powers literal syntax."""
     parts = []
@@ -134,35 +126,21 @@ def format_scalar(s: Scalar) -> str:
 def merge_groups(g1: ScalarGroup, g2: ScalarGroup) -> ScalarGroup:
     """Common refinement of two declared groups (same-name symbols identified).
 
-    Torsion declarations must agree when both are nontrivial: a root symbol
-    names one fixed root of unity, so conflicting orders are an error rather
-    than silently rescaled.
+    Root declarations must agree when both groups make one: a root symbol
+    names one fixed root of unity, so a conflicting order or name is an
+    error rather than silently rescaled.  The free symbols of g1 keep their
+    positions, so g1 is returned unchanged when g2 embeds in it.
     """
     if g1 == g2:
         return g1
-    if g1.torsion_order == 1:
-        e, root = g2.torsion_order, g2.root_symbol
-    elif g2.torsion_order == 1 or (g1.torsion_order == g2.torsion_order
-                                   and g1.root_symbol == g2.root_symbol):
-        e, root = g1.torsion_order, g1.root_symbol
-    else:
+    roots = {(g.torsion_order, g.root_symbol) for g in (g1, g2)
+             if g.torsion_order > 1 or g.root_symbol is not None}
+    if len(roots) > 1:
         raise GroupMismatch("incompatible root-of-unity declarations")
+    e, root = roots.pop() if roots else (1, None)
     free = g1.free_symbols + tuple(s for s in g2.free_symbols
                                    if s not in g1.free_symbols)
     return ScalarGroup(e, free, root)
-
-
-def transport_scalar(s: Scalar, group: ScalarGroup) -> Scalar:
-    """Re-express a scalar in a refining group (same-name symbols identified)."""
-    if s.group == group:
-        return s
-    if s.torsion and s.group.torsion_order != group.torsion_order:
-        raise GroupMismatch("torsion element has no image in the target group")
-    free = [0] * group.rank
-    for name, k in zip(s.group.free_symbols, s.free):
-        if k:
-            free[group.free_symbols.index(name)] = k
-    return group.scalar(torsion=s.torsion if s.torsion else 0, free=tuple(free))
 
 
 @dataclass(frozen=True)

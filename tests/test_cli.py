@@ -93,6 +93,19 @@ def test_torus_simple_and_center(capsys):
     block = machine_block(out)
     assert block["rank"] == "2"
     assert json.loads(block["basis"]) == [[0, 0, 2, 0], [0, 0, 0, 2]]
+    # On every corpus torus the simplicity witness is the first centre row.
+    tori = 0
+    for path in sorted(CORPUS.glob("*.qwa")):
+        if main(["torus", "center", str(path), "--json"]) != 0:
+            capsys.readouterr()
+            continue
+        basis = json.loads(json.loads(capsys.readouterr().out)["basis"])
+        assert main(["torus", "simple", str(path), "--json"]) == 0
+        simple = json.loads(capsys.readouterr().out)
+        assert simple["simple"] == str(not basis).lower()
+        assert json.loads(simple.get("witness", "[]")) == basis[:1]
+        tori += 1
+    assert tori >= 4
 
 
 def test_torus_iso(capsys):
@@ -196,3 +209,56 @@ def test_corpus_roundtrip_and_determinism(capsys):
     rc2 = main(["invariants", corpus("s22q.qwa"), "--json"])
     out2 = capsys.readouterr().out
     assert (rc1, out1) == (rc2, out2)
+
+
+def _variant(tmp_path, name: str, old: str, new: str) -> str:
+    """A copy of a corpus file with its scalars block rewritten."""
+    text = (CORPUS / name).read_text()
+    assert old in text
+    path = tmp_path / name
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+def test_pair_commands_merge_declared_groups(tmp_path, capsys):
+    q2 = _variant(tmp_path, "torus_q2.qwa", "free q", "free p, q")
+    assert main(["torus", "iso", corpus("torus_d2.qwa"), q2, "--param", "q"]) == 0
+    block = machine_block(capsys.readouterr().out)
+    assert block["verdict"] == "not_iso"
+    assert (block["divisors_a"], block["divisors_b"]) == ("[[2]]", "[[1]]")
+
+    zeta4 = _variant(tmp_path, "s22q2.qwa", "free q", "root zeta : 4 ; free q")
+    assert main(["equiv", corpus("s22q.qwa"), zeta4]) == 0
+    block = machine_block(capsys.readouterr().out)
+    assert (block["verdict"], block["reason"]) == ("not_equivalent", "NEQ_G")
+
+    # Reordering the free symbols changes nothing: same block as a self-pair.
+    a2 = _variant(tmp_path, "qweyl_a2.qwa", "free q, l", "free l, q")
+    assert main(["qweyl", "equiv", corpus("qweyl_a2.qwa"), a2]) == 0
+    block = machine_block(capsys.readouterr().out)
+    assert main(["qweyl", "equiv", corpus("qweyl_a2.qwa"), corpus("qweyl_a2.qwa")]) == 0
+    same = machine_block(capsys.readouterr().out)
+    assert block["verdict"] == "inconclusive"
+    assert {**block, "file_b": ""} == {**same, "file_b": ""}
+
+
+def test_pair_commands_reject_conflicting_roots(tmp_path, capsys):
+    zeta4 = _variant(tmp_path, "s22q.qwa", "free q", "root zeta : 4 ; free q")
+    zeta6 = _variant(tmp_path, "s22q2.qwa", "free q", "root zeta : 6 ; free q")
+    assert main(["equiv", zeta4, zeta6]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "incompatible root-of-unity declarations" in captured.err
+
+
+def test_unexpected_failure_is_exit_2(monkeypatch, capsys):
+    from qwalg.qweyl import VerificationError
+
+    def broken(a):
+        raise VerificationError("relations failed")
+
+    monkeypatch.setattr("qwalg.cli.localize_to_mixed", broken)
+    assert main(["qweyl", "localize", corpus("qweyl_a2.qwa")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: VerificationError: relations failed\n"

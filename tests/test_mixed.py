@@ -66,8 +66,8 @@ relations {
     algebra, cert = reduce_to_canonical(p)
     assert (algebra.n, algebra.r) == (2, 1)
     assert all(s.is_one() for row in algebra.lam for s in row)
-    assert replay_certificate(p, cert).relation_table() == \
-        algebra.to_presentation().relation_table()
+    assert replay_certificate(p, cert).rels == \
+        algebra.to_presentation().rels
 
 
 def test_reduce_already_canonical(grp):
@@ -87,8 +87,8 @@ def test_reduce_gcd_weights(grp):
     assert algebra.n + algebra.r == 4
     assert 2 * algebra.r == il.rank(weyl_matrix(p))
     assert algebra.r == 1
-    assert replay_certificate(p, cert).relation_table() == \
-        algebra.to_presentation().relation_table()
+    assert replay_certificate(p, cert).rels == \
+        algebra.to_presentation().rels
 
 
 def test_reduce_rejects_inadmissible(grp):
@@ -118,8 +118,8 @@ def test_reduce_random_scrambles(grp):
         assert check_admissible(p).admissible
         out, cert = reduce_to_canonical(p)
         assert (out.n, out.r) == (n, r)
-        assert replay_certificate(p, cert).relation_table() == \
-            out.to_presentation().relation_table()
+        assert replay_certificate(p, cert).rels == \
+            out.to_presentation().rels
         # invariants of the reduction do not depend on the scramble
         assert invariants(out).g_subgroup == invariants(algebra).g_subgroup
 

@@ -3,7 +3,7 @@ import pytest
 from qwalg.presentation import Additive, Eulerian, Multiplicative
 from qwalg.qwa import (ParseError, format_presentation, parse_document,
                        parse_presentation, parse_scalar_literal)
-from qwalg.scalars import ScalarGroup
+from qwalg.scalars import GroupMismatch, ScalarGroup
 
 S22_TEXT = """\
 # the two-pair mixed algebra with weight q
@@ -125,3 +125,16 @@ def test_qweyl_block_errors():
         parse_document("qweyl {\n  n = 2\n  q = (1)\n  Lambda = [[1]]\n}\n")
     with pytest.raises(ParseError):
         parse_document("qweyl {\n  n = 1\n  q = (1)\n}\n")
+
+
+def test_parse_into_given_group():
+    g = ScalarGroup(4, ("p", "q"), "zeta")
+    doc = parse_document(S22_TEXT, g)
+    assert doc.group == g == doc.presentation.group
+    y1, y2 = doc.presentation.index("y1"), doc.presentation.index("y2")
+    assert doc.presentation.rel(y1, y2) == Multiplicative(g.free_gen("q"))
+    for text in ("scalars { free r }\ngenerators a\n",
+                 "scalars { root w : 4 }\ngenerators a\n",
+                 "scalars { root zeta : 2 }\ngenerators a\n"):
+        with pytest.raises(GroupMismatch):
+            parse_document(text, g)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qwalg.mixed import Equivalent, Inconclusive, NotEquivalent
+from qwalg.mixed import Equivalent, Inconclusive, NotEquivalent, invariants
 from qwalg.qwa import parse_document
 from qwalg.qweyl import (QuantumWeylAlgebra, localize_to_mixed, localized_lambda,
                          qweyl_equivalence_necessary, qweyl_invariants)
@@ -73,6 +73,7 @@ def test_localize_single_quantum(grp):
     assert (res.canonical.n, res.canonical.r) == (2, 0)
     q = grp.free_gen("q")
     assert res.canonical.lam[0][1] == q  # z' y = q y z'
+    assert res.normal_scalars == {0: {"y1": q, "x1": q.inv()}}
 
 
 def test_localize_block_formula(grp):
@@ -106,6 +107,8 @@ def test_localize_grid_small(grp):
                 r = n - sum(pattern)
                 assert res.canonical.r == r
                 assert res.canonical.n == 2 * n - r
+                assert qweyl_invariants(a).center_trivial == \
+                    (invariants(res.canonical).center_rank == 0)
 
 
 def test_qweyl_invariants(grp):
@@ -144,7 +147,6 @@ def test_equivalence_necessary(grp):
 
 
 def test_w_supdeg_consistent_with_localization(grp):
-    from qwalg.mixed import invariants
     for pattern, e in (((0,), 0), ((1,), 0), ((0, 1), 1), ((1, 1), -1)):
         a = qweyl(grp, pattern, e)
         assert qweyl_invariants(a).w_supdeg == \

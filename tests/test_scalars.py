@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qwalg.scalars import (GroupMismatch, Scalar, ScalarGroup, format_scalar,
-                           scalar_mul, scalar_pow, subgroup_canonical_form)
+                           merge_groups, subgroup_canonical_form)
 
 
 def rnd_scalar(group, rng):
@@ -34,14 +34,31 @@ def test_pow_examples():
     assert g.free_gen("q").pow(3).free == (3,)
     assert g.root().pow(5).torsion == 1
     assert g.free_gen("q", 2).pow(-1).free == (-2,)
-    assert scalar_pow(g.free_gen("q"), 0).is_one()
+    assert g.free_gen("q").pow(0).is_one()
+
+
+def test_root_needs_torsion():
+    with pytest.raises(ValueError):
+        ScalarGroup().root()
+    with pytest.raises(ValueError):
+        ScalarGroup(1, ("q",)).root(3)
+
+
+def test_merge_groups():
+    q, zq = ScalarGroup(1, ("q",)), ScalarGroup(4, ("q",), "zeta")
+    assert merge_groups(q, ScalarGroup(1, ("p", "q"))) == ScalarGroup(1, ("q", "p"))
+    assert merge_groups(zq, q) == zq and merge_groups(q, zq) == zq
+    for other in (ScalarGroup(6, (), "zeta"), ScalarGroup(4, (), "xi"),
+                  ScalarGroup(1, (), "zeta")):
+        with pytest.raises(GroupMismatch, match="incompatible root-of-unity"):
+            merge_groups(zq, other)
 
 
 def test_group_mismatch():
     g1 = ScalarGroup(1, ("q",))
     g2 = ScalarGroup(1, ("p",))
     with pytest.raises(GroupMismatch):
-        scalar_mul(g1.free_gen("q"), g2.free_gen("p"))
+        g1.free_gen("q").mul(g2.free_gen("p"))
 
 
 def test_group_laws_random():
