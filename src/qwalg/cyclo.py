@@ -3,35 +3,62 @@
 A coefficient is a Laurent polynomial in the declared free symbols with
 coefficients in the cyclotomic field Q(zeta_e), divided by a product of
 tracked denominator atoms (the finitely many polynomials the engine has
-been asked to invert, e.g. q - 1 during localization).  Zero tests and
-equality are exact: the numerator is reduced modulo the e-th cyclotomic
-polynomial and denominators are compared by cross multiplication.
+been asked to invert, e.g. q - 1 during localization).
+
+An element of Q(zeta_e) = Q[x]/Phi_e is a tuple of phi(e) Fractions, its
+coordinates in the power basis 1, zeta, ..., zeta^(phi-1): the remainder of
+a polynomial in zeta modulo the e-th cyclotomic polynomial Phi_e.  One
+dense-polynomial kernel (_divmod, _mul, _sub) serves the cyclotomic
+polynomials themselves, the reduction of products and the inverse by the
+extended Euclidean algorithm.  Zero tests and equality are exact: the
+representation is canonical and denominators are compared by cross
+multiplication.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 
 from .scalars import Scalar, ScalarGroup
 
 # ---------------------------------------------------------------------------
-# Integer polynomial helpers for cyclotomic polynomials (dense, low-to-high).
+# Dense polynomials: lists of coefficients, constant term first.
 
 
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("inexact division")
-        q = c // den[-1]
-        out[k] = q
-        for i, d in enumerate(den):
-            num[k + i] -= q * d
-    if any(num):
-        raise ArithmeticError("inexact division")
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b; the remainder has len(b) - 1 entries
+    (or fewer, when a is shorter).  b's leading coefficient must be non-zero.
+    A monic b is never divided by, so integer inputs give integer results."""
+    n = len(b) - 1
+    lead = b[-1]
+    a = list(a)
+    q = [0] * max(len(a) - n, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + n]
+        if not c:
+            continue
+        if lead != 1:
+            c /= lead
+        q[k] = c
+        for i in range(n):
+            if b[i]:
+                a[k + i] -= c * b[i]
+    return q, a[:n]
+
+
+def _mul(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
     return out
+
+
+def _sub(a: list, b: list) -> list:
+    return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def cyclotomic_poly(e: int) -> list[int]:
@@ -39,7 +66,9 @@ def cyclotomic_poly(e: int) -> list[int]:
     poly = [-1] + [0] * (e - 1) + [1]  # x^e - 1
     for d in range(1, e):
         if e % d == 0:
-            poly = _poly_divexact(poly, cyclotomic_poly(d))
+            poly, rem = _divmod(poly, cyclotomic_poly(d))
+            if any(rem):
+                raise ArithmeticError("inexact division")
     return poly
 
 
@@ -59,26 +88,21 @@ class CoeffRing:
         self.group = group
         self.e = group.torsion_order
         self.m = group.rank
-        phi_poly = cyclotomic_poly(self.e)
-        self.phi = len(phi_poly) - 1
-        # Power table zeta^k for 0 <= k <= max(e, 2*phi) reduced to the basis.
-        top = [Fraction(-c) for c in phi_poly[:-1]]
-        table = []
-        for k in range(max(self.e, 2 * self.phi) + 1):
-            if k < self.phi:
-                row = [Fraction(0)] * self.phi
-                row[k] = Fraction(1)
-            else:
-                prev = table[k - 1]
-                row = [Fraction(0)] + prev[:-1]
-                if prev[-1]:
-                    row = [a + prev[-1] * b for a, b in zip(row, top)]
-            table.append(row)
-        self.pow_table = [tuple(r) for r in table]
+        self.phi_poly = cyclotomic_poly(self.e)
+        self.phi = len(self.phi_poly) - 1
         self.cy_zero = tuple([Fraction(0)] * self.phi)
-        self.cy_one = self.pow_table[0]
+        self.cy_one = (Fraction(1),) + self.cy_zero[1:]
+        # roots[t] = zeta^t for 0 <= t < e, each reduced from zeta * roots[t-1].
+        self.roots = [self.cy_one]
+        for _ in range(1, self.e):
+            self.roots.append(self._reduce([Fraction(0), *self.roots[-1]]))
 
     # -- cyclotomic numbers: tuples of Fractions in the power basis ---------
+
+    def _reduce(self, p: list) -> tuple:
+        """The element of Q(zeta_e) that the polynomial p takes zeta to."""
+        rem = _divmod(p, self.phi_poly)[1]
+        return tuple(rem + [Fraction(0)] * (self.phi - len(rem)))
 
     def cy_add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -86,22 +110,8 @@ class CoeffRing:
     def cy_neg(self, a):
         return tuple(-x for x in a)
 
-    def cy_scale(self, a, r: Fraction):
-        return tuple(x * r for x in a)
-
     def cy_mul(self, a, b):
-        out = [Fraction(0)] * self.phi
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                row = self.pow_table[i + j]
-                for k in range(self.phi):
-                    if row[k]:
-                        out[k] += x * y * row[k]
-        return tuple(out)
+        return self._reduce(_mul(a, b))
 
     def cy_from_rational(self, r) -> tuple:
         out = [Fraction(0)] * self.phi
@@ -109,7 +119,7 @@ class CoeffRing:
         return tuple(out)
 
     def cy_root(self, t: int) -> tuple:
-        return self.pow_table[t % self.e]
+        return self.roots[t % self.e]
 
     def cy_inv(self, a):
         """Inverse in Q(zeta_e) by the extended Euclidean algorithm."""
@@ -117,64 +127,23 @@ class CoeffRing:
             raise ZeroDivisionError("inverse of zero")
         if self.phi == 1:
             return (1 / a[0],)
-        phi_poly = [Fraction(c) for c in cyclotomic_poly(self.e)]
-        r0, r1 = phi_poly, [Fraction(x) for x in a]
+        # Invariant: s_i * a = r_i modulo Phi_e.
+        r0, r1 = self.phi_poly, list(a)
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while True:
-            while r1 and not r1[-1]:
+            while not r1[-1]:
                 r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                out = [Fraction(0)] * self.phi
-                for i, c in enumerate(s1):
-                    if c:
-                        row = self.pow_table[i]
-                        for k in range(self.phi):
-                            out[k] += c * inv * row[k]
-                return tuple(out)
-            q, rem = _qpoly_divmod(r0, r1)
+            if len(r1) == 1:  # r1[0] may be an integer left over from Phi_e
+                inv = Fraction(1) / r1[0]
+                return self._reduce([c * inv for c in s1])
+            q, rem = _divmod(r0, r1)
             r0, r1 = r1, rem
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
-
-
-def _qpoly_divmod(a, b):
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] -= c * b[i]
-        while a and not a[-1]:
-            a.pop()
-    return q, a if a else [Fraction(0)]
-
-
-def _qpoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _qpoly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+            s0, s1 = s1, _sub(s0, _mul(q, s1))
 
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials: dict[exponent tuple -> cyclotomic number].
 
-
-def lp_zero() -> dict:
-    return {}
 
 def lp_add(ring, a: dict, b: dict) -> dict:
     out = dict(a)
@@ -204,49 +173,40 @@ def lp_mul(ring, a: dict, b: dict) -> dict:
     return out
 
 
-def lp_eq(a: dict, b: dict) -> bool:
-    return a == b
-
-
 def lp_key(a: dict) -> tuple:
     return tuple(sorted(a.items()))
+
+
+def _shift(ring, p: dict) -> tuple[dict, tuple]:
+    """(p / x^mins, mins) with mins the least exponent of each symbol in p."""
+    mins = tuple(min(k[i] for k in p) for i in range(ring.m))
+    return {tuple(x - y for x, y in zip(k, mins)): v for k, v in p.items()}, mins
 
 
 def lp_divexact(ring, a: dict, b: dict) -> dict | None:
     """Exact quotient a/b in the Laurent ring, or None when b does not divide a.
 
     Shift both to honest polynomials (Laurent units are monomials) and run
-    lex-ordered division; a failed leading-term division certifies
-    non-divisibility because leading terms are multiplicative.
+    lex-ordered division.  Degrees add up, so every term of a quotient of the
+    shifted polynomials has 0 <= exp_i <= deg_i(a) - deg_i(b); a leading-term
+    quotient outside that box certifies non-divisibility.  The leading
+    exponents fall strictly in lex order, so the loop ends inside the box.
     """
     if not b:
         raise ZeroDivisionError
     if not a:
         return {}
-    m = ring.m
-
-    def shift(p):
-        mins = [min(k[i] for k in p) for i in range(m)]
-        return {tuple(x - y for x, y in zip(k, mins)): v for k, v in p.items()}, tuple(mins)
-
-    if m == 0:
-        # Constants: single-coefficient division.
-        va, vb = a[()], b[()]
-        return {(): ring.cy_mul(va, ring.cy_inv(vb))}
-    pa, sa = shift(a)
-    pb, sb = shift(b)
+    pa, sa = _shift(ring, a)
+    pb, sb = _shift(ring, b)
+    box = [max(k[i] for k in pa) - max(k[i] for k in pb) for i in range(ring.m)]
     lead_b = max(pb)
     inv_lb = ring.cy_inv(pb[lead_b])
     quot: dict = {}
     rem = dict(pa)
-    guard = 0
     while rem:
-        guard += 1
-        if guard > 10000:
-            return None
         lead_r = max(rem)
         exp = tuple(x - y for x, y in zip(lead_r, lead_b))
-        if any(x < 0 for x in exp):
+        if any(not 0 <= x <= top for x, top in zip(exp, box)):
             return None
         c = ring.cy_mul(rem[lead_r], inv_lb)
         quot[exp] = c
@@ -263,6 +223,14 @@ def lp_divexact(ring, a: dict, b: dict) -> dict | None:
 
 # ---------------------------------------------------------------------------
 # Coefficients with tracked denominators.
+
+
+def _times_atoms(ring: CoeffRing, num: dict, atoms: Counter) -> dict:
+    """num times each denominator atom as many times as atoms counts it."""
+    for atom, k in atoms.items():
+        for _ in range(k):
+            num = lp_mul(ring, num, dict(atom))
+    return num
 
 
 class Coeff:
@@ -310,16 +278,8 @@ class Coeff:
             return NotImplemented
         if self.den == other.den:
             return self.num == other.num
-        ring = self.ring
-        left = self.num
-        for atom, k in other.den.items():
-            for _ in range(k):
-                left = lp_mul(ring, left, dict(atom))
-        right = other.num
-        for atom, k in self.den.items():
-            for _ in range(k):
-                right = lp_mul(ring, right, dict(atom))
-        return left == right
+        return (_times_atoms(self.ring, self.num, other.den)
+                == _times_atoms(self.ring, other.num, self.den))
 
     def __hash__(self):
         raise TypeError("Coeff is not hashable")
@@ -351,14 +311,8 @@ class Coeff:
             num = lp_add(ring, self.num, other.num)
             return self._with(num, Counter(self.den)) if num else Coeff.zero(ring)
         union = self.den | other.den
-        left = self.num
-        for atom, k in (union - self.den).items():
-            for _ in range(k):
-                left = lp_mul(ring, left, dict(atom))
-        right = other.num
-        for atom, k in (union - other.den).items():
-            for _ in range(k):
-                right = lp_mul(ring, right, dict(atom))
+        left = _times_atoms(ring, self.num, union - self.den)
+        right = _times_atoms(ring, other.num, union - other.den)
         return self._with(lp_add(ring, left, right), union)
 
     def neg(self) -> "Coeff":
@@ -381,10 +335,7 @@ class Coeff:
         ring = self.ring
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero coefficient")
-        num: dict = {(0,) * ring.m: ring.cy_one}
-        for atom, k in self.den.items():
-            for _ in range(k):
-                num = lp_mul(ring, num, dict(atom))
+        num = _times_atoms(ring, {(0,) * ring.m: ring.cy_one}, self.den)
         if len(self.num) == 1:
             (exp, cy), = self.num.items()
             unit = {tuple(-x for x in exp): ring.cy_inv(cy)}
@@ -392,16 +343,11 @@ class Coeff:
         atom, unit = _atomize(ring, self.num)
         return Coeff(ring, lp_mul(ring, num, unit), Counter({atom: 1}))._cancel()
 
-    def divide(self, other: "Coeff") -> "Coeff":
-        return self.mul(other.inv())
-
 
 def _atomize(ring: CoeffRing, p: dict) -> tuple[tuple, dict]:
     """Split p = unit * atom with the atom shifted to exponent >= 0 and monic
     leading coefficient; returns (atom key, inverse-of-unit as Laurent)."""
-    m = ring.m
-    mins = [min(k[i] for k in p) for i in range(m)]
-    shifted = {tuple(x - y for x, y in zip(k, mins)): v for k, v in p.items()}
+    shifted, mins = _shift(ring, p)
     lead = max(shifted)
     lc = shifted[lead]
     lc_inv = ring.cy_inv(lc)
@@ -462,7 +408,8 @@ def coeff_to_scalar(c: Coeff) -> Scalar | None:
         return None
     ring = c.ring
     (exp, cy), = c.num.items()
-    for t in range(ring.e):
-        if cy == ring.cy_root(t):
-            return Scalar(ring.group, t, tuple(exp))
-    return None
+    try:
+        t = ring.roots.index(cy)
+    except ValueError:
+        return None
+    return Scalar(ring.group, t, tuple(exp))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import Coeff
+from .cyclo import Coeff, coeff_to_scalar
 from .presentation import (Additive, Eulerian, Multiplicative, Presentation,
                            certified_system)
 from .rewrite import Element, ReductionSystem
@@ -125,7 +125,6 @@ def parse_generator_map(text: str, source: Presentation,
 
 def format_generator_map(gmap: GeneratorMap) -> str:
     """Serialization for monomial maps: map { g -> scalar * word ; ... }."""
-    from .cyclo import coeff_to_scalar
     parts = []
     for name in gmap.source.gens:
         el = gmap.images[name]

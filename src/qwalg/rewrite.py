@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import Coeff, CoeffRing, coeff_to_scalar
-from .scalars import Scalar, ScalarGroup
+from .cyclo import Coeff, CoeffRing, coeff_to_scalar, format_coeff
+from .scalars import Scalar, ScalarGroup, format_scalar
 
 Word = tuple[int, ...]
 
@@ -247,8 +247,6 @@ class ReductionSystem:
 
     def format_element(self, el: Element) -> str:
         """Human-readable rendering with scalar-literal coefficients."""
-        from .scalars import format_scalar
-        from .cyclo import coeff_to_scalar
         if el.is_zero():
             return "0"
         parts = []
@@ -263,7 +261,6 @@ class ReductionSystem:
                 else:
                     parts.append(lit)
                 continue
-            from .cyclo import format_coeff
             rendered = format_coeff(coeff)
             if " + " in rendered or "/" in rendered:
                 rendered = f"({rendered})"

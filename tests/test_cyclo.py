@@ -95,6 +95,14 @@ def test_divexact():
     assert quot is not None
     assert Coeff(ring, quot).mul(b) == a
     assert lp_divexact(ring, q.add(Coeff.one(ring)).num, b.num) is None
+    # q^10001 - 1 = (q - 1)(q^10000 + ... + 1): the quotient has 10001 terms.
+    one = Coeff.one(ring)
+    qm1 = q.sub(one)
+    big = Coeff.from_scalar(ring, g.free_gen("q", 10001)).sub(one)
+    quot = lp_divexact(ring, big.num, qm1.num)
+    assert quot is not None and len(quot) == 10001
+    assert not big.mul(qm1.inv()).den
+    assert lp_divexact(ring, big.add(one).add(one).num, qm1.num) is None
 
 
 def test_zero_and_equality_cross_denominators():

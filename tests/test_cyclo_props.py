@@ -1,0 +1,123 @@
+"""Independent oracles for the coefficient layer.
+
+Differential checks against sympy (cyclotomic polynomials, products and
+inverses in Q(zeta_e) = Q[x]/Phi_e) and hypothesis property tests of the
+field laws for Coeff over a group with torsion and one free symbol.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from qwalg.cyclo import Coeff, CoeffRing, cyclotomic_poly
+from qwalg.scalars import ScalarGroup
+
+X = sympy.Symbol("x")
+
+
+def _ring(e: int, free: tuple[str, ...] = ()) -> CoeffRing:
+    return CoeffRing(ScalarGroup(e, free, "zeta" if e > 1 else None))
+
+
+def _sympy_phi(e: int) -> sympy.Poly:
+    return sympy.Poly(sympy.cyclotomic_poly(e, X), X, domain="QQ")
+
+
+def _to_poly(cy) -> sympy.Poly:
+    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * X**i
+                          for i, c in enumerate(cy)), X, domain="QQ")
+
+
+def _to_cy(p: sympy.Poly, phi: int) -> tuple:
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (phi - len(coeffs)))
+
+
+@pytest.mark.parametrize("e", range(1, 61))
+def test_cyclotomic_poly_matches_sympy(e):
+    expected = sympy.Poly(sympy.cyclotomic_poly(e, X), X).all_coeffs()
+    assert cyclotomic_poly(e) == [int(c) for c in reversed(expected)]
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 8, 12])
+def test_mul_and_inv_match_sympy(e):
+    rng = random.Random(e)
+    ring = _ring(e)
+    phi_poly = _sympy_phi(e)
+    assert ring.phi == phi_poly.degree()
+
+    def rand_cy():
+        while True:
+            cy = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                       for _ in range(ring.phi))
+            if any(cy):
+                return cy
+
+    for _ in range(25):
+        a, b = rand_cy(), rand_cy()
+        ca, cb = Coeff(ring, {(): a}), Coeff(ring, {(): b})
+        prod = sympy.rem(_to_poly(a) * _to_poly(b), phi_poly)
+        assert ca.mul(cb).num == {(): _to_cy(prod, ring.phi)}
+        inv = sympy.invert(_to_poly(a), phi_poly)
+        assert ca.inv().num == {(): _to_cy(inv, ring.phi)}
+        assert not ca.inv().den
+
+
+# -- field laws over Z/e x Z with torsion e and one free symbol q -----------
+
+E = 6
+GROUP = ScalarGroup(E, ("q",), "zeta")
+RING = CoeffRing(GROUP)
+
+terms = st.lists(st.tuples(st.integers(0, E - 1), st.integers(-2, 2),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=3)),
+                 min_size=0, max_size=3)
+
+
+def _laurent(ts) -> Coeff:
+    out = Coeff.zero(RING)
+    for t, k, r in ts:
+        term = Coeff.from_scalar(RING, GROUP.scalar(torsion=t, free=(k,)))
+        out = out.add(term.mul(Coeff.from_rational(RING, r)))
+    return out
+
+
+@st.composite
+def coeffs(draw):
+    """num or num / den, with den a non-zero Laurent polynomial."""
+    num = _laurent(draw(terms))
+    den = _laurent(draw(terms))
+    return num if den.is_zero() else num.mul(den.inv())
+
+
+LAWS = settings(max_examples=40, deadline=None)
+
+
+@LAWS
+@given(coeffs(), coeffs(), coeffs())
+def test_mul_associative(a, b, c):
+    assert a.mul(b).mul(c) == a.mul(b.mul(c))
+
+
+@LAWS
+@given(coeffs(), coeffs(), coeffs())
+def test_distributive(a, b, c):
+    assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
+
+
+@LAWS
+@given(coeffs())
+def test_inverse(a):
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inv()
+    else:
+        assert a.mul(a.inv()) == Coeff.one(RING)
+
+
+@LAWS
+@given(coeffs(), coeffs())
+def test_add_then_sub(a, b):
+    assert a.add(b).sub(b) == a
