@@ -72,6 +72,23 @@ def cyclotomic_poly(e: int) -> list[int]:
     return poly
 
 
+# Largest e * phi(e) a ring is built for: it tabulates zeta^t for 0 <= t < e
+# as phi-tuples.  The slowest accepted ring (e = 665) builds in about 0.3 s
+# on a 2-CPU x86 VM under Python 3.11, while e = 20011 exhausts memory.
+MAX_ROOT_TABLE = 400_000
+
+
+def _totient(e: int) -> int:
+    out, rest, p = e, e, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            out -= out // p
+        p += 1
+    return out - out // rest if rest > 1 else out
+
+
 class CoeffRing:
     """Arithmetic context for one scalar group: Q(zeta_e)-Laurent in m symbols."""
 
@@ -87,6 +104,9 @@ class CoeffRing:
     def _init(self, group: ScalarGroup):
         self.group = group
         self.e = group.torsion_order
+        if self.e * _totient(self.e) > MAX_ROOT_TABLE:
+            raise ValueError(f"root order {self.e} is too large: its table of "
+                             f"roots would need e * phi(e) > {MAX_ROOT_TABLE} entries")
         self.m = group.rank
         self.phi_poly = cyclotomic_poly(self.e)
         self.phi = len(self.phi_poly) - 1
@@ -325,10 +345,9 @@ class Coeff:
         if self.is_zero() or other.is_zero():
             return Coeff.zero(self.ring)
         num = lp_mul(self.ring, self.num, other.num)
-        den = self.den + other.den
-        if not den:
+        if not self.den and not other.den:
             return Coeff(self.ring, num)
-        return self._with(num, den)
+        return self._with(num, self.den + other.den)
 
     def inv(self) -> "Coeff":
         """Exact inverse; non-unit content becomes a tracked denominator atom."""

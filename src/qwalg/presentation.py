@@ -335,5 +335,5 @@ def certified_system(p: Presentation) -> ReductionSystem:
     verdict = s.check_confluence()
     if isinstance(verdict, Failing):
         raise PresentationError(f"presentation has no ordered-monomial basis; "
-                                f"ambiguity at word {verdict.word}")
+                                f"ambiguity at word {s.format_word(verdict.word)}")
     return s

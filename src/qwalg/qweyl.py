@@ -93,7 +93,7 @@ class QuantumWeylAlgebra:
         verdict = sys.check_confluence()
         if isinstance(verdict, Failing):
             raise VerificationError(f"quantum Weyl relations are not confluent "
-                                    f"at {verdict.word}")
+                                    f"at {sys.format_word(verdict.word)}")
         return sys
 
     def system(self) -> ReductionSystem:

@@ -11,6 +11,11 @@ Localization extends a system with an inverse letter: a scalar-normal
 element z gets commutation rules for z^-1 plus one identification rule that
 rewrites the leading word of z * z^-1 = 1, which is how z^-1 genuinely
 inverts z rather than being a free Laurent variable.
+
+An extension is certified incrementally: its rules start with those of the
+certified parent, whose ambiguities among themselves stay resolvable when
+rules are added (Bergman, The diamond lemma for ring theory, Adv. Math. 29,
+1978), so only ambiguities that involve a new rule are resolved again.
 """
 from __future__ import annotations
 
@@ -245,6 +250,10 @@ class ReductionSystem:
             raise NotCertifiedError("confluence has not been certified for this system")
         return self._reduce(el)
 
+    def format_word(self, w: Word) -> str:
+        """The word as space-separated letter names."""
+        return " ".join(self.letters[i] for i in w)
+
     def format_element(self, el: Element) -> str:
         """Human-readable rendering with scalar-literal coefficients."""
         if el.is_zero():
@@ -252,7 +261,7 @@ class ReductionSystem:
         parts = []
         for w in sorted(el.terms, key=deglex_key, reverse=True):
             coeff = el.terms[w]
-            word = " ".join(self.letters[i] for i in w)
+            word = self.format_word(w)
             s = coeff_to_scalar(coeff)
             if s is not None:
                 lit = format_scalar(s)
@@ -272,9 +281,18 @@ class ReductionSystem:
 
     # -- confluence -------------------------------------------------------------
 
-    def check_confluence(self) -> Confluent | Failing:
-        for r1 in self.rules:
-            for r2 in self.rules:
+    def check_confluence(self, known: int = 0) -> Confluent | Failing:
+        """Resolve every overlap and inclusion ambiguity of the rules.
+
+        ``known`` counts leading rules that already form a certified system.
+        Their ambiguities among themselves stay resolvable once rules are
+        added (Bergman, The diamond lemma for ring theory, Adv. Math. 29,
+        1978), so only ambiguities involving a later rule are resolved.  On a
+        disagreement the full scan runs, so the Failing witness is the one
+        a plain call returns.
+        """
+        for i, r1 in enumerate(self.rules):
+            for r2 in self.rules[known if i < known else 0:]:
                 l1, l2 = r1.lhs, r2.lhs
                 # Overlap ambiguities: a proper suffix of l1 equals a prefix of l2.
                 for k in range(1, min(len(l1), len(l2))):
@@ -283,7 +301,7 @@ class ReductionSystem:
                         a = self._reduce(r1.rhs.concat(Element.from_word(self.ring, l2[k:])))
                         b = self._reduce(Element.from_word(self.ring, l1[:len(l1) - k]).concat(r2.rhs))
                         if a != b:
-                            return Failing(word, a, b)
+                            return self.check_confluence() if known else Failing(word, a, b)
                 # Inclusion ambiguities: l2 a proper subword of l1.
                 if len(l2) < len(l1):
                     for pos in range(len(l1) - len(l2) + 1):
@@ -293,7 +311,7 @@ class ReductionSystem:
                                 r2.rhs).concat(Element.from_word(self.ring, l1[pos + len(l2):]))
                             b = self._reduce(mid)
                             if a != b:
-                                return Failing(l1, a, b)
+                                return self.check_confluence() if known else Failing(l1, a, b)
         self._certified = True
         return Confluent()
 
@@ -381,9 +399,10 @@ class ReductionSystem:
         inverse_of[z_idx] = zinv_idx
         ext = ReductionSystem(self.group, letters, rules, inverse_of,
                               self.inverse_letters | {zinv_idx})
-        verdict = ext.check_confluence()
+        verdict = ext.check_confluence(known=len(self.rules))
         if isinstance(verdict, Failing):
-            raise NotNormalError(f"localized system is not confluent at {verdict.word}")
+            raise NotNormalError(f"localized system is not confluent at "
+                                 f"{ext.format_word(verdict.word)}")
         inv_letter = Element.from_word(ring, (zinv_idx,))
         lifted = Element(ring, dict(nf.terms))
         if ext._reduce(inv_letter.concat(lifted)) != ext.one() or \
@@ -461,9 +480,10 @@ class ReductionSystem:
         inverse_of[gidx] = inv_idx
         inv_letters = frozenset(remap(i) for i in self.inverse_letters) | {inv_idx}
         ext = ReductionSystem(self.group, letters, rules, inverse_of, inv_letters)
-        verdict = ext.check_confluence()
+        verdict = ext.check_confluence(known=len(self.rules))
         if isinstance(verdict, Failing):
-            raise NotNormalError(f"inversion of {name!r} breaks confluence at {verdict.word}")
+            raise NotNormalError(f"inversion of {name!r} breaks confluence at "
+                                 f"{ext.format_word(verdict.word)}")
         return ext, label
 
     def pair_rule_form(self, gidx: int, idx: int):

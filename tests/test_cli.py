@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -60,6 +61,19 @@ def test_check_missing_file(capsys):
     rc = main(["check", "/nonexistent/file.qwa"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_huge_root_order_fails_fast(tmp_path, capsys):
+    f = tmp_path / "huge.qwa"
+    f.write_text("scalars { root zeta : 20011 ; free q }\ngenerators y1, y2\n"
+                 "relations {\n  y1 y2 = q * y2 y1\n}\n")
+    start = time.perf_counter()
+    assert main(["check", str(f)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: root order 20011 is too large")
+    assert main(["torus", "simple", str(f)]) == 0  # no coefficient ring needed
 
 
 def test_reduce_triangle(capsys, tmp_path):
