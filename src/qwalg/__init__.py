@@ -13,9 +13,10 @@ from .scalars import (GroupMismatch, Scalar, ScalarGroup, SubgroupDescription,
 from .presentation import (Additive, AddMultiple, AdmissibilityReport, Eulerian,
                            EulerianNotSupported, Multiplicative, Permute,
                            Presentation, PresentationError, Scale,
-                           apply_certificate, apply_op, certified_system,
-                           check_admissible, subpresentation,
-                           system_from_presentation, weyl_matrix)
+                           VerificationError, apply_certificate, apply_op,
+                           certified_system, check_admissible, exchanged,
+                           subpresentation, system_from_presentation, verified,
+                           weyl_matrix)
 from .qwa import (Document, ParseError, format_presentation, format_qweyl,
                   parse_document, parse_presentation, parse_scalar_literal)
 from .rewrite import (Confluent, Element, Failing, NotCertifiedError,
@@ -32,7 +33,7 @@ from .mixed import (AlgebraInvariants, CanonicalMixedAlgebra, Equivalent,
                     eulerian_presentation, invariants, mixed_weyl_invariants,
                     reduce_to_canonical, replay_certificate)
 from .qweyl import (LocalizationResult, QuantumWeylAlgebra, QWeylInvariants,
-                    VerificationError, localize_to_mixed, localized_lambda,
+                    localize_to_mixed, localized_lambda,
                     qweyl_equivalence_necessary, qweyl_invariants)
 from .embeddings import (FailingRelation, GeneratorMap, Verified, embed_mixed,
                          embed_torus, format_generator_map, parse_generator_map,

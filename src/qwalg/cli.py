@@ -13,11 +13,12 @@ import json
 import sys
 
 from . import __version__
-from .embeddings import (Verified, embed_mixed, embed_torus,
-                         format_generator_map, verify_homomorphism)
+from .embeddings import (Verified, embed_mixed, embed_torus, format_generator_map,
+                         parse_generator_map, verify_homomorphism)
 from .mixed import (Equivalent, NotEquivalent, equivalence_decide, invariants,
                     reduce_to_canonical)
-from .presentation import Presentation, check_admissible, certified_system
+from .presentation import (Presentation, certified_system, check_admissible,
+                           system_from_presentation)
 from .qwa import format_presentation, parse_document
 from .qweyl import (QuantumWeylAlgebra, localize_to_mixed,
                     qweyl_equivalence_necessary, qweyl_invariants)
@@ -108,7 +109,6 @@ def _subgroup_fields(prefix: str, sub) -> dict:
 def cmd_check(args) -> int:
     p, = _load_presentations(args.file)
     report = check_admissible(p)
-    from .presentation import system_from_presentation
     verdict = system_from_presentation(p).check_confluence()
     confluent = isinstance(verdict, Confluent)
     if report.admissible != confluent:
@@ -233,26 +233,25 @@ def cmd_torus(args) -> int:
             human = [f"not applicable: {res.reason}"]
         _emit(machine, human, args)
         return 0
-    if args.sub == "morphism":
-        if len(args.files) != 2 or not args.matrix:
-            raise CliError("torus morphism needs two files and --matrix")
-        t1, t2 = _load_tori(*args.files)
-        h = json.loads(args.matrix)
-        res = check_morphism(t1, t2, h)
-        machine = {"command": "torus.morphism", "file_a": args.files[0],
-                   "file_b": args.files[1], "matrix": _mat(h)}
-        if isinstance(res, Violation):
-            machine.update(verdict="violation", at=f"({res.i + 1},{res.j + 1})")
-            human = [f"matrix violates the weight equations at pair "
-                     f"({res.i + 1},{res.j + 1})"]
-        else:
-            machine.update(verdict="morphism",
-                           isomorphism=str(is_isomorphism(res)).lower())
-            human = ["matrix defines a morphism"
-                     + (" (isomorphism)" if is_isomorphism(res) else "")]
-        _emit(machine, human, args)
-        return 0
-    raise CliError(f"unknown torus subcommand {args.sub!r}")
+    # morphism, the last of the argparse choices
+    if len(args.files) != 2 or not args.matrix:
+        raise CliError("torus morphism needs two files and --matrix")
+    t1, t2 = _load_tori(*args.files)
+    h = json.loads(args.matrix)
+    res = check_morphism(t1, t2, h)
+    machine = {"command": "torus.morphism", "file_a": args.files[0],
+               "file_b": args.files[1], "matrix": _mat(h)}
+    if isinstance(res, Violation):
+        machine.update(verdict="violation", at=f"({res.i + 1},{res.j + 1})")
+        human = [f"matrix violates the weight equations at pair "
+                 f"({res.i + 1},{res.j + 1})"]
+    else:
+        machine.update(verdict="morphism",
+                       isomorphism=str(is_isomorphism(res)).lower())
+        human = ["matrix defines a morphism"
+                 + (" (isomorphism)" if is_isomorphism(res) else "")]
+    _emit(machine, human, args)
+    return 0
 
 
 def cmd_qweyl(args) -> int:
@@ -282,17 +281,16 @@ def cmd_qweyl(args) -> int:
                  f"center trivial: {machine['center_trivial']}"]
         _emit(machine, human, args)
         return 0
-    if args.sub == "equiv":
-        if len(args.files) != 2:
-            raise CliError("qweyl equiv needs two files")
-        a, b = _load_qweyls(*args.files)
-        verdict = qweyl_equivalence_necessary(a, b, param=args.param)
-        machine = {"command": "qweyl.equiv", "file_a": args.files[0],
-                   "file_b": args.files[1]}
-        human = _equiv_human(verdict, machine)
-        _emit(machine, human, args)
-        return 0
-    raise CliError(f"unknown qweyl subcommand {args.sub!r}")
+    # equiv, the last of the argparse choices
+    if len(args.files) != 2:
+        raise CliError("qweyl equiv needs two files")
+    a, b = _load_qweyls(*args.files)
+    verdict = qweyl_equivalence_necessary(a, b, param=args.param)
+    machine = {"command": "qweyl.equiv", "file_a": args.files[0],
+               "file_b": args.files[1]}
+    human = _equiv_human(verdict, machine)
+    _emit(machine, human, args)
+    return 0
 
 
 def cmd_embed(args) -> int:
@@ -319,30 +317,28 @@ def cmd_embed(args) -> int:
                  format_generator_map(gmap).rstrip()]
         _emit(machine, human, args)
         return 0
-    if args.sub == "verify":
-        if len(args.files) != 3:
-            raise CliError("embed verify needs SOURCE.qwa TARGET.qwa MAP")
-        src, = _load_presentations(args.files[0])
-        tgt, = _load_presentations(args.files[1])
-        sys_t = certified_system(tgt)
-        if args.invert:
-            for name in args.invert.split(","):
-                sys_t, _ = sys_t.invert_generator(name.strip())
-        from .embeddings import parse_generator_map
-        gmap = parse_generator_map(_read(args.files[2]), src, sys_t)
-        res = verify_homomorphism(gmap)
-        ok = isinstance(res, Verified)
-        machine = {"command": "embed.verify", "source": args.files[0],
-                   "target": args.files[1], "map": args.files[2],
-                   "verified": str(ok).lower()}
-        if ok:
-            human = [f"map verified on {res.relations_checked} relations"]
-        else:
-            machine["failing_pair"] = f"({res.pair[0]},{res.pair[1]})"
-            human = [f"map fails on the relation of pair {res.pair}"]
-        _emit(machine, human, args)
-        return 0 if ok else 1
-    raise CliError(f"unknown embed subcommand {args.sub!r}")
+    # verify, the last of the argparse choices
+    if len(args.files) != 3:
+        raise CliError("embed verify needs SOURCE.qwa TARGET.qwa MAP")
+    src, = _load_presentations(args.files[0])
+    tgt, = _load_presentations(args.files[1])
+    sys_t = certified_system(tgt)
+    if args.invert:
+        for name in args.invert.split(","):
+            sys_t, _ = sys_t.invert_generator(name.strip())
+    gmap = parse_generator_map(_read(args.files[2]), src, sys_t)
+    res = verify_homomorphism(gmap)
+    ok = isinstance(res, Verified)
+    machine = {"command": "embed.verify", "source": args.files[0],
+               "target": args.files[1], "map": args.files[2],
+               "verified": str(ok).lower()}
+    if ok:
+        human = [f"map verified on {res.relations_checked} relations"]
+    else:
+        machine["failing_pair"] = f"({res.pair[0]},{res.pair[1]})"
+        human = [f"map fails on the relation of pair {res.pair}"]
+    _emit(machine, human, args)
+    return 0 if ok else 1
 
 
 def _equiv_human(verdict, machine: dict) -> list[str]:
@@ -379,65 +375,52 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
+    def common(sp, run):
         sp.add_argument("--json", action="store_true",
                         help="print the machine block as JSON only")
+        sp.set_defaults(run=run)
 
     sp = sub.add_parser("check", help="parse + admissibility + confluence cross-check")
     sp.add_argument("file")
-    common(sp)
+    common(sp, cmd_check)
 
     sp = sub.add_parser("reduce", help="canonical (n, r, Lambda) with certificate")
     sp.add_argument("file")
     sp.add_argument("--emit-qwa", metavar="OUT")
-    common(sp)
+    common(sp, cmd_reduce)
 
     sp = sub.add_parser("invariants", help="rational invariants of the reduced algebra")
     sp.add_argument("file")
-    common(sp)
+    common(sp, cmd_invariants)
 
     sp = sub.add_parser("torus", help="quantum torus queries")
     sp.add_argument("sub", choices=["simple", "center", "iso", "morphism"])
     sp.add_argument("files", nargs="+")
     sp.add_argument("--param")
     sp.add_argument("--matrix")
-    common(sp)
+    common(sp, cmd_torus)
 
     sp = sub.add_parser("qweyl", help="quantum Weyl algebra queries")
     sp.add_argument("sub", choices=["localize", "invariants", "equiv"])
     sp.add_argument("files", nargs="+")
     sp.add_argument("--param")
-    common(sp)
+    common(sp, cmd_qweyl)
 
     sp = sub.add_parser("embed", help="embedding constructions and verification")
     sp.add_argument("sub", choices=["torus", "mixed", "verify"])
     sp.add_argument("files", nargs="+")
     sp.add_argument("--invert", help="comma list of target generators to invert")
-    common(sp)
+    common(sp, cmd_embed)
 
     sp = sub.add_parser("equiv", help="full equivalence decision with reason code")
     sp.add_argument("files", nargs=2)
     sp.add_argument("--param")
     sp.add_argument("--matrix", help="torus isomorphism matrix to verify and use")
-    common(sp)
+    common(sp, cmd_equiv)
 
     args = parser.parse_args(argv)
     try:
-        if args.cmd == "check":
-            return cmd_check(args)
-        if args.cmd == "reduce":
-            return cmd_reduce(args)
-        if args.cmd == "invariants":
-            return cmd_invariants(args)
-        if args.cmd == "torus":
-            return cmd_torus(args)
-        if args.cmd == "qweyl":
-            return cmd_qweyl(args)
-        if args.cmd == "embed":
-            return cmd_embed(args)
-        if args.cmd == "equiv":
-            return cmd_equiv(args)
-        raise CliError(f"unknown command {args.cmd!r}")
+        return args.run(args)
     except Exception as exc:  # exit contract: every failure is exit 2
         # Input errors (ParseError and GroupMismatch are ValueErrors) speak
         # for themselves; anything else is named by its type.

@@ -4,72 +4,21 @@ verified as a homomorphism by the rewrite engine.
 Injectivity of these embeddings is a theorem about leading terms in the
 ambient series fields and is taken as given; what the engine certifies is
 that the generator images satisfy every defining relation of the source.
+The map types and the check itself live in ``presentation``, next to the
+relation semantics they use, and are re-exported here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .cyclo import Coeff, coeff_to_scalar
-from .presentation import (Additive, Eulerian, Multiplicative, Presentation,
-                           certified_system)
+from .mixed import CanonicalMixedAlgebra, MixedWeylField, eulerian_presentation
+from .presentation import (  # the map types and the check are re-exported
+    Eulerian, FailingRelation, GeneratorMap, Multiplicative, Presentation, Verified,
+    certified_system, verified, verify_homomorphism)
+from .qwa import ParseError, parse_scalar_literal
 from .rewrite import Element, ReductionSystem
 from .scalars import format_scalar
-
-
-@dataclass
-class GeneratorMap:
-    """Images of the source generators inside a certified target system."""
-    source: Presentation
-    target: ReductionSystem
-    images: dict[str, Element]
-
-    def image(self, name: str) -> Element:
-        return self.images[name]
-
-
-@dataclass(frozen=True)
-class Verified:
-    relations_checked: int
-
-
-@dataclass(frozen=True)
-class FailingRelation:
-    pair: tuple[str, str]
-    defect: Element
-
-
-def verify_homomorphism(gmap: GeneratorMap) -> Verified | FailingRelation:
-    """Reduce image(LHS) - image(RHS) of every source relation to normal form.
-
-    Absent pairs commute in the source, so their images must commute too;
-    all pairs are checked, not only the listed ones.
-    """
-    src = gmap.source
-    sys = gmap.target
-    ring = sys.ring
-    count = 0
-    for i in range(src.n):
-        for j in range(i + 1, src.n):
-            rel = src.rel(i, j)
-            a = gmap.images[src.gens[i]]
-            b = gmap.images[src.gens[j]]
-            ab = a.concat(b)
-            ba = b.concat(a)
-            if isinstance(rel, Additive):
-                defect = ab.sub(ba)
-                if rel.weight:
-                    defect = defect.sub(
-                        Element.from_word(ring, (), Coeff.from_rational(ring, rel.weight)))
-            elif isinstance(rel, Multiplicative):
-                defect = ab.sub(ba.scale(Coeff.from_scalar(ring, rel.weight)))
-            else:
-                w_img, y_img = (a, b) if rel.w_index == i else (b, a)
-                defect = w_img.concat(y_img).sub(y_img.concat(w_img)).sub(y_img)
-            if not sys.normal_form(defect).is_zero():
-                return FailingRelation((src.gens[i], src.gens[j]),
-                                       sys.normal_form(defect))
-            count += 1
-    return Verified(count)
 
 
 def parse_generator_map(text: str, source: Presentation,
@@ -78,8 +27,6 @@ def parse_generator_map(text: str, source: Presentation,
 
     Factors named g^-1 refer to the target's adjoined inverse letters.
     """
-    import re
-    from .qwa import ParseError, parse_scalar_literal
     body = text.strip()
     m = re.match(r"^map\s*\{(.*)\}\s*$", body, re.S)
     if not m:
@@ -141,117 +88,68 @@ def format_generator_map(gmap: GeneratorMap) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The torus embedding: one quantum plane or commuting pair per generator pair.
+# Plane embeddings: one quantum plane or commuting pair per generator pair.
 
 
-def _plane_names(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+def _plane_embedding(source: Presentation, group, n: int, r: int, lam):
+    """Map y_1..y_n (and w_1..w_r) into r derivation pairs (t_i, a_i) with
+    [t_i, a_i] = a_i, tensored with one plane (u_{i,j}, v_{i,j}) of weight
+    lambda_{i,j} per pair i < j (a commuting pair when the weight is 1).
 
-
-def embed_torus(torus) -> tuple[GeneratorMap, "object"]:
-    """Embed the quantum affine space of a weight matrix into a tensor product
-    of quantum planes and central pairs.
-
-    Generator i maps to v^1_i ... v^{i-1}_i u^i_{i+1} ... u^i_n, one letter
-    from each plane it meets; plane (i, j) carries the weight lambda_{i,j}.
-    Returns the verified map and the mixed Weyl data (m=0, planes, centrals).
+    y_i goes to a_i (for i <= r) times v_{1,i} ... v_{i-1,i} u_{i,i+1} ...
+    u_{i,n}, one letter from each plane it meets, and w_i to t_i; this
+    unbraids every pair at once.  Returns the verified map and the target's
+    Weyl-field data (m = r, planes, centrals), where 2 planes + centrals
+    = n(n-1).
     """
-    from .mixed import MixedWeylField
-    lam = torus.lam
-    n = torus.n
-    group = torus.group
-    source = torus.to_presentation()
-    names = []
-    items = []
-    plane_index = {}
-    for (i, j) in _plane_names(n):
-        ui = len(names)
-        names += [f"u{i+1}_{j+1}", f"v{i+1}_{j+1}"]
-        plane_index[(i, j)] = ui
-        if not lam[i][j].is_one():
-            items.append((ui, ui + 1, Multiplicative(lam[i][j])))
-    target_p = Presentation.build(group, tuple(names), items)
-    sys = certified_system(target_p)
-    images = {}
-    for i in range(n):
-        word = []
-        for k in range(i):
-            word.append(f"v{k+1}_{i+1}")
-        for j in range(i + 1, n):
-            word.append(f"u{i+1}_{j+1}")
-        images[f"y{i+1}"] = sys.word(*word) if word else sys.one()
-    gmap = GeneratorMap(source, sys, images)
-    res = verify_homomorphism(gmap)
-    if not isinstance(res, Verified):
-        raise AssertionError(f"torus embedding failed verification: {res}")
-    weights = [lam[i][j] for (i, j) in _plane_names(n) if not lam[i][j].is_one()]
-    r = len(weights)
-    t = 2 * (len(_plane_names(n)) - r)
-    field = MixedWeylField(group, 0, r, t, weights)
-    return gmap, field
-
-
-def embed_mixed(s) -> tuple[GeneratorMap, "object"]:
-    """Embed the derivation presentation of a canonical mixed algebra into a
-    tensor product of r derivation pairs, quantum planes, and central pairs.
-
-    Each counting generator w_i goes to a fresh pair generator t_i with
-    [t_i, a_i] = a_i, and y_i picks up the factor a_i in front of its torus
-    image, which is the two-variable unbraiding map done for every pair at
-    once; the target's Weyl-field data has m = r and 2s + t = n(n-1).
-    """
-    from .mixed import CanonicalMixedAlgebra, MixedWeylField, eulerian_presentation
-    group = s.group
-    n, r = s.n, s.r
-    source = eulerian_presentation(s)
-    if n == 1 and r == 0:
-        target_p = Presentation.build(group, ("z1",), [])
-        sys = certified_system(target_p)
-        gmap = GeneratorMap(source, sys, {"y1": sys.gen("z1")})
-        res = verify_homomorphism(gmap)
-        assert isinstance(res, Verified)
-        return gmap, MixedWeylField(group, 0, 0, 1, ())
-    names = []
-    items = []
+    names, items = [], []
     for i in range(r):
-        ti = len(names)
+        items.append((len(names), len(names) + 1, Eulerian(len(names))))
         names += [f"t{i+1}", f"a{i+1}"]
-        items.append((ti, ti + 1, Eulerian(ti)))
-    plane_base = {}
-    for (i, j) in _plane_names(n):
-        ui = len(names)
-        plane_base[(i, j)] = ui
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j) in pairs:
+        if not lam[i][j].is_one():
+            items.append((len(names), len(names) + 1, Multiplicative(lam[i][j])))
         names += [f"u{i+1}_{j+1}", f"v{i+1}_{j+1}"]
-        if not s.lam[i][j].is_one():
-            items.append((ui, ui + 1, Multiplicative(s.lam[i][j])))
-    target_p = Presentation.build(group, tuple(names), items)
-    sys = certified_system(target_p)
+    sys = certified_system(Presentation.build(group, tuple(names), items))
     images = {}
     for i in range(n):
-        word = []
-        if i < r:
-            word.append(f"a{i+1}")
-        for k in range(i):
-            word.append(f"v{k+1}_{i+1}")
-        for j in range(i + 1, n):
-            word.append(f"u{i+1}_{j+1}")
+        word = [f"a{i+1}"] if i < r else []
+        word += [f"v{k+1}_{i+1}" for k in range(i)]
+        word += [f"u{i+1}_{j+1}" for j in range(i + 1, n)]
         images[f"y{i+1}"] = sys.word(*word)
     for i in range(r):
         images[f"w{i+1}"] = sys.word(f"t{i+1}")
     gmap = GeneratorMap(source, sys, images)
-    res = verify_homomorphism(gmap)
-    if not isinstance(res, Verified):
-        raise AssertionError(f"mixed embedding failed verification: {res}")
-    weights = [s.lam[i][j] for (i, j) in _plane_names(n) if not s.lam[i][j].is_one()]
-    planes = len(weights)
-    centrals = 2 * (len(_plane_names(n)) - planes)
-    field = MixedWeylField(group, r, planes, centrals, weights)
-    if not (n * (n - 1) <= 2 * planes + centrals <= n * (n - 1) + r):
-        raise AssertionError("target size bounds violated")
-    return gmap, field
+    verified(gmap, "plane embedding")
+    weights = [lam[i][j] for (i, j) in pairs if not lam[i][j].is_one()]
+    centrals = 2 * (len(pairs) - len(weights))
+    return gmap, MixedWeylField(group, r, len(weights), centrals, weights)
 
 
-def weyl_lower_bound_witness(s) -> GeneratorMap:
+def embed_torus(torus) -> tuple[GeneratorMap, MixedWeylField]:
+    """Embed the quantum affine space of a weight matrix into a tensor product
+    of quantum planes and central pairs (the plane embedding with r = 0)."""
+    return _plane_embedding(torus.to_presentation(), torus.group, torus.n, 0, torus.lam)
+
+
+def embed_mixed(s: CanonicalMixedAlgebra) -> tuple[GeneratorMap, MixedWeylField]:
+    """Embed the derivation presentation of a canonical mixed algebra into a
+    tensor product of r derivation pairs, quantum planes, and central pairs.
+
+    The commutative line (n = 1, r = 0) goes to one central variable z1;
+    otherwise the target's Weyl-field data has m = r and 2s + t = n(n-1).
+    """
+    source = eulerian_presentation(s)
+    if s.n == 1 and s.r == 0:
+        sys = certified_system(Presentation.build(s.group, ("z1",), []))
+        gmap = GeneratorMap(source, sys, {"y1": sys.gen("z1")})
+        verified(gmap, "mixed embedding")
+        return gmap, MixedWeylField(s.group, 0, 0, 1, ())
+    return _plane_embedding(source, s.group, s.n, s.r, s.lam)
+
+
+def weyl_lower_bound_witness(s: CanonicalMixedAlgebra) -> GeneratorMap:
     """Exhibit a classical Weyl algebra A_r inside the algebra tensored with
     its transposed parameter torus.
 
@@ -260,7 +158,6 @@ def weyl_lower_bound_witness(s) -> GeneratorMap:
     twists cancel the quantum weights.  This witnesses that any Weyl field
     embedding needs at least r Weyl pairs.
     """
-    from .mixed import CanonicalMixedAlgebra
     group = s.group
     n, r = s.n, s.r
     if r == 0:
@@ -283,7 +180,5 @@ def weyl_lower_bound_witness(s) -> GeneratorMap:
         images[f"Y{k+1}"] = sys.word(f"y{k+1}", f"yt{k+1}")
         images[f"X{k+1}"] = sys.word(f"yt{k+1}^-1", f"x{k+1}")
     gmap = GeneratorMap(source, sys, images)
-    res = verify_homomorphism(gmap)
-    if not isinstance(res, Verified):
-        raise AssertionError(f"Weyl witness failed verification: {res}")
+    verified(gmap, "Weyl witness")
     return gmap

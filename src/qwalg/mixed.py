@@ -18,12 +18,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intlattice
-from .presentation import (Additive, AddMultiple, Eulerian, Multiplicative, Op,
-                           Permute, Presentation, PresentationError, Scale,
-                           apply_certificate, check_admissible, weyl_matrix)
-from .scalars import Scalar, ScalarGroup, SubgroupDescription, subgroup_canonical_form
-from .torus import (Iso, NotIso, QuantumTorus, central_lattice, is_simple,
-                    uniparameter_exponents, uniparameter_iso_decide)
+from .cyclo import Coeff
+from .presentation import (Additive, AddMultiple, Eulerian, GeneratorMap,
+                           Multiplicative, Op, Permute, Presentation,
+                           PresentationError, Scale, apply_certificate,
+                           certified_system, check_admissible, verified,
+                           weyl_matrix)
+from .rewrite import Element
+from .scalars import ScalarGroup, SubgroupDescription, subgroup_canonical_form
+from .torus import (Iso, NotIso, QuantumTorus, Violation, central_lattice,
+                    check_morphism, is_simple, uniparameter_exponents,
+                    uniparameter_iso_decide)
 
 
 class InadmissiblePresentation(PresentationError):
@@ -306,12 +311,13 @@ class AlgebraInvariants:
 
 def center_lattices(s: CanonicalMixedAlgebra) -> tuple[list[list[int]], list[list[int]]]:
     """The central lattice of the parameter torus, and its sublattice on the
-    coordinates k >= r, which leaves out the Weyl-paired y's."""
+    coordinates k >= r, which leaves out the Weyl-paired y's.
+
+    The central lattice comes in Hermite normal form, and the rows of an
+    echelon basis whose first r entries vanish are exactly the Hermite basis
+    of its part on the coordinates k >= r."""
     full = central_lattice(s.torus())
-    if not s.r:
-        return full, full
-    coord = intlattice.identity(s.n)[s.r:]
-    return full, intlattice.lattice_intersect(full, coord, s.n) if coord else []
+    return full, [row for row in full if not any(row[:s.r])]
 
 
 def invariants(s: CanonicalMixedAlgebra) -> AlgebraInvariants:
@@ -410,7 +416,6 @@ def equivalence_decide(a: CanonicalMixedAlgebra, b: CanonicalMixedAlgebra,
     ta, tb = a.torus(), b.torus()
 
     if supplied_h is not None:
-        from .torus import Violation, check_morphism
         fwd = check_morphism(ta, tb, supplied_h)
         if isinstance(fwd, Violation) or abs(intlattice.det(
                 [list(r) for r in supplied_h])) != 1:
@@ -457,22 +462,15 @@ def _semiclassical_witness(a: CanonicalMixedAlgebra, b: CanonicalMixedAlgebra, h
     with hinv the inverse matrix; backward swaps the roles.  Each map is
     verified relation-by-relation by the rewrite engine.
     """
-    from .embeddings import Verified, verify_homomorphism
     hinv = intlattice.matinv_unimodular([list(r) for r in h])
     fwd = _pigne_map(a, b, [list(r) for r in h], hinv)
     back = _pigne_map(b, a, hinv, [list(r) for r in h])
     for gm in (fwd, back):
-        res = verify_homomorphism(gm)
-        if not isinstance(res, Verified):
-            raise AssertionError(f"equivalence witness failed verification: {res}")
+        verified(gm, "equivalence witness")
     return fwd, back
 
 
 def _pigne_map(src: CanonicalMixedAlgebra, dst: CanonicalMixedAlgebra, h, hinv):
-    from .embeddings import GeneratorMap
-    from .presentation import certified_system
-    from .cyclo import Coeff
-    from .rewrite import Element
     n = src.n
     source = eulerian_presentation(src)
     target_p = eulerian_presentation(dst)

@@ -6,13 +6,19 @@ scalar twist ``x y = s * y x`` (s a declared scalar, never 1 after
 normalization), or the derivation-counting relation ``[w, y] = y``.  Absent
 pairs commute.  Relations are stored for i < j only, with the weight
 adjusted when the input came in the opposite orientation.
+
+``exchanged`` is the one place the three kinds are read as algebra: it gives
+what g_j g_i equals under the relation of a pair i < j.  The reduction
+system of a presentation uses it as the rule of each pair, and
+``verify_homomorphism`` uses it to check a ``GeneratorMap`` relation by
+relation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rewrite import Element, Rule, ReductionSystem
+from .rewrite import Element, Failing, ReductionSystem, Rule
 from .cyclo import Coeff, CoeffRing
 from .scalars import Scalar, ScalarGroup
 
@@ -301,39 +307,98 @@ def apply_certificate(p: Presentation, ops) -> Presentation:
 # Reduction systems from presentations.
 
 
+def exchanged(rel: Relation, i: int, gi: Element, gj: Element) -> Element:
+    """What g_j g_i equals under ``rel``, the stored relation of a pair i < j,
+    with gi and gj standing in for g_i and g_j.
+
+    This is the one place the relation kinds are read as algebra: the
+    reduction rule of the pair rewrites g_j g_i to it, and a generator map
+    is checked by reducing image(g_j) image(g_i) minus it to zero.
+    """
+    ij = gi.concat(gj)
+    if isinstance(rel, Additive):  # g_i g_j - g_j g_i = p
+        if not rel.weight:
+            return ij
+        return ij.add(Element.from_word(ij.ring, (), Coeff.from_rational(ij.ring, -rel.weight)))
+    if isinstance(rel, Multiplicative):  # g_i g_j = s g_j g_i
+        return ij.scale(Coeff.from_scalar(ij.ring, rel.weight.inv()))
+    if rel.w_index == i:  # [g_i, g_j] = g_j
+        return ij.sub(gj)
+    return ij.add(gi)  # [g_j, g_i] = g_i
+
+
 def system_from_presentation(p: Presentation) -> ReductionSystem:
-    """One quadratic rule per generator pair, in declaration order."""
+    """One quadratic rule g_j g_i -> exchanged(...) per pair i < j, in
+    declaration order."""
     ring = CoeffRing(p.group)
-    n = p.n
-    relations = []
-    for j in range(n):
-        for i in range(j):
-            rel = p.rel(i, j)
-            if isinstance(rel, Additive):
-                # g_i g_j - g_j g_i = p  =>  g_j g_i -> g_i g_j - p
-                rhs = Element(ring, {(i, j): Coeff.one(ring)})
-                if rel.weight:
-                    rhs = rhs.add(Element(ring, {(): Coeff.from_rational(ring, -rel.weight)}))
-            elif isinstance(rel, Multiplicative):
-                rhs = Element(ring, {(i, j): Coeff.from_scalar(ring, rel.weight.inv())})
-            else:
-                one = Coeff.one(ring)
-                if rel.w_index == j:
-                    # [g_j, g_i] = g_i  =>  g_j g_i -> g_i g_j + g_i
-                    rhs = Element(ring, {(i, j): one, (i,): one})
-                else:
-                    # [g_i, g_j] = g_j  =>  g_j g_i -> g_i g_j - g_j
-                    rhs = Element(ring, {(i, j): one, (j,): Coeff.from_rational(ring, -1)})
-            relations.append(((j, i), rhs))
-    rules = [Rule(lhs, rhs) for lhs, rhs in relations]
+    letters = [Element.from_word(ring, (i,)) for i in range(p.n)]
+    rules = [Rule((j, i), exchanged(p.rel(i, j), i, letters[i], letters[j]))
+             for j in range(p.n) for i in range(j)]
     return ReductionSystem(p.group, p.gens, rules)
 
 
 def certified_system(p: Presentation) -> ReductionSystem:
-    from .rewrite import Failing
     s = system_from_presentation(p)
     verdict = s.check_confluence()
     if isinstance(verdict, Failing):
         raise PresentationError(f"presentation has no ordered-monomial basis; "
                                 f"ambiguity at word {s.format_word(verdict.word)}")
     return s
+
+
+# ---------------------------------------------------------------------------
+# Generator maps, verified relation by relation.
+
+
+class VerificationError(RuntimeError):
+    """An engine check that the theory guarantees has failed; a bug, not data."""
+
+
+@dataclass
+class GeneratorMap:
+    """Images of the source generators inside a certified target system."""
+    source: Presentation
+    target: ReductionSystem
+    images: dict[str, Element]
+
+    def image(self, name: str) -> Element:
+        return self.images[name]
+
+
+@dataclass(frozen=True)
+class Verified:
+    relations_checked: int
+
+
+@dataclass(frozen=True)
+class FailingRelation:
+    pair: tuple[str, str]
+    defect: Element
+
+
+def verify_homomorphism(gmap: GeneratorMap) -> Verified | FailingRelation:
+    """Reduce b a - exchanged(rel, i, a, b) to normal form for the images a, b
+    of every source pair i < j.
+
+    Absent pairs commute in the source, so their images must commute too;
+    all pairs are checked, not only the listed ones.
+    """
+    src, sys = gmap.source, gmap.target
+    count = 0
+    for i in range(src.n):
+        a = gmap.images[src.gens[i]]
+        for j in range(i + 1, src.n):
+            b = gmap.images[src.gens[j]]
+            defect = sys.normal_form(b.concat(a).sub(exchanged(src.rel(i, j), i, a, b)))
+            if not defect.is_zero():
+                return FailingRelation((src.gens[i], src.gens[j]), defect)
+            count += 1
+    return Verified(count)
+
+
+def verified(gmap: GeneratorMap, what: str) -> Verified:
+    """The Verified record of a map the theory guarantees, or VerificationError."""
+    res = verify_homomorphism(gmap)
+    if not isinstance(res, Verified):
+        raise VerificationError(f"{what} failed verification: {res}")
+    return res

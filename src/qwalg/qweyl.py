@@ -19,17 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclo import Coeff, CoeffRing
-from .embeddings import GeneratorMap, Verified, verify_homomorphism
 from .mixed import (CanonicalMixedAlgebra, NotEquivalent, center_lattices,
                     equivalence_decide)
+from .presentation import GeneratorMap, VerificationError, verified
 from .qwa import QWeylSpec
 from .rewrite import Element, Failing, ReductionSystem, Rule
 from .scalars import Scalar, ScalarGroup
 from .torus import QuantumTorus
-
-
-class VerificationError(RuntimeError):
-    """An engine check that the theory guarantees has failed; a bug, not data."""
 
 
 class QuantumWeylAlgebra:
@@ -207,9 +203,7 @@ def localize_to_mixed(a: QuantumWeylAlgebra) -> LocalizationResult:
         else:
             images[f"x{k+1}"] = sys.word(zinv_label[p], f"x{j+1}")
     gmap = GeneratorMap(source, sys, images)
-    res = verify_homomorphism(gmap)
-    if not isinstance(res, Verified):
-        raise VerificationError(f"localization relations failed: {res}")
+    res = verified(gmap, "localization")
     return LocalizationResult(canonical, gmap, normal_scalars, res.relations_checked)
 
 

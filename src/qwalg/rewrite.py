@@ -148,14 +148,12 @@ class ReductionSystem:
     """A terminating reduction system on the free algebra over the letters."""
 
     def __init__(self, group: ScalarGroup, letters: tuple[str, ...],
-                 rules: list[Rule], inverse_of: dict[int, int] | None = None,
-                 inverse_letters: frozenset[int] | None = None):
+                 rules: list[Rule], inverse_of: dict[int, int] | None = None):
         self.group = group
         self.ring = CoeffRing(group)
         self.letters = tuple(letters)
         self.rules = list(rules)
         self.inverse_of = dict(inverse_of or {})
-        self.inverse_letters = frozenset(inverse_letters or ())
         self._certified = False
         self._by_first: dict[int, list[Rule]] = {}
         for rule in self.rules:
@@ -397,8 +395,7 @@ class ReductionSystem:
         inverse_of = dict(self.inverse_of)
         inverse_of[zinv_idx] = z_idx
         inverse_of[z_idx] = zinv_idx
-        ext = ReductionSystem(self.group, letters, rules, inverse_of,
-                              self.inverse_letters | {zinv_idx})
+        ext = ReductionSystem(self.group, letters, rules, inverse_of)
         verdict = ext.check_confluence(known=len(self.rules))
         if isinstance(verdict, Failing):
             raise NotNormalError(f"localized system is not confluent at "
@@ -478,8 +475,7 @@ class ReductionSystem:
         inverse_of = {remap(a): remap(b) for a, b in self.inverse_of.items()}
         inverse_of[inv_idx] = gidx
         inverse_of[gidx] = inv_idx
-        inv_letters = frozenset(remap(i) for i in self.inverse_letters) | {inv_idx}
-        ext = ReductionSystem(self.group, letters, rules, inverse_of, inv_letters)
+        ext = ReductionSystem(self.group, letters, rules, inverse_of)
         verdict = ext.check_confluence(known=len(self.rules))
         if isinstance(verdict, Failing):
             raise NotNormalError(f"inversion of {name!r} breaks confluence at "

@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlattice
-from .intlattice import SkewNormalForm
-from .presentation import Additive, Multiplicative, Presentation, PresentationError
+from .presentation import Multiplicative, Presentation
 from .scalars import Scalar, ScalarGroup
 
 

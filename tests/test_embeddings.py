@@ -210,3 +210,22 @@ def test_map_serialization_roundtrip():
     back = parse_generator_map(text, src, tgt)
     for g in src.gens:
         assert back.images[g] == gmap.images[g]
+
+
+def test_embed_torus_is_embed_mixed_without_pairs(grp):
+    # one plane construction: the torus embedding is the mixed one at r = 0
+    rng = random.Random(8)
+    q = grp.free_gen("q")
+    one = grp.one()
+    for n in (2, 3, 4):
+        lam = [[one for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                lam[i][j] = q.pow(rng.randrange(-2, 3))
+                lam[j][i] = lam[i][j].inv()
+        t = QuantumTorus(grp, lam)
+        gt, ft = embed_torus(t)
+        gm, fm = embed_mixed(CanonicalMixedAlgebra(grp, n, 0, t.lam))
+        assert gt.target.letters == gm.target.letters
+        assert gt.images == gm.images
+        assert (ft.m, ft.n, ft.t, ft.qs) == (fm.m, fm.n, fm.t, fm.qs)

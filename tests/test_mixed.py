@@ -6,9 +6,10 @@ import pytest
 from qwalg import intlattice as il
 from qwalg.mixed import (CanonicalMixedAlgebra, Equivalent, InadmissiblePresentation,
                          Inconclusive, MixedWeylField, NotEquivalent,
-                         cross_equivalence_necessary, equivalence_decide,
-                         eulerian_presentation, invariants, mixed_weyl_invariants,
-                         reduce_to_canonical, replay_certificate)
+                         center_lattices, cross_equivalence_necessary,
+                         equivalence_decide, eulerian_presentation, invariants,
+                         mixed_weyl_invariants, reduce_to_canonical,
+                         replay_certificate)
 from qwalg.presentation import (Additive, AddMultiple, Eulerian, Multiplicative,
                                 Permute, Presentation, Scale, apply_op,
                                 check_admissible, weyl_matrix)
@@ -304,3 +305,25 @@ def test_cross_equivalence_quantum_plane_field(grp):
     a = CanonicalMixedAlgebra(grp, 2, 0, [[one, q], [q.inv(), one]])
     v = cross_equivalence_necessary(a, MixedWeylField(grp, 0, 1, 0, (q,)))
     assert isinstance(v, Inconclusive)
+
+
+def test_center_sublattice_matches_lattice_intersection():
+    # the echelon rows with zero Weyl-paired entries span the part of the
+    # central lattice on the coordinates k >= r
+    rng = random.Random(12)
+    nonzero = 0
+    for _ in range(300):
+        e = rng.choice((1, 2, 3, 4, 6, 12))
+        g = ScalarGroup(e, ("q", "p")[:rng.randrange(3)], "zeta" if e > 1 else None)
+        n = rng.randrange(1, 6)
+        lam = [[g.one() for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                w = g.scalar(rng.randrange(e), [rng.randrange(-2, 3) for _ in range(g.rank)])
+                lam[i][j], lam[j][i] = w, w.inv()
+        s = CanonicalMixedAlgebra(g, n, rng.randrange(n + 1), lam)
+        full, center = center_lattices(s)
+        coord = il.identity(n)[s.r:]
+        assert center == (il.lattice_intersect(full, coord, n) if coord else [])
+        nonzero += bool(center) and len(center) < len(full)
+    assert nonzero > 10

@@ -1,14 +1,19 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qwalg import intlattice as il
-from qwalg.presentation import (Additive, AddMultiple, EulerianNotSupported,
-                                Multiplicative, OpError, Permute, Presentation,
-                                Scale, apply_op, check_admissible, subpresentation,
+from qwalg.cyclo import Coeff
+from qwalg.presentation import (Additive, AddMultiple, Eulerian,
+                                EulerianNotSupported, FailingRelation,
+                                GeneratorMap, Multiplicative, OpError, Permute,
+                                Presentation, Scale, Verified, apply_op,
+                                certified_system, check_admissible,
+                                subpresentation, verify_homomorphism,
                                 weyl_matrix)
-from qwalg.qwa import parse_presentation
+from qwalg.qwa import parse_document, parse_presentation
 from qwalg.scalars import ScalarGroup
 
 from test_qwa import S22_TEXT
@@ -147,3 +152,59 @@ def test_quantum_weights_survive_add(grp):
     p2 = apply_op(p, AddMultiple(1, 2, 5))
     assert p2.rel(1, 3) == Multiplicative(q)
     assert p2.additive_weight(0, 1) == 11
+
+
+# ---------------------------------------------------------------------------
+# Relation semantics shared by the reduction rules and map verification.
+
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "qwalg" / "corpus"
+
+
+def test_corpus_identity_maps_verify():
+    checked = 0
+    for path in sorted(CORPUS.glob("*.qwa")):
+        p = parse_document(path.read_text()).presentation
+        if p is None:
+            continue
+        sys = certified_system(p)
+        gmap = GeneratorMap(p, sys, {g: sys.gen(g) for g in p.gens})
+        res = verify_homomorphism(gmap)
+        assert isinstance(res, Verified), path.name
+        assert res.relations_checked == p.n * (p.n - 1) // 2
+        checked += 1
+    assert checked >= 16
+
+
+def _broken(grp, item, image):
+    """The pair (x, z) carries the relation ``item`` and y commutes with both;
+    returns the verification of the identity map and of the map changed by
+    ``image``."""
+    p = Presentation.build(grp, ("x", "y", "z"), [item])
+    sys = certified_system(p)
+    ident = {g: sys.gen(g) for g in p.gens}
+    return (verify_homomorphism(GeneratorMap(p, sys, ident)),
+            verify_homomorphism(GeneratorMap(p, sys, {**ident, **image(sys)})))
+
+
+@pytest.mark.parametrize("kind", ["additive", "multiplicative",
+                                  "eulerian_w_first", "eulerian_w_second"])
+def test_map_breaking_one_pair_names_it(grp, kind):
+    q = grp.free_gen("q")
+    two = lambda sys, g: sys.gen(g).scale(Coeff.from_rational(sys.ring, 2))
+    item, image = {
+        # [x, 2z] = 2 != 1
+        "additive": ((0, 2, Additive(1)), lambda sys: {"z": two(sys, "z")}),
+        # x z^2 = q^2 z^2 x != q z^2 x
+        "multiplicative": ((0, 2, Multiplicative(q)),
+                           lambda sys: {"z": sys.word("z", "z")}),
+        # [2x, z] = 2z != z
+        "eulerian_w_first": ((0, 2, Eulerian(0)), lambda sys: {"x": two(sys, "x")}),
+        # [2z, x] = 2x != x
+        "eulerian_w_second": ((2, 0, Eulerian(2)), lambda sys: {"z": two(sys, "z")}),
+    }[kind]
+    ok, bad = _broken(grp, item, image)
+    assert ok == Verified(3)
+    assert isinstance(bad, FailingRelation)
+    assert bad.pair == ("x", "z")
+    assert not bad.defect.is_zero()
+
