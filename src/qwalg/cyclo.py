@@ -5,20 +5,26 @@ coefficients in the cyclotomic field Q(zeta_e), divided by a product of
 tracked denominator atoms (the finitely many polynomials the engine has
 been asked to invert, e.g. q - 1 during localization).
 
-An element of Q(zeta_e) = Q[x]/Phi_e is a tuple of phi(e) Fractions, its
-coordinates in the power basis 1, zeta, ..., zeta^(phi-1): the remainder of
-a polynomial in zeta modulo the e-th cyclotomic polynomial Phi_e.  One
-dense-polynomial kernel (_divmod, _mul, _sub) serves the cyclotomic
-polynomials themselves, the reduction of products and the inverse by the
-extended Euclidean algorithm.  Zero tests and equality are exact: the
-representation is canonical and denominators are compared by cross
-multiplication.
+A numerator is one sparse dict {(a_1, ..., a_m, t): c} standing for the sum
+of c * q^a * zeta^t, with 0 <= t < phi(e), so that zeta^t runs over the
+power basis of Q(zeta_e) = Q[x]/Phi_e and the representation is canonical.
+Coordinates c are non-zero ints, or Fractions once a division has made
+them so.  A product adds keys; a power zeta^t with t >= phi is expanded
+through the integer table roots[t % e] of the non-zero coordinates of
+zeta^t, so a product of scalar-group elements q^a zeta^t costs one integer
+multiplication per coordinate.  The only division is the inverse in
+Q(zeta_e) of the field part of one q-monomial, by the extended Euclidean
+algorithm on dense lists (_divmod, _mul, _sub).  Zero tests and equality
+are exact: the representation is canonical and denominators are compared
+by cross multiplication.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
+from operator import add, sub
 
 from .scalars import Scalar, ScalarGroup
 
@@ -61,8 +67,10 @@ def _sub(a: list, b: list) -> list:
     return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
+@cache
 def cyclotomic_poly(e: int) -> list[int]:
-    """Coefficients of the e-th cyclotomic polynomial, constant term first."""
+    """Coefficients of the e-th cyclotomic polynomial, constant term first.
+    Memoized: the returned list is shared and must not be mutated."""
     poly = [-1] + [0] * (e - 1) + [1]  # x^e - 1
     for d in range(1, e):
         if e % d == 0:
@@ -72,9 +80,11 @@ def cyclotomic_poly(e: int) -> list[int]:
     return poly
 
 
-# Largest e * phi(e) a ring is built for: it tabulates zeta^t for 0 <= t < e
-# as phi-tuples.  The slowest accepted ring (e = 665) builds in about 0.3 s
-# on a 2-CPU x86 VM under Python 3.11, while e = 20011 exhausts memory.
+# Largest e * phi(e) a ring is built for: it tabulates the coordinates of
+# zeta^t for 0 <= t < e.  The slowest accepted ring (e = 665) builds in
+# about 0.05 s on a 2-CPU x86 VM under Python 3.11; past the bound, the
+# prime e = 1009 takes 0.06 s, e = 2310 0.4 s (0.25 s of it Phi_e) and
+# e = 20011 20 s.
 MAX_ROOT_TABLE = 400_000
 
 
@@ -110,87 +120,73 @@ class CoeffRing:
         self.m = group.rank
         self.phi_poly = cyclotomic_poly(self.e)
         self.phi = len(self.phi_poly) - 1
-        self.cy_zero = tuple([Fraction(0)] * self.phi)
-        self.cy_one = (Fraction(1),) + self.cy_zero[1:]
-        # roots[t] = zeta^t for 0 <= t < e, each reduced from zeta * roots[t-1].
-        self.roots = [self.cy_one]
-        for _ in range(1, self.e):
-            self.roots.append(self._reduce([Fraction(0), *self.roots[-1]]))
+        self.zero_exp = (0,) * self.m
+        # roots[t]: the non-zero (s, c) coordinates of zeta^t, 0 <= t < e, in
+        # integers; zeta^t = zeta * zeta^(t-1) with zeta^phi reduced by the
+        # monic Phi_e.
+        self.roots = []
+        z = [1] + [0] * (self.phi - 1)
+        for _ in range(self.e):
+            self.roots.append(tuple((s, c) for s, c in enumerate(z) if c))
+            top, z = z[-1], [0, *z[:-1]]
+            if top:
+                z = [c - top * p for c, p in zip(z, self.phi_poly)]
+        self.torsion_of = {r: t for t, r in enumerate(self.roots)}
 
-    # -- cyclotomic numbers: tuples of Fractions in the power basis ---------
-
-    def _reduce(self, p: list) -> tuple:
-        """The element of Q(zeta_e) that the polynomial p takes zeta to."""
-        rem = _divmod(p, self.phi_poly)[1]
-        return tuple(rem + [Fraction(0)] * (self.phi - len(rem)))
-
-    def cy_add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def cy_neg(self, a):
-        return tuple(-x for x in a)
-
-    def cy_mul(self, a, b):
-        return self._reduce(_mul(a, b))
-
-    def cy_from_rational(self, r) -> tuple:
-        out = [Fraction(0)] * self.phi
-        out[0] = Fraction(r)
-        return tuple(out)
-
-    def cy_root(self, t: int) -> tuple:
-        return self.roots[t % self.e]
-
-    def cy_inv(self, a):
-        """Inverse in Q(zeta_e) by the extended Euclidean algorithm."""
+    def cy_inv(self, a: list) -> list:
+        """Inverse in Q(zeta_e) of the dense coordinates a, by the extended
+        Euclidean algorithm."""
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        if self.phi == 1:
-            return (1 / a[0],)
-        # Invariant: s_i * a = r_i modulo Phi_e.
-        r0, r1 = self.phi_poly, list(a)
+        # Invariant: s_i * a = r_i modulo Phi_e.  All Fractions, so no
+        # division below meets two ints.
+        r0, r1 = [Fraction(c) for c in self.phi_poly], [Fraction(c) for c in a]
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while True:
             while not r1[-1]:
                 r1.pop()
-            if len(r1) == 1:  # r1[0] may be an integer left over from Phi_e
-                inv = Fraction(1) / r1[0]
-                return self._reduce([c * inv for c in s1])
+            if len(r1) == 1:
+                inv = 1 / r1[0]
+                return _divmod([c * inv for c in s1], self.phi_poly)[1]
             q, rem = _divmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _sub(s0, _mul(q, s1))
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials: dict[exponent tuple -> cyclotomic number].
+# Laurent polynomials over Q(zeta_e): dict[(q-exponents..., t) -> coordinate].
 
 
-def lp_add(ring, a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = ring.cy_add(out.get(k, ring.cy_zero), v)
-        if any(s):
+def _accumulate(out: dict, p: dict) -> dict:
+    """out += p in place, dropping cancelled keys."""
+    for k, v in p.items():
+        s = out.get(k, 0) + v
+        if s:
             out[k] = s
         else:
             out.pop(k, None)
     return out
 
 
-def lp_neg(ring, a: dict) -> dict:
-    return {k: ring.cy_neg(v) for k, v in a.items()}
+def lp_add(a: dict, b: dict) -> dict:
+    return _accumulate(dict(a), b)
+
+
+def lp_neg(a: dict) -> dict:
+    return {k: -v for k, v in a.items()}
 
 
 def lp_mul(ring, a: dict, b: dict) -> dict:
+    roots, e = ring.roots, ring.e
     out: dict = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            s = ring.cy_add(out.get(k, ring.cy_zero), ring.cy_mul(va, vb))
-            if any(s):
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+            *exp, t = map(add, ka, kb)
+            c = va * vb
+            for s, r in roots[t % e]:
+                k = (*exp, s)
+                out[k] = out.get(k, 0) + c * r
+    return {k: v for k, v in out.items() if v}
 
 
 def lp_key(a: dict) -> tuple:
@@ -198,9 +194,25 @@ def lp_key(a: dict) -> tuple:
 
 
 def _shift(ring, p: dict) -> tuple[dict, tuple]:
-    """(p / x^mins, mins) with mins the least exponent of each symbol in p."""
+    """(p / q^mins, mins) with mins the least exponent of each symbol in p."""
     mins = tuple(min(k[i] for k in p) for i in range(ring.m))
-    return {tuple(x - y for x, y in zip(k, mins)): v for k, v in p.items()}, mins
+    return {(*map(sub, k, mins), k[-1]): v for k, v in p.items()}, mins
+
+
+def _zeta_part(ring, p: dict) -> tuple[tuple, list]:
+    """p's lex-leading q-exponent and the dense coordinates of its
+    coefficient in Q(zeta_e)."""
+    lead = max(k[:-1] for k in p)
+    z = [0] * ring.phi
+    for k, v in p.items():
+        if k[:-1] == lead:
+            z[k[-1]] = v
+    return lead, z
+
+
+def _term(exp: tuple, z: list) -> dict:
+    """The numerator z * q^exp of dense field coordinates z."""
+    return {(*exp, s): c for s, c in enumerate(z) if c}
 
 
 def lp_divexact(ring, a: dict, b: dict) -> dict | None:
@@ -219,26 +231,20 @@ def lp_divexact(ring, a: dict, b: dict) -> dict | None:
     pa, sa = _shift(ring, a)
     pb, sb = _shift(ring, b)
     box = [max(k[i] for k in pa) - max(k[i] for k in pb) for i in range(ring.m)]
-    lead_b = max(pb)
-    inv_lb = ring.cy_inv(pb[lead_b])
+    lead_b, zb = _zeta_part(ring, pb)
+    inv_lb = _term(ring.zero_exp, ring.cy_inv(zb))
     quot: dict = {}
     rem = dict(pa)
     while rem:
-        lead_r = max(rem)
-        exp = tuple(x - y for x, y in zip(lead_r, lead_b))
+        lead_r, zr = _zeta_part(ring, rem)
+        exp = tuple(map(sub, lead_r, lead_b))
         if any(not 0 <= x <= top for x, top in zip(exp, box)):
             return None
-        c = ring.cy_mul(rem[lead_r], inv_lb)
-        quot[exp] = c
-        for kb, vb in pb.items():
-            k = tuple(x + y for x, y in zip(exp, kb))
-            s = ring.cy_add(rem.get(k, ring.cy_zero), ring.cy_neg(ring.cy_mul(c, vb)))
-            if any(s):
-                rem[k] = s
-            else:
-                rem.pop(k, None)
-    offset = tuple(x - y for x, y in zip(sa, sb))
-    return {tuple(x + y for x, y in zip(k, offset)): v for k, v in quot.items()}
+        c = lp_mul(ring, _term(exp, zr), inv_lb)
+        quot.update(c)
+        _accumulate(rem, lp_neg(lp_mul(ring, c, pb)))
+    offset = tuple(map(sub, sa, sb))
+    return {(*map(add, k, offset), k[-1]): v for k, v in quot.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +279,20 @@ class Coeff:
 
     @staticmethod
     def one(ring: CoeffRing) -> "Coeff":
-        return Coeff(ring, {(0,) * ring.m: ring.cy_one})
+        return Coeff(ring, {(*ring.zero_exp, 0): 1})
 
     @staticmethod
     def from_rational(ring: CoeffRing, r) -> "Coeff":
         r = Fraction(r)
         if r == 0:
             return Coeff.zero(ring)
-        return Coeff(ring, {(0,) * ring.m: ring.cy_from_rational(r)})
+        return Coeff(ring, {(*ring.zero_exp, 0): r.numerator if r.denominator == 1 else r})
 
     @staticmethod
     def from_scalar(ring: CoeffRing, s: Scalar) -> "Coeff":
         if s.group != ring.group:
             raise ValueError("scalar outside the coefficient ring's group")
-        return Coeff(ring, {tuple(s.free): ring.cy_root(s.torsion)})
+        return Coeff(ring, {(*s.free, t): c for t, c in ring.roots[s.torsion]})
 
     # -- predicates -----------------------------------------------------------
 
@@ -328,15 +334,15 @@ class Coeff:
     def add(self, other: "Coeff") -> "Coeff":
         ring = self.ring
         if self.den == other.den:
-            num = lp_add(ring, self.num, other.num)
+            num = lp_add(self.num, other.num)
             return self._with(num, Counter(self.den)) if num else Coeff.zero(ring)
         union = self.den | other.den
         left = _times_atoms(ring, self.num, union - self.den)
         right = _times_atoms(ring, other.num, union - other.den)
-        return self._with(lp_add(ring, left, right), union)
+        return self._with(lp_add(left, right), union)
 
     def neg(self) -> "Coeff":
-        return Coeff(self.ring, lp_neg(self.ring, self.num), Counter(self.den))
+        return Coeff(self.ring, lp_neg(self.num), Counter(self.den))
 
     def sub(self, other: "Coeff") -> "Coeff":
         return self.add(other.neg())
@@ -354,81 +360,30 @@ class Coeff:
         ring = self.ring
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero coefficient")
-        num = _times_atoms(ring, {(0,) * ring.m: ring.cy_one}, self.den)
-        if len(self.num) == 1:
-            (exp, cy), = self.num.items()
-            unit = {tuple(-x for x in exp): ring.cy_inv(cy)}
-            return Coeff(ring, lp_mul(ring, num, unit))
+        one = Coeff.one(ring).num
         atom, unit = _atomize(ring, self.num)
-        return Coeff(ring, lp_mul(ring, num, unit), Counter({atom: 1}))._cancel()
+        num = lp_mul(ring, _times_atoms(ring, one, self.den), unit)
+        if atom == lp_key(one):  # a single q-monomial is a unit
+            return Coeff(ring, num)
+        return Coeff(ring, num, Counter({atom: 1}))._cancel()
 
 
 def _atomize(ring: CoeffRing, p: dict) -> tuple[tuple, dict]:
     """Split p = unit * atom with the atom shifted to exponent >= 0 and monic
     leading coefficient; returns (atom key, inverse-of-unit as Laurent)."""
     shifted, mins = _shift(ring, p)
-    lead = max(shifted)
-    lc = shifted[lead]
-    lc_inv = ring.cy_inv(lc)
-    atom_lp = {k: ring.cy_mul(v, lc_inv) for k, v in shifted.items()}
-    atom = lp_key(atom_lp)
-    # p = (lc * x^mins) * atom, so 1/unit = lc^{-1} * x^{-mins}
-    unit_inv = {tuple(-x for x in mins): lc_inv}
-    return atom, unit_inv
-
-
-def format_coeff(c: Coeff) -> str:
-    """Compact rendering: cyclotomic-combination coefficients on monomials,
-    with tracked denominators appended."""
-    ring = c.ring
-    names = ring.group.free_symbols
-    root = ring.group.root_symbol or "zeta"
-
-    def mono(k) -> str:
-        return " ".join(n if e == 1 else f"{n}^{e}"
-                        for n, e in zip(names, k) if e)
-
-    def cyc(v) -> str:
-        terms = []
-        for i, x in enumerate(v):
-            if not x:
-                continue
-            base = "" if i == 0 else (root if i == 1 else f"{root}^{i}")
-            if not base:
-                terms.append(str(x))
-            elif x == 1:
-                terms.append(base)
-            else:
-                terms.append(f"{x}*{base}")
-        return " + ".join(terms) if terms else "0"
-
-    def lp(p) -> str:
-        parts = []
-        for k, v in sorted(p.items()):
-            m = mono(k)
-            cy = cyc(v)
-            if not m:
-                parts.append(cy if "+" not in cy else f"({cy})")
-            elif cy == "1":
-                parts.append(m)
-            else:
-                parts.append(f"({cy}) {m}")
-        return " + ".join(parts) if parts else "0"
-
-    out = lp(c.num)
-    for atom, k in sorted(c.den.items()):
-        out += f" / ({lp(dict(atom))})" + (f"^{k}" if k > 1 else "")
-    return out
+    lc_inv = ring.cy_inv(_zeta_part(ring, shifted)[1])
+    atom = lp_key(lp_mul(ring, shifted, _term(ring.zero_exp, lc_inv)))
+    # p = (lc * q^mins) * atom, so 1/unit = lc^{-1} * q^{-mins}
+    return atom, _term(tuple(-x for x in mins), lc_inv)
 
 
 def coeff_to_scalar(c: Coeff) -> Scalar | None:
     """Recognize a coefficient as an element of the scalar group, if it is one."""
-    if c.den or len(c.num) != 1:
+    if c.den or not c.num:
         return None
-    ring = c.ring
-    (exp, cy), = c.num.items()
-    try:
-        t = ring.roots.index(cy)
-    except ValueError:
+    exps = {k[:-1] for k in c.num}
+    if len(exps) != 1:
         return None
-    return Scalar(ring.group, t, tuple(exp))
+    t = c.ring.torsion_of.get(tuple(sorted((k[-1], v) for k, v in c.num.items())))
+    return None if t is None else Scalar(c.ring.group, t, exps.pop())

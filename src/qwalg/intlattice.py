@@ -35,10 +35,6 @@ def matmul(a, b) -> list[list[int]]:
             for i in range(len(a))]
 
 
-def matvec(a, v) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
-
-
 def mat_eq(a, b) -> bool:
     return [list(r) for r in a] == [list(r) for r in b]
 

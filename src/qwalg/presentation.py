@@ -87,7 +87,11 @@ class Presentation:
                     continue
                 stored = Multiplicative(w)
             elif isinstance(rel, Eulerian):
-                stored = Eulerian(a)
+                if rel.w_index != a:
+                    raise PresentationError(
+                        f"Eulerian item ({gens[a]}, {gens[b]}) must count with "
+                        f"its first generator, not index {rel.w_index}")
+                stored = rel
             else:
                 raise PresentationError(f"unknown relation kind {rel!r}")
             rels[(i, j)] = stored

@@ -20,10 +20,9 @@ rules are added (Bergman, The diamond lemma for ring theory, Adv. Math. 29,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cyclo import Coeff, CoeffRing, coeff_to_scalar, format_coeff
-from .scalars import Scalar, ScalarGroup, format_scalar
+from .cyclo import Coeff, CoeffRing, coeff_to_scalar
+from .scalars import Scalar, ScalarGroup
 
 Word = tuple[int, ...]
 
@@ -185,18 +184,6 @@ class ReductionSystem:
     def gen(self, name: str) -> Element:
         return self.word(name)
 
-    def element(self, terms: list[tuple[Coeff | Scalar | int, list[str]]]) -> Element:
-        out = Element.zero(self.ring)
-        for coeff, names in terms:
-            if isinstance(coeff, Scalar):
-                c = Coeff.from_scalar(self.ring, coeff)
-            elif isinstance(coeff, (int, Fraction)):
-                c = Coeff.from_rational(self.ring, coeff)
-            else:
-                c = coeff
-            out = out.add(Element.from_word(self.ring, tuple(self.index(n) for n in names), c))
-        return out
-
     @property
     def certified(self) -> bool:
         return self._certified
@@ -251,28 +238,6 @@ class ReductionSystem:
     def format_word(self, w: Word) -> str:
         """The word as space-separated letter names."""
         return " ".join(self.letters[i] for i in w)
-
-    def format_element(self, el: Element) -> str:
-        """Human-readable rendering with scalar-literal coefficients."""
-        if el.is_zero():
-            return "0"
-        parts = []
-        for w in sorted(el.terms, key=deglex_key, reverse=True):
-            coeff = el.terms[w]
-            word = self.format_word(w)
-            s = coeff_to_scalar(coeff)
-            if s is not None:
-                lit = format_scalar(s)
-                if word:
-                    parts.append(word if lit == "1" else f"{lit} * {word}")
-                else:
-                    parts.append(lit)
-                continue
-            rendered = format_coeff(coeff)
-            if " + " in rendered or "/" in rendered:
-                rendered = f"({rendered})"
-            parts.append(f"{rendered} * {word}" if word else rendered)
-        return " + ".join(parts)
 
     def multiply(self, a: Element, b: Element) -> Element:
         return self.normal_form(a.concat(b))

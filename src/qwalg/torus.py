@@ -93,12 +93,11 @@ def is_simple(t: QuantumTorus) -> bool:
 
 @dataclass(frozen=True)
 class TorusMorphism:
-    """y_i maps to alpha_i * prod_k y'_k ^ h[k][i]; the prefactors never enter
-    the defining weight equations."""
+    """y_i maps to a scalar multiple of prod_k y'_k ^ h[k][i]; the scalar
+    prefactors never enter the defining weight equations."""
     src: QuantumTorus
     dst: QuantumTorus
     h: tuple[tuple[int, ...], ...]
-    prefactors: tuple[Scalar, ...]
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,7 @@ class Violation:
     j: int
 
 
-def check_morphism(src: QuantumTorus, dst: QuantumTorus, h,
-                   prefactors=None) -> TorusMorphism | Violation:
+def check_morphism(src: QuantumTorus, dst: QuantumTorus, h) -> TorusMorphism | Violation:
     """Verify lambda_{i,j} = prod_{k,t} lambda'_{k,t}^(h_{k,i} h_{t,j})."""
     n, np_ = src.n, dst.n
     if len(h) != np_ or any(len(row) != n for row in h):
@@ -123,8 +121,7 @@ def check_morphism(src: QuantumTorus, dst: QuantumTorus, h,
                         acc = acc.mul(dst.lam[k][t].pow(exp))
             if acc != src.lam[i][j]:
                 return Violation(i, j)
-    pf = tuple(prefactors) if prefactors else tuple(src.group.one() for _ in range(n))
-    return TorusMorphism(src, dst, tuple(tuple(r) for r in h), pf)
+    return TorusMorphism(src, dst, tuple(tuple(r) for r in h))
 
 
 def compose(f: TorusMorphism, g: TorusMorphism) -> TorusMorphism:

@@ -61,6 +61,36 @@ def test_scalar_roundtrip():
     assert coeff_to_scalar(two) is None
 
 
+ORDERS = [1, 2, 3, 4, 5, 6, 8, 12, 30]
+ROOTS = [(e, t) for e in ORDERS for t in range(e)]
+
+
+@pytest.mark.parametrize("e,t", ROOTS)
+def test_embedding_multiplicative_every_root(e, t):
+    rng = random.Random(e * 100 + t)
+    g = ScalarGroup(e, ("q", "p"), "zeta" if e > 1 else None)
+    ring = CoeffRing(g)
+    a = g.scalar(torsion=t, free=(rng.randrange(-3, 4), rng.randrange(-3, 4)))
+    for s in range(e):
+        b = g.scalar(torsion=s, free=(rng.randrange(-3, 4), rng.randrange(-3, 4)))
+        assert Coeff.from_scalar(ring, a).mul(Coeff.from_scalar(ring, b)) == \
+            Coeff.from_scalar(ring, a.mul(b))
+
+
+@pytest.mark.parametrize("e,t", ROOTS)
+def test_scalar_roundtrip_every_root(e, t):
+    g = ScalarGroup(e, ("q",), "zeta" if e > 1 else None)
+    ring = CoeffRing(g)
+    s = g.scalar(torsion=t, free=(-2,))
+    assert coeff_to_scalar(Coeff.from_scalar(ring, s)) == s
+    two = Coeff.from_rational(ring, 2)
+    assert coeff_to_scalar(two) is None
+    assert coeff_to_scalar(Coeff.from_scalar(ring, s).mul(two)) is None
+    # the root times (1 + q) has two q-monomials
+    one_q = Coeff.one(ring).add(Coeff.from_scalar(ring, g.free_gen("q")))
+    assert coeff_to_scalar(Coeff.from_scalar(ring, s).mul(one_q)) is None
+
+
 def test_inverse_of_binomial():
     g = ScalarGroup(1, ("q",))
     ring = CoeffRing(g)

@@ -25,6 +25,11 @@ def _sympy_phi(e: int) -> sympy.Poly:
     return sympy.Poly(sympy.cyclotomic_poly(e, X), X, domain="QQ")
 
 
+def _sparse(cy) -> dict:
+    """The numerator of a phi-tuple of power-basis coordinates."""
+    return {(t,): c for t, c in enumerate(cy) if c}
+
+
 def _to_poly(cy) -> sympy.Poly:
     return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * X**i
                           for i, c in enumerate(cy)), X, domain="QQ")
@@ -57,11 +62,11 @@ def test_mul_and_inv_match_sympy(e):
 
     for _ in range(25):
         a, b = rand_cy(), rand_cy()
-        ca, cb = Coeff(ring, {(): a}), Coeff(ring, {(): b})
+        ca, cb = Coeff(ring, _sparse(a)), Coeff(ring, _sparse(b))
         prod = sympy.rem(_to_poly(a) * _to_poly(b), phi_poly)
-        assert ca.mul(cb).num == {(): _to_cy(prod, ring.phi)}
+        assert ca.mul(cb).num == _sparse(_to_cy(prod, ring.phi))
         inv = sympy.invert(_to_poly(a), phi_poly)
-        assert ca.inv().num == {(): _to_cy(inv, ring.phi)}
+        assert ca.inv().num == _sparse(_to_cy(inv, ring.phi))
         assert not ca.inv().den
 
 
@@ -95,15 +100,24 @@ def coeffs(draw):
 LAWS = settings(max_examples=40, deadline=None)
 
 
+def _exact(*cs: Coeff) -> bool:
+    """Every coordinate of every numerator and denominator atom is an int or
+    a Fraction (no float has leaked in)."""
+    polys = [c.num for c in cs] + [dict(atom) for c in cs for atom in c.den]
+    return all(type(v) in (int, Fraction) for p in polys for v in p.values())
+
+
 @LAWS
 @given(coeffs(), coeffs(), coeffs())
 def test_mul_associative(a, b, c):
+    assert _exact(a, b, c, a.mul(b), b.mul(c))
     assert a.mul(b).mul(c) == a.mul(b.mul(c))
 
 
 @LAWS
 @given(coeffs(), coeffs(), coeffs())
 def test_distributive(a, b, c):
+    assert _exact(b.add(c), a.mul(b.add(c)))
     assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
 
 
@@ -114,10 +128,12 @@ def test_inverse(a):
         with pytest.raises(ZeroDivisionError):
             a.inv()
     else:
+        assert _exact(a.inv(), a.mul(a.inv()))
         assert a.mul(a.inv()) == Coeff.one(RING)
 
 
 @LAWS
 @given(coeffs(), coeffs())
 def test_add_then_sub(a, b):
+    assert _exact(a.add(b), a.add(b).sub(b))
     assert a.add(b).sub(b) == a

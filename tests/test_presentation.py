@@ -9,7 +9,7 @@ from qwalg.cyclo import Coeff
 from qwalg.presentation import (Additive, AddMultiple, Eulerian,
                                 EulerianNotSupported, FailingRelation,
                                 GeneratorMap, Multiplicative, OpError, Permute,
-                                Presentation, Scale, Verified, apply_op,
+                                Presentation, PresentationError, Scale, Verified, apply_op,
                                 certified_system, check_admissible,
                                 subpresentation, verify_homomorphism,
                                 weyl_matrix)
@@ -208,3 +208,13 @@ def test_map_breaking_one_pair_names_it(grp, kind):
     assert bad.pair == ("x", "z")
     assert not bad.defect.is_zero()
 
+
+
+def test_eulerian_item_counts_with_its_first_index(grp):
+    gens = ("x", "y", "z")
+    with pytest.raises(PresentationError, match="first generator"):
+        Presentation.build(grp, gens, [(0, 2, Eulerian(2))])
+    # (2, 0, Eulerian(2)) is [z, x] = x
+    sys = certified_system(Presentation.build(grp, gens, [(2, 0, Eulerian(2))]))
+    comm = sys.multiply(sys.gen("z"), sys.gen("x")).sub(sys.multiply(sys.gen("x"), sys.gen("z")))
+    assert comm == sys.gen("x")
