@@ -75,6 +75,20 @@ def _mat(m) -> str:
     return json.dumps([list(r) for r in m], separators=(",", ":"))
 
 
+def _int_matrix(text: str) -> list[list[int]]:
+    """The --matrix option: a JSON list of equal-length lists of integers."""
+    try:
+        h = json.loads(text)
+    except ValueError:
+        h = None
+    if not (isinstance(h, list) and h and all(
+            isinstance(row, list) and len(row) == len(h[0])
+            and all(type(x) is int for x in row) for row in h)):
+        raise CliError(f"--matrix must be a JSON list of equal-length lists "
+                       f"of integers, got {text}")
+    return h
+
+
 def _lam(lam) -> str:
     return "[" + ",".join("[" + ", ".join(format_scalar(s) for s in row) + "]"
                           for row in lam) + "]"
@@ -124,8 +138,7 @@ def cmd_check(args) -> int:
              "cross-check: overlap resolutions "
              + ("all agree" if confluent else "disagree")]
     if report.witness:
-        i, j, k, rik, rjk = report.witness
-        machine["witness"] = f"({p.gens[i]},{p.gens[j]},{p.gens[k]})"
+        machine["witness"] = report.triple(p.gens)
         human.append(f"violating triple: {machine['witness']}")
     _emit(machine, human, args)
     return 0 if report.admissible else 1
@@ -237,7 +250,7 @@ def cmd_torus(args) -> int:
     if len(args.files) != 2 or not args.matrix:
         raise CliError("torus morphism needs two files and --matrix")
     t1, t2 = _load_tori(*args.files)
-    h = json.loads(args.matrix)
+    h = _int_matrix(args.matrix)
     res = check_morphism(t1, t2, h)
     machine = {"command": "torus.morphism", "file_a": args.files[0],
                "file_b": args.files[1], "matrix": _mat(h)}
@@ -358,7 +371,7 @@ def cmd_equiv(args) -> int:
     pa, pb = _load_presentations(*args.files)
     a, _ = reduce_to_canonical(pa)
     b, _ = reduce_to_canonical(pb)
-    h = json.loads(args.matrix) if args.matrix else None
+    h = _int_matrix(args.matrix) if args.matrix else None
     verdict = equivalence_decide(a, b, param=args.param, supplied_h=h)
     machine = {"command": "equiv", "file_a": args.files[0],
                "file_b": args.files[1]}

@@ -32,7 +32,7 @@ from .torus import (Iso, NotIso, QuantumTorus, Violation, central_lattice,
 
 
 class InadmissiblePresentation(PresentationError):
-    def __init__(self, witness):
+    def __init__(self, witness: str):
         super().__init__(f"presentation is inadmissible; violating triple {witness}")
         self.witness = witness
 
@@ -165,7 +165,7 @@ def reduce_to_canonical(p: Presentation) -> tuple[CanonicalMixedAlgebra, Reducti
     """
     report = check_admissible(p)
     if not report.admissible:
-        raise InadmissiblePresentation(report.witness)
+        raise InadmissiblePresentation(report.triple(p.gens))
     rank_in = intlattice.rank(weyl_matrix(p))
     work = p
     ops: list[Op] = []

@@ -150,6 +150,11 @@ class AdmissibilityReport:
     admissible: bool
     witness: tuple | None = None  # (i, j, k, rel_ik, rel_jk)
 
+    def triple(self, gens) -> str:
+        """The violating triple by generator names, as (a,b,c)."""
+        i, j, k = self.witness[:3]
+        return f"({gens[i]},{gens[j]},{gens[k]})"
+
 
 def check_admissible(p: Presentation) -> AdmissibilityReport:
     """Triangle test: every pair carrying a nonzero Weyl weight forces each

@@ -171,7 +171,7 @@ def localize_to_mixed(a: QuantumWeylAlgebra) -> LocalizationResult:
         ext, label = sys.adjoin_inverse(a.z_element(sys, i), f"z{i+1}^-1")
         # The new letter Z equals z_i, so its rules carry z_i's twists.
         z = len(sys.letters)
-        normal_scalars[i] = {name: ext.pair_rule_form(z, g)[1]
+        normal_scalars[i] = {name: ext.twist(z, g)[0]
                              for g, name in enumerate(sys.letters)}
         sys = ext
         zinv_label[i] = label

@@ -6,11 +6,17 @@ words that is strictly smaller in the deglex order (length first, then the
 letter order), so reduction always terminates; certified confluence then
 makes normal forms canonical and turns the ordered monomials into a basis.
 
-Presentations contribute one quadratic rule per generator pair.
-Localization extends a system with an inverse letter: a scalar-normal
-element z gets commutation rules for z^-1 plus one identification rule that
-rewrites the leading word of z * z^-1 = 1, which is how z^-1 genuinely
-inverts z rather than being a free Laurent variable.
+Presentations contribute one quadratic rule per generator pair.  One
+routine adjoins inverses: the letter g^-1 sits right after g, with
+g g^-1 -> 1 and g^-1 g -> 1, and every other letter h gets one rule from
+the twist g h = mu h g + c g of its pair (``twist``), conjugated by g^-1:
+
+    h g^-1 = mu g^-1 h + c g^-1        (g h = phi(h) g gives g^-1 h = phi^-1(h) g^-1)
+
+oriented by the letter order.  Localization at a scalar-normal element z
+first appends a letter Z with the twist rules of z and one identification
+rule that rewrites the leading word of z into Z minus the tail, so Z
+genuinely equals z, then inverts Z like a generator.
 
 An extension is certified incrementally: its rules start with those of the
 certified parent, whose ambiguities among themselves stay resolvable when
@@ -47,6 +53,16 @@ def deglex_key(w: Word):
     return (len(w), w)
 
 
+def _add_term(terms: dict, w: Word, c: Coeff) -> None:
+    """terms[w] += c, dropping the word when it cancels."""
+    if w in terms:
+        c = terms[w].add(c)
+    if c.is_zero():
+        terms.pop(w, None)
+    else:
+        terms[w] = c
+
+
 class Element:
     """Finite linear combination of words with Coeff coefficients."""
 
@@ -75,11 +91,7 @@ class Element:
     def add(self, other: "Element") -> "Element":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out[w].add(c) if w in out else c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _add_term(out, w, c)
         return Element(self.ring, out)
 
     def neg(self) -> "Element":
@@ -98,14 +110,7 @@ class Element:
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1.mul(c2)
-                if w in out:
-                    c = out[w].add(c)
-                if c.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = c
+                _add_term(out, w1 + w2, c1.mul(c2))
         return Element(self.ring, out)
 
     def __eq__(self, other) -> bool:
@@ -147,12 +152,11 @@ class ReductionSystem:
     """A terminating reduction system on the free algebra over the letters."""
 
     def __init__(self, group: ScalarGroup, letters: tuple[str, ...],
-                 rules: list[Rule], inverse_of: dict[int, int] | None = None):
+                 rules: list[Rule]):
         self.group = group
         self.ring = CoeffRing(group)
         self.letters = tuple(letters)
         self.rules = list(rules)
-        self.inverse_of = dict(inverse_of or {})
         self._certified = False
         self._by_first: dict[int, list[Rule]] = {}
         for rule in self.rules:
@@ -204,30 +208,15 @@ class ReductionSystem:
         while pending:
             w = max(pending, key=deglex_key)
             c = pending.pop(w)
-            if c.is_zero():
-                continue
             hit = self._find_redex(w)
             if hit is None:
-                if w in done:
-                    s = done[w].add(c)
-                    if s.is_zero():
-                        done.pop(w)
-                    else:
-                        done[w] = s
-                else:
-                    done[w] = c
+                # Words leave pending in decreasing order, so w is new here.
+                done[w] = c
                 continue
             pos, rule = hit
             pre, post = w[:pos], w[pos + len(rule.lhs):]
             for rw, rc in rule.rhs.terms.items():
-                nw = pre + rw + post
-                nc = c.mul(rc)
-                if nw in pending:
-                    nc = pending[nw].add(nc)
-                if nc.is_zero():
-                    pending.pop(nw, None)
-                else:
-                    pending[nw] = nc
+                _add_term(pending, pre + rw + post, c.mul(rc))
         return Element(self.ring, done)
 
     def normal_form(self, el: Element) -> Element:
@@ -254,29 +243,30 @@ class ReductionSystem:
         disagreement the full scan runs, so the Failing witness is the one
         a plain call returns.
         """
-        for i, r1 in enumerate(self.rules):
-            for r2 in self.rules[known if i < known else 0:]:
-                l1, l2 = r1.lhs, r2.lhs
-                # Overlap ambiguities: a proper suffix of l1 equals a prefix of l2.
-                for k in range(1, min(len(l1), len(l2))):
-                    if l1[len(l1) - k:] == l2[:k]:
-                        word = l1 + l2[k:]
-                        a = self._reduce(r1.rhs.concat(Element.from_word(self.ring, l2[k:])))
-                        b = self._reduce(Element.from_word(self.ring, l1[:len(l1) - k]).concat(r2.rhs))
-                        if a != b:
-                            return self.check_confluence() if known else Failing(word, a, b)
-                # Inclusion ambiguities: l2 a proper subword of l1.
-                if len(l2) < len(l1):
-                    for pos in range(len(l1) - len(l2) + 1):
-                        if l1[pos:pos + len(l2)] == l2:
-                            a = self._reduce(r1.rhs)
-                            mid = Element.from_word(self.ring, l1[:pos]).concat(
-                                r2.rhs).concat(Element.from_word(self.ring, l1[pos + len(l2):]))
-                            b = self._reduce(mid)
-                            if a != b:
-                                return self.check_confluence() if known else Failing(l1, a, b)
+        for word, a, b in self._ambiguities(known):
+            a, b = self._reduce(a), self._reduce(b)
+            if a != b:
+                return self.check_confluence() if known else Failing(word, a, b)
         self._certified = True
         return Confluent()
+
+    def _ambiguities(self, known: int):
+        """Each ambiguity as (word, a, b): the left side of a rule r1 starts
+        the word and that of r2 sits at p, overlapping a proper suffix of it
+        (p > 0) or lying inside a longer one; a and b are the word rewritten
+        by r1 and by r2."""
+        def splice(pre: Word, rule: Rule, post: Word) -> Element:
+            return Element(self.ring, {pre + w + post: c for w, c in rule.rhs.terms.items()})
+
+        for i, r1 in enumerate(self.rules):
+            l1 = r1.lhs
+            for r2 in self.rules[known if i < known else 0:]:
+                l2 = r2.lhs
+                for p in range(0 if len(l2) < len(l1) else 1, len(l1)):
+                    if l1[p:p + len(l2)] == l2[:len(l1) - p]:
+                        word = l1 + l2[len(l1) - p:]
+                        yield (word, splice((), r1, word[len(l1):]),
+                               splice(word[:p], r2, word[p + len(l2):]))
 
     # -- normality and localization ---------------------------------------------
 
@@ -313,170 +303,106 @@ class ReductionSystem:
 
         Z genuinely equals the element: the identification rule rewrites the
         element's leading word into Z minus the tail, so the ordered basis of
-        the localization replaces that word by Z powers.  Confluence is
-        re-certified and both inverse laws are checked.  A plain generator
-        (times a unit) gets only the inverse letter.
+        the localization replaces that word by Z powers.  Z then gets its
+        inverse like a generator.  A plain generator gets only the inverse
+        letter.
         """
-        if not self._certified:
-            raise NotCertifiedError("confluence has not been certified for this system")
-        nf = self._reduce(el)
-        twists = self.commutation_with_generators(nf)
+        twists = self.commutation_with_generators(el)
         if twists is None:
             raise NotNormalError("element does not commute with every generator "
                                  "up to a scalar")
         ring = self.ring
-        if len(nf.terms) == 1 and len(nf.leading_word()) == 1:
-            # Plain generator: no identification letter needed.
-            (w0, c0), = nf.terms.items()
-            if c0 != Coeff.one(ring):
+        nf = self._reduce(el)
+        lead = nf.leading_word()
+        if len(nf.terms) == 1 and len(lead) == 1:
+            if nf.terms[lead] != Coeff.one(ring):
                 raise NotNormalError("inverse of a scaled generator: invert the "
                                      "generator itself instead")
-            return self.invert_generator(self.letters[w0[0]], label)
-
-        lead = nf.leading_word()
+            return self.invert_generator(self.letters[lead[0]], label)
         if len(lead) < 2:
             raise NotNormalError("cannot invert an element whose leading word "
                                  "is a single letter unless it is a plain generator")
-        z_idx = len(self.letters)
-        zinv_idx = z_idx + 1
-        z_label = label[:-3] if label.endswith("^-1") else label + "~"
-        letters = self.letters + (z_label, label)
-        rules = list(self.rules)
-        for idx, mu in enumerate(twists.values()):
-            rules.append(Rule((z_idx, idx),
-                              Element.from_word(ring, (idx, z_idx),
-                                                Coeff.from_scalar(ring, mu))))
-            rules.append(Rule((zinv_idx, idx),
-                              Element.from_word(ring, (idx, zinv_idx),
-                                                Coeff.from_scalar(ring, mu.inv()))))
-        one = Element.from_word(ring, ())
-        rules.append(Rule((z_idx, zinv_idx), one))
-        rules.append(Rule((zinv_idx, z_idx), one))
+        z = len(self.letters)
+        rules = self.rules + [
+            Rule((z, h), Element.from_word(ring, (h, z), Coeff.from_scalar(ring, mu)))
+            for h, mu in enumerate(twists.values())]
         # Identification: lead -> c_lead^{-1} (Z - tail).
-        c_lead = nf.terms[lead]
         tail = Element(ring, {w: c for w, c in nf.terms.items() if w != lead})
-        rhs = Element.from_word(ring, (z_idx,)).sub(tail).scale(c_lead.inv())
-        rules.append(Rule(lead, rhs))
-        inverse_of = dict(self.inverse_of)
-        inverse_of[zinv_idx] = z_idx
-        inverse_of[z_idx] = zinv_idx
-        ext = ReductionSystem(self.group, letters, rules, inverse_of)
-        verdict = ext.check_confluence(known=len(self.rules))
-        if isinstance(verdict, Failing):
-            raise NotNormalError(f"localized system is not confluent at "
-                                 f"{ext.format_word(verdict.word)}")
-        inv_letter = Element.from_word(ring, (zinv_idx,))
-        lifted = Element(ring, dict(nf.terms))
-        if ext._reduce(inv_letter.concat(lifted)) != ext.one() or \
-                ext._reduce(lifted.concat(inv_letter)) != ext.one():
-            raise NotNormalError("inverse laws failed in the localized system")
-        return ext, label
+        z_minus_tail = Element.from_word(ring, (z,)).sub(tail)
+        rules.append(Rule(lead, z_minus_tail.scale(nf.terms[lead].inv())))
+        z_label = label[:-3] if label.endswith("^-1") else label + "~"
+        with_z = ReductionSystem(self.group, self.letters + (z_label,), rules)
+        return with_z._with_inverse(z, label, known=len(self.rules))
 
     def invert_generator(self, name: str, label: str | None = None) -> tuple["ReductionSystem", str]:
-        """Adjoin the inverse of a generator, inserted right after it in the
-        letter order so that sorted words bring cancelling pairs together.
-
-        Allowed for generators all of whose relations are scalar twists, and
-        for generators scaled by a derivation-counting partner ([w, g] = g),
-        which stay normal with an affine twist.
-        """
+        """Adjoin the inverse of a normal generator: every relation of it is
+        a twist (see ``twist``) and it occurs in no identification rule."""
         if not self._certified:
             raise NotCertifiedError("confluence has not been certified for this system")
-        gidx = self.index(name)
-        if gidx in self.inverse_of:
+        g, one = self.index(name), self.one()
+        if any(g in r.lhs and r.rhs == one for r in self.rules):
             raise InverseError(f"{name!r} already inverted")
-        for rule in self.rules:
-            if len(rule.lhs) != 2 and gidx in rule.lhs:
-                raise NotNormalError(f"cannot invert {name!r}: it occurs in a "
-                                     f"localization identification")
-        forms = {}
-        for idx in range(len(self.letters)):
-            if idx == gidx:
+        if any(g in r.lhs and len(r.lhs) != 2 for r in self.rules):
+            raise NotNormalError(f"cannot invert {name!r}: it occurs in a "
+                                 f"localization identification")
+        return self._with_inverse(g, label or f"{name}^-1", known=len(self.rules))
+
+    def _with_inverse(self, g: int, label: str, known: int) -> tuple["ReductionSystem", str]:
+        """Insert the letter g^-1 right after g and certify the extension;
+        the first ``known`` rules form a certified system.
+
+        Beside g g^-1 -> 1 and g^-1 g -> 1, each other letter h gets its
+        twist g h = mu h g + c g conjugated by g^-1: h g^-1 = mu g^-1 h + c g^-1,
+        oriented by the letter order.
+        """
+        ring, inv = self.ring, g + 1
+
+        def shift(w: Word) -> Word:
+            return tuple(i + (i > g) for i in w)
+
+        rules = [Rule(shift(r.lhs), Element(ring, {shift(w): c for w, c in r.rhs.terms.items()}))
+                 for r in self.rules]
+        rules += [Rule((g, inv), self.one()), Rule((inv, g), self.one())]
+        for h, name in enumerate(self.letters):
+            if h == g:
                 continue
-            rel = self.pair_rule_form(gidx, idx)
-            if rel is None:
-                raise NotNormalError(f"cannot invert {name!r}: relation with "
-                                     f"{self.letters[idx]!r} is not a twist")
-            forms[idx] = rel
-        label = label or f"{name}^-1"
-        ring = self.ring
-        inv_idx = gidx + 1
-
-        def remap(idx: int) -> int:
-            return idx if idx <= gidx else idx + 1
-
-        def remap_word(w: Word) -> Word:
-            return tuple(remap(i) for i in w)
-
-        def remap_el(el: Element) -> Element:
-            return Element(ring, {remap_word(w): c for w, c in el.terms.items()})
-
-        letters = self.letters[: gidx + 1] + (label,) + self.letters[gidx + 1:]
-        rules = [Rule(remap_word(r.lhs), remap_el(r.rhs)) for r in self.rules]
-        one_el = Element.from_word(ring, ())
-        rules.append(Rule((gidx, inv_idx), one_el))
-        rules.append(Rule((inv_idx, gidx), one_el))
-        one = Coeff.one(ring)
-        for idx, (kind, mu) in forms.items():
-            h = remap(idx)
-            if kind == "scalar":
-                if h > inv_idx:  # h * ginv = mu * ginv * h
-                    rules.append(Rule((h, inv_idx),
-                                      Element(ring, {(inv_idx, h):
-                                                     Coeff.from_scalar(ring, mu)})))
-                else:            # ginv * h = mu^{-1} * h * ginv
-                    rules.append(Rule((inv_idx, h),
-                                      Element(ring, {(h, inv_idx):
-                                                     Coeff.from_scalar(ring, mu.inv())})))
-            else:  # the partner counts g: [h, g] = g, so ginv*h = h*ginv + ginv
-                if h > inv_idx:
-                    rules.append(Rule((h, inv_idx),
-                                      Element(ring, {(inv_idx, h): one,
-                                                     (inv_idx,): Coeff.from_rational(ring, -1)})))
-                else:
-                    rules.append(Rule((inv_idx, h),
-                                      Element(ring, {(h, inv_idx): one,
-                                                     (inv_idx,): one})))
-        inverse_of = {remap(a): remap(b) for a, b in self.inverse_of.items()}
-        inverse_of[inv_idx] = gidx
-        inverse_of[gidx] = inv_idx
-        ext = ReductionSystem(self.group, letters, rules, inverse_of)
-        verdict = ext.check_confluence(known=len(self.rules))
+            tw = self.twist(g, h)
+            if tw is None:
+                raise NotNormalError(f"cannot invert {self.letters[g]!r}: relation "
+                                     f"with {name!r} is not a twist")
+            mu, c = tw
+            h += h > g
+            if h > inv:
+                m = Coeff.from_scalar(ring, mu)
+                rules.append(Rule((h, inv), Element(ring, {(inv, h): m, (inv,): c})))
+            else:  # g^-1 h = mu^-1 h g^-1 - mu^-1 c g^-1
+                m = Coeff.from_scalar(ring, mu.inv())
+                rules.append(Rule((inv, h), Element(ring, {(h, inv): m,
+                                                           (inv,): m.mul(c).neg()})))
+        letters = self.letters[:inv] + (label,) + self.letters[inv:]
+        ext = ReductionSystem(self.group, letters, rules)
+        verdict = ext.check_confluence(known)
         if isinstance(verdict, Failing):
-            raise NotNormalError(f"inversion of {name!r} breaks confluence at "
-                                 f"{ext.format_word(verdict.word)}")
+            raise NotNormalError(f"inversion of {self.letters[g]!r} breaks confluence "
+                                 f"at {ext.format_word(verdict.word)}")
         return ext, label
 
-    def pair_rule_form(self, gidx: int, idx: int):
-        """Classify the relation between two letters from the stored rule.
-
-        Returns ("scalar", mu) when g*h = mu*h*g, ("euler", None) when
-        [h, g] = g, and None otherwise.  mu is oriented so that
-        g * h = mu * h * g.
-        """
-        hi, lo = max(gidx, idx), min(gidx, idx)
-        rule = next((r for r in self.rules if r.lhs == (hi, lo)), None)
-        if rule is None:
+    def twist(self, g: int, h: int) -> tuple[Scalar, Coeff] | None:
+        """(mu, c) with g h = mu h g + c g, read off the rule of the pair, or
+        None.  The rule must be a scalar twist (c = 0) or, with mu = 1, have
+        the tail c g with c = 1 or -1: h counts g, [h, g] = -c g."""
+        hi, lo = max(g, h), min(g, h)
+        rule = next((r for r in self._by_first.get(hi, ()) if r.lhs == (hi, lo)), None)
+        if rule is None or (lo, hi) not in rule.rhs.terms:
             return None
-        terms = rule.rhs.terms
-        quad = terms.get((lo, hi))
-        if quad is None:
+        terms = dict(rule.rhs.terms)
+        mu = coeff_to_scalar(terms.pop((lo, hi)))  # hi lo = mu lo hi + c g
+        c = terms.pop((g,), Coeff.zero(self.ring))
+        one = Coeff.one(self.ring)
+        if mu is None or terms or not (c.is_zero() or mu.is_one() and c in (one, one.neg())):
             return None
-        mu_hi_lo = coeff_to_scalar(quad)  # hi*lo = mu_hi_lo * lo*hi + tail
-        if mu_hi_lo is None:
-            return None
-        tail = {w: c for w, c in terms.items() if w != (lo, hi)}
-        if not tail:
-            mu = mu_hi_lo if gidx == hi else mu_hi_lo.inv()
-            return ("scalar", mu)
-        if list(tail) == [(gidx,)] and mu_hi_lo.is_one():
-            c = tail[(gidx,)]
-            one = Coeff.one(self.ring)
-            # [idx, g] = g corresponds to g*idx = idx*g - g (g later) or
-            # idx*g = g*idx + g (idx later); both leave tail = (+/-) g.
-            if c == one or c == one.neg():
-                return ("euler", None)
-        return None
+        # With g earlier the rule reads h g = mu g h + c g, and mu = 1 when c != 0.
+        return (mu, c) if g == hi else (mu.inv(), c.neg())
 
 
 def build_reduction_system(group: ScalarGroup, generators: list[str],

@@ -51,6 +51,18 @@ relations {
     assert block["witness"] == "(a,b,c)"
 
 
+@pytest.mark.parametrize("argv", [["reduce"], ["invariants"], ["embed", "mixed"]])
+def test_inadmissible_error_names_generators(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.qwa"
+    bad.write_text("scalars { free q }\ngenerators a, b, c\nrelations {\n"
+                   "  a b = b a + 1\n  a c = q * c a\n  b c = q * c b\n}\n")
+    for args in (argv + [str(bad)], ["equiv", str(bad), str(bad)]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: presentation is inadmissible; violating triple (a,b,c)\n"
+        assert "ScalarGroup(" not in err
+
+
 def test_check_empty_relations(tmp_path, capsys):
     f = tmp_path / "comm.qwa"
     f.write_text("generators a, b, c\n")
@@ -276,3 +288,27 @@ def test_unexpected_failure_is_exit_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: VerificationError: relations failed\n"
+
+
+BAD_MATRICES = ["[[0.5,0],[0,2]]", "[[true,0],[0,true]]", "[[1.0,0],[0,1]]",
+                "[[1,0],[0]]", "[]", "[1,0]", "{}", "not json"]
+
+
+@pytest.mark.parametrize("matrix", BAD_MATRICES)
+def test_matrix_must_be_integer_rows(capsys, matrix):
+    for argv in (["torus", "morphism", corpus("torus_q2.qwa"), corpus("torus_q2.qwa")],
+                 ["equiv", corpus("s22q.qwa"), corpus("s22q.qwa")]):
+        assert main(argv + ["--matrix", matrix]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --matrix must be a JSON list of "
+                                       "equal-length lists of integers")
+
+
+def test_matrix_integer_rows_accepted(capsys):
+    assert main(["torus", "morphism", corpus("torus_q2.qwa"), corpus("torus_q2.qwa"),
+                 "--matrix", "[[1,0],[0,1]]"]) == 0
+    assert machine_block(capsys.readouterr().out)["isomorphism"] == "true"
+    assert main(["equiv", corpus("s22q.qwa"), corpus("s22q.qwa"),
+                 "--matrix", "[[1,0],[0,1]]"]) == 0
+    assert machine_block(capsys.readouterr().out)["verdict"] == "equivalent"

@@ -23,7 +23,7 @@ CORPUS = Path(__file__).resolve().parents[1] / "src" / "qwalg" / "corpus"
 
 
 def fresh(s: ReductionSystem) -> ReductionSystem:
-    return ReductionSystem(s.group, s.letters, s.rules, s.inverse_of)
+    return ReductionSystem(s.group, s.letters, s.rules)
 
 
 @pytest.fixture

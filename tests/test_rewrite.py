@@ -4,9 +4,10 @@ import pytest
 
 from qwalg.cyclo import Coeff, CoeffRing, coeff_to_scalar
 from qwalg.presentation import certified_system, system_from_presentation
-from qwalg.qwa import parse_presentation
-from qwalg.rewrite import (Confluent, Element, Failing, NotCertifiedError,
-                           NotNormalError, Rule, RuleError, build_reduction_system)
+from qwalg.qwa import parse_presentation, parse_scalar_literal
+from qwalg.rewrite import (Confluent, Element, Failing, InverseError,
+                           NotCertifiedError, NotNormalError, Rule, RuleError,
+                           build_reduction_system)
 from qwalg.scalars import ScalarGroup
 
 A1_TEXT = "generators y, x\nrelations {\n  x y = y x + 1\n}\n"
@@ -204,3 +205,109 @@ def test_deglex_termination_guard():
     with pytest.raises(RuleError):
         ReductionSystem(g, ("a", "b"),
                         [Rule((1, 0), Element(ring, {(1, 0): Coeff.one(ring)}))])
+
+
+# -- one inverse formula: g h = mu h g + c g gives h g^-1 = mu g^-1 h + c g^-1 --
+
+
+def _counting(order: str):
+    """[w, y] = y with the generators in the given order."""
+    return certified_system(parse_presentation(
+        f"generators {order}\nrelations {{\n  [w, y] = y\n}}\n"))
+
+
+def _hand_built(sign: int, g_first: bool):
+    """Two letters g, h with the rule h g -> g h + sign g (g first) or
+    g h -> h g + sign g (g second), certified."""
+    g = ScalarGroup()
+    ring = CoeffRing(g)
+    gi = 0 if g_first else 1
+    rhs = Element(ring, {(0, 1): Coeff.one(ring), (gi,): Coeff.from_rational(ring, sign)})
+    s = build_reduction_system(g, ["g", "h"] if g_first else ["h", "g"], [((1, 0), rhs)])
+    assert isinstance(s.check_confluence(), Confluent)
+    return s
+
+
+def _z4q():
+    return certified_system(parse_presentation(
+        "scalars { root zeta : 4 ; free q }\ngenerators a, b, c\nrelations {\n"
+        "  b a = zeta * q * a b\n  c a = q^-1 * a c\n  c b = zeta^3 * b c\n}\n"))
+
+
+def _scalar(s, text):
+    return Coeff.from_scalar(s.ring, parse_scalar_literal(s.group, text))
+
+
+# (system, g, h, phi^-1(h) where g h = phi(h) g, as a function of the extension)
+INVERSE_CASES = {
+    "plane-partner-after": (plane, "y", "x", lambda e: e.word("x").scale(_scalar(e, "q"))),
+    "plane-partner-before": (plane, "x", "y", lambda e: e.word("y").scale(_scalar(e, "q^-1"))),
+    "z4q-first": (_z4q, "a", "c", lambda e: e.word("c").scale(_scalar(e, "q^-1"))),
+    "z4q-middle-before": (_z4q, "b", "a", lambda e: e.word("a").scale(_scalar(e, "zeta^3 * q^-1"))),
+    "z4q-middle-after": (_z4q, "b", "c", lambda e: e.word("c").scale(_scalar(e, "zeta^3"))),
+    "z4q-last": (_z4q, "c", "b", lambda e: e.word("b").scale(_scalar(e, "zeta"))),
+    "counting-partner-after": (lambda: _counting("y, w"), "y", "w",
+                               lambda e: e.word("w").add(e.one())),
+    "counting-partner-before": (lambda: _counting("w, y"), "y", "w",
+                                lambda e: e.word("w").add(e.one())),
+    # h g = g h + sign g, so g h = (h - sign) g and g^-1 h g = h + sign
+    "hand-h-after-plus": (lambda: _hand_built(1, True), "g", "h",
+                          lambda e: e.word("h").add(e.one())),
+    "hand-h-after-minus": (lambda: _hand_built(-1, True), "g", "h",
+                           lambda e: e.word("h").sub(e.one())),
+    # g h = h g + sign g, so g^-1 h g = h - sign
+    "hand-h-before-plus": (lambda: _hand_built(1, False), "g", "h",
+                           lambda e: e.word("h").sub(e.one())),
+    "hand-h-before-minus": (lambda: _hand_built(-1, False), "g", "h",
+                            lambda e: e.word("h").add(e.one())),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVERSE_CASES))
+def test_inverse_conjugates_by_the_twist(case):
+    build, g, h, phi_inv = INVERSE_CASES[case]
+    s = build()
+    ext, label = s.invert_generator(g)
+    assert label == f"{g}^-1"
+    assert ext.letters.index(label) == ext.letters.index(g) + 1
+    assert ext.normal_form(ext.word(g, label)) == ext.one()
+    assert ext.normal_form(ext.word(label, g)) == ext.one()
+    assert ext.normal_form(ext.word(label, h, g)) == phi_inv(ext)
+
+
+def test_twist_reads_both_orientations():
+    s = plane()
+    q = s.group.free_gen("q")
+    mu, c = s.twist(0, 1)          # y x = q^-1 x y
+    assert mu == q.inv() and c.is_zero()
+    mu, c = s.twist(1, 0)          # x y = q y x
+    assert mu == q and c.is_zero()
+    w = _counting("y, w")          # y w = w y - y
+    mu, c = w.twist(0, 1)
+    assert mu.is_one() and c == Coeff.from_rational(w.ring, -1)
+    assert w.twist(1, 0) is None   # w is not normal: w y = y w + y
+
+
+def test_twist_is_none_on_a_weyl_pair():
+    s = a1()
+    assert s.twist(0, 1) is None and s.twist(1, 0) is None
+    with pytest.raises(NotNormalError):
+        s.invert_generator("y")
+
+
+def test_inverting_twice_is_refused():
+    ext, _ = plane().invert_generator("y")
+    for name in ("y", "y^-1"):
+        with pytest.raises(InverseError, match="already inverted"):
+            ext.invert_generator(name)
+    g = ScalarGroup(1, ("q",))
+    ring = CoeffRing(g)
+    q = Coeff.from_scalar(ring, g.free_gen("q"))
+    s = build_reduction_system(g, ["y", "x"], [((1, 0), Element(ring, {(0, 1): q, (): Coeff.one(ring)}))])
+    assert isinstance(s.check_confluence(), Confluent)
+    z = Element(ring, {(): Coeff.one(ring), (0, 1): q.sub(Coeff.one(ring))})
+    loc, label = s.adjoin_inverse(z, "z^-1")
+    assert loc.letters == ("y", "x", "z", "z^-1")
+    for name in ("z", "z^-1"):
+        with pytest.raises(InverseError, match="already inverted"):
+            loc.invert_generator(name)
