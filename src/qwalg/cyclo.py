@@ -9,14 +9,32 @@ A numerator is one sparse dict {(a_1, ..., a_m, t): c} standing for the sum
 of c * q^a * zeta^t, with 0 <= t < phi(e), so that zeta^t runs over the
 power basis of Q(zeta_e) = Q[x]/Phi_e and the representation is canonical.
 Coordinates c are non-zero ints, or Fractions once a division has made
-them so.  A product adds keys; a power zeta^t with t >= phi is expanded
-through the integer table roots[t % e] of the non-zero coordinates of
-zeta^t, so a product of scalar-group elements q^a zeta^t costs one integer
-multiplication per coordinate.  The only division is the inverse in
-Q(zeta_e) of the field part of one q-monomial, by the extended Euclidean
-algorithm on dense lists (_divmod, _mul, _sub).  Zero tests and equality
-are exact: the representation is canonical and denominators are compared
-by cross multiplication.
+them so; an integral coordinate is always an int.  A product adds keys; a
+power zeta^t with t >= phi is expanded through the integer table
+roots[t % e] of the non-zero coordinates of zeta^t, so a product of
+scalar-group elements q^a zeta^t costs one integer multiplication per
+coordinate.  The only field division is the inverse in Q(zeta_e) of the
+field part of one q-monomial, by the extended Euclidean algorithm on dense
+lists (_divmod, _mul, _sub).  Zero tests and equality are exact: the
+representation is canonical and denominators are compared by cross
+multiplication.
+
+Denominator atoms are interned once per ring.  An atom is stored shifted
+(least exponent 0 in each symbol) and monic (the field part of its
+lex-leading q-monomial is exactly 1), with its degree box and its lead
+exponent; a denominator is a Counter of atom ids.  Dividing by an atom
+reads each quotient term straight off the remainder's leading term, with
+no inverse in Q(zeta_e).
+
+Invariant: every Coeff that carries a denominator comes out of _cancel (or
+is the negation of one), so no atom of its denominator divides its
+numerator.  (_cancel divides by each atom until it fails; a later division
+by another atom cannot make an earlier one divide, since an atom that does
+not divide n divides no divisor of n.)  Hence the unit lemma: let u be a
+unit (one q-monomial, no denominator) and n / d a coefficient.  If an atom
+A of d divided u * n, it would divide n = u^-1 * (u * n), which the
+invariant rules out.  So u * n / d is already cancelled, and Coeff.mul does
+no trial division for a product with a unit.
 """
 from __future__ import annotations
 
@@ -132,10 +150,23 @@ class CoeffRing:
             if top:
                 z = [c - top * p for c, p in zip(z, self.phi_poly)]
         self.torsion_of = {r: t for t, r in enumerate(self.roots)}
+        # Interned denominator atoms: atoms[i] = (shifted monic polynomial,
+        # degree in each symbol, lex-leading exponent); atom_ids inverts it.
+        self.atoms: list[tuple[dict, tuple, tuple]] = []
+        self.atom_ids: dict[tuple, int] = {}
+
+    def intern(self, atom: dict) -> int:
+        """The id of a shifted monic atom, adding it to the table if new."""
+        key = lp_key(atom)
+        if key not in self.atom_ids:
+            self.atom_ids[key] = len(self.atoms)
+            self.atoms.append((atom, tuple(max(k[i] for k in atom) for i in range(self.m)),
+                               max(k[:-1] for k in atom)))
+        return self.atom_ids[key]
 
     def cy_inv(self, a: list) -> list:
         """Inverse in Q(zeta_e) of the dense coordinates a, by the extended
-        Euclidean algorithm."""
+        Euclidean algorithm; integral coordinates come back as ints."""
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
         # Invariant: s_i * a = r_i modulo Phi_e.  All Fractions, so no
@@ -147,7 +178,8 @@ class CoeffRing:
                 r1.pop()
             if len(r1) == 1:
                 inv = 1 / r1[0]
-                return _divmod([c * inv for c in s1], self.phi_poly)[1]
+                return [c.numerator if c.denominator == 1 else c
+                        for c in _divmod([c * inv for c in s1], self.phi_poly)[1]]
             q, rem = _divmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _sub(s0, _mul(q, s1))
@@ -215,61 +247,79 @@ def _term(exp: tuple, z: list) -> dict:
     return {(*exp, s): c for s, c in enumerate(z) if c}
 
 
-def lp_divexact(ring, a: dict, b: dict) -> dict | None:
-    """Exact quotient a/b in the Laurent ring, or None when b does not divide a.
+def _divide(ring, a: dict, atom: int) -> dict | None:
+    """Exact quotient of a non-zero a by an interned atom, or None when the
+    atom does not divide a.
 
-    Shift both to honest polynomials (Laurent units are monomials) and run
-    lex-ordered division.  Degrees add up, so every term of a quotient of the
-    shifted polynomials has 0 <= exp_i <= deg_i(a) - deg_i(b); a leading-term
-    quotient outside that box certifies non-divisibility.  The leading
-    exponents fall strictly in lex order, so the loop ends inside the box.
+    Shift a to an honest polynomial (Laurent units are monomials) and run
+    lex-ordered division.  Degrees add up, so every term of the quotient has
+    0 <= exp_i <= deg_i(a) - deg_i(atom); a leading-term quotient outside
+    that box certifies non-divisibility.  The atom is monic, so a quotient
+    term is the remainder's leading term moved down by the atom's lead
+    exponent.  The leading exponents fall strictly in lex order, so the loop
+    ends inside the box.
     """
+    poly, deg, lead = ring.atoms[atom]
+    pa, sa = _shift(ring, a)
+    box = [max(k[i] for k in pa) - d for i, d in enumerate(deg)]
+    quot: dict = {}
+    rem = dict(pa)
+    while rem:
+        lead_r = max(k[:-1] for k in rem)
+        exp = tuple(map(sub, lead_r, lead))
+        if any(not 0 <= x <= top for x, top in zip(exp, box)):
+            return None
+        c = {(*exp, k[-1]): v for k, v in rem.items() if k[:-1] == lead_r}
+        quot.update(c)
+        _accumulate(rem, lp_mul(ring, lp_neg(c), poly))
+    return {(*map(add, k, sa), k[-1]): v for k, v in quot.items()}
+
+
+def lp_divexact(ring, a: dict, b: dict) -> dict | None:
+    """Exact quotient a/b in the Laurent ring, or None when b does not divide a:
+    a divided by b's atom, times the inverse of b's unit part."""
     if not b:
         raise ZeroDivisionError
     if not a:
         return {}
-    pa, sa = _shift(ring, a)
-    pb, sb = _shift(ring, b)
-    box = [max(k[i] for k in pa) - max(k[i] for k in pb) for i in range(ring.m)]
-    lead_b, zb = _zeta_part(ring, pb)
-    inv_lb = _term(ring.zero_exp, ring.cy_inv(zb))
-    quot: dict = {}
-    rem = dict(pa)
-    while rem:
-        lead_r, zr = _zeta_part(ring, rem)
-        exp = tuple(map(sub, lead_r, lead_b))
-        if any(not 0 <= x <= top for x, top in zip(exp, box)):
-            return None
-        c = lp_mul(ring, _term(exp, zr), inv_lb)
-        quot.update(c)
-        _accumulate(rem, lp_neg(lp_mul(ring, c, pb)))
-    offset = tuple(map(sub, sa, sb))
-    return {(*map(add, k, offset), k[-1]): v for k, v in quot.items()}
+    atom, unit_inv = _atomize(ring, b)
+    quot = a if atom is None else _divide(ring, a, atom)
+    return None if quot is None else lp_mul(ring, quot, unit_inv)
 
 
 # ---------------------------------------------------------------------------
 # Coefficients with tracked denominators.
 
 
+# The denominator of every Coeff without one; shared, so never mutated.
+_NO_DEN: Counter = Counter()
+
+
 def _times_atoms(ring: CoeffRing, num: dict, atoms: Counter) -> dict:
     """num times each denominator atom as many times as atoms counts it."""
     for atom, k in atoms.items():
         for _ in range(k):
-            num = lp_mul(ring, num, dict(atom))
+            num = lp_mul(ring, num, ring.atoms[atom][0])
     return num
 
 
+def _is_unit(num: dict) -> bool:
+    """Whether a non-zero numerator is one q-monomial (a unit of the ring)."""
+    keys = iter(num)
+    exp = next(keys)[:-1]
+    return all(k[:-1] == exp for k in keys)
+
+
 class Coeff:
-    """num / prod(den atoms); den atoms are canonical Laurent polynomials."""
+    """num / prod(den atoms); den counts the ids of the ring's interned atoms.
+    A den is shared between coefficients and never mutated."""
 
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: CoeffRing, num: dict, den: Counter | None = None):
         self.ring = ring
         self.num = num
-        self.den = den if den is not None else Counter()
-        if not num:
-            self.den = Counter()
+        self.den = den if num and den else _NO_DEN
 
     # -- constructors --------------------------------------------------------
 
@@ -322,7 +372,7 @@ class Coeff:
         den = Counter(self.den)
         for atom in list(den):
             while den[atom] > 0:
-                q = lp_divexact(self.ring, num, dict(atom))
+                q = _divide(self.ring, num, atom)
                 if q is None:
                     break
                 num = q
@@ -335,14 +385,14 @@ class Coeff:
         ring = self.ring
         if self.den == other.den:
             num = lp_add(self.num, other.num)
-            return self._with(num, Counter(self.den)) if num else Coeff.zero(ring)
+            return self._with(num, self.den) if num else Coeff.zero(ring)
         union = self.den | other.den
         left = _times_atoms(ring, self.num, union - self.den)
         right = _times_atoms(ring, other.num, union - other.den)
         return self._with(lp_add(left, right), union)
 
     def neg(self) -> "Coeff":
-        return Coeff(self.ring, lp_neg(self.num), Counter(self.den))
+        return Coeff(self.ring, lp_neg(self.num), self.den)
 
     def sub(self, other: "Coeff") -> "Coeff":
         return self.add(other.neg())
@@ -351,8 +401,11 @@ class Coeff:
         if self.is_zero() or other.is_zero():
             return Coeff.zero(self.ring)
         num = lp_mul(self.ring, self.num, other.num)
-        if not self.den and not other.den:
-            return Coeff(self.ring, num)
+        # A product with a unit is already cancelled (the unit lemma above).
+        if not self.den and (not other.den or _is_unit(self.num)):
+            return Coeff(self.ring, num, other.den)
+        if not other.den and _is_unit(other.num):
+            return Coeff(self.ring, num, self.den)
         return self._with(num, self.den + other.den)
 
     def inv(self) -> "Coeff":
@@ -360,22 +413,24 @@ class Coeff:
         ring = self.ring
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero coefficient")
-        one = Coeff.one(ring).num
-        atom, unit = _atomize(ring, self.num)
-        num = lp_mul(ring, _times_atoms(ring, one, self.den), unit)
-        if atom == lp_key(one):  # a single q-monomial is a unit
+        atom, unit_inv = _atomize(ring, self.num)
+        num = _times_atoms(ring, unit_inv, self.den)
+        if atom is None:
             return Coeff(ring, num)
         return Coeff(ring, num, Counter({atom: 1}))._cancel()
 
 
-def _atomize(ring: CoeffRing, p: dict) -> tuple[tuple, dict]:
+def _atomize(ring: CoeffRing, p: dict) -> tuple[int | None, dict]:
     """Split p = unit * atom with the atom shifted to exponent >= 0 and monic
-    leading coefficient; returns (atom key, inverse-of-unit as Laurent)."""
+    leading coefficient; returns the interned atom's id (None when p is a
+    unit) and the inverse of the unit as a Laurent polynomial."""
     shifted, mins = _shift(ring, p)
     lc_inv = ring.cy_inv(_zeta_part(ring, shifted)[1])
-    atom = lp_key(lp_mul(ring, shifted, _term(ring.zero_exp, lc_inv)))
     # p = (lc * q^mins) * atom, so 1/unit = lc^{-1} * q^{-mins}
-    return atom, _term(tuple(-x for x in mins), lc_inv)
+    unit_inv = _term(tuple(-x for x in mins), lc_inv)
+    if _is_unit(p):
+        return None, unit_inv
+    return ring.intern(lp_mul(ring, shifted, _term(ring.zero_exp, lc_inv))), unit_inv
 
 
 def coeff_to_scalar(c: Coeff) -> Scalar | None:

@@ -254,19 +254,30 @@ class ReductionSystem:
         """Each ambiguity as (word, a, b): the left side of a rule r1 starts
         the word and that of r2 sits at p, overlapping a proper suffix of it
         (p > 0) or lying inside a longer one; a and b are the word rewritten
-        by r1 and by r2."""
+        by r1 and by r2.  For each r1 they come sorted by (index of r2, p);
+        only the rules whose left side starts with l1[p] are tried at p."""
         def splice(pre: Word, rule: Rule, post: Word) -> Element:
             return Element(self.ring, {pre + w + post: c for w, c in rule.rhs.terms.items()})
 
+        by_first: dict[int, list[int]] = {}
+        for j, rule in enumerate(self.rules):
+            by_first.setdefault(rule.lhs[0], []).append(j)
         for i, r1 in enumerate(self.rules):
             l1 = r1.lhs
-            for r2 in self.rules[known if i < known else 0:]:
-                l2 = r2.lhs
-                for p in range(0 if len(l2) < len(l1) else 1, len(l1)):
+            start = known if i < known else 0
+            hits = []
+            for p in range(len(l1)):
+                for j in by_first.get(l1[p], ()):
+                    l2 = self.rules[j].lhs
+                    if j < start or (p == 0 and len(l2) >= len(l1)):
+                        continue
                     if l1[p:p + len(l2)] == l2[:len(l1) - p]:
-                        word = l1 + l2[len(l1) - p:]
-                        yield (word, splice((), r1, word[len(l1):]),
-                               splice(word[:p], r2, word[p + len(l2):]))
+                        hits.append((j, p))
+            for j, p in sorted(hits):
+                r2 = self.rules[j]
+                word = l1 + r2.lhs[len(l1) - p:]
+                yield (word, splice((), r1, word[len(l1):]),
+                       splice(word[:p], r2, word[p + len(r2.lhs):]))
 
     # -- normality and localization ---------------------------------------------
 

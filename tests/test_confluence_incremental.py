@@ -3,7 +3,9 @@
 Every system that adjoin_inverse / invert_generator returns is rebuilt from
 its letters and rules and certified again from scratch; a system extended by
 a rule that breaks confluence must report the same Failing witness as a
-fresh full scan.
+fresh full scan.  The indexed ambiguity scan yields exactly what a
+brute-force scan over every rule pair and position yields, in the same
+order.
 """
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from qwalg.cli import main
-from qwalg.cyclo import Coeff
+from qwalg.cyclo import Coeff, CoeffRing
 from qwalg.presentation import certified_system
-from qwalg.qwa import parse_presentation
+from qwalg.qwa import ParseError, parse_presentation
 from qwalg.qweyl import QuantumWeylAlgebra, localize_to_mixed
 from qwalg.rewrite import Confluent, Element, Failing, ReductionSystem, Rule
 from qwalg.scalars import ScalarGroup
@@ -129,3 +131,63 @@ def test_witness_word_by_letter_names():
     _, ext = broken_extension()
     verdict = ext.check_confluence()
     assert ext.format_word(verdict.word) == "c b a"
+
+
+def brute_force_ambiguities(s: ReductionSystem, known: int):
+    """Every rule r2 tried at every position p of every left side l1."""
+    for i, r1 in enumerate(s.rules):
+        l1 = r1.lhs
+        for r2 in s.rules[known if i < known else 0:]:
+            l2 = r2.lhs
+            for p in range(len(l1)):
+                if (p == 0 and len(l2) >= len(l1)) or l1[p:p + len(l2)] != l2[:len(l1) - p]:
+                    continue
+                word = l1 + l2[len(l1) - p:]
+                a = Element(s.ring, {w + word[len(l1):]: c for w, c in r1.rhs.terms.items()})
+                b = Element(s.ring, {word[:p] + w + word[p + len(l2):]: c
+                                     for w, c in r2.rhs.terms.items()})
+                yield word, a, b
+
+
+def assert_same_ambiguities(s: ReductionSystem):
+    for known in sorted({0, 1, len(s.rules) // 2, len(s.rules)}):
+        got = list(s._ambiguities(known))
+        expected = list(brute_force_ambiguities(s, known))
+        assert [w for w, _, _ in got] == [w for w, _, _ in expected]
+        assert all(a == ea and b == eb for (_, a, b), (_, ea, eb) in zip(got, expected))
+
+
+def test_ambiguities_match_brute_force_on_corpus():
+    checked = 0
+    for f in sorted(CORPUS.glob("*.qwa")):
+        try:
+            s = certified_system(parse_presentation(f.read_text()))
+        except ParseError:
+            continue  # a quantum Weyl file, not a presentation
+        assert_same_ambiguities(s)
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("e", (1, 4))
+def test_ambiguities_match_brute_force_on_localizations(e, extensions):
+    for n in (1, 2, 3):
+        for a in qweyl_grid(e, n):
+            localize_to_mixed(a)
+    assert extensions
+    for ext in extensions:
+        assert_same_ambiguities(ext)
+
+
+def test_ambiguities_match_brute_force_on_long_left_sides():
+    """Rule pairs that meet at several positions: b c b holds b c at p = 0
+    and c b at p = 1, and overlaps itself and b c at p = 2.  The scan yields
+    them by rule index first; an order by p first would start with b c at 0."""
+    g = ScalarGroup(1, ("q",))
+    ring = CoeffRing(g)
+    a = Element(ring, {(0,): Coeff.one(ring)})
+    s = ReductionSystem(g, ("a", "b", "c"),
+                        [Rule((1, 2, 1), a), Rule((1, 2), a), Rule((2, 1), a)])
+    assert [w for w, _, _ in s._ambiguities(0)][:4] == [
+        (1, 2, 1, 2, 1), (1, 2, 1), (1, 2, 1, 2), (1, 2, 1)]
+    assert_same_ambiguities(s)

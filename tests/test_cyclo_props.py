@@ -1,8 +1,10 @@
 """Independent oracles for the coefficient layer.
 
 Differential checks against sympy (cyclotomic polynomials, products and
-inverses in Q(zeta_e) = Q[x]/Phi_e) and hypothesis property tests of the
-field laws for Coeff over a group with torsion and one free symbol.
+inverses in Q(zeta_e) = Q[x]/Phi_e), hypothesis property tests of the
+field laws for Coeff over a group with torsion and one free symbol, and a
+differential test of Coeff.mul's fast paths against the plain
+multiply-then-cancel product.
 """
 import random
 from fractions import Fraction
@@ -11,7 +13,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from qwalg.cyclo import Coeff, CoeffRing, cyclotomic_poly
+from qwalg.cyclo import Coeff, CoeffRing, cyclotomic_poly, lp_mul
 from qwalg.scalars import ScalarGroup
 
 X = sympy.Symbol("x")
@@ -103,7 +105,7 @@ LAWS = settings(max_examples=40, deadline=None)
 def _exact(*cs: Coeff) -> bool:
     """Every coordinate of every numerator and denominator atom is an int or
     a Fraction (no float has leaked in)."""
-    polys = [c.num for c in cs] + [dict(atom) for c in cs for atom in c.den]
+    polys = [c.num for c in cs] + [c.ring.atoms[atom][0] for c in cs for atom in c.den]
     return all(type(v) in (int, Fraction) for p in polys for v in p.values())
 
 
@@ -137,3 +139,44 @@ def test_inverse(a):
 def test_add_then_sub(a, b):
     assert _exact(a.add(b), a.add(b).sub(b))
     assert a.add(b).sub(b) == a
+
+
+units = st.builds(lambda t, k, r: Coeff.from_scalar(RING, GROUP.scalar(torsion=t, free=(k,)))
+                  .mul(Coeff.from_rational(RING, r)),
+                  st.integers(0, E - 1), st.integers(-3, 3),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+
+
+def _assert_atoms_shifted_and_monic(ring: CoeffRing):
+    """The precondition of the division shortcut: every interned atom has
+    least exponent 0 in each symbol and lead field part exactly 1."""
+    for poly, deg, lead in ring.atoms:
+        for i in range(ring.m):
+            assert min(k[i] for k in poly) == 0
+            assert max(k[i] for k in poly) == deg[i]
+        assert lead == max(k[:-1] for k in poly)
+        assert {k[-1]: v for k, v in poly.items() if k[:-1] == lead} == {0: 1}
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two factors, either side a unit, a polynomial or a quotient, or a
+    quotient n/d next to a multiple m*d of its denominator, in either order."""
+    factor = st.one_of(units, coeffs())
+    a, b = draw(factor), draw(factor)
+    if draw(st.booleans()):
+        d = _laurent(draw(terms))
+        if not d.is_zero():
+            a, b = a.mul(d.inv()), _laurent(draw(terms)).mul(d)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_pairs())
+def test_mul_matches_cancelled_product(pair):
+    a, b = pair
+    reference = Coeff(RING, lp_mul(RING, a.num, b.num), a.den + b.den)._cancel()
+    got = a.mul(b)
+    assert got.num == reference.num
+    assert got.den == reference.den
+    _assert_atoms_shifted_and_monic(RING)
