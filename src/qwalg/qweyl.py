@@ -132,9 +132,6 @@ def localized_lambda(a: QuantumWeylAlgebra) -> CanonicalMixedAlgebra:
     one = a.group.one()
     lam = [[one for _ in range(size)] for _ in range(size)]
     for k in range(nz):
-        for t in range(nz):
-            lam[k][t] = one
-    for k in range(nz):
         for t in range(n):
             lam[k][nz + t] = a.qs[ii[k]] if t == ii[k] else one
             lam[nz + t][k] = a.qs[ii[k]].inv() if t == ii[k] else one

@@ -6,8 +6,10 @@ words that is strictly smaller in the deglex order (length first, then the
 letter order), so reduction always terminates; certified confluence then
 makes normal forms canonical and turns the ordered monomials into a basis.
 
-Presentations contribute one quadratic rule per generator pair.  One
-routine adjoins inverses: the letter g^-1 sits right after g, with
+Every left-hand side is two letters and no two rules share one, so the
+rules form one table keyed by their left sides; the constructor refuses
+any other rule.  Presentations contribute one quadratic rule per generator
+pair.  One routine adjoins inverses: the letter g^-1 sits right after g, with
 g g^-1 -> 1 and g^-1 g -> 1, and every other letter h gets one rule from
 the twist g h = mu h g + c g of its pair (``twist``), conjugated by g^-1:
 
@@ -15,8 +17,8 @@ the twist g h = mu h g + c g of its pair (``twist``), conjugated by g^-1:
 
 oriented by the letter order.  Localization at a scalar-normal element z
 first appends a letter Z with the twist rules of z and one identification
-rule that rewrites the leading word of z into Z minus the tail, so Z
-genuinely equals z, then inverts Z like a generator.
+rule that rewrites the two-letter leading word of z into Z minus the tail,
+so Z genuinely equals z, then inverts Z like a generator.
 
 An extension is certified incrementally: its rules start with those of the
 certified parent, whose ambiguities among themselves stay resolvable when
@@ -34,7 +36,8 @@ Word = tuple[int, ...]
 
 
 class RuleError(ValueError):
-    """Malformed reduction rule (duplicate leading word, non-decreasing RHS...)."""
+    """Malformed reduction rule: a left side that is not two letters or
+    repeats, or a right side that is not deglex-smaller."""
 
 
 class NotNormalError(ValueError):
@@ -158,16 +161,18 @@ class ReductionSystem:
         self.letters = tuple(letters)
         self.rules = list(rules)
         self._certified = False
-        self._by_first: dict[int, list[Rule]] = {}
+        self._rhs: dict[Word, Element] = {}
         for rule in self.rules:
             self._validate_rule(rule)
-            self._by_first.setdefault(rule.lhs[0], []).append(rule)
+            self._rhs[rule.lhs] = rule.rhs
 
     # -- construction helpers -------------------------------------------------
 
     def _validate_rule(self, rule: Rule):
-        if not rule.lhs:
-            raise RuleError("empty rule left-hand side")
+        if len(rule.lhs) != 2:
+            raise RuleError(f"rule left-hand side {rule.lhs} is not two letters")
+        if rule.lhs in self._rhs:
+            raise RuleError(f"duplicate leading word {rule.lhs}")
         key = deglex_key(rule.lhs)
         for w in rule.rhs.terms:
             if deglex_key(w) >= key:
@@ -195,11 +200,11 @@ class ReductionSystem:
     # -- reduction -------------------------------------------------------------
 
     def _find_redex(self, w: Word):
-        for pos in range(len(w)):
-            for rule in self._by_first.get(w[pos], ()):
-                n = len(rule.lhs)
-                if w[pos:pos + n] == rule.lhs:
-                    return pos, rule
+        rhs = self._rhs
+        for pos in range(len(w) - 1):
+            r = rhs.get((w[pos], w[pos + 1]))
+            if r is not None:
+                return pos, r
         return None
 
     def _reduce(self, el: Element) -> Element:
@@ -213,9 +218,9 @@ class ReductionSystem:
                 # Words leave pending in decreasing order, so w is new here.
                 done[w] = c
                 continue
-            pos, rule = hit
-            pre, post = w[:pos], w[pos + len(rule.lhs):]
-            for rw, rc in rule.rhs.terms.items():
+            pos, rhs = hit
+            pre, post = w[:pos], w[pos + 2:]
+            for rw, rc in rhs.terms.items():
                 _add_term(pending, pre + rw + post, c.mul(rc))
         return Element(self.ring, done)
 
@@ -234,14 +239,15 @@ class ReductionSystem:
     # -- confluence -------------------------------------------------------------
 
     def check_confluence(self, known: int = 0) -> Confluent | Failing:
-        """Resolve every overlap and inclusion ambiguity of the rules.
+        """Resolve every ambiguity of the rules.  Left sides are two letters,
+        none repeated, so these are only the overlaps a b c of left sides
+        a b and b c: no inclusion ambiguity exists.
 
         ``known`` counts leading rules that already form a certified system.
         Their ambiguities among themselves stay resolvable once rules are
-        added (Bergman, The diamond lemma for ring theory, Adv. Math. 29,
-        1978), so only ambiguities involving a later rule are resolved.  On a
-        disagreement the full scan runs, so the Failing witness is the one
-        a plain call returns.
+        added (Bergman), so only ambiguities involving a later rule are
+        resolved.  On a disagreement the full scan runs, so the Failing
+        witness is the one a plain call returns.
         """
         for word, a, b in self._ambiguities(known):
             a, b = self._reduce(a), self._reduce(b)
@@ -251,33 +257,22 @@ class ReductionSystem:
         return Confluent()
 
     def _ambiguities(self, known: int):
-        """Each ambiguity as (word, a, b): the left side of a rule r1 starts
-        the word and that of r2 sits at p, overlapping a proper suffix of it
-        (p > 0) or lying inside a longer one; a and b are the word rewritten
-        by r1 and by r2.  For each r1 they come sorted by (index of r2, p);
-        only the rules whose left side starts with l1[p] are tried at p."""
-        def splice(pre: Word, rule: Rule, post: Word) -> Element:
-            return Element(self.ring, {pre + w + post: c for w, c in rule.rhs.terms.items()})
-
-        by_first: dict[int, list[int]] = {}
+        """Each overlap u v w of left sides u v (rule r1) and v w (rule r2)
+        as (u v w, r1 applied, r2 applied), ordered by the index of r1, then
+        of r2; a known r1 meets only later rules."""
+        by_first: dict[int, list[tuple[int, Rule]]] = {}
         for j, rule in enumerate(self.rules):
-            by_first.setdefault(rule.lhs[0], []).append(j)
+            by_first.setdefault(rule.lhs[0], []).append((j, rule))
         for i, r1 in enumerate(self.rules):
-            l1 = r1.lhs
+            u, v = r1.lhs
             start = known if i < known else 0
-            hits = []
-            for p in range(len(l1)):
-                for j in by_first.get(l1[p], ()):
-                    l2 = self.rules[j].lhs
-                    if j < start or (p == 0 and len(l2) >= len(l1)):
-                        continue
-                    if l1[p:p + len(l2)] == l2[:len(l1) - p]:
-                        hits.append((j, p))
-            for j, p in sorted(hits):
-                r2 = self.rules[j]
-                word = l1 + r2.lhs[len(l1) - p:]
-                yield (word, splice((), r1, word[len(l1):]),
-                       splice(word[:p], r2, word[p + len(r2.lhs):]))
+            for j, r2 in by_first.get(v, ()):
+                if j < start:
+                    continue
+                w = r2.lhs[1]
+                yield ((u, v, w),
+                       Element(self.ring, {t + (w,): c for t, c in r1.rhs.terms.items()}),
+                       Element(self.ring, {(u,) + t: c for t, c in r2.rhs.terms.items()}))
 
     # -- normality and localization ---------------------------------------------
 
@@ -330,9 +325,9 @@ class ReductionSystem:
                 raise NotNormalError("inverse of a scaled generator: invert the "
                                      "generator itself instead")
             return self.invert_generator(self.letters[lead[0]], label)
-        if len(lead) < 2:
+        if len(lead) != 2:
             raise NotNormalError("cannot invert an element whose leading word "
-                                 "is a single letter unless it is a plain generator")
+                                 "is not two letters unless it is a plain generator")
         z = len(self.letters)
         rules = self.rules + [
             Rule((z, h), Element.from_word(ring, (h, z), Coeff.from_scalar(ring, mu)))
@@ -353,7 +348,9 @@ class ReductionSystem:
         g, one = self.index(name), self.one()
         if any(g in r.lhs and r.rhs == one for r in self.rules):
             raise InverseError(f"{name!r} already inverted")
-        if any(g in r.lhs and len(r.lhs) != 2 for r in self.rules):
+        # Beside g g^-1 and g^-1 g, only identification rules have a left
+        # side that is not strictly descending.
+        if any(g in r.lhs and r.lhs[0] <= r.lhs[1] and r.rhs != one for r in self.rules):
             raise NotNormalError(f"cannot invert {name!r}: it occurs in a "
                                  f"localization identification")
         return self._with_inverse(g, label or f"{name}^-1", known=len(self.rules))
@@ -403,10 +400,10 @@ class ReductionSystem:
         None.  The rule must be a scalar twist (c = 0) or, with mu = 1, have
         the tail c g with c = 1 or -1: h counts g, [h, g] = -c g."""
         hi, lo = max(g, h), min(g, h)
-        rule = next((r for r in self._by_first.get(hi, ()) if r.lhs == (hi, lo)), None)
-        if rule is None or (lo, hi) not in rule.rhs.terms:
+        rhs = self._rhs.get((hi, lo))
+        if rhs is None or (lo, hi) not in rhs.terms:
             return None
-        terms = dict(rule.rhs.terms)
+        terms = dict(rhs.terms)
         mu = coeff_to_scalar(terms.pop((lo, hi)))  # hi lo = mu lo hi + c g
         c = terms.pop((g,), Coeff.zero(self.ring))
         one = Coeff.one(self.ring)
@@ -425,16 +422,12 @@ def build_reduction_system(group: ScalarGroup, generators: list[str],
     strictly smaller in the deglex order.
     """
     n = len(generators)
-    seen = set()
-    for lhs, _ in relations:
-        if len(lhs) != 2 or not (n > lhs[0] > lhs[1] >= 0):
+    system = ReductionSystem(group, tuple(generators),
+                             [Rule(lhs, rhs) for lhs, rhs in relations])
+    for lhs in system._rhs:
+        if not n > lhs[0] > lhs[1] >= 0:
             raise RuleError(f"leading word {lhs} is not a descending generator pair")
-        if lhs in seen:
-            raise RuleError(f"duplicate leading word {lhs}")
-        seen.add(lhs)
-    expected = {(j, i) for j in range(n) for i in range(j)}
-    if seen != expected:
-        missing = expected - seen
+    missing = {(j, i) for j in range(n) for i in range(j)} - system._rhs.keys()
+    if missing:
         raise RuleError(f"missing relations for pairs {sorted(missing)}")
-    rules = [Rule(lhs, rhs) for lhs, rhs in relations]
-    return ReductionSystem(group, tuple(generators), rules)
+    return system

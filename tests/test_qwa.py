@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qwalg.presentation import Additive, Eulerian, Multiplicative
+from qwalg.presentation import Additive, Eulerian, Multiplicative, Presentation
 from qwalg.qwa import (ParseError, format_presentation, parse_document,
                        parse_presentation, parse_scalar_literal)
 from qwalg.scalars import GroupMismatch, ScalarGroup
@@ -138,3 +139,37 @@ def test_parse_into_given_group():
                  "scalars { root zeta : 2 }\ngenerators a\n"):
         with pytest.raises(GroupMismatch):
             parse_document(text, g)
+
+
+NAMES = ("x", "y", "w", "x1", "y2", "t_3", "Gen", "a10")
+
+
+@st.composite
+def presentations(draw):
+    """A presentation over Z/e x Z^m: each pair gets no relation or one of the
+    three kinds, given in a random orientation."""
+    e = draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+    m = draw(st.integers(0, 2))
+    group = ScalarGroup(e, ("q", "p")[:m], "zeta" if e > 1 else None)
+    gens = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5, unique=True))
+    items = []
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            a, b = draw(st.sampled_from(((i, j), (j, i))))
+            kind = draw(st.sampled_from(("none", "additive", "multiplicative", "eulerian")))
+            if kind == "additive":
+                items.append((a, b, Additive(draw(st.integers(-3, 3)))))
+            elif kind == "multiplicative":
+                free = tuple(draw(st.integers(-3, 3)) for _ in range(m))
+                items.append((a, b, Multiplicative(group.scalar(draw(st.integers(0, e - 1)), free))))
+            elif kind == "eulerian":
+                items.append((a, b, Eulerian(a)))
+    return Presentation.build(group, gens, items)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations())
+def test_format_parse_round_trip(p):
+    doc = parse_document(format_presentation(p))
+    assert doc.group == p.group
+    assert doc.presentation == p

@@ -6,8 +6,8 @@ from qwalg.cyclo import Coeff, CoeffRing, coeff_to_scalar
 from qwalg.presentation import certified_system, system_from_presentation
 from qwalg.qwa import parse_presentation, parse_scalar_literal
 from qwalg.rewrite import (Confluent, Element, Failing, InverseError,
-                           NotCertifiedError, NotNormalError, Rule, RuleError,
-                           build_reduction_system)
+                           NotCertifiedError, NotNormalError, ReductionSystem,
+                           Rule, RuleError, build_reduction_system)
 from qwalg.scalars import ScalarGroup
 
 A1_TEXT = "generators y, x\nrelations {\n  x y = y x + 1\n}\n"
@@ -198,13 +198,47 @@ def test_invert_generator_euler_partner():
 def test_deglex_termination_guard():
     g = ScalarGroup()
     ring = CoeffRing(g)
-    from qwalg.rewrite import ReductionSystem
     with pytest.raises(RuleError):
         ReductionSystem(g, ("a", "b"),
                         [Rule((1, 0), Element(ring, {(1, 1, 0): Coeff.one(ring)}))])
     with pytest.raises(RuleError):
         ReductionSystem(g, ("a", "b"),
                         [Rule((1, 0), Element(ring, {(1, 0): Coeff.one(ring)}))])
+
+
+def test_left_sides_must_be_two_letters():
+    g = ScalarGroup()
+    ring = CoeffRing(g)
+    a = Element(ring, {(0,): Coeff.one(ring)})
+    for lhs in ((1,), (1, 2, 1)):
+        with pytest.raises(RuleError, match="not two letters"):
+            ReductionSystem(g, ("a", "b", "c"), [Rule(lhs, a)])
+
+
+def test_repeated_left_side_is_refused():
+    """b a -> a b and b a -> 2 a b disagree on b a itself, so a second rule
+    for a left side is refused rather than certified."""
+    g = ScalarGroup()
+    ring = CoeffRing(g)
+    ab = Element(ring, {(0, 1): Coeff.one(ring)})
+    with pytest.raises(RuleError, match="duplicate leading word"):
+        ReductionSystem(g, ("a", "b"),
+                        [Rule((1, 0), ab), Rule((1, 0), ab.scale(Coeff.from_rational(ring, 2)))])
+
+
+def test_identification_letters_are_not_invertible():
+    """In x y = q y x, localizing at y x or y y puts y (and x) into the
+    identification rule; inverting such a letter is refused by name."""
+    for lead, blocked in ((("y", "x"), ("y", "x")), (("y", "y"), ("y",))):
+        sp = plane()
+        loc, _ = sp.adjoin_inverse(sp.word(*lead), "z^-1")
+        for name in blocked:
+            with pytest.raises(NotNormalError, match="localization identification"):
+                loc.invert_generator(name)
+    ext, label = loc.invert_generator("x")  # x is outside the rule y y -> Z
+    assert ext.normal_form(ext.word("x", label)) == ext.one()
+    with pytest.raises(NotNormalError, match="not two letters"):
+        sp.adjoin_inverse(sp.word("y", "y", "y"), "z^-1")
 
 
 # -- one inverse formula: g h = mu h g + c g gives h g^-1 = mu g^-1 h + c g^-1 --
