@@ -17,8 +17,9 @@ from .presentation import (Additive, AddMultiple, AdmissibilityReport, Eulerian,
                            certified_system, check_admissible, exchanged,
                            subpresentation, system_from_presentation, verified,
                            weyl_matrix)
-from .qwa import (Document, ParseError, format_presentation, format_qweyl,
-                  parse_document, parse_presentation, parse_scalar_literal)
+from .qwa import (Document, ParseError, format_generator_map, format_presentation,
+                  format_qweyl, parse_document, parse_generator_map,
+                  parse_presentation, parse_scalar_literal)
 from .rewrite import (Confluent, Element, Failing, NotCertifiedError,
                       NotNormalError, ReductionSystem, Rule, RuleError,
                       build_reduction_system)
@@ -36,6 +37,5 @@ from .qweyl import (LocalizationResult, QuantumWeylAlgebra, QWeylInvariants,
                     localize_to_mixed, localized_lambda,
                     qweyl_equivalence_necessary, qweyl_invariants)
 from .embeddings import (FailingRelation, GeneratorMap, Verified, embed_mixed,
-                         embed_torus, format_generator_map, parse_generator_map,
-                         verify_homomorphism, weyl_lower_bound_witness)
+                         embed_torus, verify_homomorphism, weyl_lower_bound_witness)
 from . import intlattice

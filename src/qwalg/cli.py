@@ -13,22 +13,24 @@ import json
 import sys
 
 from . import __version__
-from .embeddings import (Verified, embed_mixed, embed_torus, format_generator_map,
-                         parse_generator_map, verify_homomorphism)
+from .embeddings import Verified, embed_mixed, embed_torus, verify_homomorphism
 from .mixed import (Equivalent, NotEquivalent, equivalence_decide, invariants,
                     reduce_to_canonical)
 from .presentation import (Presentation, certified_system, check_admissible,
                            system_from_presentation)
-from .qwa import format_presentation, parse_document
+from .qwa import (format_generator_map, format_presentation, format_scalar_matrix,
+                  parse_document, parse_generator_map)
 from .qweyl import (QuantumWeylAlgebra, localize_to_mixed,
                     qweyl_equivalence_necessary, qweyl_invariants)
 from .rewrite import Confluent
-from .scalars import format_scalar, merge_groups
+from .scalars import merge_groups
 from .torus import (Iso, NotIso, QuantumTorus, Violation, central_lattice,
                     check_morphism, is_isomorphism, uniparameter_iso_decide)
 
 DISCLAIMER = ("verdicts are relative to the declared scalar group: free symbols "
               "are taken multiplicatively independent")
+# Files taken by the subcommands with a ``sub`` choice; the others take one.
+FILES = {"iso": 2, "morphism": 2, "equiv": 2, "verify": 3}
 
 
 class CliError(Exception):
@@ -89,11 +91,6 @@ def _int_matrix(text: str) -> list[list[int]]:
     return h
 
 
-def _lam(lam) -> str:
-    return "[" + ",".join("[" + ", ".join(format_scalar(s) for s in row) + "]"
-                          for row in lam) + "]"
-
-
 def _emit(machine: dict, human: list[str], args) -> None:
     machine = {"command": machine.pop("command"), **machine,
                "semantics": "generic-parameters"}
@@ -152,7 +149,7 @@ def cmd_reduce(args) -> int:
         "file": args.file,
         "n": algebra.n,
         "r": algebra.r,
-        "lambda": _lam(algebra.lam),
+        "lambda": format_scalar_matrix(algebra.lam),
         "certificate_ops": len(cert.ops),
         "certificate": cert.describe(),
         "pairing": ";".join(f"{x}:{y}" for x, y in cert.pairing),
@@ -225,8 +222,8 @@ def cmd_torus(args) -> int:
                         f"basis {machine['basis']}"], args)
         return 0
     if args.sub == "iso":
-        if len(args.files) != 2 or not args.param:
-            raise CliError("torus iso needs two files and --param")
+        if not args.param:
+            raise CliError("torus iso needs --param")
         t1, t2 = _load_tori(*args.files)
         res = uniparameter_iso_decide(t1, t2, args.param)
         machine = {"command": "torus.iso", "file_a": args.files[0],
@@ -247,8 +244,8 @@ def cmd_torus(args) -> int:
         _emit(machine, human, args)
         return 0
     # morphism, the last of the argparse choices
-    if len(args.files) != 2 or not args.matrix:
-        raise CliError("torus morphism needs two files and --matrix")
+    if not args.matrix:
+        raise CliError("torus morphism needs --matrix")
     t1, t2 = _load_tori(*args.files)
     h = _int_matrix(args.matrix)
     res = check_morphism(t1, t2, h)
@@ -274,7 +271,7 @@ def cmd_qweyl(args) -> int:
         machine = {
             "command": "qweyl.localize", "file": args.files[0],
             "n": res.canonical.n, "r": res.canonical.r,
-            "lambda": _lam(res.canonical.lam),
+            "lambda": format_scalar_matrix(res.canonical.lam),
             "relations_checked": res.relations_checked,
             "verified": "true",
         }
@@ -295,8 +292,6 @@ def cmd_qweyl(args) -> int:
         _emit(machine, human, args)
         return 0
     # equiv, the last of the argparse choices
-    if len(args.files) != 2:
-        raise CliError("qweyl equiv needs two files")
     a, b = _load_qweyls(*args.files)
     verdict = qweyl_equivalence_necessary(a, b, param=args.param)
     machine = {"command": "qweyl.equiv", "file_a": args.files[0],
@@ -331,10 +326,7 @@ def cmd_embed(args) -> int:
         _emit(machine, human, args)
         return 0
     # verify, the last of the argparse choices
-    if len(args.files) != 3:
-        raise CliError("embed verify needs SOURCE.qwa TARGET.qwa MAP")
-    src, = _load_presentations(args.files[0])
-    tgt, = _load_presentations(args.files[1])
+    src, tgt = _load_presentations(*args.files[:2])
     sys_t = certified_system(tgt)
     if args.invert:
         for name in args.invert.split(","):
@@ -433,6 +425,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if "sub" in args and len(args.files) != (n := FILES.get(args.sub, 1)):
+            raise CliError(f"{args.cmd} {args.sub} takes {n} file(s), "
+                           f"got {len(args.files)}")
         return args.run(args)
     except Exception as exc:  # exit contract: every failure is exit 2
         # Input errors (ParseError and GroupMismatch are ValueErrors) speak

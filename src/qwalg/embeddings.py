@@ -5,86 +5,15 @@ Injectivity of these embeddings is a theorem about leading terms in the
 ambient series fields and is taken as given; what the engine certifies is
 that the generator images satisfy every defining relation of the source.
 The map types and the check itself live in ``presentation``, next to the
-relation semantics they use, and are re-exported here.
+relation semantics they use, and are re-exported here; ``qwa`` reads and
+writes maps as text.
 """
 from __future__ import annotations
 
-import re
-
-from .cyclo import Coeff, coeff_to_scalar
 from .mixed import CanonicalMixedAlgebra, MixedWeylField, eulerian_presentation
 from .presentation import (  # the map types and the check are re-exported
     Eulerian, FailingRelation, GeneratorMap, Multiplicative, Presentation, Verified,
     certified_system, verified, verify_homomorphism)
-from .qwa import ParseError, parse_scalar_literal
-from .rewrite import Element, ReductionSystem
-from .scalars import format_scalar
-
-
-def parse_generator_map(text: str, source: Presentation,
-                        target: ReductionSystem) -> GeneratorMap:
-    """Parse ``map { g -> scalar * word ; ... }`` with word factors g or g^-1.
-
-    Factors named g^-1 refer to the target's adjoined inverse letters.
-    """
-    body = text.strip()
-    m = re.match(r"^map\s*\{(.*)\}\s*$", body, re.S)
-    if not m:
-        raise ParseError(1, "expected map { ... }")
-    images: dict[str, Element] = {}
-    entries = [e.strip() for chunk in m.group(1).split(";")
-               for e in chunk.splitlines()]
-    for entry in entries:
-        entry = entry.strip()
-        if not entry or entry.startswith("#"):
-            continue
-        em = re.match(r"^(\S+)\s*->\s*(.*)$", entry)
-        if not em:
-            raise ParseError(1, f"bad map entry {entry!r}")
-        name, rhs = em.group(1), em.group(2).strip()
-        if name not in source.gens:
-            raise ParseError(1, f"map names unknown source generator {name!r}")
-        factors = [f.strip() for f in rhs.split("*")]
-        scalar = target.group.one()
-        word: list[str] = []
-        for f in factors:
-            sub = f.split()
-            if len(sub) > 1 or (sub and sub[0] in target.letters):
-                for tok in sub:
-                    mm = re.match(r"^(\S+?)\^-1$", tok)
-                    if mm and f"{mm.group(1)}^-1" in target.letters:
-                        word.append(f"{mm.group(1)}^-1")
-                    elif tok in target.letters:
-                        word.append(tok)
-                    else:
-                        raise ParseError(1, f"unknown target factor {tok!r}")
-            elif f == "1" and not word:
-                continue
-            else:
-                scalar = scalar.mul(parse_scalar_literal(target.group, f))
-        el = target.word(*word) if word else target.one()
-        images[name] = el.scale(Coeff.from_scalar(target.ring, scalar))
-    missing = [g for g in source.gens if g not in images]
-    if missing:
-        raise ParseError(1, f"map is missing images for {missing}")
-    return GeneratorMap(source, target, images)
-
-
-def format_generator_map(gmap: GeneratorMap) -> str:
-    """Serialization for monomial maps: map { g -> scalar * word ; ... }."""
-    parts = []
-    for name in gmap.source.gens:
-        el = gmap.images[name]
-        if len(el.terms) != 1:
-            raise ValueError("only single-word images are serializable")
-        (word, coeff), = el.terms.items()
-        s = coeff_to_scalar(coeff)
-        if s is None:
-            raise ValueError("image prefactor is not a scalar")
-        factors = " ".join(gmap.target.letters[i] for i in word) or "1"
-        pre = "" if s.is_one() else f"{format_scalar(s)} * "
-        parts.append(f"  {name} -> {pre}{factors}")
-    return "map {\n" + "\n".join(parts) + "\n}\n"
 
 
 # ---------------------------------------------------------------------------

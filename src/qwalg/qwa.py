@@ -1,23 +1,27 @@
-"""The .qwa textual format: scalar declarations, generators, relations, and
-the quantum Weyl block.  Line oriented, UTF-8, '#' comments.
+"""The text formats: .qwa files and generator maps.  Line oriented, UTF-8,
+'#' comments.
 
     scalars { root zeta : 4 ; free q, p }
-    generators y1, y2, x1
+    generators y1, y2, x1, w1
     relations {
       x1 y1 = y1 x1 + 1
       y1 y2 = q * y2 y1
       [w1, y1] = y1
     }
 
-A file holds either a presentation or a ``qweyl { ... }`` block describing a
-multiparameter quantum Weyl algebra.
+A .qwa file holds either a presentation or a ``qweyl { ... }`` block
+describing a multiparameter quantum Weyl algebra; a map file holds one
+``map { ... }`` block.  Both are read by ``read_statements``.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 
-from .presentation import Additive, Eulerian, Multiplicative, Presentation
+from .cyclo import Coeff, coeff_to_scalar
+from .presentation import (Additive, Eulerian, GeneratorMap, Multiplicative,
+                           Presentation)
+from .rewrite import Element, ReductionSystem
 from .scalars import GroupMismatch, Scalar, ScalarGroup, format_scalar, merge_groups
 
 
@@ -29,12 +33,20 @@ class ParseError(ValueError):
 
 
 NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_RE_WORD = re.compile(NAME)
 _RE_NAME = re.compile(rf"^{NAME}$")
+_RE_FACTOR = re.compile(rf"^({NAME})(?:\^(-?\d+))?$")
+_RE_ROOT = re.compile(rf"^root\s+({NAME})\s*:\s*(\d+)$")
+_RE_FREE = re.compile(r"^free\s+(.*)$")
+_RE_QWEYL = re.compile(r"^(n|q|Lambda)\s*=\s*(.+)$")
+_RE_ROW_SEP = re.compile(r"(?<=\])\s*,\s*(?=\[)")
 _RE_QUANTUM = re.compile(
     rf"^({NAME})\s+({NAME})\s*=\s*(.+?)\s*\*\s*({NAME})\s+({NAME})$")
 _RE_WEYL = re.compile(
     rf"^({NAME})\s+({NAME})\s*=\s*({NAME})\s+({NAME})\s*\+\s*(-?\d+)$")
 _RE_EULER = re.compile(rf"^\[\s*({NAME})\s*,\s*({NAME})\s*\]\s*=\s*({NAME})$")
+# The statements of a .qwa file; True marks a block.
+_QWA = {"scalars": True, "generators": False, "relations": True, "qweyl": True}
 
 
 @dataclass
@@ -53,10 +65,58 @@ class Document:
     qweyl: QWeylSpec | None
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+def read_statements(text: str, shapes: dict[str, bool]) -> dict[str, tuple]:
+    """The top-level statements of ``text`` by first word, as (line, body).
+
+    ``shapes`` gives the allowed words and whether each opens a block.  The
+    body of a line statement ``word rest`` is the string ``rest``; that of a
+    block ``word { ... }`` is its list of (line, item), items being split at
+    line ends and at ';'.  A block closes on a line that ends in '}'.  An
+    unknown or repeated word, a missing '{' and an unterminated block are
+    errors at their line.
+    """
+    found: dict[str, tuple] = {}
+    items = None
+    for ln, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        s = line.strip()
+        if not s:
+            continue
+        if items is None:
+            m = _RE_WORD.match(s)
+            word = m and m.group()
+            if word not in shapes:
+                raise ParseError(ln, f"unrecognized line {s!r}")
+            kind = "block" if shapes[word] else "line"
+            if word in found:
+                raise ParseError(ln, f"duplicate {word} {kind}")
+            s = s[m.end():].lstrip()
+            if kind == "line":
+                found[word] = (ln, s)
+                continue
+            if not s.startswith("{"):
+                raise ParseError(ln, f"expected '{{' after {word!r}")
+            items = []
+            found[word] = (ln, items)
+            s = s[1:]
+        closed = s.endswith("}")
+        for item in (s[:-1] if closed else s).split(";"):
+            item = item.strip()
+            if item:
+                items.append((ln, item))
+        if closed:
+            items = None
+    if items is not None:
+        raise ParseError(found[word][0], f"unterminated {word!r} block")
+    return found
+
+
+def _names(text: str, ln: int, what: str) -> tuple[str, ...]:
+    names = tuple(x.strip() for x in text.split(","))
+    if not all(_RE_NAME.match(x) for x in names):
+        raise ParseError(ln, f"bad {what} list {text!r}")
+    return names
 
 
 def parse_scalar_literal(group: ScalarGroup, text: str, line: int = 0) -> Scalar:
@@ -74,7 +134,7 @@ def parse_scalar_literal(group: ScalarGroup, text: str, line: int = 0) -> Scalar
                 raise ParseError(line, "-1 requires an even root-of-unity order")
             torsion += group.torsion_order // 2
             continue
-        m = re.match(rf"^({NAME})(?:\^(-?\d+))?$", factor)
+        m = _RE_FACTOR.match(factor)
         if not m:
             raise ParseError(line, f"bad scalar factor {factor!r}")
         name, exp = m.group(1), int(m.group(2) or 1)
@@ -87,133 +147,59 @@ def parse_scalar_literal(group: ScalarGroup, text: str, line: int = 0) -> Scalar
     return group.scalar(torsion=torsion, free=tuple(free))
 
 
-def _parse_scalars_block(body: list[tuple[int, str]]) -> ScalarGroup:
+def _parse_scalars_block(ln: int, items) -> ScalarGroup:
     root_name = None
     order = 1
     free: tuple[str, ...] = ()
-    text = " ; ".join(t for _, t in body)
-    first_line = body[0][0] if body else 0
-    for clause in (c.strip() for c in text.split(";")):
-        if not clause:
-            continue
-        m = re.match(rf"^root\s+({NAME})\s*:\s*(\d+)$", clause)
+    for at, clause in items:
+        m = _RE_ROOT.match(clause)
         if m:
             if root_name is not None:
-                raise ParseError(first_line, "only one root of unity may be declared")
+                raise ParseError(at, "only one root of unity may be declared")
             root_name, order = m.group(1), int(m.group(2))
             if order < 1:
-                raise ParseError(first_line, "root order must be >= 1")
+                raise ParseError(at, "root order must be >= 1")
             continue
-        m = re.match(r"^free\s+(.*)$", clause)
-        if m:
-            names = tuple(x.strip() for x in m.group(1).split(","))
-            if not all(_RE_NAME.match(x) for x in names):
-                raise ParseError(first_line, f"bad free symbol list {m.group(1)!r}")
-            free = free + names
-            continue
-        raise ParseError(first_line, f"bad scalars clause {clause!r}")
+        m = _RE_FREE.match(clause)
+        if not m:
+            raise ParseError(at, f"bad scalars clause {clause!r}")
+        free += _names(m.group(1), at, "free symbol")
     try:
         return ScalarGroup(order, free, root_name)
     except ValueError as exc:
-        raise ParseError(first_line, str(exc)) from None
+        raise ParseError(ln, str(exc)) from None
 
 
 def parse_document(text: str, group: ScalarGroup | None = None) -> Document:
     """Parse a .qwa file.  With ``group``, every scalar is built in that group,
     into which the file's declared group must embed (same-name symbols
     identified); pair commands use this to compare two files."""
-    lines = text.splitlines()
-    declared: ScalarGroup | None = None
-    gens: tuple[str, ...] | None = None
-    rel_lines: list[tuple[int, str]] = []
-    qweyl_lines: list[tuple[int, str]] = []
-    saw_relations = False
-    saw_qweyl = False
-
-    i = 0
-
-    def read_block(start: int, header: str) -> tuple[list[tuple[int, str]], int]:
-        """Collects the lines of 'header { ... }'; single-line bodies allowed."""
-        line = _strip(lines[start])
-        rest = line[len(header):].strip()
-        if not rest.startswith("{"):
-            raise ParseError(start + 1, f"expected '{{' after {header!r}")
-        body: list[tuple[int, str]] = []
-        inner = rest[1:].strip()
-        if inner.endswith("}"):
-            if inner[:-1].strip():
-                body.append((start + 1, inner[:-1].strip()))
-            return body, start + 1
-        if inner:
-            body.append((start + 1, inner))
-        k = start + 1
-        while k < len(lines):
-            s = _strip(lines[k])
-            if s == "}":
-                return body, k + 1
-            if s:
-                if s.endswith("}"):
-                    body.append((k + 1, s[:-1].strip()))
-                    return body, k + 1
-                body.append((k + 1, s))
-            k += 1
-        raise ParseError(start + 1, f"unterminated {header!r} block")
-
-    while i < len(lines):
-        s = _strip(lines[i])
-        if not s:
-            i += 1
-            continue
-        if s.startswith("scalars"):
-            if declared is not None:
-                raise ParseError(i + 1, "duplicate scalars block")
-            body, i = read_block(i, "scalars")
-            declared = _parse_scalars_block(body)
-            continue
-        if s.startswith("generators"):
-            if gens is not None:
-                raise ParseError(i + 1, "duplicate generators line")
-            names = tuple(x.strip() for x in s[len("generators"):].split(","))
-            if not all(_RE_NAME.match(x) for x in names):
-                raise ParseError(i + 1, f"bad generator list {s!r}")
-            if len(set(names)) != len(names):
-                raise ParseError(i + 1, "duplicate generator name")
-            gens = names
-            i += 1
-            continue
-        if s.startswith("relations"):
-            if saw_relations:
-                raise ParseError(i + 1, "duplicate relations block")
-            saw_relations = True
-            rel_lines, i = read_block(i, "relations")
-            continue
-        if s.startswith("qweyl"):
-            if saw_qweyl:
-                raise ParseError(i + 1, "duplicate qweyl block")
-            saw_qweyl = True
-            qweyl_lines, i = read_block(i, "qweyl")
-            continue
-        raise ParseError(i + 1, f"unrecognized line {s!r}")
-
-    declared = declared or ScalarGroup()
+    found = read_statements(text, _QWA)
+    declared = (_parse_scalars_block(*found["scalars"]) if "scalars" in found
+                else ScalarGroup())
     if group is None:
         group = declared
     elif merge_groups(group, declared) != group:
         raise GroupMismatch("declared scalars do not embed in the given group")
 
-    presentation = None
-    if gens is not None:
-        presentation = _build_presentation(group, gens, rel_lines)
-    elif saw_relations:
-        raise ParseError(1, "relations block without a generators line")
-
-    qweyl = _build_qweyl(group, qweyl_lines) if saw_qweyl else None
+    presentation = qweyl = None
+    if "generators" in found:
+        presentation = _build_presentation(
+            group, *found["generators"], found.get("relations", (0, ()))[1])
+    elif "relations" in found:
+        raise ParseError(found["relations"][0],
+                         "relations block without a generators line")
+    if "qweyl" in found:
+        qweyl = _build_qweyl(group, *found["qweyl"])
     if presentation is None and qweyl is None:
         raise ParseError(1, "file declares neither generators nor a qweyl block")
     return Document(group, presentation, qweyl)
 
 
-def _build_presentation(group, gens, rel_lines) -> Presentation:
+def _build_presentation(group, ln, rest, rel_lines) -> Presentation:
+    gens = _names(rest, ln, "generator")
+    if len(set(gens)) != len(gens):
+        raise ParseError(ln, "duplicate generator name")
     index = {g: k for k, g in enumerate(gens)}
 
     def idx(name: str, ln: int) -> int:
@@ -255,10 +241,7 @@ def _build_presentation(group, gens, rel_lines) -> Presentation:
             items.append((a, b, Multiplicative(parse_scalar_literal(group, lit, ln))))
             continue
         raise ParseError(ln, f"unrecognized relation {s!r}")
-    try:
-        return Presentation.build(group, gens, items)
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from None
+    return Presentation.build(group, gens, items)
 
 
 def _claim(seen, a, b, ln, gens):
@@ -271,36 +254,18 @@ def _claim(seen, a, b, ln, gens):
     seen.add(key)
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return out
-
-
-def _build_qweyl(group, body_lines) -> QWeylSpec:
+def _build_qweyl(group, ln, items) -> QWeylSpec:
     fields = {}
-    for ln, s in body_lines:
-        for piece in (x.strip() for x in _split_top(s, ";")):
-            if not piece:
-                continue
-            m = re.match(r"^(n|q|Lambda)\s*=\s*(.+)$", piece)
-            if not m:
-                raise ParseError(ln, f"bad qweyl clause {piece!r}")
-            fields[m.group(1)] = (ln, m.group(2).strip())
+    for at, item in items:
+        m = _RE_QWEYL.match(item)
+        if not m:
+            raise ParseError(at, f"bad qweyl clause {item!r}")
+        if m.group(1) in fields:
+            raise ParseError(at, f"duplicate qweyl clause {m.group(1)!r}")
+        fields[m.group(1)] = (at, m.group(2))
     for key in ("n", "q", "Lambda"):
         if key not in fields:
-            raise ParseError(body_lines[0][0] if body_lines else 1,
-                             f"qweyl block is missing {key!r}")
+            raise ParseError(ln, f"qweyl block is missing {key!r}")
     ln, ntext = fields["n"]
     if not ntext.isdigit() or int(ntext) < 1:
         raise ParseError(ln, f"bad qweyl size {ntext!r}")
@@ -308,29 +273,28 @@ def _build_qweyl(group, body_lines) -> QWeylSpec:
     ln, qtext = fields["q"]
     if not (qtext.startswith("(") and qtext.endswith(")")):
         raise ParseError(ln, "q list must be parenthesized")
-    qs = tuple(parse_scalar_literal(group, t, ln)
-               for t in _split_top(qtext[1:-1], ","))
+    qs = tuple(parse_scalar_literal(group, t, ln) for t in qtext[1:-1].split(","))
     if len(qs) != n:
         raise ParseError(ln, f"expected {n} quantization parameters, got {len(qs)}")
     ln, ltext = fields["Lambda"]
     lam = _parse_scalar_matrix(group, ltext, ln)
     if len(lam) != n or any(len(r) != n for r in lam):
         raise ParseError(ln, f"Lambda must be {n} x {n}")
-    return QWeylSpec(group, n, qs, tuple(tuple(r) for r in lam))
+    return QWeylSpec(group, n, qs, lam)
 
 
-def _parse_scalar_matrix(group, text, ln) -> list[list[Scalar]]:
-    text = text.strip()
+def _parse_scalar_matrix(group, text, ln) -> tuple[tuple[Scalar, ...], ...]:
+    """``[[a, b],[c, d]]``: scalar literals hold no brackets, so rows part at
+    '],' before '['."""
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(ln, "matrix literal must be bracketed")
     rows = []
-    for rtext in _split_top(text[1:-1], ","):
-        rtext = rtext.strip()
+    for rtext in _RE_ROW_SEP.split(text[1:-1].strip()):
         if not (rtext.startswith("[") and rtext.endswith("]")):
             raise ParseError(ln, f"bad matrix row {rtext!r}")
-        rows.append([parse_scalar_literal(group, t, ln)
-                     for t in _split_top(rtext[1:-1], ",")])
-    return rows
+        rows.append(tuple(parse_scalar_literal(group, t, ln)
+                          for t in rtext[1:-1].split(",")))
+    return tuple(rows)
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -338,6 +302,45 @@ def parse_presentation(text: str) -> Presentation:
     if doc.presentation is None:
         raise ParseError(1, "file does not contain a presentation")
     return doc.presentation
+
+
+def parse_generator_map(text: str, source: Presentation,
+                        target: ReductionSystem) -> GeneratorMap:
+    """Parse ``map { g -> scalar * word ; ... }`` with word factors g or g^-1.
+
+    Factors named g^-1 refer to the target's adjoined inverse letters.
+    """
+    found = read_statements(text, {"map": True})
+    if "map" not in found:
+        raise ParseError(1, "expected map { ... }")
+    ln, entries = found["map"]
+    images: dict[str, Element] = {}
+    for at, entry in entries:
+        name, arrow, rhs = entry.partition("->")
+        name = name.strip()
+        if not arrow:
+            raise ParseError(at, f"bad map entry {entry!r}")
+        if name not in source.gens:
+            raise ParseError(at, f"map names unknown source generator {name!r}")
+        if name in images:
+            raise ParseError(at, f"map gives a second image for {name!r}")
+        scalar = target.group.one()
+        word: list[str] = []
+        for f in rhs.split("*"):
+            toks = f.split()
+            if len(toks) > 1 or (toks and toks[0] in target.letters):
+                for tok in toks:
+                    if tok not in target.letters:
+                        raise ParseError(at, f"unknown target factor {tok!r}")
+                word += toks
+            else:
+                scalar = scalar.mul(parse_scalar_literal(target.group, f, at))
+        el = target.word(*word) if word else target.one()
+        images[name] = el.scale(Coeff.from_scalar(target.ring, scalar))
+    missing = [g for g in source.gens if g not in images]
+    if missing:
+        raise ParseError(ln, f"map is missing images for {missing}")
+    return GeneratorMap(source, target, images)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +393,32 @@ def format_qweyl(spec: QWeylSpec) -> str:
     if block:
         lines.append(block)
     qlist = ", ".join(format_scalar(q) for q in spec.q)
-    lam = "[" + ",".join(
-        "[" + ", ".join(format_scalar(s) for s in row) + "]" for row in spec.lam) + "]"
     lines.append("qweyl {")
     lines.append(f"  n = {spec.n}")
     lines.append(f"  q = ({qlist})")
-    lines.append(f"  Lambda = {lam}")
+    lines.append(f"  Lambda = {format_scalar_matrix(spec.lam)}")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def format_scalar_matrix(rows) -> str:
+    """``[[a, b],[c, d]]``, as a qweyl block's Lambda and the CLI's lambda key."""
+    return "[" + ",".join("[" + ", ".join(format_scalar(s) for s in row) + "]"
+                          for row in rows) + "]"
+
+
+def format_generator_map(gmap: GeneratorMap) -> str:
+    """Serialization for monomial maps: map { g -> scalar * word ; ... }."""
+    parts = []
+    for name in gmap.source.gens:
+        el = gmap.images[name]
+        if len(el.terms) != 1:
+            raise ValueError("only single-word images are serializable")
+        (word, coeff), = el.terms.items()
+        s = coeff_to_scalar(coeff)
+        if s is None:
+            raise ValueError("image prefactor is not a scalar")
+        factors = " ".join(gmap.target.letters[i] for i in word) or "1"
+        pre = "" if s.is_one() else f"{format_scalar(s)} * "
+        parts.append(f"  {name} -> {pre}{factors}")
+    return "map {\n" + "\n".join(parts) + "\n}\n"

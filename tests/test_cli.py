@@ -268,6 +268,34 @@ def test_pair_commands_merge_declared_groups(tmp_path, capsys):
     assert {**block, "file_b": ""} == {**same, "file_b": ""}
 
 
+def test_embed_verify_merges_declared_groups(tmp_path, capsys):
+    src = tmp_path / "t21.qwa"
+    src.write_text("scalars { free q }\ngenerators y1, y2, w1\n"
+                   "relations {\n  y1 y2 = q * y2 y1\n  [w1, y1] = y1\n}\n")
+    target = tmp_path / "target.qwa"
+    target.write_text("scalars { free p, q }\ngenerators w, y, u, v\n"
+                      "relations {\n  [w, y] = y\n  u v = q * v u\n}\n")
+    mp = tmp_path / "map.map"
+    mp.write_text("map { y1 -> y u ; y2 -> v ; w1 -> w }\n")
+    assert main(["embed", "verify", str(src), str(target), str(mp)]) == 0
+    assert machine_block(capsys.readouterr().out)["verified"] == "true"
+
+
+SINGLE_FILE = [(["torus", "simple"], "torus_q2.qwa"), (["torus", "center"], "torus_q2.qwa"),
+               (["qweyl", "localize"], "qweyl_a2.qwa"),
+               (["qweyl", "invariants"], "qweyl_a2.qwa"),
+               (["embed", "torus"], "torus_q2.qwa"), (["embed", "mixed"], "s22q.qwa")]
+
+
+@pytest.mark.parametrize("argv,name", SINGLE_FILE,
+                         ids=[" ".join(argv) for argv, _ in SINGLE_FILE])
+def test_single_file_commands_refuse_extra_files(capsys, argv, name):
+    assert main(argv + [corpus(name), "/nonexistent.qwa"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {' '.join(argv)} takes 1 file(s), got 2\n"
+
+
 def test_pair_commands_reject_conflicting_roots(tmp_path, capsys):
     zeta4 = _variant(tmp_path, "s22q.qwa", "free q", "root zeta : 4 ; free q")
     zeta6 = _variant(tmp_path, "s22q2.qwa", "free q", "root zeta : 6 ; free q")

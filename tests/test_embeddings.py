@@ -4,12 +4,12 @@ import pytest
 
 from qwalg.cyclo import Coeff
 from qwalg.embeddings import (FailingRelation, GeneratorMap, Verified,
-                              embed_mixed, embed_torus, format_generator_map,
-                              parse_generator_map, verify_homomorphism,
+                              embed_mixed, embed_torus, verify_homomorphism,
                               weyl_lower_bound_witness)
 from qwalg.mixed import CanonicalMixedAlgebra, eulerian_presentation
 from qwalg.presentation import certified_system
-from qwalg.qwa import parse_presentation
+from qwalg.qwa import (ParseError, format_generator_map, parse_generator_map,
+                       parse_presentation)
 from qwalg.scalars import ScalarGroup
 from qwalg.torus import QuantumTorus
 
@@ -70,6 +70,28 @@ def test_corrupted_map_fails_on_quantum_pair():
     assert isinstance(res, FailingRelation)
     assert res.pair == ("y1", "y2")
     assert not res.defect.is_zero()
+
+
+MAP_ERRORS = [
+    # (map text, line of the error, words of the message)
+    ("map {\n  y1 -> y u\n  y2 -> v\n  w1 -> w z\n}\n", 4, "unknown target factor 'z'"),
+    ("map {\n  y1 -> y u\n  y2 -> v\n  y1 -> u\n  w1 -> w\n}\n", 4,
+     "second image for 'y1'"),
+    ("map { y1 -> y u ; y2 -> v }\n", 1, "missing images for ['w1']"),
+    ("map {\n  y1 -> y u\n  y2 = v\n}\n", 3, "bad map entry"),
+    ("# a comment\nmap {\n  y1 -> y u\n  v2 -> v\n}\n", 4, "unknown source generator"),
+    ("map {\n  y1 -> y u\n  y2 -> r * v\n}\n", 3, "undeclared scalar symbol 'r'"),
+]
+
+
+@pytest.mark.parametrize("text,line,words", MAP_ERRORS,
+                         ids=[words for *_, words in MAP_ERRORS])
+def test_map_errors_name_their_line(text, line, words):
+    src = parse_presentation(T21_SOURCE)
+    tgt = certified_system(parse_presentation(LL2_TARGET))
+    with pytest.raises(ParseError) as err:
+        parse_generator_map(text, src, tgt)
+    assert err.value.line == line and words in err.value.message
 
 
 def test_embed_torus_images_n3(grp):

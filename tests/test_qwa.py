@@ -1,9 +1,13 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwalg.presentation import Additive, Eulerian, Multiplicative, Presentation
+from qwalg.presentation import (Additive, Eulerian, Multiplicative, Presentation,
+                                Verified, certified_system, verify_homomorphism)
 from qwalg.qwa import (ParseError, format_presentation, parse_document,
-                       parse_presentation, parse_scalar_literal)
+                       parse_generator_map, parse_presentation, parse_scalar_literal)
 from qwalg.scalars import GroupMismatch, ScalarGroup
 
 S22_TEXT = """\
@@ -61,6 +65,44 @@ def test_parse_errors_carry_line_numbers():
         parse_presentation("generators a, b\nrelations {\n  a b = q * b a\n}\n")
     with pytest.raises(ParseError):
         parse_presentation("nonsense here\n")
+
+
+BAD_TEXTS = [
+    # (text, line of the error, words of the message)
+    ("generatorsx, y\n", 1, "unrecognized line"),
+    ("generators a\ngenerators b\n", 2, "duplicate generators line"),
+    ("scalars {\n  free q\n  free p, 2x\n}\ngenerators a\n", 3, "bad free symbol"),
+    ("scalars { root z : 2 }\nscalars { free q }\n", 2, "duplicate scalars block"),
+    ("generators a, b\nrelations {\n  a b = b a + 1 ; a b = b a + 2\n}\n", 3,
+     "duplicate relation"),
+    ("generators a\nrelations {\n  a a = a a + 1\n", 2, "unterminated"),
+    ("qweyl {\n  n = 1\n  q = (1)\n  n = 1\n  Lambda = [[1]]\n}\n", 4,
+     "duplicate qweyl clause"),
+    ("qweyl {\n  n = 1\n  q = (1)\n}\n", 1, "missing 'Lambda'"),
+]
+
+
+@pytest.mark.parametrize("text,line,words", BAD_TEXTS,
+                         ids=[words for *_, words in BAD_TEXTS])
+def test_parse_errors_name_their_line(text, line, words):
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert err.value.line == line and words in err.value.message
+
+
+def test_readme_examples_parse():
+    """Every bare fenced block of README.md is a .qwa file or a generator map;
+    the map is checked against the presentations it is written for."""
+    from test_embeddings import LL2_TARGET, T21_SOURCE
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [body for info, body in re.findall(r"^```(\w*)\n(.*?)^```$", readme,
+                                                re.S | re.M) if not info]
+    maps = [b for b in blocks if b.startswith("map")]
+    docs = [parse_document(b) for b in blocks if not b.startswith("map")]
+    assert len(maps) == 1 and {d.qweyl is None for d in docs} == {True, False}
+    gmap = parse_generator_map(maps[0], parse_presentation(T21_SOURCE),
+                               certified_system(parse_presentation(LL2_TARGET)))
+    assert isinstance(verify_homomorphism(gmap), Verified)
 
 
 def test_scalar_literal():
