@@ -2,8 +2,11 @@
 
 Every subcommand prints a human-readable report followed by a stable
 machine block of key=value lines (or a single JSON object with --json).
-Exit codes: 0 for a computed verdict, 1 for an inadmissible presentation
-under ``check``, 2 for any input or processing error.
+Exit codes: 0 for a computed verdict, 1 for the negative verdict of a
+command that declares one (an inadmissible presentation under ``check``, a
+map failing a relation under ``embed verify``), 2 for any input or
+processing error.  ``COMMANDS`` declares each command's files, options and
+exit codes; the parser and the dispatcher both read it.
 """
 from __future__ import annotations
 
@@ -11,13 +14,13 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .embeddings import Verified, embed_mixed, embed_torus, verify_homomorphism
 from .mixed import (Equivalent, NotEquivalent, equivalence_decide, invariants,
                     reduce_to_canonical)
-from .presentation import (Presentation, certified_system, check_admissible,
-                           system_from_presentation)
+from .presentation import certified_system, check_admissible, system_from_presentation
 from .qwa import (format_generator_map, format_presentation, format_scalar_matrix,
                   parse_document, parse_generator_map)
 from .qweyl import (QuantumWeylAlgebra, localize_to_mixed,
@@ -29,8 +32,6 @@ from .torus import (Iso, NotIso, QuantumTorus, Violation, central_lattice,
 
 DISCLAIMER = ("verdicts are relative to the declared scalar group: free symbols "
               "are taken multiplicatively independent")
-# Files taken by the subcommands with a ``sub`` choice; the others take one.
-FILES = {"iso": 2, "morphism": 2, "equiv": 2, "verify": 3}
 
 
 class CliError(Exception):
@@ -45,32 +46,34 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
-def _load(paths, part: str) -> list:
-    """Parse the files and return the ``part`` ("presentation" or "qweyl") of
-    each, all over one scalar group: the merge of the declared groups.  A file
-    whose declared group differs from the merge is parsed again into it."""
+# File kinds: the document part the file must hold (None for a generator
+# map, whose raw text the handler receives) and what the handler gets.
+KINDS = {"presentation": ("presentation", lambda p: p),
+         "torus": ("presentation", QuantumTorus.from_presentation),
+         "qweyl": ("qweyl", QuantumWeylAlgebra.from_spec),
+         "map": (None, None)}
+
+
+def _load(paths, kinds) -> list:
+    """Read the files as their kinds ask, every parsed file over one scalar
+    group: the merge of the declared groups.  A file whose declared group
+    differs from the merge is parsed again into it."""
     texts, docs = [], []
-    for path in paths:
+    for path, kind in zip(paths, kinds):
         texts.append(_read(path))
-        docs.append(parse_document(texts[-1]))
-        if getattr(docs[-1], part) is None:
+        part = KINDS[kind][0]
+        docs.append(parse_document(texts[-1]) if part else None)
+        if part and getattr(docs[-1], part) is None:
             what = "a presentation" if part == "presentation" else "a qweyl block"
             raise CliError(f"{path} does not contain {what}")
-    group = functools.reduce(merge_groups, (d.group for d in docs))
-    return [getattr(d if d.group == group else parse_document(t, group), part)
-            for d, t in zip(docs, texts)]
-
-
-def _load_presentations(*paths: str) -> list[Presentation]:
-    return _load(paths, "presentation")
-
-
-def _load_tori(*paths: str) -> list[QuantumTorus]:
-    return [QuantumTorus.from_presentation(p) for p in _load(paths, "presentation")]
-
-
-def _load_qweyls(*paths: str) -> list[QuantumWeylAlgebra]:
-    return [QuantumWeylAlgebra.from_spec(s) for s in _load(paths, "qweyl")]
+    group = functools.reduce(merge_groups, (d.group for d in docs if d))
+    out = []
+    for doc, text, kind in zip(docs, texts, kinds):
+        part, make = KINDS[kind]
+        if doc and doc.group != group:
+            doc = parse_document(text, group)
+        out.append(make(getattr(doc, part)) if part else text)
+    return out
 
 
 def _mat(m) -> str:
@@ -92,8 +95,6 @@ def _int_matrix(text: str) -> list[list[int]]:
 
 
 def _emit(machine: dict, human: list[str], args) -> None:
-    machine = {"command": machine.pop("command"), **machine,
-               "semantics": "generic-parameters"}
     if args.json:
         print(json.dumps(machine))
         return
@@ -114,39 +115,32 @@ def _subgroup_fields(prefix: str, sub) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Handlers: one per command.  Each takes the parsed arguments and the loaded
+# files, and returns (exit code, machine fields after the file keys, human
+# report lines).
 
 
-def cmd_check(args) -> int:
-    p, = _load_presentations(args.file)
+def cmd_check(args, p):
     report = check_admissible(p)
     verdict = system_from_presentation(p).check_confluence()
     confluent = isinstance(verdict, Confluent)
     if report.admissible != confluent:
         raise CliError("internal disagreement between the triangle test and "
                        "the overlap resolution check")
-    machine = {
-        "command": "check",
-        "file": args.file,
-        "verdict": "admissible" if report.admissible else "inadmissible",
-        "confluent": str(confluent).lower(),
-    }
-    human = [f"{args.file}: {machine['verdict']}",
+    machine = {"verdict": "admissible" if report.admissible else "inadmissible",
+               "confluent": str(confluent).lower()}
+    human = [f"{args.files[0]}: {machine['verdict']}",
              "cross-check: overlap resolutions "
              + ("all agree" if confluent else "disagree")]
     if report.witness:
         machine["witness"] = report.triple(p.gens)
         human.append(f"violating triple: {machine['witness']}")
-    _emit(machine, human, args)
-    return 0 if report.admissible else 1
+    return (0 if report.admissible else 1), machine, human
 
 
-def cmd_reduce(args) -> int:
-    p, = _load_presentations(args.file)
+def cmd_reduce(args, p):
     algebra, cert = reduce_to_canonical(p)
     machine = {
-        "command": "reduce",
-        "file": args.file,
         "n": algebra.n,
         "r": algebra.r,
         "lambda": format_scalar_matrix(algebra.lam),
@@ -161,21 +155,20 @@ def cmd_reduce(args) -> int:
         human.append("Weyl pairs (x : y): "
                      + ", ".join(f"{x}:{y}" for x, y in cert.pairing))
     if args.emit_qwa:
-        with open(args.emit_qwa, "w", encoding="utf-8") as fh:
-            fh.write(format_presentation(algebra.to_presentation()))
+        try:
+            with open(args.emit_qwa, "w", encoding="utf-8") as fh:
+                fh.write(format_presentation(algebra.to_presentation()))
+        except OSError as exc:
+            raise CliError(f"cannot write {args.emit_qwa}: {exc}") from None
         human.append(f"canonical presentation written to {args.emit_qwa}")
         machine["emitted"] = args.emit_qwa
-    _emit(machine, human, args)
-    return 0
+    return 0, machine, human
 
 
-def cmd_invariants(args) -> int:
-    p, = _load_presentations(args.file)
+def cmd_invariants(args, p):
     algebra, _ = reduce_to_canonical(p)
     inv = invariants(algebra)
     machine = {
-        "command": "invariants",
-        "file": args.file,
         "n": algebra.n,
         "r": algebra.r,
         "gk_dim": inv.gk_dim,
@@ -195,62 +188,50 @@ def cmd_invariants(args) -> int:
         f"center lattice rank: {inv.center_rank}",
         f"parameter torus simple: {inv.torus_simple}",
     ]
-    _emit(machine, human, args)
-    return 0
+    return 0, machine, human
 
 
-def cmd_torus(args) -> int:
-    if args.sub == "simple":
-        t, = _load_tori(args.files[0])
-        witness = central_lattice(t)
-        simple = not witness
-        machine = {"command": "torus.simple", "file": args.files[0],
-                   "simple": str(simple).lower()}
-        human = [f"torus on {t.n} generators: "
-                 + ("simple" if simple else "not simple")]
-        if not simple:
-            machine["witness"] = _mat(witness[:1])
-            human.append(f"central monomial exponent: {witness[0]}")
-        _emit(machine, human, args)
-        return 0
-    if args.sub == "center":
-        t, = _load_tori(args.files[0])
-        basis = central_lattice(t)
-        machine = {"command": "torus.center", "file": args.files[0],
-                   "rank": len(basis), "basis": _mat(basis)}
-        _emit(machine, [f"central lattice rank {len(basis)}",
-                        f"basis {machine['basis']}"], args)
-        return 0
-    if args.sub == "iso":
-        if not args.param:
-            raise CliError("torus iso needs --param")
-        t1, t2 = _load_tori(*args.files)
-        res = uniparameter_iso_decide(t1, t2, args.param)
-        machine = {"command": "torus.iso", "file_a": args.files[0],
-                   "file_b": args.files[1], "param": args.param}
-        if isinstance(res, Iso):
-            machine.update(verdict="iso", h=_mat(res.h),
-                           divisors=_mat([list(res.canonical)]))
-            human = [f"isomorphic; witness exponent matrix {machine['h']}"]
-        elif isinstance(res, NotIso):
-            machine.update(verdict="not_iso",
-                           divisors_a=_mat([list(res.canonical_1)]),
-                           divisors_b=_mat([list(res.canonical_2)]))
-            human = [f"not isomorphic: canonical divisors "
-                     f"{list(res.canonical_1)} vs {list(res.canonical_2)}"]
-        else:
-            machine.update(verdict="not_applicable", detail=res.reason)
-            human = [f"not applicable: {res.reason}"]
-        _emit(machine, human, args)
-        return 0
-    # morphism, the last of the argparse choices
-    if not args.matrix:
-        raise CliError("torus morphism needs --matrix")
-    t1, t2 = _load_tori(*args.files)
+def cmd_torus_simple(args, t):
+    witness = central_lattice(t)
+    simple = not witness
+    machine = {"simple": str(simple).lower()}
+    human = [f"torus on {t.n} generators: " + ("simple" if simple else "not simple")]
+    if not simple:
+        machine["witness"] = _mat(witness[:1])
+        human.append(f"central monomial exponent: {witness[0]}")
+    return 0, machine, human
+
+
+def cmd_torus_center(args, t):
+    basis = central_lattice(t)
+    machine = {"rank": len(basis), "basis": _mat(basis)}
+    return 0, machine, [f"central lattice rank {len(basis)}",
+                        f"basis {machine['basis']}"]
+
+
+def cmd_torus_iso(args, t1, t2):
+    res = uniparameter_iso_decide(t1, t2, args.param)
+    machine = {"param": args.param}
+    if isinstance(res, Iso):
+        machine.update(verdict="iso", h=_mat(res.h),
+                       divisors=_mat([list(res.canonical)]))
+        human = [f"isomorphic; witness exponent matrix {machine['h']}"]
+    elif isinstance(res, NotIso):
+        machine.update(verdict="not_iso",
+                       divisors_a=_mat([list(res.canonical_1)]),
+                       divisors_b=_mat([list(res.canonical_2)]))
+        human = [f"not isomorphic: canonical divisors "
+                 f"{list(res.canonical_1)} vs {list(res.canonical_2)}"]
+    else:
+        machine.update(verdict="not_applicable", detail=res.reason)
+        human = [f"not applicable: {res.reason}"]
+    return 0, machine, human
+
+
+def cmd_torus_morphism(args, t1, t2):
     h = _int_matrix(args.matrix)
     res = check_morphism(t1, t2, h)
-    machine = {"command": "torus.morphism", "file_a": args.files[0],
-               "file_b": args.files[1], "matrix": _mat(h)}
+    machine = {"matrix": _mat(h)}
     if isinstance(res, Violation):
         machine.update(verdict="violation", at=f"({res.i + 1},{res.j + 1})")
         human = [f"matrix violates the weight equations at pair "
@@ -260,175 +241,185 @@ def cmd_torus(args) -> int:
                        isomorphism=str(is_isomorphism(res)).lower())
         human = ["matrix defines a morphism"
                  + (" (isomorphism)" if is_isomorphism(res) else "")]
-    _emit(machine, human, args)
-    return 0
+    return 0, machine, human
 
 
-def cmd_qweyl(args) -> int:
-    if args.sub == "localize":
-        a, = _load_qweyls(args.files[0])
-        res = localize_to_mixed(a)
-        machine = {
-            "command": "qweyl.localize", "file": args.files[0],
-            "n": res.canonical.n, "r": res.canonical.r,
-            "lambda": format_scalar_matrix(res.canonical.lam),
-            "relations_checked": res.relations_checked,
-            "verified": "true",
-        }
-        human = [f"localization: canonical mixed algebra n={res.canonical.n} "
-                 f"r={res.canonical.r}",
-                 f"{res.relations_checked} relations reduced to zero"]
-        _emit(machine, human, args)
-        return 0
-    if args.sub == "invariants":
-        a, = _load_qweyls(args.files[0])
-        inv = qweyl_invariants(a)
-        machine = {"command": "qweyl.invariants", "file": args.files[0],
-                   "gk_dim": inv.gk_dim, "w_supdeg": inv.w_supdeg,
-                   "center_trivial": "not_applicable" if inv.center_trivial is None
-                   else str(inv.center_trivial).lower()}
-        human = [f"gk dimension {inv.gk_dim}, w-supdeg {inv.w_supdeg}",
-                 f"center trivial: {machine['center_trivial']}"]
-        _emit(machine, human, args)
-        return 0
-    # equiv, the last of the argparse choices
-    a, b = _load_qweyls(*args.files)
-    verdict = qweyl_equivalence_necessary(a, b, param=args.param)
-    machine = {"command": "qweyl.equiv", "file_a": args.files[0],
-               "file_b": args.files[1]}
-    human = _equiv_human(verdict, machine)
-    _emit(machine, human, args)
-    return 0
+def cmd_qweyl_localize(args, a):
+    res = localize_to_mixed(a)
+    machine = {
+        "n": res.canonical.n, "r": res.canonical.r,
+        "lambda": format_scalar_matrix(res.canonical.lam),
+        "relations_checked": res.relations_checked,
+        "verified": "true",
+    }
+    return 0, machine, [f"localization: canonical mixed algebra n={res.canonical.n} "
+                        f"r={res.canonical.r}",
+                        f"{res.relations_checked} relations reduced to zero"]
 
 
-def cmd_embed(args) -> int:
-    if args.sub == "torus":
-        t, = _load_tori(args.files[0])
-        gmap, field = embed_torus(t)
-        machine = {"command": "embed.torus", "file": args.files[0],
-                   "verified": "true", "m": field.m, "planes": field.n,
-                   "centrals": field.t}
-        human = [f"verified embedding into a Weyl-field presentation with "
-                 f"{field.n} quantum planes and {field.t} central variables",
-                 format_generator_map(gmap).rstrip()]
-        _emit(machine, human, args)
-        return 0
-    if args.sub == "mixed":
-        p, = _load_presentations(args.files[0])
-        algebra, _ = reduce_to_canonical(p)
-        gmap, field = embed_mixed(algebra)
-        machine = {"command": "embed.mixed", "file": args.files[0],
-                   "verified": "true", "m": field.m, "planes": field.n,
-                   "centrals": field.t, "w_infdeg_target": 2 * field.m}
-        human = [f"verified embedding into a mixed Weyl field with m={field.m}, "
-                 f"{field.n} planes, {field.t} central variables",
-                 format_generator_map(gmap).rstrip()]
-        _emit(machine, human, args)
-        return 0
-    # verify, the last of the argparse choices
-    src, tgt = _load_presentations(*args.files[:2])
+def cmd_qweyl_invariants(args, a):
+    inv = qweyl_invariants(a)
+    machine = {"gk_dim": inv.gk_dim, "w_supdeg": inv.w_supdeg,
+               "center_trivial": "not_applicable" if inv.center_trivial is None
+               else str(inv.center_trivial).lower()}
+    return 0, machine, [f"gk dimension {inv.gk_dim}, w-supdeg {inv.w_supdeg}",
+                        f"center trivial: {machine['center_trivial']}"]
+
+
+def _equiv_fields(verdict):
+    if isinstance(verdict, NotEquivalent):
+        return (0, {"verdict": "not_equivalent", "reason": verdict.reason},
+                [f"not equivalent ({verdict.reason}): {verdict.detail}"])
+    if isinstance(verdict, Equivalent):
+        h = _mat(verdict.h)
+        return (0, {"verdict": "equivalent", "reason": verdict.reason, "h": h},
+                [f"equivalent ({verdict.reason}); engine-verified witness both ways",
+                 f"torus witness matrix {h}"])
+    return (0, {"verdict": "inconclusive", "reason": "INCONCLUSIVE"},
+            [f"inconclusive: {verdict.detail}"])
+
+
+def cmd_qweyl_equiv(args, a, b):
+    return _equiv_fields(qweyl_equivalence_necessary(a, b, param=args.param))
+
+
+def cmd_embed_torus(args, t):
+    gmap, field = embed_torus(t)
+    machine = {"verified": "true", "m": field.m, "planes": field.n,
+               "centrals": field.t}
+    return 0, machine, [f"verified embedding into a Weyl-field presentation with "
+                        f"{field.n} quantum planes and {field.t} central variables",
+                        format_generator_map(gmap).rstrip()]
+
+
+def cmd_embed_mixed(args, p):
+    algebra, _ = reduce_to_canonical(p)
+    gmap, field = embed_mixed(algebra)
+    machine = {"verified": "true", "m": field.m, "planes": field.n,
+               "centrals": field.t, "w_infdeg_target": 2 * field.m}
+    return 0, machine, [f"verified embedding into a mixed Weyl field with m={field.m}, "
+                        f"{field.n} planes, {field.t} central variables",
+                        format_generator_map(gmap).rstrip()]
+
+
+def cmd_embed_verify(args, src, tgt, map_text):
     sys_t = certified_system(tgt)
     if args.invert:
         for name in args.invert.split(","):
             sys_t, _ = sys_t.invert_generator(name.strip())
-    gmap = parse_generator_map(_read(args.files[2]), src, sys_t)
-    res = verify_homomorphism(gmap)
-    ok = isinstance(res, Verified)
-    machine = {"command": "embed.verify", "source": args.files[0],
-               "target": args.files[1], "map": args.files[2],
-               "verified": str(ok).lower()}
-    if ok:
-        human = [f"map verified on {res.relations_checked} relations"]
-    else:
-        machine["failing_pair"] = f"({res.pair[0]},{res.pair[1]})"
-        human = [f"map fails on the relation of pair {res.pair}"]
-    _emit(machine, human, args)
-    return 0 if ok else 1
+    res = verify_homomorphism(parse_generator_map(map_text, src, sys_t))
+    if isinstance(res, Verified):
+        return (0, {"verified": "true"},
+                [f"map verified on {res.relations_checked} relations"])
+    return (1, {"verified": "false", "failing_pair": f"({res.pair[0]},{res.pair[1]})"},
+            [f"map fails on the relation of pair {res.pair}"])
 
 
-def _equiv_human(verdict, machine: dict) -> list[str]:
-    if isinstance(verdict, NotEquivalent):
-        machine.update(verdict="not_equivalent", reason=verdict.reason)
-        return [f"not equivalent ({verdict.reason}): {verdict.detail}"]
-    if isinstance(verdict, Equivalent):
-        machine.update(verdict="equivalent", reason=verdict.reason,
-                       h=_mat(verdict.h))
-        return [f"equivalent ({verdict.reason}); engine-verified witness both ways",
-                f"torus witness matrix {machine['h']}"]
-    machine.update(verdict="inconclusive", reason="INCONCLUSIVE")
-    return [f"inconclusive: {verdict.detail}"]
-
-
-def cmd_equiv(args) -> int:
-    pa, pb = _load_presentations(*args.files)
+def cmd_equiv(args, pa, pb):
     a, _ = reduce_to_canonical(pa)
     b, _ = reduce_to_canonical(pb)
     h = _int_matrix(args.matrix) if args.matrix else None
-    verdict = equivalence_decide(a, b, param=args.param, supplied_h=h)
-    machine = {"command": "equiv", "file_a": args.files[0],
-               "file_b": args.files[1]}
-    human = _equiv_human(verdict, machine)
-    _emit(machine, human, args)
-    return 0
+    return _equiv_fields(equivalence_decide(a, b, param=args.param, supplied_h=h))
 
 
-def main(argv=None) -> int:
+# ---------------------------------------------------------------------------
+# The command table.
+
+
+class Command(NamedTuple):
+    run: Callable
+    files: tuple          # (machine-block key, file kind) of each file
+    options: dict = {}    # option -> "required" or "optional"
+    exits: tuple = (0,)   # exit codes of its verdicts
+
+
+ONE = {kind: (("file", kind),) for kind in KINDS}
+TWO = {kind: (("file_a", kind), ("file_b", kind)) for kind in KINDS}
+
+# One entry per command, in the order of the help text.  A two-word name is a
+# subcommand of a top-level command; HELP describes the top-level ones.
+COMMANDS = {
+    "check": Command(cmd_check, ONE["presentation"], exits=(0, 1)),
+    "reduce": Command(cmd_reduce, ONE["presentation"], {"emit-qwa": "optional"}),
+    "invariants": Command(cmd_invariants, ONE["presentation"]),
+    "torus simple": Command(cmd_torus_simple, ONE["torus"]),
+    "torus center": Command(cmd_torus_center, ONE["torus"]),
+    "torus iso": Command(cmd_torus_iso, TWO["torus"], {"param": "required"}),
+    "torus morphism": Command(cmd_torus_morphism, TWO["torus"], {"matrix": "required"}),
+    "qweyl localize": Command(cmd_qweyl_localize, ONE["qweyl"]),
+    "qweyl invariants": Command(cmd_qweyl_invariants, ONE["qweyl"]),
+    "qweyl equiv": Command(cmd_qweyl_equiv, TWO["qweyl"], {"param": "optional"}),
+    "embed torus": Command(cmd_embed_torus, ONE["torus"]),
+    "embed mixed": Command(cmd_embed_mixed, ONE["presentation"]),
+    "embed verify": Command(cmd_embed_verify, (("source", "presentation"),
+                                               ("target", "presentation"), ("map", "map")),
+                            {"invert": "optional"}, exits=(0, 1)),
+    "equiv": Command(cmd_equiv, TWO["presentation"],
+                     {"param": "optional", "matrix": "optional"}),
+}
+HELP = {"check": "parse + admissibility + confluence cross-check",
+        "reduce": "canonical (n, r, Lambda) with certificate",
+        "invariants": "rational invariants of the reduced algebra",
+        "torus": "quantum torus queries",
+        "qweyl": "quantum Weyl algebra queries",
+        "embed": "embedding constructions and verification",
+        "equiv": "full equivalence decision with reason code"}
+# The argparse keywords of each option.
+OPTIONS = {"emit-qwa": {"metavar": "OUT"}, "param": {},
+           "matrix": {"help": "torus matrix to verify and use, as JSON integer rows"},
+           "invert": {"help": "comma list of target generators to invert"}}
+# Each top-level command's commands, and the options any of them takes.
+SUBS = {top: [n for n in COMMANDS if n.split()[0] == top] for top in HELP}
+TAKES = {top: [o for o in OPTIONS if any(o in COMMANDS[n].options for n in SUBS[top])]
+         for top in HELP}
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwalg",
         description="Exact classification toolkit for mixed classical/quantum "
                     "polynomial algebras")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(sp, run):
+    for top, names in SUBS.items():
+        sp = sub.add_parser(top, help=HELP[top])
+        if names != [top]:
+            sp.add_argument("sub", choices=[n.split()[1] for n in names])
+            sp.add_argument("files", nargs="+")
+        elif len(COMMANDS[top].files) == 1:
+            sp.add_argument("file")
+        else:
+            sp.add_argument("files", nargs=len(COMMANDS[top].files))
+        for opt in TAKES[top]:
+            sp.add_argument(f"--{opt}", **OPTIONS[opt])
         sp.add_argument("--json", action="store_true",
                         help="print the machine block as JSON only")
-        sp.set_defaults(run=run)
+    return parser
 
-    sp = sub.add_parser("check", help="parse + admissibility + confluence cross-check")
-    sp.add_argument("file")
-    common(sp, cmd_check)
 
-    sp = sub.add_parser("reduce", help="canonical (n, r, Lambda) with certificate")
-    sp.add_argument("file")
-    sp.add_argument("--emit-qwa", metavar="OUT")
-    common(sp, cmd_reduce)
-
-    sp = sub.add_parser("invariants", help="rational invariants of the reduced algebra")
-    sp.add_argument("file")
-    common(sp, cmd_invariants)
-
-    sp = sub.add_parser("torus", help="quantum torus queries")
-    sp.add_argument("sub", choices=["simple", "center", "iso", "morphism"])
-    sp.add_argument("files", nargs="+")
-    sp.add_argument("--param")
-    sp.add_argument("--matrix")
-    common(sp, cmd_torus)
-
-    sp = sub.add_parser("qweyl", help="quantum Weyl algebra queries")
-    sp.add_argument("sub", choices=["localize", "invariants", "equiv"])
-    sp.add_argument("files", nargs="+")
-    sp.add_argument("--param")
-    common(sp, cmd_qweyl)
-
-    sp = sub.add_parser("embed", help="embedding constructions and verification")
-    sp.add_argument("sub", choices=["torus", "mixed", "verify"])
-    sp.add_argument("files", nargs="+")
-    sp.add_argument("--invert", help="comma list of target generators to invert")
-    common(sp, cmd_embed)
-
-    sp = sub.add_parser("equiv", help="full equivalence decision with reason code")
-    sp.add_argument("files", nargs=2)
-    sp.add_argument("--param")
-    sp.add_argument("--matrix", help="torus isomorphism matrix to verify and use")
-    common(sp, cmd_equiv)
-
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    name = f"{args.cmd} {args.sub}" if "sub" in args else args.cmd
+    cmd = COMMANDS[name]
     try:
-        if "sub" in args and len(args.files) != (n := FILES.get(args.sub, 1)):
-            raise CliError(f"{args.cmd} {args.sub} takes {n} file(s), "
+        args.files = args.files if "files" in args else [args.file]
+        if len(args.files) != len(cmd.files):
+            raise CliError(f"{name} takes {len(cmd.files)} file(s), "
                            f"got {len(args.files)}")
-        return args.run(args)
+        for opt in OPTIONS:
+            given = getattr(args, opt.replace("-", "_"), None)
+            if cmd.options.get(opt) == "required" and not given:
+                raise CliError(f"{name} needs --{opt}")
+            if given is not None and opt not in cmd.options:
+                raise CliError(f"{name} does not take --{opt}")
+        loaded = _load(args.files, [kind for _, kind in cmd.files])
+        rc, fields, human = cmd.run(args, *loaded)
+        if rc not in cmd.exits:
+            raise AssertionError(f"{name} exit code {rc} is not declared")
+        _emit({"command": name.replace(" ", "."),
+               **{key: path for (key, _), path in zip(cmd.files, args.files)},
+               **fields, "semantics": "generic-parameters"}, human, args)
+        return rc
     except Exception as exc:  # exit contract: every failure is exit 2
         # Input errors (ParseError and GroupMismatch are ValueErrors) speak
         # for themselves; anything else is named by its type.

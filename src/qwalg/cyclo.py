@@ -275,18 +275,6 @@ def _divide(ring, a: dict, atom: int) -> dict | None:
     return {(*map(add, k, sa), k[-1]): v for k, v in quot.items()}
 
 
-def lp_divexact(ring, a: dict, b: dict) -> dict | None:
-    """Exact quotient a/b in the Laurent ring, or None when b does not divide a:
-    a divided by b's atom, times the inverse of b's unit part."""
-    if not b:
-        raise ZeroDivisionError
-    if not a:
-        return {}
-    atom, unit_inv = _atomize(ring, b)
-    quot = a if atom is None else _divide(ring, a, atom)
-    return None if quot is None else lp_mul(ring, quot, unit_inv)
-
-
 # ---------------------------------------------------------------------------
 # Coefficients with tracked denominators.
 

@@ -417,8 +417,7 @@ def equivalence_decide(a: CanonicalMixedAlgebra, b: CanonicalMixedAlgebra,
 
     if supplied_h is not None:
         fwd = check_morphism(ta, tb, supplied_h)
-        if isinstance(fwd, Violation) or abs(intlattice.det(
-                [list(r) for r in supplied_h])) != 1:
+        if isinstance(fwd, Violation) or abs(intlattice.det(supplied_h)) != 1:
             raise ValueError("supplied matrix is not a torus isomorphism")
         if a.n == a.r:
             wf, wb = _semiclassical_witness(a, b, supplied_h)
@@ -444,7 +443,7 @@ def equivalence_decide(a: CanonicalMixedAlgebra, b: CanonicalMixedAlgebra,
             return Inconclusive("tori not isomorphic but not simple; no verdict")
         if isinstance(res, Iso):
             if a.n == a.r:
-                wf, wb = _semiclassical_witness(a, b, [list(r) for r in res.h])
+                wf, wb = _semiclassical_witness(a, b, res.h)
                 return Equivalent("EQ_SEMICLASSICAL", res.h, wf, wb,
                                   detail=f"divisors {res.canonical}")
             return Inconclusive("all necessary invariants match; "
@@ -462,9 +461,9 @@ def _semiclassical_witness(a: CanonicalMixedAlgebra, b: CanonicalMixedAlgebra, h
     with hinv the inverse matrix; backward swaps the roles.  Each map is
     verified relation-by-relation by the rewrite engine.
     """
-    hinv = intlattice.matinv_unimodular([list(r) for r in h])
-    fwd = _pigne_map(a, b, [list(r) for r in h], hinv)
-    back = _pigne_map(b, a, hinv, [list(r) for r in h])
+    hinv = intlattice.matinv_unimodular(h)
+    fwd = _pigne_map(a, b, h, hinv)
+    back = _pigne_map(b, a, hinv, h)
     for gm in (fwd, back):
         verified(gm, "equivalence witness")
     return fwd, back

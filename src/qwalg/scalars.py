@@ -180,7 +180,6 @@ def subgroup_canonical_form(group: ScalarGroup, gens) -> SubgroupDescription:
     hf, _ = intlattice.hermite_nf([list(g.free) for g in gens] or [[0] * m])
     free = tuple(tuple(r) for r in hf if any(r))
     # Torsion part: the intersection of the lifted lattice with Z x {0}.
-    inter = intlattice.lattice_intersect([list(r) for r in full],
-                                         [[1] + [0] * m], 1 + m)
+    inter = intlattice.lattice_intersect(full, [[1] + [0] * m], 1 + m)
     c = abs(inter[0][0]) if inter else e
     return SubgroupDescription(e // c, free, full)

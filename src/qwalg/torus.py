@@ -128,7 +128,7 @@ def compose(f: TorusMorphism, g: TorusMorphism) -> TorusMorphism:
     """f after g (matrices multiply)."""
     if g.dst is not f.src and g.dst != f.src:
         raise TorusError("morphisms are not composable")
-    h = intlattice.matmul([list(r) for r in f.h], [list(r) for r in g.h])
+    h = intlattice.matmul(f.h, g.h)
     out = check_morphism(g.src, f.dst, h)
     if isinstance(out, Violation):
         raise AssertionError("composite of valid morphisms violated the equations")
@@ -136,12 +136,13 @@ def compose(f: TorusMorphism, g: TorusMorphism) -> TorusMorphism:
 
 
 def is_isomorphism(f: TorusMorphism) -> bool:
-    h = [list(r) for r in f.h]
-    return f.src.n == f.dst.n and abs(intlattice.det(h)) == 1
+    return f.src.n == f.dst.n and abs(intlattice.det(f.h)) == 1
 
 
 def uniparameter_exponents(t: QuantumTorus, name: str) -> list[list[int]] | None:
     """Antisymmetric S with lambda_{i,j} = q^s_{i,j} exactly, else None."""
+    if name not in t.group.free_symbols:
+        raise ValueError(f"{name!r} is not a free symbol of the scalar group")
     idx = t.group.free_symbols.index(name)
     s = [[0] * t.n for _ in range(t.n)]
     for i in range(t.n):
@@ -189,10 +190,9 @@ def uniparameter_iso_decide(t1: QuantumTorus, t2: QuantumTorus,
     f2 = intlattice.skew_normal_form(s2)
     if t1.n != t2.n or f1.divisors != f2.divisors:
         return NotIso(f1.divisors, f2.divisors)
-    # u1^T s1 u1 = C = u2^T s2 u2, so h = u2 * u1^{-1} satisfies s1 = h^T s2 h.
-    u1 = [list(r) for r in f1.transform]
-    u2 = [list(r) for r in f2.transform]
-    h = intlattice.matmul(u2, intlattice.matinv_unimodular(u1))
+    # With u1, u2 the transforms, u1^T s1 u1 = C = u2^T s2 u2, so
+    # h = u2 * u1^{-1} satisfies s1 = h^T s2 h.
+    h = intlattice.matmul(f2.transform, intlattice.matinv_unimodular(f1.transform))
     fwd = check_morphism(t1, t2, h)
     if isinstance(fwd, Violation):
         raise AssertionError("congruence witness failed the weight equations")

@@ -1,14 +1,17 @@
 import json
+import re
+import shlex
 import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from qwalg.cli import main
+from qwalg.cli import COMMANDS, OPTIONS, main
 from qwalg.qwa import format_presentation, parse_presentation
 
 CORPUS = Path(resources.files("qwalg") / "corpus")
+README = Path(__file__).parents[1] / "README.md"
 
 
 def corpus(name: str) -> str:
@@ -206,6 +209,13 @@ relations {
     assert rc == 0
     assert machine_block(out)["verified"] == "true"
 
+    # A map that fails a relation is a negative verdict: exit 1, full block.
+    bad = tmp_path / "bad.map"
+    bad.write_text("map {\n  y1 -> y u\n  y2 -> u\n  w1 -> w\n}\n")
+    assert main(["embed", "verify", str(src), str(target), str(bad)]) == 1
+    block = machine_block(capsys.readouterr().out)
+    assert (block["verified"], block["failing_pair"]) == ("false", "(y1,y2)")
+
 
 def test_equiv_command(capsys):
     rc = main(["equiv", corpus("s21q.qwa"), corpus("s22q.qwa")])
@@ -218,6 +228,27 @@ def test_equiv_command(capsys):
     block = machine_block(capsys.readouterr().out)
     assert block["verdict"] == "equivalent"
     assert block["reason"] == "EQ_SEMICLASSICAL"
+
+
+PARAM_COMMANDS = [["torus", "iso", corpus("torus_q2.qwa"), corpus("torus_q2.qwa")],
+                  ["equiv", corpus("s22q.qwa"), corpus("s22q.qwa")],
+                  ["qweyl", "equiv", corpus("qweyl_a2.qwa"), corpus("qweyl_a2.qwa")]]
+
+
+@pytest.mark.parametrize("argv", PARAM_COMMANDS, ids=[" ".join(a[:-2]) for a in PARAM_COMMANDS])
+def test_param_must_be_a_declared_free_symbol(capsys, argv):
+    assert main(argv + ["--param", "zz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 'zz' is not a free symbol of the scalar group\n"
+
+
+def test_unwritable_emit_qwa_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "canon.qwa"
+    assert main(["reduce", corpus("s22q.qwa"), "--emit-qwa", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
 def test_corpus_roundtrip_and_determinism(capsys):
@@ -340,3 +371,83 @@ def test_matrix_integer_rows_accepted(capsys):
     assert main(["equiv", corpus("s22q.qwa"), corpus("s22q.qwa"),
                  "--matrix", "[[1,0],[0,1]]"]) == 0
     assert machine_block(capsys.readouterr().out)["verdict"] == "equivalent"
+
+
+KIND_FILES = {"presentation": "s22q.qwa", "torus": "torus_q2.qwa",
+              "qweyl": "qweyl_a2.qwa", "map": "s21q.qwa"}
+OPTION_VALUES = {"emit-qwa": "out.qwa", "param": "q", "matrix": "[[1,0],[0,1]]",
+                 "invert": "y1"}
+assert set(OPTION_VALUES) == set(OPTIONS)
+
+
+def _argv(name: str, options) -> list[str]:
+    """A command on corpus files of the kinds it takes, with the options."""
+    files = [corpus(KIND_FILES[kind]) for _, kind in COMMANDS[name].files]
+    return name.split() + files + [a for opt in options
+                                   for a in (f"--{opt}", OPTION_VALUES[opt])]
+
+
+def _run(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # an option the command's parser does not know
+        return exc.code
+
+
+REFUSED = [(name, opt) for name, cmd in COMMANDS.items()
+           for opt in OPTIONS if opt not in cmd.options]
+
+
+@pytest.mark.parametrize("name,opt", REFUSED, ids=[f"{n} --{o}" for n, o in REFUSED])
+def test_options_a_command_does_not_take_are_refused(capsys, name, opt):
+    required = [o for o, need in COMMANDS[name].options.items() if need == "required"]
+    assert _run(_argv(name, required + [opt])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--{opt}" in captured.err
+
+
+NEEDED = [(name, opt) for name, cmd in COMMANDS.items()
+          for opt, need in cmd.options.items() if need == "required"]
+
+
+@pytest.mark.parametrize("name,opt", NEEDED, ids=[f"{n} --{o}" for n, o in NEEDED])
+def test_missing_required_option(capsys, name, opt):
+    assert main(_argv(name, [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} needs --{opt}\n"
+
+
+def _readme_commands() -> dict:
+    """README's command-line block as {command: (files, required, optional)}."""
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", README.read_text(), re.S)
+    found = {}
+    for line in block.group(1).splitlines():
+        line = line.split("#")[0]
+        optional = set(re.findall(r"\[--([\w-]+)[^\]]*\]", line))
+        words = shlex.split(re.sub(r"\[--[^\]]*\]", "", line))
+        assert words[0] == "qwalg"
+        names = [w for w in words[1:3] if re.fullmatch(r"[a-z|]+", w)]
+        rest = words[1 + len(names):]
+        required = {w[2:] for w in rest if w.startswith("--")}
+        files = len(rest) - 2 * len(required)
+        for sub in names[1].split("|") if len(names) > 1 else [""]:
+            name = f"{names[0]} {sub}".strip()
+            assert name not in found, f"{name} listed twice"
+            found[name] = (files, required, optional)
+    return found
+
+
+def test_readme_command_block_matches_table():
+    table = {name: (len(cmd.files),
+                    {o for o, need in cmd.options.items() if need == "required"},
+                    {o for o, need in cmd.options.items() if need == "optional"})
+             for name, cmd in COMMANDS.items()}
+    assert _readme_commands() == table
+
+
+def test_readme_exit_code_sentence_matches_table():
+    text = " ".join(README.read_text().split())
+    negative = set(re.findall(r"`([a-z ]+)` uses `1`", text))
+    assert negative == {name for name, cmd in COMMANDS.items() if 1 in cmd.exits}
