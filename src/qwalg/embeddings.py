@@ -29,8 +29,14 @@ def _plane_embedding(source: Presentation, group, n: int, r: int, lam):
     u_{i,n}, one letter from each plane it meets, and w_i to t_i; this
     unbraids every pair at once.  Returns the verified map and the target's
     Weyl-field data (m = r, planes, centrals), where 2 planes + centrals
-    = n(n-1).
+    = n(n-1), except that the commutative line (n = 1, r = 0) goes to one
+    central variable z1.
     """
+    if n == 1 and r == 0:
+        sys = certified_system(Presentation.build(group, ("z1",), []))
+        gmap = GeneratorMap(source, sys, {"y1": sys.gen("z1")})
+        verified(gmap, "plane embedding")
+        return gmap, MixedWeylField(group, 0, 0, 1, ())
     names, items = [], []
     for i in range(r):
         items.append((len(names), len(names) + 1, Eulerian(len(names))))
@@ -64,18 +70,8 @@ def embed_torus(torus) -> tuple[GeneratorMap, MixedWeylField]:
 
 def embed_mixed(s: CanonicalMixedAlgebra) -> tuple[GeneratorMap, MixedWeylField]:
     """Embed the derivation presentation of a canonical mixed algebra into a
-    tensor product of r derivation pairs, quantum planes, and central pairs.
-
-    The commutative line (n = 1, r = 0) goes to one central variable z1;
-    otherwise the target's Weyl-field data has m = r and 2s + t = n(n-1).
-    """
-    source = eulerian_presentation(s)
-    if s.n == 1 and s.r == 0:
-        sys = certified_system(Presentation.build(s.group, ("z1",), []))
-        gmap = GeneratorMap(source, sys, {"y1": sys.gen("z1")})
-        verified(gmap, "mixed embedding")
-        return gmap, MixedWeylField(s.group, 0, 0, 1, ())
-    return _plane_embedding(source, s.group, s.n, s.r, s.lam)
+    tensor product of r derivation pairs, quantum planes, and central pairs."""
+    return _plane_embedding(eulerian_presentation(s), s.group, s.n, s.r, s.lam)
 
 
 def weyl_lower_bound_witness(s: CanonicalMixedAlgebra) -> GeneratorMap:

@@ -6,6 +6,7 @@ result can be re-verified by exact multiplication.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -30,9 +31,8 @@ def transpose(a) -> list[list[int]]:
 def matmul(a, b) -> list[list[int]]:
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
-    cols = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for i in range(len(a))]
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def mat_eq(a, b) -> bool:

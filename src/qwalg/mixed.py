@@ -47,7 +47,7 @@ class CanonicalMixedAlgebra:
         self.n = n
         self.r = r
         self.lam = tuple(tuple(row) for row in lam)
-        self._torus = QuantumTorus(group, [list(row) for row in self.lam])  # validates
+        self._torus = QuantumTorus(group, self.lam)  # validates
 
     def torus(self) -> QuantumTorus:
         return self._torus

@@ -39,7 +39,7 @@ class QuantumWeylAlgebra:
         self.n = n
         self.qs = qs
         self.lam = tuple(tuple(row) for row in lam)
-        QuantumTorus(group, [list(row) for row in self.lam])  # antisymmetry check
+        QuantumTorus(group, self.lam)  # antisymmetry check
         self._system = self._build_system()
 
     @staticmethod

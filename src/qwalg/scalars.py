@@ -147,10 +147,10 @@ def merge_groups(g1: ScalarGroup, g2: ScalarGroup) -> ScalarGroup:
 class SubgroupDescription:
     """Canonical description of the subgroup of Z/e x Z^m spanned by some scalars.
 
-    ``full_basis`` is the Hermite normal form of the lattice in Z^(1+m) that
-    presents the subgroup (torsion coordinate first, with the relation row
-    e in the torsion coordinate implicitly included); two generating sets
-    span the same subgroup exactly when these bases coincide.
+    ``full_basis`` is the Hermite normal form of the lattice in Z^(m+1) that
+    presents the subgroup (free coordinates first, the torsion coordinate
+    last, with the relation row (0, ..., 0, e) included); two generating
+    sets span the same subgroup exactly when these bases coincide.
     """
 
     torsion_order: int
@@ -164,22 +164,19 @@ class SubgroupDescription:
 def subgroup_canonical_form(group: ScalarGroup, gens) -> SubgroupDescription:
     """Canonical form of the subgroup generated by ``gens``.
 
-    Lifts everything to the lattice spanned by the exponent rows
-    (t_i, v_i) together with (e, 0, ..., 0) and reads the description off
-    the Hermite normal form.
+    Lifts the generators to the exponent rows (v_i, t_i), adds the relation
+    row (0, ..., 0, e) and reads everything off one Hermite normal form: the
+    rows with a free pivot give the free basis, and the one row without a
+    free pivot is (0, ..., 0, c), so the torsion part has order e / c.
     """
     gens = list(gens)
     for g in gens:
         if g.group != group:
             raise GroupMismatch("generator outside the declared group")
     e, m = group.torsion_order, group.rank
-    rows = [[g.torsion] + list(g.free) for g in gens]
-    rows.append([e] + [0] * m)
+    rows = [list(g.free) + [g.torsion] for g in gens]
+    rows.append([0] * m + [e])
     h, _ = intlattice.hermite_nf(rows)
     full = tuple(tuple(r) for r in h if any(r))
-    hf, _ = intlattice.hermite_nf([list(g.free) for g in gens] or [[0] * m])
-    free = tuple(tuple(r) for r in hf if any(r))
-    # Torsion part: the intersection of the lifted lattice with Z x {0}.
-    inter = intlattice.lattice_intersect(full, [[1] + [0] * m], 1 + m)
-    c = abs(inter[0][0]) if inter else e
-    return SubgroupDescription(e // c, free, full)
+    free = tuple(r[:m] for r in full[:-1])
+    return SubgroupDescription(e // full[-1][m], free, full)

@@ -1,58 +1,67 @@
 """Quantum tori: simplicity, central lattice, morphism calculus, and the
-one-parameter isomorphism decision through skew congruence normal forms."""
+one-parameter isomorphism decision through skew congruence normal forms.
+
+Every computation reads the exponent matrices of the weights, one integer
+matrix per coordinate of Z/e x Z^m (the torsion one mod e): the centre is an
+integer kernel, and a morphism with matrix h is S = h^T S' h in each one."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import intlattice
 from .presentation import Multiplicative, Presentation
-from .scalars import Scalar, ScalarGroup
+from .scalars import GroupMismatch, Scalar, ScalarGroup
 
 
 class TorusError(ValueError):
     pass
 
 
+def _congruent(a: int, b: int, mod: int) -> bool:
+    """a = b in Z/mod, or in Z when mod is 0."""
+    return (a - b) % mod == 0 if mod else a == b
+
+
 class QuantumTorus:
-    """Laurent algebra on n generators with y_i y_j = lambda_{i,j} y_j y_i."""
+    """Laurent algebra on n generators with y_i y_j = lambda_{i,j} y_j y_i.
+
+    ``exponents`` holds the torsion exponents of lambda, then one matrix per
+    free symbol; ``moduli`` the matching modulus (e, then 0 for exact)."""
 
     def __init__(self, group: ScalarGroup, lam: list[list[Scalar]]):
         n = len(lam)
-        for i, row in enumerate(lam):
+        for row in lam:
             if len(row) != n:
                 raise TorusError("weight matrix must be square")
-            for j, s in enumerate(row):
-                if s.group != group:
-                    raise TorusError("weight outside the declared group")
+            if any(s.group != group for s in row):
+                raise TorusError("weight outside the declared group")
+        self.exponents = [[[s.torsion for s in row] for row in lam]] + [
+            [[s.free[c] for s in row] for row in lam] for c in range(group.rank)]
+        self.moduli = (group.torsion_order,) + (0,) * group.rank
+        coords = list(zip(self.exponents, self.moduli))
         for i in range(n):
-            if not lam[i][i].is_one():
+            if any(s[i][i] for s in self.exponents):
                 raise TorusError("diagonal weights must be 1")
-            for j in range(n):
-                if not lam[i][j].mul(lam[j][i]).is_one():
-                    raise TorusError("weight matrix is not multiplicatively antisymmetric")
+            if any(not _congruent(s[i][j], -s[j][i], mod)
+                   for s, mod in coords for j in range(n)):
+                raise TorusError("weight matrix is not multiplicatively antisymmetric")
         self.group = group
         self.lam = [list(row) for row in lam]
         self.n = n
 
     @staticmethod
     def uniparameter(group: ScalarGroup, name: str, exponents) -> "QuantumTorus":
-        q = group.free_gen(name)
-        n = len(exponents)
-        lam = [[q.pow(exponents[i][j]) for j in range(n)] for i in range(n)]
-        return QuantumTorus(group, lam)
+        return QuantumTorus(group, [[group.free_gen(name, k) for k in row]
+                                    for row in exponents])
 
     @staticmethod
     def from_presentation(p: Presentation) -> "QuantumTorus":
-        lam = [[p.group.one() for _ in range(p.n)] for _ in range(p.n)]
-        for i in range(p.n):
-            for j in range(p.n):
-                if i == j:
-                    continue
-                w = p.quantum_weight(i, j)
-                if w is None:
-                    raise TorusError("presentation has a non-quantum relation; "
-                                     "not a torus")
-                lam[i][j] = w
+        lam = [[p.group.one()] * p.n for _ in range(p.n)]
+        for (i, j), rel in p.rels.items():
+            if not isinstance(rel, Multiplicative):
+                raise TorusError("presentation has a non-quantum relation; "
+                                 "not a torus")
+            lam[i][j], lam[j][i] = rel.weight, rel.weight.inv()
         return QuantumTorus(p.group, lam)
 
     def to_presentation(self, names=None) -> Presentation:
@@ -72,19 +81,13 @@ def central_lattice(t: QuantumTorus) -> list[list[int]]:
 
     The monomials with exponents in this lattice span the center of the
     torus; its rank is the transcendence degree of the center of the
-    fraction field.
+    fraction field.  By antisymmetry the rows of the exponent matrices (their
+    columns negated) give the equations.
     """
-    n = t.n
-    m = t.group.rank
+    tor, *free = t.exponents
+    free_rows = [s[j] for j in range(t.n) for s in free]
     e = t.group.torsion_order
-    free_rows = []
-    tor_rows = []
-    for j in range(n):
-        for c in range(m):
-            free_rows.append([t.lam[i][j].free[c] for i in range(n)])
-        tor_rows.append([t.lam[i][j].torsion for i in range(n)])
-    return intlattice.kernel_with_torsion(free_rows, tor_rows if e > 1 else [],
-                                          e, n)
+    return intlattice.kernel_with_torsion(free_rows, tor if e > 1 else [], e, t.n)
 
 
 def is_simple(t: QuantumTorus) -> bool:
@@ -107,19 +110,20 @@ class Violation:
 
 
 def check_morphism(src: QuantumTorus, dst: QuantumTorus, h) -> TorusMorphism | Violation:
-    """Verify lambda_{i,j} = prod_{k,t} lambda'_{k,t}^(h_{k,i} h_{t,j})."""
+    """Verify lambda_{i,j} = prod_{k,t} lambda'_{k,t}^(h_{k,i} h_{t,j}), that
+    is S = h^T S' h for each pair of exponent matrices; else the first
+    failing pair i < j."""
     n, np_ = src.n, dst.n
     if len(h) != np_ or any(len(row) != n for row in h):
         raise TorusError("matrix size mismatch")
+    if src.group != dst.group:
+        raise GroupMismatch("scalars belong to different groups")
+    ht = intlattice.transpose(h)
+    pulled = [intlattice.matmul(intlattice.matmul(ht, s), h) for s in dst.exponents]
+    coords = list(zip(pulled, src.exponents, src.moduli))
     for i in range(n):
         for j in range(i + 1, n):
-            acc = src.group.one()
-            for k in range(np_):
-                for t in range(np_):
-                    exp = h[k][i] * h[t][j]
-                    if exp:
-                        acc = acc.mul(dst.lam[k][t].pow(exp))
-            if acc != src.lam[i][j]:
+            if any(not _congruent(p[i][j], s[i][j], mod) for p, s, mod in coords):
                 return Violation(i, j)
     return TorusMorphism(src, dst, tuple(tuple(r) for r in h))
 
@@ -143,17 +147,10 @@ def uniparameter_exponents(t: QuantumTorus, name: str) -> list[list[int]] | None
     """Antisymmetric S with lambda_{i,j} = q^s_{i,j} exactly, else None."""
     if name not in t.group.free_symbols:
         raise ValueError(f"{name!r} is not a free symbol of the scalar group")
-    idx = t.group.free_symbols.index(name)
-    s = [[0] * t.n for _ in range(t.n)]
-    for i in range(t.n):
-        for j in range(t.n):
-            lam = t.lam[i][j]
-            if lam.torsion != 0:
-                return None
-            if any(v for c, v in enumerate(lam.free) if c != idx):
-                return None
-            s[i][j] = lam.free[idx]
-    return s
+    idx = 1 + t.group.free_symbols.index(name)
+    if any(any(map(any, s)) for k, s in enumerate(t.exponents) if k != idx):
+        return None
+    return [list(row) for row in t.exponents[idx]]
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,18 @@ def test_qweyl_commands(capsys):
     assert block["reason"] == "NEQ_GK"
 
 
+@pytest.mark.parametrize("sub", ["torus", "mixed"])
+def test_embed_line_goes_to_one_central_variable(tmp_path, capsys, sub):
+    # y1 -> 1 would send y1 - 1 to zero; the line needs a variable.
+    line = tmp_path / "line.qwa"
+    line.write_text("generators y1\n")
+    assert main(["embed", sub, str(line)]) == 0
+    out = capsys.readouterr().out
+    assert "  y1 -> z1" in out.splitlines()
+    block = machine_block(out)
+    assert (block["verified"], block["planes"], block["centrals"]) == ("true", "0", "1")
+
+
 def test_embed_commands(capsys, tmp_path):
     assert main(["embed", "torus", corpus("quantum_space3.qwa")]) == 0
     block = machine_block(capsys.readouterr().out)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qwalg import intlattice as il
 from qwalg.scalars import (GroupMismatch, Scalar, ScalarGroup, format_scalar,
                            merge_groups, subgroup_canonical_form)
 
@@ -116,6 +117,39 @@ def test_subgroup_invariance():
         combined = gens[:]
         combined[k] = gens[k].mul(gens[other]) if other != k else gens[k]
         assert subgroup_canonical_form(g, combined) == base
+
+
+def three_step_subgroup_form(group, gens):
+    """Reference: HNF of the (t, v) lift, a second HNF of the free parts,
+    and the torsion order from the lift's intersection with Z x 0."""
+    e, m = group.torsion_order, group.rank
+    full, _ = il.hermite_nf([[g.torsion] + list(g.free) for g in gens] + [[e] + [0] * m])
+    full = [r for r in full if any(r)]
+    hf, _ = il.hermite_nf([list(g.free) for g in gens] or [[0] * m])
+    inter = il.lattice_intersect(full, [[1] + [0] * m], 1 + m)
+    c = abs(inter[0][0]) if inter else e
+    return e // c, tuple(tuple(r) for r in hf if any(r))
+
+
+def test_subgroup_matches_three_step_reference():
+    rng = random.Random(13)
+    for _ in range(800):
+        e = rng.choice((1, 2, 3, 4, 6, 12))
+        g = ScalarGroup(e, ("p", "q", "r")[:rng.randrange(4)], "zeta" if e > 1 else None)
+        gens = [rnd_scalar(g, rng) for _ in range(rng.randrange(5))]
+        d = subgroup_canonical_form(g, gens)
+        assert (d.torsion_order, d.free_basis) == three_step_subgroup_form(g, gens)
+        assert d.full_basis[-1][:g.rank] == (0,) * g.rank
+        assert e % d.full_basis[-1][-1] == 0
+
+
+def test_subgroup_of_no_generators_is_trivial():
+    for e in (1, 2, 3, 4, 6, 12):
+        for m in range(4):
+            g = ScalarGroup(e, ("p", "q", "r")[:m], "zeta" if e > 1 else None)
+            d = subgroup_canonical_form(g, [])
+            assert d.is_trivial()
+            assert (d.torsion_order, d.free_basis) == three_step_subgroup_form(g, [])
 
 
 def test_format_scalar():

@@ -4,31 +4,65 @@ import random
 import pytest
 
 from qwalg import intlattice as il
-from qwalg.scalars import ScalarGroup
+from qwalg.scalars import GroupMismatch, ScalarGroup
 from qwalg.torus import (Iso, NotApplicable, NotIso, QuantumTorus, TorusError,
-                         Violation, central_lattice, check_morphism, compose,
+                         TorusMorphism, Violation, central_lattice, check_morphism, compose,
                          is_isomorphism, is_simple, uniparameter_exponents,
                          uniparameter_iso_decide)
 
 
+def is_central(t, alpha):
+    """prod_i lambda_{i,j}^alpha_i = 1 for every j, by scalar products."""
+    for j in range(t.n):
+        acc = t.group.one()
+        for i in range(t.n):
+            if alpha[i]:
+                acc = acc.mul(t.lam[i][j].pow(alpha[i]))
+        if not acc.is_one():
+            return False
+    return True
+
+
 def brute_force_central(t, box=5):
     """Independent enumeration of central monomial exponents in a box."""
-    found = []
-    for alpha in itertools.product(range(-box, box + 1), repeat=t.n):
-        if not any(alpha):
-            continue
-        ok = True
-        for j in range(t.n):
-            acc = t.group.one()
-            for i in range(t.n):
-                if alpha[i]:
-                    acc = acc.mul(t.lam[i][j].pow(alpha[i]))
-            if not acc.is_one():
-                ok = False
-                break
-        if ok:
-            found.append(list(alpha))
-    return found
+    return [list(alpha) for alpha in itertools.product(range(-box, box + 1), repeat=t.n)
+            if any(alpha) and is_central(t, alpha)]
+
+
+def pullback_weight(dst, h, i, j):
+    """prod_{k,t} lambda'_{k,t}^(h_{k,i} h_{t,j}), by scalar products."""
+    acc = dst.group.one()
+    for k in range(dst.n):
+        for t in range(dst.n):
+            acc = acc.mul(dst.lam[k][t].pow(h[k][i] * h[t][j]))
+    return acc
+
+
+def scalar_violation(src, dst, h):
+    """The first pair i < j whose weight equation fails, else None."""
+    for i in range(src.n):
+        for j in range(i + 1, src.n):
+            if pullback_weight(dst, h, i, j) != src.lam[i][j]:
+                return Violation(i, j)
+    return None
+
+
+def random_group(rng):
+    e = rng.choice((1, 2, 3, 4, 6, 12))
+    return ScalarGroup(e, ("p", "q")[:rng.randrange(3)], "zeta" if e > 1 else None)
+
+
+def random_torus(rng, g, n):
+    """Weights with torsion and free parts; about half the pairs commute."""
+    one = g.one()
+    lam = [[one] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                w = g.scalar(rng.randrange(g.torsion_order),
+                             tuple(rng.randrange(-2, 3) for _ in range(g.rank)))
+                lam[i][j], lam[j][i] = w, w.inv()
+    return QuantumTorus(g, lam)
 
 
 @pytest.fixture
@@ -194,3 +228,64 @@ def test_iso_decide_random_congruence(grp):
         # symmetry and reflexivity
         assert isinstance(uniparameter_iso_decide(t2, t1, "q"), Iso)
         assert isinstance(uniparameter_iso_decide(t1, t1, "q"), Iso)
+
+
+def test_check_morphism_matches_scalar_products():
+    rng = random.Random(21)
+    morphisms = violations = 0
+    for _ in range(150):
+        g = random_group(rng)
+        n, np_ = rng.randrange(1, 5), rng.randrange(1, 5)
+        dst = random_torus(rng, g, np_)
+        h = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(np_)]
+        pulled = QuantumTorus(g, [[pullback_weight(dst, h, i, j) for j in range(n)]
+                                  for i in range(n)])
+        for src in (pulled, random_torus(rng, g, n)):
+            out = check_morphism(src, dst, h)
+            expected = scalar_violation(src, dst, h)
+            if expected is None:
+                assert isinstance(out, TorusMorphism)
+                assert out.h == tuple(tuple(r) for r in h)
+                morphisms += 1
+            else:
+                assert out == expected
+                violations += 1
+    assert morphisms > 150 and violations > 50
+
+
+def test_check_morphism_size_and_group_mismatch(grp):
+    t = uni(grp, [[0, 1], [-1, 0]])
+    with pytest.raises(TorusError):
+        check_morphism(t, t, [[1, 0, 0], [0, 1, 0]])
+    g2 = ScalarGroup(2, ("q",), "zeta")
+    t2 = QuantumTorus.uniparameter(g2, "q", [[0, 1], [-1, 0]])
+    with pytest.raises(GroupMismatch):
+        check_morphism(t, t2, il.identity(2))
+
+
+def test_central_lattice_matches_brute_force_with_torsion():
+    rng = random.Random(33)
+    nonsimple = 0
+    for _ in range(40):
+        t = random_torus(rng, random_group(rng), rng.randrange(1, 4))
+        basis = central_lattice(t)
+        for v in basis:
+            assert is_central(t, v)
+        for v in brute_force_central(t, 2):
+            assert il.lattice_member(basis, v)
+        nonsimple += bool(basis)
+    assert nonsimple > 10
+
+
+def test_uniparameter_exponents_with_torsion():
+    rng = random.Random(44)
+    for _ in range(60):
+        g = random_group(rng)
+        t = random_torus(rng, g, rng.randrange(1, 4))
+        for name in g.free_symbols:
+            s = uniparameter_exponents(t, name)
+            q, k = g.free_gen(name), g.free_symbols.index(name)
+            exact = all(w == q.pow(w.free[k]) for row in t.lam for w in row)
+            assert (s is not None) == exact
+            if s is not None:
+                assert QuantumTorus.uniparameter(g, name, s) == t
