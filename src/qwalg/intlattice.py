@@ -2,7 +2,9 @@
 
 Matrices are plain lists of lists of Python ints and are never mutated by
 the public functions. Normal forms track their transforms so that every
-result can be re-verified by exact multiplication.
+result can be re-verified by exact multiplication. Kernels (with or without
+congruences) and lattice intersections are read off the rows of one Hermite
+form of an augmented matrix whose left block is zero.
 """
 from __future__ import annotations
 
@@ -188,71 +190,56 @@ def smith_nf(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
 
 
 def rank(a) -> int:
-    d, _, _ = smith_nf(a)
-    return sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0)
+    h, _ = hermite_nf(a)
+    return sum(1 for row in h if any(row))
+
+
+def _null_block(rows, width: int) -> list[list[int]]:
+    """Basis of {x : (0 | x) in the row lattice of rows}, the 0 having width entries.
+
+    The rows of a row-style Hermite form whose first width entries vanish
+    come last and span exactly that sublattice; their tails are already its
+    Hermite basis.
+    """
+    h, _ = hermite_nf(rows)
+    return [row[width:] for row in h if any(row) and not any(row[:width])]
 
 
 def kernel(a, ncols: int | None = None) -> list[list[int]]:
     """Basis (as rows) of the right kernel {x : a*x = 0} over Z."""
-    if not a:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return identity(ncols)
-    c = len(a[0])
-    d, _, v = smith_nf(a)
-    rk = sum(1 for i in range(min(len(d), c)) if d[i][i] != 0)
-    cols = [[v[i][j] for i in range(c)] for j in range(rk, c)]
-    h, _ = hermite_nf(cols) if cols else ([], [])
-    return [row for row in h if any(row)]
+    if not a and ncols is None:
+        raise ValueError("ncols required for an empty matrix")
+    return kernel_with_torsion(a, [], 1, len(a[0]) if a else ncols)
 
 
 def kernel_with_torsion(a, b, e: int, ncols: int) -> list[list[int]]:
     """Basis of {x in Z^ncols : a*x = 0 over Z and b*x = 0 mod e}.
 
-    Solved by adjoining one auxiliary unconstrained variable per row of b
-    scaled by e, then projecting the integer kernel back to the x block.
+    The null block of the rows (a^T b^T | I) and (0 e*I | 0): a combination
+    with coefficients x on the first rows has left block (a*x, b*x + e*k).
     """
     if e < 1:
         raise ValueError("modulus must be >= 1")
     for row in list(a) + list(b):
         if len(row) != ncols:
             raise ValueError("dimension mismatch")
-    rows = [list(r) + [0] * len(b) for r in a]
-    for k, r in enumerate(b):
-        aux = [0] * len(b)
-        aux[k] = e
-        rows.append(list(r) + aux)
-    if not rows:
-        return identity(ncols)
-    ker = kernel(rows, ncols + len(b))
-    proj = [row[:ncols] for row in ker]
-    if not proj:
-        return []
-    h, _ = hermite_nf(proj)
-    return [row for row in h if any(row)]
+    rows = [[r[j] for r in a] + [r[j] for r in b] + [int(i == j) for i in range(ncols)]
+            for j in range(ncols)]
+    rows += [[0] * len(a) + [e * (i == k) for i in range(len(b))] + [0] * ncols
+             for k in range(len(b))]
+    return _null_block(rows, len(a) + len(b))
 
 
 def lattice_intersect(basis1, basis2, dim: int) -> list[list[int]]:
-    """Basis of the intersection of the row lattices spanned by basis1, basis2."""
+    """Basis of the intersection of the row lattices spanned by basis1, basis2.
+
+    Zassenhaus: the null block of the rows (b1 | b1) and (b2 | 0).
+    """
     for row in list(basis1) + list(basis2):
         if len(row) != dim:
             raise ValueError("dimension mismatch")
-    if not basis1 or not basis2:
-        return []
-    r1, r2 = len(basis1), len(basis2)
-    # x*basis1 = y*basis2  <=>  (x, y) in kernel of the stacked transpose.
-    stacked = [[basis1[i][j] for i in range(r1)] + [-basis2[i][j] for i in range(r2)]
-               for j in range(dim)]
-    ker = kernel(stacked, r1 + r2)
-    vecs = []
-    for row in ker:
-        v = [sum(row[i] * basis1[i][j] for i in range(r1)) for j in range(dim)]
-        if any(v):
-            vecs.append(v)
-    if not vecs:
-        return []
-    h, _ = hermite_nf(vecs)
-    return [row for row in h if any(row)]
+    return _null_block([list(r) * 2 for r in basis1] + [list(r) + [0] * dim for r in basis2],
+                       dim)
 
 
 def lattice_member(basis, vec) -> bool:

@@ -90,6 +90,55 @@ def test_hermite_canonical():
 def test_kernel_simple():
     assert il.kernel_with_torsion([[1, -1]], [], 1, 2) == [[1, 1]]
     assert il.kernel_with_torsion([], [[1]], 2, 1) == [[2]]
+    assert il.kernel([[0, 0]]) == il.identity(2)
+    assert il.kernel([[1, 2], [2, 4]]) == [[2, -1]]
+    with pytest.raises(ValueError):
+        il.kernel([])
+
+
+def smith_kernel(a, ncols):
+    """Reference: the last columns of V in a Smith form U*a*V = D, in Hermite form."""
+    if not a:
+        return il.identity(ncols)
+    d, _, v = il.smith_nf(a)
+    rk = sum(1 for i in range(min(len(d), ncols)) if d[i][i] != 0)
+    h, _ = il.hermite_nf([[v[i][j] for i in range(ncols)] for j in range(rk, ncols)])
+    return [row for row in h if any(row)]
+
+
+def smith_kernel_with_torsion(a, b, e, n):
+    """Reference: one auxiliary variable per row of b scaled by e, the Smith
+    kernel of the augmented matrix, projected to x and put in Hermite form."""
+    rows = [list(r) + [0] * len(b) for r in a]
+    rows += [list(r) + [e * (i == k) for i in range(len(b))] for k, r in enumerate(b)]
+    proj = [row[:n] for row in smith_kernel(rows, n + len(b))]
+    h, _ = il.hermite_nf(proj)
+    return [row for row in h if any(row)]
+
+
+def smith_intersect(b1, b2, dim):
+    """Reference: x*b1 = y*b2 through the Smith kernel of the stacked transpose."""
+    if not b1 or not b2:
+        return []
+    stacked = [[r[j] for r in b1] + [-r[j] for r in b2] for j in range(dim)]
+    vecs = [il.matmul([row[:len(b1)]], b1)[0] for row in smith_kernel(stacked, len(b1) + len(b2))]
+    h, _ = il.hermite_nf(vecs)
+    return [row for row in h if any(row)]
+
+
+def test_kernels_match_smith_reference():
+    rng = random.Random(23)
+    for _ in range(400):
+        n = rng.randrange(0, 7)
+        e = rng.choice([1, 2, 3, 4, 6, 12])
+        a = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(rng.randrange(0, 4))]
+        b = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(rng.randrange(0, 4))]
+        assert il.kernel_with_torsion(a, b, e, n) == smith_kernel_with_torsion(a, b, e, n), (a, b, e)
+        assert il.kernel(a, n) == smith_kernel(a, n), a
+        dim = rng.randrange(1, 7)
+        b1 = [[rng.randrange(-5, 6) for _ in range(dim)] for _ in range(rng.randrange(0, 4))]
+        b2 = [[rng.randrange(-5, 6) for _ in range(dim)] for _ in range(rng.randrange(0, 4))]
+        assert il.lattice_intersect(b1, b2, dim) == smith_intersect(b1, b2, dim), (b1, b2)
 
 
 def test_kernel_with_torsion_brute():

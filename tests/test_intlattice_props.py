@@ -2,7 +2,8 @@
 
 On random small integer matrices: the Smith diagonal equals sympy's, and the
 row lattice of the Hermite form equals the column lattice of sympy's Hermite
-form of the transpose (each basis lies in the other's lattice).
+form of the transpose (each basis lies in the other's lattice). The kernel
+is killed by the matrix, has the rank sympy predicts and is saturated.
 """
 import random
 
@@ -40,3 +41,14 @@ def test_hermite_row_lattice_matches_sympy(seed):
         assert len(rows) == len(cols) == il.rank(a), a
         assert all(il.lattice_member(rows, v) for v in cols), a
         assert all(il.lattice_member(cols, v) for v in rows), a
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_matches_sympy(seed):
+    for a in _matrices(seed + 20):
+        ker = il.kernel(a)
+        assert all(not any(col) for col in il.matmul(a, il.transpose(ker))), a
+        assert len(ker) == len(a[0]) - Matrix(a).rank(), a
+        if ker:
+            snf = smith_normal_form(Matrix(ker), domain=ZZ)
+            assert [abs(int(snf[i, i])) for i in range(len(ker))] == [1] * len(ker), a
