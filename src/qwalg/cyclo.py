@@ -210,6 +210,14 @@ def lp_neg(a: dict) -> dict:
 
 def lp_mul(ring, a: dict, b: dict) -> dict:
     roots, e = ring.roots, ring.e
+    if ring.phi == 1 and (len(a) == 1 or len(b) == 1):
+        # Every field part is rational, so a one-term factor, such as a
+        # scalar-group element, shifts the keys of the other one to
+        # distinct keys: no sum, no cancellation.
+        if len(b) != 1:
+            a, b = b, a
+        (kb, vb), = b.items()
+        return {tuple(map(add, ka, kb)): va * vb for ka, va in a.items()}
     out: dict = {}
     for ka, va in a.items():
         for kb, vb in b.items():

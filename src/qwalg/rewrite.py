@@ -20,10 +20,16 @@ first appends a letter Z with the twist rules of z and one identification
 rule that rewrites the two-letter leading word of z into Z minus the tail,
 so Z genuinely equals z, then inverts Z like a generator.
 
-An extension is certified incrementally: its rules start with those of the
-certified parent, whose ambiguities among themselves stay resolvable when
-rules are added (Bergman, The diamond lemma for ring theory, Adv. Math. 29,
-1978), so only ambiguities that involve a new rule are resolved again.
+Reduction rewrites the deglex-largest pending word at its leftmost redex by
+the one rule keyed there, so on any system, certified or not, it is a
+linear map: reducing a - b gives the normal form of a minus that of b.  An
+ambiguity with the two one-step results a and b is therefore resolved by
+reducing a - b once and testing it for zero, which is Bergman's
+"resolvable relative to <=" (The diamond lemma for ring theory, Adv. Math.
+29, 1978, Thm 1.2).  An extension is certified incrementally: its rules
+start with those of the certified parent, whose ambiguities among
+themselves stay resolvable when rules are added (Bergman, loc. cit.), so
+only ambiguities that involve a new rule are resolved again.
 """
 from __future__ import annotations
 
@@ -57,13 +63,16 @@ def deglex_key(w: Word):
 
 
 def _add_term(terms: dict, w: Word, c: Coeff) -> None:
-    """terms[w] += c, dropping the word when it cancels."""
-    if w in terms:
-        c = terms[w].add(c)
-    if c.is_zero():
-        terms.pop(w, None)
-    else:
+    """terms[w] += c for a non-zero c, dropping the word when it cancels."""
+    old = terms.get(w)
+    if old is None:
         terms[w] = c
+    else:
+        c = old.add(c)
+        if c.is_zero():
+            del terms[w]
+        else:
+            terms[w] = c
 
 
 class Element:
@@ -78,6 +87,13 @@ class Element:
             for w, c in terms.items():
                 if not c.is_zero():
                     self.terms[w] = c
+
+    @staticmethod
+    def of_terms(ring: CoeffRing, terms: dict) -> "Element":
+        """The element of terms that are already all non-zero (no copy)."""
+        el = Element.__new__(Element)
+        el.ring, el.terms = ring, terms
+        return el
 
     @staticmethod
     def zero(ring) -> "Element":
@@ -95,7 +111,7 @@ class Element:
         out = dict(self.terms)
         for w, c in other.terms.items():
             _add_term(out, w, c)
-        return Element(self.ring, out)
+        return Element.of_terms(self.ring, out)
 
     def neg(self) -> "Element":
         return Element(self.ring, {w: c.neg() for w, c in self.terms.items()})
@@ -114,7 +130,7 @@ class Element:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 _add_term(out, w1 + w2, c1.mul(c2))
-        return Element(self.ring, out)
+        return Element.of_terms(self.ring, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
@@ -199,30 +215,40 @@ class ReductionSystem:
 
     # -- reduction -------------------------------------------------------------
 
-    def _find_redex(self, w: Word):
-        rhs = self._rhs
-        for pos in range(len(w) - 1):
-            r = rhs.get((w[pos], w[pos + 1]))
-            if r is not None:
-                return pos, r
-        return None
-
     def _reduce(self, el: Element) -> Element:
-        pending = dict(el.terms)
+        return self._reduce_terms(dict(el.terms))
+
+    def _reduce_terms(self, pending: dict) -> Element:
+        """Reduce the sum of the non-zero terms in ``pending``, consuming it.
+
+        The deglex-largest word goes first and is rewritten at its leftmost
+        redex, so the result is a linear function of the input on any
+        system, certified or not.
+        """
+        rhs_of = self._rhs
+        one = Coeff.one(self.ring).num
         done: dict = {}
         while pending:
-            w = max(pending, key=deglex_key)
-            c = pending.pop(w)
-            hit = self._find_redex(w)
-            if hit is None:
+            if len(pending) == 1:
+                w, c = pending.popitem()
+            else:
+                w = max(pending, key=deglex_key)
+                c = pending.pop(w)
+            for pos in range(len(w) - 1):
+                rhs = rhs_of.get((w[pos], w[pos + 1]))
+                if rhs is not None:
+                    break
+            else:
                 # Words leave pending in decreasing order, so w is new here.
                 done[w] = c
                 continue
-            pos, rhs = hit
             pre, post = w[:pos], w[pos + 2:]
             for rw, rc in rhs.terms.items():
-                _add_term(pending, pre + rw + post, c.mul(rc))
-        return Element(self.ring, done)
+                # Many rule coefficients are 1 (inverse pairs, commuting
+                # letters): the product is c itself.
+                _add_term(pending, pre + rw + post,
+                          c if rc.num == one and not rc.den else c.mul(rc))
+        return Element.of_terms(self.ring, done)
 
     def normal_form(self, el: Element) -> Element:
         if not self._certified:
@@ -243,6 +269,13 @@ class ReductionSystem:
         none repeated, so these are only the overlaps a b c of left sides
         a b and b c: no inclusion ambiguity exists.
 
+        An ambiguity with one-step results a and b is resolved by reducing
+        a - b in one pass.  Reduction is linear on any system (see the
+        module docstring), so a - b reduces to zero exactly when a and b
+        have the same normal form: the verdict and the first failing
+        ambiguity are those of reducing a and b apart.  Only a failure
+        reduces them apart, for the Failing witness.
+
         ``known`` counts leading rules that already form a certified system.
         Their ambiguities among themselves stay resolvable once rules are
         added (Bergman), so only ambiguities involving a later rule are
@@ -250,9 +283,13 @@ class ReductionSystem:
         witness is the one a plain call returns.
         """
         for word, a, b in self._ambiguities(known):
-            a, b = self._reduce(a), self._reduce(b)
-            if a != b:
-                return self.check_confluence() if known else Failing(word, a, b)
+            diff = dict(a.terms)
+            for w, c in b.terms.items():
+                _add_term(diff, w, c.neg())
+            if self._reduce_terms(diff).terms:
+                if known:
+                    return self.check_confluence()
+                return Failing(word, self._reduce(a), self._reduce(b))
         self._certified = True
         return Confluent()
 
@@ -260,6 +297,7 @@ class ReductionSystem:
         """Each overlap u v w of left sides u v (rule r1) and v w (rule r2)
         as (u v w, r1 applied, r2 applied), ordered by the index of r1, then
         of r2; a known r1 meets only later rules."""
+        ring = self.ring
         by_first: dict[int, list[tuple[int, Rule]]] = {}
         for j, rule in enumerate(self.rules):
             by_first.setdefault(rule.lhs[0], []).append((j, rule))
@@ -271,8 +309,8 @@ class ReductionSystem:
                     continue
                 w = r2.lhs[1]
                 yield ((u, v, w),
-                       Element(self.ring, {t + (w,): c for t, c in r1.rhs.terms.items()}),
-                       Element(self.ring, {(u,) + t: c for t, c in r2.rhs.terms.items()}))
+                       Element.of_terms(ring, {t + (w,): c for t, c in r1.rhs.terms.items()}),
+                       Element.of_terms(ring, {(u,) + t: c for t, c in r2.rhs.terms.items()}))
 
     # -- normality and localization ---------------------------------------------
 

@@ -180,3 +180,36 @@ def test_mul_matches_cancelled_product(pair):
     assert got.num == reference.num
     assert got.den == reference.den
     _assert_atoms_shifted_and_monic(RING)
+
+
+# -- lp_mul's one-term path against the general double loop -----------------
+
+
+def _double_loop(ring: CoeffRing, a: dict, b: dict) -> dict:
+    """Every pair of terms, each power of zeta expanded through ring.roots."""
+    out: dict = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            *exp, t = (x + y for x, y in zip(ka, kb))
+            for s, r in ring.roots[t % ring.e]:
+                k = (*exp, s)
+                out[k] = out.get(k, 0) + va * vb * r
+    return {k: v for k, v in out.items() if v}
+
+
+def _numerators(ring: CoeffRing, size: int):
+    key = st.tuples(*[st.integers(-2, 2)] * ring.m, st.integers(0, ring.phi - 1))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    return st.dictionaries(key, value, min_size=size, max_size=size if size == 1 else 4)
+
+
+@pytest.mark.parametrize("e,free", [(1, ("q",)), (2, ("q", "p")), (3, ("q",))])
+def test_lp_mul_one_term_factor_matches_double_loop(e, free):
+    ring = _ring(e, free)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_numerators(ring, 1), _numerators(ring, 0), st.booleans())
+    def check(one, other, swap):
+        a, b = (other, one) if swap else (one, other)
+        assert lp_mul(ring, a, b) == _double_loop(ring, a, b)
+    check()

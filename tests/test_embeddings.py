@@ -1,17 +1,24 @@
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from qwalg import presentation
+from qwalg.cli import main
 from qwalg.cyclo import Coeff
 from qwalg.embeddings import (FailingRelation, GeneratorMap, Verified,
                               embed_mixed, embed_torus, verify_homomorphism,
                               weyl_lower_bound_witness)
 from qwalg.mixed import CanonicalMixedAlgebra, eulerian_presentation
-from qwalg.presentation import certified_system
+from qwalg.presentation import certified_system, exchanged
 from qwalg.qwa import (ParseError, format_generator_map, parse_generator_map,
                        parse_presentation)
+from qwalg.qweyl import localize_to_mixed
 from qwalg.scalars import ScalarGroup
 from qwalg.torus import QuantumTorus
+
+from test_confluence_incremental import CORPUS, qweyl_grid
 
 LL2_TARGET = """\
 scalars { free q }
@@ -255,3 +262,74 @@ def test_embed_torus_is_embed_mixed_without_pairs(grp):
         assert gt.target.letters == gm.target.letters
         assert gt.images == gm.images
         assert (ft.m, ft.n, ft.t, ft.qs) == (fm.m, fm.n, fm.t, fm.qs)
+
+
+# -- verification on reduced images against the raw-image reference ----------
+
+
+def raw_image_verify(gmap: GeneratorMap) -> Verified | FailingRelation:
+    """The reference check: reduce b a - exchanged(rel, i, a, b) on the raw
+    images a, b of every source pair i < j."""
+    src, sys = gmap.source, gmap.target
+    count = 0
+    for i in range(src.n):
+        a = gmap.images[src.gens[i]]
+        for j in range(i + 1, src.n):
+            b = gmap.images[src.gens[j]]
+            defect = sys.normal_form(b.concat(a).sub(exchanged(src.rel(i, j), i, a, b)))
+            if not defect.is_zero():
+                return FailingRelation((src.gens[i], src.gens[j]), defect)
+            count += 1
+    return Verified(count)
+
+
+@pytest.fixture
+def verified_maps(monkeypatch):
+    """Every map that the library verifies through ``verified``."""
+    maps = []
+
+    def recording(gmap, _orig=presentation.verify_homomorphism):
+        maps.append(gmap)
+        return _orig(gmap)
+    monkeypatch.setattr(presentation, "verify_homomorphism", recording)
+    return maps
+
+
+def perturbed(gmap: GeneratorMap):
+    """The map with its first image scaled by 2, and with its first and last
+    images swapped."""
+    gens, ring = gmap.source.gens, gmap.target.ring
+    first, last = gens[0], gens[-1]
+    yield GeneratorMap(gmap.source, gmap.target, {
+        **gmap.images, first: gmap.images[first].scale(Coeff.from_rational(ring, 2))})
+    if first != last:
+        yield GeneratorMap(gmap.source, gmap.target, {
+            **gmap.images, first: gmap.images[last], last: gmap.images[first]})
+
+
+def assert_reduced_images_match_raw(maps):
+    failing = 0
+    for gmap in maps:
+        for m in (gmap, *perturbed(gmap)):
+            got = verify_homomorphism(m)
+            assert got == raw_image_verify(m)
+            failing += isinstance(got, FailingRelation)
+    return failing
+
+
+def test_reduced_images_match_raw_on_corpus_embeddings(verified_maps):
+    for f in sorted(CORPUS.glob("*.qwa")):
+        for cmd in (["embed", "mixed"], ["embed", "torus"]):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                main(cmd + [str(f)])
+    assert len(verified_maps) >= 10
+    assert assert_reduced_images_match_raw(verified_maps) > 0
+
+
+@pytest.mark.parametrize("e", (1, 4))
+def test_reduced_images_match_raw_on_localizations(e, verified_maps):
+    for n in (1, 2, 3):
+        for a in qweyl_grid(e, n):
+            localize_to_mixed(a)
+    assert verified_maps
+    assert assert_reduced_images_match_raw(verified_maps) > 0
