@@ -30,6 +30,11 @@ reducing a - b once and testing it for zero, which is Bergman's
 start with those of the certified parent, whose ambiguities among
 themselves stay resolvable when rules are added (Bergman, loc. cit.), so
 only ambiguities that involve a new rule are resolved again.
+
+Most overlaps and normality scalars need no reduction: a twist table holds
+the degree of mu (torsion exponent mod e, then free exponents) for each rule
+u h -> mu h u with mu a scalar, and ``check_confluence`` and
+``commutation_with_generators`` compare degrees (criteria and proofs there).
 """
 from __future__ import annotations
 
@@ -171,7 +176,7 @@ class ReductionSystem:
     """A terminating reduction system on the free algebra over the letters."""
 
     def __init__(self, group: ScalarGroup, letters: tuple[str, ...],
-                 rules: list[Rule]):
+                 rules: list[Rule], twists: dict[Word, tuple] | None = None):
         self.group = group
         self.ring = CoeffRing(group)
         self.letters = tuple(letters)
@@ -181,6 +186,12 @@ class ReductionSystem:
         for rule in self.rules:
             self._validate_rule(rule)
             self._rhs[rule.lhs] = rule.rhs
+        # Twist table (u, h) -> degree of mu per rule u h -> mu h u; extensions pass theirs.
+        if twists is None:
+            twists = {lhs: (mu.torsion, *mu.free) for lhs, rhs in self._rhs.items()
+                      if rhs.terms.keys() == {lhs[::-1]}
+                      and (mu := coeff_to_scalar(rhs.terms[lhs[::-1]])) is not None}
+        self._twists = twists
 
     # -- construction helpers -------------------------------------------------
 
@@ -265,39 +276,79 @@ class ReductionSystem:
     # -- confluence -------------------------------------------------------------
 
     def check_confluence(self, known: int = 0) -> Confluent | Failing:
-        """Resolve every ambiguity of the rules.  Left sides are two letters,
-        none repeated, so these are only the overlaps a b c of left sides
-        a b and b c: no inclusion ambiguity exists.
+        """Resolve every ambiguity: left sides are two letters, none
+        repeated, so these are the overlaps u v w of left sides u v and v w.
 
-        An ambiguity with one-step results a and b is resolved by reducing
-        a - b in one pass.  Reduction is linear on any system (see the
-        module docstring), so a - b reduces to zero exactly when a and b
-        have the same normal form: the verdict and the first failing
-        ambiguity are those of reducing a and b apart.  Only a failure
-        reduces them apart, for the Failing witness.
+        An overlap is settled by degrees when the twist table holds (u, v),
+        (u, w) and (u, h) for each letter h of each word t of the rule
+        v w -> sum c_t t, and each such t (the empty word has degree 0) has
+        degree mu_v + mu_w.  Proof: each such h precedes u, so twist rules
+        move u to the right through both sides using words below u v w;
+        modulo I_{<uvw} the sides are mu_v mu_w sum c_t t u and
+        sum c_t mu_t t u, which agree: the overlap is resolvable relative to
+        <= (Bergman, Thm 1.2; an Ore extension by a graded automorphism,
+        Goodearl and Warfield, ch. 2).  Any other ambiguity, with one-step
+        results a and b, is resolved by reducing a - b once: reduction is
+        linear on any system, so that is zero exactly when a and b have the
+        same normal form.  ``known`` counts leading rules that already form
+        a certified system; ambiguities among them stay resolvable once
+        rules are added (Bergman), so they are skipped.
 
-        ``known`` counts leading rules that already form a certified system.
-        Their ambiguities among themselves stay resolvable once rules are
-        added (Bergman), so only ambiguities involving a later rule are
-        resolved.  On a disagreement the full scan runs, so the Failing
-        witness is the one a plain call returns.
+        On a failure every ambiguity is reduced again, since a settled
+        overlap may reduce to non-zero on a system that is not confluent:
+        the Failing witness is the first ambiguity whose sides have
+        different normal forms, with both.
         """
-        for word, a, b in self._ambiguities(known):
+        if next(self._unresolved(known, settle=True), None) is None:
+            self._certified = True
+            return Confluent()
+        word, a, b = next(self._unresolved(0, settle=False))
+        return Failing(word, self._reduce(a), self._reduce(b))
+
+    def _unresolved(self, known: int, settle: bool):
+        """Each ambiguity (word, a, b) from ``known`` on whose one-step results
+        reduce differently; ``settle`` skips overlaps settled by degrees."""
+        for word, rhs1, rhs2 in self._ambiguities(known):
+            if settle and self._settled(word, rhs2):
+                continue
+            a, b = self._one_step(word, rhs1, rhs2)
             diff = dict(a.terms)
-            for w, c in b.terms.items():
-                _add_term(diff, w, c.neg())
+            for t, c in b.terms.items():
+                _add_term(diff, t, c.neg())
             if self._reduce_terms(diff).terms:
-                if known:
-                    return self.check_confluence()
-                return Failing(word, self._reduce(a), self._reduce(b))
-        self._certified = True
-        return Confluent()
+                yield word, a, b
+
+    def _settled(self, word: Word, rhs: Element) -> bool:
+        """Whether degrees settle the overlap u v w whose rule v w has the
+        right side rhs (see ``check_confluence``)."""
+        u, v, w = word
+        tw = self._twists
+        if (u, v) not in tw or (u, w) not in tw:
+            return False
+        if (v, w) in tw:  # v w -> mu w v: its one word has degree mu_w + mu_v
+            return True
+        target = self._word_degree(u, (v, w))
+        return all(self._word_degree(u, t) == target for t in rhs.terms)
+
+    def _word_degree(self, u: int, t: Word, either: bool = False) -> tuple | None:
+        """The degree nu with u t = nu t u from the twist rules u h, or None;
+        with ``either``, also from h u (negated), and u twists itself by 1."""
+        total = [0] * (1 + self.group.rank)
+        for h in t:
+            if either and h == u:
+                continue
+            sign = -1 if either and h > u else 1
+            d = self._twists.get((h, u) if sign < 0 else (u, h))
+            if d is None:
+                return None
+            total = [x + sign * y for x, y in zip(total, d)]
+        total[0] %= self.group.torsion_order
+        return tuple(total)
 
     def _ambiguities(self, known: int):
         """Each overlap u v w of left sides u v (rule r1) and v w (rule r2)
-        as (u v w, r1 applied, r2 applied), ordered by the index of r1, then
-        of r2; a known r1 meets only later rules."""
-        ring = self.ring
+        as (u v w, right side of r1, right side of r2), ordered by the index
+        of r1, then of r2; a known r1 meets only later rules."""
         by_first: dict[int, list[tuple[int, Rule]]] = {}
         for j, rule in enumerate(self.rules):
             by_first.setdefault(rule.lhs[0], []).append((j, rule))
@@ -305,12 +356,14 @@ class ReductionSystem:
             u, v = r1.lhs
             start = known if i < known else 0
             for j, r2 in by_first.get(v, ()):
-                if j < start:
-                    continue
-                w = r2.lhs[1]
-                yield ((u, v, w),
-                       Element.of_terms(ring, {t + (w,): c for t, c in r1.rhs.terms.items()}),
-                       Element.of_terms(ring, {(u,) + t: c for t, c in r2.rhs.terms.items()}))
+                if j >= start:
+                    yield (u, v, r2.lhs[1]), r1.rhs, r2.rhs
+
+    def _one_step(self, word: Word, rhs1: Element, rhs2: Element) -> tuple[Element, Element]:
+        """The one-step results rhs1 w and u rhs2 of the overlap u v w."""
+        u, _, w = word
+        return (Element.of_terms(self.ring, {t + (w,): c for t, c in rhs1.terms.items()}),
+                Element.of_terms(self.ring, {(u,) + t: c for t, c in rhs2.terms.items()}))
 
     # -- normality and localization ---------------------------------------------
 
@@ -318,25 +371,39 @@ class ReductionSystem:
         """Per-letter scalars mu with el*g = mu*g*el, or None if not scalar-normal.
 
         Every letter is covered, inverse letters included, in letter order.
+        An inverse letter g^-1 (after g, with g g^-1 -> 1 and g^-1 g -> 1)
+        gets the inverse of g's scalar: g el = mu^-1 el g conjugates to
+        el g^-1 = mu^-1 g^-1 el.  A letter g twisted either way round against
+        every letter of the normal form nf, with one degree nu over its
+        words, has g nf = nu nf g: its scalar is nu^-1 once one reduction
+        shows nf g is non-zero.  Other letters reduce nf g and g nf apart.
         """
         if not self._certified:
             raise NotCertifiedError("confluence has not been certified for this system")
         nf = self._reduce(el)
         if nf.is_zero():
             return None
+        one = self.one()
         out: dict[str, Scalar] = {}
         for idx, name in enumerate(self.letters):
+            if idx and self._rhs.get((idx - 1, idx)) == one == self._rhs.get((idx, idx - 1)):
+                out[name] = out[self.letters[idx - 1]].inv()
+                continue
             g = Element.from_word(self.ring, (idx,))
             a = self._reduce(nf.concat(g))
+            if not a.terms:
+                return None
+            degrees = {self._word_degree(idx, t, either=True) for t in nf.terms}
+            if len(degrees) == 1 and None not in degrees:
+                nu = degrees.pop()
+                out[name] = Scalar(self.group, nu[0], nu[1:]).inv()
+                continue
             b = self._reduce(g.concat(nf))
-            if set(a.terms) != set(b.terms) or not a.terms:
+            if set(a.terms) != set(b.terms):
                 return None
             w0 = next(iter(a.terms))
-            ratio = a.terms[w0].mul(b.terms[w0].inv())
-            mu = coeff_to_scalar(ratio)
-            if mu is None:
-                return None
-            if a != b.scale(Coeff.from_scalar(self.ring, mu)):
+            mu = coeff_to_scalar(a.terms[w0].mul(b.terms[w0].inv()))
+            if mu is None or a != b.scale(Coeff.from_scalar(self.ring, mu)):
                 return None
             out[name] = mu
         return out
@@ -351,12 +418,12 @@ class ReductionSystem:
         inverse like a generator.  A plain generator gets only the inverse
         letter.
         """
-        twists = self.commutation_with_generators(el)
+        nf = self._reduce(el)
+        twists = self.commutation_with_generators(nf)
         if twists is None:
             raise NotNormalError("element does not commute with every generator "
                                  "up to a scalar")
         ring = self.ring
-        nf = self._reduce(el)
         lead = nf.leading_word()
         if len(nf.terms) == 1 and len(lead) == 1:
             if nf.terms[lead] != Coeff.one(ring):
@@ -375,7 +442,9 @@ class ReductionSystem:
         z_minus_tail = Element.from_word(ring, (z,)).sub(tail)
         rules.append(Rule(lead, z_minus_tail.scale(nf.terms[lead].inv())))
         z_label = label[:-3] if label.endswith("^-1") else label + "~"
-        with_z = ReductionSystem(self.group, self.letters + (z_label,), rules)
+        table = self._twists | {(z, h): (mu.torsion, *mu.free)
+                                for h, mu in enumerate(twists.values())}
+        with_z = ReductionSystem(self.group, self.letters + (z_label,), rules, table)
         return with_z._with_inverse(z, label, known=len(self.rules))
 
     def invert_generator(self, name: str, label: str | None = None) -> tuple["ReductionSystem", str]:
@@ -409,6 +478,7 @@ class ReductionSystem:
         rules = [Rule(shift(r.lhs), Element(ring, {shift(w): c for w, c in r.rhs.terms.items()}))
                  for r in self.rules]
         rules += [Rule((g, inv), self.one()), Rule((inv, g), self.one())]
+        table = {shift(pair): d for pair, d in self._twists.items()}
         for h, name in enumerate(self.letters):
             if h == g:
                 continue
@@ -418,15 +488,15 @@ class ReductionSystem:
                                      f"with {name!r} is not a twist")
             mu, c = tw
             h += h > g
-            if h > inv:
-                m = Coeff.from_scalar(ring, mu)
-                rules.append(Rule((h, inv), Element(ring, {(inv, h): m, (inv,): c})))
-            else:  # g^-1 h = mu^-1 h g^-1 - mu^-1 c g^-1
-                m = Coeff.from_scalar(ring, mu.inv())
-                rules.append(Rule((inv, h), Element(ring, {(h, inv): m,
-                                                           (inv,): m.mul(c).neg()})))
+            if h < inv:  # g^-1 h = mu^-1 h g^-1 - mu^-1 c g^-1
+                mu, c = mu.inv(), Coeff.from_scalar(ring, mu.inv()).mul(c).neg()
+            lhs = (h, inv) if h > inv else (inv, h)
+            rules.append(Rule(lhs, Element(ring, {lhs[::-1]: Coeff.from_scalar(ring, mu),
+                                                  (inv,): c})))
+            if c.is_zero():
+                table[lhs] = (mu.torsion, *mu.free)
         letters = self.letters[:inv] + (label,) + self.letters[inv:]
-        ext = ReductionSystem(self.group, letters, rules)
+        ext = ReductionSystem(self.group, letters, rules, table)
         verdict = ext.check_confluence(known)
         if isinstance(verdict, Failing):
             raise NotNormalError(f"inversion of {self.letters[g]!r} breaks confluence "
@@ -437,18 +507,17 @@ class ReductionSystem:
         """(mu, c) with g h = mu h g + c g, read off the rule of the pair, or
         None.  The rule must be a scalar twist (c = 0) or, with mu = 1, have
         the tail c g with c = 1 or -1: h counts g, [h, g] = -c g."""
+        d = self._word_degree(g, (h,), either=True) if g != h else None
+        if d is not None:
+            return Scalar(self.group, d[0], d[1:]), Coeff.zero(self.ring)
         hi, lo = max(g, h), min(g, h)
-        rhs = self._rhs.get((hi, lo))
-        if rhs is None or (lo, hi) not in rhs.terms:
+        rhs, one = self._rhs.get((hi, lo)), Coeff.one(self.ring)
+        if rhs is None or len(rhs.terms) != 2 or rhs.terms.get((lo, hi)) != one:
             return None
-        terms = dict(rhs.terms)
-        mu = coeff_to_scalar(terms.pop((lo, hi)))  # hi lo = mu lo hi + c g
-        c = terms.pop((g,), Coeff.zero(self.ring))
-        one = Coeff.one(self.ring)
-        if mu is None or terms or not (c.is_zero() or mu.is_one() and c in (one, one.neg())):
+        c = rhs.terms.get((g,))  # hi lo = lo hi + c g; with g earlier, h g = g h + c g
+        if c is None or c not in (one, one.neg()):
             return None
-        # With g earlier the rule reads h g = mu g h + c g, and mu = 1 when c != 0.
-        return (mu, c) if g == hi else (mu.inv(), c.neg())
+        return self.group.one(), (c if g == hi else c.neg())
 
 
 def build_reduction_system(group: ScalarGroup, generators: list[str],

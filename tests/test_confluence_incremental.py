@@ -7,7 +7,8 @@ fresh full scan.  The indexed ambiguity scan yields exactly what a
 brute-force scan over every rule pair and position yields, in the same
 order.  Resolving an ambiguity by one reduction of a - b gives the verdict
 and Failing witness of the two-sided reference, which reduces a and b
-apart and compares them.
+apart and compares them.  Overlaps settled by twist degrees and scalars
+read off the twist table agree with the same references.
 """
 import io
 import itertools
@@ -16,16 +17,17 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from qwalg.cli import main
-from qwalg.cyclo import Coeff
+from qwalg.cyclo import Coeff, CoeffRing, coeff_to_scalar
 from qwalg.presentation import (Additive, Eulerian, Multiplicative, Presentation,
                                 PresentationError, certified_system,
                                 system_from_presentation)
 from qwalg.qwa import ParseError, parse_presentation
 from qwalg.qweyl import QuantumWeylAlgebra, localize_to_mixed
-from qwalg.rewrite import Confluent, Element, Failing, ReductionSystem, Rule
+from qwalg.rewrite import (Confluent, Element, Failing, NotNormalError, ReductionSystem,
+                           Rule)
 from qwalg.scalars import ScalarGroup
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "qwalg" / "corpus"
@@ -163,8 +165,10 @@ def brute_force_ambiguities(s: ReductionSystem, known: int):
 
 
 def assert_same_ambiguities(s: ReductionSystem):
+    """The scan yields the brute-force words; the one-step results built
+    from its two rule right sides are the brute-force ones."""
     for known in sorted({0, 1, len(s.rules) // 2, len(s.rules)}):
-        got = list(s._ambiguities(known))
+        got = [(w, *s._one_step(w, r1, r2)) for w, r1, r2 in s._ambiguities(known)]
         expected = list(brute_force_ambiguities(s, known))
         assert [w for w, _, _ in got] == [w for w, _, _ in expected]
         assert all(a == ea and b == eb for (_, a, b), (_, ea, eb) in zip(got, expected))
@@ -198,8 +202,8 @@ def test_ambiguities_match_brute_force_on_localizations(e, extensions):
 def two_sided(s: ReductionSystem) -> Confluent | Failing:
     """The reference resolution: reduce both sides of every ambiguity apart
     and compare the two normal forms."""
-    for word, a, b in s._ambiguities(0):
-        a, b = s._reduce(a), s._reduce(b)
+    for word, r1, r2 in s._ambiguities(0):
+        a, b = (s._reduce(x) for x in s._one_step(word, r1, r2))
         if a != b:
             return Failing(word, a, b)
     return Confluent()
@@ -321,3 +325,220 @@ def test_reduce_is_linear_without_certification(a, b):
     a, b = (Element(ring, {w: Coeff.from_rational(ring, c) for w, c in x.items()})
             for x in (a, b))
     assert s._reduce(a.sub(b)) == s._reduce(a).sub(s._reduce(b))
+
+
+# -- overlaps settled by twist degrees ----------------------------------------
+
+
+def twisted_presentation(e: int, m: int, twists, pair: tuple[int, int], rel) -> Presentation:
+    """The largest generator twists each other one by zeta^a q^b (one (a, b)
+    per generator, b over the m free symbols); among the rest only ``pair``
+    has a relation, ``rel`` (a weight, a scalar (a, b) or "w")."""
+    group = ScalarGroup(e, ("q", "p")[:m], "zeta")
+    n = len(twists) + 1
+    items = [(i, n - 1, Multiplicative(group.scalar(a, b))) for i, (a, b) in enumerate(twists)]
+    if isinstance(rel, int):
+        items.append((*pair, Additive(rel)))
+    elif rel == "w":
+        items.append((*pair, Eulerian(pair[0])))
+    else:
+        items.append((*pair, Multiplicative(group.scalar(*rel))))
+    return Presentation.build(group, tuple(f"g{k}" for k in range(n)), items)
+
+
+@st.composite
+def twisted_presentations(draw):
+    e, m = draw(st.sampled_from((3, 4, 6, 12))), draw(st.integers(1, 2))
+    n = draw(st.integers(3, 5))
+    exps = st.tuples(st.integers(0, e - 1), st.tuples(*[st.integers(-1, 1)] * m))
+    twists = draw(st.lists(exps, min_size=n - 1, max_size=n - 1))
+    pair = tuple(sorted(draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=2,
+                                      unique=True))))
+    rel = draw(st.one_of(st.integers(-2, 2).filter(bool), st.just("w"), exps))
+    return twisted_presentation(e, m, twists, pair, rel)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twisted_presentations())
+def test_settled_overlaps_match_two_sided_on_twisted_presentations(p):
+    assert_matches_two_sided(system_from_presentation(p))
+
+
+@pytest.mark.parametrize("verdict", (Confluent, Failing))
+def test_twisted_presentations_reach_both_verdicts(verdict):
+    find(twisted_presentations(),
+         lambda p: isinstance(system_from_presentation(p).check_confluence(), verdict),
+         settings=settings(database=None))
+
+
+BAD2 = """\
+scalars { root zeta : 4 }
+generators b, c, a
+relations {
+  a b = zeta * b a
+  a c = zeta * c a
+  b c = c b + 1
+}
+"""
+
+
+def test_torsion_only_inhomogeneous_triangle_fails():
+    """In the overlap a c b, the rule c b -> b c - 1 has the word b c of
+    degree zeta^2, that of c b, and the empty word of degree 0: they agree
+    in the free part and differ only in the torsion."""
+    s = system_from_presentation(parse_presentation(BAD2))
+    verdict = assert_matches_two_sided(s)
+    assert isinstance(verdict, Failing)
+    assert s.format_word(verdict.word) == "a c b"
+
+
+def test_letter_outside_the_twist_table_is_reduced():
+    """d twists a and b with degrees summing to 0, and the rule b a -> a b + c
+    holds c, which d does not twist: the overlap d b a must be reduced, and
+    it fails (its two sides differ by a)."""
+    group = ScalarGroup(1, ("q",))
+    ring = CoeffRing(group)
+    one, q = Coeff.one(ring), Coeff.from_scalar(ring, group.free_gen("q"))
+    a, b, c, d = range(4)
+    rules = [Rule((b, a), Element(ring, {(a, b): one, (c,): one})),
+             Rule((d, a), Element(ring, {(a, d): q})),
+             Rule((d, b), Element(ring, {(b, d): q.inv()})),
+             Rule((d, c), Element(ring, {(c, d): one, (a,): one}))]
+    s = ReductionSystem(group, ("a", "b", "c", "d"), rules)
+    assert isinstance(assert_matches_two_sided(s), Failing)
+
+
+def identification_rules(s: ReductionSystem):
+    """Rules whose left side ascends and whose right side is not 1."""
+    return [r for r in s.rules if r.lhs[0] < r.lhs[1] and r.rhs != s.one()]
+
+
+@pytest.mark.parametrize("e", (1, 4))
+def test_identification_rule_with_z_on_the_right(e, extensions_with_known):
+    """Overlaps u v w whose rule v w is a localization's identification hold
+    Z, the largest letter, on the right, which no u < Z twists in the table:
+    they are reduced, and every extension agrees with the reference."""
+    for n in (2, 3):
+        for a in qweyl_grid(e, n):
+            localize_to_mixed(a)
+    seen = 0
+    for ext, known in extensions_with_known:
+        assert isinstance(assert_matches_two_sided(ext, known), Confluent)
+        for rule in identification_rules(ext):
+            z = max(w[0] for w in rule.rhs.terms if len(w) == 1)
+            assert z > max(rule.lhs)
+            for word, _, r2 in ext._ambiguities(0):
+                if word[1:] == rule.lhs and word[0] < z:
+                    assert not ext._settled(word, r2)
+                    seen += 1
+    assert seen
+
+
+def test_extension_carries_the_twist_table(extensions):
+    """The table an extension carries is the one read off its rules."""
+    for e in (1, 4, 12):
+        for a in qweyl_grid(e, 3):
+            localize_to_mixed(a)
+    for path in ("weyl_a11", "mixed_weyl_F", "quantum_plane"):
+        run(["embed", "mixed", str(CORPUS / f"{path}.qwa")])
+    assert extensions
+    for ext in extensions:
+        assert ext._twists == fresh(ext)._twists
+
+
+# -- normality read off the twist table ----------------------------------------
+
+
+def reference_commutation(s: ReductionSystem, el: Element):
+    """Two reductions per letter: nf g and g nf, compared up to a scalar."""
+    nf = s._reduce(el)
+    if nf.is_zero():
+        return None
+    out = {}
+    for idx, name in enumerate(s.letters):
+        g = Element.from_word(s.ring, (idx,))
+        a, b = s._reduce(nf.concat(g)), s._reduce(g.concat(nf))
+        if set(a.terms) != set(b.terms) or not a.terms:
+            return None
+        w0 = next(iter(a.terms))
+        mu = coeff_to_scalar(a.terms[w0].mul(b.terms[w0].inv()))
+        if mu is None or a != b.scale(Coeff.from_scalar(s.ring, mu)):
+            return None
+        out[name] = mu
+    return out
+
+
+def assert_same_commutation(s: ReductionSystem, el: Element):
+    got, expected = s.commutation_with_generators(el), reference_commutation(s, el)
+    assert got == expected
+    if got is not None:
+        assert list(got) == list(expected)
+    return got
+
+
+@pytest.mark.parametrize("e", (1, 4, 12))
+def test_commutation_matches_reference_on_localizations(e):
+    """Every z_i, scaled, and the adjoined letters and their inverses, in the
+    base system and in every intermediate extension."""
+    normal = 0
+    for n in (1, 2, 3):
+        for a in qweyl_grid(e, n):
+            s = a.system()
+            for i in [None] + a.quantum_indices:
+                if i is not None:
+                    s, _ = s.adjoin_inverse(a.z_element(s, i), f"z{i+1}^-1")
+                two = Coeff.from_rational(s.ring, 2)
+                els = [a.z_element(s, k) for k in range(n)]
+                els += [el.scale(two) for el in els[:1]]
+                els += [s.word(name) for name in s.letters if name.startswith("z")]
+                els += [s.word(name).concat(els[-1]) for name in s.letters[-1:]]
+                for el in els:
+                    normal += assert_same_commutation(s, el) is not None
+    assert normal
+
+
+def inverted_systems(s: ReductionSystem):
+    """s and its extension by the inverse of each letter that is normal."""
+    yield s
+    for name in s.letters:
+        try:
+            yield s.invert_generator(name)[0]
+        except NotNormalError:
+            pass
+
+
+def test_commutation_matches_reference_on_corpus():
+    """Random elements (mostly not normal), letters, scaled letters and
+    scaled constants of the corpus systems and their inverted generators."""
+    rng = random.Random(15)
+    outcomes = set()
+    for f in sorted(CORPUS.glob("*.qwa")):
+        try:
+            base = certified_system(parse_presentation(f.read_text()))
+        except (ParseError, PresentationError):
+            continue
+        for s in inverted_systems(base):
+            ring, k = s.ring, len(s.letters)
+            c = Coeff.from_rational(ring, rng.choice((-3, 2, 5)))
+            els = [s.one().scale(c)] + [s.word(name).scale(x) for name in s.letters
+                                         for x in (Coeff.one(ring), c)]
+            for _ in range(6):
+                words = [tuple(rng.randrange(k) for _ in range(rng.randint(0, 3)))
+                         for _ in range(rng.randint(1, 3))]
+                els.append(Element(ring, {w: Coeff.from_rational(ring, rng.choice((-1, 1, 2)))
+                                          for w in words}))
+            for el in els:
+                outcomes.add(assert_same_commutation(s, el) is None)
+    assert outcomes == {True, False}
+
+
+def test_commutation_of_a_nilpotent_letter():
+    """a a -> 0: the letter a twists itself by 1, yet a a is zero, so a is
+    not normal."""
+    group = ScalarGroup()
+    ring = CoeffRing(group)
+    s = ReductionSystem(group, ("a", "b"), [Rule((0, 0), Element(ring)),
+                                            Rule((1, 0), Element.from_word(ring, (0, 1)))])
+    assert isinstance(s.check_confluence(), Confluent)
+    assert assert_same_commutation(s, s.word("a")) is None
+    assert assert_same_commutation(s, s.word("b")) is not None
