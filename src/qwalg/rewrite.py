@@ -35,10 +35,17 @@ Most overlaps and normality scalars need no reduction: a twist table holds
 the degree of mu (torsion exponent mod e, then free exponents) for each rule
 u h -> mu h u with mu a scalar, and ``check_confluence`` and
 ``commutation_with_generators`` compare degrees (criteria and proofs there).
+An overlap u v w whose pairs (u, v), (v, w) and (u, w) are all in the table
+is settled outright, so certification visits only the candidates read off
+an index of loose pairs: rules outside the table and descending letter
+pairs with no twist rule.  An extension that appends its letters (every
+adjoined inverse) reuses the parent's rules, tables and index, and
+validates and indexes only what it adds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .cyclo import Coeff, CoeffRing, coeff_to_scalar
 from .scalars import Scalar, ScalarGroup
@@ -179,19 +186,62 @@ class ReductionSystem:
                  rules: list[Rule], twists: dict[Word, tuple] | None = None):
         self.group = group
         self.ring = CoeffRing(group)
-        self.letters = tuple(letters)
-        self.rules = list(rules)
+        self.letters: tuple[str, ...] = ()
+        self.rules: list[Rule] = []
         self._certified = False
         self._rhs: dict[Word, Element] = {}
-        for rule in self.rules:
-            self._validate_rule(rule)
-            self._rhs[rule.lhs] = rule.rhs
+        self._pos: dict[Word, int] = {}  # left side -> index of its rule
         # Twist table (u, h) -> degree of mu per rule u h -> mu h u; extensions pass theirs.
+        self._twists: dict[Word, tuple] = {}
+        # Loose pairs (a, b): outside the twist table, and a rule's left side
+        # or descending (a > b); indexed both ways, a -> {b} and b -> {a}.
+        self._loose_first: dict[int, frozenset] = {}
+        self._loose_second: dict[int, frozenset] = {}
+        self._grow(letters, rules, twists)
+
+    def _grow(self, letters, rules: list[Rule], twists: dict[Word, tuple] | None):
+        """Append letters and rules, validating only the new rules, with the
+        twist-table entries of the new rules (read off them when None).
+        Table entries join only with new rules, so the loose pairs to index
+        are those of the new rules and of the new letters.  (A pair with no
+        rule that later gets a twist rule stays indexed: that only adds
+        candidates, which the left criterion settles.)"""
+        old = len(self.letters)
+        self.letters += tuple(letters)
+        for rule in rules:
+            self._validate_rule(rule)
+            self._pos[rule.lhs] = len(self.rules)
+            self._rhs[rule.lhs] = rule.rhs
+            self.rules.append(rule)
         if twists is None:
-            twists = {lhs: (mu.torsion, *mu.free) for lhs, rhs in self._rhs.items()
-                      if rhs.terms.keys() == {lhs[::-1]}
-                      and (mu := coeff_to_scalar(rhs.terms[lhs[::-1]])) is not None}
-        self._twists = twists
+            twists = {r.lhs: (mu.torsion, *mu.free) for r in rules
+                      if r.rhs.terms.keys() == {r.lhs[::-1]}
+                      and (mu := coeff_to_scalar(r.rhs.terms[r.lhs[::-1]])) is not None}
+        tw = self._twists
+        tw.update(twists)
+        loose = [r.lhs for r in rules if r.lhs not in tw]
+        loose += [(a, b) for a in range(old, len(self.letters)) for b in range(a)
+                  if (a, b) not in tw]
+        firsts: dict[int, set] = {}
+        seconds: dict[int, set] = {}
+        for a, b in loose:
+            firsts.setdefault(a, set()).add(b)
+            seconds.setdefault(b, set()).add(a)
+        for index, added in ((self._loose_first, firsts), (self._loose_second, seconds)):
+            for x, ys in added.items():  # new sets: an extension shares the old ones
+                index[x] = index.get(x, frozenset()) | ys
+
+    def _extended(self, letters, rules: list[Rule], twists: dict[Word, tuple]) -> "ReductionSystem":
+        """This system with letters appended and rules added after its own,
+        with their twist-table entries: the parent's rules, tables and index
+        are reused, and only the new rules are validated and indexed."""
+        ext = ReductionSystem.__new__(ReductionSystem)
+        ext.group, ext.ring, ext.letters, ext._certified = self.group, self.ring, self.letters, False
+        ext.rules, ext._rhs, ext._pos = list(self.rules), dict(self._rhs), dict(self._pos)
+        ext._twists = dict(self._twists)
+        ext._loose_first, ext._loose_second = dict(self._loose_first), dict(self._loose_second)
+        ext._grow(letters, rules, twists)
+        return ext
 
     # -- construction helpers -------------------------------------------------
 
@@ -227,38 +277,45 @@ class ReductionSystem:
     # -- reduction -------------------------------------------------------------
 
     def _reduce(self, el: Element) -> Element:
-        return self._reduce_terms(dict(el.terms))
+        return self._reduce_terms(el.terms)
 
-    def _reduce_terms(self, pending: dict) -> Element:
-        """Reduce the sum of the non-zero terms in ``pending``, consuming it.
+    def _reduce_terms(self, terms: dict) -> Element:
+        """Reduce the sum of the non-zero terms in ``terms``.
 
         The deglex-largest word goes first and is rewritten at its leftmost
         redex, so the result is a linear function of the input on any
-        system, certified or not.
+        system, certified or not.  Pending words wait in buckets by length:
+        no rule lengthens a word, so the largest one is the plain tuple
+        maximum of the longest non-empty bucket.
         """
         rhs_of = self._rhs
         one = Coeff.one(self.ring).num
+        buckets: list[dict] = [{} for _ in range(max(map(len, terms), default=0) + 1)]
+        for w, c in terms.items():
+            buckets[len(w)][w] = c
         done: dict = {}
-        while pending:
-            if len(pending) == 1:
-                w, c = pending.popitem()
-            else:
-                w = max(pending, key=deglex_key)
-                c = pending.pop(w)
-            for pos in range(len(w) - 1):
-                rhs = rhs_of.get((w[pos], w[pos + 1]))
-                if rhs is not None:
-                    break
-            else:
-                # Words leave pending in decreasing order, so w is new here.
-                done[w] = c
-                continue
-            pre, post = w[:pos], w[pos + 2:]
-            for rw, rc in rhs.terms.items():
-                # Many rule coefficients are 1 (inverse pairs, commuting
-                # letters): the product is c itself.
-                _add_term(pending, pre + rw + post,
-                          c if rc.num == one and not rc.den else c.mul(rc))
+        for pending in reversed(buckets):
+            while pending:
+                if len(pending) == 1:
+                    w, c = pending.popitem()
+                else:
+                    w = max(pending)
+                    c = pending.pop(w)
+                for pos in range(len(w) - 1):
+                    rhs = rhs_of.get((w[pos], w[pos + 1]))
+                    if rhs is not None:
+                        break
+                else:
+                    # Words leave in decreasing order, so w is new here.
+                    done[w] = c
+                    continue
+                pre, post = w[:pos], w[pos + 2:]
+                for rw, rc in rhs.terms.items():
+                    # Many rule coefficients are 1 (inverse pairs, commuting
+                    # letters): the product is c itself.
+                    v = pre + rw + post
+                    _add_term(buckets[len(v)], v,
+                              c if rc.num == one and not rc.den else c.mul(rc))
         return Element.of_terms(self.ring, done)
 
     def normal_form(self, el: Element) -> Element:
@@ -279,38 +336,59 @@ class ReductionSystem:
         """Resolve every ambiguity: left sides are two letters, none
         repeated, so these are the overlaps u v w of left sides u v and v w.
 
-        An overlap is settled by degrees when the twist table holds (u, v),
-        (u, w) and (u, h) for each letter h of each word t of the rule
-        v w -> sum c_t t, and each such t (the empty word has degree 0) has
-        degree mu_v + mu_w.  Proof: each such h precedes u, so twist rules
-        move u to the right through both sides using words below u v w;
-        modulo I_{<uvw} the sides are mu_v mu_w sum c_t t u and
-        sum c_t mu_t t u, which agree: the overlap is resolvable relative to
-        <= (Bergman, Thm 1.2; an Ore extension by a graded automorphism,
-        Goodearl and Warfield, ch. 2).  Any other ambiguity, with one-step
-        results a and b, is resolved by reducing a - b once: reduction is
-        linear on any system, so that is zero exactly when a and b have the
-        same normal form.  ``known`` counts leading rules that already form
-        a certified system; ambiguities among them stay resolvable once
-        rules are added (Bergman), so they are skipped.
+        Two degree criteria settle an overlap without a reduction.
 
-        On a failure every ambiguity is reduced again, since a settled
-        overlap may reduce to non-zero on a system that is not confluent:
-        the Failing witness is the first ambiguity whose sides have
-        different normal forms, with both.
+        Left: the twist table holds (u, v), (u, w) and (u, h) for each letter
+        h of each word t of the rule v w -> sum c_t t, and each such t (the
+        empty word has degree 0) has degree mu_uv + mu_uw.  Proof: each such
+        h precedes u, so twist rules move u to the right through both sides
+        using words below u v w; modulo I_{<uvw} the sides are
+        mu_uv mu_uw sum c_t t u and sum c_t mu_t t u, which agree: the overlap
+        is resolvable relative to <= (Bergman, Thm 1.2; an Ore extension by a
+        graded automorphism, Goodearl and Warfield, ch. 2).
+
+        Mirror: the table holds (u, w), (v, w) and (h, w) for each letter h
+        of each word t of the rule u v -> sum c_t t, and each such t has
+        w-degree mu_uw + mu_vw (the empty word 0).  Proof: the sides are
+        sum c_t t w and mu_vw u w v.  Moving w to the left uses only words
+        below u v w: w precedes u, v and each h, u w v and w u v are below
+        u v w, and t w is below it since t is below u v.  So modulo I_{<uvw}
+        the sides are sum c_t mu_t w t and mu_vw mu_uw w u v =
+        mu_vw mu_uw sum c_t w t, which agree.
+
+        An overlap whose pairs (u, v), (v, w) and (u, w) are all in the table
+        is settled by the left criterion (v w -> mu w v has one word, of
+        degree mu_uv + mu_uw), so only the others are visited: each has a
+        loose pair, and ``_candidates`` reads them off the loose-pair index.
+        Any other ambiguity, with one-step results a and b, is resolved by
+        reducing a - b once: reduction is linear on any system, so that is
+        zero exactly when a and b have the same normal form.  ``known``
+        counts leading rules that already form a certified system;
+        ambiguities among them stay resolvable once rules are added
+        (Bergman), so they are skipped.
+
+        On a failure every ambiguity of the full scan is reduced again,
+        since a settled overlap may reduce to non-zero on a system that is
+        not confluent: the Failing witness is the first ambiguity whose
+        sides have different normal forms, with both.
         """
-        if next(self._unresolved(known, settle=True), None) is None:
+        if next(self._unresolved(self._unsettled(known)), None) is None:
             self._certified = True
             return Confluent()
-        word, a, b = next(self._unresolved(0, settle=False))
+        word, a, b = next(self._unresolved(self._ambiguities(0)))
         return Failing(word, self._reduce(a), self._reduce(b))
 
-    def _unresolved(self, known: int, settle: bool):
-        """Each ambiguity (word, a, b) from ``known`` on whose one-step results
-        reduce differently; ``settle`` skips overlaps settled by degrees."""
-        for word, rhs1, rhs2 in self._ambiguities(known):
-            if settle and self._settled(word, rhs2):
-                continue
+    def _unsettled(self, known: int):
+        """The candidate overlaps from ``known`` that neither degree
+        criterion settles, as (u v w, right side of u v, of v w)."""
+        for word, rhs1, rhs2 in self._candidates(known):
+            if not (self._settled(word, rhs2) or self._mirrored(word, rhs1)):
+                yield word, rhs1, rhs2
+
+    def _unresolved(self, overlaps):
+        """Each of the overlaps as (word, a, b) whose one-step results a and
+        b reduce differently."""
+        for word, rhs1, rhs2 in overlaps:
             a, b = self._one_step(word, rhs1, rhs2)
             diff = dict(a.terms)
             for t, c in b.terms.items():
@@ -330,20 +408,65 @@ class ReductionSystem:
         target = self._word_degree(u, (v, w))
         return all(self._word_degree(u, t) == target for t in rhs.terms)
 
-    def _word_degree(self, u: int, t: Word, either: bool = False) -> tuple | None:
+    def _mirrored(self, word: Word, rhs: Element) -> bool:
+        """Whether degrees settle the overlap u v w whose rule u v has the
+        right side rhs, moving w to the left (see ``check_confluence``)."""
+        u, v, w = word
+        tw = self._twists
+        if (u, w) not in tw or (v, w) not in tw:
+            return False
+        target = self._word_degree(w, (u, v), right=True)
+        return all(self._word_degree(w, t, right=True) == target for t in rhs.terms)
+
+    def _word_degree(self, u: int, t: Word, either: bool = False,
+                     right: bool = False) -> tuple | None:
         """The degree nu with u t = nu t u from the twist rules u h, or None;
-        with ``either``, also from h u (negated), and u twists itself by 1."""
-        total = [0] * (1 + self.group.rank)
+        with ``right``, nu with t u = nu u t from the rules h u; with
+        ``either``, from both (h u negated), and u twists itself by 1."""
+        tw, total = self._twists, None
         for h in t:
             if either and h == u:
                 continue
-            sign = -1 if either and h > u else 1
-            d = self._twists.get((h, u) if sign < 0 else (u, h))
+            flip = right or (either and h > u)
+            d = tw.get((h, u) if flip else (u, h))
             if d is None:
                 return None
-            total = [x + sign * y for x, y in zip(total, d)]
-        total[0] %= self.group.torsion_order
-        return tuple(total)
+            if either and flip:
+                d = tuple(-x for x in d)
+            total = d if total is None else tuple(map(add, total, d))
+        if total is None:
+            return (0,) * (1 + self.group.rank)
+        return (total[0] % self.group.torsion_order, *total[1:])
+
+    def _candidates(self, known: int):
+        """The overlaps of ``_ambiguities(known)``, in its order, that have a
+        loose pair among (u, v), (v, w) and (u, w): each holds a rule from
+        ``known``, found from that rule through the loose-pair index.  A
+        twist rule u v meets v w only with v w or u w loose; a twist rule
+        v w meets u v only with u v or u w loose (both twists force
+        u > v > w, so u w is descending); a loose rule meets every rule."""
+        rules, pos, tw = self.rules, self._pos, self._twists
+        first, second = self._loose_first, self._loose_second
+        none = frozenset()
+        found = set()
+        for k in range(known, len(rules)):
+            a, b = lhs = rules[k].lhs
+            if lhs in tw:
+                ws = first.get(b, none) | first.get(a, none)
+                us = second.get(a, none) | second.get(b, none)
+            else:
+                ws = us = range(len(self.letters))
+            for w in ws:
+                j = pos.get((b, w))
+                if j is not None:
+                    found.add((k, j))
+            for u in us:
+                i = pos.get((u, a))
+                if i is not None:
+                    found.add((i, k))
+        for i, j in sorted(found):
+            r1, r2 = rules[i], rules[j]
+            yield (*r1.lhs, r2.lhs[1]), r1.rhs, r2.rhs
 
     def _ambiguities(self, known: int):
         """Each overlap u v w of left sides u v (rule r1) and v w (rule r2)
@@ -434,17 +557,15 @@ class ReductionSystem:
             raise NotNormalError("cannot invert an element whose leading word "
                                  "is not two letters unless it is a plain generator")
         z = len(self.letters)
-        rules = self.rules + [
-            Rule((z, h), Element.from_word(ring, (h, z), Coeff.from_scalar(ring, mu)))
-            for h, mu in enumerate(twists.values())]
+        rules = [Rule((z, h), Element.from_word(ring, (h, z), Coeff.from_scalar(ring, mu)))
+                 for h, mu in enumerate(twists.values())]
         # Identification: lead -> c_lead^{-1} (Z - tail).
         tail = Element(ring, {w: c for w, c in nf.terms.items() if w != lead})
         z_minus_tail = Element.from_word(ring, (z,)).sub(tail)
         rules.append(Rule(lead, z_minus_tail.scale(nf.terms[lead].inv())))
         z_label = label[:-3] if label.endswith("^-1") else label + "~"
-        table = self._twists | {(z, h): (mu.torsion, *mu.free)
-                                for h, mu in enumerate(twists.values())}
-        with_z = ReductionSystem(self.group, self.letters + (z_label,), rules, table)
+        table = {(z, h): (mu.torsion, *mu.free) for h, mu in enumerate(twists.values())}
+        with_z = self._extended((z_label,), rules, table)
         return with_z._with_inverse(z, label, known=len(self.rules))
 
     def invert_generator(self, name: str, label: str | None = None) -> tuple["ReductionSystem", str]:
@@ -471,14 +592,8 @@ class ReductionSystem:
         oriented by the letter order.
         """
         ring, inv = self.ring, g + 1
-
-        def shift(w: Word) -> Word:
-            return tuple(i + (i > g) for i in w)
-
-        rules = [Rule(shift(r.lhs), Element(ring, {shift(w): c for w, c in r.rhs.terms.items()}))
-                 for r in self.rules]
-        rules += [Rule((g, inv), self.one()), Rule((inv, g), self.one())]
-        table = {shift(pair): d for pair, d in self._twists.items()}
+        rules = [Rule((g, inv), self.one()), Rule((inv, g), self.one())]
+        table = {}
         for h, name in enumerate(self.letters):
             if h == g:
                 continue
@@ -495,8 +610,17 @@ class ReductionSystem:
                                                   (inv,): c})))
             if c.is_zero():
                 table[lhs] = (mu.torsion, *mu.free)
-        letters = self.letters[:inv] + (label,) + self.letters[inv:]
-        ext = ReductionSystem(self.group, letters, rules, table)
+        if inv == len(self.letters):  # g is last: nothing moves
+            ext = self._extended((label,), rules, table)
+        else:
+            def shift(w: Word) -> Word:
+                return tuple(i + (i > g) for i in w)
+
+            old = [Rule(shift(r.lhs), Element(ring, {shift(w): c for w, c in r.rhs.terms.items()}))
+                   for r in self.rules]
+            table |= {shift(pair): d for pair, d in self._twists.items()}
+            letters = self.letters[:inv] + (label,) + self.letters[inv:]
+            ext = ReductionSystem(self.group, letters, old + rules, table)
         verdict = ext.check_confluence(known)
         if isinstance(verdict, Failing):
             raise NotNormalError(f"inversion of {self.letters[g]!r} breaks confluence "

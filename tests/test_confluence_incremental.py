@@ -7,8 +7,12 @@ fresh full scan.  The indexed ambiguity scan yields exactly what a
 brute-force scan over every rule pair and position yields, in the same
 order.  Resolving an ambiguity by one reduction of a - b gives the verdict
 and Failing witness of the two-sided reference, which reduces a and b
-apart and compares them.  Overlaps settled by twist degrees and scalars
-read off the twist table agree with the same references.
+apart and compares them.  Overlaps settled by twist degrees (moving the
+first letter right or the last letter left) and scalars read off the twist
+table agree with the same references.  The candidate scan leaves the same
+unsettled overlaps, in the same order, as the full scan; extensions built
+in place equal fully validated systems; reduction by length buckets
+matches a deglex-key reducer term for term and in order.
 """
 import io
 import itertools
@@ -27,7 +31,7 @@ from qwalg.presentation import (Additive, Eulerian, Multiplicative, Presentation
 from qwalg.qwa import ParseError, parse_presentation
 from qwalg.qweyl import QuantumWeylAlgebra, localize_to_mixed
 from qwalg.rewrite import (Confluent, Element, Failing, NotNormalError, ReductionSystem,
-                           Rule)
+                           Rule, RuleError, deglex_key)
 from qwalg.scalars import ScalarGroup
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "qwalg" / "corpus"
@@ -542,3 +546,291 @@ def test_commutation_of_a_nilpotent_letter():
     assert isinstance(s.check_confluence(), Confluent)
     assert assert_same_commutation(s, s.word("a")) is None
     assert assert_same_commutation(s, s.word("b")) is not None
+
+
+# -- the candidate scan against the full scan ---------------------------------
+
+
+def unsettled_by_full_scan(s: ReductionSystem, known: int):
+    """The full scan with both degree criteria applied to every overlap."""
+    return [(w, r1, r2) for w, r1, r2 in s._ambiguities(known)
+            if not (s._settled(w, r2) or s._mirrored(w, r1))]
+
+
+def assert_candidate_parity(s: ReductionSystem, known: int):
+    """The candidate scan plus the settle checks leaves the same overlaps,
+    in the same order, as the full scan plus the same checks; every overlap
+    it skips has its three pairs in the twist table."""
+    got = list(s._unsettled(known))
+    expected = unsettled_by_full_scan(s, known)
+    assert [w for w, _, _ in got] == [w for w, _, _ in expected]
+    assert all(r1 is e1 and r2 is e2 for (_, r1, r2), (_, e1, e2) in zip(got, expected))
+    visited = {w for w, _, _ in s._candidates(known)}
+    for (u, v, w), _, _ in s._ambiguities(known):
+        if (u, v, w) not in visited:
+            assert {(u, v), (v, w), (u, w)} <= s._twists.keys()
+
+
+def test_candidate_scan_matches_full_scan_on_corpus():
+    checked = 0
+    for f in sorted(CORPUS.glob("*.qwa")):
+        try:
+            s = system_from_presentation(parse_presentation(f.read_text()))
+        except ParseError:
+            continue  # a quantum Weyl file, not a presentation
+        for known in sorted({0, 1, len(s.rules) // 2, len(s.rules)}):
+            assert_candidate_parity(s, known)
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("e", (1, 4, 12))
+def test_candidate_scan_matches_full_scan_on_localizations(e, extensions_with_known):
+    for n in (1, 2, 3):
+        for a in qweyl_grid(e, n):
+            localize_to_mixed(a)
+            assert_candidate_parity(a.system(), 0)
+    assert extensions_with_known
+    for ext, known in extensions_with_known:
+        assert_candidate_parity(ext, known)
+        assert_candidate_parity(ext, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(twisted_presentations())
+def test_candidate_scan_matches_full_scan_on_twisted_presentations(p):
+    s = system_from_presentation(p)
+    for known in (0, len(s.rules) // 2):
+        assert_candidate_parity(s, known)
+
+
+def test_overlap_with_a_pair_without_rule_is_visited():
+    """c b and b a are twist rules but c a has no rule at all: the overlap
+    c b a is a candidate, and it fails (b c a against c a b)."""
+    group = ScalarGroup(1, ("q",))
+    ring = CoeffRing(group)
+    q = Coeff.from_scalar(ring, group.free_gen("q"))
+    a, b, c = range(3)
+    ba, cb = (Rule((b, a), Element(ring, {(a, b): q})),
+              Rule((c, b), Element(ring, {(b, c): q})))
+    # Either rule may be the known one: the new one finds the overlap.
+    for rules in ([ba, cb], [cb, ba]):
+        s = ReductionSystem(group, ("a", "b", "c"), rules)
+        for known in (0, 1):
+            assert [w for w, _, _ in s._candidates(known)] == [(c, b, a)]
+            assert_candidate_parity(s, known)
+        verdict = assert_matches_two_sided(s, 1)
+        assert isinstance(verdict, Failing) and verdict.word == (c, b, a)
+
+
+# -- overlaps settled by moving the last letter to the left --------------------
+
+
+TRIANGLE = """\
+scalars {{ root zeta : 4 }}
+generators a, b, c
+relations {{
+  b a = zeta * a b
+  c a = {ca} * a c
+  c b = b c + 1
+}}
+"""
+
+
+def test_mirror_triangle_is_inadmissible():
+    """In the overlap c b a, a is twisted by b and c with degrees summing to
+    zeta^2, but the constant of c b -> b c + 1 has degree 0."""
+    text = TRIANGLE.format(ca="zeta")
+    s = system_from_presentation(parse_presentation(text))
+    verdict = assert_matches_two_sided(s)
+    assert isinstance(verdict, Failing)
+    assert s.format_word(verdict.word) == "c b a"
+    assert not s._mirrored(verdict.word, s._rhs[verdict.word[:2]])
+
+
+def test_mirror_triangle_twin_is_settled_without_a_reduction():
+    """With c a = zeta^3 a c the degrees of a sum to 0: the overlap c b a is
+    settled by the mirror criterion alone."""
+    s = system_from_presentation(parse_presentation(TRIANGLE.format(ca="zeta^3")))
+    [(word, r1, r2)] = list(s._ambiguities(0))
+    assert s.format_word(word) == "c b a"
+    assert not s._settled(word, r2) and s._mirrored(word, r1)
+    assert list(s._unsettled(0)) == []
+    assert isinstance(assert_matches_two_sided(s), Confluent)
+
+
+def test_mirror_triangle_through_the_cli(tmp_path):
+    for ca, rc, lines in (("zeta", 1, ("confluent=false", "witness=(b,c,a)")),
+                          ("zeta^3", 0, ("confluent=true",))):
+        path = tmp_path / f"triangle_{ca.replace('^', '')}.qwa"
+        path.write_text(TRIANGLE.format(ca=ca))
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert main(["check", str(path)]) == rc
+        for line in lines:
+            assert line in out.getvalue().splitlines()
+
+
+def mirrored_presentation(e: int, m: int, twists, pair: tuple[int, int], rel) -> Presentation:
+    """Each generator but the smallest twists the smallest by zeta^a q^b;
+    among the rest only ``pair`` has a relation, ``rel`` (a weight, a scalar
+    (a, b) or "w")."""
+    group = ScalarGroup(e, ("q", "p")[:m], "zeta")
+    n = len(twists) + 1
+    items = [(i + 1, 0, Multiplicative(group.scalar(a, b))) for i, (a, b) in enumerate(twists)]
+    if isinstance(rel, int):
+        items.append((*pair, Additive(rel)))
+    elif rel == "w":
+        items.append((*pair, Eulerian(pair[0])))
+    else:
+        items.append((*pair, Multiplicative(group.scalar(*rel))))
+    return Presentation.build(group, tuple(f"g{k}" for k in range(n)), items)
+
+
+@st.composite
+def mirrored_presentations(draw):
+    e, m = draw(st.sampled_from((3, 4, 6, 12))), draw(st.integers(1, 2))
+    n = draw(st.integers(3, 5))
+    exps = st.tuples(st.integers(0, e - 1), st.tuples(*[st.integers(-1, 1)] * m))
+    twists = draw(st.lists(exps, min_size=n - 1, max_size=n - 1))
+    pair = tuple(sorted(draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2,
+                                      unique=True))))
+    rel = draw(st.one_of(st.integers(-2, 2).filter(bool), st.just("w"), exps))
+    return mirrored_presentation(e, m, twists, pair, rel)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mirrored_presentations())
+def test_mirrored_overlaps_match_two_sided(p):
+    s = system_from_presentation(p)
+    assert_matches_two_sided(s)
+    assert_candidate_parity(s, 0)
+
+
+@pytest.mark.parametrize("verdict", (Confluent, Failing))
+def test_mirrored_presentations_reach_both_verdicts(verdict):
+    find(mirrored_presentations(),
+         lambda p: isinstance(system_from_presentation(p).check_confluence(), verdict),
+         settings=settings(database=None))
+
+
+def test_mirrored_presentations_settle_overlaps_by_the_mirror():
+    """Some presentation of the strategy has an overlap that only the
+    mirror criterion settles."""
+    def mirror_only(p):
+        s = system_from_presentation(p)
+        return any(s._mirrored(w, r1) and not s._settled(w, r2)
+                   for w, r1, r2 in s._ambiguities(0))
+    find(mirrored_presentations(), mirror_only, settings=settings(database=None))
+
+
+# -- extensions built in place -------------------------------------------------
+
+
+def assert_same_as_fully_validated(ext: ReductionSystem):
+    full = ReductionSystem(ext.group, ext.letters, ext.rules)
+    assert full.rules == ext.rules
+    assert full._rhs == ext._rhs and list(full._rhs) == list(ext._rhs)
+    assert full._twists == ext._twists
+    assert full._pos == ext._pos
+    assert full._loose_first == ext._loose_first
+    assert full._loose_second == ext._loose_second
+
+
+def test_extensions_match_fully_validated_systems(extensions):
+    for e in (1, 4, 12):
+        for n in (1, 2, 3):
+            for a in qweyl_grid(e, n):
+                localize_to_mixed(a)
+    for f in sorted(CORPUS.glob("*.qwa")):
+        run(["embed", "mixed", str(f)])
+    for f in sorted(CORPUS.glob("*.qwa")):
+        try:
+            base = certified_system(parse_presentation(f.read_text()))
+        except (ParseError, PresentationError):
+            continue
+        list(inverted_systems(base))
+    # Inverses of Z letters and of last generators are built in place,
+    # inverses of other generators take the shifting path.
+    assert {ext.letters[-1].endswith("^-1") for ext in extensions} == {True, False}
+    for ext in extensions:
+        assert_same_as_fully_validated(ext)
+
+
+def test_extension_in_place_refuses_bad_rules():
+    """A reused parent still refuses a repeated left side, a right side that
+    is not smaller and a left side of the wrong length, and is left as it
+    was."""
+    parent = certified_system(parse_presentation(SPACE))
+    ring, rules = parent.ring, list(parent.rules)
+    a, b, c = (parent.index(x) for x in "abc")
+    one = Coeff.one(ring)
+    for bad in (Rule((b, a), Element(ring, {(a, b): one})),
+                Rule((a, b), Element(ring, {(b, a): one})),
+                Rule((a, b, c), Element(ring, {(a,): one}))):
+        with pytest.raises(RuleError):
+            parent._extended((), [bad], {})
+        assert parent.rules == rules and len(parent._rhs) == len(rules)
+    with pytest.raises(RuleError):
+        parent._extended(("d",), [Rule((3, a), Element.from_word(ring, (a, 3))),
+                                  Rule((3, a), Element.from_word(ring, (a,)))], {})
+    assert parent.letters == ("a", "b", "c") and parent.rules == rules
+
+
+# -- pending words by length against the deglex-key reducer --------------------
+
+
+def reference_reduce(s: ReductionSystem, el: Element) -> Element:
+    """Reduction picking each next word with max(pending, key=deglex_key)."""
+    pending = dict(el.terms)
+    done = {}
+    while pending:
+        w = max(pending, key=deglex_key)
+        c = pending.pop(w)
+        for pos in range(len(w) - 1):
+            rhs = s._rhs.get((w[pos], w[pos + 1]))
+            if rhs is not None:
+                break
+        else:
+            done[w] = c
+            continue
+        for rw, rc in rhs.terms.items():
+            v = w[:pos] + rw + w[pos + 2:]
+            total = pending[v].add(c.mul(rc)) if v in pending else c.mul(rc)
+            if total.is_zero():
+                pending.pop(v, None)
+            else:
+                pending[v] = total
+    return Element.of_terms(s.ring, done)
+
+
+def assert_same_reduction(s: ReductionSystem, rng: random.Random, count: int):
+    ring, k = s.ring, len(s.letters)
+    for _ in range(count):
+        words = [tuple(rng.randrange(k) for _ in range(rng.randint(0, 5)))
+                 for _ in range(rng.randint(1, 6))]
+        el = Element(ring, {w: Coeff.from_rational(ring, rng.choice((-2, -1, 1, 3)))
+                            for w in words})
+        got, expected = s._reduce(el), reference_reduce(s, el)
+        assert got == expected
+        assert list(got.terms) == list(expected.terms)
+
+
+def test_reduction_order_matches_deglex_key_reducer():
+    rng = random.Random(16)
+    systems = []
+    for f in sorted(CORPUS.glob("*.qwa")):
+        try:
+            systems.append(certified_system(parse_presentation(f.read_text())))
+        except (ParseError, PresentationError):
+            continue
+    for e in (1, 4):
+        for a in qweyl_grid(e, 3):
+            systems.append(a.system())
+            s = a.system()
+            for i in a.quantum_indices:
+                s, _ = s.adjoin_inverse(a.z_element(s, i), f"z{i+1}^-1")
+                systems.append(s)
+    assert len(systems) > 20
+    for s in systems:
+        assert_same_reduction(s, rng, 8)
