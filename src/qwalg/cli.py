@@ -252,6 +252,8 @@ def cmd_qweyl_localize(args, a):
         "relations_checked": res.relations_checked,
         "verified": "true",
     }
+    # "Reduced to zero": each relation's defect has normal form zero, shown
+    # by a reduction or by twist degrees (see verify_homomorphism).
     return 0, machine, [f"localization: canonical mixed algebra n={res.canonical.n} "
                         f"r={res.canonical.r}",
                         f"{res.relations_checked} relations reduced to zero"]

@@ -40,7 +40,7 @@ class QuantumWeylAlgebra:
         self.qs = qs
         self.lam = tuple(tuple(row) for row in lam)
         QuantumTorus(group, self.lam)  # antisymmetry check
-        self._system = self._build_system()
+        self._system: ReductionSystem | None = None  # built by the first system()
 
     @staticmethod
     def from_spec(spec: QWeylSpec) -> "QuantumWeylAlgebra":
@@ -93,6 +93,10 @@ class QuantumWeylAlgebra:
         return sys
 
     def system(self) -> ReductionSystem:
+        """The certified reduction system, built on first use: the
+        invariants and equivalence checks read only the parameters."""
+        if self._system is None:
+            self._system = self._build_system()
         return self._system
 
     def z_element(self, sys: ReductionSystem, i: int) -> Element:
@@ -156,8 +160,8 @@ def localize_to_mixed(a: QuantumWeylAlgebra) -> LocalizationResult:
 
     Each z with q != 1 is confirmed scalar-normal, its inverse adjoined with
     re-certified confluence, and every relation of the canonical
-    presentation is reduced to zero on the generator images
-    x'_j = z_(prev j)^{-1} x_j and z'_i = z_(prev i)^{-1} z_i.
+    presentation is checked on the generator images x'_j = z_(prev j)^{-1} x_j
+    and z'_i = z_(prev i)^{-1} z_i: its defect has normal form zero.
     """
     sys = a.system()
     jj = a.weyl_indices

@@ -35,6 +35,13 @@ Most overlaps and normality scalars need no reduction: a twist table holds
 the degree of mu (torsion exponent mod e, then free exponents) for each rule
 u h -> mu h u with mu a scalar, and ``check_confluence`` and
 ``commutation_with_generators`` compare degrees (criteria and proofs there).
+The left overlap criterion may turn a one-letter word above u round through
+its twist rule, which settles a localization's identification overlaps with
+Z on the right; a letter that moves through a normal form by twist rules
+alone needs no reduction to show the product is non-zero.  Each system
+memoizes the degrees of letters on words.  ``exchange_degree`` gives nu with
+u t = nu t u for two words, which settles a relation of a generator map
+whose images are single words without a reduction.
 An overlap u v w whose pairs (u, v), (v, w) and (u, w) are all in the table
 is settled outright, so certification visits only the candidates read off
 an index of loose pairs: rules outside the table and descending letter
@@ -197,6 +204,7 @@ class ReductionSystem:
         # or descending (a > b); indexed both ways, a -> {b} and b -> {a}.
         self._loose_first: dict[int, frozenset] = {}
         self._loose_second: dict[int, frozenset] = {}
+        self._degrees: dict[tuple, tuple | None] = {}  # memo of ``_word_degree``
         self._grow(letters, rules, twists)
 
     def _grow(self, letters, rules: list[Rule], twists: dict[Word, tuple] | None):
@@ -240,6 +248,7 @@ class ReductionSystem:
         ext.rules, ext._rhs, ext._pos = list(self.rules), dict(self._rhs), dict(self._pos)
         ext._twists = dict(self._twists)
         ext._loose_first, ext._loose_second = dict(self._loose_first), dict(self._loose_second)
+        ext._degrees = {}
         ext._grow(letters, rules, twists)
         return ext
 
@@ -339,13 +348,19 @@ class ReductionSystem:
         Two degree criteria settle an overlap without a reduction.
 
         Left: the twist table holds (u, v), (u, w) and (u, h) for each letter
-        h of each word t of the rule v w -> sum c_t t, and each such t (the
-        empty word has degree 0) has degree mu_uv + mu_uw.  Proof: each such
-        h precedes u, so twist rules move u to the right through both sides
-        using words below u v w; modulo I_{<uvw} the sides are
+        h of each word t of the rule v w -> sum c_t t, except that a
+        one-letter word t = h with h > u may hold (h, u) instead, turned
+        round (u h = mu^-1 h u); and each such t (the empty word has
+        degree 0) has degree mu_uv + mu_uw.  Proof: each h of a longer word
+        precedes u, so twist rules move u to the right through both sides
+        using words below u v w; a one-letter h > u turns round through the
+        rule h u -> mu u h, whose words u h and h u are shorter than u v w.
+        So modulo I_{<uvw} the sides are
         mu_uv mu_uw sum c_t t u and sum c_t mu_t t u, which agree: the overlap
         is resolvable relative to <= (Bergman, Thm 1.2; an Ore extension by a
-        graded automorphism, Goodearl and Warfield, ch. 2).
+        graded automorphism, Goodearl and Warfield, ch. 2).  This settles
+        the identification overlaps u v w of a localization, whose rule
+        v w holds the new letter Z above u.
 
         Mirror: the table holds (u, w), (v, w) and (h, w) for each letter h
         of each word t of the rule u v -> sum c_t t, and each such t has
@@ -406,7 +421,7 @@ class ReductionSystem:
         if (v, w) in tw:  # v w -> mu w v: its one word has degree mu_w + mu_v
             return True
         target = self._word_degree(u, (v, w))
-        return all(self._word_degree(u, t) == target for t in rhs.terms)
+        return all(self._word_degree(u, t, either=len(t) == 1) == target for t in rhs.terms)
 
     def _mirrored(self, word: Word, rhs: Element) -> bool:
         """Whether degrees settle the overlap u v w whose rule u v has the
@@ -422,7 +437,16 @@ class ReductionSystem:
                      right: bool = False) -> tuple | None:
         """The degree nu with u t = nu t u from the twist rules u h, or None;
         with ``right``, nu with t u = nu u t from the rules h u; with
-        ``either``, from both (h u negated), and u twists itself by 1."""
+        ``either``, from both (h u negated), and u twists itself by 1.
+        Memoized: the twist table does not change once the system is built."""
+        key = (u, t, either, right)
+        d = self._degrees.get(key, False)
+        if d is not False:
+            return d
+        d = self._degrees[key] = self._sum_degrees(u, t, either, right)
+        return d
+
+    def _sum_degrees(self, u: int, t: Word, either: bool, right: bool) -> tuple | None:
         tw, total = self._twists, None
         for h in t:
             if either and h == u:
@@ -436,6 +460,19 @@ class ReductionSystem:
             total = d if total is None else tuple(map(add, total, d))
         if total is None:
             return (0,) * (1 + self.group.rank)
+        return (total[0] % self.group.torsion_order, *total[1:])
+
+    def exchange_degree(self, u: Word, t: Word) -> tuple | None:
+        """The degree nu with u t = nu t u in the algebra, read off the twist
+        table (either orientation of each pair, a letter twisting itself by
+        1): the sum over the letters h of u of the degree of h on t, with
+        the torsion part mod e.  None when some pair has no twist rule."""
+        total = (0,) * (1 + self.group.rank)
+        for h in u:
+            d = self._word_degree(h, t, either=True)
+            if d is None:
+                return None
+            total = tuple(map(add, total, d))
         return (total[0] % self.group.torsion_order, *total[1:])
 
     def _candidates(self, known: int):
@@ -498,8 +535,18 @@ class ReductionSystem:
         gets the inverse of g's scalar: g el = mu^-1 el g conjugates to
         el g^-1 = mu^-1 g^-1 el.  A letter g twisted either way round against
         every letter of the normal form nf, with one degree nu over its
-        words, has g nf = nu nf g: its scalar is nu^-1 once one reduction
-        shows nf g is non-zero.  Other letters reduce nf g and g nf apart.
+        words, has g nf = nu nf g: its scalar is nu^-1 once nf g is known to
+        be non-zero.  That needs no reduction when no rule has the left side
+        g g, nor a pair of g with a letter of nf in the orientation that is
+        not its twist.  Proof: a word t of nf is irreducible, so reducing
+        t g only moves g to the left past the letters above g, by their
+        twist rules, and stops before the first letter that is not above g,
+        since neither pair beside g then has a rule.  So t g reduces to a
+        unit times t with g inserted, and t is read back off that word (g
+        sits before its longest suffix of letters above g): the terms of
+        nf g go to distinct words and cannot cancel.  Otherwise one
+        reduction shows nf g is non-zero.  Other letters reduce nf g and
+        g nf apart.
         """
         if not self._certified:
             raise NotCertifiedError("confluence has not been certified for this system")
@@ -507,17 +554,20 @@ class ReductionSystem:
         if nf.is_zero():
             return None
         one = self.one()
+        nf_letters = {h for t in nf.terms for h in t}
         out: dict[str, Scalar] = {}
         for idx, name in enumerate(self.letters):
             if idx and self._rhs.get((idx - 1, idx)) == one == self._rhs.get((idx, idx - 1)):
                 out[name] = out[self.letters[idx - 1]].inv()
                 continue
             g = Element.from_word(self.ring, (idx,))
-            a = self._reduce(nf.concat(g))
-            if not a.terms:
-                return None
             degrees = {self._word_degree(idx, t, either=True) for t in nf.terms}
-            if len(degrees) == 1 and None not in degrees:
+            uniform = len(degrees) == 1 and None not in degrees
+            if not (uniform and self._moves_through(idx, nf_letters)):
+                a = self._reduce(nf.concat(g))
+                if not a.terms:
+                    return None
+            if uniform:
                 nu = degrees.pop()
                 out[name] = Scalar(self.group, nu[0], nu[1:]).inv()
                 continue
@@ -530,6 +580,14 @@ class ReductionSystem:
                 return None
             out[name] = mu
         return out
+
+    def _moves_through(self, g: int, letters: set) -> bool:
+        """Whether no rule has the left side g g, nor a pair of g with one of
+        the letters in the orientation that is not its twist (see
+        ``commutation_with_generators``)."""
+        rhs = self._rhs
+        return (g, g) not in rhs and not any(
+            ((h, g) if h < g else (g, h)) in rhs for h in letters - {g})
 
     def adjoin_inverse(self, el: Element, label: str) -> tuple["ReductionSystem", str]:
         """Extend the system with letters Z, Z^-1 representing a scalar-normal

@@ -417,23 +417,33 @@ def identification_rules(s: ReductionSystem):
     return [r for r in s.rules if r.lhs[0] < r.lhs[1] and r.rhs != s.one()]
 
 
-@pytest.mark.parametrize("e", (1, 4))
+@pytest.mark.parametrize("e", (1, 4, 12))
 def test_identification_rule_with_z_on_the_right(e, extensions_with_known):
     """Overlaps u v w whose rule v w is a localization's identification hold
-    Z, the largest letter, on the right, which no u < Z twists in the table:
-    they are reduced, and every extension agrees with the reference."""
+    Z, the largest letter, on the right.  When u twists v, w and every
+    letter of that rule (Z turned round through its rule Z u), they are
+    settled by degrees; both sides still reduce alike, and every extension
+    agrees with the reference."""
     for n in (2, 3):
         for a in qweyl_grid(e, n):
             localize_to_mixed(a)
     seen = 0
     for ext, known in extensions_with_known:
         assert isinstance(assert_matches_two_sided(ext, known), Confluent)
+        tw = ext._twists
         for rule in identification_rules(ext):
             z = max(w[0] for w in rule.rhs.terms if len(w) == 1)
             assert z > max(rule.lhs)
-            for word, _, r2 in ext._ambiguities(0):
-                if word[1:] == rule.lhs and word[0] < z:
-                    assert not ext._settled(word, r2)
+            letters = set(rule.lhs) | {h for t in rule.rhs.terms for h in t}
+            for word, r1, r2 in ext._ambiguities(0):
+                u = word[0]
+                if word[1:] != rule.lhs or u >= z:
+                    continue
+                if all((u, h) in tw or (h, u) in tw for h in letters) and \
+                        (u, word[1]) in tw and (u, word[2]) in tw:
+                    assert ext._settled(word, r2)
+                    a, b = ext._one_step(word, r1, r2)
+                    assert ext._reduce(a) == ext._reduce(b)
                     seen += 1
     assert seen
 

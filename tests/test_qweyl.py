@@ -1,11 +1,17 @@
+import io
 import itertools
+from contextlib import redirect_stdout
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+from qwalg.cli import main
 from qwalg.mixed import Equivalent, Inconclusive, NotEquivalent, invariants
 from qwalg.qwa import parse_document
 from qwalg.qweyl import (QuantumWeylAlgebra, localize_to_mixed, localized_lambda,
                          qweyl_equivalence_necessary, qweyl_invariants)
+from qwalg.rewrite import ReductionSystem
 from qwalg.scalars import ScalarGroup
 
 
@@ -166,3 +172,28 @@ def test_equivalence_all_classical_full_decision():
     assert isinstance(v, Equivalent)
     v2 = qweyl_equivalence_necessary(alg(q), alg(q.pow(2)))
     assert isinstance(v2, NotEquivalent)
+
+
+def test_system_is_built_on_first_use(monkeypatch):
+    """``qweyl invariants`` and ``qweyl equiv`` read only the parameters, so
+    they construct no reduction system; ``qweyl localize`` still builds and
+    certifies one, once."""
+    built = []
+    init = ReductionSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReductionSystem, "__init__", counted)
+    corpus = Path(resources.files("qwalg") / "corpus")
+    a1, a2 = str(corpus / "qweyl_a1.qwa"), str(corpus / "qweyl_a2.qwa")
+    for argv in (["qweyl", "invariants", a2], ["qweyl", "equiv", a1, a2],
+                 ["qweyl", "equiv", a2, a2]):
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert built == []
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["qweyl", "localize", a2]) == 0
+    assert "verified=true" in out.getvalue().splitlines()
+    assert len(built) == 1 and built[0].certified
