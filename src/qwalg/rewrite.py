@@ -9,16 +9,18 @@ makes normal forms canonical and turns the ordered monomials into a basis.
 Every left-hand side is two letters and no two rules share one, so the
 rules form one table keyed by their left sides; the constructor refuses
 any other rule.  Presentations contribute one quadratic rule per generator
-pair.  One routine adjoins inverses: the letter g^-1 sits right after g, with
-g g^-1 -> 1 and g^-1 g -> 1, and every other letter h gets one rule from
-the twist g h = mu h g + c g of its pair (``twist``), conjugated by g^-1:
+pair.  One routine conjugates the rules of an inverse: the letter g^-1 sits
+right after g, with g g^-1 -> 1 and g^-1 g -> 1, and every other letter h
+gets one rule from the twist g h = mu h g + c g of its pair (``twist``),
+conjugated by g^-1:
 
     h g^-1 = mu g^-1 h + c g^-1        (g h = phi(h) g gives g^-1 h = phi^-1(h) g^-1)
 
 oriented by the letter order.  Localization at a scalar-normal element z
-first appends a letter Z with the twist rules of z and one identification
-rule that rewrites the two-letter leading word of z into Z minus the tail,
-so Z genuinely equals z, then inverts Z like a generator.
+appends Z and Z^-1 in one extension: Z with the twist rules of z and one
+identification rule that rewrites the two-letter leading word of z into Z
+minus the tail, so Z genuinely equals z, and Z^-1 with the rules conjugated
+from those twists.
 
 Reduction rewrites the deglex-largest pending word at its leftmost redex by
 the one rule keyed there, so on any system, certified or not, it is a
@@ -29,25 +31,32 @@ reducing a - b once and testing it for zero, which is Bergman's
 29, 1978, Thm 1.2).  An extension is certified incrementally: its rules
 start with those of the certified parent, whose ambiguities among
 themselves stay resolvable when rules are added (Bergman, loc. cit.), so
-only ambiguities that involve a new rule are resolved again.
+only ambiguities that involve a new rule are resolved again.  An overlap
+whose two one-step results cancel term by term needs no reduction.
 
-Most overlaps and normality scalars need no reduction: a twist table holds
-the degree of mu (torsion exponent mod e, then free exponents) for each rule
-u h -> mu h u with mu a scalar, and ``check_confluence`` and
+The overlaps of a new inverse pair g g^-1, g^-1 g with the rules of g and
+g^-1 are settled by construction: the conjugated rules make them reduce
+alike (proof in ``check_confluence``).  Most other overlaps and normality
+scalars need no reduction either: a twist table holds the degree of mu
+(torsion exponent mod e, then free exponents) for each rule u h -> mu h u
+with mu a scalar, and ``check_confluence`` and
 ``commutation_with_generators`` compare degrees (criteria and proofs there).
-The left overlap criterion may turn a one-letter word above u round through
-its twist rule, which settles a localization's identification overlaps with
-Z on the right; a letter that moves through a normal form by twist rules
-alone needs no reduction to show the product is non-zero.  Each system
-memoizes the degrees of letters on words.  ``exchange_degree`` gives nu with
-u t = nu t u for two words, which settles a relation of a generator map
-whose images are single words without a reduction.
+Read either way round, an inverse pair g g^-1 -> 1 <- g^-1 g twists by
+degree 0.  The left overlap criterion may turn a one-letter word above u
+round through its twist rule, which settles a localization's identification
+overlaps with Z on the right; a letter that moves through a normal form by
+twist rules alone needs no reduction to show the product is non-zero, and
+other scalars are read off a word whose coefficients in both products are
+scalars, without a coefficient inverse.  Each system memoizes the degrees
+of letters on words.  ``exchange_degree`` gives nu with u t = nu t u for
+two words, which settles a relation of a generator map whose images are
+single words without a reduction.
 An overlap u v w whose pairs (u, v), (v, w) and (u, w) are all in the table
 is settled outright, so certification visits only the candidates read off
 an index of loose pairs: rules outside the table and descending letter
 pairs with no twist rule.  An extension that appends its letters (every
-adjoined inverse) reuses the parent's rules, tables and index, and
-validates and indexes only what it adds.
+adjoined inverse but that of an earlier generator) reuses the parent's
+rules, tables and index, and validates and indexes only what it adds.
 """
 from __future__ import annotations
 
@@ -205,11 +214,15 @@ class ReductionSystem:
         self._loose_first: dict[int, frozenset] = {}
         self._loose_second: dict[int, frozenset] = {}
         self._degrees: dict[tuple, tuple | None] = {}  # memo of ``_word_degree``
+        self._inverses: frozenset = frozenset()  # (g, h) with g h -> 1 and h g -> 1
+        # Overlap words settled by construction (see ``check_confluence``).
+        self._by_construction: frozenset = frozenset()
         self._grow(letters, rules, twists)
 
     def _grow(self, letters, rules: list[Rule], twists: dict[Word, tuple] | None):
         """Append letters and rules, validating only the new rules, with the
-        twist-table entries of the new rules (read off them when None).
+        twist-table entries of the new rules (read off them when None) and
+        the inverse pairs they complete.
         Table entries join only with new rules, so the loose pairs to index
         are those of the new rules and of the new letters.  (A pair with no
         rule that later gets a twist rule stays indexed: that only adds
@@ -238,6 +251,10 @@ class ReductionSystem:
         for index, added in ((self._loose_first, firsts), (self._loose_second, seconds)):
             for x, ys in added.items():  # new sets: an extension shares the old ones
                 index[x] = index.get(x, frozenset()) | ys
+        one = self.one()
+        units = [r.lhs for r in rules if () in r.rhs.terms and r.rhs == one]
+        self._inverses |= {p for lhs in units if self._rhs.get(lhs[::-1]) == one
+                           for p in (lhs, lhs[::-1])}
 
     def _extended(self, letters, rules: list[Rule], twists: dict[Word, tuple]) -> "ReductionSystem":
         """This system with letters appended and rules added after its own,
@@ -248,7 +265,7 @@ class ReductionSystem:
         ext.rules, ext._rhs, ext._pos = list(self.rules), dict(self._rhs), dict(self._pos)
         ext._twists = dict(self._twists)
         ext._loose_first, ext._loose_second = dict(self._loose_first), dict(self._loose_second)
-        ext._degrees = {}
+        ext._degrees, ext._inverses, ext._by_construction = {}, self._inverses, frozenset()
         ext._grow(letters, rules, twists)
         return ext
 
@@ -345,22 +362,41 @@ class ReductionSystem:
         """Resolve every ambiguity: left sides are two letters, none
         repeated, so these are the overlaps u v w of left sides u v and v w.
 
+        An extension by an inverse g^-1 (``_conjugated``) settles these
+        overlaps by construction, before any degree check: g g^-1 h,
+        g^-1 g h, h g g^-1, h g^-1 g, g g^-1 g and g^-1 g g^-1, where the
+        rules of the pairs of g and g^-1 with h come from the twist
+        g h = mu h g + c g of the same step.  Proof, for h before g: the
+        sides of g g^-1 h are h and mu^-1 g h g^-1 - mu^-1 c g g^-1, and
+        g h -> mu h g + c g, then g g^-1 -> 1, reduces the latter to
+        h + mu^-1 c - mu^-1 c = h; g^-1 g h has the sides h and
+        mu g^-1 h g + c g^-1 g, which g^-1 h -> mu^-1 h g^-1 - mu^-1 c g^-1
+        and g^-1 g -> 1 reduce to h - c + c = h.  For h after g^-1 the rule
+        h g -> mu^-1 g h - mu^-1 c g and h g^-1 -> mu g^-1 h + c g^-1 reduce
+        h g g^-1 and h g^-1 g alike, and g g^-1 g, g^-1 g g^-1 have equal
+        one-step results.  Overlaps that reduce to a common result are
+        resolvable (Bergman, loc. cit.).  Inverse pairs of earlier
+        extensions go through the criteria below, like any other rule.
+
         Two degree criteria settle an overlap without a reduction.
 
         Left: the twist table holds (u, v), (u, w) and (u, h) for each letter
         h of each word t of the rule v w -> sum c_t t, except that a
         one-letter word t = h with h > u may hold (h, u) instead, turned
-        round (u h = mu^-1 h u); and each such t (the empty word has
-        degree 0) has degree mu_uv + mu_uw.  Proof: each h of a longer word
-        precedes u, so twist rules move u to the right through both sides
-        using words below u v w; a one-letter h > u turns round through the
-        rule h u -> mu u h, whose words u h and h u are shorter than u v w.
+        round (u h = mu^-1 h u), and the inverse partner h of u has degree
+        0; and each such t (the empty word has degree 0) has degree
+        mu_uv + mu_uw.  Proof: each h of a longer word precedes u, so twist
+        rules move u to the right through both sides using words below
+        u v w; a one-letter h > u turns round through the rule
+        h u -> mu u h, and an inverse partner through u h -> 1 <- h u,
+        whose words u h and h u are shorter than u v w.
         So modulo I_{<uvw} the sides are
         mu_uv mu_uw sum c_t t u and sum c_t mu_t t u, which agree: the overlap
         is resolvable relative to <= (Bergman, Thm 1.2; an Ore extension by a
         graded automorphism, Goodearl and Warfield, ch. 2).  This settles
         the identification overlaps u v w of a localization, whose rule
-        v w holds the new letter Z above u.
+        v w holds the new letter Z above u, and those Z'^-1 v w whose rule
+        holds the earlier letter Z'.
 
         Mirror: the table holds (u, w), (v, w) and (h, w) for each letter h
         of each word t of the rule u v -> sum c_t t, and each such t has
@@ -377,7 +413,8 @@ class ReductionSystem:
         loose pair, and ``_candidates`` reads them off the loose-pair index.
         Any other ambiguity, with one-step results a and b, is resolved by
         reducing a - b once: reduction is linear on any system, so that is
-        zero exactly when a and b have the same normal form.  ``known``
+        zero exactly when a and b have the same normal form (an a - b that
+        cancels term by term is zero unreduced).  ``known``
         counts leading rules that already form a certified system;
         ambiguities among them stay resolvable once rules are added
         (Bergman), so they are skipped.
@@ -394,10 +431,12 @@ class ReductionSystem:
         return Failing(word, self._reduce(a), self._reduce(b))
 
     def _unsettled(self, known: int):
-        """The candidate overlaps from ``known`` that neither degree
-        criterion settles, as (u v w, right side of u v, of v w)."""
+        """The candidate overlaps from ``known`` that neither the
+        construction nor a degree criterion settles, as (u v w, right side
+        of u v, of v w)."""
+        built = self._by_construction
         for word, rhs1, rhs2 in self._candidates(known):
-            if not (self._settled(word, rhs2) or self._mirrored(word, rhs1)):
+            if not (word in built or self._settled(word, rhs2) or self._mirrored(word, rhs1)):
                 yield word, rhs1, rhs2
 
     def _unresolved(self, overlaps):
@@ -408,7 +447,7 @@ class ReductionSystem:
             diff = dict(a.terms)
             for t, c in b.terms.items():
                 _add_term(diff, t, c.neg())
-            if self._reduce_terms(diff).terms:
+            if diff and self._reduce_terms(diff).terms:
                 yield word, a, b
 
     def _settled(self, word: Word, rhs: Element) -> bool:
@@ -437,8 +476,11 @@ class ReductionSystem:
                      right: bool = False) -> tuple | None:
         """The degree nu with u t = nu t u from the twist rules u h, or None;
         with ``right``, nu with t u = nu u t from the rules h u; with
-        ``either``, from both (h u negated), and u twists itself by 1.
-        Memoized: the twist table does not change once the system is built."""
+        ``either``, from both (h u negated), and u twists itself and its
+        inverse partner by 1: u h -> 1 <- h u gives u h = h u, through
+        words no longer than u h.  A pair with other rules in both orders
+        has no degree.  Memoized: the twist table does not change once the
+        system is built."""
         key = (u, t, either, right)
         d = self._degrees.get(key, False)
         if d is not False:
@@ -449,7 +491,7 @@ class ReductionSystem:
     def _sum_degrees(self, u: int, t: Word, either: bool, right: bool) -> tuple | None:
         tw, total = self._twists, None
         for h in t:
-            if either and h == u:
+            if either and (h == u or (u, h) in self._inverses):
                 continue
             flip = right or (either and h > u)
             d = tw.get((h, u) if flip else (u, h))
@@ -464,9 +506,10 @@ class ReductionSystem:
 
     def exchange_degree(self, u: Word, t: Word) -> tuple | None:
         """The degree nu with u t = nu t u in the algebra, read off the twist
-        table (either orientation of each pair, a letter twisting itself by
-        1): the sum over the letters h of u of the degree of h on t, with
-        the torsion part mod e.  None when some pair has no twist rule."""
+        table (either orientation of each pair, a letter twisting itself and
+        its inverse by 1): the sum over the letters h of u of the degree of
+        h on t, with the torsion part mod e.  None when some pair has neither
+        a twist rule nor the rules of an inverse pair."""
         total = (0,) * (1 + self.group.rank)
         for h in u:
             d = self._word_degree(h, t, either=True)
@@ -546,18 +589,21 @@ class ReductionSystem:
         sits before its longest suffix of letters above g): the terms of
         nf g go to distinct words and cannot cancel.  Otherwise one
         reduction shows nf g is non-zero.  Other letters reduce nf g and
-        g nf apart.
+        g nf apart; mu is read off a word whose coefficients in both are
+        scalar-group elements, as their quotient in the group, and otherwise
+        as the ratio of the coefficients at the first word.  Either way
+        nf g = mu g nf is then checked on every term, so the scalar does
+        not depend on the word it was read off.
         """
         if not self._certified:
             raise NotCertifiedError("confluence has not been certified for this system")
         nf = self._reduce(el)
         if nf.is_zero():
             return None
-        one = self.one()
         nf_letters = {h for t in nf.terms for h in t}
         out: dict[str, Scalar] = {}
         for idx, name in enumerate(self.letters):
-            if idx and self._rhs.get((idx - 1, idx)) == one == self._rhs.get((idx, idx - 1)):
+            if (idx - 1, idx) in self._inverses:
                 out[name] = out[self.letters[idx - 1]].inv()
                 continue
             g = Element.from_word(self.ring, (idx,))
@@ -574,8 +620,12 @@ class ReductionSystem:
             b = self._reduce(g.concat(nf))
             if set(a.terms) != set(b.terms):
                 return None
-            w0 = next(iter(a.terms))
-            mu = coeff_to_scalar(a.terms[w0].mul(b.terms[w0].inv()))
+            mu = next((sa.mul(sb.inv()) for w, c in a.terms.items()
+                       if (sa := coeff_to_scalar(c)) is not None
+                       and (sb := coeff_to_scalar(b.terms[w])) is not None), None)
+            if mu is None:
+                w0 = next(iter(a.terms))
+                mu = coeff_to_scalar(a.terms[w0].mul(b.terms[w0].inv()))
             if mu is None or a != b.scale(Coeff.from_scalar(self.ring, mu)):
                 return None
             out[name] = mu
@@ -595,9 +645,11 @@ class ReductionSystem:
 
         Z genuinely equals the element: the identification rule rewrites the
         element's leading word into Z minus the tail, so the ordered basis of
-        the localization replaces that word by Z powers.  Z then gets its
-        inverse like a generator.  A plain generator gets only the inverse
-        letter.
+        the localization replaces that word by Z powers.  Z twists every
+        letter by the element's scalars, and Z^-1 gets the rules conjugated
+        from those twists, as an inverted generator does; both letters are
+        appended in one extension, certified once from the parent's rules.
+        A plain generator gets only the inverse letter.
         """
         nf = self._reduce(el)
         twists = self.commutation_with_generators(nf)
@@ -614,21 +666,27 @@ class ReductionSystem:
         if len(lead) != 2:
             raise NotNormalError("cannot invert an element whose leading word "
                                  "is not two letters unless it is a plain generator")
-        z = len(self.letters)
+        z, scalars = len(self.letters), list(twists.values())
         rules = [Rule((z, h), Element.from_word(ring, (h, z), Coeff.from_scalar(ring, mu)))
-                 for h, mu in enumerate(twists.values())]
+                 for h, mu in enumerate(scalars)]
         # Identification: lead -> c_lead^{-1} (Z - tail).
         tail = Element(ring, {w: c for w, c in nf.terms.items() if w != lead})
         z_minus_tail = Element.from_word(ring, (z,)).sub(tail)
         rules.append(Rule(lead, z_minus_tail.scale(nf.terms[lead].inv())))
         z_label = label[:-3] if label.endswith("^-1") else label + "~"
-        table = {(z, h): (mu.torsion, *mu.free) for h, mu in enumerate(twists.values())}
-        with_z = self._extended((z_label,), rules, table)
-        return with_z._with_inverse(z, label, known=len(self.rules))
+        table = {(z, h): (mu.torsion, *mu.free) for h, mu in enumerate(scalars)}
+        zero = Coeff.zero(ring)
+        inv_rules, inv_table = self._conjugated(z, [(h, mu, zero) for h, mu in enumerate(scalars)])
+        ext = self._extended((z_label, label), rules + inv_rules, table | inv_table)
+        return ext._certified_inverse(z, len(self.rules)), label
 
     def invert_generator(self, name: str, label: str | None = None) -> tuple["ReductionSystem", str]:
         """Adjoin the inverse of a normal generator: every relation of it is
-        a twist (see ``twist``) and it occurs in no identification rule."""
+        a twist (see ``twist``) and it occurs in no identification rule.
+
+        The letter g^-1 goes right after g.  When g is the last letter the
+        parent is extended in place; otherwise every later letter moves up
+        by one and the system is built afresh."""
         if not self._certified:
             raise NotCertifiedError("confluence has not been certified for this system")
         g, one = self.index(name), self.one()
@@ -639,28 +697,43 @@ class ReductionSystem:
         if any(g in r.lhs and r.lhs[0] <= r.lhs[1] and r.rhs != one for r in self.rules):
             raise NotNormalError(f"cannot invert {name!r}: it occurs in a "
                                  f"localization identification")
-        return self._with_inverse(g, label or f"{name}^-1", known=len(self.rules))
-
-    def _with_inverse(self, g: int, label: str, known: int) -> tuple["ReductionSystem", str]:
-        """Insert the letter g^-1 right after g and certify the extension;
-        the first ``known`` rules form a certified system.
-
-        Beside g g^-1 -> 1 and g^-1 g -> 1, each other letter h gets its
-        twist g h = mu h g + c g conjugated by g^-1: h g^-1 = mu g^-1 h + c g^-1,
-        oriented by the letter order.
-        """
-        ring, inv = self.ring, g + 1
-        rules = [Rule((g, inv), self.one()), Rule((inv, g), self.one())]
-        table = {}
-        for h, name in enumerate(self.letters):
+        label = label or f"{name}^-1"
+        twists = []
+        for h, other in enumerate(self.letters):
             if h == g:
                 continue
             tw = self.twist(g, h)
             if tw is None:
-                raise NotNormalError(f"cannot invert {self.letters[g]!r}: relation "
-                                     f"with {name!r} is not a twist")
-            mu, c = tw
-            h += h > g
+                raise NotNormalError(f"cannot invert {name!r}: relation "
+                                     f"with {other!r} is not a twist")
+            twists.append((h + (h > g), *tw))
+        rules, table = self._conjugated(g, twists)
+        if g == len(self.letters) - 1:  # g is last: nothing moves
+            ext = self._extended((label,), rules, table)
+        else:
+            def shift(w: Word) -> Word:
+                return tuple(i + (i > g) for i in w)
+
+            ring = self.ring
+            old = [Rule(shift(r.lhs), Element(ring, {shift(w): c for w, c in r.rhs.terms.items()}))
+                   for r in self.rules]
+            table |= {shift(pair): d for pair, d in self._twists.items()}
+            letters = self.letters[:g + 1] + (label,) + self.letters[g + 1:]
+            ext = ReductionSystem(self.group, letters, old + rules, table)
+        return ext._certified_inverse(g, len(self.rules)), label
+
+    def _conjugated(self, g: int, twists) -> tuple[list[Rule], dict[Word, tuple]]:
+        """The rules of the letter g^-1 = g + 1 of an extension, with their
+        twist-table entries, from the twists (h, mu, c) of g, one per other
+        letter h of the extension: g h = mu h g + c g.
+
+        Beside g g^-1 -> 1 and g^-1 g -> 1, each twist is conjugated by
+        g^-1, h g^-1 = mu g^-1 h + c g^-1, and oriented by the letter order.
+        """
+        ring, inv = self.ring, g + 1
+        rules = [Rule((g, inv), self.one()), Rule((inv, g), self.one())]
+        table = {}
+        for h, mu, c in twists:
             if h < inv:  # g^-1 h = mu^-1 h g^-1 - mu^-1 c g^-1
                 mu, c = mu.inv(), Coeff.from_scalar(ring, mu.inv()).mul(c).neg()
             lhs = (h, inv) if h > inv else (inv, h)
@@ -668,22 +741,26 @@ class ReductionSystem:
                                                   (inv,): c})))
             if c.is_zero():
                 table[lhs] = (mu.torsion, *mu.free)
-        if inv == len(self.letters):  # g is last: nothing moves
-            ext = self._extended((label,), rules, table)
-        else:
-            def shift(w: Word) -> Word:
-                return tuple(i + (i > g) for i in w)
+        return rules, table
 
-            old = [Rule(shift(r.lhs), Element(ring, {shift(w): c for w, c in r.rhs.terms.items()}))
-                   for r in self.rules]
-            table |= {shift(pair): d for pair, d in self._twists.items()}
-            letters = self.letters[:inv] + (label,) + self.letters[inv:]
-            ext = ReductionSystem(self.group, letters, old + rules, table)
-        verdict = ext.check_confluence(known)
+    def _certified_inverse(self, g: int, known: int) -> "ReductionSystem":
+        """Certify this extension by the inverse g^-1 = g + 1, whose rules
+        came from ``_conjugated``; the first ``known`` rules form a certified
+        system.  The overlaps of g g^-1 and g^-1 g with the rules of g and
+        g^-1 are settled by construction (see ``check_confluence``)."""
+        inv = g + 1
+        words = {(g, inv, g), (inv, g, inv)}
+        for h in range(len(self.letters)):
+            if h < g:
+                words |= {(g, inv, h), (inv, g, h)}
+            elif h > inv:
+                words |= {(h, g, inv), (h, inv, g)}
+        self._by_construction = frozenset(words)
+        verdict = self.check_confluence(known)
         if isinstance(verdict, Failing):
             raise NotNormalError(f"inversion of {self.letters[g]!r} breaks confluence "
-                                 f"at {ext.format_word(verdict.word)}")
-        return ext, label
+                                 f"at {self.format_word(verdict.word)}")
+        return self
 
     def twist(self, g: int, h: int) -> tuple[Scalar, Coeff] | None:
         """(mu, c) with g h = mu h g + c g, read off the rule of the pair, or

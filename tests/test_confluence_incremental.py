@@ -562,9 +562,10 @@ def test_commutation_of_a_nilpotent_letter():
 
 
 def unsettled_by_full_scan(s: ReductionSystem, known: int):
-    """The full scan with both degree criteria applied to every overlap."""
+    """The full scan with the construction criterion and both degree
+    criteria applied to every overlap."""
     return [(w, r1, r2) for w, r1, r2 in s._ambiguities(known)
-            if not (s._settled(w, r2) or s._mirrored(w, r1))]
+            if not (w in s._by_construction or s._settled(w, r2) or s._mirrored(w, r1))]
 
 
 def assert_candidate_parity(s: ReductionSystem, known: int):

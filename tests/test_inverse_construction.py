@@ -1,0 +1,365 @@
+"""Extensions by an adjoined inverse against the references that reduce.
+
+An extension by g^-1 settles the overlaps of g g^-1 and g^-1 g with the
+rules of g and g^-1 by construction: every such overlap must have one-step
+results with equal normal forms, and every extension must agree with the
+two-sided reference.  That holds on the localizations of the quantum Weyl
+grid, on each normal generator of the corpus inverted (Eulerian pairs
+among them), and on twisted presentations with an inverted letter.  The
+criterion covers only the pair built in the same step: a wrong rule that
+meets an earlier inverse pair is still found.  An inverse pair twists by
+degree 0.  Normal scalars read off scalar-group coefficients equal the ratio
+of the two reduced products, which the tests keep as the reference.
+"""
+from functools import cache
+
+import pytest
+from hypothesis import HealthCheck, assume, find, given, settings, strategies as st
+
+from qwalg.cyclo import Coeff, coeff_to_scalar
+from qwalg.presentation import PresentationError, certified_system, system_from_presentation
+from qwalg.qwa import ParseError, parse_presentation
+from qwalg.rewrite import Confluent, Element, NotNormalError, ReductionSystem
+
+from test_confluence_incremental import (CORPUS, assert_matches_two_sided, qweyl_grid,
+                                         twisted_presentations)
+
+
+def grid_extensions_of(a):
+    """(extension, rule count of its parent) for each z_i that the
+    localization of a inverts, in localization order."""
+    s = a.system()
+    for i in a.quantum_indices:
+        ext, _ = s.adjoin_inverse(a.z_element(s, i), f"z{i+1}^-1")
+        yield ext, len(s.rules)
+        s = ext
+
+
+def grid_extensions(e: int):
+    """The extensions of the localizations of ``qweyl_grid(e, n)``, n <= 3."""
+    return [x for n in (1, 2, 3) for a in qweyl_grid(e, n) for x in grid_extensions_of(a)]
+
+
+@cache
+def corpus_bases() -> tuple[ReductionSystem, ...]:
+    out = []
+    for f in sorted(CORPUS.glob("*.qwa")):
+        try:
+            out.append(certified_system(parse_presentation(f.read_text())))
+        except (ParseError, PresentationError):
+            continue
+    return tuple(out)
+
+
+def inversions(s: ReductionSystem):
+    """(extension, rule count of s) for each letter of s that inverts, then
+    the chain that inverts them one after another on the growing system."""
+    out, chain = [], s
+    for name in s.letters:
+        try:
+            out.append((s.invert_generator(name)[0], len(s.rules)))
+            ext = chain.invert_generator(name)[0]
+        except NotNormalError:
+            continue
+        out.append((ext, len(chain.rules)))
+        chain = ext
+    return out
+
+
+def settled_by_construction(ext: ReductionSystem):
+    """The overlaps of ext that the construction settles."""
+    return [(w, r1, r2) for w, r1, r2 in ext._ambiguities(0) if w in ext._by_construction]
+
+
+def assert_construction_holds(ext: ReductionSystem, known: int) -> int:
+    """ext agrees with the two-sided reference, and each overlap settled by
+    construction has one-step results with equal normal forms.  Returns how
+    many of those hold a rule with a tail c g^-1 (c != 0)."""
+    assert isinstance(assert_matches_two_sided(ext, known), Confluent)
+    overlaps = settled_by_construction(ext)
+    assert overlaps
+    tails = 0
+    for word, r1, r2 in overlaps:
+        a, b = ext._one_step(word, r1, r2)
+        assert ext._reduce(a) == ext._reduce(b)
+        tails += any(len(r.terms) == 2 for r in (r1, r2))
+    return tails
+
+
+@pytest.mark.parametrize("e", (1, 4, 12))
+def test_grid_extensions_hold_by_construction(e):
+    built = grid_extensions(e)
+    assert len(built) >= 10
+    for ext, known in built:
+        assert_construction_holds(ext, known)
+
+
+def test_corpus_inversions_hold_by_construction():
+    """Every normal generator of the corpus inverted alone and in a chain;
+    among them the Eulerian partner y of [w, y] = y, whose conjugated rule
+    w y^-1 -> y^-1 w - y^-1 has a tail."""
+    count = tails = 0
+    for s in corpus_bases():
+        for ext, known in inversions(s):
+            tails += assert_construction_holds(ext, known)
+            count += 1
+    assert count >= 20
+    assert tails
+
+
+@st.composite
+def inverted_twisted_presentations(draw):
+    """A confluent twisted presentation and one of its letters that inverts."""
+    s = system_from_presentation(draw(twisted_presentations()))
+    assume(isinstance(s.check_confluence(), Confluent))
+    invertible = []
+    for name in s.letters:
+        try:
+            invertible.append(s.invert_generator(name)[0])
+        except NotNormalError:
+            pass
+    assert invertible  # the largest letter twists every other one
+    return draw(st.sampled_from(invertible)), len(s.rules)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(inverted_twisted_presentations())
+def test_twisted_presentations_with_an_inverted_letter(case):
+    assert_construction_holds(*case)
+
+
+def test_an_earlier_inverse_pair_is_not_settled_by_construction(monkeypatch):
+    """In the quantum plane b a = q a b, invert a, then b with a wrong twist
+    of b against a^-1.  The rule b^-1 a^-1 conjugated from it meets the
+    earlier pair a a^-1 in the overlap b^-1 a^-1 a, which only a reduction
+    shows unresolvable; the construction criterion must not settle it."""
+    s = certified_system(parse_presentation(
+        "scalars { free q }\ngenerators a, b\nrelations {\n  b a = q * a b\n}\n"))
+    ext, _ = s.invert_generator("a")
+    q = ext.group.free_gen("q")
+    b, a_inv = ext.index("b"), ext.index("a^-1")
+    real = ReductionSystem.twist
+
+    def wrong(self, g, h):
+        mu, c = real(self, g, h)
+        return (mu.mul(q), c) if (g, h) == (b, a_inv) else (mu, c)
+
+    assert isinstance(ext.invert_generator("b")[0], ReductionSystem)
+    monkeypatch.setattr(ReductionSystem, "twist", wrong)
+    with pytest.raises(NotNormalError, match="breaks confluence"):
+        ext.invert_generator("b")
+
+
+# -- inverse pairs commute by degree ------------------------------------------
+
+
+def identification_letters(s: ReductionSystem):
+    """The letters of each identification rule (ascending left side, right
+    side not 1), with its left side."""
+    for r in s.rules:
+        if r.lhs[0] < r.lhs[1] and r.rhs != s.one():
+            yield r.lhs, set(r.lhs) | {h for t in r.rhs.terms for h in t}
+
+
+@pytest.mark.parametrize("e", (1, 4, 12))
+def test_inverse_pairs_twist_by_degree_zero(e):
+    """g and g^-1 exchange with degree 0 either way round, on letters and
+    on words, while a pair with an identification rule and a relation (rules
+    in both orders, neither 1) has no degree.  The identification overlaps
+    Z'^-1 v w whose rule v w holds Z' are all settled, and reduce alike."""
+    settled = 0
+    for ext, _ in grid_extensions(e):
+        zero = (0,) * (1 + ext.group.rank)
+        for g, h in ext._inverses:
+            assert ext.exchange_degree((g,), (h,)) == zero
+            assert ext.exchange_degree((g, h), (h, g, h)) == zero
+        for (v, w), letters in identification_letters(ext):
+            assert ext._word_degree(v, (w,), either=True) is None
+            for word, r1, r2 in ext._ambiguities(0):
+                u = word[0]
+                if word[1:] != (v, w) or not any((u, h) in ext._inverses for h in letters):
+                    continue
+                assert ext._settled(word, r2)
+                a, b = ext._one_step(word, r1, r2)
+                assert ext._reduce(a) == ext._reduce(b)
+                settled += 1
+    assert settled
+
+
+# -- normal scalars read off scalar-group coefficients --------------------------
+
+
+def ratio_commutation(s: ReductionSystem, el: Element):
+    """The scalars as the ratio of the two reduced products at their first
+    word, through ``Coeff.inv``; otherwise as ``commutation_with_generators``."""
+    nf = s._reduce(el)
+    if nf.is_zero():
+        return None
+    one = s.one()
+    nf_letters = {h for t in nf.terms for h in t}
+    out = {}
+    for idx, name in enumerate(s.letters):
+        if idx and s._rhs.get((idx - 1, idx)) == one == s._rhs.get((idx, idx - 1)):
+            out[name] = out[s.letters[idx - 1]].inv()
+            continue
+        g = Element.from_word(s.ring, (idx,))
+        degrees = {s._word_degree(idx, t, either=True) for t in nf.terms}
+        uniform = len(degrees) == 1 and None not in degrees
+        if not (uniform and s._moves_through(idx, nf_letters)):
+            a = s._reduce(nf.concat(g))
+            if not a.terms:
+                return None
+        if uniform:
+            nu = degrees.pop()
+            out[name] = s.group.scalar(nu[0], nu[1:]).inv()
+            continue
+        b = s._reduce(g.concat(nf))
+        if set(a.terms) != set(b.terms):
+            return None
+        w0 = next(iter(a.terms))
+        mu = coeff_to_scalar(a.terms[w0].mul(b.terms[w0].inv()))
+        if mu is None or a != b.scale(Coeff.from_scalar(s.ring, mu)):
+            return None
+        out[name] = mu
+    return out
+
+
+def products(s: ReductionSystem, el: Element):
+    """(reduced nf g, reduced g nf) for each letter g whose scalar is not
+    read off the twist table."""
+    nf = s._reduce(el)
+    for idx in range(len(s.letters)):
+        degrees = {s._word_degree(idx, t, either=True) for t in nf.terms}
+        if (idx - 1, idx) in s._inverses or (len(degrees) == 1 and None not in degrees):
+            continue
+        g = Element.from_word(s.ring, (idx,))
+        yield s._reduce(nf.concat(g)), s._reduce(g.concat(nf))
+
+
+def scalar_sides(a: Element, b: Element):
+    """Per common word, which of the two coefficients are scalars."""
+    return {(coeff_to_scalar(a.terms[w]) is not None, coeff_to_scalar(b.terms[w]) is not None)
+            for w in a.terms.keys() & b.terms.keys()}
+
+
+def assert_same_scalars(s: ReductionSystem, el: Element):
+    got = s.commutation_with_generators(el)
+    assert got == ratio_commutation(s, el)
+    return got
+
+
+@pytest.mark.parametrize("e", (1, 4, 12))
+def test_normal_scalars_match_the_ratio_on_localizations(e):
+    """Every z_k, also scaled by 2 and by a non-scalar 1 + q, in the base
+    system and after each adjoined inverse."""
+    normal = 0
+    for n in (1, 2, 3):
+        for a in qweyl_grid(e, n):
+            systems = [a.system()] + [ext for ext, _ in grid_extensions_of(a)]
+            for s in systems:
+                q = Coeff.from_scalar(s.ring, s.group.free_gen("q"))
+                factors = (Coeff.one(s.ring), Coeff.from_rational(s.ring, 2),
+                           q.add(Coeff.one(s.ring)))
+                for k in range(n):
+                    for c in factors:
+                        normal += assert_same_scalars(s, a.z_element(s, k).scale(c)) is not None
+    assert normal
+
+
+def test_normal_scalars_match_the_ratio_on_corpus():
+    """Every letter, scaled and not, of the corpus systems and their
+    inversions: the same scalars where a letter is normal, None where it is
+    not."""
+    outcomes = set()
+    for base in corpus_bases():
+        for s in [base] + [ext for ext, _ in inversions(base)]:
+            for name in s.letters:
+                for c in (Coeff.one(s.ring), Coeff.from_rational(s.ring, -3)):
+                    outcomes.add(assert_same_scalars(s, s.word(name).scale(c)) is None)
+    assert outcomes == {True, False}
+
+
+def corpus_elements():
+    """A corpus system (or an inversion) and a sum of up to three of its
+    words with coefficients +-1, 2 or 1 + q."""
+    systems = [s for base in corpus_bases() for s in [base] + [e for e, _ in inversions(base)]]
+
+    @st.composite
+    def draw(draw):
+        s = draw(st.sampled_from(systems))
+        ring, one = s.ring, Coeff.one(s.ring)
+        rank = s.group.rank
+        q = (Coeff.from_scalar(ring, s.group.scalar(0, (1,) + (0,) * (rank - 1)))
+             if rank else Coeff.from_rational(ring, 3))
+        coeffs = (one, one.neg(), Coeff.from_rational(ring, 2), q.add(one))
+        words = st.lists(st.integers(0, len(s.letters) - 1), max_size=2).map(tuple)
+        terms = draw(st.dictionaries(words, st.sampled_from(coeffs), min_size=1, max_size=3))
+        return s, Element(ring, terms)
+    return draw()
+
+
+@cache
+def grid_systems() -> tuple:
+    """(algebra, system) for the base and each extension of the
+    localizations of ``qweyl_grid(e, n)``, e in {1, 4, 12}, n <= 3."""
+    out = []
+    for e in (1, 4, 12):
+        for n in (1, 2, 3):
+            for a in qweyl_grid(e, n):
+                out += [(a, a.system())] + [(a, ext) for ext, _ in grid_extensions_of(a)]
+    return tuple(out)
+
+
+@st.composite
+def scaled_z_elements(draw):
+    """A grid system and one of its z_k scaled by 1, -1, 2 or 1 + q."""
+    a, s = draw(st.sampled_from(grid_systems()))
+    one = Coeff.one(s.ring)
+    c = draw(st.sampled_from((one, one.neg(), Coeff.from_rational(s.ring, 2),
+                              Coeff.from_scalar(s.ring, s.group.free_gen("q")).add(one))))
+    return s, a.z_element(s, draw(st.integers(0, a.n - 1))).scale(c)
+
+
+def test_the_ratio_fallback_is_reached():
+    """A normal element whose two reduced products share no word with a
+    scalar coefficient in both: the scalar comes from the ratio."""
+    def fallback(case):
+        s, el = case
+        if s.commutation_with_generators(el) is None:
+            return False
+        return any(a.terms and (True, True) not in scalar_sides(a, b)
+                   for a, b in products(s, el))
+    s, el = find(scaled_z_elements(), fallback, settings=settings(database=None))
+    assert assert_same_scalars(s, el) is not None
+
+
+def first_scalar_sides(a: Element, b: Element):
+    """Which coefficients are scalars at the first word of a where one is."""
+    for w, c in a.terms.items():
+        sides = (coeff_to_scalar(c) is not None, coeff_to_scalar(b.terms[w]) is not None)
+        if any(sides):
+            return sides
+    return None
+
+
+def test_a_one_sided_scalar_coefficient_is_not_normal():
+    """In [w, y] = y, (c + 2 w) y reduces to (c + 2) y + 2 y w and
+    y (c + 2 w) to c y + 2 y w.  For c = 1 and c = -1 the first word with a
+    scalar coefficient, y, has it in one product only (g nf, then nf g):
+    neither element is normal, and its scalars are None."""
+    s = certified_system(parse_presentation((CORPUS / "eulerian_u.qwa").read_text()))
+    two = Coeff.from_rational(s.ring, 2)
+    seen = set()
+    for c in (1, -1):
+        el = s.one().scale(Coeff.from_rational(s.ring, c)).add(s.word("w").scale(two))
+        a, b = s._reduce(el.concat(s.word("y"))), s._reduce(s.word("y").concat(el))
+        assert a.terms.keys() == b.terms.keys()
+        seen.add(first_scalar_sides(a, b))
+        assert assert_same_scalars(s, el) is None
+    assert seen == {(False, True), (True, False)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus_elements())
+def test_normal_scalars_match_the_ratio_on_random_elements(case):
+    assert_same_scalars(*case)
