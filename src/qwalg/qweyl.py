@@ -161,7 +161,9 @@ def localize_to_mixed(a: QuantumWeylAlgebra) -> LocalizationResult:
     Each z with q != 1 is confirmed scalar-normal, its inverse adjoined with
     re-certified confluence, and every relation of the canonical
     presentation is checked on the generator images x'_j = z_(prev j)^{-1} x_j
-    and z'_i = z_(prev i)^{-1} z_i: its defect has normal form zero.
+    and z'_i = z_(prev i)^{-1} z_i: its defect has normal form zero.  The
+    image of z_i is its letter Z_i, which the identification rule makes
+    equal to z_i, so it is the normal form of z_i and needs no reduction.
     """
     sys = a.system()
     jj = a.weyl_indices
@@ -189,12 +191,8 @@ def localize_to_mixed(a: QuantumWeylAlgebra) -> LocalizationResult:
     for k, j in enumerate(jj):
         images[f"y{k+1}"] = sys.word(f"y{j+1}")
     for k, i in enumerate(ii):
-        p = ii[k - 1] if k else None
-        z_el = a.z_element(sys, i)
-        if p is None:
-            images[f"y{len(jj)+k+1}"] = z_el
-        else:
-            images[f"y{len(jj)+k+1}"] = sys.word(zinv_label[p]).concat(z_el)
+        z = f"z{i+1}"
+        images[f"y{len(jj)+k+1}"] = sys.word(zinv_label[ii[k - 1]], z) if k else sys.word(z)
     for k, i in enumerate(ii):
         images[f"y{len(jj)+len(ii)+k+1}"] = sys.word(f"y{i+1}")
     for k, j in enumerate(jj):

@@ -36,7 +36,11 @@ whose two one-step results cancel term by term needs no reduction.
 
 The overlaps of a new inverse pair g g^-1, g^-1 g with the rules of g and
 g^-1 are settled by construction: the conjugated rules make them reduce
-alike (proof in ``check_confluence``).  Most other overlaps and normality
+alike (proof in ``check_confluence``).  So are the overlaps u a b and a b w
+of an identification rule a b with a parent rule u a or b w, when
+a b u < u a b or w a b < a b w: the parent's certified normality of the
+element puts their difference in the ideal of smaller words.  Most other
+overlaps and normality
 scalars need no reduction either: a twist table holds the degree of mu
 (torsion exponent mod e, then free exponents) for each rule u h -> mu h u
 with mu a scalar, and ``check_confluence`` and
@@ -48,7 +52,12 @@ overlaps with Z on the right; a letter that moves through a normal form by
 twist rules alone needs no reduction to show the product is non-zero, and
 other scalars are read off a word whose coefficients in both products are
 scalars, without a coefficient inverse.  Each system memoizes the degrees
-of letters on words.  ``exchange_degree`` gives nu with u t = nu t u for
+of letters on words.  The mirror criterion, which moves the last letter w
+of an overlap to the left, also accepts a rule with words of another
+w-degree when the remainder they leave reduces to zero; the remainder
+depends only on w, the degree and those terms, so each is reduced once per
+system.
+``exchange_degree`` gives nu with u t = nu t u for
 two words, which settles a relation of a generator map whose images are
 single words without a reduction.
 An overlap u v w whose pairs (u, v), (v, w) and (u, w) are all in the table
@@ -217,6 +226,8 @@ class ReductionSystem:
         self._inverses: frozenset = frozenset()  # (g, h) with g h -> 1 and h g -> 1
         # Overlap words settled by construction (see ``check_confluence``).
         self._by_construction: frozenset = frozenset()
+        # Mirror remainders (w, nu, terms) shown to reduce to zero.
+        self._remainders: set = set()
         self._grow(letters, rules, twists)
 
     def _grow(self, letters, rules: list[Rule], twists: dict[Word, tuple] | None):
@@ -266,6 +277,7 @@ class ReductionSystem:
         ext._twists = dict(self._twists)
         ext._loose_first, ext._loose_second = dict(self._loose_first), dict(self._loose_second)
         ext._degrees, ext._inverses, ext._by_construction = {}, self._inverses, frozenset()
+        ext._remainders = set()
         ext._grow(letters, rules, twists)
         return ext
 
@@ -398,14 +410,44 @@ class ReductionSystem:
         v w holds the new letter Z above u, and those Z'^-1 v w whose rule
         holds the earlier letter Z'.
 
-        Mirror: the table holds (u, w), (v, w) and (h, w) for each letter h
-        of each word t of the rule u v -> sum c_t t, and each such t has
-        w-degree mu_uw + mu_vw (the empty word 0).  Proof: the sides are
-        sum c_t t w and mu_vw u w v.  Moving w to the left uses only words
-        below u v w: w precedes u, v and each h, u w v and w u v are below
-        u v w, and t w is below it since t is below u v.  So modulo I_{<uvw}
-        the sides are sum c_t mu_t w t and mu_vw mu_uw w u v =
-        mu_vw mu_uw sum c_t w t, which agree.
+        Mirror: the table holds (u, w) and (v, w), and nu = mu_uw + mu_vw is
+        the w-degree of u v.  The words t of the rule u v -> sum c_t t whose
+        letters h all have (h, w) in the table, with w-degree nu (the empty
+        word 0), mirror it; the rest, if any, must leave a remainder
+        f = sum_rest c_t (t w - nu w t) that reduces to zero.  Proof: the
+        sides are sum c_t t w and mu_vw u w v.  Moving w to the left uses
+        only words below u v w: w precedes u, v and each h, u w v and w u v
+        are below u v w, and t w is below it since t is below u v.  So
+        modulo I_{<uvw} the second side is nu w u v = nu w sum c_t t, and
+        the two differ by f: the mirrored words cancel.  Every word t w and
+        w t of f is below u v w, and reduction never goes above the words it
+        starts from, so an f that reduces to zero lies in I_{<uvw}.  f
+        depends only on w, nu and the rest, and its words lie below every
+        overlap u' v' w whose rule leaves that remainder, so it is reduced
+        once per (w, nu, rest terms with their coefficients' numerators and
+        denominators) and remembered when it vanishes.  A remainder that
+        does not vanish is not remembered, and the overlap itself is
+        reduced.  An extension starts with an empty memo: a remainder of one
+        of its new overlaps holds a new letter, as w or in a word of the new
+        rule u v, so no parent entry would match it.
+
+        Identification: in an extension by ``adjoin_inverse`` of a normal
+        nf = c a b + tail, whose rule l: a b -> c^-1 (Z - tail) is new and
+        whose letter Z has the rules Z h -> mu_h h Z with nf h = mu_h h nf
+        in the parent, an overlap u a b with a parent rule u a and
+        a b u < u a b, or a b w with a parent rule b w and w a b < a b w, is
+        settled by construction.  Proof, for u a b: E = nf u - mu_u u nf
+        is zero in the parent, and u a b is its largest word (the tail words
+        t are below a b, and a b u < u a b puts t u below u a b).  E minus
+        one rewrite of u a b by the rule u a,
+        E1 = c a b u + tail u - mu_u c r_ua b - mu_u u tail, has all its
+        words below u a b and, the parent being confluent, reduces to zero
+        there: E1 lies in I_{<uab}.  Modulo E1, c times the difference of
+        the sides, c r_ua b - u (Z - tail), is mu_u^-1 (c a b + tail) u - u Z,
+        which l at a b u and Z u -> mu_u u Z take to zero; c is a unit.  For
+        a b w the same holds with E = mu_w w nf - nf w, the rule b w at
+        a b w (the leftmost redex: a b is irreducible in the parent), and l
+        at w a b.
 
         An overlap whose pairs (u, v), (v, w) and (u, w) are all in the table
         is settled by the left criterion (v w -> mu w v has one word, of
@@ -463,14 +505,35 @@ class ReductionSystem:
         return all(self._word_degree(u, t, either=len(t) == 1) == target for t in rhs.terms)
 
     def _mirrored(self, word: Word, rhs: Element) -> bool:
-        """Whether degrees settle the overlap u v w whose rule u v has the
-        right side rhs, moving w to the left (see ``check_confluence``)."""
+        """Whether degrees, with a remainder that reduces to zero, settle the
+        overlap u v w whose rule u v has the right side rhs, moving w to the
+        left (see ``check_confluence``)."""
         u, v, w = word
         tw = self._twists
         if (u, w) not in tw or (v, w) not in tw:
             return False
         target = self._word_degree(w, (u, v), right=True)
-        return all(self._word_degree(w, t, right=True) == target for t in rhs.terms)
+        rest = [(t, c) for t, c in rhs.terms.items()
+                if self._word_degree(w, t, right=True) != target]
+        return not rest or self._remainder_vanishes(w, target, rest)
+
+    def _remainder_vanishes(self, w: int, nu: tuple, rest: list) -> bool:
+        """Whether f = sum c_t (t w - nu w t) over the terms (t, c_t) of
+        ``rest`` reduces to zero.  Memoized on success only, by w, nu and the
+        words with the numerator and denominator of each coefficient."""
+        key = (w, nu, frozenset((t, frozenset(c.num.items()), frozenset(c.den.items()))
+                              for t, c in rest))
+        if key in self._remainders:
+            return True
+        scale = Coeff.from_scalar(self.ring, Scalar(self.group, nu[0], nu[1:])).neg()
+        f: dict = {}
+        for t, c in rest:
+            _add_term(f, t + (w,), c)
+            _add_term(f, (w,) + t, c.mul(scale))
+        if f and self._reduce_terms(f).terms:
+            return False
+        self._remainders.add(key)
+        return True
 
     def _word_degree(self, u: int, t: Word, either: bool = False,
                      right: bool = False) -> tuple | None:
@@ -649,6 +712,10 @@ class ReductionSystem:
         letter by the element's scalars, and Z^-1 gets the rules conjugated
         from those twists, as an inverted generator does; both letters are
         appended in one extension, certified once from the parent's rules.
+        The overlaps of the identification rule a b with a parent rule u a
+        (when a b u < u a b) or b w (when w a b < a b w) are settled by
+        construction from the parent's normality scalars, which Z's rules
+        carry (proof in ``check_confluence``).
         A plain generator gets only the inverse letter.
         """
         nf = self._reduce(el)
@@ -677,8 +744,14 @@ class ReductionSystem:
         table = {(z, h): (mu.torsion, *mu.free) for h, mu in enumerate(scalars)}
         zero = Coeff.zero(ring)
         inv_rules, inv_table = self._conjugated(z, [(h, mu, zero) for h, mu in enumerate(scalars)])
+        # Identification overlaps u a b and a b w with a parent rule, under
+        # the order conditions of the lemma in ``check_confluence``.
+        a, b = lead
+        parent = self._rhs
+        words = {(u, a, b) for u in range(z) if (u, a) in parent and (a, b, u) < (u, a, b)}
+        words |= {(a, b, w) for w in range(z) if (b, w) in parent and (w, a, b) < (a, b, w)}
         ext = self._extended((z_label, label), rules + inv_rules, table | inv_table)
-        return ext._certified_inverse(z, len(self.rules)), label
+        return ext._certified_inverse(z, len(self.rules), words), label
 
     def invert_generator(self, name: str, label: str | None = None) -> tuple["ReductionSystem", str]:
         """Adjoin the inverse of a normal generator: every relation of it is
@@ -743,13 +816,15 @@ class ReductionSystem:
                 table[lhs] = (mu.torsion, *mu.free)
         return rules, table
 
-    def _certified_inverse(self, g: int, known: int) -> "ReductionSystem":
+    def _certified_inverse(self, g: int, known: int,
+                           identified: set = frozenset()) -> "ReductionSystem":
         """Certify this extension by the inverse g^-1 = g + 1, whose rules
         came from ``_conjugated``; the first ``known`` rules form a certified
         system.  The overlaps of g g^-1 and g^-1 g with the rules of g and
-        g^-1 are settled by construction (see ``check_confluence``)."""
+        g^-1, and the ``identified`` overlaps of an identification rule, are
+        settled by construction (see ``check_confluence``)."""
         inv = g + 1
-        words = {(g, inv, g), (inv, g, inv)}
+        words = {(g, inv, g), (inv, g, inv)} | identified
         for h in range(len(self.letters)):
             if h < g:
                 words |= {(g, inv, h), (inv, g, h)}
