@@ -1,10 +1,10 @@
 """Exact integer linear algebra on dense arbitrary-precision matrices.
 
 Matrices are plain lists of lists of Python ints and are never mutated by
-the public functions. Normal forms track their transforms so that every
-result can be re-verified by exact multiplication. Kernels (with or without
-congruences) and lattice intersections are read off the rows of one Hermite
-form of an augmented matrix whose left block is zero.
+the public functions. The Smith and skew normal forms return transforms
+that re-verify them by exact multiplication; the Hermite form returns H
+alone. Kernels (with or without congruences), lattice intersections and
+unimodular inverses are read off one Hermite form of an augmented matrix.
 """
 from __future__ import annotations
 
@@ -37,10 +37,6 @@ def matmul(a, b) -> list[list[int]]:
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
-def mat_eq(a, b) -> bool:
-    return [list(r) for r in a] == [list(r) for r in b]
-
-
 def det(a) -> int:
     """Fraction-free Bareiss determinant."""
     n = len(a)
@@ -68,17 +64,16 @@ def det(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def hermite_nf(a) -> tuple[list[list[int]], list[list[int]]]:
-    """Row-style Hermite normal form: returns (H, U) with U*a = H, |det U| = 1.
+def hermite_nf(a) -> list[list[int]]:
+    """Row-style Hermite normal form H of a: H = U*a for some unimodular U.
 
     H is in echelon form with positive pivots and the entries above each
     pivot reduced into [0, pivot); this form is the canonical representative
-    of the row lattice.
+    of the row lattice.  U is not built (see ``matinv_unimodular``).
     """
     h = copy(a)
     r = len(h)
     c = len(h[0]) if h else 0
-    u = identity(r)
     piv = 0
     for col in range(c):
         # Gcd-descent on the entries of this column at rows >= piv.
@@ -89,14 +84,12 @@ def hermite_nf(a) -> tuple[list[list[int]], list[list[int]]]:
             i0 = min(nz, key=lambda i: abs(h[i][col]))
             if i0 != piv:
                 h[piv], h[i0] = h[i0], h[piv]
-                u[piv], u[i0] = u[i0], u[piv]
             p = h[piv][col]
             done = True
             for i in range(piv + 1, r):
                 q = h[i][col] // p
                 if q:
                     h[i] = [x - q * y for x, y in zip(h[i], h[piv])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[piv])]
                 if h[i][col] != 0:
                     done = False
             if done:
@@ -104,17 +97,15 @@ def hermite_nf(a) -> tuple[list[list[int]], list[list[int]]]:
         if piv < r and h[piv][col] != 0:
             if h[piv][col] < 0:
                 h[piv] = [-x for x in h[piv]]
-                u[piv] = [-x for x in u[piv]]
             p = h[piv][col]
             for i in range(piv):
                 q = h[i][col] // p
                 if q:
                     h[i] = [x - q * y for x, y in zip(h[i], h[piv])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[piv])]
             piv += 1
             if piv == r:
                 break
-    return h, u
+    return h
 
 
 def smith_nf(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -190,8 +181,7 @@ def smith_nf(a) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
 
 
 def rank(a) -> int:
-    h, _ = hermite_nf(a)
-    return sum(1 for row in h if any(row))
+    return sum(1 for row in hermite_nf(a) if any(row))
 
 
 def _null_block(rows, width: int) -> list[list[int]]:
@@ -201,8 +191,7 @@ def _null_block(rows, width: int) -> list[list[int]]:
     come last and span exactly that sublattice; their tails are already its
     Hermite basis.
     """
-    h, _ = hermite_nf(rows)
-    return [row[width:] for row in h if any(row) and not any(row[:width])]
+    return [row[width:] for row in hermite_nf(rows) if any(row) and not any(row[:width])]
 
 
 def kernel(a, ncols: int | None = None) -> list[list[int]]:
@@ -240,22 +229,6 @@ def lattice_intersect(basis1, basis2, dim: int) -> list[list[int]]:
             raise ValueError("dimension mismatch")
     return _null_block([list(r) * 2 for r in basis1] + [list(r) + [0] * dim for r in basis2],
                        dim)
-
-
-def lattice_member(basis, vec) -> bool:
-    """Exact membership test of vec in the row lattice spanned by basis."""
-    if not basis:
-        return not any(vec)
-    h, _ = hermite_nf(basis)
-    rows = [r for r in h if any(r)]
-    v = list(vec)
-    for row in rows:
-        j = next(i for i, x in enumerate(row) if x)
-        if v[j] % row[j] != 0:
-            return False
-        q = v[j] // row[j]
-        v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
 
 
 @dataclass(frozen=True)
@@ -379,16 +352,17 @@ def skew_normal_form(a) -> SkewNormalForm:
         if divisors[i + 1] % divisors[i] != 0:
             raise AssertionError("divisor chain violated")
     snf = SkewNormalForm(n, tuple(divisors), tuple(tuple(r) for r in u))
-    ut = transpose(u)
-    if not mat_eq(matmul(matmul(ut, copy(a)), u), snf.canonical_matrix()):
+    if matmul(matmul(transpose(u), a), u) != snf.canonical_matrix():
         raise AssertionError("transform re-multiplication failed")
     return snf
 
 
 def matinv_unimodular(a) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    h, u = hermite_nf(a)
+    """Exact inverse of a unimodular integer matrix: the Hermite form of
+    (a | I) is (U*a | U), whose left block is I exactly when a is unimodular,
+    and then U = a^-1."""
     n = len(a)
-    if not mat_eq(h, identity(n)):
+    h = hermite_nf([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if [row[:-n] for row in h] != identity(n):
         raise ValueError("matrix is not unimodular")
-    return u
+    return [row[-n:] for row in h]

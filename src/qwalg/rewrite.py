@@ -356,6 +356,10 @@ class ReductionSystem:
                               c if rc.num == one and not rc.den else c.mul(rc))
         return Element.of_terms(self.ring, done)
 
+    def irreducible(self, w: Word) -> bool:
+        """Whether no rule applies at any pair of adjacent letters of w."""
+        return not any(pair in self._rhs for pair in zip(w, w[1:]))
+
     def normal_form(self, el: Element) -> Element:
         if not self._certified:
             raise NotCertifiedError("confluence has not been certified for this system")
@@ -658,9 +662,10 @@ class ReductionSystem:
         nf g = mu g nf is then checked on every term, so the scalar does
         not depend on the word it was read off.
         """
-        if not self._certified:
-            raise NotCertifiedError("confluence has not been certified for this system")
-        nf = self._reduce(el)
+        return self._commutation(self.normal_form(el))
+
+    def _commutation(self, nf: Element) -> dict[str, Scalar] | None:
+        """``commutation_with_generators`` of a normal form nf."""
         if nf.is_zero():
             return None
         nf_letters = {h for t in nf.terms for h in t}
@@ -718,8 +723,8 @@ class ReductionSystem:
         carry (proof in ``check_confluence``).
         A plain generator gets only the inverse letter.
         """
-        nf = self._reduce(el)
-        twists = self.commutation_with_generators(nf)
+        nf = self.normal_form(el)
+        twists = self._commutation(nf)
         if twists is None:
             raise NotNormalError("element does not commute with every generator "
                                  "up to a scalar")

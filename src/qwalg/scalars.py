@@ -176,7 +176,6 @@ def subgroup_canonical_form(group: ScalarGroup, gens) -> SubgroupDescription:
     e, m = group.torsion_order, group.rank
     rows = [list(g.free) + [g.torsion] for g in gens]
     rows.append([0] * m + [e])
-    h, _ = intlattice.hermite_nf(rows)
-    full = tuple(tuple(r) for r in h if any(r))
+    full = tuple(tuple(r) for r in intlattice.hermite_nf(rows) if any(r))
     free = tuple(r[:m] for r in full[:-1])
     return SubgroupDescription(e // full[-1][m], free, full)

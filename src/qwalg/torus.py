@@ -25,8 +25,10 @@ def _congruent(a: int, b: int, mod: int) -> bool:
 class QuantumTorus:
     """Laurent algebra on n generators with y_i y_j = lambda_{i,j} y_j y_i.
 
-    ``exponents`` holds the torsion exponents of lambda, then one matrix per
-    free symbol; ``moduli`` the matching modulus (e, then 0 for exact)."""
+    A torus is its exponent matrices: ``exponents`` holds the torsion
+    exponents of lambda (in [0, e)), then one matrix per free symbol, and
+    ``moduli`` the matching modulus (e, then 0 for exact).  The constructor
+    checks a user matrix of scalars; ``lam`` is derived on first use."""
 
     def __init__(self, group: ScalarGroup, lam: list[list[Scalar]]):
         n = len(lam)
@@ -35,9 +37,9 @@ class QuantumTorus:
                 raise TorusError("weight matrix must be square")
             if any(s.group != group for s in row):
                 raise TorusError("weight outside the declared group")
+        self.group, self.n, self._lam = group, n, [list(row) for row in lam]
         self.exponents = [[[s.torsion for s in row] for row in lam]] + [
             [[s.free[c] for s in row] for row in lam] for c in range(group.rank)]
-        self.moduli = (group.torsion_order,) + (0,) * group.rank
         coords = list(zip(self.exponents, self.moduli))
         for i in range(n):
             if any(s[i][i] for s in self.exponents):
@@ -45,9 +47,10 @@ class QuantumTorus:
             if any(not _congruent(s[i][j], -s[j][i], mod)
                    for s, mod in coords for j in range(n)):
                 raise TorusError("weight matrix is not multiplicatively antisymmetric")
-        self.group = group
-        self.lam = [list(row) for row in lam]
-        self.n = n
+
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        return (self.group.torsion_order,) + (0,) * self.group.rank
 
     @staticmethod
     def uniparameter(group: ScalarGroup, name: str, exponents) -> "QuantumTorus":
@@ -56,13 +59,28 @@ class QuantumTorus:
 
     @staticmethod
     def from_presentation(p: Presentation) -> "QuantumTorus":
-        lam = [[p.group.one()] * p.n for _ in range(p.n)]
+        """The torus of the weights at (i, j) and their inverses at (j, i):
+        ``Presentation.build`` refused self-relations and foreign weights."""
+        t = QuantumTorus.__new__(QuantumTorus)
+        t.group, t.n, t._lam = p.group, p.n, None
+        moduli = t.moduli
+        t.exponents = [[[0] * p.n for _ in range(p.n)] for _ in moduli]
         for (i, j), rel in p.rels.items():
             if not isinstance(rel, Multiplicative):
                 raise TorusError("presentation has a non-quantum relation; "
                                  "not a torus")
-            lam[i][j], lam[j][i] = rel.weight, rel.weight.inv()
-        return QuantumTorus(p.group, lam)
+            w = rel.weight
+            for s, k, mod in zip(t.exponents, (w.torsion, *w.free), moduli):
+                s[i][j], s[j][i] = k, (-k % mod if mod else -k)
+        return t
+
+    @property
+    def lam(self) -> list[list[Scalar]]:
+        if self._lam is None:
+            tor, *free = self.exponents
+            self._lam = [[Scalar(self.group, tor[i][j], tuple(s[i][j] for s in free))
+                          for j in range(self.n)] for i in range(self.n)]
+        return self._lam
 
     def to_presentation(self, names=None) -> Presentation:
         names = tuple(names) if names else tuple(f"y{i+1}" for i in range(self.n))
@@ -73,7 +91,7 @@ class QuantumTorus:
     def __eq__(self, other):
         if not isinstance(other, QuantumTorus):
             return NotImplemented
-        return self.group == other.group and self.lam == other.lam
+        return self.group == other.group and self.exponents == other.exponents
 
 
 def central_lattice(t: QuantumTorus) -> list[list[int]]:

@@ -125,8 +125,7 @@ def test_criterion_3_skew_normal_form():
         for i in range(len(fa.divisors) - 1):
             assert fa.divisors[i + 1] % fa.divisors[i] == 0
         ua = [list(r) for r in fa.transform]
-        assert il.mat_eq(il.matmul(il.matmul(il.transpose(ua), a), ua),
-                         fa.canonical_matrix())
+        assert il.matmul(il.matmul(il.transpose(ua), a), ua) == fa.canonical_matrix()
     _ok(3, "500 random congruence pairs share canonical divisors; every "
            "transform re-multiplies exactly and divisor chains divide")
 

@@ -24,6 +24,65 @@ def random_unimodular(n, rng, steps=8):
     return u
 
 
+def reference_hermite(a):
+    """Reference: the row-style Hermite form with its transform, (H, U) with
+    U*a = H and |det U| = 1, every row operation applied to U as well."""
+    h = il.copy(a)
+    r = len(h)
+    c = len(h[0]) if h else 0
+    u = il.identity(r)
+    piv = 0
+    for col in range(c):
+        while True:
+            nz = [i for i in range(piv, r) if h[i][col] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(h[i][col]))
+            if i0 != piv:
+                h[piv], h[i0] = h[i0], h[piv]
+                u[piv], u[i0] = u[i0], u[piv]
+            p = h[piv][col]
+            done = True
+            for i in range(piv + 1, r):
+                q = h[i][col] // p
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[piv])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[piv])]
+                if h[i][col] != 0:
+                    done = False
+            if done:
+                break
+        if piv < r and h[piv][col] != 0:
+            if h[piv][col] < 0:
+                h[piv] = [-x for x in h[piv]]
+                u[piv] = [-x for x in u[piv]]
+            p = h[piv][col]
+            for i in range(piv):
+                q = h[i][col] // p
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[piv])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[piv])]
+            piv += 1
+            if piv == r:
+                break
+    return h, u
+
+
+def lattice_member(basis, vec) -> bool:
+    """Exact membership test of vec in the row lattice spanned by basis."""
+    if not basis:
+        return not any(vec)
+    rows = [r for r in il.hermite_nf(basis) if any(r)]
+    v = list(vec)
+    for row in rows:
+        j = next(i for i, x in enumerate(row) if x)
+        if v[j] % row[j] != 0:
+            return False
+        q = v[j] // row[j]
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
 def random_antisymmetric(n, rng, bound=4):
     a = il.zeros(n, n)
     for i in range(n):
@@ -35,14 +94,14 @@ def random_antisymmetric(n, rng, bound=4):
 
 def test_smith_identity():
     d, u, v = il.smith_nf(il.identity(3))
-    assert il.mat_eq(d, il.identity(3))
-    assert il.mat_eq(il.matmul(il.matmul(u, il.identity(3)), v), d)
+    assert d == il.identity(3)
+    assert il.matmul(il.matmul(u, il.identity(3)), v) == d
 
 
 def test_smith_2_3():
     a = [[2, 0], [0, 3]]
     d, u, v = il.smith_nf(a)
-    assert il.mat_eq(il.matmul(il.matmul(u, a), v), d)
+    assert il.matmul(il.matmul(u, a), v) == d
     diag = [d[i][i] for i in range(2)]
     assert all(diag[i] >= 0 for i in range(2))
     assert diag[1] % diag[0] == 0
@@ -56,7 +115,7 @@ def test_smith_random_verified():
         r, c = rng.randrange(1, 5), rng.randrange(1, 5)
         a = [[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)]
         d, u, v = il.smith_nf(a)
-        assert il.mat_eq(il.matmul(il.matmul(u, a), v), d)
+        assert il.matmul(il.matmul(u, a), v) == d
         assert abs(il.det(u)) == 1 and abs(il.det(v)) == 1
         diag = [d[i][i] for i in range(min(r, c))]
         for i in range(len(diag) - 1):
@@ -67,9 +126,11 @@ def test_smith_random_verified():
 
 
 def test_hermite_zero():
-    h, u = il.hermite_nf([[0, 0], [0, 0]])
-    assert il.mat_eq(h, [[0, 0], [0, 0]])
+    h, u = reference_hermite([[0, 0], [0, 0]])
+    assert il.hermite_nf([[0, 0], [0, 0]]) == h == [[0, 0], [0, 0]]
     assert abs(il.det(u)) == 1
+    assert il.hermite_nf([[0, 0, 0]]) == [[0, 0, 0]]
+    assert il.hermite_nf([]) == []
 
 
 def test_hermite_canonical():
@@ -77,14 +138,31 @@ def test_hermite_canonical():
     for _ in range(60):
         r, c = rng.randrange(1, 5), rng.randrange(1, 5)
         a = [[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)]
-        h, u = il.hermite_nf(a)
-        assert il.mat_eq(il.matmul(u, a), h)
-        assert abs(il.det(u)) == 1
+        h = il.hermite_nf(a)
+        assert h == reference_hermite(a)[0]
         # row-space canonicity: shuffling rows gives the same form
         b = [row[:] for row in a]
         rng.shuffle(b)
-        h2, _ = il.hermite_nf(b)
+        h2 = il.hermite_nf(b)
         assert [r for r in h if any(r)] == [r2 for r2 in h2 if any(r2)]
+
+
+def test_hermite_matches_transform_reference():
+    """The form built without a transform equals the reference's H exactly,
+    zero rows and columns included, and the reference's U checks it."""
+    rng = random.Random(29)
+    for _ in range(300):
+        r, c = rng.randrange(1, 7), rng.randrange(1, 7)
+        a = [[rng.randrange(-9, 10) if rng.random() < 0.7 else 0 for _ in range(c)]
+             for _ in range(r)]
+        for k in rng.sample(range(r), rng.randrange(r)):
+            a[k] = [0] * c
+        for k in rng.sample(range(c), rng.randrange(c)):
+            for row in a:
+                row[k] = 0
+        h, u = reference_hermite(a)
+        assert il.hermite_nf(a) == h, a
+        assert il.matmul(u, a) == h and abs(il.det(u)) == 1, a
 
 
 def test_kernel_simple():
@@ -102,7 +180,7 @@ def smith_kernel(a, ncols):
         return il.identity(ncols)
     d, _, v = il.smith_nf(a)
     rk = sum(1 for i in range(min(len(d), ncols)) if d[i][i] != 0)
-    h, _ = il.hermite_nf([[v[i][j] for i in range(ncols)] for j in range(rk, ncols)])
+    h = il.hermite_nf([[v[i][j] for i in range(ncols)] for j in range(rk, ncols)])
     return [row for row in h if any(row)]
 
 
@@ -112,7 +190,7 @@ def smith_kernel_with_torsion(a, b, e, n):
     rows = [list(r) + [0] * len(b) for r in a]
     rows += [list(r) + [e * (i == k) for i in range(len(b))] for k, r in enumerate(b)]
     proj = [row[:n] for row in smith_kernel(rows, n + len(b))]
-    h, _ = il.hermite_nf(proj)
+    h = il.hermite_nf(proj)
     return [row for row in h if any(row)]
 
 
@@ -122,7 +200,7 @@ def smith_intersect(b1, b2, dim):
         return []
     stacked = [[r[j] for r in b1] + [-r[j] for r in b2] for j in range(dim)]
     vecs = [il.matmul([row[:len(b1)]], b1)[0] for row in smith_kernel(stacked, len(b1) + len(b2))]
-    h, _ = il.hermite_nf(vecs)
+    h = il.hermite_nf(vecs)
     return [row for row in h if any(row)]
 
 
@@ -153,7 +231,7 @@ def test_kernel_with_torsion_brute():
         for alpha in itertools.product(range(-3, 4), repeat=n):
             in_set = all(sum(r[i] * alpha[i] for i in range(n)) == 0 for r in a) and \
                 all(sum(r[i] * alpha[i] for i in range(n)) % e == 0 for r in b)
-            assert il.lattice_member(basis, list(alpha)) == in_set
+            assert lattice_member(basis, list(alpha)) == in_set
 
 
 def test_lattice_intersect_examples():
@@ -169,17 +247,17 @@ def test_lattice_intersect_membership():
         b2 = [[rng.randrange(-3, 4) for _ in range(4)] for _ in range(3)]
         inter = il.lattice_intersect(b1, b2, 4)
         for v in inter:
-            assert il.lattice_member(b1, v) and il.lattice_member(b2, v)
+            assert lattice_member(b1, v) and lattice_member(b2, v)
         for v in itertools.product(range(-2, 3), repeat=4):
             v = list(v)
-            if il.lattice_member(b1, v) and il.lattice_member(b2, v):
-                assert il.lattice_member(inter, v)
+            if lattice_member(b1, v) and lattice_member(b2, v):
+                assert lattice_member(inter, v)
 
 
 def test_skew_examples():
     f = il.skew_normal_form([[0, 2], [-2, 0]])
     assert f.divisors == (2,)
-    assert il.mat_eq([list(r) for r in f.transform], il.identity(2))
+    assert [list(r) for r in f.transform] == il.identity(2)
     f2 = il.skew_normal_form([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
     assert f2.divisors == (1,)  # rank 2: one hyperbolic block, one zero line
     assert il.rank([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]) == 2
@@ -207,8 +285,20 @@ def test_skew_rejects_nonantisymmetric():
 
 def test_matinv_unimodular():
     rng = random.Random(19)
-    for _ in range(30):
-        n = rng.randrange(1, 6)
-        u = random_unimodular(n, rng)
+    for _ in range(60):
+        n = rng.randrange(1, 7)
+        u = random_unimodular(n, rng, steps=rng.randrange(1, 16))
         w = il.matinv_unimodular(u)
-        assert il.mat_eq(il.matmul(w, u), il.identity(n))
+        assert il.matmul(w, u) == il.identity(n)
+        assert il.matmul(u, w) == il.identity(n)
+    assert il.matinv_unimodular([]) == []
+
+
+@pytest.mark.parametrize("a", [
+    [[2]], [[1, 0], [0, 2]], [[1, 1], [-1, 1]],    # det 2
+    [[0]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]],    # singular
+    [[1, 0]], [[1], [0]],    # not square
+])
+def test_matinv_rejects_non_unimodular(a):
+    with pytest.raises(ValueError):
+        il.matinv_unimodular(a)

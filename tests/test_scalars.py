@@ -123,9 +123,9 @@ def three_step_subgroup_form(group, gens):
     """Reference: HNF of the (t, v) lift, a second HNF of the free parts,
     and the torsion order from the lift's intersection with Z x 0."""
     e, m = group.torsion_order, group.rank
-    full, _ = il.hermite_nf([[g.torsion] + list(g.free) for g in gens] + [[e] + [0] * m])
+    full = il.hermite_nf([[g.torsion] + list(g.free) for g in gens] + [[e] + [0] * m])
     full = [r for r in full if any(r)]
-    hf, _ = il.hermite_nf([list(g.free) for g in gens] or [[0] * m])
+    hf = il.hermite_nf([list(g.free) for g in gens] or [[0] * m])
     inter = il.lattice_intersect(full, [[1] + [0] * m], 1 + m)
     c = abs(inter[0][0]) if inter else e
     return e // c, tuple(tuple(r) for r in hf if any(r))

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from qwalg import intlattice as il
+from qwalg.presentation import Additive, Eulerian, Multiplicative, Presentation
 from qwalg.scalars import GroupMismatch, ScalarGroup
 from qwalg.torus import (Iso, NotApplicable, NotIso, QuantumTorus, TorusError,
                          TorusMorphism, Violation, central_lattice, check_morphism, compose,
                          is_isomorphism, is_simple, uniparameter_exponents,
                          uniparameter_iso_decide)
+from test_intlattice import lattice_member
 
 
 def is_central(t, alpha):
@@ -82,6 +84,74 @@ def test_validation(grp):
         QuantumTorus(grp, [[q]])  # diagonal not 1
 
 
+def random_presentation(rng, g, n):
+    """Quantum relations in random orientations, some of weight 1, with
+    torsion and negative free exponents."""
+    items = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.7:
+                w = g.scalar(rng.randrange(g.torsion_order),
+                             tuple(rng.randrange(-3, 4) for _ in range(g.rank)))
+                items.append((i, j, Multiplicative(w)) if rng.random() < 0.5
+                             else (j, i, Multiplicative(w)))
+    rng.shuffle(items)
+    return Presentation.build(g, [f"y{k}" for k in range(n)], items)
+
+
+def test_from_presentation_matches_validated_path():
+    """Exponents read straight off the relations agree with the checked
+    constructor on the scalar matrix of the presentation's weights."""
+    rng = random.Random(61)
+    nonsimple = 0
+    for e in (1, 2, 6, 12):
+        for rank in range(3):
+            g = ScalarGroup(e, ("p", "q")[:rank], "zeta" if e > 1 else None)
+            for _ in range(15):
+                n = rng.randrange(1, 6)
+                p = random_presentation(rng, g, n)
+                lam = [[g.one() if i == j else p.quantum_weight(i, j) for j in range(n)]
+                       for i in range(n)]
+                ref = QuantumTorus(p.group, lam)
+                t = QuantumTorus.from_presentation(p)
+                assert t.n == ref.n and t.group == ref.group
+                assert t.exponents == ref.exponents
+                assert t.moduli == ref.moduli
+                assert t.lam == ref.lam == lam
+                assert t == ref and ref == t
+                assert central_lattice(t) == central_lattice(ref)
+                assert QuantumTorus.from_presentation(t.to_presentation(p.gens)) == t
+                nonsimple += not is_simple(t)
+    assert nonsimple > 20
+
+
+def test_from_presentation_equality():
+    """b a = zeta q a b is stored at (0, 1) as zeta^3 q^-1; a torus with the
+    same exponents over another group is a different torus."""
+    def plane(g, name):
+        w = g.root().mul(g.free_gen(name))
+        return QuantumTorus.from_presentation(
+            Presentation.build(g, ("a", "b"), [(1, 0, Multiplicative(w))]))
+
+    g = ScalarGroup(4, ("q",), "zeta")
+    one, z, q = g.one(), g.root(), g.free_gen("q")
+    t = plane(g, "q")
+    assert t.exponents == [[[0, 3], [1, 0]], [[0, -1], [1, 0]]]
+    assert t == QuantumTorus(g, [[one, z.inv().mul(q.inv())], [z.mul(q), one]])
+    assert t != QuantumTorus(g, [[one, z.inv()], [z, one]])
+    other = plane(ScalarGroup(4, ("p",), "zeta"), "p")
+    assert other.exponents == t.exponents and other != t
+
+
+@pytest.mark.parametrize("rel", [Additive(1), Eulerian(0)])
+def test_from_presentation_rejects_non_quantum(rel):
+    g = ScalarGroup(1, ("q",))
+    p = Presentation.build(g, ("a", "b", "c"),
+                           [(0, 2, Multiplicative(g.free_gen("q"))), (0, 1, rel)])
+    with pytest.raises(TorusError, match="non-quantum relation"):
+        QuantumTorus.from_presentation(p)
+
+
 def test_simple_q_plane(grp):
     t = uni(grp, [[0, 1], [-1, 0]])
     assert central_lattice(t) == []
@@ -101,8 +171,8 @@ def test_minus_one_torus():
     t = QuantumTorus(g, [[g.one(), m], [m, g.one()]])
     basis = central_lattice(t)
     assert not is_simple(t)
-    assert il.lattice_member(basis, [2, 0])
-    assert not il.lattice_member(basis, [1, 0])
+    assert lattice_member(basis, [2, 0])
+    assert not lattice_member(basis, [1, 0])
     assert sorted(brute_force_central(t, 2), key=tuple)[0] is not None
 
 
@@ -122,7 +192,7 @@ def test_counterexample_block_torus():
     assert basis == [[0, 0, 2, 0], [0, 0, 0, 2]]
     brute = brute_force_central(t, 2)
     for v in brute:
-        assert il.lattice_member(basis, v)
+        assert lattice_member(basis, v)
 
 
 def test_all_one_row_not_simple(grp):
@@ -131,7 +201,7 @@ def test_all_one_row_not_simple(grp):
     lam = [[one, q, one], [q.inv(), one, one], [one, one, one]]
     t = QuantumTorus(grp, lam)
     assert not is_simple(t)
-    assert il.lattice_member(central_lattice(t), [0, 0, 1])
+    assert lattice_member(central_lattice(t), [0, 0, 1])
 
 
 def test_check_morphism_identity(grp):
@@ -272,7 +342,7 @@ def test_central_lattice_matches_brute_force_with_torsion():
         for v in basis:
             assert is_central(t, v)
         for v in brute_force_central(t, 2):
-            assert il.lattice_member(basis, v)
+            assert lattice_member(basis, v)
         nonsimple += bool(basis)
     assert nonsimple > 10
 
