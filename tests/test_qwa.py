@@ -79,6 +79,39 @@ BAD_TEXTS = [
     ("qweyl {\n  n = 1\n  q = (1)\n  n = 1\n  Lambda = [[1]]\n}\n", 4,
      "duplicate qweyl clause"),
     ("qweyl {\n  n = 1\n  q = (1)\n}\n", 1, "missing 'Lambda'"),
+    # Relation lines: one row per error of the three shapes, trailing junk
+    # after each shape included, so that every anchor of the relation
+    # pattern is pinned.
+    ("generators a, a\n", 1, "duplicate generator name"),
+    ("generators w, y, z\nrelations {\n  [w, y] = z\n}\n", 3,
+     "must repeat its second generator, got 'z'"),
+    ("generators a, b\nrelations {\n\n  a b = a b + 1\n}\n", 4,
+     "sides of a Weyl relation"),
+    ("scalars { free q }\ngenerators a, b\nrelations {\n  a b = q * a b\n}\n", 4,
+     "sides of a quantum relation"),
+    ("generators a, b\nrelations {\n  a b c\n}\n", 3, "unrecognized relation 'a b c'"),
+    ("generators w, y, z\nrelations {\n  [w, y] = y z\n}\n", 3,
+     "unrecognized relation '[w, y] = y z'"),
+    ("generators x, y, z\nrelations {\n  x y = y x + 1 z\n}\n", 3,
+     "unrecognized relation 'x y = y x + 1 z'"),
+    ("scalars { free q }\ngenerators x, y, z\nrelations {\n  x y = q * y x z\n}\n", 4,
+     "unrecognized relation 'x y = q * y x z'"),
+    ("generators x, y\nrelations {\n  x x y = y x + 1\n}\n", 3,
+     "unrecognized relation 'x x y = y x + 1'"),
+    ("generators x, y\nrelations {\n  (x y = y x + 1\n}\n", 3,
+     "unrecognized relation '(x y = y x + 1'"),
+    ("generators a, b\nrelations {\n  a c = c a + 1\n}\n", 3, "undeclared generator 'c'"),
+    ("generators a, b\nrelations {\n  [b, b] = b\n}\n", 3, "self-relation on 'b'"),
+    ("generators a, b\nrelations {\n  a b = q * b a\n}\n", 3,
+     "undeclared scalar symbol 'q'"),
+    ("scalars { free q }\ngenerators a, b\nrelations {\n  a b = q^x * b a\n}\n", 4,
+     "bad scalar factor 'q^x'"),
+    ("scalars { free q }\ngenerators a, b, c, d\nrelations {\n  a b = c d + 1 * b a\n}\n",
+     4, "bad scalar factor 'c d + 1'"),
+    ("scalars { root w : 3 }\ngenerators a, b\nrelations {\n  a b = -1 * b a\n}\n", 4,
+     "-1 requires an even root-of-unity order"),
+    ("generators a, b, c\nrelations {\n  a b = b a + 1\n  [c, a] = a\n  b a = a b + 2\n}\n",
+     5, "duplicate relation for pair (a, b)"),
 ]
 
 
