@@ -2,9 +2,12 @@
 
 Matrices are plain lists of lists of Python ints and are never mutated by
 the public functions. The Smith and skew normal forms return transforms
-that re-verify them by exact multiplication; the Hermite form returns H
-alone. Kernels (with or without congruences), lattice intersections and
-unimodular inverses are read off one Hermite form of an augmented matrix.
+that re-verify them by exact multiplication, and the skew form also returns
+its transform's inverse, built operation by operation; the Hermite form
+returns H alone. Kernels (with or without congruences), lattice
+intersections and unimodular inverses are read off one Hermite form of an
+augmented matrix, except that a kernel is first tried modulo one large
+prime: full column rank there proves the kernel is 0 with no Hermite form.
 """
 from __future__ import annotations
 
@@ -201,17 +204,51 @@ def kernel(a, ncols: int | None = None) -> list[list[int]]:
     return kernel_with_torsion(a, [], 1, len(a[0]) if a else ncols)
 
 
+PRIME = (1 << 61) - 1
+
+
+def full_column_rank_mod_p(a, ncols: int) -> bool:
+    """Whether the rows of a have rank ncols modulo PRIME.
+
+    Rows are eliminated one at a time against the pivot rows kept so far,
+    each scaled to pivot 1, until the rank reaches ncols.  A True answer
+    proves that a has rank ncols over Q: the pivot rows give an
+    ncols x ncols minor that is non-zero mod PRIME, hence non-zero.  False
+    proves nothing over Q.
+    """
+    if len(a) < ncols:
+        return False
+    pivots: list[tuple[int, list[int]]] = []
+    for row in a:
+        if len(pivots) == ncols:
+            break
+        v = [x % PRIME for x in row]
+        for col, prow in pivots:
+            f = v[col]
+            if f:
+                v = [(x - f * y) % PRIME for x, y in zip(v, prow)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is not None:
+            inv = pow(v[col], -1, PRIME)
+            pivots.append((col, [x * inv % PRIME for x in v]))
+    return len(pivots) == ncols
+
+
 def kernel_with_torsion(a, b, e: int, ncols: int) -> list[list[int]]:
     """Basis of {x in Z^ncols : a*x = 0 over Z and b*x = 0 mod e}.
 
-    The null block of the rows (a^T b^T | I) and (0 e*I | 0): a combination
-    with coefficients x on the first rows has left block (a*x, b*x + e*k).
+    When a has full column rank modulo PRIME, the set lies in ker_Z(a) = 0
+    and the basis is empty.  Otherwise it is the null block of the rows
+    (a^T b^T | I) and (0 e*I | 0): a combination with coefficients x on the
+    first rows has left block (a*x, b*x + e*k).
     """
     if e < 1:
         raise ValueError("modulus must be >= 1")
     for row in list(a) + list(b):
         if len(row) != ncols:
             raise ValueError("dimension mismatch")
+    if full_column_rank_mod_p(a, ncols):
+        return []
     rows = [[r[j] for r in a] + [r[j] for r in b] + [int(i == j) for i in range(ncols)]
             for j in range(ncols)]
     rows += [[0] * len(a) + [e * (i == k) for i in range(len(b))] + [0] * ncols
@@ -237,12 +274,13 @@ class SkewNormalForm:
 
     transform U satisfies U^T * A * U = C where C is block diagonal with
     hyperbolic blocks [[0, d_i], [-d_i, 0]] followed by zeros, and the
-    divisors satisfy d_i | d_{i+1}.
+    divisors satisfy d_i | d_{i+1}; inverse is U^-1.
     """
 
     size: int
     divisors: tuple[int, ...]
     transform: tuple[tuple[int, ...], ...]
+    inverse: tuple[tuple[int, ...], ...]
 
     def canonical_matrix(self) -> list[list[int]]:
         c = zeros(self.size, self.size)
@@ -264,13 +302,17 @@ def skew_normal_form(a) -> SkewNormalForm:
     Simultaneous row/column operations (so the result is U^T A U) run a
     gcd descent on the active block, isolate one hyperbolic block at a
     time, and force the pivot to divide the remainder before moving on,
-    which yields the divisor chain directly.
+    which yields the divisor chain directly.  Each operation multiplies U
+    on the right by an elementary matrix E, and U^-1 on the left by E^-1,
+    so U is unimodular by construction and its inverse needs no Hermite
+    form of (U | I).
     """
     if not is_antisymmetric(a):
         raise ValueError("matrix is not antisymmetric")
     n = len(a)
     m = copy(a)
     u = identity(n)
+    w = identity(n)  # U^-1
 
     def col_add(j, k, q):  # col_j += q*col_k together with row_j += q*row_k
         for i in range(n):
@@ -279,6 +321,7 @@ def skew_normal_form(a) -> SkewNormalForm:
             m[j][i] += q * m[k][i]
         for i in range(n):
             u[i][j] += q * u[i][k]
+        w[k] = [x - q * y for x, y in zip(w[k], w[j])]
 
     def swap(j, k):
         if j == k:
@@ -288,6 +331,7 @@ def skew_normal_form(a) -> SkewNormalForm:
         m[j], m[k] = m[k], m[j]
         for row in u:
             row[j], row[k] = row[k], row[j]
+        w[j], w[k] = w[k], w[j]
 
     def negate(j):
         for i in range(n):
@@ -296,6 +340,7 @@ def skew_normal_form(a) -> SkewNormalForm:
             m[j][i] = -m[j][i]
         for i in range(n):
             u[i][j] = -u[i][j]
+        w[j] = [-x for x in w[j]]
 
     t = 0
     guard = 0
@@ -351,7 +396,8 @@ def skew_normal_form(a) -> SkewNormalForm:
     for i in range(len(divisors) - 1):
         if divisors[i + 1] % divisors[i] != 0:
             raise AssertionError("divisor chain violated")
-    snf = SkewNormalForm(n, tuple(divisors), tuple(tuple(r) for r in u))
+    snf = SkewNormalForm(n, tuple(divisors), tuple(tuple(r) for r in u),
+                         tuple(tuple(r) for r in w))
     if matmul(matmul(transpose(u), a), u) != snf.canonical_matrix():
         raise AssertionError("transform re-multiplication failed")
     return snf

@@ -48,6 +48,18 @@ class Eulerian:
 Relation = Additive | Multiplicative | Eulerian
 
 
+def normalized_relation(a: int, b: int, rel: Relation) -> Relation | None:
+    """rel, read in the (a, b) orientation, as stored for the pair i < j;
+    None when the pair commutes (weight 0 or 1)."""
+    if isinstance(rel, Additive):
+        w = rel.weight if a < b else -rel.weight
+        return Additive(w) if w else None
+    if isinstance(rel, Multiplicative):
+        w = rel.weight if a < b else rel.weight.inv()
+        return None if w.is_one() else Multiplicative(w)
+    return rel
+
+
 class Presentation:
     """Immutable presentation; relations normalized and keyed by i < j."""
 
@@ -75,26 +87,19 @@ class Presentation:
             if (i, j) in rels:
                 raise PresentationError(f"duplicate relation for pair "
                                         f"({gens[i]}, {gens[j]})")
-            if isinstance(rel, Additive):
-                stored = Additive(rel.weight if a == i else -rel.weight)
-                if stored.weight == 0:
-                    continue
-            elif isinstance(rel, Multiplicative):
+            if isinstance(rel, Multiplicative):
                 if rel.weight.group != group:
                     raise PresentationError("weight scalar outside the declared group")
-                w = rel.weight if a == i else rel.weight.inv()
-                if w.is_one():
-                    continue
-                stored = Multiplicative(w)
             elif isinstance(rel, Eulerian):
                 if rel.w_index != a:
                     raise PresentationError(
                         f"Eulerian item ({gens[a]}, {gens[b]}) must count with "
                         f"its first generator, not index {rel.w_index}")
-                stored = rel
-            else:
+            elif not isinstance(rel, Additive):
                 raise PresentationError(f"unknown relation kind {rel!r}")
-            rels[(i, j)] = stored
+            stored = normalized_relation(a, b, rel)
+            if stored is not None:
+                rels[(i, j)] = stored
         return Presentation(group, gens, rels)
 
     # -- accessors -------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cyclo import Coeff, coeff_to_scalar
 from .presentation import (Additive, Eulerian, GeneratorMap, Multiplicative,
-                           Presentation)
+                           Presentation, normalized_relation)
 from .rewrite import Element, ReductionSystem
 from .scalars import GroupMismatch, Scalar, ScalarGroup, format_scalar, merge_groups
 
@@ -40,11 +40,12 @@ _RE_ROOT = re.compile(rf"^root\s+({NAME})\s*:\s*(\d+)$")
 _RE_FREE = re.compile(r"^free\s+(.*)$")
 _RE_QWEYL = re.compile(r"^(n|q|Lambda)\s*=\s*(.+)$")
 _RE_ROW_SEP = re.compile(r"(?<=\])\s*,\s*(?=\[)")
-_RE_QUANTUM = re.compile(
-    rf"^({NAME})\s+({NAME})\s*=\s*(.+?)\s*\*\s*({NAME})\s+({NAME})$")
-_RE_WEYL = re.compile(
-    rf"^({NAME})\s+({NAME})\s*=\s*({NAME})\s+({NAME})\s*\+\s*(-?\d+)$")
-_RE_EULER = re.compile(rf"^\[\s*({NAME})\s*,\s*({NAME})\s*\]\s*=\s*({NAME})$")
+# A whole relation line: [w, y] = y (groups 1-3), or x y = (4-5) then y x + p
+# (6-8) or s * y x (9-11).  Only the bracket starts with '[', only s * has '*'.
+_RE_RELATION = re.compile(
+    rf"\[\s*({NAME})\s*,\s*({NAME})\s*\]\s*=\s*({NAME})"
+    rf"|({NAME})\s+({NAME})\s*=\s*(?:({NAME})\s+({NAME})\s*\+\s*(-?\d+)"
+    rf"|(.+?)\s*\*\s*({NAME})\s+({NAME}))")
 # The statements of a .qwa file; True marks a block.
 _QWA = {"scalars": True, "generators": False, "relations": True, "qweyl": True}
 
@@ -140,8 +141,8 @@ def parse_scalar_literal(group: ScalarGroup, text: str, line: int = 0) -> Scalar
         name, exp = m.group(1), int(m.group(2) or 1)
         if name == group.root_symbol:
             torsion += exp
-        elif name in group.free_symbols:
-            free[group.free_symbols.index(name)] += exp
+        elif name in group.free_index:
+            free[group.free_index[name]] += exp
         else:
             raise ParseError(line, f"undeclared scalar symbol {name!r}")
     return group.scalar(torsion=torsion, free=tuple(free))
@@ -182,21 +183,34 @@ def parse_document(text: str, group: ScalarGroup | None = None) -> Document:
     elif merge_groups(group, declared) != group:
         raise GroupMismatch("declared scalars do not embed in the given group")
 
+    literal = _literals(group)
     presentation = qweyl = None
     if "generators" in found:
         presentation = _build_presentation(
-            group, *found["generators"], found.get("relations", (0, ()))[1])
+            group, literal, *found["generators"], found.get("relations", (0, ()))[1])
     elif "relations" in found:
         raise ParseError(found["relations"][0],
                          "relations block without a generators line")
     if "qweyl" in found:
-        qweyl = _build_qweyl(group, *found["qweyl"])
+        qweyl = _build_qweyl(group, literal, *found["qweyl"])
     if presentation is None and qweyl is None:
         raise ParseError(1, "file declares neither generators nor a qweyl block")
     return Document(group, presentation, qweyl)
 
 
-def _build_presentation(group, ln, rest, rel_lines) -> Presentation:
+def _literals(group):
+    """``parse_scalar_literal`` in ``group``, each distinct text parsed once."""
+    parsed: dict[str, Scalar] = {}
+
+    def literal(text: str, ln: int) -> Scalar:
+        s = parsed.get(text)
+        if s is None:
+            s = parsed[text] = parse_scalar_literal(group, text, ln)
+        return s
+    return literal
+
+
+def _build_presentation(group, literal, ln, rest, rel_lines) -> Presentation:
     gens = _names(rest, ln, "generator")
     if len(set(gens)) != len(gens):
         raise ParseError(ln, "duplicate generator name")
@@ -207,54 +221,41 @@ def _build_presentation(group, ln, rest, rel_lines) -> Presentation:
             raise ParseError(ln, f"undeclared generator {name!r}")
         return index[name]
 
-    items = []
-    seen = set()
+    rels = {}
     for ln, s in rel_lines:
-        m = _RE_EULER.match(s)
-        if m:
-            w, y, rhs = m.group(1), m.group(2), m.group(3)
+        m = _RE_RELATION.fullmatch(s)
+        if m is None:
+            raise ParseError(ln, f"unrecognized relation {s!r}")
+        w, y, rhs, g1, g2, w1, w2, p, lit, q1, q2 = m.groups()
+        if w is not None:
             if rhs != y:
                 raise ParseError(ln, f"bracket relation must repeat its second "
                                      f"generator, got {rhs!r}")
             a, b = idx(w, ln), idx(y, ln)
-            _claim(seen, a, b, ln, gens)
-            items.append((a, b, Eulerian(a)))
-            continue
-        m = _RE_WEYL.match(s)
-        if m:
-            g1, g2, g3, g4, p = m.groups()
-            if (g1, g2) != (g4, g3):
-                raise ParseError(ln, "sides of a Weyl relation must be the same "
+        else:
+            kind, right = ("Weyl", (w1, w2)) if lit is None else ("quantum", (q1, q2))
+            if (g2, g1) != right:
+                raise ParseError(ln, f"sides of a {kind} relation must be the same "
                                      "pair in both orders")
             a, b = idx(g1, ln), idx(g2, ln)
-            _claim(seen, a, b, ln, gens)
-            items.append((a, b, Additive(int(p))))
-            continue
-        m = _RE_QUANTUM.match(s)
-        if m:
-            g1, g2, lit, g3, g4 = m.groups()
-            if (g1, g2) != (g4, g3):
-                raise ParseError(ln, "sides of a quantum relation must be the same "
-                                     "pair in both orders")
-            a, b = idx(g1, ln), idx(g2, ln)
-            _claim(seen, a, b, ln, gens)
-            items.append((a, b, Multiplicative(parse_scalar_literal(group, lit, ln))))
-            continue
-        raise ParseError(ln, f"unrecognized relation {s!r}")
-    return Presentation.build(group, gens, items)
+        if a == b:
+            raise ParseError(ln, f"self-relation on {gens[a]!r}")
+        key = (min(a, b), max(a, b))
+        if key in rels:
+            raise ParseError(ln, f"duplicate relation for pair ({gens[key[0]]}, "
+                                 f"{gens[key[1]]})")
+        if w is not None:
+            rel = Eulerian(a)
+        elif lit is None:
+            rel = Additive(int(p))
+        else:
+            rel = Multiplicative(literal(lit, ln))
+        rels[key] = normalized_relation(a, b, rel)
+    # Every check of Presentation.build was made above, with its line.
+    return Presentation(group, gens, {k: r for k, r in rels.items() if r is not None})
 
 
-def _claim(seen, a, b, ln, gens):
-    if a == b:
-        raise ParseError(ln, f"self-relation on {gens[a]!r}")
-    key = (min(a, b), max(a, b))
-    if key in seen:
-        raise ParseError(ln, f"duplicate relation for pair ({gens[key[0]]}, "
-                             f"{gens[key[1]]})")
-    seen.add(key)
-
-
-def _build_qweyl(group, ln, items) -> QWeylSpec:
+def _build_qweyl(group, literal, ln, items) -> QWeylSpec:
     fields = {}
     for at, item in items:
         m = _RE_QWEYL.match(item)
@@ -273,17 +274,17 @@ def _build_qweyl(group, ln, items) -> QWeylSpec:
     ln, qtext = fields["q"]
     if not (qtext.startswith("(") and qtext.endswith(")")):
         raise ParseError(ln, "q list must be parenthesized")
-    qs = tuple(parse_scalar_literal(group, t, ln) for t in qtext[1:-1].split(","))
+    qs = tuple(literal(t.strip(), ln) for t in qtext[1:-1].split(","))
     if len(qs) != n:
         raise ParseError(ln, f"expected {n} quantization parameters, got {len(qs)}")
     ln, ltext = fields["Lambda"]
-    lam = _parse_scalar_matrix(group, ltext, ln)
+    lam = _parse_scalar_matrix(literal, ltext, ln)
     if len(lam) != n or any(len(r) != n for r in lam):
         raise ParseError(ln, f"Lambda must be {n} x {n}")
     return QWeylSpec(group, n, qs, lam)
 
 
-def _parse_scalar_matrix(group, text, ln) -> tuple[tuple[Scalar, ...], ...]:
+def _parse_scalar_matrix(literal, text, ln) -> tuple[tuple[Scalar, ...], ...]:
     """``[[a, b],[c, d]]``: scalar literals hold no brackets, so rows part at
     '],' before '['."""
     if not (text.startswith("[") and text.endswith("]")):
@@ -292,8 +293,7 @@ def _parse_scalar_matrix(group, text, ln) -> tuple[tuple[Scalar, ...], ...]:
     for rtext in _RE_ROW_SEP.split(text[1:-1].strip()):
         if not (rtext.startswith("[") and rtext.endswith("]")):
             raise ParseError(ln, f"bad matrix row {rtext!r}")
-        rows.append(tuple(parse_scalar_literal(group, t, ln)
-                          for t in rtext[1:-1].split(",")))
+        rows.append(tuple(literal(t.strip(), ln) for t in rtext[1:-1].split(",")))
     return tuple(rows)
 
 

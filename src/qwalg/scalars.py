@@ -9,6 +9,7 @@ free symbols never satisfy accidental relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import intlattice
 
@@ -37,6 +38,11 @@ class ScalarGroup:
     @property
     def rank(self) -> int:
         return len(self.free_symbols)
+
+    @cached_property
+    def free_index(self) -> dict[str, int]:
+        """Position of each free symbol in ``free_symbols``."""
+        return {name: k for k, name in enumerate(self.free_symbols)}
 
     def one(self) -> "Scalar":
         return Scalar(self, 0, (0,) * self.rank)

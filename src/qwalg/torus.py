@@ -206,12 +206,13 @@ def uniparameter_iso_decide(t1: QuantumTorus, t2: QuantumTorus,
     if t1.n != t2.n or f1.divisors != f2.divisors:
         return NotIso(f1.divisors, f2.divisors)
     # With u1, u2 the transforms, u1^T s1 u1 = C = u2^T s2 u2, so
-    # h = u2 * u1^{-1} satisfies s1 = h^T s2 h.
-    h = intlattice.matmul(f2.transform, intlattice.matinv_unimodular(f1.transform))
+    # h = u2 * u1^{-1} satisfies s1 = h^T s2 h, and h^{-1} = u1 * u2^{-1};
+    # both are unimodular, being products of elementary matrices.
+    h = intlattice.matmul(f2.transform, f1.inverse)
     fwd = check_morphism(t1, t2, h)
     if isinstance(fwd, Violation):
         raise AssertionError("congruence witness failed the weight equations")
-    back = check_morphism(t2, t1, intlattice.matinv_unimodular(h))
+    back = check_morphism(t2, t1, intlattice.matmul(f1.transform, f2.inverse))
     if isinstance(back, Violation):
         raise AssertionError("inverse witness failed the weight equations")
     return Iso(tuple(tuple(r) for r in h), f1.divisors)

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import shlex
 import time
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qwalg import intlattice
 from qwalg.cli import COMMANDS, OPTIONS, main
 from qwalg.qwa import format_presentation, parse_presentation
 
@@ -135,6 +137,27 @@ def test_torus_simple_and_center(capsys):
         assert json.loads(simple.get("witness", "[]")) == basis[:1]
         tori += 1
     assert tori >= 4
+
+
+def test_large_torus_center_needs_no_hermite_form(tmp_path, monkeypatch, capsys):
+    """A one-parameter torus on 100 generators with exponents in +-1000 has
+    a full-rank exponent matrix mod p, so its centre is 0 with no Hermite
+    form (the Hermite route takes about a minute here)."""
+    def refuse(a):
+        raise AssertionError("hermite_nf called")
+
+    rng = random.Random(100)
+    n = 100
+    rels = [f"  y{i} y{j} = q^{rng.randint(-1000, 1000)} * y{j} y{i}"
+            for i in range(n) for j in range(i + 1, n)]
+    path = tmp_path / "torus100.qwa"
+    path.write_text("scalars { free q }\ngenerators "
+                    + ", ".join(f"y{i}" for i in range(n))
+                    + "\nrelations {\n" + "\n".join(rels) + "\n}\n")
+    monkeypatch.setattr(intlattice, "hermite_nf", refuse)
+    assert main(["torus", "center", str(path)]) == 0
+    block = machine_block(capsys.readouterr().out)
+    assert block["rank"] == "0" and block["basis"] == "[]"
 
 
 def test_torus_iso(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -302,3 +303,115 @@ def test_matinv_unimodular():
 def test_matinv_rejects_non_unimodular(a):
     with pytest.raises(ValueError):
         il.matinv_unimodular(a)
+
+
+def hermite_route_kernel(a, b, e, ncols):
+    """Reference: the kernel with torsion read off the Hermite form of the
+    rows (a^T b^T | I) and (0 e*I | 0) alone, with no modular certificate."""
+    rows = [[r[j] for r in a] + [r[j] for r in b] + [int(i == j) for i in range(ncols)]
+            for j in range(ncols)]
+    rows += [[0] * len(a) + [e * (i == k) for i in range(len(b))] + [0] * ncols
+             for k in range(len(b))]
+    width = len(a) + len(b)
+    return [row[width:] for row in il.hermite_nf(rows) if any(row) and not any(row[:width])]
+
+
+def fraction_rank(a) -> int:
+    """Reference: the rank over Q by Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rk = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rk, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        for i in range(rk + 1, len(m)):
+            f = m[i][col] / m[rk][col]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rk])]
+        rk += 1
+    return rk
+
+
+def with_determinant(n, d, rng):
+    """A dense n x n matrix of determinant d: U * diag(1, ..., 1, d) * V."""
+    diag = il.identity(n)
+    diag[-1][-1] = d
+    return il.matmul(il.matmul(random_unimodular(n, rng, 12), diag),
+                     random_unimodular(n, rng, 12))
+
+
+def test_mod_p_certificate_matches_hermite_route_and_fraction_rank():
+    """Full rank mod p implies full rank over Q, and every kernel equals the
+    Hermite-route reference: full-rank, rank-deficient (a repeated or
+    combined row) and odd-n antisymmetric matrices, with and without
+    torsion rows."""
+    rng = random.Random(37)
+    full = deficient = 0
+    for _ in range(300):
+        n = rng.randrange(0, 8)
+        kind = rng.randrange(3)
+        if kind == 0:
+            a = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(rng.randrange(n, n + 3))]
+        elif kind == 1 and n:
+            a = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(rng.randrange(1, n + 2))]
+            a.append([2 * x - y for x, y in zip(a[0], a[-1])])
+        else:
+            a = random_antisymmetric(2 * (n // 2) + 1, rng, bound=50)
+            n = len(a)
+        e = rng.choice([1, 2, 6])
+        b = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(rng.randrange(0, 3))]
+        certified = il.full_column_rank_mod_p(a, n)
+        rk = fraction_rank(a)
+        if certified:
+            assert rk == n, a
+            full += 1
+        deficient += rk < n
+        assert il.kernel_with_torsion(a, b, e, n) == hermite_route_kernel(a, b, e, n), (a, b, e)
+        assert il.kernel(a, n) == hermite_route_kernel(a, [], 1, n), a
+    assert full > 50 and deficient > 50
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_determinant_equal_to_the_prime_takes_the_exact_route(n):
+    """det a = PRIME: a has full rank over Q but not mod PRIME, so the
+    certificate proves nothing and the exact route still returns []."""
+    a = with_determinant(n, il.PRIME, random.Random(n))
+    assert il.det(a) == il.PRIME and fraction_rank(a) == n
+    assert not il.full_column_rank_mod_p(a, n)
+    assert il.kernel_with_torsion(a, [], 1, n) == hermite_route_kernel(a, [], 1, n) == []
+    assert il.kernel_with_torsion(a, [[1] * n], 3, n) == []
+
+
+def test_skew_transform_times_inverse_is_identity():
+    """The tracked inverse on 200 antisymmetric matrices up to 12 x 12,
+    with zero blocks (whole zero rows and columns, and a zero leading
+    block) among them."""
+    rng = random.Random(41)
+    for k in range(200):
+        n = rng.randrange(1, 13)
+        a = random_antisymmetric(n, rng, bound=rng.choice([1, 4, 30]))
+        for z in rng.sample(range(n), rng.randrange(n // 2 + 1)):
+            for i in range(n):
+                a[i][z] = a[z][i] = 0
+        if k % 10 == 0 and n > 2:
+            a[0][1] = a[1][0] = 0
+        f = il.skew_normal_form(a)
+        u, w = [list(r) for r in f.transform], [list(r) for r in f.inverse]
+        assert il.matmul(u, w) == il.identity(n) == il.matmul(w, u), a
+        assert w == il.matinv_unimodular(u), a
+
+
+def test_iso_witness_matches_unimodular_inverse_route():
+    """On congruent pairs, h = u2 * u1^-1 and h^-1 = u1 * u2^-1 from the
+    tracked inverses equal the products through matinv_unimodular."""
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        a = random_antisymmetric(n, rng)
+        u = random_unimodular(n, rng, 10)
+        b = il.matmul(il.matmul(il.transpose(u), a), u)
+        f1, f2 = il.skew_normal_form(a), il.skew_normal_form(b)
+        h = il.matmul(f2.transform, f1.inverse)
+        assert h == il.matmul(f2.transform, il.matinv_unimodular(f1.transform))
+        assert il.matmul(f1.transform, f2.inverse) == il.matinv_unimodular(h)
+        assert il.matmul(il.matmul(il.transpose(h), b), h) == a

@@ -300,6 +300,23 @@ def test_iso_decide_random_congruence(grp):
         assert isinstance(uniparameter_iso_decide(t1, t1, "q"), Iso)
 
 
+def test_iso_witness_equals_the_unimodular_inverse_route(grp):
+    """The witness built from the tracked inverses is u2 * u1^-1, as
+    matinv_unimodular gives it, and it carries t1 onto t2."""
+    from test_intlattice import random_antisymmetric, random_unimodular
+    rng = random.Random(47)
+    for _ in range(40):
+        n = rng.randrange(1, 8)
+        s = random_antisymmetric(n, rng, bound=5)
+        u = random_unimodular(n, rng, steps=10)
+        s2 = il.matmul(il.matmul(il.transpose(u), s), u)
+        res = uniparameter_iso_decide(uni(grp, s), uni(grp, s2), "q")
+        f1, f2 = il.skew_normal_form(s), il.skew_normal_form(s2)
+        h = il.matmul(f2.transform, il.matinv_unimodular(f1.transform))
+        assert [list(r) for r in res.h] == h
+        assert il.matmul(il.matmul(il.transpose(h), s2), h) == s
+
+
 def test_check_morphism_matches_scalar_products():
     rng = random.Random(21)
     morphisms = violations = 0
