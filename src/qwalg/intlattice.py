@@ -212,8 +212,8 @@ def full_column_rank_mod_p(a, ncols: int) -> bool:
 
     Rows are eliminated one at a time against the pivot rows kept so far,
     each scaled to pivot 1, until the rank reaches ncols.  A True answer
-    proves that a has rank ncols over Q: the pivot rows give an
-    ncols x ncols minor that is non-zero mod PRIME, hence non-zero.  False
+    proves that a has rank ncols over Q: the rows of a that gave a pivot
+    form a square minor that is non-zero mod PRIME, hence non-zero.  False
     proves nothing over Q.
     """
     if len(a) < ncols:

@@ -142,7 +142,7 @@ def test_torus_simple_and_center(capsys):
 def test_large_torus_center_needs_no_hermite_form(tmp_path, monkeypatch, capsys):
     """A one-parameter torus on 100 generators with exponents in +-1000 has
     a full-rank exponent matrix mod p, so its centre is 0 with no Hermite
-    form (the Hermite route takes about a minute here)."""
+    form."""
     def refuse(a):
         raise AssertionError("hermite_nf called")
 

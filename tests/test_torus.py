@@ -301,8 +301,9 @@ def test_iso_decide_random_congruence(grp):
 
 
 def test_iso_witness_equals_the_unimodular_inverse_route(grp):
-    """The witness built from the tracked inverses is u2 * u1^-1, as
-    matinv_unimodular gives it, and it carries t1 onto t2."""
+    """On congruent pairs, the witness h = u2 * u1^-1 and the h^-1 = u1 * u2^-1
+    of the back check, built from the tracked inverses, equal the products
+    through matinv_unimodular, and h carries t1 onto t2."""
     from test_intlattice import random_antisymmetric, random_unimodular
     rng = random.Random(47)
     for _ in range(40):
@@ -314,6 +315,7 @@ def test_iso_witness_equals_the_unimodular_inverse_route(grp):
         f1, f2 = il.skew_normal_form(s), il.skew_normal_form(s2)
         h = il.matmul(f2.transform, il.matinv_unimodular(f1.transform))
         assert [list(r) for r in res.h] == h
+        assert il.matmul(f1.transform, f2.inverse) == il.matinv_unimodular(h)
         assert il.matmul(il.matmul(il.transpose(h), s2), h) == s
 
 
