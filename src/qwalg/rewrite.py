@@ -36,41 +36,29 @@ whose two one-step results cancel term by term needs no reduction.
 
 The overlaps of a new inverse pair g g^-1, g^-1 g with the rules of g and
 g^-1 are settled by construction: the conjugated rules make them reduce
-alike (proof in ``check_confluence``).  So are the overlaps u a b and a b w
-of an identification rule a b with a parent rule u a or b w, when
-a b u < u a b or w a b < a b w: the parent's certified normality of the
-element puts their difference in the ideal of smaller words.  Most other
-overlaps and normality
-scalars need no reduction either: a twist table holds the degree of mu
-(torsion exponent mod e, then free exponents) for each rule u h -> mu h u
-with mu a scalar, and ``check_confluence`` and
-``commutation_with_generators`` compare degrees (criteria and proofs there).
-Read either way round, an inverse pair g g^-1 -> 1 <- g^-1 g twists by
-degree 0.  The left overlap criterion may turn a one-letter word above u
-round through its twist rule, which settles a localization's identification
-overlaps with Z on the right; a letter that moves through a normal form by
-twist rules alone needs no reduction to show the product is non-zero, and
-other scalars are read off a word whose coefficients in both products are
-scalars, without a coefficient inverse.  Each system memoizes the degrees
-of letters on words.  The mirror criterion, which moves the last letter w
-of an overlap to the left, also accepts a rule with words of another
-w-degree when the remainder they leave reduces to zero; the remainder
-depends only on w, the degree and those terms, so each is reduced once per
-system.
-``exchange_degree`` gives nu with u t = nu t u for
-two words, which settles a relation of a generator map whose images are
-single words without a reduction.
-An overlap u v w whose pairs (u, v), (v, w) and (u, w) are all in the table
-is settled outright, so certification visits only the candidates read off
-an index of loose pairs: rules outside the table and descending letter
-pairs with no twist rule.  An extension that appends its letters (every
+alike.  So are the overlaps u a b and a b w of an identification rule a b
+with a parent rule u a or b w, when a b u < u a b or w a b < a b w: the
+parent's certified normality of the element puts their difference in the
+ideal of smaller words.  A twist table holds the degree of mu (torsion
+exponent mod e, then free exponents) of each rule u h -> mu h u with mu a
+scalar; read either way round, with an inverse pair g g^-1 -> 1 <- g^-1 g
+of degree 0, it gives the degree of a letter on a word.  One graded lemma
+settles most other overlaps: the first letter moves right or the last
+letter moves left, the same statement in the algebra and in its opposite,
+and words of another degree may leave a remainder that reduces to zero,
+reduced once per system.  Degrees also give normality scalars
+(``commutation_with_generators``) and settle a relation of a generator map
+whose images are single words (``exchange_degree``).  Proofs are in
+``check_confluence``.  Certification visits only the overlaps with a loose
+pair, read off an index: a rule outside the table or a descending letter
+pair with no twist rule.  An extension that appends its letters (every
 adjoined inverse but that of an earlier generator) reuses the parent's
 rules, tables and index, and validates and indexes only what it adds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, neg
 
 from .cyclo import Coeff, CoeffRing, coeff_to_scalar
 from .scalars import Scalar, ScalarGroup
@@ -226,7 +214,7 @@ class ReductionSystem:
         self._inverses: frozenset = frozenset()  # (g, h) with g h -> 1 and h g -> 1
         # Overlap words settled by construction (see ``check_confluence``).
         self._by_construction: frozenset = frozenset()
-        # Mirror remainders (w, nu, terms) shown to reduce to zero.
+        # Remainders (side, x, nu, terms) shown to reduce to zero.
         self._remainders: set = set()
         self._grow(letters, rules, twists)
 
@@ -237,7 +225,7 @@ class ReductionSystem:
         Table entries join only with new rules, so the loose pairs to index
         are those of the new rules and of the new letters.  (A pair with no
         rule that later gets a twist rule stays indexed: that only adds
-        candidates, which the left criterion settles.)"""
+        candidates, which the degree criterion settles.)"""
         old = len(self.letters)
         self.letters += tuple(letters)
         for rule in rules:
@@ -392,48 +380,44 @@ class ReductionSystem:
         h g g^-1 and h g^-1 g alike, and g g^-1 g, g^-1 g g^-1 have equal
         one-step results.  Overlaps that reduce to a common result are
         resolvable (Bergman, loc. cit.).  Inverse pairs of earlier
-        extensions go through the criteria below, like any other rule.
+        extensions go through the degree criterion, like any other rule.
 
-        Two degree criteria settle an overlap without a reduction.
-
-        Left: the twist table holds (u, v), (u, w) and (u, h) for each letter
-        h of each word t of the rule v w -> sum c_t t, except that a
-        one-letter word t = h with h > u may hold (h, u) instead, turned
-        round (u h = mu^-1 h u), and the inverse partner h of u has degree
-        0; and each such t (the empty word has degree 0) has degree
-        mu_uv + mu_uw.  Proof: each h of a longer word precedes u, so twist
-        rules move u to the right through both sides using words below
-        u v w; a one-letter h > u turns round through the rule
-        h u -> mu u h, and an inverse partner through u h -> 1 <- h u,
-        whose words u h and h u are shorter than u v w.
-        So modulo I_{<uvw} the sides are
-        mu_uv mu_uw sum c_t t u and sum c_t mu_t t u, which agree: the overlap
-        is resolvable relative to <= (Bergman, Thm 1.2; an Ore extension by a
-        graded automorphism, Goodearl and Warfield, ch. 2).  This settles
-        the identification overlaps u v w of a localization, whose rule
-        v w holds the new letter Z above u, and those Z'^-1 v w whose rule
-        holds the earlier letter Z'.
-
-        Mirror: the table holds (u, w) and (v, w), and nu = mu_uw + mu_vw is
-        the w-degree of u v.  The words t of the rule u v -> sum c_t t whose
-        letters h all have (h, w) in the table, with w-degree nu (the empty
-        word 0), mirror it; the rest, if any, must leave a remainder
-        f = sum_rest c_t (t w - nu w t) that reduces to zero.  Proof: the
-        sides are sum c_t t w and mu_vw u w v.  Moving w to the left uses
-        only words below u v w: w precedes u, v and each h, u w v and w u v
-        are below u v w, and t w is below it since t is below u v.  So
-        modulo I_{<uvw} the second side is nu w u v = nu w sum c_t t, and
-        the two differ by f: the mirrored words cancel.  Every word t w and
-        w t of f is below u v w, and reduction never goes above the words it
-        starts from, so an f that reduces to zero lies in I_{<uvw}.  f
-        depends only on w, nu and the rest, and its words lie below every
-        overlap u' v' w whose rule leaves that remainder, so it is reduced
-        once per (w, nu, rest terms with their coefficients' numerators and
-        denominators) and remembered when it vanishes.  A remainder that
-        does not vanish is not remembered, and the overlap itself is
-        reduced.  An extension starts with an empty memo: a remainder of one
-        of its new overlaps holds a new letter, as w or in a word of the new
-        rule u v, so no parent entry would match it.
+        Degrees settle an overlap u v w, read on either side (``_graded``):
+        on the left x = u moves right through p = v w, on the right x = w
+        moves left through p = u v.  The twist table holds the rules of x
+        with both letters of p, in the overlap's order (u v and u w, or
+        u w and v w), and nu is the degree of x on p: x p = nu p x on the
+        left, p x = nu x p on the right.  The degree of x on a word t of the
+        rule p -> sum c_t t reads each pair of x with a letter of t either
+        way round, and x and its inverse partner twist by 1.  Words of
+        degree nu need nothing more; the rest must hold a word with no
+        degree and leave a remainder f that reduces to zero, with
+        f = sum_rest c_t (x t - nu t x) on the left and
+        f = sum_rest c_t (t x - nu x t) on the right.  Then the overlap is
+        resolvable relative to <= (Bergman, Thm 1.2; an Ore extension by a
+        graded automorphism, Goodearl and Warfield, ch. 2).  Proof, on the
+        left: the rules u v, u w and p take one side through v u w and
+        v w u to nu sum c_t t u; the other is sum c_t u t, and moving u
+        through a word t = h h' by the rules of its pairs (twists either way
+        round, or u h -> 1 <- h u) passes u t, h u h' and t u, where t < v w
+        gives h <= v < u.  Every word met is below u v w, so modulo
+        I_{<uvw} the sides differ by f, whose words are below u v w too;
+        reduction never goes above the words it starts from, so an f that
+        reduces to zero is in I_{<uvw}.  Reversing every word maps u v w to
+        w v u and the algebra to its opposite, where the right reading
+        becomes the left one; its words are below u v w as well: u w v,
+        w u v, w t, h w h' (h <= u and w < v) and t w.  This settles the
+        identification overlaps u v w of a localization, whose rule v w
+        holds the new letter Z above u, and those Z'^-1 v w whose rule holds
+        the earlier letter Z'.  A remainder is reduced once per side, x, nu
+        and rest terms (with their coefficients' numerators and
+        denominators), and remembered when it vanishes: its words are below
+        every overlap that leaves it.  The side must be in the key, since
+        the right remainder for nu is -nu times the left one for nu^-1.  A
+        remainder whose words all have degrees has never vanished: it is not
+        tried, and the overlap is reduced.  An extension starts with an
+        empty memo: a remainder of one of its new overlaps holds a new
+        letter, as x or in a word of the new rule.
 
         Identification: in an extension by ``adjoin_inverse`` of a normal
         nf = c a b + tail, whose rule l: a b -> c^-1 (Z - tail) is new and
@@ -454,9 +438,9 @@ class ReductionSystem:
         at w a b.
 
         An overlap whose pairs (u, v), (v, w) and (u, w) are all in the table
-        is settled by the left criterion (v w -> mu w v has one word, of
-        degree mu_uv + mu_uw), so only the others are visited: each has a
-        loose pair, and ``_candidates`` reads them off the loose-pair index.
+        is settled on the left (v w -> mu w v has one word, of degree nu),
+        so only the others are visited: each has a loose pair, and
+        ``_candidates`` reads them off the loose-pair index.
         Any other ambiguity, with one-step results a and b, is resolved by
         reducing a - b once: reduction is linear on any system, so that is
         zero exactly when a and b have the same normal form (an a - b that
@@ -478,12 +462,11 @@ class ReductionSystem:
 
     def _unsettled(self, known: int):
         """The candidate overlaps from ``known`` that neither the
-        construction nor a degree criterion settles, as (u v w, right side
-        of u v, of v w)."""
-        built = self._by_construction
-        for word, rhs1, rhs2 in self._candidates(known):
-            if not (word in built or self._settled(word, rhs2) or self._mirrored(word, rhs1)):
-                yield word, rhs1, rhs2
+        construction nor the degree criterion, on either side, settles, as
+        (u v w, right side of u v, of v w)."""
+        return ((word, rhs1, rhs2) for word, rhs1, rhs2 in self._candidates(known)
+                if not (word in self._by_construction or self._graded(word, rhs2, True)
+                        or self._graded(word, rhs1, False)))
 
     def _unresolved(self, overlaps):
         """Each of the overlaps as (word, a, b) whose one-step results a and
@@ -496,90 +479,70 @@ class ReductionSystem:
             if diff and self._reduce_terms(diff).terms:
                 yield word, a, b
 
-    def _settled(self, word: Word, rhs: Element) -> bool:
-        """Whether degrees settle the overlap u v w whose rule v w has the
-        right side rhs (see ``check_confluence``)."""
+    def _graded(self, word: Word, rhs: Element, left: bool) -> bool:
+        """Whether degrees settle the overlap u v w, moving x = u through the
+        right side rhs of the rule v w on the left, x = w through that of
+        u v on the right (see ``check_confluence``)."""
         u, v, w = word
-        tw = self._twists
-        if (u, v) not in tw or (u, w) not in tw:
+        x, pair = (u, (v, w)) if left else (w, (u, v))
+        # x twists both letters of p: by u w and the overlap's other rule.
+        if (u, w) not in self._twists or ((u, v) if left else (v, w)) not in self._twists:
             return False
-        if (v, w) in tw:  # v w -> mu w v: its one word has degree mu_w + mu_v
-            return True
-        target = self._word_degree(u, (v, w))
-        return all(self._word_degree(u, t, either=len(t) == 1) == target for t in rhs.terms)
+        nu = self._word_degree(x, pair, left)
+        rest = [(t, c) for t, c in rhs.terms.items() if self._word_degree(x, t, left) != nu]
+        # A remainder with a degree on every word has never vanished.
+        return not rest or (any(self._word_degree(x, t, left) is None for t, _ in rest)
+                            and self._remainder_vanishes(x, nu, rest, left))
 
-    def _mirrored(self, word: Word, rhs: Element) -> bool:
-        """Whether degrees, with a remainder that reduces to zero, settle the
-        overlap u v w whose rule u v has the right side rhs, moving w to the
-        left (see ``check_confluence``)."""
-        u, v, w = word
-        tw = self._twists
-        if (u, w) not in tw or (v, w) not in tw:
-            return False
-        target = self._word_degree(w, (u, v), right=True)
-        rest = [(t, c) for t, c in rhs.terms.items()
-                if self._word_degree(w, t, right=True) != target]
-        return not rest or self._remainder_vanishes(w, target, rest)
-
-    def _remainder_vanishes(self, w: int, nu: tuple, rest: list) -> bool:
-        """Whether f = sum c_t (t w - nu w t) over the terms (t, c_t) of
-        ``rest`` reduces to zero.  Memoized on success only, by w, nu and the
-        words with the numerator and denominator of each coefficient."""
-        key = (w, nu, frozenset((t, frozenset(c.num.items()), frozenset(c.den.items()))
-                              for t, c in rest))
-        if key in self._remainders:
-            return True
-        scale = Coeff.from_scalar(self.ring, Scalar(self.group, nu[0], nu[1:])).neg()
-        f: dict = {}
-        for t, c in rest:
-            _add_term(f, t + (w,), c)
-            _add_term(f, (w,) + t, c.mul(scale))
-        if f and self._reduce_terms(f).terms:
-            return False
-        self._remainders.add(key)
+    def _remainder_vanishes(self, x: int, nu: tuple, rest: list, left: bool) -> bool:
+        """Whether the remainder f of the terms (t, c_t) of ``rest`` on this
+        side reduces to zero (see ``check_confluence``); memoized on success."""
+        key = (left, x, nu, frozenset((t, frozenset(c.num.items()), frozenset(c.den.items()))
+                                      for t, c in rest))
+        if key not in self._remainders:
+            scale = Coeff.from_scalar(self.ring, Scalar(self.group, nu[0], nu[1:])).neg()
+            f: dict = {}
+            for t, c in rest:
+                _add_term(f, (x,) + t if left else t + (x,), c)
+                _add_term(f, t + (x,) if left else (x,) + t, c.mul(scale))
+            if self._reduce_terms(f).terms:
+                return False
+            self._remainders.add(key)
         return True
 
-    def _word_degree(self, u: int, t: Word, either: bool = False,
-                     right: bool = False) -> tuple | None:
-        """The degree nu with u t = nu t u from the twist rules u h, or None;
-        with ``right``, nu with t u = nu u t from the rules h u; with
-        ``either``, from both (h u negated), and u twists itself and its
-        inverse partner by 1: u h -> 1 <- h u gives u h = h u, through
-        words no longer than u h.  A pair with other rules in both orders
-        has no degree.  Memoized: the twist table does not change once the
-        system is built."""
-        key = (u, t, either, right)
+    def _word_degree(self, x: int, t: Word, left: bool = True) -> tuple | None:
+        """The degree nu with x t = nu t x (left) or t x = nu x t, or None:
+        the sum of the twist degrees of x and each letter of t, read either
+        way round (negated when turned), torsion mod e; x twists itself and
+        its inverse partner by 1.  Memoized, since the table is fixed."""
+        key = (x, t, left)
         d = self._degrees.get(key, False)
-        if d is not False:
-            return d
-        d = self._degrees[key] = self._sum_degrees(u, t, either, right)
+        if d is False:
+            d = self._degrees[key] = self._sum_degrees(x, t, left)
         return d
 
-    def _sum_degrees(self, u: int, t: Word, either: bool, right: bool) -> tuple | None:
+    def _sum_degrees(self, x: int, t: Word, left: bool) -> tuple | None:
         tw, total = self._twists, None
         for h in t:
-            if either and (h == u or (u, h) in self._inverses):
+            if h == x or (x, h) in self._inverses:
                 continue
-            flip = right or (either and h > u)
-            d = tw.get((h, u) if flip else (u, h))
+            d = tw.get((h, x) if h > x else (x, h))
             if d is None:
                 return None
-            if either and flip:
-                d = tuple(-x for x in d)
+            if (h > x) == left:  # turned round
+                d = tuple(map(neg, d))
             total = d if total is None else tuple(map(add, total, d))
         if total is None:
             return (0,) * (1 + self.group.rank)
         return (total[0] % self.group.torsion_order, *total[1:])
 
     def exchange_degree(self, u: Word, t: Word) -> tuple | None:
-        """The degree nu with u t = nu t u in the algebra, read off the twist
-        table (either orientation of each pair, a letter twisting itself and
-        its inverse by 1): the sum over the letters h of u of the degree of
-        h on t, with the torsion part mod e.  None when some pair has neither
-        a twist rule nor the rules of an inverse pair."""
+        """The degree nu with u t = nu t u in the algebra: the sum over the
+        letters h of u of the degree of h on t (``_word_degree``), torsion
+        mod e, or None when one has none."""
         total = (0,) * (1 + self.group.rank)
         for h in u:
-            d = self._word_degree(h, t, either=True)
+            d = self._word_degree(h, t)
             if d is None:
                 return None
             total = tuple(map(add, total, d))
@@ -603,14 +566,8 @@ class ReductionSystem:
                 us = second.get(a, none) | second.get(b, none)
             else:
                 ws = us = range(len(self.letters))
-            for w in ws:
-                j = pos.get((b, w))
-                if j is not None:
-                    found.add((k, j))
-            for u in us:
-                i = pos.get((u, a))
-                if i is not None:
-                    found.add((i, k))
+            found |= {(k, pos[b, w]) for w in ws if (b, w) in pos}
+            found |= {(pos[u, a], k) for u in us if (u, a) in pos}
         for i, j in sorted(found):
             r1, r2 = rules[i], rules[j]
             yield (*r1.lhs, r2.lhs[1]), r1.rhs, r2.rhs
@@ -675,7 +632,7 @@ class ReductionSystem:
                 out[name] = out[self.letters[idx - 1]].inv()
                 continue
             g = Element.from_word(self.ring, (idx,))
-            degrees = {self._word_degree(idx, t, either=True) for t in nf.terms}
+            degrees = {self._word_degree(idx, t) for t in nf.terms}
             uniform = len(degrees) == 1 and None not in degrees
             if not (uniform and self._moves_through(idx, nf_letters)):
                 a = self._reduce(nf.concat(g))
@@ -846,7 +803,7 @@ class ReductionSystem:
         """(mu, c) with g h = mu h g + c g, read off the rule of the pair, or
         None.  The rule must be a scalar twist (c = 0) or, with mu = 1, have
         the tail c g with c = 1 or -1: h counts g, [h, g] = -c g."""
-        d = self._word_degree(g, (h,), either=True) if g != h else None
+        d = self._word_degree(g, (h,)) if g != h else None
         if d is not None:
             return Scalar(self.group, d[0], d[1:]), Coeff.zero(self.ring)
         hi, lo = max(g, h), min(g, h)

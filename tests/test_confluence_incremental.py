@@ -9,7 +9,10 @@ order.  Resolving an ambiguity by one reduction of a - b gives the verdict
 and Failing witness of the two-sided reference, which reduces a and b
 apart and compares them.  Overlaps settled by twist degrees (moving the
 first letter right or the last letter left) and scalars read off the twist
-table agree with the same references.  The candidate scan leaves the same
+table agree with the same references, on drawn presentations around a hub
+letter, also with a letter appended or inverted; a presentation and its
+opposite reading get the same verdict, with the two sides of the degree
+criterion swapped.  The candidate scan leaves the same
 unsettled overlaps, in the same order, as the full scan; extensions built
 in place equal fully validated systems; reduction by length buckets
 matches a deglex-key reducer term for term and in order.
@@ -21,7 +24,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from qwalg.cli import main
 from qwalg.cyclo import Coeff, CoeffRing, coeff_to_scalar
@@ -334,45 +337,128 @@ def test_reduce_is_linear_without_certification(a, b):
 # -- overlaps settled by twist degrees ----------------------------------------
 
 
-def twisted_presentation(e: int, m: int, twists, pair: tuple[int, int], rel) -> Presentation:
-    """The largest generator twists each other one by zeta^a q^b (one (a, b)
-    per generator, b over the m free symbols); among the rest only ``pair``
-    has a relation, ``rel`` (a weight, a scalar (a, b) or "w")."""
+@st.composite
+def hub_presentations(draw) -> Presentation:
+    """The hub, the largest generator or the smallest, twists each other one
+    by zeta^a q^b (b over one or two free symbols); among the rest only one
+    pair has a relation: a weight, a scalar or "w"."""
+    e, m = draw(st.sampled_from((3, 4, 6, 12))), draw(st.integers(1, 2))
     group = ScalarGroup(e, ("q", "p")[:m], "zeta")
-    n = len(twists) + 1
-    items = [(i, n - 1, Multiplicative(group.scalar(a, b))) for i, (a, b) in enumerate(twists)]
-    if isinstance(rel, int):
-        items.append((*pair, Additive(rel)))
-    elif rel == "w":
-        items.append((*pair, Eulerian(pair[0])))
-    else:
-        items.append((*pair, Multiplicative(group.scalar(*rel))))
-    return Presentation.build(group, tuple(f"g{k}" for k in range(n)), items)
+    n = draw(st.integers(3, 5))
+    exps = st.tuples(st.integers(0, e - 1), st.tuples(*[st.integers(-1, 1)] * m))
+    hub = draw(st.sampled_from((0, n - 1)))
+    others = [i for i in range(n) if i != hub]
+    items = [(i, hub, Multiplicative(group.scalar(*draw(exps)))) for i in others]
+    pair = tuple(sorted(draw(st.lists(st.sampled_from(others), min_size=2, max_size=2,
+                                      unique=True))))
+    rel = draw(st.one_of(st.integers(-2, 2).filter(bool), st.just("w"), exps))
+    rel = (Additive(rel) if isinstance(rel, int) else Eulerian(pair[0]) if rel == "w"
+           else Multiplicative(group.scalar(*rel)))
+    return Presentation.build(group, tuple(f"g{k}" for k in range(n)), items + [(*pair, rel)])
+
+
+def appended_letter(draw, base: ReductionSystem) -> ReductionSystem:
+    """The base with a letter Z appended: Z twists each letter h by the
+    degree of v w on h (when the table gives one) or by a random degree, and
+    an ascending pair v w gets the rule v w -> c Z (+ d, + a smaller word)."""
+    g, ring, n = base.group, base.ring, len(base.letters)
+    z = n
+    v, w = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    rules = list(base.rules)
+    for h in range(n):
+        nu = base.exchange_degree((v, w), (h,))
+        if nu is None or draw(st.booleans()):
+            nu = (draw(st.integers(0, g.torsion_order - 1)),
+                  *(draw(st.integers(-1, 1)) for _ in range(g.rank)))
+        mu = g.scalar(nu[0], nu[1:])  # Z h = mu h Z
+        rules.append(Rule((z, h), Element.from_word(ring, (h, z), Coeff.from_scalar(ring, mu))))
+    rhs = {(z,): Coeff.from_rational(ring, draw(st.sampled_from((1, -1, 2))))}
+    if draw(st.booleans()):
+        rhs[()] = Coeff.from_rational(ring, draw(st.sampled_from((1, -1))))
+    if draw(st.booleans()):
+        smaller = [(a, b) for a in range(v) for b in range(z + 1)] + [(h,) for h in range(z)]
+        rhs[draw(st.sampled_from(smaller))] = Coeff.one(ring)
+    rules.append(Rule((v, w), Element(ring, rhs)))
+    return ReductionSystem(g, base.letters + ("Z",), rules)
 
 
 @st.composite
-def twisted_presentations(draw):
-    e, m = draw(st.sampled_from((3, 4, 6, 12))), draw(st.integers(1, 2))
-    n = draw(st.integers(3, 5))
-    exps = st.tuples(st.integers(0, e - 1), st.tuples(*[st.integers(-1, 1)] * m))
-    twists = draw(st.lists(exps, min_size=n - 1, max_size=n - 1))
-    pair = tuple(sorted(draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=2,
-                                      unique=True))))
-    rel = draw(st.one_of(st.integers(-2, 2).filter(bool), st.just("w"), exps))
-    return twisted_presentation(e, m, twists, pair, rel)
+def graded_systems(draw):
+    """(system, rule count of a certified parent, or 0): a hub
+    presentation's system; or that system with a letter Z appended; or,
+    when it is confluent, its extension by the inverse of a letter (the hub
+    always inverts)."""
+    s = system_from_presentation(draw(hub_presentations()))
+    how = draw(st.sampled_from(("presentation", "appended", "inverted")))
+    if how == "appended":
+        return appended_letter(draw, s), 0
+    if how == "inverted" and isinstance(s.check_confluence(), Confluent):
+        return draw(st.sampled_from(list(inverted_systems(s))[1:])), len(s.rules)
+    return s, 0
 
 
-@settings(max_examples=80, deadline=None)
-@given(twisted_presentations())
-def test_settled_overlaps_match_two_sided_on_twisted_presentations(p):
-    assert_matches_two_sided(system_from_presentation(p))
+@settings(max_examples=300, deadline=None)
+@given(graded_systems())
+def test_graded_overlaps_match_two_sided(case):
+    """Every overlap that either side of the degree criterion settles agrees
+    with the two-sided reference, and the candidate scan with the full one;
+    an extension by an inverse was certified with its overlaps settled by
+    construction, so it is confluent."""
+    s, known = case
+    verdict = assert_matches_two_sided(s, known)
+    assert isinstance(verdict, Confluent) or not s.certified
+    assert_candidate_parity(s, known)
+
+
+def settled_on_one_side(s: ReductionSystem, left: bool) -> bool:
+    """Whether the degree criterion settles some overlap on the given side
+    and not on the other."""
+    return any((s._graded(w, r2, True), s._graded(w, r1, False)) == (left, not left)
+               for w, r1, r2 in s._ambiguities(0))
 
 
 @pytest.mark.parametrize("verdict", (Confluent, Failing))
-def test_twisted_presentations_reach_both_verdicts(verdict):
-    find(twisted_presentations(),
-         lambda p: isinstance(system_from_presentation(p).check_confluence(), verdict),
-         settings=settings(database=None))
+@pytest.mark.parametrize("left", (True, False), ids=("left", "right"))
+def test_graded_overlaps_reach_both_verdicts(left, verdict):
+    """On each side, some drawn system has an overlap that the criterion
+    settles on that side only; one such system is confluent, another is
+    not."""
+    # Any example will do, so the one found is not shrunk.
+    find(graded_systems(),
+         lambda case: settled_on_one_side(case[0], left)
+         and isinstance(case[0].check_confluence(), verdict),
+         settings=settings(database=None, max_examples=1000, phases=[Phase.generate]))
+
+
+def opposite(s: ReductionSystem) -> ReductionSystem:
+    """The system of the opposite algebra: every word reversed and letter i
+    renamed n - 1 - i.  Valid for presentation systems, whose only
+    two-letter right-side word is the swapped pair."""
+    n = len(s.letters)
+
+    def op(w: tuple) -> tuple:
+        return tuple(n - 1 - i for i in reversed(w))
+    rules = [Rule(op(r.lhs), Element(s.ring, {op(t): c for t, c in r.rhs.terms.items()}))
+             for r in s.rules]
+    return ReductionSystem(s.group, s.letters[::-1], rules)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hub_presentations())
+def test_opposite_reading_swaps_the_sides(p):
+    """A presentation and its opposite reading get the same verdict; on a
+    confluent one, the criterion settles u v w on the left exactly when it
+    settles w' v' u' on the right in the opposite reading, and the other
+    way round."""
+    s = system_from_presentation(p)
+    op, n = opposite(s), len(s.letters)
+    verdict = s.check_confluence()
+    assert type(op.check_confluence()) is type(verdict)
+    if isinstance(verdict, Confluent):
+        for (u, v, w), r1, r2 in s._ambiguities(0):
+            word = (n - 1 - w, n - 1 - v, n - 1 - u)
+            assert s._graded((u, v, w), r2, True) == op._graded(word, op._rhs[word[:2]], False)
+            assert s._graded((u, v, w), r1, False) == op._graded(word, op._rhs[word[1:]], True)
 
 
 BAD2 = """\
@@ -441,7 +527,7 @@ def test_identification_rule_with_z_on_the_right(e, extensions_with_known):
                     continue
                 if all((u, h) in tw or (h, u) in tw for h in letters) and \
                         (u, word[1]) in tw and (u, word[2]) in tw:
-                    assert ext._settled(word, r2)
+                    assert ext._graded(word, r2, True)
                     a, b = ext._one_step(word, r1, r2)
                     assert ext._reduce(a) == ext._reduce(b)
                     seen += 1
@@ -562,10 +648,10 @@ def test_commutation_of_a_nilpotent_letter():
 
 
 def unsettled_by_full_scan(s: ReductionSystem, known: int):
-    """The full scan with the construction criterion and both degree
-    criteria applied to every overlap."""
+    """The full scan with the construction criterion and the degree
+    criterion on both sides applied to every overlap."""
     return [(w, r1, r2) for w, r1, r2 in s._ambiguities(known)
-            if not (w in s._by_construction or s._settled(w, r2) or s._mirrored(w, r1))]
+            if not (w in s._by_construction or s._graded(w, r2, True) or s._graded(w, r1, False))]
 
 
 def assert_candidate_parity(s: ReductionSystem, known: int):
@@ -608,7 +694,7 @@ def test_candidate_scan_matches_full_scan_on_localizations(e, extensions_with_kn
 
 
 @settings(max_examples=60, deadline=None)
-@given(twisted_presentations())
+@given(hub_presentations())
 def test_candidate_scan_matches_full_scan_on_twisted_presentations(p):
     s = system_from_presentation(p)
     for known in (0, len(s.rules) // 2):
@@ -656,16 +742,16 @@ def test_mirror_triangle_is_inadmissible():
     verdict = assert_matches_two_sided(s)
     assert isinstance(verdict, Failing)
     assert s.format_word(verdict.word) == "c b a"
-    assert not s._mirrored(verdict.word, s._rhs[verdict.word[:2]])
+    assert not s._graded(verdict.word, s._rhs[verdict.word[:2]], False)
 
 
 def test_mirror_triangle_twin_is_settled_without_a_reduction():
     """With c a = zeta^3 a c the degrees of a sum to 0: the overlap c b a is
-    settled by the mirror criterion alone."""
+    settled on the right alone, by moving a to the left."""
     s = system_from_presentation(parse_presentation(TRIANGLE.format(ca="zeta^3")))
     [(word, r1, r2)] = list(s._ambiguities(0))
     assert s.format_word(word) == "c b a"
-    assert not s._settled(word, r2) and s._mirrored(word, r1)
+    assert not s._graded(word, r2, True) and s._graded(word, r1, False)
     assert list(s._unsettled(0)) == []
     assert isinstance(assert_matches_two_sided(s), Confluent)
 
@@ -680,59 +766,6 @@ def test_mirror_triangle_through_the_cli(tmp_path):
             assert main(["check", str(path)]) == rc
         for line in lines:
             assert line in out.getvalue().splitlines()
-
-
-def mirrored_presentation(e: int, m: int, twists, pair: tuple[int, int], rel) -> Presentation:
-    """Each generator but the smallest twists the smallest by zeta^a q^b;
-    among the rest only ``pair`` has a relation, ``rel`` (a weight, a scalar
-    (a, b) or "w")."""
-    group = ScalarGroup(e, ("q", "p")[:m], "zeta")
-    n = len(twists) + 1
-    items = [(i + 1, 0, Multiplicative(group.scalar(a, b))) for i, (a, b) in enumerate(twists)]
-    if isinstance(rel, int):
-        items.append((*pair, Additive(rel)))
-    elif rel == "w":
-        items.append((*pair, Eulerian(pair[0])))
-    else:
-        items.append((*pair, Multiplicative(group.scalar(*rel))))
-    return Presentation.build(group, tuple(f"g{k}" for k in range(n)), items)
-
-
-@st.composite
-def mirrored_presentations(draw):
-    e, m = draw(st.sampled_from((3, 4, 6, 12))), draw(st.integers(1, 2))
-    n = draw(st.integers(3, 5))
-    exps = st.tuples(st.integers(0, e - 1), st.tuples(*[st.integers(-1, 1)] * m))
-    twists = draw(st.lists(exps, min_size=n - 1, max_size=n - 1))
-    pair = tuple(sorted(draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2,
-                                      unique=True))))
-    rel = draw(st.one_of(st.integers(-2, 2).filter(bool), st.just("w"), exps))
-    return mirrored_presentation(e, m, twists, pair, rel)
-
-
-@settings(max_examples=80, deadline=None)
-@given(mirrored_presentations())
-def test_mirrored_overlaps_match_two_sided(p):
-    s = system_from_presentation(p)
-    assert_matches_two_sided(s)
-    assert_candidate_parity(s, 0)
-
-
-@pytest.mark.parametrize("verdict", (Confluent, Failing))
-def test_mirrored_presentations_reach_both_verdicts(verdict):
-    find(mirrored_presentations(),
-         lambda p: isinstance(system_from_presentation(p).check_confluence(), verdict),
-         settings=settings(database=None))
-
-
-def test_mirrored_presentations_settle_overlaps_by_the_mirror():
-    """Some presentation of the strategy has an overlap that only the
-    mirror criterion settles."""
-    def mirror_only(p):
-        s = system_from_presentation(p)
-        return any(s._mirrored(w, r1) and not s._settled(w, r2)
-                   for w, r1, r2 in s._ambiguities(0))
-    find(mirrored_presentations(), mirror_only, settings=settings(database=None))
 
 
 # -- extensions built in place -------------------------------------------------

@@ -6,11 +6,12 @@ b w, under the order conditions a b u < u a b and w a b < a b w, from the
 parent's certified normality scalars: every such overlap must have one-step
 results with equal normal forms, on the localization grid, the corpus
 inversion chains and drawn localizations.  An identification overlap
-outside those conditions is reduced.  The mirror criterion accepts a
-remainder that reduces to zero, reduced once per (w, nu, remainder terms)
-and remembered by the system; a remainder that does not vanish leaves the
-full-scan witness as it was, and keys that differ in a denominator or a
-torsion degree are kept apart.  The base of an all-quantum
+outside those conditions is reduced.  The degree criterion accepts a
+remainder that reduces to zero, reduced once per (side, x, nu, remainder
+terms) and remembered by the system; a remainder whose words all have
+degrees is not tried, and keys that differ in the side, a denominator or a
+torsion degree are kept apart.  A left remainder settles an overlap of a
+reordered quantum Weyl base.  The base of an all-quantum
 quantum Weyl algebra needs at most 2(n - 1) reductions, and its extensions
 reduce no identification overlap.
 """
@@ -21,7 +22,8 @@ from qwalg.cyclo import Coeff
 from qwalg.presentation import certified_system, system_from_presentation
 from qwalg.qwa import parse_presentation
 from qwalg.qweyl import QuantumWeylAlgebra, localize_to_mixed
-from qwalg.rewrite import Failing, NotNormalError, ReductionSystem
+from qwalg.rewrite import (Confluent, Element, Failing, NotNormalError, ReductionSystem,
+                           Rule)
 from qwalg.scalars import ScalarGroup
 
 from test_confluence_incremental import (TRIANGLE, assert_matches_two_sided, qweyl_grid,
@@ -124,7 +126,7 @@ def test_identification_overlap_outside_the_order_conditions_is_reduced(monkeypa
     assert seen == [{(b, a_inv, b), (a_inv, b, a), (a_inv, b, a_inv)}]
 
 
-# -- the mirror criterion with a remainder --------------------------------------
+# -- the degree criterion with a remainder --------------------------------------
 
 
 def count_reductions(monkeypatch) -> list:
@@ -142,14 +144,15 @@ def count_reductions(monkeypatch) -> list:
 @pytest.mark.parametrize("tail", ("1", "2", "-3"))
 def test_a_constant_tail_that_does_not_vanish_keeps_the_full_scan_witness(tail):
     """In the triangle with c b = b c + k and c a = zeta a c, the constant
-    leaves the remainder k (a - zeta^2 a) in the overlap c b a: not zero, so
-    it is not remembered, and the Failing witness is the full scan's."""
+    would leave the remainder k (a - zeta^2 a) in the overlap c b a.  Its one
+    word, the empty word, has a degree, so the remainder is not tried, and
+    the Failing witness is the full scan's."""
     text = TRIANGLE.format(ca="zeta").replace("b c + 1", f"b c + {tail}")
     s = system_from_presentation(parse_presentation(text))
     expected = assert_matches_two_sided(s)
     assert isinstance(expected, Failing)
     assert s.format_word(expected.word) == "c b a"
-    assert not s._mirrored(expected.word, s._rhs[expected.word[:2]])
+    assert not s._graded(expected.word, s._rhs[expected.word[:2]], False)
     assert not s._remainders
     assert s.check_confluence() == expected
 
@@ -162,11 +165,12 @@ def quantum_weyl(group, n, qs, p):
 
 
 def base_remainder(s: ReductionSystem, word):
-    """(w, nu, remainder terms) of the mirror criterion on the overlap word."""
+    """(w, nu, remainder terms) of the criterion on the right of the
+    overlap word."""
     u, v, w = word
-    nu = s._word_degree(w, (u, v), right=True)
+    nu = s._word_degree(w, (u, v), False)
     rest = [(t, c) for t, c in s._rhs[(u, v)].terms.items()
-            if s._word_degree(w, t, right=True) != nu]
+            if s._word_degree(w, t, False) != nu]
     return w, nu, rest
 
 
@@ -183,21 +187,60 @@ def test_remainder_memo_keeps_denominators_and_torsion_apart(monkeypatch):
     before = set(s._remainders)
     assert len(before) == 2  # against y1 and against x1
     calls = count_reductions(monkeypatch)
-    assert s._remainder_vanishes(w, nu, rest) and not calls
+    assert s._remainder_vanishes(w, nu, rest, False) and not calls
 
     over = Coeff.from_scalar(s.ring, q).add(Coeff.one(s.ring)).inv()
     assert over.den
     scaled = [(t, c.mul(over)) for t, c in rest]
     assert all(c.num == d.num and c.den != d.den for (_, c), (_, d) in zip(rest, scaled))
-    assert s._remainder_vanishes(w, nu, scaled) and len(calls) == 1
+    assert s._remainder_vanishes(w, nu, scaled, False) and len(calls) == 1
     assert len(s._remainders) == len(before) + 1
-    assert s._remainder_vanishes(w, nu, scaled) and len(calls) == 1
+    assert s._remainder_vanishes(w, nu, scaled, False) and len(calls) == 1
 
     (t0, c0), (t1, c1) = rest
-    assert not s._remainder_vanishes(w, nu, [(t0, c0), (t1, c1.mul(over))])
+    assert not s._remainder_vanishes(w, nu, [(t0, c0), (t1, c1.mul(over))], False)
     torsion = ((nu[0] + 2) % 4, *nu[1:])
-    assert not s._remainder_vanishes(w, torsion, rest)
+    assert not s._remainder_vanishes(w, torsion, rest, False)
     assert len(calls) == 3 and len(s._remainders) == len(before) + 1
+
+
+def test_remainder_memo_keeps_the_sides_apart():
+    """In the quantum plane b a = q a b, the left remainder b a - q a b of
+    x = b, nu = q and the word a vanishes.  The right one, a b - q b a, is
+    (1 - q^2) a b: it is -q times the left remainder for q^-1, so a memo
+    without the side would take it as proved."""
+    s = certified_system(parse_presentation(
+        "scalars { free q }\ngenerators a, b\nrelations {\n  b a = q * a b\n}\n"))
+    a, b = s.index("a"), s.index("b")
+    q, rest = (0, 1), [((a,), Coeff.one(s.ring))]
+    assert s._remainder_vanishes(b, q, rest, True)
+    assert not s._remainder_vanishes(b, q, rest, False)
+    assert len(s._remainders) == 1
+
+
+def test_a_left_remainder_vanishes_on_a_reordered_quantum_weyl_base():
+    """The base of the quantum Weyl algebra for n = 2 with its letters in
+    the order y1, y2, x2, x1 (each twist turned to descend) is confluent.
+    Its overlap x1 x2 y2 is settled on the left only: the words 1 and y1 x1
+    of the rule x2 y2 leave a remainder that reduces to zero."""
+    g = ScalarGroup(1, ("q", "p"))
+    base = quantum_weyl(g, 2, (g.free_gen("q"),) * 2, g.free_gen("p")).system()
+    order = ("y1", "y2", "x2", "x1")
+    new = {base.index(name): i for i, name in enumerate(order)}
+    rules = []
+    for r in base.rules:
+        lhs = tuple(new[i] for i in r.lhs)
+        terms = {tuple(new[i] for i in t): c for t, c in r.rhs.terms.items()}
+        if lhs[0] < lhs[1]:  # a b -> mu b a becomes b a -> mu^-1 a b
+            [(t, c)] = terms.items()
+            lhs, terms = t, {lhs: c.inv()}
+        rules.append(Rule(lhs, Element(base.ring, terms)))
+    s = ReductionSystem(g, order, rules)
+    assert isinstance(assert_matches_two_sided(s), Confluent)
+    word = tuple(s.index(name) for name in ("x1", "x2", "y2"))
+    r1, r2 = s._rhs[word[:2]], s._rhs[word[1:]]
+    assert s._graded(word, r2, True) and not s._graded(word, r1, False)
+    assert [key[:2] for key in s._remainders] == [(True, s.index("x1"))]
 
 
 def test_all_quantum_base_reduces_once_per_remainder(monkeypatch):
