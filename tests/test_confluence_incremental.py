@@ -338,15 +338,15 @@ def test_reduce_is_linear_without_certification(a, b):
 
 
 @st.composite
-def hub_presentations(draw) -> Presentation:
-    """The hub, the largest generator or the smallest, twists each other one
-    by zeta^a q^b (b over one or two free symbols); among the rest only one
-    pair has a relation: a weight, a scalar or "w"."""
+def hub_presentations(draw, hubs=("largest", "smallest")) -> Presentation:
+    """The hub, the largest generator or the smallest (one of ``hubs``),
+    twists each other one by zeta^a q^b (b over one or two free symbols);
+    among the rest only one pair has a relation: a weight, a scalar or "w"."""
     e, m = draw(st.sampled_from((3, 4, 6, 12))), draw(st.integers(1, 2))
     group = ScalarGroup(e, ("q", "p")[:m], "zeta")
     n = draw(st.integers(3, 5))
     exps = st.tuples(st.integers(0, e - 1), st.tuples(*[st.integers(-1, 1)] * m))
-    hub = draw(st.sampled_from((0, n - 1)))
+    hub = n - 1 if draw(st.sampled_from(hubs)) == "largest" else 0
     others = [i for i in range(n) if i != hub]
     items = [(i, hub, Multiplicative(group.scalar(*draw(exps)))) for i in others]
     pair = tuple(sorted(draw(st.lists(st.sampled_from(others), min_size=2, max_size=2,
@@ -383,13 +383,14 @@ def appended_letter(draw, base: ReductionSystem) -> ReductionSystem:
 
 
 @st.composite
-def graded_systems(draw):
+def graded_systems(draw, hubs=("largest", "smallest"),
+                   hows=("presentation", "appended", "inverted")):
     """(system, rule count of a certified parent, or 0): a hub
     presentation's system; or that system with a letter Z appended; or,
     when it is confluent, its extension by the inverse of a letter (the hub
-    always inverts)."""
-    s = system_from_presentation(draw(hub_presentations()))
-    how = draw(st.sampled_from(("presentation", "appended", "inverted")))
+    always inverts).  ``hubs`` and ``hows`` narrow the draw."""
+    s = system_from_presentation(draw(hub_presentations(hubs)))
+    how = draw(st.sampled_from(hows))
     if how == "appended":
         return appended_letter(draw, s), 0
     if how == "inverted" and isinstance(s.check_confluence(), Confluent):
@@ -397,9 +398,7 @@ def graded_systems(draw):
     return s, 0
 
 
-@settings(max_examples=300, deadline=None)
-@given(graded_systems())
-def test_graded_overlaps_match_two_sided(case):
+def assert_graded_case(case):
     """Every overlap that either side of the degree criterion settles agrees
     with the two-sided reference, and the candidate scan with the full one;
     an extension by an inverse was certified with its overlaps settled by
@@ -410,24 +409,45 @@ def test_graded_overlaps_match_two_sided(case):
     assert_candidate_parity(s, known)
 
 
-def settled_on_one_side(s: ReductionSystem, left: bool) -> bool:
+@settings(max_examples=80, deadline=None)
+@given(graded_systems(hubs=("largest",), hows=("presentation",)))
+def test_settled_overlaps_match_two_sided_on_twisted_presentations(case):
+    assert_graded_case(case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_systems(hubs=("smallest",), hows=("presentation",)))
+def test_mirrored_overlaps_match_two_sided(case):
+    assert_graded_case(case)
+
+
+def find_graded(condition, verdict=object, **narrow):
+    """Some drawn system meets the condition and has the verdict.  Any
+    example will do, so the one found is not shrunk."""
+    find(graded_systems(**narrow),
+         lambda case: condition(case[0]) and isinstance(case[0].check_confluence(), verdict),
+         settings=settings(database=None, max_examples=1000, phases=[Phase.generate]))
+
+
+def settled_on(left: bool):
     """Whether the degree criterion settles some overlap on the given side
     and not on the other."""
-    return any((s._graded(w, r2, True), s._graded(w, r1, False)) == (left, not left)
-               for w, r1, r2 in s._ambiguities(0))
+    return lambda s: any((s._graded(w, r2, True), s._graded(w, r1, False)) == (left, not left)
+                         for w, r1, r2 in s._ambiguities(0))
 
 
 @pytest.mark.parametrize("verdict", (Confluent, Failing))
-@pytest.mark.parametrize("left", (True, False), ids=("left", "right"))
-def test_graded_overlaps_reach_both_verdicts(left, verdict):
-    """On each side, some drawn system has an overlap that the criterion
-    settles on that side only; one such system is confluent, another is
-    not."""
-    # Any example will do, so the one found is not shrunk.
-    find(graded_systems(),
-         lambda case: settled_on_one_side(case[0], left)
-         and isinstance(case[0].check_confluence(), verdict),
-         settings=settings(database=None, max_examples=1000, phases=[Phase.generate]))
+def test_twisted_presentations_reach_both_verdicts(verdict):
+    find_graded(settled_on(True), verdict)
+
+
+@pytest.mark.parametrize("verdict", (Confluent, Failing))
+def test_mirrored_presentations_reach_both_verdicts(verdict):
+    find_graded(settled_on(False), verdict)
+
+
+def test_mirrored_presentations_settle_overlaps_by_the_mirror():
+    find_graded(settled_on(False), hubs=("smallest",), hows=("presentation",))
 
 
 def opposite(s: ReductionSystem) -> ReductionSystem:

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 

@@ -7,11 +7,14 @@ reduced defect, a pair whose degrees disagree must fail as the raw-image
 reference does, and a pair whose defect is zero must be settled.  A letter
 that moves through a normal form by twist rules only is known to give a
 non-zero product: that product has one term per term of the normal form.
+The left overlap criterion turns a one-letter word above u round through its
+rule; drawn systems with an appended letter Z, the largest, that a rule v w
+holds agree with the two-sided reference.
 """
 from functools import cache
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from qwalg.cyclo import Coeff
 from qwalg.presentation import (Additive, Eulerian, FailingRelation, GeneratorMap,
@@ -20,11 +23,12 @@ from qwalg.presentation import (Additive, Eulerian, FailingRelation, GeneratorMa
                                 exchanged, verify_homomorphism)
 from qwalg.qwa import ParseError, parse_presentation
 from qwalg.qweyl import localize_to_mixed
-from qwalg.rewrite import Element, ReductionSystem
+from qwalg.rewrite import Confluent, Element, Failing, ReductionSystem
 from qwalg.scalars import ScalarGroup
 
-from test_confluence_incremental import (CORPUS, assert_same_commutation,
-                                         inverted_systems, qweyl_grid)
+from test_confluence_incremental import (CORPUS, assert_graded_case, assert_same_commutation,
+                                         find_graded, graded_systems, inverted_systems,
+                                         qweyl_grid)
 from test_embeddings import raw_image_verify
 
 
@@ -161,7 +165,7 @@ def test_one_word_maps_reach_both_outcomes(outcome):
                 and sys.exchange_degree(*b.terms, *a.terms) is not None)
 
     find(one_word_maps(), settled if outcome == "settled" else fails_on_degrees,
-         settings=settings(database=None, max_examples=500))
+         settings=settings(database=None, max_examples=500, phases=[Phase.generate]))
 
 
 def test_localization_map_pairs_are_settled():
@@ -230,4 +234,23 @@ def test_letters_move_through_normal_forms_of_several_terms():
     find(systems_with_elements(),
          lambda case: len((nf := case[0]._reduce(case[1])).terms) > 1
          and any(moving_letters(case[0], nf)),
-         settings=settings(database=None, max_examples=500))
+         settings=settings(database=None, max_examples=500, phases=[Phase.generate]))
+
+
+# -- the left criterion with a letter Z above u --------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_systems(hows=("appended",)))
+def test_turned_round_overlaps_match_two_sided(case):
+    assert_graded_case(case)
+
+
+@pytest.mark.parametrize("verdict", (Confluent, Failing))
+def test_turned_round_overlaps_reach_both_verdicts(verdict):
+    """Some system with an overlap u v w settled on the left by turning
+    round a one-letter word of v w above u (the Z) has the verdict."""
+    find_graded(lambda s: any(s._graded(w, r2, True) and any(len(t) == 1 and t[0] > w[0]
+                                                             for t in r2.terms)
+                              for w, _, r2 in s._ambiguities(0)),
+                verdict, hows=("appended",))

@@ -4,9 +4,8 @@ An extension by g^-1 settles the overlaps of g g^-1 and g^-1 g with the
 rules of g and g^-1 by construction: every such overlap must have one-step
 results with equal normal forms, and every extension must agree with the
 two-sided reference.  That holds on the localizations of the quantum Weyl
-grid and on each normal generator of the corpus inverted (Eulerian pairs
-among them); drawn presentations with an inverted letter are checked with
-the degree criterion in ``test_confluence_incremental``.  The
+grid, on each normal generator of the corpus inverted (Eulerian pairs
+among them), and on drawn hub presentations with an inverted letter.  The
 criterion covers only the pair built in the same step: a wrong rule that
 meets an earlier inverse pair is still found.  An inverse pair twists by
 degree 0.  Normal scalars read off scalar-group coefficients equal the ratio
@@ -15,14 +14,16 @@ of the two reduced products, which the tests keep as the reference.
 from functools import cache
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, assume, find, given, settings, strategies as st
 
 from qwalg.cyclo import Coeff, coeff_to_scalar
 from qwalg.presentation import PresentationError, certified_system
 from qwalg.qwa import ParseError, parse_presentation
 from qwalg.rewrite import Confluent, Element, NotNormalError, ReductionSystem
 
-from test_confluence_incremental import CORPUS, assert_matches_two_sided, qweyl_grid
+from test_confluence_incremental import (CORPUS, assert_candidate_parity,
+                                         assert_matches_two_sided, graded_systems,
+                                         qweyl_grid)
 
 
 def grid_extensions_of(a):
@@ -105,6 +106,15 @@ def test_corpus_inversions_hold_by_construction():
             count += 1
     assert count >= 20
     assert tails
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(graded_systems(hows=("inverted",)))
+def test_twisted_presentations_with_an_inverted_letter(case):
+    ext, known = case
+    assume(known)
+    assert_construction_holds(ext, known)
+    assert_candidate_parity(ext, known)
 
 
 def test_an_earlier_inverse_pair_is_not_settled_by_construction(monkeypatch):
@@ -308,7 +318,8 @@ def test_the_ratio_fallback_is_reached():
             return False
         return any(a.terms and (True, True) not in scalar_sides(a, b)
                    for a, b in products(s, el))
-    s, el = find(scaled_z_elements(), fallback, settings=settings(database=None))
+    s, el = find(scaled_z_elements(), fallback,
+                 settings=settings(database=None, phases=[Phase.generate]))
     assert assert_same_scalars(s, el) is not None
 
 
