@@ -483,12 +483,12 @@ class ReductionSystem:
         """Whether degrees settle the overlap u v w, moving x = u through the
         right side rhs of the rule v w on the left, x = w through that of
         u v on the right (see ``check_confluence``)."""
-        u, v, w = word
-        x, pair = (u, (v, w)) if left else (w, (u, v))
-        # x twists both letters of p: by u w and the overlap's other rule.
-        if (u, w) not in self._twists or ((u, v) if left else (v, w)) not in self._twists:
+        # x twists both letters of p = v w or u v: by u w and by the overlap's
+        # other rule, u v on the left and v w on the right.
+        x, p, other = (word[0], word[1:], word[:2]) if left else (word[2], word[:2], word[1:])
+        if word[::2] not in self._twists or other not in self._twists:
             return False
-        nu = self._word_degree(x, pair, left)
+        nu = self._word_degree(x, p, left)
         rest = [(t, c) for t, c in rhs.terms.items() if self._word_degree(x, t, left) != nu]
         # A remainder with a degree on every word has never vanished.
         return not rest or (any(self._word_degree(x, t, left) is None for t, _ in rest)
@@ -500,12 +500,10 @@ class ReductionSystem:
         key = (left, x, nu, frozenset((t, frozenset(c.num.items()), frozenset(c.den.items()))
                                       for t, c in rest))
         if key not in self._remainders:
-            scale = Coeff.from_scalar(self.ring, Scalar(self.group, nu[0], nu[1:])).neg()
-            f: dict = {}
-            for t, c in rest:
-                _add_term(f, (x,) + t if left else t + (x,), c)
-                _add_term(f, t + (x,) if left else (x,) + t, c.mul(scale))
-            if self._reduce_terms(f).terms:
+            xs, r = Element.from_word(self.ring, (x,)), Element(self.ring, dict(rest))
+            a, b = (xs, r) if left else (r, xs)  # f = a b - nu b a
+            scale = Coeff.from_scalar(self.ring, Scalar(self.group, nu[0], nu[1:]))
+            if self._reduce(a.concat(b).sub(b.concat(a).scale(scale))).terms:
                 return False
             self._remainders.add(key)
         return True
@@ -515,10 +513,9 @@ class ReductionSystem:
         the sum of the twist degrees of x and each letter of t, read either
         way round (negated when turned), torsion mod e; x twists itself and
         its inverse partner by 1.  Memoized, since the table is fixed."""
-        key = (x, t, left)
-        d = self._degrees.get(key, False)
+        d = self._degrees.get((x, t, left), False)
         if d is False:
-            d = self._degrees[key] = self._sum_degrees(x, t, left)
+            d = self._degrees[x, t, left] = self._sum_degrees(x, t, left)
         return d
 
     def _sum_degrees(self, x: int, t: Word, left: bool) -> tuple | None:
@@ -526,8 +523,7 @@ class ReductionSystem:
         for h in t:
             if h == x or (x, h) in self._inverses:
                 continue
-            d = tw.get((h, x) if h > x else (x, h))
-            if d is None:
+            if (d := tw.get((h, x) if h > x else (x, h))) is None:
                 return None
             if (h > x) == left:  # turned round
                 d = tuple(map(neg, d))
@@ -542,8 +538,7 @@ class ReductionSystem:
         mod e, or None when one has none."""
         total = (0,) * (1 + self.group.rank)
         for h in u:
-            d = self._word_degree(h, t)
-            if d is None:
+            if (d := self._word_degree(h, t)) is None:
                 return None
             total = tuple(map(add, total, d))
         return (total[0] % self.group.torsion_order, *total[1:])
@@ -566,8 +561,14 @@ class ReductionSystem:
                 us = second.get(a, none) | second.get(b, none)
             else:
                 ws = us = range(len(self.letters))
-            found |= {(k, pos[b, w]) for w in ws if (b, w) in pos}
-            found |= {(pos[u, a], k) for u in us if (u, a) in pos}
+            for w in ws:
+                j = pos.get((b, w))
+                if j is not None:
+                    found.add((k, j))
+            for u in us:
+                i = pos.get((u, a))
+                if i is not None:
+                    found.add((i, k))
         for i, j in sorted(found):
             r1, r2 = rules[i], rules[j]
             yield (*r1.lhs, r2.lhs[1]), r1.rhs, r2.rhs

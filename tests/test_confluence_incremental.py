@@ -394,7 +394,9 @@ def graded_systems(draw, hubs=("largest", "smallest"),
     if how == "appended":
         return appended_letter(draw, s), 0
     if how == "inverted" and isinstance(s.check_confluence(), Confluent):
-        return draw(st.sampled_from(list(inverted_systems(s))[1:])), len(s.rules)
+        inverted = list(inverted_systems(s))[1:]
+        assert inverted  # the hub twists every other letter
+        return draw(st.sampled_from(inverted)), len(s.rules)
     return s, 0
 
 
@@ -438,12 +440,12 @@ def settled_on(left: bool):
 
 @pytest.mark.parametrize("verdict", (Confluent, Failing))
 def test_twisted_presentations_reach_both_verdicts(verdict):
-    find_graded(settled_on(True), verdict)
+    find_graded(settled_on(True), verdict, hubs=("largest",), hows=("presentation",))
 
 
 @pytest.mark.parametrize("verdict", (Confluent, Failing))
 def test_mirrored_presentations_reach_both_verdicts(verdict):
-    find_graded(settled_on(False), verdict)
+    find_graded(settled_on(False), verdict, hubs=("smallest",), hows=("presentation",))
 
 
 def test_mirrored_presentations_settle_overlaps_by_the_mirror():

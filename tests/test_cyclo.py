@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 

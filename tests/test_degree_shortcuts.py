@@ -14,7 +14,7 @@ holds agree with the two-sided reference.
 from functools import cache
 
 import pytest
-from hypothesis import Phase, find, given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from qwalg.cyclo import Coeff
 from qwalg.presentation import (Additive, Eulerian, FailingRelation, GeneratorMap,
@@ -165,7 +165,7 @@ def test_one_word_maps_reach_both_outcomes(outcome):
                 and sys.exchange_degree(*b.terms, *a.terms) is not None)
 
     find(one_word_maps(), settled if outcome == "settled" else fails_on_degrees,
-         settings=settings(database=None, max_examples=500, phases=[Phase.generate]))
+         settings=settings(database=None, max_examples=500))
 
 
 def test_localization_map_pairs_are_settled():
@@ -234,13 +234,13 @@ def test_letters_move_through_normal_forms_of_several_terms():
     find(systems_with_elements(),
          lambda case: len((nf := case[0]._reduce(case[1])).terms) > 1
          and any(moving_letters(case[0], nf)),
-         settings=settings(database=None, max_examples=500, phases=[Phase.generate]))
+         settings=settings(database=None, max_examples=500))
 
 
 # -- the left criterion with a letter Z above u --------------------------------
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(graded_systems(hows=("appended",)))
 def test_turned_round_overlaps_match_two_sided(case):
     assert_graded_case(case)

@@ -14,7 +14,7 @@ of the two reduced products, which the tests keep as the reference.
 from functools import cache
 
 import pytest
-from hypothesis import HealthCheck, Phase, assume, find, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, find, given, settings, strategies as st
 
 from qwalg.cyclo import Coeff, coeff_to_scalar
 from qwalg.presentation import PresentationError, certified_system
@@ -108,7 +108,7 @@ def test_corpus_inversions_hold_by_construction():
     assert tails
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(graded_systems(hows=("inverted",)))
 def test_twisted_presentations_with_an_inverted_letter(case):
     ext, known = case
@@ -318,8 +318,7 @@ def test_the_ratio_fallback_is_reached():
             return False
         return any(a.terms and (True, True) not in scalar_sides(a, b)
                    for a, b in products(s, el))
-    s, el = find(scaled_z_elements(), fallback,
-                 settings=settings(database=None, phases=[Phase.generate]))
+    s, el = find(scaled_z_elements(), fallback, settings=settings(database=None))
     assert assert_same_scalars(s, el) is not None
 
 

@@ -9,8 +9,9 @@ inversion chains and drawn localizations.  An identification overlap
 outside those conditions is reduced.  The degree criterion accepts a
 remainder that reduces to zero, reduced once per (side, x, nu, remainder
 terms) and remembered by the system; a remainder whose words all have
-degrees is not tried, and keys that differ in the side, a denominator or a
-torsion degree are kept apart.  A left remainder settles an overlap of a
+degrees is not tried, one that does not vanish leaves the full-scan witness
+as it was, and keys that differ in the side, a denominator or a torsion
+degree are kept apart.  A left remainder settles an overlap of a
 reordered quantum Weyl base.  The base of an all-quantum
 quantum Weyl algebra needs at most 2(n - 1) reductions, and its extensions
 reduce no identification overlap.
@@ -142,18 +143,40 @@ def count_reductions(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("tail", ("1", "2", "-3"))
-def test_a_constant_tail_that_does_not_vanish_keeps_the_full_scan_witness(tail):
+def test_a_constant_tail_that_does_not_vanish_keeps_the_full_scan_witness(tail, monkeypatch):
     """In the triangle with c b = b c + k and c a = zeta a c, the constant
     would leave the remainder k (a - zeta^2 a) in the overlap c b a.  Its one
-    word, the empty word, has a degree, so the remainder is not tried, and
-    the Failing witness is the full scan's."""
+    word, the empty word, has a degree, so the remainder is not tried (no
+    reduction), and the Failing witness is the full scan's."""
     text = TRIANGLE.format(ca="zeta").replace("b c + 1", f"b c + {tail}")
     s = system_from_presentation(parse_presentation(text))
     expected = assert_matches_two_sided(s)
     assert isinstance(expected, Failing)
     assert s.format_word(expected.word) == "c b a"
+    calls = count_reductions(monkeypatch)
     assert not s._graded(expected.word, s._rhs[expected.word[:2]], False)
-    assert not s._remainders
+    assert not calls and not s._remainders
+    assert s.check_confluence() == expected
+
+
+def test_a_remainder_with_an_ungraded_word_that_does_not_vanish_keeps_the_witness(monkeypatch):
+    """The triangle with c a = zeta a c and c b = b c + d, where d a = a d + 1
+    gives a no degree on d: the remainder d a - zeta^2 a d of the overlap
+    c b a is tried, once, and reduces to (1 - zeta^2) a d + 1.  It is not
+    remembered, and the Failing witness c b a is the full scan's."""
+    g = ScalarGroup(4, (), "zeta")
+    a, b, c, d = range(4)
+    ring = ReductionSystem(g, (), []).ring
+    one, zeta = Coeff.one(ring), Coeff.from_scalar(ring, g.scalar(1, ()))
+    rhs = {(b, a): {(a, b): zeta}, (c, a): {(a, c): zeta}, (c, b): {(b, c): one, (d,): one},
+           (d, a): {(a, d): one, (): one}, (d, b): {(b, d): one}, (d, c): {(c, d): one}}
+    s = ReductionSystem(g, ("a", "b", "c", "d"),
+                        [Rule(lhs, Element(ring, terms)) for lhs, terms in rhs.items()])
+    expected = assert_matches_two_sided(s)
+    assert isinstance(expected, Failing) and expected.word == (c, b, a)
+    calls = count_reductions(monkeypatch)
+    assert not s._graded(expected.word, s._rhs[c, b], False)
+    assert len(calls) == 1 and not s._remainders
     assert s.check_confluence() == expected
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qwalg.cyclo import Coeff, CoeffRing
+from qwalg.cyclo import Coeff, CoeffRing, coeff_to_scalar
 from qwalg.presentation import certified_system, system_from_presentation
 from qwalg.qwa import parse_presentation, parse_scalar_literal
 from qwalg.rewrite import (Confluent, Element, Failing, InverseError,

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qwalg import intlattice as il
-from qwalg.scalars import (GroupMismatch, ScalarGroup, format_scalar,
+from qwalg.scalars import (GroupMismatch, Scalar, ScalarGroup, format_scalar,
                            merge_groups, subgroup_canonical_form)
 
 
