@@ -12,7 +12,7 @@ prime: full column rank there proves the kernel is 0 with no Hermite form.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def identity(n: int) -> list[list[int]]:
@@ -268,8 +268,7 @@ def lattice_intersect(basis1, basis2, dim: int) -> list[list[int]]:
                        dim)
 
 
-@dataclass(frozen=True)
-class SkewNormalForm:
+class SkewNormalForm(NamedTuple):
     """Congruence canonical form of an antisymmetric integer matrix.
 
     transform U satisfies U^T * A * U = C where C is block diagonal with

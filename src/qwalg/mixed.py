@@ -14,8 +14,8 @@ changes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import intlattice
 from .cyclo import Coeff
@@ -125,8 +125,7 @@ class MixedWeylField:
 # Graph reduction.
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(NamedTuple):
     """Elementary generator changes taking the input to the canonical
     presentation, plus the final (x_k, y_k) pairing by original names."""
     ops: tuple[Op, ...]
@@ -297,8 +296,7 @@ def eulerian_presentation(s: CanonicalMixedAlgebra) -> Presentation:
 # Invariants.
 
 
-@dataclass(frozen=True)
-class AlgebraInvariants:
+class AlgebraInvariants(NamedTuple):
     gk_dim: int
     gk_trdeg: int
     w_supdeg: int
@@ -334,8 +332,7 @@ def invariants(s: CanonicalMixedAlgebra) -> AlgebraInvariants:
     )
 
 
-@dataclass(frozen=True)
-class MixedWeylInvariants:
+class MixedWeylInvariants(NamedTuple):
     gk_trdeg: int
     w_infdeg: int
     w_supdeg: int
@@ -356,8 +353,7 @@ def mixed_weyl_invariants(d: MixedWeylField) -> MixedWeylInvariants:
 # Equivalence decisions.
 
 
-@dataclass(frozen=True)
-class Equivalent:
+class Equivalent(NamedTuple):
     reason: str                # EQ_SEMICLASSICAL
     h: tuple[tuple[int, ...], ...]
     witness_forward: object    # GeneratorMap, engine-verified
@@ -365,14 +361,12 @@ class Equivalent:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class NotEquivalent:
+class NotEquivalent(NamedTuple):
     reason: str                # NEQ_GK | NEQ_WSUPDEG | NEQ_G | NEQ_TORUS | NEQ_E
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(NamedTuple):
     detail: str = ""
 
 
@@ -420,7 +414,8 @@ def equivalence_decide(a: CanonicalMixedAlgebra, b: CanonicalMixedAlgebra,
         if isinstance(fwd, Violation) or abs(intlattice.det(supplied_h)) != 1:
             raise ValueError("supplied matrix is not a torus isomorphism")
         if a.n == a.r:
-            wf, wb = _semiclassical_witness(a, b, supplied_h)
+            wf, wb = _semiclassical_witness(a, b, supplied_h,
+                                            intlattice.matinv_unimodular(supplied_h))
             return Equivalent("EQ_SEMICLASSICAL",
                               tuple(tuple(r) for r in supplied_h), wf, wb)
         return Inconclusive("tori isomorphic; sufficiency is open for n > r")
@@ -428,7 +423,7 @@ def equivalence_decide(a: CanonicalMixedAlgebra, b: CanonicalMixedAlgebra,
     if _is_commutative(a) and _is_commutative(b):
         if a.n == a.r:
             h = intlattice.identity(a.n)
-            wf, wb = _semiclassical_witness(a, b, h)
+            wf, wb = _semiclassical_witness(a, b, h, h)
             return Equivalent("EQ_SEMICLASSICAL", tuple(tuple(r) for r in h), wf, wb)
         return Inconclusive("identical commutative data; sufficiency open for n > r")
 
@@ -443,7 +438,7 @@ def equivalence_decide(a: CanonicalMixedAlgebra, b: CanonicalMixedAlgebra,
             return Inconclusive("tori not isomorphic but not simple; no verdict")
         if isinstance(res, Iso):
             if a.n == a.r:
-                wf, wb = _semiclassical_witness(a, b, res.h)
+                wf, wb = _semiclassical_witness(a, b, res.h, res.h_inv)
                 return Equivalent("EQ_SEMICLASSICAL", res.h, wf, wb,
                                   detail=f"divisors {res.canonical}")
             return Inconclusive("all necessary invariants match; "
@@ -454,14 +449,14 @@ def equivalence_decide(a: CanonicalMixedAlgebra, b: CanonicalMixedAlgebra,
     return Inconclusive("invariants do not separate the algebras")
 
 
-def _semiclassical_witness(a: CanonicalMixedAlgebra, b: CanonicalMixedAlgebra, h):
+def _semiclassical_witness(a: CanonicalMixedAlgebra, b: CanonicalMixedAlgebra,
+                           h, hinv):
     """Both-ways generator maps on the localized derivation presentations.
 
     Forward: y_i -> prod_k y'_k^(h_{k,i}),  w_j -> sum_l hinv_{j,l} w'_l,
     with hinv the inverse matrix; backward swaps the roles.  Each map is
     verified relation-by-relation by the rewrite engine.
     """
-    hinv = intlattice.matinv_unimodular(h)
     fwd = _pigne_map(a, b, h, hinv)
     back = _pigne_map(b, a, hinv, h)
     for gm in (fwd, back):

@@ -15,12 +15,12 @@ relation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rewrite import Element, Failing, NotCertifiedError, ReductionSystem, Rule
 from .cyclo import Coeff, CoeffRing
-from .scalars import Scalar, ScalarGroup
+from .scalars import Frozen, Scalar, ScalarGroup
 
 
 class PresentationError(ValueError):
@@ -31,19 +31,64 @@ class EulerianNotSupported(PresentationError):
     """Operation applies only to quantum/Weyl presentations."""
 
 
-@dataclass(frozen=True)
-class Additive:
-    weight: int
+class Additive(Frozen):
+    """x y - y x = weight, an integer."""
+
+    __slots__ = ("weight",)
+
+    def __init__(self, weight: int):
+        object.__setattr__(self, "weight", weight)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.weight == other.weight
+
+    def __hash__(self):
+        return hash((Additive, self.weight))
+
+    def __repr__(self):
+        return f"Additive(weight={self.weight!r})"
 
 
-@dataclass(frozen=True)
-class Multiplicative:
-    weight: Scalar
+class Multiplicative(Frozen):
+    """x y = weight * y x, a declared scalar."""
+
+    __slots__ = ("weight",)
+
+    def __init__(self, weight: Scalar):
+        object.__setattr__(self, "weight", weight)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.weight == other.weight
+
+    def __hash__(self):
+        return hash((Multiplicative, self.weight))
+
+    def __repr__(self):
+        return f"Multiplicative(weight={self.weight!r})"
 
 
-@dataclass(frozen=True)
-class Eulerian:
-    w_index: int  # generator index of the counting (w) side
+class Eulerian(Frozen):
+    """[w, y] = y, with w the generator of index ``w_index``."""
+
+    __slots__ = ("w_index",)
+
+    def __init__(self, w_index: int):
+        object.__setattr__(self, "w_index", w_index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.w_index == other.w_index
+
+    def __hash__(self):
+        return hash((Eulerian, self.w_index))
+
+    def __repr__(self):
+        return f"Eulerian(w_index={self.w_index!r})"
 
 Relation = Additive | Multiplicative | Eulerian
 
@@ -150,8 +195,7 @@ class Presentation:
         return f"Presentation(gens={self.gens!r}, rels={self.rels!r})"
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     admissible: bool
     witness: tuple | None = None  # (i, j, k, rel_ik, rel_jk)
 
@@ -222,23 +266,20 @@ def subpresentation(p: Presentation, names) -> Presentation:
 # Generator-change operations (graph reduction steps and certificate replay).
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(NamedTuple):
     """g_index <- factor * g_index (nonzero rational factor)."""
     index: int
     factor: Fraction
 
 
-@dataclass(frozen=True)
-class AddMultiple:
+class AddMultiple(NamedTuple):
     """g_index <- g_index + coeff * g_other (integer coeff)."""
     index: int
     other: int
     coeff: int
 
 
-@dataclass(frozen=True)
-class Permute:
+class Permute(NamedTuple):
     """New generator p is old generator order[p]."""
     order: tuple[int, ...]
 
@@ -368,21 +409,18 @@ class VerificationError(RuntimeError):
     """An engine check that the theory guarantees has failed; a bug, not data."""
 
 
-@dataclass
-class GeneratorMap:
+class GeneratorMap(NamedTuple):
     """Images of the source generators inside a certified target system."""
     source: Presentation
     target: ReductionSystem
     images: dict[str, Element]
 
 
-@dataclass(frozen=True)
-class Verified:
+class Verified(NamedTuple):
     relations_checked: int
 
 
-@dataclass(frozen=True)
-class FailingRelation:
+class FailingRelation(NamedTuple):
     pair: tuple[str, str]
     defect: Element
 

@@ -16,7 +16,7 @@ describing a multiparameter quantum Weyl algebra; a map file holds one
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclo import Coeff, coeff_to_scalar
 from .presentation import (Additive, Eulerian, GeneratorMap, Multiplicative,
@@ -50,8 +50,7 @@ _RE_RELATION = re.compile(
 _QWA = {"scalars": True, "generators": False, "relations": True, "qweyl": True}
 
 
-@dataclass
-class QWeylSpec:
+class QWeylSpec(NamedTuple):
     """Raw data of a qweyl block (resolved into an algebra by the qweyl module)."""
     group: ScalarGroup
     n: int
@@ -59,8 +58,7 @@ class QWeylSpec:
     lam: tuple[tuple[Scalar, ...], ...]
 
 
-@dataclass
-class Document:
+class Document(NamedTuple):
     group: ScalarGroup
     presentation: Presentation | None
     qweyl: QWeylSpec | None

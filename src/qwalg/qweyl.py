@@ -16,7 +16,7 @@ Weyl pairs given by the indices with q_j = 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclo import Coeff, CoeffRing
 from .mixed import (CanonicalMixedAlgebra, NotEquivalent, center_lattices,
@@ -147,8 +147,7 @@ def localized_lambda(a: QuantumWeylAlgebra) -> CanonicalMixedAlgebra:
     return CanonicalMixedAlgebra(a.group, size, r, plam)
 
 
-@dataclass
-class LocalizationResult:
+class LocalizationResult(NamedTuple):
     canonical: CanonicalMixedAlgebra
     gmap: GeneratorMap
     normal_scalars: dict[int, dict[str, Scalar]]  # per inverted z index
@@ -206,8 +205,7 @@ def localize_to_mixed(a: QuantumWeylAlgebra) -> LocalizationResult:
     return LocalizationResult(canonical, gmap, normal_scalars, res.relations_checked)
 
 
-@dataclass(frozen=True)
-class QWeylInvariants:
+class QWeylInvariants(NamedTuple):
     gk_dim: int
     w_supdeg: int
     center_trivial: bool | None  # None when a q_i is a nontrivial root of unity

@@ -57,8 +57,8 @@ rules, tables and index, and validates and indexes only what it adds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, neg
+from typing import NamedTuple
 
 from .cyclo import Coeff, CoeffRing, coeff_to_scalar
 from .scalars import Scalar, ScalarGroup
@@ -174,19 +174,27 @@ class Element:
         return f"Element({self.terms!r})"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     lhs: Word
     rhs: Element
 
 
-@dataclass(frozen=True)
 class Confluent:
-    pass
+    """Every overlap resolves.  A plain class, so the verdict is truthy."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__
+
+    def __hash__(self):
+        return hash(Confluent)
+
+    def __repr__(self):
+        return "Confluent()"
 
 
-@dataclass(frozen=True)
-class Failing:
+class Failing(NamedTuple):
     word: Word
     normal_form_1: Element
     normal_form_2: Element

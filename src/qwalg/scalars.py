@@ -8,41 +8,76 @@ free symbols never satisfy accidental relations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from . import intlattice
+
+_setattr = object.__setattr__
 
 
 class GroupMismatch(ValueError):
     """Combining scalars that live in different declared groups."""
 
 
-@dataclass(frozen=True)
-class ScalarGroup:
+class Frozen:
+    """Base of the slotted value classes (``Scalar``, ``ScalarGroup`` and the
+    relation kinds): ``__init__`` sets each field once, nothing after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ScalarGroup(Frozen):
     """The group Z/e x Z^m with named free generators and an optional named root."""
 
-    torsion_order: int = 1
-    free_symbols: tuple[str, ...] = ()
-    root_symbol: str | None = None
+    __slots__ = ("torsion_order", "free_symbols", "root_symbol", "rank", "free_index",
+                 "_hash")
 
-    def __post_init__(self):
-        if self.torsion_order < 1:
+    def __init__(self, torsion_order: int = 1, free_symbols: tuple[str, ...] = (),
+                 root_symbol: str | None = None):
+        if torsion_order < 1:
             raise ValueError("torsion order must be >= 1")
-        names = list(self.free_symbols)
-        if self.root_symbol is not None:
-            names.append(self.root_symbol)
+        names = list(free_symbols)
+        if root_symbol is not None:
+            names.append(root_symbol)
         if len(set(names)) != len(names):
             raise ValueError("scalar symbol names must be distinct")
+        _setattr(self, "torsion_order", torsion_order)
+        _setattr(self, "free_symbols", free_symbols)
+        _setattr(self, "root_symbol", root_symbol)
+        _setattr(self, "rank", len(free_symbols))
+        # Position of each free symbol in ``free_symbols``.
+        _setattr(self, "free_index", {name: k for k, name in enumerate(free_symbols)})
+        # Every Scalar hash reads its group's, so it is computed once.
+        _setattr(self, "_hash", hash((torsion_order, free_symbols, root_symbol)))
 
-    @property
-    def rank(self) -> int:
-        return len(self.free_symbols)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.torsion_order == other.torsion_order
+                                 and self.free_symbols == other.free_symbols
+                                 and self.root_symbol == other.root_symbol)
 
-    @cached_property
-    def free_index(self) -> dict[str, int]:
-        """Position of each free symbol in ``free_symbols``."""
-        return {name: k for k, name in enumerate(self.free_symbols)}
+    def __ne__(self, other):
+        # Written out, not derived from __eq__: Scalar.mul tests its
+        # groups with != on every product.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is not other and (self.torsion_order != other.torsion_order
+                                      or self.free_symbols != other.free_symbols
+                                      or self.root_symbol != other.root_symbol)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"ScalarGroup(torsion_order={self.torsion_order!r}, "
+                f"free_symbols={self.free_symbols!r}, root_symbol={self.root_symbol!r})")
 
     def one(self) -> "Scalar":
         return Scalar(self, 0, (0,) * self.rank)
@@ -68,19 +103,32 @@ class ScalarGroup:
         return self.scalar(free=tuple(v))
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(Frozen):
     """One element of a ScalarGroup: a torsion exponent and a free exponent vector."""
 
-    group: ScalarGroup
-    torsion: int
-    free: tuple[int, ...]
+    __slots__ = ("group", "torsion", "free")
 
-    def __post_init__(self):
-        if not (0 <= self.torsion < self.group.torsion_order):
+    def __init__(self, group: ScalarGroup, torsion: int, free: tuple[int, ...]):
+        if not (0 <= torsion < group.torsion_order):
             raise ValueError("torsion exponent out of range")
-        if len(self.free) != self.group.rank:
+        if len(free) != group.rank:
             raise ValueError("free exponent vector has the wrong length")
+        _setattr(self, "group", group)
+        _setattr(self, "torsion", torsion)
+        _setattr(self, "free", free)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.torsion == other.torsion and self.free == other.free
+                and (self.group is other.group or self.group == other.group))
+
+    def __hash__(self):
+        return hash((self.group, self.torsion, self.free))
+
+    def __repr__(self):
+        return (f"Scalar(group={self.group!r}, torsion={self.torsion!r}, "
+                f"free={self.free!r})")
 
     def is_one(self) -> bool:
         return self.torsion == 0 and not any(self.free)
@@ -149,8 +197,7 @@ def merge_groups(g1: ScalarGroup, g2: ScalarGroup) -> ScalarGroup:
     return ScalarGroup(e, free, root)
 
 
-@dataclass(frozen=True)
-class SubgroupDescription:
+class SubgroupDescription(NamedTuple):
     """Canonical description of the subgroup of Z/e x Z^m spanned by some scalars.
 
     ``full_basis`` is the Hermite normal form of the lattice in Z^(m+1) that

@@ -6,7 +6,7 @@ matrix per coordinate of Z/e x Z^m (the torsion one mod e): the centre is an
 integer kernel, and a morphism with matrix h is S = h^T S' h in each one."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import intlattice
 from .presentation import Multiplicative, Presentation
@@ -112,8 +112,7 @@ def is_simple(t: QuantumTorus) -> bool:
     return not central_lattice(t)
 
 
-@dataclass(frozen=True)
-class TorusMorphism:
+class TorusMorphism(NamedTuple):
     """y_i maps to a scalar multiple of prod_k y'_k ^ h[k][i]; the scalar
     prefactors never enter the defining weight equations."""
     src: QuantumTorus
@@ -121,8 +120,7 @@ class TorusMorphism:
     h: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     i: int
     j: int
 
@@ -171,20 +169,18 @@ def uniparameter_exponents(t: QuantumTorus, name: str) -> list[list[int]] | None
     return [list(row) for row in t.exponents[idx]]
 
 
-@dataclass(frozen=True)
-class Iso:
+class Iso(NamedTuple):
     h: tuple[tuple[int, ...], ...]
     canonical: tuple[int, ...]
+    h_inv: tuple[tuple[int, ...], ...]  # the inverse matrix, checked the other way
 
 
-@dataclass(frozen=True)
-class NotIso:
+class NotIso(NamedTuple):
     canonical_1: tuple[int, ...]
     canonical_2: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NotApplicable:
+class NotApplicable(NamedTuple):
     reason: str
 
 
@@ -208,11 +204,10 @@ def uniparameter_iso_decide(t1: QuantumTorus, t2: QuantumTorus,
     # With u1, u2 the transforms, u1^T s1 u1 = C = u2^T s2 u2, so
     # h = u2 * u1^{-1} satisfies s1 = h^T s2 h, and h^{-1} = u1 * u2^{-1};
     # both are unimodular, being products of elementary matrices.
-    h = intlattice.matmul(f2.transform, f1.inverse)
-    fwd = check_morphism(t1, t2, h)
+    fwd = check_morphism(t1, t2, intlattice.matmul(f2.transform, f1.inverse))
     if isinstance(fwd, Violation):
         raise AssertionError("congruence witness failed the weight equations")
     back = check_morphism(t2, t1, intlattice.matmul(f1.transform, f2.inverse))
     if isinstance(back, Violation):
         raise AssertionError("inverse witness failed the weight equations")
-    return Iso(tuple(tuple(r) for r in h), f1.divisors)
+    return Iso(fwd.h, f1.divisors, back.h)

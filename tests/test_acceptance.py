@@ -9,11 +9,10 @@ import itertools
 import random
 
 from qwalg import intlattice as il
-from qwalg.cyclo import Coeff
 from qwalg.embeddings import (GeneratorMap, Verified, embed_mixed, embed_torus,
                               verify_homomorphism, weyl_lower_bound_witness)
-from qwalg.mixed import (CanonicalMixedAlgebra, Equivalent, Inconclusive,
-                         MixedWeylField, NotEquivalent, cross_equivalence_necessary,
+from qwalg.mixed import (CanonicalMixedAlgebra, Equivalent, MixedWeylField,
+                         NotEquivalent, cross_equivalence_necessary,
                          equivalence_decide, invariants, mixed_weyl_invariants,
                          reduce_to_canonical, replay_certificate)
 from qwalg.presentation import (Additive, Multiplicative, Presentation,

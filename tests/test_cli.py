@@ -1,13 +1,17 @@
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import qwalg
 from qwalg import intlattice
 from qwalg.cli import COMMANDS, OPTIONS, main
 from qwalg.qwa import format_presentation, parse_presentation
@@ -382,6 +386,18 @@ def test_unexpected_failure_is_exit_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: VerificationError: relations failed\n"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every command pays for importing the package.  Its records are named
+    tuples and its value types slotted classes, so that import creates no
+    dataclass and loads neither module (-S keeps site hooks out)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qwalg.__file__).parent.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import qwalg.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 BAD_MATRICES = ["[[0.5,0],[0,2]]", "[[true,0],[0,true]]", "[[1.0,0],[0,1]]",

@@ -10,7 +10,7 @@ from qwalg.cyclo import Coeff
 from qwalg.embeddings import (FailingRelation, GeneratorMap, Verified,
                               embed_mixed, embed_torus, verify_homomorphism,
                               weyl_lower_bound_witness)
-from qwalg.mixed import CanonicalMixedAlgebra, eulerian_presentation
+from qwalg.mixed import CanonicalMixedAlgebra
 from qwalg.presentation import certified_system, exchanged
 from qwalg.qwa import (ParseError, format_generator_map, parse_generator_map,
                        parse_presentation)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qwalg.cli import main
-from qwalg.mixed import Equivalent, Inconclusive, NotEquivalent, invariants
+from qwalg.mixed import Equivalent, NotEquivalent, invariants
 from qwalg.qwa import parse_document
 from qwalg.qweyl import (QuantumWeylAlgebra, localize_to_mixed, localized_lambda,
                          qweyl_equivalence_necessary, qweyl_invariants)

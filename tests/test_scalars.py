@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qwalg import intlattice as il
+from qwalg.presentation import Additive, Eulerian, Multiplicative
 from qwalg.scalars import (GroupMismatch, Scalar, ScalarGroup, format_scalar,
                            merge_groups, subgroup_canonical_form)
 
@@ -36,6 +37,44 @@ def test_pow_examples():
     assert g.root().pow(5).torsion == 1
     assert g.free_gen("q", 2).pow(-1).free == (-2,)
     assert g.free_gen("q").pow(0).is_one()
+
+
+def test_value_types_compare_hash_and_print_by_value():
+    """Scalar, ScalarGroup and the relation kinds are immutable values:
+    equal only within one type, hashed alike when equal, checked on
+    construction and printed as Name(field=value)."""
+    g = ScalarGroup(4, ("q",), "zeta")
+    q = g.free_gen("q")
+    for make in (lambda: ScalarGroup(torsion_order=4, free_symbols=("q",), root_symbol="zeta"),
+                 lambda: Scalar(group=g, torsion=1, free=(2,)), lambda: Additive(1),
+                 lambda: Multiplicative(q), lambda: Eulerian(1)):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert g != ScalarGroup(4, ("q",), "xi") and g != ScalarGroup(2, ("q",), "zeta")
+    assert Additive(1) != Eulerian(1) and Additive(1) != Additive(2)
+    assert Multiplicative(q) != Multiplicative(q.inv())
+    assert Scalar(g, 1, (2,)) != (g, 1, (2,))
+    assert {Additive(1): 0} != {Eulerian(1): 0}
+    for value, field in ((g, "torsion_order"), (g, "free_symbols"), (q, "torsion"),
+                         (q, "free"), (Additive(1), "weight"),
+                         (Multiplicative(q), "weight"), (Eulerian(1), "w_index")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    for bad, message in ((lambda: ScalarGroup(0), "torsion order must be >= 1"),
+                         (lambda: ScalarGroup(1, ("q", "q")), "scalar symbol names must be distinct"),
+                         (lambda: ScalarGroup(2, ("z",), "z"), "scalar symbol names must be distinct"),
+                         (lambda: Scalar(g, 4, (0,)), "torsion exponent out of range"),
+                         (lambda: Scalar(g, -1, (0,)), "torsion exponent out of range"),
+                         (lambda: Scalar(g, 0, ()), "free exponent vector has the wrong length")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bad()
+    group = "ScalarGroup(torsion_order=4, free_symbols=('q',), root_symbol='zeta')"
+    assert repr(g) == group
+    assert repr(q) == f"Scalar(group={group}, torsion=0, free=(1,))"
+    assert repr(Multiplicative(q)) == f"Multiplicative(weight={q!r})"
+    assert repr(Additive(1)) == "Additive(weight=1)"
+    assert repr(Eulerian(0)) == "Eulerian(w_index=0)"
+    assert g.free_index == {"q": 0} and g.free_index is g.free_index
 
 
 def test_root_needs_torsion():

@@ -4,12 +4,15 @@ import random
 import pytest
 
 from qwalg import intlattice as il
+from qwalg.cli import _load
+from qwalg.mixed import reduce_to_canonical
 from qwalg.presentation import Additive, Eulerian, Multiplicative, Presentation
 from qwalg.scalars import GroupMismatch, ScalarGroup
 from qwalg.torus import (Iso, NotApplicable, NotIso, QuantumTorus, TorusError,
                          TorusMorphism, Violation, central_lattice, check_morphism, compose,
                          is_isomorphism, is_simple, uniparameter_exponents,
                          uniparameter_iso_decide)
+from test_cli import corpus
 from test_intlattice import lattice_member
 
 
@@ -315,8 +318,37 @@ def test_iso_witness_equals_the_unimodular_inverse_route(grp):
         f1, f2 = il.skew_normal_form(s), il.skew_normal_form(s2)
         h = il.matmul(f2.transform, il.matinv_unimodular(f1.transform))
         assert [list(r) for r in res.h] == h
-        assert il.matmul(f1.transform, f2.inverse) == il.matinv_unimodular(h)
+        assert [list(r) for r in res.h_inv] == il.matinv_unimodular(h)
         assert il.matmul(il.matmul(il.transpose(h), s2), h) == s
+
+
+def test_corpus_isos_carry_the_inverse_of_their_witness():
+    """Iso.h_inv is the inverse of Iso.h, so the equivalence witness needs
+    no matinv_unimodular.  Read on the corpus pairs of ``torus iso`` (the
+    files' tori) and of ``equiv`` (the tori of the reduced algebras), each
+    pair both ways and each of its files against itself.  Their witnesses
+    are identities; random congruent pairs are in
+    ``test_iso_witness_equals_the_unimodular_inverse_route``."""
+    def pairs(*names):
+        return {p for a, b in names for p in ((a, b), (b, a), (a, a), (b, b))}
+
+    def tori(kind, a, b, torus):
+        paths = [corpus(f"{name}.qwa") for name in (a, b)]
+        return [torus(x) for x in _load(paths, [kind] * 2)]
+
+    routes = {
+        "torus": [tori("torus", a, b, lambda t: t) for a, b in
+                  pairs(("torus_q2", "torus_d2"), ("quantum_plane", "torus_q2"))],
+        "equiv": [tori("presentation", a, b, lambda p: reduce_to_canonical(p)[0].torus())
+                  for a, b in pairs(("s22q", "s22q2"), ("mixed_weyl_F", "mixed_weyl_Fprime"),
+                                    ("quantum_plane", "torus_d2"))],
+    }
+    for route, cases in routes.items():
+        isos = [res for t1, t2 in cases
+                if isinstance(res := uniparameter_iso_decide(t1, t2, "q"), Iso)]
+        assert isos, route
+        for res in isos:
+            assert [list(r) for r in res.h_inv] == il.matinv_unimodular(res.h)
 
 
 def test_check_morphism_matches_scalar_products():
