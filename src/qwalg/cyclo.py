@@ -34,7 +34,10 @@ not divide n divides no divisor of n.)  Hence the unit lemma: let u be a
 unit (one q-monomial, no denominator) and n / d a coefficient.  If an atom
 A of d divided u * n, it would divide n = u^-1 * (u * n), which the
 invariant rules out.  So u * n / d is already cancelled, and Coeff.mul does
-no trial division for a product with a unit.
+no trial division for a product with a unit, nor for (u * A) * (n / d) with
+A an atom of d, which is u * n / (d - A) (as (q - 1) (q - 1)^-1 in the
+identification rules).  Nor does Coeff.inv of a p with no denominator: a
+non-unit atom divides no unit.
 """
 from __future__ import annotations
 
@@ -154,6 +157,8 @@ class CoeffRing:
         # degree in each symbol, lex-leading exponent); atom_ids inverts it.
         self.atoms: list[tuple[dict, tuple, tuple]] = []
         self.atom_ids: dict[tuple, int] = {}
+        # factors[lp_key(p)] = (atom id, unit u) with p = u * atom, per inverted p.
+        self.factors: dict[tuple, tuple[int, dict]] = {}
 
     def intern(self, atom: dict) -> int:
         """The id of a shifted monic atom, adding it to the table if new."""
@@ -338,7 +343,12 @@ class Coeff:
     def from_scalar(ring: CoeffRing, s: Scalar) -> "Coeff":
         if s.group != ring.group:
             raise ValueError("scalar outside the coefficient ring's group")
-        return Coeff(ring, {(*s.free, t): c for t, c in ring.roots[s.torsion]})
+        return Coeff.of_degree(ring, s.degree())
+
+    @staticmethod
+    def of_degree(ring: CoeffRing, d: tuple) -> "Coeff":
+        """The scalar-group element of degree d = (torsion, *free)."""
+        return Coeff(ring, {(*d[1:], t): c for t, c in ring.roots[d[0] % ring.e]})
 
     # -- predicates -----------------------------------------------------------
 
@@ -394,15 +404,19 @@ class Coeff:
         return self.add(other.neg())
 
     def mul(self, other: "Coeff") -> "Coeff":
+        ring = self.ring
         if self.is_zero() or other.is_zero():
-            return Coeff.zero(self.ring)
-        num = lp_mul(self.ring, self.num, other.num)
-        # A product with a unit is already cancelled (the unit lemma above).
-        if not self.den and (not other.den or _is_unit(self.num)):
-            return Coeff(self.ring, num, other.den)
-        if not other.den and _is_unit(other.num):
-            return Coeff(self.ring, num, self.den)
-        return self._with(num, self.den + other.den)
+            return Coeff.zero(ring)
+        # A product with a unit, or of u * atom and n / d with the atom in d,
+        # is already cancelled (the unit lemma above).
+        plain, frac = (self, other) if not self.den else (other, self)
+        if not plain.den:
+            if not frac.den or _is_unit(plain.num):
+                return Coeff(ring, lp_mul(ring, self.num, other.num), frac.den)
+            atom, unit = ring.factors.get(lp_key(plain.num), (None, None))
+            if atom in frac.den:
+                return Coeff(ring, lp_mul(ring, unit, frac.num), frac.den - Counter((atom,)))
+        return self._with(lp_mul(ring, self.num, other.num), self.den + other.den)
 
     def inv(self) -> "Coeff":
         """Exact inverse; non-unit content becomes a tracked denominator atom."""
@@ -413,7 +427,8 @@ class Coeff:
         num = _times_atoms(ring, unit_inv, self.den)
         if atom is None:
             return Coeff(ring, num)
-        return Coeff(ring, num, Counter({atom: 1}))._cancel()
+        inv = Coeff(ring, num, Counter({atom: 1}))  # cancelled when self.den is 0
+        return inv._cancel() if self.den else inv
 
 
 def _atomize(ring: CoeffRing, p: dict) -> tuple[int | None, dict]:
@@ -421,20 +436,28 @@ def _atomize(ring: CoeffRing, p: dict) -> tuple[int | None, dict]:
     leading coefficient; returns the interned atom's id (None when p is a
     unit) and the inverse of the unit as a Laurent polynomial."""
     shifted, mins = _shift(ring, p)
-    lc_inv = ring.cy_inv(_zeta_part(ring, shifted)[1])
+    lc_inv = ring.cy_inv(lc := _zeta_part(ring, shifted)[1])
     # p = (lc * q^mins) * atom, so 1/unit = lc^{-1} * q^{-mins}
     unit_inv = _term(tuple(-x for x in mins), lc_inv)
     if _is_unit(p):
         return None, unit_inv
-    return ring.intern(lp_mul(ring, shifted, _term(ring.zero_exp, lc_inv))), unit_inv
+    atom = ring.intern(lp_mul(ring, shifted, _term(ring.zero_exp, lc_inv)))
+    ring.factors[lp_key(p)] = atom, _term(mins, lc)
+    return atom, unit_inv
 
 
-def coeff_to_scalar(c: Coeff) -> Scalar | None:
-    """Recognize a coefficient as an element of the scalar group, if it is one."""
+def coeff_degree(c: Coeff) -> tuple | None:
+    """The degree (torsion, *free) of a coefficient that is an element of the
+    scalar group, or None."""
     if c.den or not c.num:
         return None
     exps = {k[:-1] for k in c.num}
     if len(exps) != 1:
         return None
     t = c.ring.torsion_of.get(tuple(sorted((k[-1], v) for k, v in c.num.items())))
-    return None if t is None else Scalar(c.ring.group, t, exps.pop())
+    return None if t is None else (t, *exps.pop())
+
+
+def coeff_to_scalar(c: Coeff) -> Scalar | None:
+    """Recognize a coefficient as an element of the scalar group, if it is one."""
+    return None if (d := coeff_degree(c)) is None else c.ring.group.scalar(d[0], d[1:])

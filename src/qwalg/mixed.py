@@ -66,8 +66,8 @@ class CanonicalMixedAlgebra:
         for i in range(r):
             items.append((n + i, i, Additive(1)))  # x_i y_i = y_i x_i + 1
             for j in range(n):
-                if j != i:
-                    items.append((n + i, j, Multiplicative(self.lam[i][j].inv())))
+                if j != i:  # x_i y_j = lam_ij^-1 y_j x_i, read from y_j's side
+                    items.append((j, n + i, Multiplicative(self.lam[i][j])))
             for j in range(i + 1, r):
                 items.append((n + i, n + j, Multiplicative(self.lam[i][j])))
         return Presentation.build(self.group, names, items)
@@ -480,7 +480,7 @@ def _pigne_map(src: CanonicalMixedAlgebra, dst: CanonicalMixedAlgebra, h, hinv):
             word += [name] * abs(e)
         images[f"y{i+1}"] = sys.word(*word) if word else sys.one()
     for j in range(n):
-        el = Element.zero(sys.ring)
+        el = Element(sys.ring)
         for l in range(n):
             if hinv[j][l]:
                 el = el.add(sys.word(f"w{l+1}").scale(

@@ -445,9 +445,10 @@ def verify_homomorphism(gmap: GeneratorMap) -> Verified | FailingRelation:
     A pair is settled by degrees, with no reduction, when both reduced
     images are single words, a = alpha t and b = beta u, and the relation
     is Multiplicative(s) or Additive(0) (s = 1).  The defect is then
-    alpha beta (u t - s^-1 t u), and u t = nu t u in the target, with nu
-    the twist-table degree ``exchange_degree(u, t)``; when nu is the degree
-    of s^-1 the defect lies in the ideal, so its normal form is zero.  Any
+    alpha beta (u t - s^-1 t u), and t u = nu u t in the target, with nu
+    the twist-table degree ``exchange_degree(t, u)``; when nu is the degree
+    of s, u t = s^-1 t u and the defect lies in the ideal, so its normal
+    form is zero.  Any
     other pair, one whose degrees disagree included, is reduced, so every
     FailingRelation defect is a reduced one.  Either way a relation counts
     as checked when its defect's normal form is zero.
@@ -476,14 +477,13 @@ def _settled_by_degrees(sys: ReductionSystem, rel: Relation, a: Element, b: Elem
     if len(a.terms) != 1 or len(b.terms) != 1:
         return False
     if isinstance(rel, Multiplicative) and rel.weight.group == sys.group:
-        s = rel.weight.inv()
-        target = (s.torsion, *s.free)
+        target = rel.weight.degree()
     elif isinstance(rel, Additive) and not rel.weight:
         target = (0,) * (1 + sys.group.rank)
     else:
         return False
     (t,), (u,) = a.terms, b.terms
-    return sys.exchange_degree(u, t) == target
+    return sys.exchange_degree(t, u) == target
 
 
 def verified(gmap: GeneratorMap, what: str) -> Verified:

@@ -46,46 +46,27 @@ class QuantumWeylAlgebra:
     def from_spec(spec: QWeylSpec) -> "QuantumWeylAlgebra":
         return QuantumWeylAlgebra(spec.group, spec.n, spec.q, spec.lam)
 
-    # Letter order: y1 < x1 < y2 < x2 < ...; every right-hand side is smaller.
-    def _y(self, i: int) -> int:
-        return 2 * i
-
-    def _x(self, i: int) -> int:
-        return 2 * i + 1
-
+    # Letter order: y1 < x1 < y2 < x2 < ..., so y_i is letter 2i and x_i is
+    # 2i + 1 (from 0); every right-hand side is smaller.
     def _build_system(self) -> ReductionSystem:
         ring = CoeffRing(self.group)
-        letters = []
-        for i in range(self.n):
-            letters += [f"y{i+1}", f"x{i+1}"]
-        rules = []
-        one = Coeff.one(ring)
-
-        def sc(s: Scalar) -> Coeff:
-            return Coeff.from_scalar(ring, s)
-
+        letters = tuple(f"{c}{i+1}" for i in range(self.n) for c in "yx")
+        inverse = self.group.inverse_degree
+        # The twist rules, with their table (see ``ReductionSystem``) in degrees.
+        twists = {}
         for j in range(self.n):
             for i in range(j):
-                lam = self.lam[i][j]
-                qi = self.qs[i]
-                rules.append(Rule((self._y(j), self._y(i)),
-                                  Element(ring, {(self._y(i), self._y(j)): sc(lam.inv())})))
-                rules.append(Rule((self._x(j), self._x(i)),
-                                  Element(ring, {(self._x(i), self._x(j)):
-                                                 sc(qi.mul(lam).inv())})))
-                rules.append(Rule((self._y(j), self._x(i)),
-                                  Element(ring, {(self._x(i), self._y(j)): sc(lam)})))
-                rules.append(Rule((self._x(j), self._y(i)),
-                                  Element(ring, {(self._y(i), self._x(j)):
-                                                 sc(qi.mul(lam))})))
-        for j in range(self.n):
-            terms = {(self._y(j), self._x(j)): sc(self.qs[j]), (): one}
-            for k in range(j):
-                qk = sc(self.qs[k]).sub(one)
-                if not qk.is_zero():
-                    terms[(self._y(k), self._x(k))] = qk
-            rules.append(Rule((self._x(j), self._y(j)), Element(ring, terms)))
-        sys = ReductionSystem(self.group, tuple(letters), rules)
+                lam = self.lam[i][j].degree()
+                qlam = self.qs[i].mul(self.lam[i][j]).degree()
+                yi, xi, yj, xj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+                twists |= {(yj, yi): inverse(lam), (xj, xi): inverse(qlam),
+                           (yj, xi): lam, (xj, yi): qlam}
+        rules = [Rule(lhs, Element.of_terms(ring, {lhs[::-1]: Coeff.of_degree(ring, d)}))
+                 for lhs, d in twists.items()]
+        for j in range(self.n):  # x_j y_j = q_j y_j x_j + z_(j-1)
+            qj, z = Coeff.from_scalar(ring, self.qs[j]), self._z_terms(ring, j - 1)
+            rules.append(Rule((2 * j + 1, 2 * j), Element(ring, {(2 * j, 2 * j + 1): qj, **z})))
+        sys = ReductionSystem(self.group, letters, rules, twists)
         verdict = sys.check_confluence()
         if isinstance(verdict, Failing):
             raise VerificationError(f"quantum Weyl relations are not confluent "
@@ -101,14 +82,13 @@ class QuantumWeylAlgebra:
 
     def z_element(self, sys: ReductionSystem, i: int) -> Element:
         """z_i = 1 + sum_{k<=i} (q_k - 1) y_k x_k as an element of sys."""
-        ring = sys.ring
+        return Element(sys.ring, self._z_terms(sys.ring, i))
+
+    def _z_terms(self, ring: CoeffRing, i: int) -> dict:
+        """The terms of z_i, zero ones included (``Element`` drops them)."""
         one = Coeff.one(ring)
-        terms = {(): one}
-        for k in range(i + 1):
-            c = Coeff.from_scalar(ring, self.qs[k]).sub(one)
-            if not c.is_zero():
-                terms[(self._y(k), self._x(k))] = c
-        return Element(ring, terms)
+        return {(): one, **{(2 * k, 2 * k + 1): Coeff.from_scalar(ring, self.qs[k]).sub(one)
+                            for k in range(i + 1)}}
 
     @property
     def weyl_indices(self) -> list[int]:
@@ -127,24 +107,14 @@ def localized_lambda(a: QuantumWeylAlgebra) -> CanonicalMixedAlgebra:
     its inverse transposed pattern; a final permutation lists the r
     Weyl-paired y's first, then the z'-block, then the quantum y's.
     """
-    n = a.n
-    jj = a.weyl_indices
-    ii = a.quantum_indices
-    r = len(jj)
-    size = 2 * n - r
-    nz = len(ii)
-    one = a.group.one()
-    lam = [[one for _ in range(size)] for _ in range(size)]
-    for k in range(nz):
-        for t in range(n):
-            lam[k][nz + t] = a.qs[ii[k]] if t == ii[k] else one
-            lam[nz + t][k] = a.qs[ii[k]].inv() if t == ii[k] else one
-    for k in range(n):
-        for t in range(n):
-            lam[nz + k][nz + t] = a.lam[k][t]
+    jj, ii = a.weyl_indices, a.quantum_indices
+    nz, one = len(ii), a.group.one()
+    lam = [[one] * (nz + a.n) for _ in ii] + [[one] * nz + list(row) for row in a.lam]
+    for k, i in enumerate(ii):
+        lam[k][nz + i], lam[nz + i][k] = a.qs[i], a.qs[i].inv()
     perm = [nz + j for j in jj] + list(range(nz)) + [nz + i for i in ii]
-    plam = [[lam[perm[i]][perm[j]] for j in range(size)] for i in range(size)]
-    return CanonicalMixedAlgebra(a.group, size, r, plam)
+    plam = [[lam[i][j] for j in perm] for i in perm]
+    return CanonicalMixedAlgebra(a.group, len(perm), len(jj), plam)
 
 
 class LocalizationResult(NamedTuple):
@@ -165,41 +135,32 @@ def localize_to_mixed(a: QuantumWeylAlgebra) -> LocalizationResult:
     equal to z_i, so it is the normal form of z_i and needs no reduction.
     """
     sys = a.system()
-    jj = a.weyl_indices
-    ii = a.quantum_indices
+    jj, ii = a.weyl_indices, a.quantum_indices
     normal_scalars: dict[int, dict[str, Scalar]] = {}
-    zinv_label: dict[int, str] = {}
     for i in ii:
-        ext, label = sys.adjoin_inverse(a.z_element(sys, i), f"z{i+1}^-1")
-        # The new letter Z equals z_i, so its rules carry z_i's twists.
-        z = len(sys.letters)
-        normal_scalars[i] = {name: ext.twist(z, g)[0]
-                             for g, name in enumerate(sys.letters)}
+        ext, _ = sys.adjoin_inverse(a.z_element(sys, i), f"z{i+1}^-1")
+        # The new letter Z equals z_i, so its twists are z_i's scalars.
+        z, group = len(sys.letters), a.group
+        normal_scalars[i] = {name: group.scalar(d[0], d[1:]) for g, name in enumerate(sys.letters)
+                             for d in [ext.exchange_degree((z,), (g,))]}
         sys = ext
-        zinv_label[i] = label
 
-    def prev_quantum(j: int) -> int | None:
-        cands = [i for i in ii if i < j]
-        return max(cands) if cands else None
+    def after_prev(j: int, letter: str) -> Element:
+        """z_p^-1 letter for the last quantum index p < j, or the letter."""
+        prev = [p for p in ii if p < j]
+        return sys.word(f"z{prev[-1]+1}^-1", letter) if prev else sys.word(letter)
 
     canonical = localized_lambda(a)
-    target_names = canonical.gens()
-    source = canonical.to_presentation(names=target_names)
-    images: dict[str, Element] = {}
+    source = canonical.to_presentation()
     # Canonical y-block: r Weyl-paired y's, then the z' chain, then quantum y's.
+    r, nz = len(jj), len(ii)
+    images: dict[str, Element] = {}
     for k, j in enumerate(jj):
         images[f"y{k+1}"] = sys.word(f"y{j+1}")
+        images[f"x{k+1}"] = after_prev(j, f"x{j+1}")
     for k, i in enumerate(ii):
-        z = f"z{i+1}"
-        images[f"y{len(jj)+k+1}"] = sys.word(zinv_label[ii[k - 1]], z) if k else sys.word(z)
-    for k, i in enumerate(ii):
-        images[f"y{len(jj)+len(ii)+k+1}"] = sys.word(f"y{i+1}")
-    for k, j in enumerate(jj):
-        p = prev_quantum(j)
-        if p is None:
-            images[f"x{k+1}"] = sys.word(f"x{j+1}")
-        else:
-            images[f"x{k+1}"] = sys.word(zinv_label[p], f"x{j+1}")
+        images[f"y{r+k+1}"] = after_prev(i, f"z{i+1}")
+        images[f"y{r+nz+k+1}"] = sys.word(f"y{i+1}")
     gmap = GeneratorMap(source, sys, images)
     res = verified(gmap, "localization")
     return LocalizationResult(canonical, gmap, normal_scalars, res.relations_checked)

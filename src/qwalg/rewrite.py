@@ -48,7 +48,9 @@ letter moves left, the same statement in the algebra and in its opposite,
 and words of another degree may leave a remainder that reduces to zero,
 reduced once per system.  Degrees also give normality scalars
 (``commutation_with_generators``) and settle a relation of a generator map
-whose images are single words (``exchange_degree``).  Proofs are in
+whose images are single words (``exchange_degree``).  They are the engine's
+form of a scalar: one becomes a coefficient once per rule, and a ``Scalar``
+only where a public method returns one.  Proofs are in
 ``check_confluence``.  Certification visits only the overlaps with a loose
 pair, read off an index: a rule outside the table or a descending letter
 pair with no twist rule.  An extension that appends its letters (every
@@ -57,10 +59,10 @@ rules, tables and index, and validates and indexes only what it adds.
 """
 from __future__ import annotations
 
-from operator import add, neg
+from operator import add, neg, sub
 from typing import NamedTuple
 
-from .cyclo import Coeff, CoeffRing, coeff_to_scalar
+from .cyclo import Coeff, CoeffRing, coeff_degree
 from .scalars import Scalar, ScalarGroup
 
 Word = tuple[int, ...]
@@ -121,10 +123,6 @@ class Element:
         return el
 
     @staticmethod
-    def zero(ring) -> "Element":
-        return Element(ring)
-
-    @staticmethod
     def from_word(ring, w: Word, coeff: Coeff | None = None) -> "Element":
         c = coeff if coeff is not None else Coeff.one(ring)
         return Element(ring, {tuple(w): c})
@@ -146,7 +144,7 @@ class Element:
 
     def scale(self, coeff: Coeff) -> "Element":
         if coeff.is_zero():
-            return Element.zero(self.ring)
+            return Element(self.ring)
         return Element(self.ring, {w: c.mul(coeff) for w, c in self.terms.items()})
 
     def concat(self, other: "Element") -> "Element":
@@ -160,9 +158,8 @@ class Element:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(c == other.terms[w] for w, c in self.terms.items())
+        return self.terms.keys() == other.terms.keys() and all(
+            c == other.terms[w] for w, c in self.terms.items())
 
     def __hash__(self):
         raise TypeError("Element is not hashable")
@@ -242,9 +239,8 @@ class ReductionSystem:
             self._rhs[rule.lhs] = rule.rhs
             self.rules.append(rule)
         if twists is None:
-            twists = {r.lhs: (mu.torsion, *mu.free) for r in rules
-                      if r.rhs.terms.keys() == {r.lhs[::-1]}
-                      and (mu := coeff_to_scalar(r.rhs.terms[r.lhs[::-1]])) is not None}
+            twists = {r.lhs: d for r in rules if r.rhs.terms.keys() == {r.lhs[::-1]}
+                      and (d := coeff_degree(r.rhs.terms[r.lhs[::-1]])) is not None}
         tw = self._twists
         tw.update(twists)
         loose = [r.lhs for r in rules if r.lhs not in tw]
@@ -312,6 +308,13 @@ class ReductionSystem:
 
     def _reduce(self, el: Element) -> Element:
         return self._reduce_terms(el.terms)
+
+    def _reduced(self, terms: dict) -> Element:
+        """The reduction of the non-zero terms, with no reduction when every
+        word is irreducible: distinct irreducible words are already reduced."""
+        if all(map(self.irreducible, terms)):
+            return Element.of_terms(self.ring, terms)
+        return self._reduce_terms(terms)
 
     def _reduce_terms(self, terms: dict) -> Element:
         """Reduce the sum of the non-zero terms in ``terms``.
@@ -481,10 +484,7 @@ class ReductionSystem:
         b reduce differently."""
         for word, rhs1, rhs2 in overlaps:
             a, b = self._one_step(word, rhs1, rhs2)
-            diff = dict(a.terms)
-            for t, c in b.terms.items():
-                _add_term(diff, t, c.neg())
-            if diff and self._reduce_terms(diff).terms:
+            if self._reduced(a.sub(b).terms).terms:
                 yield word, a, b
 
     def _graded(self, word: Word, rhs: Element, left: bool) -> bool:
@@ -510,8 +510,8 @@ class ReductionSystem:
         if key not in self._remainders:
             xs, r = Element.from_word(self.ring, (x,)), Element(self.ring, dict(rest))
             a, b = (xs, r) if left else (r, xs)  # f = a b - nu b a
-            scale = Coeff.from_scalar(self.ring, Scalar(self.group, nu[0], nu[1:]))
-            if self._reduce(a.concat(b).sub(b.concat(a).scale(scale))).terms:
+            f = a.concat(b).sub(b.concat(a).scale(Coeff.of_degree(self.ring, nu)))
+            if self._reduce(f).terms:
                 return False
             self._remainders.add(key)
         return True
@@ -620,49 +620,52 @@ class ReductionSystem:
         since neither pair beside g then has a rule.  So t g reduces to a
         unit times t with g inserted, and t is read back off that word (g
         sits before its longest suffix of letters above g): the terms of
-        nf g go to distinct words and cannot cancel.  Otherwise one
-        reduction shows nf g is non-zero.  Other letters reduce nf g and
-        g nf apart; mu is read off a word whose coefficients in both are
-        scalar-group elements, as their quotient in the group, and otherwise
-        as the ratio of the coefficients at the first word.  Either way
-        nf g = mu g nf is then checked on every term, so the scalar does
-        not depend on the word it was read off.
+        nf g go to distinct words and cannot cancel.  Otherwise nf g is
+        shown non-zero.  Other letters take nf g and g nf apart; mu is read
+        off a word whose coefficients in both are scalar-group elements, as
+        the difference of their degrees, and otherwise as the ratio of the
+        coefficients at the first word.  Either way nf g = mu g nf is then
+        checked on every term, so the scalar does not depend on the word it
+        was read off.  A product whose words are all irreducible is not
+        reduced (``_reduced``).
         """
-        return self._commutation(self.normal_form(el))
+        degrees = self._commutation(self.normal_form(el))
+        return None if degrees is None else {name: self.group.scalar(d[0], d[1:])
+                                              for name, d in zip(self.letters, degrees)}
 
-    def _commutation(self, nf: Element) -> dict[str, Scalar] | None:
-        """``commutation_with_generators`` of a normal form nf."""
+    def _commutation(self, nf: Element) -> list[tuple] | None:
+        """The degrees of the scalars of ``commutation_with_generators`` for
+        a normal form nf, in letter order."""
         if nf.is_zero():
             return None
-        nf_letters = {h for t in nf.terms for h in t}
-        out: dict[str, Scalar] = {}
-        for idx, name in enumerate(self.letters):
-            if (idx - 1, idx) in self._inverses:
-                out[name] = out[self.letters[idx - 1]].inv()
+        e, inverse = self.group.torsion_order, self.group.inverse_degree
+        terms, nf_letters = nf.terms.items(), {h for t in nf.terms for h in t}
+        out: list[tuple] = []
+        for g in range(len(self.letters)):
+            if (g - 1, g) in self._inverses:
+                out.append(inverse(out[-1]))
                 continue
-            g = Element.from_word(self.ring, (idx,))
-            degrees = {self._word_degree(idx, t) for t in nf.terms}
+            degrees = {self._word_degree(g, t) for t in nf.terms}
             uniform = len(degrees) == 1 and None not in degrees
-            if not (uniform and self._moves_through(idx, nf_letters)):
-                a = self._reduce(nf.concat(g))
+            if not (uniform and self._moves_through(g, nf_letters)):
+                a = self._reduced({t + (g,): c for t, c in terms})
                 if not a.terms:
                     return None
             if uniform:
-                nu = degrees.pop()
-                out[name] = Scalar(self.group, nu[0], nu[1:]).inv()
+                out.append(inverse(degrees.pop()))
                 continue
-            b = self._reduce(g.concat(nf))
-            if set(a.terms) != set(b.terms):
+            b = self._reduced({(g,) + t: c for t, c in terms})
+            if a.terms.keys() != b.terms.keys():
                 return None
-            mu = next((sa.mul(sb.inv()) for w, c in a.terms.items()
-                       if (sa := coeff_to_scalar(c)) is not None
-                       and (sb := coeff_to_scalar(b.terms[w])) is not None), None)
+            mu = next((((da[0] - db[0]) % e, *map(sub, da[1:], db[1:]))
+                       for w, c in a.terms.items() if (da := coeff_degree(c)) is not None
+                       and (db := coeff_degree(b.terms[w])) is not None), None)
             if mu is None:
                 w0 = next(iter(a.terms))
-                mu = coeff_to_scalar(a.terms[w0].mul(b.terms[w0].inv()))
-            if mu is None or a != b.scale(Coeff.from_scalar(self.ring, mu)):
+                mu = coeff_degree(a.terms[w0].mul(b.terms[w0].inv()))
+            if mu is None or a != b.scale(Coeff.of_degree(self.ring, mu)):
                 return None
-            out[name] = mu
+            out.append(mu)
         return out
 
     def _moves_through(self, g: int, letters: set) -> bool:
@@ -683,6 +686,8 @@ class ReductionSystem:
         letter by the element's scalars, and Z^-1 gets the rules conjugated
         from those twists, as an inverted generator does; both letters are
         appended in one extension, certified once from the parent's rules.
+        The scalars stay degrees (``_commutation``), which are Z's and
+        Z^-1's twist-table entries; each becomes a coefficient in its rule.
         The overlaps of the identification rule a b with a parent rule u a
         (when a b u < u a b) or b w (when w a b < a b w) are settled by
         construction from the parent's normality scalars, which Z's rules
@@ -690,8 +695,8 @@ class ReductionSystem:
         A plain generator gets only the inverse letter.
         """
         nf = self.normal_form(el)
-        twists = self._commutation(nf)
-        if twists is None:
+        degrees = self._commutation(nf)
+        if degrees is None:
             raise NotNormalError("element does not commute with every generator "
                                  "up to a scalar")
         ring = self.ring
@@ -704,17 +709,17 @@ class ReductionSystem:
         if len(lead) != 2:
             raise NotNormalError("cannot invert an element whose leading word "
                                  "is not two letters unless it is a plain generator")
-        z, scalars = len(self.letters), list(twists.values())
-        rules = [Rule((z, h), Element.from_word(ring, (h, z), Coeff.from_scalar(ring, mu)))
-                 for h, mu in enumerate(scalars)]
+        z = len(self.letters)
+        rules = [Rule((z, h), Element.from_word(ring, (h, z), Coeff.of_degree(ring, d)))
+                 for h, d in enumerate(degrees)]
         # Identification: lead -> c_lead^{-1} (Z - tail).
         tail = Element(ring, {w: c for w, c in nf.terms.items() if w != lead})
         z_minus_tail = Element.from_word(ring, (z,)).sub(tail)
         rules.append(Rule(lead, z_minus_tail.scale(nf.terms[lead].inv())))
         z_label = label[:-3] if label.endswith("^-1") else label + "~"
-        table = {(z, h): (mu.torsion, *mu.free) for h, mu in enumerate(scalars)}
+        table = {(z, h): d for h, d in enumerate(degrees)}
         zero = Coeff.zero(ring)
-        inv_rules, inv_table = self._conjugated(z, [(h, mu, zero) for h, mu in enumerate(scalars)])
+        inv_rules, inv_table = self._conjugated(z, [(h, d, zero) for h, d in enumerate(degrees)])
         # Identification overlaps u a b and a b w with a parent rule, under
         # the order conditions of the lemma in ``check_confluence``.
         a, b = lead
@@ -750,7 +755,7 @@ class ReductionSystem:
             if tw is None:
                 raise NotNormalError(f"cannot invert {name!r}: relation "
                                      f"with {other!r} is not a twist")
-            twists.append((h + (h > g), *tw))
+            twists.append((h + (h > g), tw[0].degree(), tw[1]))
         rules, table = self._conjugated(g, twists)
         if g == len(self.letters) - 1:  # g is last: nothing moves
             ext = self._extended((label,), rules, table)
@@ -768,23 +773,25 @@ class ReductionSystem:
 
     def _conjugated(self, g: int, twists) -> tuple[list[Rule], dict[Word, tuple]]:
         """The rules of the letter g^-1 = g + 1 of an extension, with their
-        twist-table entries, from the twists (h, mu, c) of g, one per other
-        letter h of the extension: g h = mu h g + c g.
+        twist-table entries, from the twists (h, d, c) of g, one per other
+        letter h of the extension: g h = mu h g + c g with mu of degree d.
 
         Beside g g^-1 -> 1 and g^-1 g -> 1, each twist is conjugated by
-        g^-1, h g^-1 = mu g^-1 h + c g^-1, and oriented by the letter order.
+        g^-1, h g^-1 = mu g^-1 h + c g^-1, and oriented by the letter order;
+        c = 0 (every letter of an adjoined Z) needs no coefficient product.
         """
         ring, inv = self.ring, g + 1
         rules = [Rule((g, inv), self.one()), Rule((inv, g), self.one())]
         table = {}
-        for h, mu, c in twists:
+        for h, d, c in twists:
             if h < inv:  # g^-1 h = mu^-1 h g^-1 - mu^-1 c g^-1
-                mu, c = mu.inv(), Coeff.from_scalar(ring, mu.inv()).mul(c).neg()
+                d = self.group.inverse_degree(d)
+                c = c if c.is_zero() else Coeff.of_degree(ring, d).mul(c).neg()
             lhs = (h, inv) if h > inv else (inv, h)
-            rules.append(Rule(lhs, Element(ring, {lhs[::-1]: Coeff.from_scalar(ring, mu),
+            rules.append(Rule(lhs, Element(ring, {lhs[::-1]: Coeff.of_degree(ring, d),
                                                   (inv,): c})))
             if c.is_zero():
-                table[lhs] = (mu.torsion, *mu.free)
+                table[lhs] = d
         return rules, table
 
     def _certified_inverse(self, g: int, known: int,
@@ -814,7 +821,7 @@ class ReductionSystem:
         the tail c g with c = 1 or -1: h counts g, [h, g] = -c g."""
         d = self._word_degree(g, (h,)) if g != h else None
         if d is not None:
-            return Scalar(self.group, d[0], d[1:]), Coeff.zero(self.ring)
+            return self.group.scalar(d[0], d[1:]), Coeff.zero(self.ring)
         hi, lo = max(g, h), min(g, h)
         rhs, one = self._rhs.get((hi, lo)), Coeff.one(self.ring)
         if rhs is None or len(rhs.terms) != 2 or rhs.terms.get((lo, hi)) != one:

@@ -102,6 +102,10 @@ class ScalarGroup(Frozen):
         v[idx] = power
         return self.scalar(free=tuple(v))
 
+    def inverse_degree(self, d: tuple[int, ...]) -> tuple[int, ...]:
+        """The degree of the inverse: every exponent negated, torsion mod e."""
+        return (-d[0] % self.torsion_order, *(-x for x in d[1:]))
+
 
 class Scalar(Frozen):
     """One element of a ScalarGroup: a torsion exponent and a free exponent vector."""
@@ -132,6 +136,10 @@ class Scalar(Frozen):
 
     def is_one(self) -> bool:
         return self.torsion == 0 and not any(self.free)
+
+    def degree(self) -> tuple[int, ...]:
+        """(torsion, *free), the form twist tables and the rewrite engine use."""
+        return (self.torsion, *self.free)
 
     def mul(self, other: "Scalar") -> "Scalar":
         if other.group != self.group:

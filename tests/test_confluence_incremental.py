@@ -10,12 +10,13 @@ and Failing witness of the two-sided reference, which reduces a and b
 apart and compares them.  Overlaps settled by twist degrees (moving the
 first letter right or the last letter left) and scalars read off the twist
 table agree with the same references, on drawn presentations around a hub
-letter, also with a letter appended or inverted; a presentation and its
-opposite reading get the same verdict, with the two sides of the degree
-criterion swapped.  The candidate scan leaves the same
-unsettled overlaps, in the same order, as the full scan; extensions built
-in place equal fully validated systems; reduction by length buckets
-matches a deglex-key reducer term for term and in order.
+letter, also with a letter appended or inverted, and on the steps of drawn
+localizations, whose base system is built with the twist table read off
+its rules; a presentation and its opposite reading get the same verdict,
+with the two sides of the degree criterion swapped.  The candidate scan
+leaves the same unsettled overlaps, in the same order, as the full scan;
+extensions built in place equal fully validated systems; reduction by
+length buckets matches a deglex-key reducer term for term and in order.
 """
 import io
 import itertools
@@ -383,14 +384,51 @@ def appended_letter(draw, base: ReductionSystem) -> ReductionSystem:
 
 
 @st.composite
+def qweyl_algebras(draw, min_quantum: int = 0) -> QuantumWeylAlgebra:
+    """A quantum Weyl algebra over Z/e x Z<q, p>, e in {1, 2, 3, 4, 6, 12},
+    with n <= 5, any set of at least ``min_quantum`` quantum indices, and
+    drawn q_i and Lambda."""
+    e = draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+    g = ScalarGroup(e, ("q", "p"), "zeta" if e > 1 else None)
+    n = draw(st.integers(1, 5))
+    quantum = draw(st.sets(st.integers(0, n - 1), min_size=min_quantum))
+    scalars = st.builds(lambda t, a, b: g.scalar(t, (a, b)), st.integers(0, e - 1),
+                        st.integers(-1, 1), st.integers(-1, 1))
+    qs = tuple(draw(scalars.filter(lambda s: not s.is_one())) if i in quantum else g.one()
+               for i in range(n))
+    lam = [[g.one()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lam[i][j] = draw(scalars)
+            lam[j][i] = lam[i][j].inv()
+    return QuantumWeylAlgebra(g, n, qs, lam)
+
+
+@st.composite
+def localization_steps(draw):
+    """(extension, rule count of its parent) for one z_i that the
+    localization of a drawn quantum Weyl algebra inverts."""
+    a = draw(qweyl_algebras(min_quantum=1))
+    s, steps = a.system(), []
+    for i in a.quantum_indices:
+        ext, _ = s.adjoin_inverse(a.z_element(s, i), f"z{i+1}^-1")
+        steps.append((ext, len(s.rules)))
+        s = ext
+    return draw(st.sampled_from(steps))
+
+
+@st.composite
 def graded_systems(draw, hubs=("largest", "smallest"),
-                   hows=("presentation", "appended", "inverted")):
+                   hows=("presentation", "appended", "inverted", "localized")):
     """(system, rule count of a certified parent, or 0): a hub
     presentation's system; or that system with a letter Z appended; or,
     when it is confluent, its extension by the inverse of a letter (the hub
-    always inverts).  ``hubs`` and ``hows`` narrow the draw."""
-    s = system_from_presentation(draw(hub_presentations(hubs)))
+    always inverts); or a step of a drawn localization.  ``hubs`` and
+    ``hows`` narrow the draw."""
     how = draw(st.sampled_from(hows))
+    if how == "localized":
+        return draw(localization_steps())
+    s = system_from_presentation(draw(hub_presentations(hubs)))
     if how == "appended":
         return appended_letter(draw, s), 0
     if how == "inverted" and isinstance(s.check_confluence(), Confluent):
@@ -404,7 +442,9 @@ def assert_graded_case(case):
     """Every overlap that either side of the degree criterion settles agrees
     with the two-sided reference, and the candidate scan with the full one;
     an extension by an inverse was certified with its overlaps settled by
-    construction, so it is confluent."""
+    construction, so it is confluent: the reference reduces every overlap,
+    so each one the certification dropped (by construction, by degrees or
+    out of the candidate scan) reduces to zero."""
     s, known = case
     verdict = assert_matches_two_sided(s, known)
     assert isinstance(verdict, Confluent) or not s.certified
@@ -420,6 +460,12 @@ def test_settled_overlaps_match_two_sided_on_twisted_presentations(case):
 @settings(max_examples=80, deadline=None)
 @given(graded_systems(hubs=("smallest",), hows=("presentation",)))
 def test_mirrored_overlaps_match_two_sided(case):
+    assert_graded_case(case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_systems(hows=("localized",)))
+def test_localized_overlaps_match_two_sided(case):
     assert_graded_case(case)
 
 
@@ -554,6 +600,23 @@ def test_identification_rule_with_z_on_the_right(e, extensions_with_known):
                     assert ext._reduce(a) == ext._reduce(b)
                     seen += 1
     assert seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(qweyl_algebras())
+def test_quantum_weyl_base_carries_the_twist_table_of_its_rules(a):
+    """The table the base system is built with is the one read off its
+    rules, and each normal scalar of the localization is that of z_i in the
+    system it was adjoined to, by the engine and by the reference."""
+    s = a.system()
+    assert s._twists == fresh(s)._twists
+    res = localize_to_mixed(a)
+    assert list(res.normal_scalars) == a.quantum_indices
+    for i in a.quantum_indices:
+        z = a.z_element(s, i)
+        assert res.normal_scalars[i] == s.commutation_with_generators(z)
+        assert res.normal_scalars[i] == reference_commutation(s, z)
+        s, _ = s.adjoin_inverse(z, f"z{i+1}^-1")
 
 
 def test_extension_carries_the_twist_table(extensions):
