@@ -17,7 +17,10 @@ coordinate.  The only field division is the inverse in Q(zeta_e) of the
 field part of one q-monomial, by the extended Euclidean algorithm on dense
 lists (_divmod, _mul, _sub).  Zero tests and equality are exact: the
 representation is canonical and denominators are compared by cross
-multiplication.
+multiplication.  A scalar-group element enters only as its degree
+(torsion, *free), the form of the rewrite engine's twist tables:
+Coeff.of_degree builds its coefficient and coeff_degree reads a degree
+back off a coefficient.
 
 Denominator atoms are interned once per ring.  An atom is stored shifted
 (least exponent 0 in each symbol) and monic (the field part of its
@@ -47,7 +50,7 @@ from functools import cache
 from itertools import zip_longest
 from operator import add, sub
 
-from .scalars import Scalar, ScalarGroup
+from .scalars import ScalarGroup
 
 # ---------------------------------------------------------------------------
 # Dense polynomials: lists of coefficients, constant term first.
@@ -340,12 +343,6 @@ class Coeff:
         return Coeff(ring, {(*ring.zero_exp, 0): r.numerator if r.denominator == 1 else r})
 
     @staticmethod
-    def from_scalar(ring: CoeffRing, s: Scalar) -> "Coeff":
-        if s.group != ring.group:
-            raise ValueError("scalar outside the coefficient ring's group")
-        return Coeff.of_degree(ring, s.degree())
-
-    @staticmethod
     def of_degree(ring: CoeffRing, d: tuple) -> "Coeff":
         """The scalar-group element of degree d = (torsion, *free)."""
         return Coeff(ring, {(*d[1:], t): c for t, c in ring.roots[d[0] % ring.e]})
@@ -456,8 +453,3 @@ def coeff_degree(c: Coeff) -> tuple | None:
         return None
     t = c.ring.torsion_of.get(tuple(sorted((k[-1], v) for k, v in c.num.items())))
     return None if t is None else (t, *exps.pop())
-
-
-def coeff_to_scalar(c: Coeff) -> Scalar | None:
-    """Recognize a coefficient as an element of the scalar group, if it is one."""
-    return None if (d := coeff_degree(c)) is None else c.ring.group.scalar(d[0], d[1:])

@@ -34,7 +34,7 @@ def _plane_embedding(source: Presentation, group, n: int, r: int, lam):
     """
     if n == 1 and r == 0:
         sys = certified_system(Presentation.build(group, ("z1",), []))
-        gmap = GeneratorMap(source, sys, {"y1": sys.gen("z1")})
+        gmap = GeneratorMap(source, sys, {"y1": sys.word("z1")})
         verified(gmap, "plane embedding")
         return gmap, MixedWeylField(group, 0, 0, 1, ())
     names, items = [], []

@@ -39,17 +39,6 @@ class Additive(Frozen):
     def __init__(self, weight: int):
         object.__setattr__(self, "weight", weight)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.weight == other.weight
-
-    def __hash__(self):
-        return hash((Additive, self.weight))
-
-    def __repr__(self):
-        return f"Additive(weight={self.weight!r})"
-
 
 class Multiplicative(Frozen):
     """x y = weight * y x, a declared scalar."""
@@ -59,17 +48,6 @@ class Multiplicative(Frozen):
     def __init__(self, weight: Scalar):
         object.__setattr__(self, "weight", weight)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.weight == other.weight
-
-    def __hash__(self):
-        return hash((Multiplicative, self.weight))
-
-    def __repr__(self):
-        return f"Multiplicative(weight={self.weight!r})"
-
 
 class Eulerian(Frozen):
     """[w, y] = y, with w the generator of index ``w_index``."""
@@ -78,17 +56,6 @@ class Eulerian(Frozen):
 
     def __init__(self, w_index: int):
         object.__setattr__(self, "w_index", w_index)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.w_index == other.w_index
-
-    def __hash__(self):
-        return hash((Eulerian, self.w_index))
-
-    def __repr__(self):
-        return f"Eulerian(w_index={self.w_index!r})"
 
 Relation = Additive | Multiplicative | Eulerian
 
@@ -376,7 +343,7 @@ def exchanged(rel: Relation, i: int, gi: Element, gj: Element) -> Element:
             return ij
         return ij.add(Element.from_word(ij.ring, (), Coeff.from_rational(ij.ring, -rel.weight)))
     if isinstance(rel, Multiplicative):  # g_i g_j = s g_j g_i
-        return ij.scale(Coeff.from_scalar(ij.ring, rel.weight.inv()))
+        return ij.scale(Coeff.of_degree(ij.ring, rel.weight.inv().degree()))
     if rel.w_index == i:  # [g_i, g_j] = g_j
         return ij.sub(gj)
     return ij.add(gi)  # [g_j, g_i] = g_i

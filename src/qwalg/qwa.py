@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .cyclo import Coeff, coeff_to_scalar
+from .cyclo import Coeff, coeff_degree
 from .presentation import (Additive, Eulerian, GeneratorMap, Multiplicative,
                            Presentation, normalized_relation)
 from .rewrite import Element, ReductionSystem
@@ -334,7 +334,7 @@ def parse_generator_map(text: str, source: Presentation,
             else:
                 scalar = scalar.mul(parse_scalar_literal(target.group, f, at))
         el = target.word(*word) if word else target.one()
-        images[name] = el.scale(Coeff.from_scalar(target.ring, scalar))
+        images[name] = el.scale(Coeff.of_degree(target.ring, scalar.degree()))
     missing = [g for g in source.gens if g not in images]
     if missing:
         raise ParseError(ln, f"map is missing images for {missing}")
@@ -413,9 +413,10 @@ def format_generator_map(gmap: GeneratorMap) -> str:
         if len(el.terms) != 1:
             raise ValueError("only single-word images are serializable")
         (word, coeff), = el.terms.items()
-        s = coeff_to_scalar(coeff)
-        if s is None:
+        d = coeff_degree(coeff)
+        if d is None:
             raise ValueError("image prefactor is not a scalar")
+        s = gmap.target.group.scalar(d[0], d[1:])
         factors = " ".join(gmap.target.letters[i] for i in word) or "1"
         pre = "" if s.is_one() else f"{format_scalar(s)} * "
         parts.append(f"  {name} -> {pre}{factors}")

@@ -35,10 +35,14 @@ class QuantumWeylAlgebra:
         qs = tuple(qs)
         if len(qs) != n:
             raise ValueError("need one quantization parameter per index")
+        if any(q.group != group for q in qs):
+            raise ValueError("quantization parameter outside the declared group")
+        self.lam = tuple(tuple(row) for row in lam)
+        if len(self.lam) != n or any(len(row) != n for row in self.lam):
+            raise ValueError(f"Lambda must be {n} x {n}")
         self.group = group
         self.n = n
         self.qs = qs
-        self.lam = tuple(tuple(row) for row in lam)
         QuantumTorus(group, self.lam)  # antisymmetry check
         self._system: ReductionSystem | None = None  # built by the first system()
 
@@ -64,7 +68,7 @@ class QuantumWeylAlgebra:
         rules = [Rule(lhs, Element.of_terms(ring, {lhs[::-1]: Coeff.of_degree(ring, d)}))
                  for lhs, d in twists.items()]
         for j in range(self.n):  # x_j y_j = q_j y_j x_j + z_(j-1)
-            qj, z = Coeff.from_scalar(ring, self.qs[j]), self._z_terms(ring, j - 1)
+            qj, z = Coeff.of_degree(ring, self.qs[j].degree()), self._z_terms(ring, j - 1)
             rules.append(Rule((2 * j + 1, 2 * j), Element(ring, {(2 * j, 2 * j + 1): qj, **z})))
         sys = ReductionSystem(self.group, letters, rules, twists)
         verdict = sys.check_confluence()
@@ -87,7 +91,7 @@ class QuantumWeylAlgebra:
     def _z_terms(self, ring: CoeffRing, i: int) -> dict:
         """The terms of z_i, zero ones included (``Element`` drops them)."""
         one = Coeff.one(ring)
-        return {(): one, **{(2 * k, 2 * k + 1): Coeff.from_scalar(ring, self.qs[k]).sub(one)
+        return {(): one, **{(2 * k, 2 * k + 1): Coeff.of_degree(ring, self.qs[k].degree()).sub(one)
                             for k in range(i + 1)}}
 
     @property

@@ -53,9 +53,10 @@ form of a scalar: one becomes a coefficient once per rule, and a ``Scalar``
 only where a public method returns one.  Proofs are in
 ``check_confluence``.  Certification visits only the overlaps with a loose
 pair, read off an index: a rule outside the table or a descending letter
-pair with no twist rule.  An extension that appends its letters (every
-adjoined inverse but that of an earlier generator) reuses the parent's
-rules, tables and index, and validates and indexes only what it adds.
+pair with no twist rule.  ``adjoin_inverse`` appends its two letters in an
+extension that reuses the parent's rules, tables and index, and validates
+and indexes only what it adds; ``invert_generator`` renumbers the letters
+after g and builds its system afresh.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ from operator import add, neg, sub
 from typing import NamedTuple
 
 from .cyclo import Coeff, CoeffRing, coeff_degree
-from .scalars import Scalar, ScalarGroup
+from .scalars import Frozen, Scalar, ScalarGroup
 
 Word = tuple[int, ...]
 
@@ -176,19 +177,10 @@ class Rule(NamedTuple):
     rhs: Element
 
 
-class Confluent:
-    """Every overlap resolves.  A plain class, so the verdict is truthy."""
+class Confluent(Frozen):
+    """Every overlap resolves.  A value with no fields, so the verdict is truthy."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__
-
-    def __hash__(self):
-        return hash(Confluent)
-
-    def __repr__(self):
-        return "Confluent()"
 
 
 class Failing(NamedTuple):
@@ -297,17 +289,11 @@ class ReductionSystem:
     def one(self) -> Element:
         return Element.from_word(self.ring, ())
 
-    def gen(self, name: str) -> Element:
-        return self.word(name)
-
     @property
     def certified(self) -> bool:
         return self._certified
 
     # -- reduction -------------------------------------------------------------
-
-    def _reduce(self, el: Element) -> Element:
-        return self._reduce_terms(el.terms)
 
     def _reduced(self, terms: dict) -> Element:
         """The reduction of the non-zero terms, with no reduction when every
@@ -362,7 +348,7 @@ class ReductionSystem:
     def normal_form(self, el: Element) -> Element:
         if not self._certified:
             raise NotCertifiedError("confluence has not been certified for this system")
-        return self._reduce(el)
+        return self._reduce_terms(el.terms)
 
     def format_word(self, w: Word) -> str:
         """The word as space-separated letter names."""
@@ -469,7 +455,7 @@ class ReductionSystem:
             self._certified = True
             return Confluent()
         word, a, b = next(self._unresolved(self._ambiguities(0)))
-        return Failing(word, self._reduce(a), self._reduce(b))
+        return Failing(word, self._reduce_terms(a.terms), self._reduce_terms(b.terms))
 
     def _unsettled(self, known: int):
         """The candidate overlaps from ``known`` that neither the
@@ -511,7 +497,7 @@ class ReductionSystem:
             xs, r = Element.from_word(self.ring, (x,)), Element(self.ring, dict(rest))
             a, b = (xs, r) if left else (r, xs)  # f = a b - nu b a
             f = a.concat(b).sub(b.concat(a).scale(Coeff.of_degree(self.ring, nu)))
-            if self._reduce(f).terms:
+            if self._reduce_terms(f.terms).terms:
                 return False
             self._remainders.add(key)
         return True
@@ -733,9 +719,8 @@ class ReductionSystem:
         """Adjoin the inverse of a normal generator: every relation of it is
         a twist (see ``twist``) and it occurs in no identification rule.
 
-        The letter g^-1 goes right after g.  When g is the last letter the
-        parent is extended in place; otherwise every later letter moves up
-        by one and the system is built afresh."""
+        The letter g^-1 goes right after g, every later letter moves up by
+        one, and the system is built afresh."""
         if not self._certified:
             raise NotCertifiedError("confluence has not been certified for this system")
         g, one = self.index(name), self.one()
@@ -755,20 +740,17 @@ class ReductionSystem:
             if tw is None:
                 raise NotNormalError(f"cannot invert {name!r}: relation "
                                      f"with {other!r} is not a twist")
-            twists.append((h + (h > g), tw[0].degree(), tw[1]))
+            twists.append((h + (h > g), *tw))
         rules, table = self._conjugated(g, twists)
-        if g == len(self.letters) - 1:  # g is last: nothing moves
-            ext = self._extended((label,), rules, table)
-        else:
-            def shift(w: Word) -> Word:
-                return tuple(i + (i > g) for i in w)
 
-            ring = self.ring
-            old = [Rule(shift(r.lhs), Element(ring, {shift(w): c for w, c in r.rhs.terms.items()}))
-                   for r in self.rules]
-            table |= {shift(pair): d for pair, d in self._twists.items()}
-            letters = self.letters[:g + 1] + (label,) + self.letters[g + 1:]
-            ext = ReductionSystem(self.group, letters, old + rules, table)
+        def shift(w: Word) -> Word:
+            return tuple(i + (i > g) for i in w)
+
+        old = [Rule(shift(r.lhs), Element(self.ring, {shift(w): c for w, c in r.rhs.terms.items()}))
+               for r in self.rules]
+        table |= {shift(pair): d for pair, d in self._twists.items()}
+        letters = self.letters[:g + 1] + (label,) + self.letters[g + 1:]
+        ext = ReductionSystem(self.group, letters, old + rules, table)
         return ext._certified_inverse(g, len(self.rules)), label
 
     def _conjugated(self, g: int, twists) -> tuple[list[Rule], dict[Word, tuple]]:
@@ -815,13 +797,14 @@ class ReductionSystem:
                                  f"at {self.format_word(verdict.word)}")
         return self
 
-    def twist(self, g: int, h: int) -> tuple[Scalar, Coeff] | None:
-        """(mu, c) with g h = mu h g + c g, read off the rule of the pair, or
-        None.  The rule must be a scalar twist (c = 0) or, with mu = 1, have
-        the tail c g with c = 1 or -1: h counts g, [h, g] = -c g."""
+    def twist(self, g: int, h: int) -> tuple[tuple, Coeff] | None:
+        """(d, c) with g h = mu h g + c g and d the degree of mu, read off
+        the rule of the pair, or None.  The rule must be a scalar twist
+        (c = 0) or, with mu = 1, have the tail c g with c = 1 or -1: h counts
+        g, [h, g] = -c g."""
         d = self._word_degree(g, (h,)) if g != h else None
         if d is not None:
-            return self.group.scalar(d[0], d[1:]), Coeff.zero(self.ring)
+            return d, Coeff.zero(self.ring)
         hi, lo = max(g, h), min(g, h)
         rhs, one = self._rhs.get((hi, lo)), Coeff.one(self.ring)
         if rhs is None or len(rhs.terms) != 2 or rhs.terms.get((lo, hi)) != one:
@@ -829,7 +812,7 @@ class ReductionSystem:
         c = rhs.terms.get((g,))  # hi lo = lo hi + c g; with g earlier, h g = g h + c g
         if c is None or c not in (one, one.neg()):
             return None
-        return self.group.one(), (c if g == hi else c.neg())
+        return (0,) * (1 + self.group.rank), (c if g == hi else c.neg())
 
 
 def build_reduction_system(group: ScalarGroup, generators: list[str],

@@ -20,8 +20,11 @@ class GroupMismatch(ValueError):
 
 
 class Frozen:
-    """Base of the slotted value classes (``Scalar``, ``ScalarGroup`` and the
-    relation kinds): ``__init__`` sets each field once, nothing after."""
+    """Base of the slotted value classes (``Scalar``, ``ScalarGroup``, the
+    relation kinds and ``Confluent``): ``__init__`` sets each field once,
+    nothing after.  The fields are the ``__slots__``: two values are equal
+    only within one class, when their fields are, and print as
+    ``Name(field=value, ...)``."""
 
     __slots__ = ()
 
@@ -30,6 +33,21 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((self.__class__, self._fields()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
 
 class ScalarGroup(Frozen):
@@ -56,6 +74,8 @@ class ScalarGroup(Frozen):
         # Every Scalar hash reads its group's, so it is computed once.
         _setattr(self, "_hash", hash((torsion_order, free_symbols, root_symbol)))
 
+    # The value is (torsion_order, free_symbols, root_symbol); rank,
+    # free_index and _hash derive from it, so comparisons are written out.
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -120,19 +140,6 @@ class Scalar(Frozen):
         _setattr(self, "group", group)
         _setattr(self, "torsion", torsion)
         _setattr(self, "free", free)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.torsion == other.torsion and self.free == other.free
-                and (self.group is other.group or self.group == other.group))
-
-    def __hash__(self):
-        return hash((self.group, self.torsion, self.free))
-
-    def __repr__(self):
-        return (f"Scalar(group={self.group!r}, torsion={self.torsion!r}, "
-                f"free={self.free!r})")
 
     def is_one(self) -> bool:
         return self.torsion == 0 and not any(self.free)

@@ -24,7 +24,7 @@ from qwalg.rewrite import Confluent
 from qwalg.scalars import ScalarGroup
 from qwalg.torus import QuantumTorus, central_lattice, is_simple
 
-from test_mixed import scramble
+from support import CORPUS, corpus, scramble
 
 
 def _ok(num, text):
@@ -403,10 +403,7 @@ def test_criterion_8_equivalence():
 
 
 def test_criterion_9_roundtrip_determinism():
-    from importlib import resources
-    from pathlib import Path
-    corpus = Path(resources.files("qwalg") / "corpus")
-    files = sorted(corpus.glob("*.qwa"))
+    files = sorted(CORPUS.glob("*.qwa"))
     assert files
     stable = 0
     for path in files:
@@ -428,10 +425,10 @@ def test_criterion_9_roundtrip_determinism():
             rc = main(argv)
         return rc, buf.getvalue()
 
-    for args in (["check", str(corpus / "s22q.qwa"), "--json"],
-                 ["reduce", str(corpus / "weyl_triangle.qwa"), "--json"],
-                 ["invariants", str(corpus / "s21q.qwa"), "--json"],
-                 ["equiv", str(corpus / "s22q.qwa"), str(corpus / "s22q2.qwa"),
+    for args in (["check", corpus("s22q.qwa"), "--json"],
+                 ["reduce", corpus("weyl_triangle.qwa"), "--json"],
+                 ["invariants", corpus("s21q.qwa"), "--json"],
+                 ["equiv", corpus("s22q.qwa"), corpus("s22q2.qwa"),
                   "--json"]):
         assert run(args) == run(args)
     _ok(9, f"{stable} corpus files round-trip byte-stably and repeated "

@@ -6,7 +6,6 @@ import shlex
 import subprocess
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -16,12 +15,9 @@ from qwalg import intlattice
 from qwalg.cli import COMMANDS, OPTIONS, main
 from qwalg.qwa import format_presentation, parse_presentation
 
-CORPUS = Path(resources.files("qwalg") / "corpus")
+from support import CORPUS, corpus
+
 README = Path(__file__).parents[1] / "README.md"
-
-
-def corpus(name: str) -> str:
-    return str(CORPUS / name)
 
 
 def machine_block(out: str) -> dict:

@@ -86,7 +86,7 @@ terms = st.lists(st.tuples(st.integers(0, E - 1), st.integers(-2, 2),
 def _laurent(ts) -> Coeff:
     out = Coeff.zero(RING)
     for t, k, r in ts:
-        term = Coeff.from_scalar(RING, GROUP.scalar(torsion=t, free=(k,)))
+        term = Coeff.of_degree(RING, (t, k))
         out = out.add(term.mul(Coeff.from_rational(RING, r)))
     return out
 
@@ -141,7 +141,7 @@ def test_add_then_sub(a, b):
     assert a.add(b).sub(b) == a
 
 
-units = st.builds(lambda t, k, r: Coeff.from_scalar(RING, GROUP.scalar(torsion=t, free=(k,)))
+units = st.builds(lambda t, k, r: Coeff.of_degree(RING, (t, k))
                   .mul(Coeff.from_rational(RING, r)),
                   st.integers(0, E - 1), st.integers(-3, 3),
                   st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))

@@ -18,31 +18,14 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 from qwalg.cyclo import Coeff
 from qwalg.presentation import (Additive, Eulerian, FailingRelation, GeneratorMap,
-                                Multiplicative, Presentation, PresentationError,
-                                _settled_by_degrees, certified_system,
-                                exchanged, verify_homomorphism)
-from qwalg.qwa import ParseError, parse_presentation
+                                Multiplicative, Presentation, _settled_by_degrees,
+                                certified_system, exchanged, verify_homomorphism)
 from qwalg.qweyl import localize_to_mixed
 from qwalg.rewrite import Confluent, Element, Failing, ReductionSystem
 from qwalg.scalars import ScalarGroup
 
-from test_confluence_incremental import (CORPUS, assert_graded_case, assert_same_commutation,
-                                         find_graded, graded_systems, inverted_systems,
-                                         qweyl_grid)
-from test_embeddings import raw_image_verify
-
-
-@cache
-def corpus_systems() -> tuple[ReductionSystem, ...]:
-    """The certified corpus presentations and their inverted generators."""
-    out = []
-    for f in sorted(CORPUS.glob("*.qwa")):
-        try:
-            base = certified_system(parse_presentation(f.read_text()))
-        except (ParseError, PresentationError):
-            continue
-        out += inverted_systems(base)
-    return tuple(out)
+from support import (assert_graded_case, assert_same_commutation, corpus_systems, find_graded,
+                     graded_systems, localization_chain, qweyl_grid, raw_image_verify)
 
 
 @cache
@@ -52,12 +35,8 @@ def localizations(e: int) -> tuple[ReductionSystem, ...]:
     out = []
     for n in (2, 3):
         for a in qweyl_grid(e, n):
-            s = a.system()
-            out.append(s)
-            for i in a.quantum_indices:
-                s, _ = s.adjoin_inverse(a.z_element(s, i), f"z{i+1}^-1")
-                out.append(s)
-            assert localize_to_mixed(a).gmap.target.letters == s.letters
+            out += [a.system()] + [ext for ext, _ in localization_chain(a)]
+            assert localize_to_mixed(a).gmap.target.letters == out[-1].letters
     return tuple(out)
 
 
@@ -72,9 +51,9 @@ def word_over(s: ReductionSystem, max_len: int = 3):
 
 def unit(s: ReductionSystem, draw) -> Coeff:
     g = s.group
-    scalar = g.scalar(draw(st.integers(0, g.torsion_order - 1)),
-                      tuple(draw(st.integers(-1, 1)) for _ in range(g.rank)))
-    return Coeff.from_scalar(s.ring, scalar).mul(
+    degree = (draw(st.integers(0, g.torsion_order - 1)),
+              *(draw(st.integers(-1, 1)) for _ in range(g.rank)))
+    return Coeff.of_degree(s.ring, degree).mul(
         Coeff.from_rational(s.ring, draw(st.sampled_from((1, -1, 2)))))
 
 
@@ -142,7 +121,7 @@ def test_degree_settled_pairs_match_reductions(gmap):
               and (isinstance(rel, Multiplicative) or not rel.weight)):
             (t,), (u,) = a.terms, b.terms
             if sys.exchange_degree(u, t) is not None:
-                assert sys._reduce(Element.from_word(sys.ring, t + u)).is_zero()
+                assert sys._reduce_terms({t + u: Coeff.one(sys.ring)}).is_zero()
 
 
 @pytest.mark.parametrize("outcome", ("settled", "failing"))
@@ -223,16 +202,16 @@ def moving_letters(s: ReductionSystem, nf: Element):
 @given(systems_with_elements())
 def test_letter_moving_through_a_normal_form_keeps_its_terms(case):
     s, el = case
-    nf = s._reduce(el)
+    nf = s._reduce_terms(el.terms)
     for g in moving_letters(s, nf):
-        product = s._reduce(nf.concat(Element.from_word(s.ring, (g,))))
+        product = s._reduce_terms(nf.concat(Element.from_word(s.ring, (g,))).terms)
         assert len(product.terms) == len(nf.terms)
     assert_same_commutation(s, el)
 
 
 def test_letters_move_through_normal_forms_of_several_terms():
     find(systems_with_elements(),
-         lambda case: len((nf := case[0]._reduce(case[1])).terms) > 1
+         lambda case: len((nf := case[0]._reduce_terms(case[1].terms)).terms) > 1
          and any(moving_letters(case[0], nf)),
          settings=settings(database=None, max_examples=500, phases=[Phase.generate]))
 

@@ -1,24 +1,21 @@
-import io
 import random
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from qwalg import presentation
-from qwalg.cli import main
 from qwalg.cyclo import Coeff
 from qwalg.embeddings import (FailingRelation, GeneratorMap, Verified,
                               embed_mixed, embed_torus, verify_homomorphism,
                               weyl_lower_bound_witness)
 from qwalg.mixed import CanonicalMixedAlgebra
-from qwalg.presentation import certified_system, exchanged
+from qwalg.presentation import certified_system
 from qwalg.qwa import (ParseError, format_generator_map, parse_generator_map,
                        parse_presentation)
 from qwalg.qweyl import localize_to_mixed
 from qwalg.scalars import ScalarGroup
 from qwalg.torus import QuantumTorus
 
-from test_confluence_incremental import CORPUS, qweyl_grid
+from support import qweyl_grid, raw_image_verify, run_corpus
 
 LL2_TARGET = """\
 scalars { free q }
@@ -47,7 +44,7 @@ def grp():
 def test_identity_map_verifies(grp):
     p = parse_presentation(T21_SOURCE)
     sys = certified_system(p)
-    gmap = GeneratorMap(p, sys, {g: sys.gen(g) for g in p.gens})
+    gmap = GeneratorMap(p, sys, {g: sys.word(g) for g in p.gens})
     assert isinstance(verify_homomorphism(gmap), Verified)
 
 
@@ -215,7 +212,7 @@ def test_composition_of_verified_maps(grp):
         "y2": tgt.word("v"),
         "w1": tgt.word("w"),
     })
-    ident = {g: tgt.gen(g) for g in ("w", "y", "u", "v")}
+    ident = {g: tgt.word(g) for g in ("w", "y", "u", "v")}
 
     def substitute(el, images, sys):
         out = sys.one().scale(Coeff.from_rational(sys.ring, 0))
@@ -267,22 +264,6 @@ def test_embed_torus_is_embed_mixed_without_pairs(grp):
 # -- verification on reduced images against the raw-image reference ----------
 
 
-def raw_image_verify(gmap: GeneratorMap) -> Verified | FailingRelation:
-    """The reference check: reduce b a - exchanged(rel, i, a, b) on the raw
-    images a, b of every source pair i < j."""
-    src, sys = gmap.source, gmap.target
-    count = 0
-    for i in range(src.n):
-        a = gmap.images[src.gens[i]]
-        for j in range(i + 1, src.n):
-            b = gmap.images[src.gens[j]]
-            defect = sys.normal_form(b.concat(a).sub(exchanged(src.rel(i, j), i, a, b)))
-            if not defect.is_zero():
-                return FailingRelation((src.gens[i], src.gens[j]), defect)
-            count += 1
-    return Verified(count)
-
-
 @pytest.fixture
 def verified_maps(monkeypatch):
     """Every map that the library verifies through ``verified``."""
@@ -318,10 +299,7 @@ def assert_reduced_images_match_raw(maps):
 
 
 def test_reduced_images_match_raw_on_corpus_embeddings(verified_maps):
-    for f in sorted(CORPUS.glob("*.qwa")):
-        for cmd in (["embed", "mixed"], ["embed", "torus"]):
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                main(cmd + [str(f)])
+    run_corpus(("embed", "mixed"), ("embed", "torus"))
     assert len(verified_maps) >= 10
     assert assert_reduced_images_match_raw(verified_maps) > 0
 

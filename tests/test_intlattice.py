@@ -6,6 +6,8 @@ import pytest
 
 from qwalg import intlattice as il
 
+from support import lattice_member
+
 
 def random_unimodular(n, rng, steps=8):
     u = il.identity(n)
@@ -67,21 +69,6 @@ def reference_hermite(a):
             if piv == r:
                 break
     return h, u
-
-
-def lattice_member(basis, vec) -> bool:
-    """Exact membership test of vec in the row lattice spanned by basis."""
-    if not basis:
-        return not any(vec)
-    rows = [r for r in il.hermite_nf(basis) if any(r)]
-    v = list(vec)
-    for row in rows:
-        j = next(i for i, x in enumerate(row) if x)
-        if v[j] % row[j] != 0:
-            return False
-        q = v[j] // row[j]
-        v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
 
 
 def random_antisymmetric(n, rng, bound=4):

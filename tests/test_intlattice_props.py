@@ -12,7 +12,7 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from qwalg import intlattice as il
-from test_intlattice import lattice_member
+from support import lattice_member
 
 
 def _matrices(seed: int, count: int = 80):

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,11 +9,12 @@ from qwalg.mixed import (CanonicalMixedAlgebra, Equivalent, InadmissiblePresenta
                          equivalence_decide, eulerian_presentation, invariants,
                          mixed_weyl_invariants, reduce_to_canonical,
                          replay_certificate)
-from qwalg.presentation import (Additive, AddMultiple, Eulerian, Multiplicative,
-                                Permute, Presentation, Scale, apply_op,
+from qwalg.presentation import (Additive, Eulerian, Multiplicative, Presentation,
                                 check_admissible, weyl_matrix)
 from qwalg.qwa import parse_presentation
 from qwalg.scalars import ScalarGroup
+
+from support import scramble
 
 
 @pytest.fixture
@@ -32,27 +32,6 @@ def s21(grp):
     q = grp.free_gen("q")
     one = grp.one()
     return CanonicalMixedAlgebra(grp, 2, 1, [[one, q], [q.inv(), one]])
-
-
-def scramble(p, rng, steps=6):
-    """Random admissible-preserving generator changes (for test inputs)."""
-    for _ in range(steps):
-        kind = rng.randrange(3) if p.n > 1 else 1
-        if kind == 0:
-            order = list(range(p.n))
-            rng.shuffle(order)
-            p = apply_op(p, Permute(tuple(order)))
-        elif kind == 1:
-            i = rng.randrange(p.n)
-            p = apply_op(p, Scale(i, Fraction(rng.choice([1, 2, 3]))))
-        else:
-            i, j = rng.sample(range(p.n), 2)
-            c = rng.choice([-2, -1, 1, 2])
-            try:
-                p = apply_op(p, AddMultiple(i, j, c))
-            except Exception:
-                continue
-    return p
 
 
 def test_reduce_weyl_triangle(grp):

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +15,7 @@ from qwalg.presentation import (Additive, AddMultiple, Eulerian,
 from qwalg.qwa import parse_document, parse_presentation
 from qwalg.scalars import ScalarGroup
 
-from test_qwa import S22_TEXT
+from support import CORPUS, S22_TEXT
 
 
 def triangle(group, rel12, rel13, rel23):
@@ -157,9 +156,6 @@ def test_quantum_weights_survive_add(grp):
 # ---------------------------------------------------------------------------
 # Relation semantics shared by the reduction rules and map verification.
 
-CORPUS = Path(__file__).resolve().parents[1] / "src" / "qwalg" / "corpus"
-
-
 def test_corpus_identity_maps_verify():
     checked = 0
     for path in sorted(CORPUS.glob("*.qwa")):
@@ -167,7 +163,7 @@ def test_corpus_identity_maps_verify():
         if p is None:
             continue
         sys = certified_system(p)
-        gmap = GeneratorMap(p, sys, {g: sys.gen(g) for g in p.gens})
+        gmap = GeneratorMap(p, sys, {g: sys.word(g) for g in p.gens})
         res = verify_homomorphism(gmap)
         assert isinstance(res, Verified), path.name
         assert res.relations_checked == p.n * (p.n - 1) // 2
@@ -181,7 +177,7 @@ def _broken(grp, item, image):
     ``image``."""
     p = Presentation.build(grp, ("x", "y", "z"), [item])
     sys = certified_system(p)
-    ident = {g: sys.gen(g) for g in p.gens}
+    ident = {g: sys.word(g) for g in p.gens}
     return (verify_homomorphism(GeneratorMap(p, sys, ident)),
             verify_homomorphism(GeneratorMap(p, sys, {**ident, **image(sys)})))
 
@@ -190,7 +186,7 @@ def _broken(grp, item, image):
                                   "eulerian_w_first", "eulerian_w_second"])
 def test_map_breaking_one_pair_names_it(grp, kind):
     q = grp.free_gen("q")
-    two = lambda sys, g: sys.gen(g).scale(Coeff.from_rational(sys.ring, 2))
+    two = lambda sys, g: sys.word(g).scale(Coeff.from_rational(sys.ring, 2))
     item, image = {
         # [x, 2z] = 2 != 1
         "additive": ((0, 2, Additive(1)), lambda sys: {"z": two(sys, "z")}),
@@ -216,5 +212,5 @@ def test_eulerian_item_counts_with_its_first_index(grp):
         Presentation.build(grp, gens, [(0, 2, Eulerian(2))])
     # (2, 0, Eulerian(2)) is [z, x] = x
     sys = certified_system(Presentation.build(grp, gens, [(2, 0, Eulerian(2))]))
-    comm = sys.multiply(sys.gen("z"), sys.gen("x")).sub(sys.multiply(sys.gen("x"), sys.gen("z")))
-    assert comm == sys.gen("x")
+    comm = sys.multiply(sys.word("z"), sys.word("x")).sub(sys.multiply(sys.word("x"), sys.word("z")))
+    assert comm == sys.word("x")

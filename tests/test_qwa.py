@@ -10,20 +10,7 @@ from qwalg.qwa import (ParseError, format_presentation, parse_document,
                        parse_generator_map, parse_presentation, parse_scalar_literal)
 from qwalg.scalars import GroupMismatch, ScalarGroup
 
-S22_TEXT = """\
-# the two-pair mixed algebra with weight q
-scalars { free q }
-generators x1, y1, x2, y2
-relations {
-  x1 y1 = y1 x1 + 1
-  y1 y2 = q * y2 y1
-  x1 x2 = q * x2 x1
-  x1 y2 = q^-1 * y2 x1
-  x2 y1 = q * y1 x2
-  x2 y2 = y2 x2 + 1
-}
-"""
-
+from support import S22_TEXT
 
 def test_parse_s22():
     p = parse_presentation(S22_TEXT)

@@ -1,8 +1,6 @@
 import io
 import itertools
 from contextlib import redirect_stdout
-from importlib import resources
-from pathlib import Path
 
 import pytest
 
@@ -13,6 +11,8 @@ from qwalg.qweyl import (QuantumWeylAlgebra, localize_to_mixed, localized_lambda
                          qweyl_equivalence_necessary, qweyl_invariants)
 from qwalg.rewrite import ReductionSystem
 from qwalg.scalars import ScalarGroup
+
+from support import corpus
 
 
 @pytest.fixture
@@ -38,6 +38,18 @@ def qweyl(grp, qpattern, lam_weight_exp=0):
 def test_rule_count_n2(grp):
     a = qweyl(grp, (1, 1), 1)
     assert len(a.system().rules) == 6  # one per generator pair
+
+
+def test_parameters_outside_the_group_and_a_wrongly_shaped_lambda_are_refused(grp):
+    """n = 2 with a 3 x 3 Lambda, n = 3 with a 2 x 2 one, and a q_i from
+    another group, refused before any system is built."""
+    q, p = grp.free_gen("q"), ScalarGroup(1, ("p",)).free_gen("p")
+    lam2, lam3 = qweyl(grp, (1, 1)).lam, qweyl(grp, (1, 1, 1)).lam
+    for n, qs, lam, message in ((2, (q, q), lam3, "Lambda must be 2 x 2"),
+                                (3, (q, q, q), lam2, "Lambda must be 3 x 3"),
+                                (2, (q, p), lam2, "quantization parameter outside the declared group")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuantumWeylAlgebra(grp, n, qs, lam)
 
 
 def test_from_spec_roundtrip():
@@ -186,8 +198,7 @@ def test_system_is_built_on_first_use(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ReductionSystem, "__init__", counted)
-    corpus = Path(resources.files("qwalg") / "corpus")
-    a1, a2 = str(corpus / "qweyl_a1.qwa"), str(corpus / "qweyl_a2.qwa")
+    a1, a2 = corpus("qweyl_a1.qwa"), corpus("qweyl_a2.qwa")
     for argv in (["qweyl", "invariants", a2], ["qweyl", "equiv", a1, a2],
                  ["qweyl", "equiv", a2, a2]):
         with redirect_stdout(io.StringIO()):

@@ -17,31 +17,24 @@ quantum Weyl algebra needs at most 2(n - 1) reductions, and its extensions
 reduce no identification overlap.
 """
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from qwalg.cyclo import Coeff
 from qwalg.presentation import certified_system, system_from_presentation
 from qwalg.qwa import parse_presentation
 from qwalg.qweyl import QuantumWeylAlgebra, localize_to_mixed
-from qwalg.rewrite import (Confluent, Element, Failing, NotNormalError, ReductionSystem,
-                           Rule)
+from qwalg.rewrite import Confluent, Element, Failing, NotNormalError, ReductionSystem, Rule
 from qwalg.scalars import ScalarGroup
 
-from test_confluence_incremental import (TRIANGLE, assert_matches_two_sided, qweyl_grid,
-                                         record_extensions, run, CORPUS)
-from test_inverse_construction import grid_extensions_of
-
-
-def identification_lhs(s: ReductionSystem) -> set:
-    """Left sides of the identification rules: ascending, right side not 1."""
-    one = s.one()
-    return {r.lhs for r in s.rules if r.lhs[0] < r.lhs[1] and r.rhs != one}
+from support import (TRIANGLE, assert_matches_two_sided, count_reductions, identification_rules,
+                     localization_chain, qweyl_algebras, qweyl_grid, record_extensions,
+                     run_corpus)
 
 
 def settled_identification_overlaps(ext: ReductionSystem):
     """The overlaps of ext settled by construction that hold an
     identification rule."""
-    ident = identification_lhs(ext)
+    ident = {r.lhs for r in identification_rules(ext)}
     return [(w, r1, r2) for w, r1, r2 in ext._ambiguities(0)
             if w in ext._by_construction and (w[:2] in ident or w[1:] in ident)]
 
@@ -52,7 +45,7 @@ def assert_identification_holds(ext: ReductionSystem) -> int:
     overlaps = settled_identification_overlaps(ext)
     for word, r1, r2 in overlaps:
         a, b = ext._one_step(word, r1, r2)
-        assert ext._reduce(a) == ext._reduce(b), ext.format_word(word)
+        assert ext._reduce_terms(a.terms) == ext._reduce_terms(b.terms), ext.format_word(word)
     return len(overlaps)
 
 
@@ -61,45 +54,22 @@ def test_grid_identification_overlaps_reduce_alike(e):
     settled = 0
     for n in (1, 2, 3, 4):
         for a in qweyl_grid(e, n):
-            for ext, _ in grid_extensions_of(a):
+            for ext, _ in localization_chain(a):
                 settled += assert_identification_holds(ext)
     assert settled
 
 
 def test_corpus_chains_identification_overlaps_reduce_alike(monkeypatch):
     built = record_extensions(monkeypatch, lambda parent, ext: ext)
-    for f in sorted(CORPUS.glob("*.qwa")):
-        for cmd in (["embed", "mixed"], ["qweyl", "localize"]):
-            run(cmd + [str(f)])
+    run_corpus(("embed", "mixed"), ("qweyl", "localize"))
     assert built
     assert sum(assert_identification_holds(ext) for ext in built)
 
 
-@st.composite
-def localizations(draw):
-    """A quantum Weyl algebra with n <= 4 over Z/e x Z<q> with at least one
-    quantum index; q_i and Lambda are drawn."""
-    e = draw(st.sampled_from((1, 2, 3, 4, 12)))
-    n = draw(st.integers(1, 4))
-    g = ScalarGroup(e, ("q",), "zeta" if e > 1 else None)
-
-    def scalar(low, high):
-        return g.scalar(draw(st.integers(0, e - 1)), (draw(st.integers(low, high)),))
-
-    qs = tuple(scalar(-1, 2) for _ in range(n))
-    lam = [[g.one()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            lam[i][j] = scalar(-1, 1)
-            lam[j][i] = lam[i][j].inv()
-    a = QuantumWeylAlgebra(g, n, qs, lam)
-    return a if a.quantum_indices else QuantumWeylAlgebra(g, n, (g.free_gen("q"),) + qs[1:], lam)
-
-
 @settings(max_examples=60, deadline=None)
-@given(localizations())
+@given(qweyl_algebras(min_quantum=1))
 def test_drawn_localizations_identification_overlaps_reduce_alike(a):
-    settled = sum(assert_identification_holds(ext) for ext, _ in grid_extensions_of(a))
+    settled = sum(assert_identification_holds(ext) for ext, _ in localization_chain(a))
     assert settled
 
 
@@ -130,18 +100,6 @@ def test_identification_overlap_outside_the_order_conditions_is_reduced(monkeypa
 # -- the degree criterion with a remainder --------------------------------------
 
 
-def count_reductions(monkeypatch) -> list:
-    """A list that grows by one entry per ``_reduce_terms`` call."""
-    calls = []
-    real = ReductionSystem._reduce_terms
-
-    def counted(self, terms):
-        calls.append(self)
-        return real(self, terms)
-    monkeypatch.setattr(ReductionSystem, "_reduce_terms", counted)
-    return calls
-
-
 @pytest.mark.parametrize("tail", ("1", "2", "-3"))
 def test_a_constant_tail_that_does_not_vanish_keeps_the_full_scan_witness(tail, monkeypatch):
     """In the triangle with c b = b c + k and c a = zeta a c, the constant
@@ -167,7 +125,7 @@ def test_a_remainder_with_an_ungraded_word_that_does_not_vanish_keeps_the_witnes
     g = ScalarGroup(4, (), "zeta")
     a, b, c, d = range(4)
     ring = ReductionSystem(g, (), []).ring
-    one, zeta = Coeff.one(ring), Coeff.from_scalar(ring, g.scalar(1, ()))
+    one, zeta = Coeff.one(ring), Coeff.of_degree(ring, (1,))
     rhs = {(b, a): {(a, b): zeta}, (c, a): {(a, c): zeta}, (c, b): {(b, c): one, (d,): one},
            (d, a): {(a, d): one, (): one}, (d, b): {(b, d): one}, (d, c): {(c, d): one}}
     s = ReductionSystem(g, ("a", "b", "c", "d"),
@@ -212,7 +170,7 @@ def test_remainder_memo_keeps_denominators_and_torsion_apart(monkeypatch):
     calls = count_reductions(monkeypatch)
     assert s._remainder_vanishes(w, nu, rest, False) and not calls
 
-    over = Coeff.from_scalar(s.ring, q).add(Coeff.one(s.ring)).inv()
+    over = Coeff.of_degree(s.ring, q.degree()).add(Coeff.one(s.ring)).inv()
     assert over.den
     scaled = [(t, c.mul(over)) for t, c in rest]
     assert all(c.num == d.num and c.den != d.den for (_, c), (_, d) in zip(rest, scaled))
@@ -290,5 +248,5 @@ def test_all_quantum_base_reduces_once_per_remainder(monkeypatch):
     res = localize_to_mixed(a)
     assert res.relations_checked == (2 * n) * (2 * n - 1) // 2
     for ext, (u, v, w) in reduced:
-        ident = identification_lhs(ext)
+        ident = {r.lhs for r in identification_rules(ext)}
         assert (u, v) not in ident and (v, w) not in ident

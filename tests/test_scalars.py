@@ -4,7 +4,8 @@ import pytest
 
 from qwalg import intlattice as il
 from qwalg.presentation import Additive, Eulerian, Multiplicative
-from qwalg.scalars import (GroupMismatch, Scalar, ScalarGroup, format_scalar,
+from qwalg.rewrite import Confluent
+from qwalg.scalars import (Frozen, GroupMismatch, Scalar, ScalarGroup, format_scalar,
                            merge_groups, subgroup_canonical_form)
 
 
@@ -40,14 +41,16 @@ def test_pow_examples():
 
 
 def test_value_types_compare_hash_and_print_by_value():
-    """Scalar, ScalarGroup and the relation kinds are immutable values:
-    equal only within one type, hashed alike when equal, checked on
-    construction and printed as Name(field=value)."""
+    """Scalar, ScalarGroup, the relation kinds and Confluent are immutable
+    values: equal only within one type, hashed alike when equal, checked on
+    construction and printed as Name(field=value).  All but ScalarGroup,
+    whose rank, free_index and hash derive from its fields, take their
+    equality, hash and repr from Frozen."""
     g = ScalarGroup(4, ("q",), "zeta")
     q = g.free_gen("q")
     for make in (lambda: ScalarGroup(torsion_order=4, free_symbols=("q",), root_symbol="zeta"),
                  lambda: Scalar(group=g, torsion=1, free=(2,)), lambda: Additive(1),
-                 lambda: Multiplicative(q), lambda: Eulerian(1)):
+                 lambda: Multiplicative(q), lambda: Eulerian(1), Confluent):
         a, b = make(), make()
         assert a is not b and a == b and not a != b and hash(a) == hash(b)
     assert g != ScalarGroup(4, ("q",), "xi") and g != ScalarGroup(2, ("q",), "zeta")
@@ -60,6 +63,8 @@ def test_value_types_compare_hash_and_print_by_value():
                          (Multiplicative(q), "weight"), (Eulerian(1), "w_index")):
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        Confluent().word = ()
     for bad, message in ((lambda: ScalarGroup(0), "torsion order must be >= 1"),
                          (lambda: ScalarGroup(1, ("q", "q")), "scalar symbol names must be distinct"),
                          (lambda: ScalarGroup(2, ("z",), "z"), "scalar symbol names must be distinct"),
@@ -74,6 +79,12 @@ def test_value_types_compare_hash_and_print_by_value():
     assert repr(Multiplicative(q)) == f"Multiplicative(weight={q!r})"
     assert repr(Additive(1)) == "Additive(weight=1)"
     assert repr(Eulerian(0)) == "Eulerian(w_index=0)"
+    assert repr(Confluent()) == "Confluent()" and Confluent()
+    kinds = {cls.__name__: cls for cls in Frozen.__subclasses__()}
+    assert kinds.keys() == {"ScalarGroup", "Scalar", "Additive", "Multiplicative", "Eulerian",
+                            "Confluent"}
+    assert [name for name, cls in kinds.items()
+            if {"__eq__", "__hash__", "__repr__"} & vars(cls).keys()] == ["ScalarGroup"]
     assert g.free_index == {"q": 0} and g.free_index is g.free_index
 
 

@@ -15,8 +15,7 @@ from qwalg.qwa import parse_presentation
 from qwalg.rewrite import Element, NotCertifiedError, ReductionSystem, build_reduction_system
 from qwalg.scalars import ScalarGroup
 
-from test_embeddings import raw_image_verify
-from test_reused_proofs import count_reductions
+from support import count_reductions, raw_image_verify
 
 WEYL = "generators y, x\nrelations {\n  x y = y x + 1\n}\n"
 PLANE = "scalars { free q }\ngenerators a, b\nrelations {\n  a b = q * b a\n}\n"
@@ -27,7 +26,7 @@ def q_weyl():
     """y, x with x y = q y x + 1, and its normal element z = 1 + (q - 1) y x."""
     g = ScalarGroup(1, ("q",))
     ring = CoeffRing(g)
-    q = Coeff.from_scalar(ring, g.free_gen("q"))
+    q = Coeff.of_degree(ring, (0, 1))
     rel = [((1, 0), Element(ring, {(0, 1): q, (): Coeff.one(ring)}))]
     s = build_reduction_system(g, ["y", "x"], rel)
     z = Element(ring, {(): Coeff.one(ring), (0, 1): q.sub(Coeff.one(ring))})
@@ -51,7 +50,7 @@ def test_adjoin_inverse_reduces_the_element_once(monkeypatch):
     for name, mu in twists.items():
         g = ext.word(name)
         assert ext.normal_form(z_letter.concat(g)) == \
-            ext.normal_form(g.concat(z_letter)).scale(Coeff.from_scalar(ext.ring, mu))
+            ext.normal_form(g.concat(z_letter)).scale(Coeff.of_degree(ext.ring, mu.degree()))
 
 
 def test_uncertified_systems_are_refused():

@@ -12,8 +12,7 @@ from qwalg.torus import (Iso, NotApplicable, NotIso, QuantumTorus, TorusError,
                          TorusMorphism, Violation, central_lattice, check_morphism, compose,
                          is_isomorphism, is_simple, uniparameter_exponents,
                          uniparameter_iso_decide)
-from test_cli import corpus
-from test_intlattice import lattice_member
+from support import corpus, lattice_member
 
 
 def is_central(t, alpha):
