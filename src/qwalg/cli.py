@@ -6,7 +6,8 @@ Exit codes: 0 for a computed verdict, 1 for the negative verdict of a
 command that declares one (an inadmissible presentation under ``check``, a
 map failing a relation under ``embed verify``), 2 for any input or
 processing error.  ``COMMANDS`` declares each command's files, options and
-exit codes; the parser and the dispatcher both read it.
+exit codes; the parser and the dispatcher both read it.  The parser is built
+per call and holds only the arguments of the command that argv names.
 """
 from __future__ import annotations
 
@@ -376,7 +377,9 @@ TAKES = {top: [o for o in OPTIONS if any(o in COMMANDS[n].options for n in SUBS[
          for top in HELP}
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(named: str | None) -> argparse.ArgumentParser:
+    """Every top-level command is listed, for help and the invalid-choice
+    error, but only ``named`` gets its arguments: argparse reads no other."""
     parser = argparse.ArgumentParser(
         prog="qwalg",
         description="Exact classification toolkit for mixed classical/quantum "
@@ -385,6 +388,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
     for top, names in SUBS.items():
         sp = sub.add_parser(top, help=HELP[top])
+        if top != named:
+            continue
         if names != [top]:
             sp.add_argument("sub", choices=[n.split()[1] for n in names])
             sp.add_argument("files", nargs="+")
@@ -400,7 +405,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    named = next((a for a in argv if not a.startswith("-")), None)
+    args = _parser(named).parse_args(argv)
     name = f"{args.cmd} {args.sub}" if "sub" in args else args.cmd
     cmd = COMMANDS[name]
     try:

@@ -49,6 +49,15 @@ class CanonicalMixedAlgebra:
         self.lam = tuple(tuple(row) for row in lam)
         self._torus = QuantumTorus(group, self.lam)  # validates
 
+    @staticmethod
+    def of_torus(t: QuantumTorus, r: int) -> "CanonicalMixedAlgebra":
+        """The algebra with r Weyl pairs over a torus whose weights are
+        antisymmetric by construction: the torus is not checked again."""
+        a = CanonicalMixedAlgebra.__new__(CanonicalMixedAlgebra)
+        a.group, a.n, a.r, a._torus = t.group, t.n, r, t
+        a.lam = tuple(map(tuple, t.lam))
+        return a
+
     def torus(self) -> QuantumTorus:
         return self._torus
 

@@ -109,7 +109,9 @@ def localized_lambda(a: QuantumWeylAlgebra) -> CanonicalMixedAlgebra:
     In the block order (z'-block, y-block) the weight matrix is
     [[1, M], [M', Lambda]] with M carrying q_{i_k} against y_{i_k} and M'
     its inverse transposed pattern; a final permutation lists the r
-    Weyl-paired y's first, then the z'-block, then the quantum y's.
+    Weyl-paired y's first, then the z'-block, then the quantum y's.  The
+    block matrix is antisymmetric because Lambda is, which the constructor
+    checked, so its torus is not checked again.
     """
     jj, ii = a.weyl_indices, a.quantum_indices
     nz, one = len(ii), a.group.one()
@@ -118,7 +120,7 @@ def localized_lambda(a: QuantumWeylAlgebra) -> CanonicalMixedAlgebra:
         lam[k][nz + i], lam[nz + i][k] = a.qs[i], a.qs[i].inv()
     perm = [nz + j for j in jj] + list(range(nz)) + [nz + i for i in ii]
     plam = [[lam[i][j] for j in perm] for i in perm]
-    return CanonicalMixedAlgebra(a.group, len(perm), len(jj), plam)
+    return CanonicalMixedAlgebra.of_torus(QuantumTorus.of_weights(a.group, plam), len(jj))
 
 
 class LocalizationResult(NamedTuple):

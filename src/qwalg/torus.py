@@ -22,6 +22,12 @@ def _congruent(a: int, b: int, mod: int) -> bool:
     return (a - b) % mod == 0 if mod else a == b
 
 
+def _exponents(group: ScalarGroup, lam) -> list:
+    """The exponent matrices of a weight matrix: torsion, then each free symbol."""
+    return [[[s.torsion for s in row] for row in lam]] + [
+        [[s.free[c] for s in row] for row in lam] for c in range(group.rank)]
+
+
 class QuantumTorus:
     """Laurent algebra on n generators with y_i y_j = lambda_{i,j} y_j y_i.
 
@@ -38,8 +44,7 @@ class QuantumTorus:
             if any(s.group != group for s in row):
                 raise TorusError("weight outside the declared group")
         self.group, self.n, self._lam = group, n, [list(row) for row in lam]
-        self.exponents = [[[s.torsion for s in row] for row in lam]] + [
-            [[s.free[c] for s in row] for row in lam] for c in range(group.rank)]
+        self.exponents = _exponents(group, lam)
         coords = list(zip(self.exponents, self.moduli))
         for i in range(n):
             if any(s[i][i] for s in self.exponents):
@@ -56,6 +61,14 @@ class QuantumTorus:
     def uniparameter(group: ScalarGroup, name: str, exponents) -> "QuantumTorus":
         return QuantumTorus(group, [[group.free_gen(name, k) for k in row]
                                     for row in exponents])
+
+    @staticmethod
+    def of_weights(group: ScalarGroup, lam: list[list[Scalar]]) -> "QuantumTorus":
+        """The torus of a square matrix of weights in ``group`` that is
+        antisymmetric by construction: unchecked."""
+        t = QuantumTorus.__new__(QuantumTorus)
+        t.group, t.n, t._lam, t.exponents = group, len(lam), lam, _exponents(group, lam)
+        return t
 
     @staticmethod
     def from_presentation(p: Presentation) -> "QuantumTorus":

@@ -54,10 +54,21 @@ def corpus(name: str) -> str:
     return str(CORPUS / name)
 
 
+def cli_output(argv) -> tuple[int, str, str]:
+    """The CLI's exit code, stdout and stderr.  An exit of argparse (help,
+    version, a usage error) is read as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
 def run(argv):
     """The CLI's exit code, its output discarded."""
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        return main(argv)
+    return cli_output(argv)[0]
 
 
 def run_corpus(*commands):

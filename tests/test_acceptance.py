@@ -24,7 +24,7 @@ from qwalg.rewrite import Confluent
 from qwalg.scalars import ScalarGroup
 from qwalg.torus import QuantumTorus, central_lattice, is_simple
 
-from support import CORPUS, corpus, scramble
+from support import CORPUS, cli_output, corpus, scramble
 
 
 def _ok(num, text):
@@ -415,21 +415,11 @@ def test_criterion_9_roundtrip_determinism():
         assert parse_presentation(printed) == p1
         assert format_presentation(parse_presentation(printed)) == printed
         stable += 1
-    from qwalg.cli import main
-    import io
-    from contextlib import redirect_stdout
-
-    def run(argv):
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            rc = main(argv)
-        return rc, buf.getvalue()
-
     for args in (["check", corpus("s22q.qwa"), "--json"],
                  ["reduce", corpus("weyl_triangle.qwa"), "--json"],
                  ["invariants", corpus("s21q.qwa"), "--json"],
                  ["equiv", corpus("s22q.qwa"), corpus("s22q2.qwa"),
                   "--json"]):
-        assert run(args) == run(args)
+        assert cli_output(args) == cli_output(args)
     _ok(9, f"{stable} corpus files round-trip byte-stably and repeated "
            f"command runs are identical")

@@ -15,7 +15,7 @@ from qwalg import intlattice
 from qwalg.cli import COMMANDS, OPTIONS, main
 from qwalg.qwa import format_presentation, parse_presentation
 
-from support import CORPUS, corpus
+from support import CORPUS, cli_output, corpus
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -434,24 +434,18 @@ def _argv(name: str, options) -> list[str]:
                                    for a in (f"--{opt}", OPTION_VALUES[opt])]
 
 
-def _run(argv) -> int:
-    try:
-        return main(argv)
-    except SystemExit as exc:  # an option the command's parser does not know
-        return exc.code
-
-
 REFUSED = [(name, opt) for name, cmd in COMMANDS.items()
            for opt in OPTIONS if opt not in cmd.options]
 
 
 @pytest.mark.parametrize("name,opt", REFUSED, ids=[f"{n} --{o}" for n, o in REFUSED])
-def test_options_a_command_does_not_take_are_refused(capsys, name, opt):
+def test_options_a_command_does_not_take_are_refused(name, opt):
     required = [o for o, need in COMMANDS[name].options.items() if need == "required"]
-    assert _run(_argv(name, required + [opt])) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"--{opt}" in captured.err
+    # An option the command's parser does not know is an argparse exit.
+    rc, out, err = cli_output(_argv(name, required + [opt]))
+    assert rc == 2
+    assert out == ""
+    assert f"--{opt}" in err
 
 
 NEEDED = [(name, opt) for name, cmd in COMMANDS.items()
@@ -464,6 +458,23 @@ def test_missing_required_option(capsys, name, opt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {name} needs --{opt}\n"
+
+
+# Exit code, stdout and stderr of argv shapes that reach argparse's own
+# output (help, version, usage errors, option prefixes), run in the corpus
+# directory with 80 columns.  Its wording changes between Python versions,
+# so the table is pinned for the version it was captured with.
+ARGPARSE = json.loads((Path(__file__).parent / "cli_argparse.json").read_text())
+
+
+@pytest.mark.skipif(f"{sys.version_info[0]}.{sys.version_info[1]}" != ARGPARSE["python"],
+                    reason=f"argparse output pinned on Python {ARGPARSE['python']}")
+@pytest.mark.parametrize("shape", ARGPARSE["shapes"],
+                         ids=[" ".join(s["argv"]) or "(none)" for s in ARGPARSE["shapes"]])
+def test_argparse_output_is_pinned(monkeypatch, shape):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(CORPUS)
+    assert cli_output(shape["argv"]) == (shape["rc"], shape["stdout"], shape["stderr"])
 
 
 def _readme_commands() -> dict:

@@ -18,15 +18,12 @@ leaves the same unsettled overlaps, in the same order, as the full scan;
 extensions built in place equal fully validated systems; reduction by
 length buckets matches a deglex-key reducer term for term and in order.
 """
-import io
 import itertools
 import random
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwalg.cli import main
 from qwalg.cyclo import Coeff, CoeffRing
 from qwalg.presentation import (Additive, Eulerian, Multiplicative, Presentation,
                                 certified_system, system_from_presentation)
@@ -36,10 +33,10 @@ from qwalg.rewrite import Confluent, Element, Failing, ReductionSystem, Rule, Ru
 from qwalg.scalars import ScalarGroup
 
 from support import (TRIANGLE, assert_candidate_parity, assert_graded_case,
-                     assert_matches_two_sided, assert_same_commutation, corpus, corpus_bases,
-                     find_graded, fresh, graded_systems, hub_presentations, identification_rules,
-                     inverted_systems, localization_chain, qweyl_algebras, qweyl_grid,
-                     record_extensions, reference_commutation, run, run_corpus)
+                     assert_matches_two_sided, assert_same_commutation, cli_output, corpus,
+                     corpus_bases, find_graded, fresh, graded_systems, hub_presentations,
+                     identification_rules, inverted_systems, localization_chain, qweyl_algebras,
+                     qweyl_grid, record_extensions, reference_commutation, run, run_corpus)
 
 
 @pytest.fixture
@@ -559,11 +556,10 @@ def test_mirror_triangle_through_the_cli(tmp_path):
                           ("zeta^3", 0, ("confluent=true",))):
         path = tmp_path / f"triangle_{ca.replace('^', '')}.qwa"
         path.write_text(TRIANGLE.format(ca=ca))
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            assert main(["check", str(path)]) == rc
+        code, out, _ = cli_output(["check", str(path)])
+        assert code == rc
         for line in lines:
-            assert line in out.getvalue().splitlines()
+            assert line in out.splitlines()
 
 
 # -- extensions built in place -------------------------------------------------

@@ -1,10 +1,7 @@
-import io
 import itertools
-from contextlib import redirect_stdout
 
 import pytest
 
-from qwalg.cli import main
 from qwalg.mixed import Equivalent, NotEquivalent, invariants
 from qwalg.qwa import parse_document
 from qwalg.qweyl import (QuantumWeylAlgebra, localize_to_mixed, localized_lambda,
@@ -12,7 +9,7 @@ from qwalg.qweyl import (QuantumWeylAlgebra, localize_to_mixed, localized_lambda
 from qwalg.rewrite import ReductionSystem
 from qwalg.scalars import ScalarGroup
 
-from support import corpus
+from support import cli_output, corpus, run
 
 
 @pytest.fixture
@@ -41,13 +38,18 @@ def test_rule_count_n2(grp):
 
 
 def test_parameters_outside_the_group_and_a_wrongly_shaped_lambda_are_refused(grp):
-    """n = 2 with a 3 x 3 Lambda, n = 3 with a 2 x 2 one, and a q_i from
-    another group, refused before any system is built."""
+    """n = 2 with a 3 x 3 Lambda, n = 3 with a 2 x 2 one, a q_i from another
+    group and a Lambda that is not antisymmetric, refused before any system
+    is built.  The localization's block matrix is not checked again, so this
+    is the check that refuses such a Lambda."""
     q, p = grp.free_gen("q"), ScalarGroup(1, ("p",)).free_gen("p")
     lam2, lam3 = qweyl(grp, (1, 1)).lam, qweyl(grp, (1, 1, 1)).lam
+    skew = qweyl(grp, (1, 1), 1).lam
     for n, qs, lam, message in ((2, (q, q), lam3, "Lambda must be 2 x 2"),
                                 (3, (q, q, q), lam2, "Lambda must be 3 x 3"),
-                                (2, (q, p), lam2, "quantization parameter outside the declared group")):
+                                (2, (q, p), lam2, "quantization parameter outside the declared group"),
+                                (2, (q, q), (skew[0], skew[0][::-1]),
+                                 "weight matrix is not multiplicatively antisymmetric")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             QuantumWeylAlgebra(grp, n, qs, lam)
 
@@ -201,10 +203,9 @@ def test_system_is_built_on_first_use(monkeypatch):
     a1, a2 = corpus("qweyl_a1.qwa"), corpus("qweyl_a2.qwa")
     for argv in (["qweyl", "invariants", a2], ["qweyl", "equiv", a1, a2],
                  ["qweyl", "equiv", a2, a2]):
-        with redirect_stdout(io.StringIO()):
-            assert main(argv) == 0
+        assert run(argv) == 0
     assert built == []
-    with redirect_stdout(io.StringIO()) as out:
-        assert main(["qweyl", "localize", a2]) == 0
-    assert "verified=true" in out.getvalue().splitlines()
+    rc, out, _ = cli_output(["qweyl", "localize", a2])
+    assert rc == 0
+    assert "verified=true" in out.splitlines()
     assert len(built) == 1 and built[0].certified
