@@ -47,6 +47,8 @@ class CanonicalMixedAlgebra:
         self.n = n
         self.r = r
         self.lam = tuple(tuple(row) for row in lam)
+        if len(self.lam) != n or any(len(row) != n for row in self.lam):
+            raise ValueError(f"Lambda must be {n} x {n}")
         self._torus = QuantumTorus(group, self.lam)  # validates
 
     @staticmethod

@@ -8,10 +8,13 @@ pairs commute.  Relations are stored for i < j only, with the weight
 adjusted when the input came in the opposite orientation.
 
 ``exchanged`` is the one place the three kinds are read as algebra: it gives
-what g_j g_i equals under the relation of a pair i < j.  The reduction
-system of a presentation uses it as the rule of each pair, and
+what g_j g_i equals under the relation of a pair i < j, and
 ``verify_homomorphism`` uses it to check a ``GeneratorMap`` relation by
-relation.
+relation.  ``twist_degree`` is the one place a relation is read as the
+degree of a scalar twist: the reduction system of a presentation states
+the rule of a twisted or commuting pair by it (and takes ``exchanged`` as
+the rule of any other pair), and ``verify_homomorphism`` settles by it a
+relation whose images are single words.
 """
 from __future__ import annotations
 
@@ -349,13 +352,26 @@ def exchanged(rel: Relation, i: int, gi: Element, gj: Element) -> Element:
     return ij.add(gi)  # [g_j, g_i] = g_i
 
 
+def twist_degree(rel: Relation, group: ScalarGroup) -> tuple | None:
+    """The degree d of mu with g_i g_j = mu g_j g_i under ``rel``, the
+    stored relation of a pair i < j, for mu in ``group``, or None: a scalar
+    twist has its weight's degree, and a commuting pair (Additive(0)) 0."""
+    if isinstance(rel, Multiplicative) and rel.weight.group == group:
+        return rel.weight.degree()
+    if isinstance(rel, Additive) and not rel.weight:
+        return (0,) * (1 + group.rank)
+    return None
+
+
 def system_from_presentation(p: Presentation) -> ReductionSystem:
     """One quadratic rule g_j g_i -> exchanged(...) per pair i < j, in
-    declaration order."""
+    declaration order; a twist pair states its rule by the degree of the
+    scalar mu^-1 in g_j g_i = mu^-1 g_i g_j (``twist_degree``)."""
     ring = CoeffRing(p.group)
     letters = [Element.from_word(ring, (i,)) for i in range(p.n)]
-    rules = [Rule((j, i), exchanged(p.rel(i, j), i, letters[i], letters[j]))
-             for j in range(p.n) for i in range(j)]
+    rules = [Rule((j, i), exchanged(p.rel(i, j), i, letters[i], letters[j]) if d is None
+                  else p.group.inverse_degree(d))
+             for j in range(p.n) for i in range(j) for d in [twist_degree(p.rel(i, j), p.group)]]
     return ReductionSystem(p.group, p.gens, rules)
 
 
@@ -411,7 +427,8 @@ def verify_homomorphism(gmap: GeneratorMap) -> Verified | FailingRelation:
 
     A pair is settled by degrees, with no reduction, when both reduced
     images are single words, a = alpha t and b = beta u, and the relation
-    is Multiplicative(s) or Additive(0) (s = 1).  The defect is then
+    is Multiplicative(s) or Additive(0) (s = 1), as ``twist_degree`` reads
+    it.  The defect is then
     alpha beta (u t - s^-1 t u), and t u = nu u t in the target, with nu
     the twist-table degree ``exchange_degree(t, u)``; when nu is the degree
     of s, u t = s^-1 t u and the defect lies in the ideal, so its normal
@@ -443,14 +460,9 @@ def _settled_by_degrees(sys: ReductionSystem, rel: Relation, a: Element, b: Elem
     and b has normal form zero (see ``verify_homomorphism``)."""
     if len(a.terms) != 1 or len(b.terms) != 1:
         return False
-    if isinstance(rel, Multiplicative) and rel.weight.group == sys.group:
-        target = rel.weight.degree()
-    elif isinstance(rel, Additive) and not rel.weight:
-        target = (0,) * (1 + sys.group.rank)
-    else:
-        return False
+    target = twist_degree(rel, sys.group)
     (t,), (u,) = a.terms, b.terms
-    return sys.exchange_degree(t, u) == target
+    return target is not None and sys.exchange_degree(t, u) == target
 
 
 def verified(gmap: GeneratorMap, what: str) -> Verified:

@@ -56,21 +56,19 @@ class QuantumWeylAlgebra:
         ring = CoeffRing(self.group)
         letters = tuple(f"{c}{i+1}" for i in range(self.n) for c in "yx")
         inverse = self.group.inverse_degree
-        # The twist rules, with their table (see ``ReductionSystem``) in degrees.
-        twists = {}
+        # The twist rules, stated by the degrees of their scalars.
+        rules = []
         for j in range(self.n):
             for i in range(j):
                 lam = self.lam[i][j].degree()
                 qlam = self.qs[i].mul(self.lam[i][j]).degree()
                 yi, xi, yj, xj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
-                twists |= {(yj, yi): inverse(lam), (xj, xi): inverse(qlam),
-                           (yj, xi): lam, (xj, yi): qlam}
-        rules = [Rule(lhs, Element.of_terms(ring, {lhs[::-1]: Coeff.of_degree(ring, d)}))
-                 for lhs, d in twists.items()]
+                rules += [Rule((yj, yi), inverse(lam)), Rule((xj, xi), inverse(qlam)),
+                          Rule((yj, xi), lam), Rule((xj, yi), qlam)]
         for j in range(self.n):  # x_j y_j = q_j y_j x_j + z_(j-1)
             qj, z = Coeff.of_degree(ring, self.qs[j].degree()), self._z_terms(ring, j - 1)
             rules.append(Rule((2 * j + 1, 2 * j), Element(ring, {(2 * j, 2 * j + 1): qj, **z})))
-        sys = ReductionSystem(self.group, letters, rules, twists)
+        sys = ReductionSystem(self.group, letters, rules)
         verdict = sys.check_confluence()
         if isinstance(verdict, Failing):
             raise VerificationError(f"quantum Weyl relations are not confluent "

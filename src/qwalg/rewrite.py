@@ -41,12 +41,14 @@ with a parent rule u a or b w, when a b u < u a b or w a b < a b w: the
 parent's certified normality of the element puts their difference in the
 ideal of smaller words.  A twist table holds the degree of mu (torsion
 exponent mod e, then free exponents) of each rule u h -> mu h u with mu a
-scalar; read either way round, with an inverse pair g g^-1 -> 1 <- g^-1 g
-of degree 0, it gives the degree of a letter on a word.  One graded lemma
-settles most other overlaps: the first letter moves right or the last
-letter moves left, the same statement in the algebra and in its opposite,
-and words of another degree may leave a remainder that reduces to zero,
-reduced once per system.  Degrees also give normality scalars
+scalar, built from the rules alone, which may state mu by that degree
+(``_grow``).  Read either way round, with an inverse pair
+g g^-1 -> 1 <- g^-1 g of degree 0, it gives the degree nu of a letter x on
+a word t: x t = nu t x, so t x = nu^-1 x t.  One graded lemma settles most
+other overlaps: the first letter moves right or the last letter moves
+left, the same statement in the algebra and in its opposite, and words of
+another degree may leave a remainder that reduces to zero, reduced once
+per system.  Degrees also give normality scalars
 (``commutation_with_generators``) and settle a relation of a generator map
 whose images are single words (``exchange_degree``).  They are the engine's
 form of a scalar: one becomes a coefficient once per rule, and a ``Scalar``
@@ -174,7 +176,7 @@ class Element:
 
 class Rule(NamedTuple):
     lhs: Word
-    rhs: Element
+    rhs: Element | tuple  # or, for a twist u h -> mu h u, the degree of mu
 
 
 class Confluent(Frozen):
@@ -192,8 +194,7 @@ class Failing(NamedTuple):
 class ReductionSystem:
     """A terminating reduction system on the free algebra over the letters."""
 
-    def __init__(self, group: ScalarGroup, letters: tuple[str, ...],
-                 rules: list[Rule], twists: dict[Word, tuple] | None = None):
+    def __init__(self, group: ScalarGroup, letters: tuple[str, ...], rules: list[Rule]):
         self.group = group
         self.ring = CoeffRing(group)
         self.letters: tuple[str, ...] = ()
@@ -201,7 +202,7 @@ class ReductionSystem:
         self._certified = False
         self._rhs: dict[Word, Element] = {}
         self._pos: dict[Word, int] = {}  # left side -> index of its rule
-        # Twist table (u, h) -> degree of mu per rule u h -> mu h u; extensions pass theirs.
+        # Twist table (u, h) -> degree of mu per rule u h -> mu h u (see ``_grow``).
         self._twists: dict[Word, tuple] = {}
         # Loose pairs (a, b): outside the twist table, and a rule's left side
         # or descending (a > b); indexed both ways, a -> {b} and b -> {a}.
@@ -213,29 +214,33 @@ class ReductionSystem:
         self._by_construction: frozenset = frozenset()
         # Remainders (side, x, nu, terms) shown to reduce to zero.
         self._remainders: set = set()
-        self._grow(letters, rules, twists)
+        self._grow(letters, rules)
 
-    def _grow(self, letters, rules: list[Rule], twists: dict[Word, tuple] | None):
+    def _grow(self, letters, rules: list[Rule]):
         """Append letters and rules, validating only the new rules, with the
-        twist-table entries of the new rules (read off them when None) and
-        the inverse pairs they complete.
+        twist-table entries of the new rules and the inverse pairs they
+        complete.  A twist u h -> mu h u stated by the degree d of mu gets
+        its right side and its entry from d; a right side h u whose
+        coefficient is a scalar has its degree read off.  A rule is
+        validated before it gets an entry.
         Table entries join only with new rules, so the loose pairs to index
         are those of the new rules and of the new letters.  (A pair with no
         rule that later gets a twist rule stays indexed: that only adds
         candidates, which the degree criterion settles.)"""
-        old = len(self.letters)
+        old, first, ring, tw = len(self.letters), len(self.rules), self.ring, self._twists
         self.letters += tuple(letters)
-        for rule in rules:
-            self._validate_rule(rule)
-            self._pos[rule.lhs] = len(self.rules)
-            self._rhs[rule.lhs] = rule.rhs
-            self.rules.append(rule)
-        if twists is None:
-            twists = {r.lhs: d for r in rules if r.rhs.terms.keys() == {r.lhs[::-1]}
-                      and (d := coeff_degree(r.rhs.terms[r.lhs[::-1]])) is not None}
-        tw = self._twists
-        tw.update(twists)
-        loose = [r.lhs for r in rules if r.lhs not in tw]
+        for lhs, rhs in rules:
+            if isinstance(rhs, tuple):
+                rhs, d = Element.of_terms(ring, {lhs[::-1]: Coeff.of_degree(ring, rhs)}), rhs
+            else:
+                d = coeff_degree(rhs.terms[lhs[::-1]]) if rhs.terms.keys() == {lhs[::-1]} else None
+            self._validate_rule(lhs, rhs)
+            self._pos[lhs], self._rhs[lhs] = len(self.rules), rhs
+            self.rules.append(Rule(lhs, rhs))
+            if d is not None:
+                tw[lhs] = (d[0] % self.group.torsion_order, *d[1:])
+        new = self.rules[first:]
+        loose = [r.lhs for r in new if r.lhs not in tw]
         loose += [(a, b) for a in range(old, len(self.letters)) for b in range(a)
                   if (a, b) not in tw]
         firsts: dict[int, set] = {}
@@ -247,14 +252,14 @@ class ReductionSystem:
             for x, ys in added.items():  # new sets: an extension shares the old ones
                 index[x] = index.get(x, frozenset()) | ys
         one = self.one()
-        units = [r.lhs for r in rules if () in r.rhs.terms and r.rhs == one]
+        units = [r.lhs for r in new if () in r.rhs.terms and r.rhs == one]
         self._inverses |= {p for lhs in units if self._rhs.get(lhs[::-1]) == one
                            for p in (lhs, lhs[::-1])}
 
-    def _extended(self, letters, rules: list[Rule], twists: dict[Word, tuple]) -> "ReductionSystem":
-        """This system with letters appended and rules added after its own,
-        with their twist-table entries: the parent's rules, tables and index
-        are reused, and only the new rules are validated and indexed."""
+    def _extended(self, letters, rules: list[Rule]) -> "ReductionSystem":
+        """This system with letters appended and rules added after its own:
+        the parent's rules, tables and index are reused, and only the new
+        rules are validated, entered in the twist table and indexed."""
         ext = ReductionSystem.__new__(ReductionSystem)
         ext.group, ext.ring, ext.letters, ext._certified = self.group, self.ring, self.letters, False
         ext.rules, ext._rhs, ext._pos = list(self.rules), dict(self._rhs), dict(self._pos)
@@ -262,20 +267,20 @@ class ReductionSystem:
         ext._loose_first, ext._loose_second = dict(self._loose_first), dict(self._loose_second)
         ext._degrees, ext._inverses, ext._by_construction = {}, self._inverses, frozenset()
         ext._remainders = set()
-        ext._grow(letters, rules, twists)
+        ext._grow(letters, rules)
         return ext
 
     # -- construction helpers -------------------------------------------------
 
-    def _validate_rule(self, rule: Rule):
-        if len(rule.lhs) != 2:
-            raise RuleError(f"rule left-hand side {rule.lhs} is not two letters")
-        if rule.lhs in self._rhs:
-            raise RuleError(f"duplicate leading word {rule.lhs}")
-        key = deglex_key(rule.lhs)
-        for w in rule.rhs.terms:
+    def _validate_rule(self, lhs: Word, rhs: Element):
+        if len(lhs) != 2:
+            raise RuleError(f"rule left-hand side {lhs} is not two letters")
+        if lhs in self._rhs:
+            raise RuleError(f"duplicate leading word {lhs}")
+        key = deglex_key(lhs)
+        for w in rhs.terms:
             if deglex_key(w) >= key:
-                raise RuleError(f"rule does not decrease deglex order: {rule.lhs} -> {w}")
+                raise RuleError(f"rule does not decrease deglex order: {lhs} -> {w}")
 
     def index(self, name: str) -> int:
         try:
@@ -384,7 +389,8 @@ class ReductionSystem:
         moves left through p = u v.  The twist table holds the rules of x
         with both letters of p, in the overlap's order (u v and u w, or
         u w and v w), and nu is the degree of x on p: x p = nu p x on the
-        left, p x = nu x p on the right.  The degree of x on a word t of the
+        left; on the right p x = nu x p, so nu is the inverse of the left
+        reading (``_word_degree``).  The degree of x on a word t of the
         rule p -> sum c_t t reads each pair of x with a letter of t either
         way round, and x and its inverse partner twist by 1.  Words of
         degree nu need nothing more; the rest must hold a word with no
@@ -482,15 +488,17 @@ class ReductionSystem:
         x, p, other = (word[0], word[1:], word[:2]) if left else (word[2], word[:2], word[1:])
         if word[::2] not in self._twists or other not in self._twists:
             return False
-        nu = self._word_degree(x, p, left)
-        rest = [(t, c) for t, c in rhs.terms.items() if self._word_degree(x, t, left) != nu]
+        nu = self._word_degree(x, p)
+        rest = [(t, c) for t, c in rhs.terms.items() if self._word_degree(x, t) != nu]
         # A remainder with a degree on every word has never vanished.
-        return not rest or (any(self._word_degree(x, t, left) is None for t, _ in rest)
-                            and self._remainder_vanishes(x, nu, rest, left))
+        return not rest or (any(self._word_degree(x, t) is None for t, _ in rest)
+                            and self._remainder_vanishes(
+                                x, nu if left else self.group.inverse_degree(nu), rest, left))
 
     def _remainder_vanishes(self, x: int, nu: tuple, rest: list, left: bool) -> bool:
         """Whether the remainder f of the terms (t, c_t) of ``rest`` on this
-        side reduces to zero (see ``check_confluence``); memoized on success."""
+        side, with x t = nu t x on the left and t x = nu x t on the right,
+        reduces to zero (see ``check_confluence``); memoized on success."""
         key = (left, x, nu, frozenset((t, frozenset(c.num.items()), frozenset(c.den.items()))
                                       for t, c in rest))
         if key not in self._remainders:
@@ -502,24 +510,24 @@ class ReductionSystem:
             self._remainders.add(key)
         return True
 
-    def _word_degree(self, x: int, t: Word, left: bool = True) -> tuple | None:
-        """The degree nu with x t = nu t x (left) or t x = nu x t, or None:
+    def _word_degree(self, x: int, t: Word) -> tuple | None:
+        """The degree nu with x t = nu t x (so t x = nu^-1 x t), or None:
         the sum of the twist degrees of x and each letter of t, read either
         way round (negated when turned), torsion mod e; x twists itself and
         its inverse partner by 1.  Memoized, since the table is fixed."""
-        d = self._degrees.get((x, t, left), False)
+        d = self._degrees.get((x, t), False)
         if d is False:
-            d = self._degrees[x, t, left] = self._sum_degrees(x, t, left)
+            d = self._degrees[x, t] = self._sum_degrees(x, t)
         return d
 
-    def _sum_degrees(self, x: int, t: Word, left: bool) -> tuple | None:
+    def _sum_degrees(self, x: int, t: Word) -> tuple | None:
         tw, total = self._twists, None
         for h in t:
             if h == x or (x, h) in self._inverses:
                 continue
             if (d := tw.get((h, x) if h > x else (x, h))) is None:
                 return None
-            if (h > x) == left:  # turned round
+            if h > x:  # turned round: h x -> mu x h gives x h = mu^-1 h x
                 d = tuple(map(neg, d))
             total = d if total is None else tuple(map(add, total, d))
         if total is None:
@@ -672,8 +680,8 @@ class ReductionSystem:
         letter by the element's scalars, and Z^-1 gets the rules conjugated
         from those twists, as an inverted generator does; both letters are
         appended in one extension, certified once from the parent's rules.
-        The scalars stay degrees (``_commutation``), which are Z's and
-        Z^-1's twist-table entries; each becomes a coefficient in its rule.
+        The scalars stay degrees (``_commutation``), which state Z's and
+        Z^-1's twist rules; each becomes a coefficient in its rule.
         The overlaps of the identification rule a b with a parent rule u a
         (when a b u < u a b) or b w (when w a b < a b w) are settled by
         construction from the parent's normality scalars, which Z's rules
@@ -696,23 +704,21 @@ class ReductionSystem:
             raise NotNormalError("cannot invert an element whose leading word "
                                  "is not two letters unless it is a plain generator")
         z = len(self.letters)
-        rules = [Rule((z, h), Element.from_word(ring, (h, z), Coeff.of_degree(ring, d)))
-                 for h, d in enumerate(degrees)]
+        rules = [Rule((z, h), d) for h, d in enumerate(degrees)]
         # Identification: lead -> c_lead^{-1} (Z - tail).
         tail = Element(ring, {w: c for w, c in nf.terms.items() if w != lead})
         z_minus_tail = Element.from_word(ring, (z,)).sub(tail)
         rules.append(Rule(lead, z_minus_tail.scale(nf.terms[lead].inv())))
         z_label = label[:-3] if label.endswith("^-1") else label + "~"
-        table = {(z, h): d for h, d in enumerate(degrees)}
         zero = Coeff.zero(ring)
-        inv_rules, inv_table = self._conjugated(z, [(h, d, zero) for h, d in enumerate(degrees)])
+        inv_rules = self._conjugated(z, [(h, d, zero) for h, d in enumerate(degrees)])
         # Identification overlaps u a b and a b w with a parent rule, under
         # the order conditions of the lemma in ``check_confluence``.
         a, b = lead
         parent = self._rhs
         words = {(u, a, b) for u in range(z) if (u, a) in parent and (a, b, u) < (u, a, b)}
         words |= {(a, b, w) for w in range(z) if (b, w) in parent and (w, a, b) < (a, b, w)}
-        ext = self._extended((z_label, label), rules + inv_rules, table | inv_table)
+        ext = self._extended((z_label, label), rules + inv_rules)
         return ext._certified_inverse(z, len(self.rules), words), label
 
     def invert_generator(self, name: str, label: str | None = None) -> tuple["ReductionSystem", str]:
@@ -741,40 +747,38 @@ class ReductionSystem:
                 raise NotNormalError(f"cannot invert {name!r}: relation "
                                      f"with {other!r} is not a twist")
             twists.append((h + (h > g), *tw))
-        rules, table = self._conjugated(g, twists)
+        rules = self._conjugated(g, twists)
 
         def shift(w: Word) -> Word:
             return tuple(i + (i > g) for i in w)
 
-        old = [Rule(shift(r.lhs), Element(self.ring, {shift(w): c for w, c in r.rhs.terms.items()}))
-               for r in self.rules]
-        table |= {shift(pair): d for pair, d in self._twists.items()}
+        # The parent's twist rules are restated by their table degrees.
+        old = [Rule(shift(r.lhs), self._twists.get(r.lhs) or Element(
+                   self.ring, {shift(w): c for w, c in r.rhs.terms.items()})) for r in self.rules]
         letters = self.letters[:g + 1] + (label,) + self.letters[g + 1:]
-        ext = ReductionSystem(self.group, letters, old + rules, table)
+        ext = ReductionSystem(self.group, letters, old + rules)
         return ext._certified_inverse(g, len(self.rules)), label
 
-    def _conjugated(self, g: int, twists) -> tuple[list[Rule], dict[Word, tuple]]:
-        """The rules of the letter g^-1 = g + 1 of an extension, with their
-        twist-table entries, from the twists (h, d, c) of g, one per other
-        letter h of the extension: g h = mu h g + c g with mu of degree d.
+    def _conjugated(self, g: int, twists) -> list[Rule]:
+        """The rules of the letter g^-1 = g + 1 of an extension, from the
+        twists (h, d, c) of g, one per other letter h of the extension:
+        g h = mu h g + c g with mu of degree d.
 
         Beside g g^-1 -> 1 and g^-1 g -> 1, each twist is conjugated by
         g^-1, h g^-1 = mu g^-1 h + c g^-1, and oriented by the letter order;
-        c = 0 (every letter of an adjoined Z) needs no coefficient product.
+        c = 0 (every letter of an adjoined Z) needs no coefficient product,
+        and its rule is stated by the degree of its scalar.
         """
         ring, inv = self.ring, g + 1
         rules = [Rule((g, inv), self.one()), Rule((inv, g), self.one())]
-        table = {}
         for h, d, c in twists:
             if h < inv:  # g^-1 h = mu^-1 h g^-1 - mu^-1 c g^-1
                 d = self.group.inverse_degree(d)
                 c = c if c.is_zero() else Coeff.of_degree(ring, d).mul(c).neg()
             lhs = (h, inv) if h > inv else (inv, h)
-            rules.append(Rule(lhs, Element(ring, {lhs[::-1]: Coeff.of_degree(ring, d),
-                                                  (inv,): c})))
-            if c.is_zero():
-                table[lhs] = d
-        return rules, table
+            rules.append(Rule(lhs, d if c.is_zero() else Element(
+                ring, {lhs[::-1]: Coeff.of_degree(ring, d), (inv,): c})))
+        return rules
 
     def _certified_inverse(self, g: int, known: int,
                            identified: set = frozenset()) -> "ReductionSystem":

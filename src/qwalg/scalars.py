@@ -117,9 +117,10 @@ class ScalarGroup(Frozen):
         return self.scalar(torsion=self.torsion_order // 2)
 
     def free_gen(self, name: str, power: int = 1) -> "Scalar":
-        idx = self.free_symbols.index(name)
+        if name not in self.free_index:
+            raise ValueError(f"{name!r} is not a free symbol of the scalar group")
         v = [0] * self.rank
-        v[idx] = power
+        v[self.free_index[name]] = power
         return self.scalar(free=tuple(v))
 
     def inverse_degree(self, d: tuple[int, ...]) -> tuple[int, ...]:

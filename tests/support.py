@@ -49,6 +49,24 @@ relations {{
 }}
 """
 
+LL2_TARGET = """\
+scalars { free q }
+generators w, y, u, v
+relations {
+  [w, y] = y
+  u v = q * v u
+}
+"""
+
+T21_SOURCE = """\
+scalars { free q }
+generators y1, y2, w1
+relations {
+  y1 y2 = q * y2 y1
+  [w1, y1] = y1
+}
+"""
+
 
 def corpus(name: str) -> str:
     return str(CORPUS / name)
@@ -297,6 +315,33 @@ def lattice_member(basis, vec) -> bool:
         q = v[j] // row[j]
         v = [x - q * y for x, y in zip(v, row)]
     return not any(v)
+
+
+def random_unimodular(n, rng, steps=8):
+    u = il.identity(n)
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        e = il.identity(n)
+        if kind == 0 and n > 1:
+            e[i][j] = rng.choice([-2, -1, 1, 2])
+        elif kind == 1 and n > 1:
+            e[i][i] = e[j][j] = 0
+            e[i][j] = 1
+            e[j][i] = 1
+        else:
+            e[i][i] = -1
+        u = il.matmul(u, e)
+    return u
+
+
+def random_antisymmetric(n, rng, bound=4):
+    a = il.zeros(n, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = rng.randrange(-bound, bound + 1)
+            a[j][i] = -a[i][j]
+    return a
 
 
 def scramble(p, rng, steps=6):

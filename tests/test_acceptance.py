@@ -24,7 +24,8 @@ from qwalg.rewrite import Confluent
 from qwalg.scalars import ScalarGroup
 from qwalg.torus import QuantumTorus, central_lattice, is_simple
 
-from support import CORPUS, cli_output, corpus, scramble
+from support import (CORPUS, cli_output, corpus, random_antisymmetric, random_unimodular,
+                     scramble)
 
 
 def _ok(num, text):
@@ -111,7 +112,6 @@ def test_criterion_2_reduction_certificates():
 
 
 def test_criterion_3_skew_normal_form():
-    from test_intlattice import random_antisymmetric, random_unimodular
     rng = random.Random(303)
     for trial in range(500):
         n = rng.randrange(1, 7)
@@ -345,7 +345,6 @@ def test_criterion_7_reported_values():
 
 
 def test_criterion_8_equivalence():
-    from test_intlattice import random_unimodular
     group = ScalarGroup(1, ("q",))
     q = group.free_gen("q")
     rng = random.Random(808)

@@ -26,15 +26,15 @@ from hypothesis import given, settings, strategies as st
 
 from qwalg.cyclo import Coeff, CoeffRing
 from qwalg.presentation import (Additive, Eulerian, Multiplicative, Presentation,
-                                certified_system, system_from_presentation)
-from qwalg.qwa import parse_presentation
+                                certified_system, exchanged, system_from_presentation)
+from qwalg.qwa import ParseError, parse_presentation
 from qwalg.qweyl import localize_to_mixed
 from qwalg.rewrite import Confluent, Element, Failing, ReductionSystem, Rule, RuleError, deglex_key
 from qwalg.scalars import ScalarGroup
 
-from support import (TRIANGLE, assert_candidate_parity, assert_graded_case,
+from support import (CORPUS, TRIANGLE, assert_candidate_parity, assert_graded_case,
                      assert_matches_two_sided, assert_same_commutation, cli_output, corpus,
-                     corpus_bases, find_graded, fresh, graded_systems, hub_presentations,
+                     corpus_bases, corpus_systems, find_graded, fresh, graded_systems, hub_presentations,
                      identification_rules, inverted_systems, localization_chain, qweyl_algebras,
                      qweyl_grid, record_extensions, reference_commutation, run, run_corpus)
 
@@ -423,6 +423,52 @@ def test_extension_carries_the_twist_table(extensions):
         assert ext._twists == fresh(ext)._twists
 
 
+BAD2 = """\
+scalars { root zeta : 4 }
+generators b, c, a
+relations {
+  a b = zeta * b a
+  a c = zeta * c a
+  b c = c b + 1
+}
+"""
+
+
+def test_presentation_systems_state_the_twist_table_of_their_rules():
+    """A presentation's system states each twist rule by the degree of its
+    scalar: on every corpus presentation, and on the generator inversions
+    of those, which restate the parent's twist rules from its table, the
+    table equals the one read off the rules, and each rule is the one
+    ``exchanged`` reads off its relation."""
+    for f in sorted(CORPUS.glob("*.qwa")):
+        try:
+            p = parse_presentation(f.read_text())
+        except ParseError:
+            continue
+        s = system_from_presentation(p)
+        assert s._twists == fresh(s)._twists
+        gens = [s.word(name) for name in s.letters]
+        for j in range(p.n):
+            for i in range(j):
+                assert s._rhs[j, i] == exchanged(p.rel(i, j), i, gens[i], gens[j])
+    for s in corpus_systems():
+        assert s._twists == fresh(s)._twists
+
+
+def test_the_torsion_triangle_fails_with_the_table_of_its_rules():
+    """The triangle a b = zeta b a, a c = zeta c a, b c = c b + 1 over Z/4
+    has the twists a b and a c of degree zeta (read as a b -> zeta b a) in
+    its table and fails at a c b.  No table can be passed beside the rules,
+    so none can claim the degree 0 that would settle that overlap."""
+    s = system_from_presentation(parse_presentation(BAD2))
+    b, c, a = range(3)
+    assert s._twists == fresh(s)._twists == {(a, b): (1,), (a, c): (1,)}
+    verdict = s.check_confluence()
+    assert isinstance(verdict, Failing) and verdict.word == (a, c, b)
+    with pytest.raises(TypeError):
+        ReductionSystem(s.group, s.letters, s.rules, {lhs: (0,) for lhs in s._rhs})
+
+
 # -- normality read off the twist table ----------------------------------------
 
 
@@ -600,13 +646,15 @@ def test_extension_in_place_refuses_bad_rules():
     one = Coeff.one(ring)
     for bad in (Rule((b, a), Element(ring, {(a, b): one})),
                 Rule((a, b), Element(ring, {(b, a): one})),
+                Rule((a, b), (0, 1)),
                 Rule((a, b, c), Element(ring, {(a,): one}))):
         with pytest.raises(RuleError):
-            parent._extended((), [bad], {})
+            parent._extended((), [bad])
         assert parent.rules == rules and len(parent._rhs) == len(rules)
+        assert parent._twists == fresh(parent)._twists
     with pytest.raises(RuleError):
         parent._extended(("d",), [Rule((3, a), Element.from_word(ring, (a, 3))),
-                                  Rule((3, a), Element.from_word(ring, (a,)))], {})
+                                  Rule((3, a), Element.from_word(ring, (a,)))])
     assert parent.letters == ("a", "b", "c") and parent.rules == rules
 
 

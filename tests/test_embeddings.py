@@ -15,26 +15,7 @@ from qwalg.qweyl import localize_to_mixed
 from qwalg.scalars import ScalarGroup
 from qwalg.torus import QuantumTorus
 
-from support import qweyl_grid, raw_image_verify, run_corpus
-
-LL2_TARGET = """\
-scalars { free q }
-generators w, y, u, v
-relations {
-  [w, y] = y
-  u v = q * v u
-}
-"""
-
-T21_SOURCE = """\
-scalars { free q }
-generators y1, y2, w1
-relations {
-  y1 y2 = q * y2 y1
-  [w1, y1] = y1
-}
-"""
-
+from support import LL2_TARGET, T21_SOURCE, qweyl_grid, raw_image_verify, run_corpus
 
 @pytest.fixture
 def grp():

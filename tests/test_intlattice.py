@@ -6,25 +6,7 @@ import pytest
 
 from qwalg import intlattice as il
 
-from support import lattice_member
-
-
-def random_unimodular(n, rng, steps=8):
-    u = il.identity(n)
-    for _ in range(steps):
-        kind = rng.randrange(3)
-        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-        e = il.identity(n)
-        if kind == 0 and n > 1:
-            e[i][j] = rng.choice([-2, -1, 1, 2])
-        elif kind == 1 and n > 1:
-            e[i][i] = e[j][j] = 0
-            e[i][j] = 1
-            e[j][i] = 1
-        else:
-            e[i][i] = -1
-        u = il.matmul(u, e)
-    return u
+from support import lattice_member, random_antisymmetric, random_unimodular
 
 
 def reference_hermite(a):
@@ -69,15 +51,6 @@ def reference_hermite(a):
             if piv == r:
                 break
     return h, u
-
-
-def random_antisymmetric(n, rng, bound=4):
-    a = il.zeros(n, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a[i][j] = rng.randrange(-bound, bound + 1)
-            a[j][i] = -a[i][j]
-    return a
 
 
 def test_smith_identity():

@@ -104,6 +104,17 @@ def test_reduce_random_scrambles(grp):
         assert invariants(out).g_subgroup == invariants(algebra).g_subgroup
 
 
+def test_a_lambda_that_is_not_n_by_n_is_refused(grp):
+    """n = 2 with a 1 x 1 Lambda (whose presentation would index past it)
+    and n = 1 with a 2 x 2 one (whose invariants would be those of a
+    two-generator torus) are refused, as ``QuantumWeylAlgebra`` refuses them."""
+    one = grp.one()
+    with pytest.raises(ValueError, match=r"^Lambda must be 2 x 2$"):
+        CanonicalMixedAlgebra(grp, 2, 1, [[one]])
+    with pytest.raises(ValueError, match=r"^Lambda must be 1 x 1$"):
+        CanonicalMixedAlgebra(grp, 1, 1, s22(grp).lam)
+
+
 def test_eulerian_presentation_shapes(grp):
     one = grp.one()
     u = eulerian_presentation(CanonicalMixedAlgebra(grp, 1, 1, [[one]]))

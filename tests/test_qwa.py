@@ -10,7 +10,7 @@ from qwalg.qwa import (ParseError, format_presentation, parse_document,
                        parse_generator_map, parse_presentation, parse_scalar_literal)
 from qwalg.scalars import GroupMismatch, ScalarGroup
 
-from support import S22_TEXT
+from support import LL2_TARGET, S22_TEXT, T21_SOURCE
 
 def test_parse_s22():
     p = parse_presentation(S22_TEXT)
@@ -113,7 +113,6 @@ def test_parse_errors_name_their_line(text, line, words):
 def test_readme_examples_parse():
     """Every bare fenced block of README.md is a .qwa file or a generator map;
     the map is checked against the presentations it is written for."""
-    from test_embeddings import LL2_TARGET, T21_SOURCE
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     blocks = [body for info, body in re.findall(r"^```(\w*)\n(.*?)^```$", readme,
                                                 re.S | re.M) if not info]

@@ -149,10 +149,9 @@ def base_remainder(s: ReductionSystem, word):
     """(w, nu, remainder terms) of the criterion on the right of the
     overlap word."""
     u, v, w = word
-    nu = s._word_degree(w, (u, v), False)
-    rest = [(t, c) for t, c in s._rhs[(u, v)].terms.items()
-            if s._word_degree(w, t, False) != nu]
-    return w, nu, rest
+    nu = s._word_degree(w, (u, v))
+    rest = [(t, c) for t, c in s._rhs[(u, v)].terms.items() if s._word_degree(w, t) != nu]
+    return w, s.group.inverse_degree(nu), rest
 
 
 def test_remainder_memo_keeps_denominators_and_torsion_apart(monkeypatch):

@@ -206,6 +206,23 @@ def test_deglex_termination_guard():
                         [Rule((1, 0), Element(ring, {(1, 0): Coeff.one(ring)}))])
 
 
+def test_a_twist_rule_stated_by_its_degree():
+    """Rule(lhs, d) is the rule lhs -> mu h u for lhs = u h and mu of degree
+    d, with the table entry d (torsion mod e), as the rule written out; a
+    degree on an ascending or a repeated pair, or on a left side that is
+    not two letters, is refused."""
+    g = ScalarGroup(4, ("q",), "zeta")
+    ring = CoeffRing(g)
+    stated = ReductionSystem(g, ("a", "b"), [Rule((1, 0), (5, -2))])
+    written = ReductionSystem(g, ("a", "b"), [Rule((1, 0), Element(
+        ring, {(0, 1): Coeff.of_degree(ring, (1, -2))}))])
+    assert stated.rules == written.rules
+    assert stated._twists == written._twists == {(1, 0): (1, -2)}
+    for lhs in ((0, 1), (1, 1), (1,), (1, 0, 1)):
+        with pytest.raises(RuleError):
+            ReductionSystem(g, ("a", "b"), [Rule(lhs, (1, 0))])
+
+
 def test_left_sides_must_be_two_letters():
     g = ScalarGroup()
     ring = CoeffRing(g)

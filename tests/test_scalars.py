@@ -7,6 +7,7 @@ from qwalg.presentation import Additive, Eulerian, Multiplicative
 from qwalg.rewrite import Confluent
 from qwalg.scalars import (Frozen, GroupMismatch, Scalar, ScalarGroup, format_scalar,
                            merge_groups, subgroup_canonical_form)
+from qwalg.torus import QuantumTorus
 
 
 def rnd_scalar(group, rng):
@@ -103,6 +104,19 @@ def test_merge_groups():
                   ScalarGroup(1, (), "zeta")):
         with pytest.raises(GroupMismatch, match="incompatible root-of-unity"):
             merge_groups(zq, other)
+
+
+def test_an_unknown_free_symbol_is_named():
+    """A free generator or a uniparameter torus in a symbol the group does
+    not declare is refused with the symbol's name."""
+    g = ScalarGroup(4, ("q",), "zeta")
+    message = "^'p' is not a free symbol of the scalar group$"
+    with pytest.raises(ValueError, match=message):
+        g.free_gen("p")
+    with pytest.raises(ValueError, match=message):
+        QuantumTorus.uniparameter(g, "p", [[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match="^'zeta' is not a free symbol"):
+        g.free_gen("zeta")  # the root symbol is not free
 
 
 def test_group_mismatch():

@@ -12,7 +12,7 @@ from qwalg.torus import (Iso, NotApplicable, NotIso, QuantumTorus, TorusError,
                          TorusMorphism, Violation, central_lattice, check_morphism, compose,
                          is_isomorphism, is_simple, uniparameter_exponents,
                          uniparameter_iso_decide)
-from support import corpus, lattice_member
+from support import corpus, lattice_member, random_antisymmetric, random_unimodular
 
 
 def is_central(t, alpha):
@@ -286,7 +286,6 @@ def test_iso_decide_not_applicable():
 
 
 def test_iso_decide_random_congruence(grp):
-    from test_intlattice import random_antisymmetric, random_unimodular
     rng = random.Random(9)
     for _ in range(25):
         n = rng.randrange(1, 5)
@@ -306,7 +305,6 @@ def test_iso_witness_equals_the_unimodular_inverse_route(grp):
     """On congruent pairs, the witness h = u2 * u1^-1 and the h^-1 = u1 * u2^-1
     of the back check, built from the tracked inverses, equal the products
     through matinv_unimodular, and h carries t1 onto t2."""
-    from test_intlattice import random_antisymmetric, random_unimodular
     rng = random.Random(47)
     for _ in range(40):
         n = rng.randrange(1, 8)
