@@ -7,7 +7,8 @@ command that declares one (an inadmissible presentation under ``check``, a
 map failing a relation under ``embed verify``), 2 for any input or
 processing error.  ``COMMANDS`` declares each command's files, options and
 exit codes; the parser and the dispatcher both read it.  The parser is built
-per call and holds only the arguments of the command that argv names.
+per call and holds only the arguments of the command that argv names; when
+argv starts with that name, it holds no other command.
 """
 from __future__ import annotations
 
@@ -377,19 +378,29 @@ TAKES = {top: [o for o in OPTIONS if any(o in COMMANDS[n].options for n in SUBS[
          for top in HELP}
 
 
-def _parser(named: str | None) -> argparse.ArgumentParser:
-    """Every top-level command is listed, for help and the invalid-choice
-    error, but only ``named`` gets its arguments: argparse reads no other."""
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``.  Only the command that argv names (its first
+    argument that does not start with '-') gets its arguments: argparse
+    reads no other.  Only the top-level help and the invalid-choice error
+    list the other commands, and neither can come up when argv starts with
+    that name, so then no other command is registered and ``metavar`` keeps
+    the usage line.  Otherwise every top-level command is registered, with
+    argparse's own metavar, which the invalid-choice error names as
+    ``cmd``."""
+    named = next((a for a in argv if not a.startswith("-")), None)
+    lean = bool(argv) and argv[0] in SUBS
     parser = argparse.ArgumentParser(
         prog="qwalg",
         description="Exact classification toolkit for mixed classical/quantum "
                     "polynomial algebras")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    for top, names in SUBS.items():
+    sub = parser.add_subparsers(dest="cmd", required=True,
+                                metavar="{" + ",".join(SUBS) + "}" if lean else None)
+    for top in [named] if lean else SUBS:
         sp = sub.add_parser(top, help=HELP[top])
         if top != named:
             continue
+        names = SUBS[top]
         if names != [top]:
             sp.add_argument("sub", choices=[n.split()[1] for n in names])
             sp.add_argument("files", nargs="+")
@@ -406,8 +417,7 @@ def _parser(named: str | None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    named = next((a for a in argv if not a.startswith("-")), None)
-    args = _parser(named).parse_args(argv)
+    args = _parser(argv).parse_args(argv)
     name = f"{args.cmd} {args.sub}" if "sub" in args else args.cmd
     cmd = COMMANDS[name]
     try:

@@ -2,6 +2,7 @@
 each other: the corpus, drawn and gridded systems, localization chains, and
 the references that reduce everything the engine settles without reducing.
 """
+import argparse
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -11,8 +12,8 @@ from pathlib import Path
 
 from hypothesis import Phase, find, settings, strategies as st
 
-from qwalg import intlattice as il
-from qwalg.cli import main
+from qwalg import __version__, intlattice as il
+from qwalg.cli import COMMANDS, HELP, OPTIONS, SUBS, TAKES, main
 from qwalg.cyclo import Coeff, coeff_degree
 from qwalg.embeddings import FailingRelation, GeneratorMap, Verified
 from qwalg.presentation import (AddMultiple, Additive, Eulerian, Multiplicative, Permute,
@@ -82,6 +83,45 @@ def cli_output(argv) -> tuple[int, str, str]:
         except SystemExit as exc:
             rc = exc.code
     return rc, out.getvalue(), err.getvalue()
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every command and all of its arguments, built
+    from the command table: the parser whose output, for any argv, the
+    parser ``cli._parser`` builds for that argv must give."""
+    parser = argparse.ArgumentParser(
+        prog="qwalg",
+        description="Exact classification toolkit for mixed classical/quantum "
+                    "polynomial algebras")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for top, names in SUBS.items():
+        sp = sub.add_parser(top, help=HELP[top])
+        if names != [top]:
+            sp.add_argument("sub", choices=[n.split()[1] for n in names])
+            sp.add_argument("files", nargs="+")
+        elif len(COMMANDS[top].files) == 1:
+            sp.add_argument("file")
+        else:
+            sp.add_argument("files", nargs=len(COMMANDS[top].files))
+        for opt in TAKES[top]:
+            sp.add_argument(f"--{opt}", **OPTIONS[opt])
+        sp.add_argument("--json", action="store_true",
+                        help="print the machine block as JSON only")
+    return parser
+
+
+def parse_output(parser: argparse.ArgumentParser, argv) -> tuple:
+    """The exit code (None when parsing succeeds), stdout, stderr and
+    namespace (None on an exit) of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    rc = ns = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            ns = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue(), ns
 
 
 def run(argv):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -12,10 +13,10 @@ import pytest
 
 import qwalg
 from qwalg import intlattice
-from qwalg.cli import COMMANDS, OPTIONS, main
+from qwalg.cli import COMMANDS, OPTIONS, SUBS, _parser, main
 from qwalg.qwa import format_presentation, parse_presentation
 
-from support import CORPUS, cli_output, corpus
+from support import CORPUS, cli_output, corpus, parse_output, reference_parser
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -463,18 +464,50 @@ def test_missing_required_option(capsys, name, opt):
 # Exit code, stdout and stderr of argv shapes that reach argparse's own
 # output (help, version, usage errors, option prefixes), run in the corpus
 # directory with 80 columns.  Its wording changes between Python versions,
-# so the table is pinned for the version it was captured with.
-ARGPARSE = json.loads((Path(__file__).parent / "cli_argparse.json").read_text())
+# so the table is pinned for the version it was captured with.  To add a
+# shape, append {"argv": [...]} to the table; rewrite the table from its argv
+# list, on the pinned version and only when an output change is intended,
+# with
+#
+#     PYTHONPATH=src python3 tests/test_cli.py
+#
+# from the repository root.
+ARGPARSE_TABLE = Path(__file__).with_name("cli_argparse.json")
+ARGPARSE = json.loads(ARGPARSE_TABLE.read_text())
+SHAPE_IDS = [" ".join(s["argv"]) or "(none)" for s in ARGPARSE["shapes"]]
+PYTHON = f"{sys.version_info[0]}.{sys.version_info[1]}"
 
 
-@pytest.mark.skipif(f"{sys.version_info[0]}.{sys.version_info[1]}" != ARGPARSE["python"],
+@pytest.mark.skipif(PYTHON != ARGPARSE["python"],
                     reason=f"argparse output pinned on Python {ARGPARSE['python']}")
-@pytest.mark.parametrize("shape", ARGPARSE["shapes"],
-                         ids=[" ".join(s["argv"]) or "(none)" for s in ARGPARSE["shapes"]])
+@pytest.mark.parametrize("shape", ARGPARSE["shapes"], ids=SHAPE_IDS)
 def test_argparse_output_is_pinned(monkeypatch, shape):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(CORPUS)
     assert cli_output(shape["argv"]) == (shape["rc"], shape["stdout"], shape["stderr"])
+
+
+@pytest.mark.parametrize("shape", ARGPARSE["shapes"], ids=SHAPE_IDS)
+def test_parser_of_argv_matches_the_full_parser(monkeypatch, shape):
+    """On any Python: the parser built for an argv and the parser holding
+    every command and argument give the same exit code, output and
+    namespace on each pinned shape."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = shape["argv"]
+    assert parse_output(_parser(argv), argv) == parse_output(reference_parser(), argv)
+
+
+PARSER_CHOICES = ([([top], [top]) for top in SUBS] + [(["torus", "center", "f"], ["torus"])]
+                  + [(argv, list(SUBS)) for argv in (["-h", "check"], ["bogus"], [])])
+
+
+@pytest.mark.parametrize("argv,choices", PARSER_CHOICES,
+                         ids=[" ".join(argv) or "(none)" for argv, _ in PARSER_CHOICES])
+def test_parser_registers_only_the_command_argv_starts_with(argv, choices):
+    """The saving itself: argv starting with a command builds that command's
+    parser alone; any other argv registers all of them."""
+    sub, = [a for a in _parser(argv)._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == choices
 
 
 def _readme_commands() -> dict:
@@ -509,3 +542,15 @@ def test_readme_exit_code_sentence_matches_table():
     text = " ".join(README.read_text().split())
     negative = set(re.findall(r"`([a-z ]+)` uses `1`", text))
     assert negative == {name for name, cmd in COMMANDS.items() if 1 in cmd.exits}
+
+
+if __name__ == "__main__":
+    if PYTHON != ARGPARSE["python"]:
+        sys.exit(f"the argparse table is pinned on Python {ARGPARSE['python']}, "
+                 f"not {PYTHON}")
+    os.environ["COLUMNS"] = "80"
+    os.chdir(CORPUS)
+    shapes = [dict(zip(("argv", "rc", "stdout", "stderr"), (s["argv"], *cli_output(s["argv"]))))
+              for s in ARGPARSE["shapes"]]
+    ARGPARSE_TABLE.write_text(json.dumps({**ARGPARSE, "shapes": shapes}, indent=1) + "\n")
+    print(f"pinned {len(shapes)} argv shapes in {ARGPARSE_TABLE}")
