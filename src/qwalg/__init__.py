@@ -21,8 +21,7 @@ from .qwa import (Document, ParseError, format_generator_map, format_presentatio
                   format_qweyl, parse_document, parse_generator_map,
                   parse_presentation, parse_scalar_literal)
 from .rewrite import (Confluent, Element, Failing, NotCertifiedError,
-                      NotNormalError, ReductionSystem, Rule, RuleError,
-                      build_reduction_system)
+                      NotNormalError, ReductionSystem, Rule, RuleError)
 from .torus import (Iso, NotApplicable, NotIso, QuantumTorus, TorusMorphism,
                     Violation, central_lattice, check_morphism, compose,
                     is_isomorphism, is_simple, uniparameter_exponents,

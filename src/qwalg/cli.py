@@ -379,15 +379,13 @@ TAKES = {top: [o for o in OPTIONS if any(o in COMMANDS[n].options for n in SUBS[
 
 
 def _parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of ``argv``.  Only the command that argv names (its first
-    argument that does not start with '-') gets its arguments: argparse
-    reads no other.  Only the top-level help and the invalid-choice error
-    list the other commands, and neither can come up when argv starts with
-    that name, so then no other command is registered and ``metavar`` keeps
-    the usage line.  Otherwise every top-level command is registered, with
+    """The parser of ``argv``.  When argv starts with a top-level command,
+    only that command is registered: argparse reads no other, and only the
+    top-level help and the invalid-choice error list the others, neither of
+    which can come up then; ``metavar`` keeps the usage line.  Otherwise
+    every top-level command is registered with all its arguments and
     argparse's own metavar, which the invalid-choice error names as
     ``cmd``."""
-    named = next((a for a in argv if not a.startswith("-")), None)
     lean = bool(argv) and argv[0] in SUBS
     parser = argparse.ArgumentParser(
         prog="qwalg",
@@ -396,10 +394,8 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True,
                                 metavar="{" + ",".join(SUBS) + "}" if lean else None)
-    for top in [named] if lean else SUBS:
+    for top in [argv[0]] if lean else SUBS:
         sp = sub.add_parser(top, help=HELP[top])
-        if top != named:
-            continue
         names = SUBS[top]
         if names != [top]:
             sp.add_argument("sub", choices=[n.split()[1] for n in names])

@@ -360,9 +360,6 @@ class Coeff:
         return (_times_atoms(self.ring, self.num, other.den)
                 == _times_atoms(self.ring, other.num, self.den))
 
-    def __hash__(self):
-        raise TypeError("Coeff is not hashable")
-
     # -- arithmetic -----------------------------------------------------------
 
     def _with(self, num, den) -> "Coeff":

@@ -421,9 +421,7 @@ def verify_homomorphism(gmap: GeneratorMap) -> Verified | FailingRelation:
     two-sided ideal of the relations, and normal forms are unique.  The
     defect is bilinear in a and b, up to a constant term that does not
     depend on them, so replacing a and b by their normal forms changes it
-    only by a member of that ideal, which the normal form removes.  An
-    image that is one word with no rule at any pair of adjacent letters is
-    already its own normal form, so it is not reduced.
+    only by a member of that ideal, which the normal form removes.
 
     A pair is settled by degrees, with no reduction, when both reduced
     images are single words, a = alpha t and b = beta u, and the relation
@@ -440,8 +438,7 @@ def verify_homomorphism(gmap: GeneratorMap) -> Verified | FailingRelation:
     src, sys = gmap.source, gmap.target
     if not sys.certified:
         raise NotCertifiedError("confluence has not been certified for this system")
-    images = [a if len(a.terms) == 1 and sys.irreducible(next(iter(a.terms)))
-              else sys.normal_form(a) for a in (gmap.images[g] for g in src.gens)]
+    images = [sys.normal_form(gmap.images[g]) for g in src.gens]
     count = 0
     for i, a in enumerate(images):
         for j in range(i + 1, src.n):

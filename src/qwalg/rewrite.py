@@ -146,8 +146,6 @@ class Element:
         return self.add(other.neg())
 
     def scale(self, coeff: Coeff) -> "Element":
-        if coeff.is_zero():
-            return Element(self.ring)
         return Element(self.ring, {w: c.mul(coeff) for w, c in self.terms.items()})
 
     def concat(self, other: "Element") -> "Element":
@@ -163,9 +161,6 @@ class Element:
             return NotImplemented
         return self.terms.keys() == other.terms.keys() and all(
             c == other.terms[w] for w, c in self.terms.items())
-
-    def __hash__(self):
-        raise TypeError("Element is not hashable")
 
     def leading_word(self) -> Word:
         return max(self.terms, key=deglex_key)
@@ -351,9 +346,10 @@ class ReductionSystem:
         return not any(pair in self._rhs for pair in zip(w, w[1:]))
 
     def normal_form(self, el: Element) -> Element:
+        """The normal form; a sum of irreducible words is its own (``_reduced``)."""
         if not self._certified:
             raise NotCertifiedError("confluence has not been certified for this system")
-        return self._reduce_terms(el.terms)
+        return self._reduced(el.terms)
 
     def format_word(self, w: Word) -> str:
         """The word as space-separated letter names."""
@@ -452,15 +448,16 @@ class ReductionSystem:
         ambiguities among them stay resolvable once rules are added
         (Bergman), so they are skipped.
 
-        On a failure every ambiguity of the full scan is reduced again,
-        since a settled overlap may reduce to non-zero on a system that is
-        not confluent: the Failing witness is the first ambiguity whose
-        sides have different normal forms, with both.
+        On a failure every ambiguity of the full scan (``_candidates`` with
+        ``full``) is reduced again, since a settled overlap may reduce to
+        non-zero on a system that is not confluent: the Failing witness is
+        the first ambiguity whose sides have different normal forms, with
+        both.
         """
         if next(self._unresolved(self._unsettled(known)), None) is None:
             self._certified = True
             return Confluent()
-        word, a, b = next(self._unresolved(self._ambiguities(0)))
+        word, a, b = next(self._unresolved(self._candidates(0, full=True)))
         return Failing(word, self._reduce_terms(a.terms), self._reduce_terms(b.terms))
 
     def _unsettled(self, known: int):
@@ -545,20 +542,23 @@ class ReductionSystem:
             total = tuple(map(add, total, d))
         return (total[0] % self.group.torsion_order, *total[1:])
 
-    def _candidates(self, known: int):
-        """The overlaps of ``_ambiguities(known)``, in its order, that have a
-        loose pair among (u, v), (v, w) and (u, w): each holds a rule from
-        ``known``, found from that rule through the loose-pair index.  A
-        twist rule u v meets v w only with v w or u w loose; a twist rule
-        v w meets u v only with u v or u w loose (both twists force
-        u > v > w, so u w is descending); a loose rule meets every rule."""
+    def _candidates(self, known: int, full: bool = False):
+        """The overlaps u v w of left sides u v (rule r1) and v w (rule r2)
+        with r1 or r2 from ``known``, as (u v w, right side of r1, of r2),
+        ordered by the index of r1, then of r2, that have a loose pair among
+        (u, v), (v, w) and (u, w), read off the loose-pair index.  A twist
+        rule u v meets v w only with v w or u w loose; a twist rule v w
+        meets u v only with u v or u w loose (both twists force u > v > w,
+        so u w is descending); a loose rule meets every rule.  ``full``
+        reads every rule as loose, which gives every such overlap: the
+        scan that the Failing witness takes."""
         rules, pos, tw = self.rules, self._pos, self._twists
         first, second = self._loose_first, self._loose_second
         none = frozenset()
         found = set()
         for k in range(known, len(rules)):
             a, b = lhs = rules[k].lhs
-            if lhs in tw:
+            if lhs in tw and not full:
                 ws = first.get(b, none) | first.get(a, none)
                 us = second.get(a, none) | second.get(b, none)
             else:
@@ -574,20 +574,6 @@ class ReductionSystem:
         for i, j in sorted(found):
             r1, r2 = rules[i], rules[j]
             yield (*r1.lhs, r2.lhs[1]), r1.rhs, r2.rhs
-
-    def _ambiguities(self, known: int):
-        """Each overlap u v w of left sides u v (rule r1) and v w (rule r2)
-        as (u v w, right side of r1, right side of r2), ordered by the index
-        of r1, then of r2; a known r1 meets only later rules."""
-        by_first: dict[int, list[tuple[int, Rule]]] = {}
-        for j, rule in enumerate(self.rules):
-            by_first.setdefault(rule.lhs[0], []).append((j, rule))
-        for i, r1 in enumerate(self.rules):
-            u, v = r1.lhs
-            start = known if i < known else 0
-            for j, r2 in by_first.get(v, ()):
-                if j >= start:
-                    yield (u, v, r2.lhs[1]), r1.rhs, r2.rhs
 
     def _one_step(self, word: Word, rhs1: Element, rhs2: Element) -> tuple[Element, Element]:
         """The one-step results rhs1 w and u rhs2 of the overlap u v w."""
@@ -817,23 +803,3 @@ class ReductionSystem:
         if c is None or c not in (one, one.neg()):
             return None
         return (0,) * (1 + self.group.rank), (c if g == hi else c.neg())
-
-
-def build_reduction_system(group: ScalarGroup, generators: list[str],
-                           relations: list[tuple[Word, Element]]) -> ReductionSystem:
-    """Public constructor for presentation-shaped systems.
-
-    ``relations`` lists (leading word (j, i) with j > i, replacement); every
-    ordered pair must appear exactly once and every replacement must be
-    strictly smaller in the deglex order.
-    """
-    n = len(generators)
-    system = ReductionSystem(group, tuple(generators),
-                             [Rule(lhs, rhs) for lhs, rhs in relations])
-    for lhs in system._rhs:
-        if not n > lhs[0] > lhs[1] >= 0:
-            raise RuleError(f"leading word {lhs} is not a descending generator pair")
-    missing = {(j, i) for j in range(n) for i in range(j)} - system._rhs.keys()
-    if missing:
-        raise RuleError(f"missing relations for pairs {sorted(missing)}")
-    return system

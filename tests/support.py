@@ -258,10 +258,26 @@ def identification_rules(s: ReductionSystem) -> list[Rule]:
 # -- references that reduce ----------------------------------------------------
 
 
+def brute_force_ambiguities(s: ReductionSystem, known: int):
+    """Every rule r2 tried at every position p of every left side l1."""
+    for i, r1 in enumerate(s.rules):
+        l1 = r1.lhs
+        for r2 in s.rules[known if i < known else 0:]:
+            l2 = r2.lhs
+            for p in range(len(l1)):
+                if (p == 0 and len(l2) >= len(l1)) or l1[p:p + len(l2)] != l2[:len(l1) - p]:
+                    continue
+                word = l1 + l2[len(l1) - p:]
+                a = Element(s.ring, {w + word[len(l1):]: c for w, c in r1.rhs.terms.items()})
+                b = Element(s.ring, {word[:p] + w + word[p + len(l2):]: c
+                                     for w, c in r2.rhs.terms.items()})
+                yield word, a, b
+
+
 def two_sided(s: ReductionSystem) -> Confluent | Failing:
     """The reference resolution: reduce both sides of every ambiguity apart
     and compare the two normal forms."""
-    for word, r1, r2 in s._ambiguities(0):
+    for word, r1, r2 in s._candidates(0, full=True):
         a, b = (s._reduce_terms(x.terms) for x in s._one_step(word, r1, r2))
         if a != b:
             return Failing(word, a, b)
@@ -281,7 +297,7 @@ def assert_matches_two_sided(s: ReductionSystem, known: int = 0):
 def unsettled_by_full_scan(s: ReductionSystem, known: int):
     """The full scan with the construction criterion and the degree
     criterion on both sides applied to every overlap."""
-    return [(w, r1, r2) for w, r1, r2 in s._ambiguities(known)
+    return [(w, r1, r2) for w, r1, r2 in s._candidates(known, full=True)
             if not (w in s._by_construction or s._graded(w, r2, True) or s._graded(w, r1, False))]
 
 
@@ -294,7 +310,7 @@ def assert_candidate_parity(s: ReductionSystem, known: int):
     assert [w for w, _, _ in got] == [w for w, _, _ in expected]
     assert all(r1 is e1 and r2 is e2 for (_, r1, r2), (_, e1, e2) in zip(got, expected))
     visited = {w for w, _, _ in s._candidates(known)}
-    for (u, v, w), _, _ in s._ambiguities(known):
+    for (u, v, w), _, _ in s._candidates(known, full=True):
         if (u, v, w) not in visited:
             assert {(u, v), (v, w), (u, w)} <= s._twists.keys()
 

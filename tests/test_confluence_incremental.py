@@ -33,10 +33,11 @@ from qwalg.rewrite import Confluent, Element, Failing, ReductionSystem, Rule, Ru
 from qwalg.scalars import ScalarGroup
 
 from support import (CORPUS, TRIANGLE, assert_candidate_parity, assert_graded_case,
-                     assert_matches_two_sided, assert_same_commutation, cli_output, corpus,
-                     corpus_bases, corpus_systems, find_graded, fresh, graded_systems, hub_presentations,
-                     identification_rules, inverted_systems, localization_chain, qweyl_algebras,
-                     qweyl_grid, record_extensions, reference_commutation, run, run_corpus)
+                     assert_matches_two_sided, assert_same_commutation, brute_force_ambiguities,
+                     cli_output, corpus, corpus_bases, corpus_systems, find_graded, fresh,
+                     graded_systems, hub_presentations, identification_rules, inverted_systems,
+                     localization_chain, qweyl_algebras, qweyl_grid, record_extensions,
+                     reference_commutation, run, run_corpus)
 
 
 @pytest.fixture
@@ -110,27 +111,11 @@ def test_witness_word_by_letter_names():
     assert ext.format_word(verdict.word) == "c b a"
 
 
-def brute_force_ambiguities(s: ReductionSystem, known: int):
-    """Every rule r2 tried at every position p of every left side l1."""
-    for i, r1 in enumerate(s.rules):
-        l1 = r1.lhs
-        for r2 in s.rules[known if i < known else 0:]:
-            l2 = r2.lhs
-            for p in range(len(l1)):
-                if (p == 0 and len(l2) >= len(l1)) or l1[p:p + len(l2)] != l2[:len(l1) - p]:
-                    continue
-                word = l1 + l2[len(l1) - p:]
-                a = Element(s.ring, {w + word[len(l1):]: c for w, c in r1.rhs.terms.items()})
-                b = Element(s.ring, {word[:p] + w + word[p + len(l2):]: c
-                                     for w, c in r2.rhs.terms.items()})
-                yield word, a, b
-
-
 def assert_same_ambiguities(s: ReductionSystem):
-    """The scan yields the brute-force words; the one-step results built
-    from its two rule right sides are the brute-force ones."""
+    """The full scan yields the brute-force words; the one-step results
+    built from its two rule right sides are the brute-force ones."""
     for known in sorted({0, 1, len(s.rules) // 2, len(s.rules)}):
-        got = [(w, *s._one_step(w, r1, r2)) for w, r1, r2 in s._ambiguities(known)]
+        got = [(w, *s._one_step(w, r1, r2)) for w, r1, r2 in s._candidates(known, full=True)]
         expected = list(brute_force_ambiguities(s, known))
         assert [w for w, _, _ in got] == [w for w, _, _ in expected]
         assert all(a == ea and b == eb for (_, a, b), (_, ea, eb) in zip(got, expected))
@@ -278,7 +263,7 @@ def settled_on(left: bool):
     """Whether the degree criterion settles some overlap on the given side
     and not on the other."""
     return lambda s: any((s._graded(w, r2, True), s._graded(w, r1, False)) == (left, not left)
-                         for w, r1, r2 in s._ambiguities(0))
+                         for w, r1, r2 in s._candidates(0, full=True))
 
 
 @pytest.mark.parametrize("verdict", (Confluent, Failing))
@@ -320,7 +305,7 @@ def test_opposite_reading_swaps_the_sides(p):
     verdict = s.check_confluence()
     assert type(op.check_confluence()) is type(verdict)
     if isinstance(verdict, Confluent):
-        for (u, v, w), r1, r2 in s._ambiguities(0):
+        for (u, v, w), r1, r2 in s._candidates(0, full=True):
             word = (n - 1 - w, n - 1 - v, n - 1 - u)
             assert s._graded((u, v, w), r2, True) == op._graded(word, op._rhs[word[:2]], False)
             assert s._graded((u, v, w), r1, False) == op._graded(word, op._rhs[word[1:]], True)
@@ -381,7 +366,7 @@ def test_identification_rule_with_z_on_the_right(e, extensions_with_known):
             z = max(w[0] for w in rule.rhs.terms if len(w) == 1)
             assert z > max(rule.lhs)
             letters = set(rule.lhs) | {h for t in rule.rhs.terms for h in t}
-            for word, r1, r2 in ext._ambiguities(0):
+            for word, r1, r2 in ext._candidates(0, full=True):
                 u = word[0]
                 if word[1:] != rule.lhs or u >= z:
                     continue
@@ -590,7 +575,7 @@ def test_mirror_triangle_twin_is_settled_without_a_reduction():
     """With c a = zeta^3 a c the degrees of a sum to 0: the overlap c b a is
     settled on the right alone, by moving a to the left."""
     s = system_from_presentation(parse_presentation(TRIANGLE.format(ca="zeta^3")))
-    [(word, r1, r2)] = list(s._ambiguities(0))
+    [(word, r1, r2)] = list(s._candidates(0, full=True))
     assert s.format_word(word) == "c b a"
     assert not s._graded(word, r2, True) and s._graded(word, r1, False)
     assert list(s._unsettled(0)) == []

@@ -231,5 +231,5 @@ def test_turned_round_overlaps_reach_both_verdicts(verdict):
     round a one-letter word of v w above u (the Z) has the verdict."""
     find_graded(lambda s: any(s._graded(w, r2, True) and any(len(t) == 1 and t[0] > w[0]
                                                              for t in r2.terms)
-                              for w, _, r2 in s._ambiguities(0)),
+                              for w, _, r2 in s._candidates(0, full=True)),
                 verdict, hows=("appended",))

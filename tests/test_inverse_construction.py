@@ -48,7 +48,7 @@ def inversions(s: ReductionSystem):
 
 def settled_by_construction(ext: ReductionSystem):
     """The overlaps of ext that the construction settles."""
-    return [(w, r1, r2) for w, r1, r2 in ext._ambiguities(0) if w in ext._by_construction]
+    return [(w, r1, r2) for w, r1, r2 in ext._candidates(0, full=True) if w in ext._by_construction]
 
 
 def assert_construction_holds(ext: ReductionSystem, known: int) -> int:
@@ -135,7 +135,7 @@ def test_inverse_pairs_twist_by_degree_zero(e):
         for (v, w), rhs in identification_rules(ext):
             letters = {v, w} | {h for t in rhs.terms for h in t}
             assert ext._word_degree(v, (w,)) is None
-            for word, r1, r2 in ext._ambiguities(0):
+            for word, r1, r2 in ext._candidates(0, full=True):
                 u = word[0]
                 if word[1:] != (v, w) or not any((u, h) in ext._inverses for h in letters):
                     continue

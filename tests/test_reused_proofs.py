@@ -35,7 +35,7 @@ def settled_identification_overlaps(ext: ReductionSystem):
     """The overlaps of ext settled by construction that hold an
     identification rule."""
     ident = {r.lhs for r in identification_rules(ext)}
-    return [(w, r1, r2) for w, r1, r2 in ext._ambiguities(0)
+    return [(w, r1, r2) for w, r1, r2 in ext._candidates(0, full=True)
             if w in ext._by_construction and (w[:2] in ident or w[1:] in ident)]
 
 

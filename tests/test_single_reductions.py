@@ -1,10 +1,11 @@
 """Work the engine does once.
 
-``adjoin_inverse`` reduces the element it adjoins once and reads the
-normality scalars off that normal form.  ``verify_homomorphism`` takes an
-image that is one word with no rule at any pair of adjacent letters as its
-own normal form, and reduces every other image and every defect that the
-twist degrees do not settle.  Both keep their certification check.
+``normal_form`` takes a sum of irreducible words as its own normal form.
+``adjoin_inverse`` reduces the element it adjoins at most once and reads
+the normality scalars off that normal form.  ``verify_homomorphism``
+reduces an image only when a rule applies to one of its words, and every
+defect that the twist degrees do not settle.  Both keep their
+certification check.
 """
 import pytest
 
@@ -12,7 +13,7 @@ from qwalg.cyclo import Coeff, CoeffRing
 from qwalg.presentation import (FailingRelation, GeneratorMap, Verified, certified_system,
                                 system_from_presentation, verify_homomorphism)
 from qwalg.qwa import parse_presentation
-from qwalg.rewrite import Element, NotCertifiedError, ReductionSystem, build_reduction_system
+from qwalg.rewrite import Element, NotCertifiedError, ReductionSystem, Rule
 from qwalg.scalars import ScalarGroup
 
 from support import count_reductions, raw_image_verify
@@ -27,8 +28,8 @@ def q_weyl():
     g = ScalarGroup(1, ("q",))
     ring = CoeffRing(g)
     q = Coeff.of_degree(ring, (0, 1))
-    rel = [((1, 0), Element(ring, {(0, 1): q, (): Coeff.one(ring)}))]
-    s = build_reduction_system(g, ["y", "x"], rel)
+    rel = [Rule((1, 0), Element(ring, {(0, 1): q, (): Coeff.one(ring)}))]
+    s = ReductionSystem(g, ("y", "x"), rel)
     z = Element(ring, {(): Coeff.one(ring), (0, 1): q.sub(Coeff.one(ring))})
     return s, z
 
@@ -45,7 +46,8 @@ def test_adjoin_inverse_reduces_the_element_once(monkeypatch):
         return real(self, terms)
     monkeypatch.setattr(ReductionSystem, "_reduce_terms", recorded)
     ext, label = s.adjoin_inverse(z, "z^-1")
-    assert sum(terms == z.terms for terms in inputs) == 1
+    # The words 1 and y x of z are irreducible: z is its own normal form.
+    assert not any(terms == z.terms for terms in inputs)
     z_letter = ext.word(label[:-3])
     for name, mu in twists.items():
         g = ext.word(name)
