@@ -2,12 +2,14 @@
 
 Matrices are plain lists of lists of Python ints and are never mutated by
 the public functions. The Smith and skew normal forms return transforms
-that re-verify them by exact multiplication, and the skew form also returns
-its transform's inverse, built operation by operation; the Hermite form
-returns H alone. Kernels (with or without congruences), lattice
-intersections and unimodular inverses are read off one Hermite form of an
-augmented matrix, except that a kernel is first tried modulo one large
-prime: full column rank there proves the kernel is 0 with no Hermite form.
+that re-verify them by exact multiplication. The skew form checks its own,
+U^T A U = C, on the strict upper triangle alone (``congruence_upper``: both
+sides are antisymmetric), and also returns its transform's inverse, built
+operation by operation; the Hermite form returns H alone. Kernels (with or
+without congruences), lattice intersections and unimodular inverses are
+read off one Hermite form of an augmented matrix, except that a kernel is
+first tried modulo one large prime: full column rank there proves the
+kernel is 0 with no Hermite form.
 """
 from __future__ import annotations
 
@@ -38,6 +40,24 @@ def matmul(a, b) -> list[list[int]]:
         raise ValueError("dimension mismatch")
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def upper(a) -> list[list[int]]:
+    """The strict upper triangle of a square matrix: row i holds a[i][j], j > i."""
+    return [list(row[i + 1:]) for i, row in enumerate(a)]
+
+
+def congruence_upper(h, s) -> list[list[int]]:
+    """The strict upper triangle of h^T * s * h, as ``upper`` lays it out.
+
+    s * h is formed once, then only the dot products of columns i < j.  For
+    an antisymmetric s the product is antisymmetric, so the triangle
+    determines it.
+    """
+    cols = transpose(h)
+    sh = list(zip(*matmul(s, h)))
+    return [[sum(map(operator.mul, cols[i], sh[j])) for j in range(i + 1, len(cols))]
+            for i in range(len(cols))]
 
 
 def det(a) -> int:
@@ -273,7 +293,10 @@ class SkewNormalForm(NamedTuple):
 
     transform U satisfies U^T * A * U = C where C is block diagonal with
     hyperbolic blocks [[0, d_i], [-d_i, 0]] followed by zeros, and the
-    divisors satisfy d_i | d_{i+1}; inverse is U^-1.
+    divisors satisfy d_i | d_{i+1}; inverse is U^-1.  ``skew_normal_form``
+    checks U^T * A * U = C entry by entry above the diagonal, which for the
+    antisymmetric A and C is the whole equation; U * U^-1 = I is not
+    re-multiplied (each operation updates both).
     """
 
     size: int
@@ -292,7 +315,7 @@ class SkewNormalForm(NamedTuple):
 def is_antisymmetric(a) -> bool:
     n = len(a)
     return all(len(row) == n for row in a) and \
-        all(a[i][j] == -a[j][i] for i in range(n) for j in range(n))
+        all(a[i][j] == -a[j][i] for i in range(n) for j in range(i, n))
 
 
 def skew_normal_form(a) -> SkewNormalForm:
@@ -397,7 +420,7 @@ def skew_normal_form(a) -> SkewNormalForm:
             raise AssertionError("divisor chain violated")
     snf = SkewNormalForm(n, tuple(divisors), tuple(tuple(r) for r in u),
                          tuple(tuple(r) for r in w))
-    if matmul(matmul(transpose(u), a), u) != snf.canonical_matrix():
+    if congruence_upper(u, a) != upper(snf.canonical_matrix()):
         raise AssertionError("transform re-multiplication failed")
     return snf
 

@@ -141,18 +141,21 @@ class Violation(NamedTuple):
 def check_morphism(src: QuantumTorus, dst: QuantumTorus, h) -> TorusMorphism | Violation:
     """Verify lambda_{i,j} = prod_{k,t} lambda'_{k,t}^(h_{k,i} h_{t,j}), that
     is S = h^T S' h for each pair of exponent matrices; else the first
-    failing pair i < j."""
+    failing pair i < j.
+
+    Both sides are antisymmetric, so only i < j is compared, and a zero S'
+    (the torsion coordinate when e = 1) pulls back to zero with no product."""
     n, np_ = src.n, dst.n
     if len(h) != np_ or any(len(row) != n for row in h):
         raise TorusError("matrix size mismatch")
     if src.group != dst.group:
         raise GroupMismatch("scalars belong to different groups")
-    ht = intlattice.transpose(h)
-    pulled = [intlattice.matmul(intlattice.matmul(ht, s), h) for s in dst.exponents]
-    coords = list(zip(pulled, src.exponents, src.moduli))
+    zero = intlattice.upper(intlattice.zeros(n, n))
+    coords = [(intlattice.congruence_upper(h, sd) if any(map(any, sd)) else zero, ss, mod)
+              for sd, ss, mod in zip(dst.exponents, src.exponents, src.moduli)]
     for i in range(n):
         for j in range(i + 1, n):
-            if any(not _congruent(p[i][j], s[i][j], mod) for p, s, mod in coords):
+            if any(not _congruent(p[i][j - i - 1], s[i][j], mod) for p, s, mod in coords):
                 return Violation(i, j)
     return TorusMorphism(src, dst, tuple(tuple(r) for r in h))
 
@@ -185,7 +188,7 @@ def uniparameter_exponents(t: QuantumTorus, name: str) -> list[list[int]] | None
 class Iso(NamedTuple):
     h: tuple[tuple[int, ...], ...]
     canonical: tuple[int, ...]
-    h_inv: tuple[tuple[int, ...], ...]  # the inverse matrix, checked the other way
+    h_inv: tuple[tuple[int, ...], ...]  # the inverse matrix, checked by h * h_inv = I
 
 
 class NotIso(NamedTuple):
@@ -202,9 +205,11 @@ def uniparameter_iso_decide(t1: QuantumTorus, t2: QuantumTorus,
     """Decide isomorphism of two tori whose weights are powers of one free q.
 
     The exponent matrices are congruent over GL_n(Z) exactly when their skew
-    normal forms agree, and a congruence witness is an isomorphism matrix;
-    the returned witness is re-verified through the weight equations both
-    ways.
+    normal forms agree, and a congruence witness is an isomorphism matrix.
+    The witness h is re-verified through the weight equations, and h_inv by
+    h * h_inv = I: this proves h unimodular, and with h^T S2 h = S1 it gives
+    h_inv^T S1 h_inv = S2 in every coordinate, so h_inv is the inverse
+    isomorphism with no second check.
     """
     s1 = uniparameter_exponents(t1, name)
     s2 = uniparameter_exponents(t2, name)
@@ -215,12 +220,11 @@ def uniparameter_iso_decide(t1: QuantumTorus, t2: QuantumTorus,
     if t1.n != t2.n or f1.divisors != f2.divisors:
         return NotIso(f1.divisors, f2.divisors)
     # With u1, u2 the transforms, u1^T s1 u1 = C = u2^T s2 u2, so
-    # h = u2 * u1^{-1} satisfies s1 = h^T s2 h, and h^{-1} = u1 * u2^{-1};
-    # both are unimodular, being products of elementary matrices.
+    # h = u2 * u1^{-1} satisfies s1 = h^T s2 h, and h^{-1} = u1 * u2^{-1}.
     fwd = check_morphism(t1, t2, intlattice.matmul(f2.transform, f1.inverse))
     if isinstance(fwd, Violation):
         raise AssertionError("congruence witness failed the weight equations")
-    back = check_morphism(t2, t1, intlattice.matmul(f1.transform, f2.inverse))
-    if isinstance(back, Violation):
-        raise AssertionError("inverse witness failed the weight equations")
-    return Iso(fwd.h, f1.divisors, back.h)
+    h_inv = intlattice.matmul(f1.transform, f2.inverse)
+    if intlattice.matmul(fwd.h, h_inv) != intlattice.identity(t1.n):
+        raise AssertionError("inverse witness is not the inverse of h")
+    return Iso(fwd.h, f1.divisors, tuple(tuple(r) for r in h_inv))

@@ -391,6 +391,15 @@ def random_unimodular(n, rng, steps=8):
     return u
 
 
+def full_congruence(h, s) -> list[list[int]]:
+    """h^T * s * h by its defining sums over plain ints: every entry, the
+    diagonal and lower triangle too, with no intlattice product.  The
+    reference for ``il.congruence_upper`` and the checks built on it."""
+    rows, cols = range(len(h)), range(len(h[0]))
+    return [[sum(h[k][i] * s[k][t] * h[t][j] for k in rows for t in rows) for j in cols]
+            for i in cols]
+
+
 def random_antisymmetric(n, rng, bound=4):
     a = il.zeros(n, n)
     for i in range(n):

@@ -173,6 +173,27 @@ def test_torus_iso(capsys):
     assert machine_block(out)["verdict"] == "iso"
 
 
+def test_torus_iso_not_applicable(tmp_path):
+    """The +-1 torus over { root zeta : 2 ; free q } has a torsion weight, so
+    it is not one-parameter in q: a verdict, exit 0, with its block frozen."""
+    path = tmp_path / "minus1.qwa"
+    path.write_text("scalars { root zeta : 2 ; free q }\ngenerators y1, y2\n"
+                    "relations {\n  y1 y2 = -1 * y2 y1\n}\n")
+    argv = ["torus", "iso", str(path), str(path), "--param", "q"]
+    detail = "a torus is not uniparameter in the given symbol"
+    rc, out, err = cli_output(argv)
+    assert (rc, err) == (0, "")
+    assert out.split("---\n")[1] == (
+        f"command=torus.iso\nfile_a={path}\nfile_b={path}\nparam=q\n"
+        f"verdict=not_applicable\ndetail={detail}\nsemantics=generic-parameters\n")
+    rc, out, err = cli_output(argv + ["--json"])
+    assert (rc, err) == (0, "")
+    assert out == (
+        f'{{"command": "torus.iso", "file_a": "{path}", "file_b": "{path}", '
+        f'"param": "q", "verdict": "not_applicable", "detail": "{detail}", '
+        f'"semantics": "generic-parameters"}}\n')
+
+
 def test_torus_morphism(capsys):
     rc = main(["torus", "morphism", corpus("torus_d2.qwa"), corpus("torus_q2.qwa"),
                "--matrix", "[[2,0],[0,1]]"])
@@ -251,6 +272,29 @@ relations {
     assert main(["embed", "verify", str(src), str(target), str(bad)]) == 1
     block = machine_block(capsys.readouterr().out)
     assert (block["verified"], block["failing_pair"]) == ("false", "(y1,y2)")
+
+
+def test_embed_verify_inverts_target_generators(tmp_path):
+    """--invert adjoins y1^-1 to the quantum plane before the map is read:
+    a -> y1^-1, b -> y2 carries a b = q^-1 b a and fails a b = q b a."""
+    plane = corpus("quantum_plane.qwa")
+    mp = tmp_path / "inv.map"
+    mp.write_text("map {\n  a -> y1^-1\n  b -> y2\n}\n")
+    src, bad = tmp_path / "src.qwa", tmp_path / "bad.qwa"
+    for path, power in ((src, "q^-1"), (bad, "q")):
+        path.write_text(f"scalars {{ free q }}\ngenerators a, b\n"
+                        f"relations {{\n  a b = {power} * b a\n}}\n")
+    rc, out, err = cli_output(["embed", "verify", str(src), plane, str(mp), "--invert", "y1"])
+    assert (rc, err) == (0, "")
+    assert machine_block(out)["verified"] == "true"
+    rc, out, err = cli_output(["embed", "verify", str(bad), plane, str(mp), "--invert", "y1"])
+    assert (rc, err) == (1, "")
+    block = machine_block(out)
+    assert (block["verified"], block["failing_pair"]) == ("false", "(a,b)")
+    rc, out, err = cli_output(["embed", "verify", str(src), plane, str(mp),
+                               "--invert", "bogus"])
+    assert (rc, out) == (2, "")
+    assert err == "error: unknown generator 'bogus'\n"
 
 
 def test_equiv_command(capsys):

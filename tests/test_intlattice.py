@@ -6,7 +6,7 @@ import pytest
 
 from qwalg import intlattice as il
 
-from support import lattice_member, random_antisymmetric, random_unimodular
+from support import full_congruence, lattice_member, random_antisymmetric, random_unimodular
 
 
 def reference_hermite(a):
@@ -342,10 +342,27 @@ def test_determinant_equal_to_the_prime_takes_the_exact_route(n):
     assert il.kernel_with_torsion(a, [[1] * n], 3, n) == []
 
 
+def test_congruence_upper_is_the_triangle_of_the_full_product():
+    """On antisymmetric s and h of any shape (zero rows and columns among
+    them), the half product is the strict upper triangle of h^T s h, and
+    that product is antisymmetric, so the triangle determines it."""
+    rng = random.Random(53)
+    for _ in range(150):
+        r, c = rng.randrange(1, 8), rng.randrange(1, 8)
+        s = random_antisymmetric(r, rng, bound=rng.choice([1, 5, 10 ** 6]))
+        h = [[rng.randrange(-3, 4) for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.2:
+            h[rng.randrange(r)] = [0] * c
+        full = full_congruence(h, s)
+        assert il.congruence_upper(h, s) == il.upper(full)
+        assert full == [[-x for x in row] for row in il.transpose(full)]
+
+
 def test_skew_transform_times_inverse_is_identity():
     """The tracked inverse on 200 antisymmetric matrices up to 12 x 12,
     with zero blocks (whole zero rows and columns, and a zero leading
-    block) among them."""
+    block) among them; the transform also satisfies the full U^T A U = C,
+    diagonal and lower triangle included, by the plain-int product."""
     rng = random.Random(41)
     for k in range(200):
         n = rng.randrange(1, 13)
@@ -357,5 +374,6 @@ def test_skew_transform_times_inverse_is_identity():
             a[0][1] = a[1][0] = 0
         f = il.skew_normal_form(a)
         u, w = [list(r) for r in f.transform], [list(r) for r in f.inverse]
+        assert full_congruence(u, a) == f.canonical_matrix(), a
         assert il.matmul(u, w) == il.identity(n) == il.matmul(w, u), a
         assert w == il.matinv_unimodular(u), a

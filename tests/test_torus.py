@@ -12,7 +12,8 @@ from qwalg.torus import (Iso, NotApplicable, NotIso, QuantumTorus, TorusError,
                          TorusMorphism, Violation, central_lattice, check_morphism, compose,
                          is_isomorphism, is_simple, uniparameter_exponents,
                          uniparameter_iso_decide)
-from support import corpus, lattice_member, random_antisymmetric, random_unimodular
+from support import (corpus, full_congruence, lattice_member, random_antisymmetric,
+                     random_unimodular)
 
 
 def is_central(t, alpha):
@@ -303,8 +304,8 @@ def test_iso_decide_random_congruence(grp):
 
 def test_iso_witness_equals_the_unimodular_inverse_route(grp):
     """On congruent pairs, the witness h = u2 * u1^-1 and the h^-1 = u1 * u2^-1
-    of the back check, built from the tracked inverses, equal the products
-    through matinv_unimodular, and h carries t1 onto t2."""
+    that h * h^-1 = I checks, built from the tracked inverses, equal the
+    products through matinv_unimodular, and h carries t1 onto t2."""
     rng = random.Random(47)
     for _ in range(40):
         n = rng.randrange(1, 8)
@@ -317,6 +318,30 @@ def test_iso_witness_equals_the_unimodular_inverse_route(grp):
         assert [list(r) for r in res.h] == h
         assert [list(r) for r in res.h_inv] == il.matinv_unimodular(h)
         assert il.matmul(il.matmul(il.transpose(h), s2), h) == s
+
+
+def test_iso_refuses_an_inverse_that_is_not_the_inverse_of_h(grp, monkeypatch):
+    """h * h_inv = I is the only check of h_inv.  A tracked inverse of the
+    second skew form moved by a shear leaves h right but h_inv wrong, and
+    on the 2 x 2 torus h_inv still satisfies the weight equations, since
+    every g in SL_2(Z) has g^T S g = S; the product refuses it."""
+    t = uni(grp, [[0, 1], [-1, 0]])
+    real = il.skew_normal_form
+    calls = []
+
+    def second_inverse_sheared(a):
+        f = real(a)
+        calls.append(a)
+        if len(calls) == 2:
+            w = [list(r) for r in f.inverse]
+            w[0] = [x + y for x, y in zip(w[0], w[1])]
+            f = f._replace(inverse=tuple(map(tuple, w)))
+        return f
+
+    monkeypatch.setattr(il, "skew_normal_form", second_inverse_sheared)
+    with pytest.raises(AssertionError, match="not the inverse"):
+        uniparameter_iso_decide(t, t, "q")
+    assert len(calls) == 2
 
 
 def test_corpus_isos_carry_the_inverse_of_their_witness():
@@ -369,6 +394,75 @@ def test_check_morphism_matches_scalar_products():
                 assert out == expected
                 violations += 1
     assert morphisms > 150 and violations > 50
+
+
+def torus_of_exponents(g, exps):
+    """The torus whose weight at (i, j) has torsion exps[0][i][j] (mod e) and
+    free part exps[1:][.][i][j]."""
+    n = len(exps[0])
+    return QuantumTorus(g, [[g.scalar(exps[0][i][j], tuple(s[i][j] for s in exps[1:]))
+                             for j in range(n)] for i in range(n)])
+
+
+def full_product_violation(src, dst, h):
+    """The first failing pair of S = h^T S' h, read off the full product of
+    every coordinate (the one mod 1 and the zero ones too) in row-major
+    order; else None.  Both sides are antisymmetric, so the first failing
+    entry lies above the diagonal."""
+    pulled = [full_congruence(h, s) for s in dst.exponents]
+    for i in range(src.n):
+        for j in range(src.n):
+            for p, s, mod in zip(pulled, src.exponents, src.moduli):
+                if (p[i][j] - s[i][j]) % mod if mod else p[i][j] != s[i][j]:
+                    assert i < j
+                    return Violation(i, j)
+    return None
+
+
+def test_check_morphism_matches_the_full_product():
+    """check_morphism compares only i < j and pulls a zero S' (the torsion
+    coordinate when e = 1 among them) back with no product.  On drawn tori
+    over Z/e x Z^m, e in {1, 2, 6} and m in {1, 2}, with zero coordinates,
+    non-square h and one entry of the exact pull-back moved (in any
+    coordinate, the zero ones among them), it gives the verdict and first
+    failing pair of the full product."""
+    rng = random.Random(57)
+    seen = {"morphism": 0, "violation": 0, "torsion": 0, "zero": 0}
+    for _ in range(300):
+        e, m = rng.choice((1, 2, 6)), rng.choice((1, 2))
+        g = ScalarGroup(e, ("p", "q")[:m], "zeta" if e > 1 else None)
+        n, np_ = rng.randrange(1, 6), rng.randrange(1, 6)
+        dst_exps = [random_antisymmetric(np_, rng, bound=3) if rng.random() < 0.7
+                    else il.zeros(np_, np_) for _ in range(1 + m)]
+        dst = torus_of_exponents(g, dst_exps)
+        h = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(np_)]
+        src_exps = [full_congruence(h, s) for s in dst.exponents]
+        if n > 1 and rng.random() < 0.6:
+            k = rng.randrange(1 + m) if e > 1 else rng.randrange(1, 1 + m)
+            i, j = sorted(rng.sample(range(n), 2))
+            delta = rng.randrange(1, e) if k == 0 else rng.choice((-1, 1))
+            src_exps[k][i][j] += delta
+            src_exps[k][j][i] -= delta
+            seen["torsion"] += k == 0
+            seen["zero"] += not any(map(any, dst.exponents[k]))
+        src = torus_of_exponents(g, src_exps)
+        out = check_morphism(src, dst, h)
+        expected = full_product_violation(src, dst, h)
+        if expected is None:
+            assert out == TorusMorphism(src, dst, tuple(tuple(r) for r in h))
+            seen["morphism"] += 1
+        else:
+            assert out == expected, (src_exps, dst_exps, h)
+            seen["violation"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_check_morphism_into_the_torus_on_no_generators(grp):
+    """The empty h sends every y_i to a scalar, so it is a morphism exactly
+    when every weight of the source is 1."""
+    point = uni(grp, [])
+    assert isinstance(check_morphism(uni(grp, il.zeros(2, 2)), point, []), TorusMorphism)
+    assert check_morphism(uni(grp, [[0, 1], [-1, 0]]), point, []) == Violation(0, 1)
 
 
 def test_check_morphism_size_and_group_mismatch(grp):
