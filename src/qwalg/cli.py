@@ -6,9 +6,10 @@ Exit codes: 0 for a computed verdict, 1 for the negative verdict of a
 command that declares one (an inadmissible presentation under ``check``, a
 map failing a relation under ``embed verify``), 2 for any input or
 processing error.  ``COMMANDS`` declares each command's files, options and
-exit codes; the parser and the dispatcher both read it.  The parser is built
-per call and holds only the arguments of the command that argv names; when
-argv starts with that name, it holds no other command.
+exit codes; the parsers and the dispatcher all read it.  Parsers are built
+per call and kept by nothing: an argv that starts with a command is read by
+that command's parser alone when it can be (see ``_parse``), and any other
+argv by the parser of every command.
 """
 from __future__ import annotations
 
@@ -378,42 +379,53 @@ TAKES = {top: [o for o in OPTIONS if any(o in COMMANDS[n].options for n in SUBS[
          for top in HELP}
 
 
-def _parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of ``argv``.  When argv starts with a top-level command,
-    only that command is registered: argparse reads no other, and only the
-    top-level help and the invalid-choice error list the others, neither of
-    which can come up then; ``metavar`` keeps the usage line.  Otherwise
-    every top-level command is registered with all its arguments and
-    argparse's own metavar, which the invalid-choice error names as
-    ``cmd``."""
-    lean = bool(argv) and argv[0] in SUBS
+def _arguments(sp: argparse.ArgumentParser, top: str) -> argparse.ArgumentParser:
+    """``sp`` with the arguments of the top-level command ``top``."""
+    names = SUBS[top]
+    if names != [top]:
+        sp.add_argument("sub", choices=[n.split()[1] for n in names])
+        sp.add_argument("files", nargs="+")
+    elif len(COMMANDS[top].files) == 1:
+        sp.add_argument("file")
+    else:
+        sp.add_argument("files", nargs=len(COMMANDS[top].files))
+    for opt in TAKES[top]:
+        sp.add_argument(f"--{opt}", **OPTIONS[opt])
+    sp.add_argument("--json", action="store_true",
+                    help="print the machine block as JSON only")
+    return sp
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of ``argv``, as the parser of every command reads them.
+    That parser hands everything after a leading command to the command's
+    parser, ``qwalg <cmd>``; on its own it fails only on arguments the
+    command's parser leaves over, or on one starting with ``--=``, which is
+    ambiguous among the root's options before the hand-over.  So a command
+    argv with neither is read by the command's parser alone, and any other
+    argv by the parser of every command, which prints its own usage and
+    error."""
+    if argv and argv[0] in SUBS and not any(a.startswith("--=") for a in argv):
+        args, rest = _arguments(argparse.ArgumentParser(prog=f"qwalg {argv[0]}"),
+                                argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.cmd = argv[0]
+            return args
     parser = argparse.ArgumentParser(
         prog="qwalg",
         description="Exact classification toolkit for mixed classical/quantum "
                     "polynomial algebras")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="cmd", required=True,
-                                metavar="{" + ",".join(SUBS) + "}" if lean else None)
-    for top in [argv[0]] if lean else SUBS:
-        sp = sub.add_parser(top, help=HELP[top])
-        names = SUBS[top]
-        if names != [top]:
-            sp.add_argument("sub", choices=[n.split()[1] for n in names])
-            sp.add_argument("files", nargs="+")
-        elif len(COMMANDS[top].files) == 1:
-            sp.add_argument("file")
-        else:
-            sp.add_argument("files", nargs=len(COMMANDS[top].files))
-        for opt in TAKES[top]:
-            sp.add_argument(f"--{opt}", **OPTIONS[opt])
-        sp.add_argument("--json", action="store_true",
-                        help="print the machine block as JSON only")
-    return parser
+    # The prog that argparse would otherwise derive by formatting the usage.
+    sub = parser.add_subparsers(dest="cmd", required=True, prog="qwalg")
+    for top in SUBS:
+        _arguments(sub.add_parser(top, help=HELP[top]), top)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parser(argv).parse_args(argv)
+    args = _parse(argv)
     name = f"{args.cmd} {args.sub}" if "sub" in args else args.cmd
     cmd = COMMANDS[name]
     try:

@@ -355,7 +355,8 @@ class Coeff:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coeff):
             return NotImplemented
-        if self.den == other.den:
+        # Every coefficient without a denominator shares _NO_DEN.
+        if self.den is other.den or self.den == other.den:
             return self.num == other.num
         return (_times_atoms(self.ring, self.num, other.den)
                 == _times_atoms(self.ring, other.num, self.den))
@@ -383,7 +384,7 @@ class Coeff:
 
     def add(self, other: "Coeff") -> "Coeff":
         ring = self.ring
-        if self.den == other.den:
+        if self.den is other.den or self.den == other.den:
             num = lp_add(self.num, other.num)
             return self._with(num, self.den) if num else Coeff.zero(ring)
         union = self.den | other.den

@@ -89,9 +89,6 @@ class CanonicalMixedAlgebra:
         return (self.group, self.n, self.r, self.lam) == \
             (other.group, other.n, other.r, other.lam)
 
-    def __repr__(self):
-        return f"CanonicalMixedAlgebra(n={self.n}, r={self.r})"
-
 
 class MixedWeylField:
     """Fraction field data (m, n, t, qbar): m Weyl pairs, n quantum planes with
@@ -111,25 +108,6 @@ class MixedWeylField:
         self.n = n
         self.t = t
         self.qs = qs
-
-    def to_presentation(self) -> Presentation:
-        names = []
-        for i in range(self.m):
-            names += [f"x{i+1}", f"y{i+1}"]
-        for k in range(self.n):
-            names += [f"u{k+1}", f"v{k+1}"]
-        for p in range(self.t):
-            names.append(f"z{p+1}")
-        items = []
-        for i in range(self.m):
-            items.append((2 * i, 2 * i + 1, Additive(1)))
-        base = 2 * self.m
-        for k in range(self.n):
-            items.append((base + 2 * k, base + 2 * k + 1, Multiplicative(self.qs[k])))
-        return Presentation.build(self.group, tuple(names), items)
-
-    def __repr__(self):
-        return f"MixedWeylField(m={self.m}, n={self.n}, t={self.t})"
 
 
 # ---------------------------------------------------------------------------

@@ -164,15 +164,6 @@ class Scalar(Frozen):
     def inv(self) -> "Scalar":
         return self.pow(-1)
 
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return self.mul(other)
-
-    def __pow__(self, k: int) -> "Scalar":
-        return self.pow(k)
-
-    def __str__(self) -> str:
-        return format_scalar(self)
-
 
 def format_scalar(s: Scalar) -> str:
     """Render a scalar in the product-of-powers literal syntax."""

@@ -87,8 +87,8 @@ def cli_output(argv) -> tuple[int, str, str]:
 
 def reference_parser() -> argparse.ArgumentParser:
     """The CLI parser with every command and all of its arguments, built
-    from the command table: the parser whose output, for any argv, the
-    parser ``cli._parser`` builds for that argv must give."""
+    from the command table with argparse's defaults: its output, for any
+    argv, is what ``cli._parse`` must give."""
     parser = argparse.ArgumentParser(
         prog="qwalg",
         description="Exact classification toolkit for mixed classical/quantum "
@@ -111,14 +111,14 @@ def reference_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_output(parser: argparse.ArgumentParser, argv) -> tuple:
+def parse_output(parse, argv) -> tuple:
     """The exit code (None when parsing succeeds), stdout, stderr and
-    namespace (None on an exit) of ``parser.parse_args(argv)``."""
+    namespace (None on an exit) of ``parse(argv)``."""
     out, err = io.StringIO(), io.StringIO()
     rc = ns = None
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            ns = vars(parser.parse_args(argv))
+            ns = vars(parse(argv))
         except SystemExit as exc:
             rc = exc.code
     return rc, out.getvalue(), err.getvalue(), ns

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import random
@@ -7,13 +8,14 @@ import shlex
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 import qwalg
 from qwalg import intlattice
-from qwalg.cli import COMMANDS, OPTIONS, SUBS, _parser, main
+from qwalg.cli import COMMANDS, OPTIONS, SUBS, _parse, main
 from qwalg.qwa import format_presentation, parse_presentation
 
 from support import CORPUS, cli_output, corpus, parse_output, reference_parser
@@ -533,25 +535,69 @@ def test_argparse_output_is_pinned(monkeypatch, shape):
 
 @pytest.mark.parametrize("shape", ARGPARSE["shapes"], ids=SHAPE_IDS)
 def test_parser_of_argv_matches_the_full_parser(monkeypatch, shape):
-    """On any Python: the parser built for an argv and the parser holding
-    every command and argument give the same exit code, output and
-    namespace on each pinned shape."""
+    """On any Python: ``cli._parse`` and the parser holding every command and
+    argument give the same exit code, output and namespace on each pinned
+    shape."""
     monkeypatch.setenv("COLUMNS", "80")
     argv = shape["argv"]
-    assert parse_output(_parser(argv), argv) == parse_output(reference_parser(), argv)
+    assert parse_output(_parse, argv) == parse_output(reference_parser().parse_args, argv)
 
 
-PARSER_CHOICES = ([([top], [top]) for top in SUBS] + [(["torus", "center", "f"], ["torus"])]
-                  + [(argv, list(SUBS)) for argv in (["-h", "check"], ["bogus"], [])])
+# Words an argv is drawn from: every command and subcommand, options and
+# their prefixes, option-like words with "=", "--" and "-".
+ARGV_WORDS = (list(SUBS) + sorted({n.split()[-1] for n in COMMANDS})
+              + ["bogus", "s22q.qwa", "q", "[[1]]", "-1", "", "a b"]
+              + [f"--{o}" for o in [*OPTIONS, "json", "help", "version"]]
+              + ["--js", "--par", "--m", "--emit", "--vers", "--he", "-h", "-hx", "-x",
+                 "-j", "--bogus", "--", "-", "---", "--=", "--=x", "-=x", "--json=1",
+                 "--param=q", "--par=q", "-h=1", "--help=1"])
 
 
-@pytest.mark.parametrize("argv,choices", PARSER_CHOICES,
-                         ids=[" ".join(argv) or "(none)" for argv, _ in PARSER_CHOICES])
-def test_parser_registers_only_the_command_argv_starts_with(argv, choices):
-    """The saving itself: argv starting with a command builds that command's
-    parser alone; any other argv registers all of them."""
-    sub, = [a for a in _parser(argv)._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == choices
+def test_parse_matches_the_full_parser_on_drawn_argv(monkeypatch):
+    """On any Python, ``cli._parse`` reads 500 seeded argv of up to six
+    words, four in five starting with a command, as the full parser does."""
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(32)
+    for _ in range(500):
+        argv = [rng.choice(ARGV_WORDS) for _ in range(rng.randint(0, 6))]
+        if argv and rng.random() < 0.8:
+            argv[0] = rng.choice(list(SUBS))
+        assert (parse_output(_parse, argv)
+                == parse_output(reference_parser().parse_args, argv)), argv
+
+
+# (argv, ArgumentParser objects built): one for an argv that starts with a
+# command, whose parser settles it alone (also by an error of its own), and
+# the full parser, the root and one per command, for any other argv, after
+# the command's parser when that one leaves arguments over.
+FULL = 1 + len(SUBS)
+PARSERS_BUILT = ([([top], 1) for top in SUBS]
+                 + [(["torus", "center", "f"], 1), (["check", "f", "--json"], 1)]
+                 + [(argv, FULL) for argv in (["-h", "check"], ["bogus"], [],
+                                              ["check", "--=x", "f"])]
+                 + [(["check", "f", "extra"], 1 + FULL)])
+
+
+@pytest.mark.parametrize("argv,built", PARSERS_BUILT,
+                         ids=[" ".join(argv) or "(none)" for argv, _ in PARSERS_BUILT])
+def test_parser_registers_only_the_command_argv_starts_with(monkeypatch, argv, built):
+    """The saving itself, counted in ``ArgumentParser`` constructions: an argv
+    that starts with a command builds that command's parser and no
+    subparsers action.  No parser outlives the call."""
+    made, actions = [], []
+    for cls, log in ((argparse.ArgumentParser, made), (argparse._SubParsersAction, actions)):
+        def counting(self, *args, _init=cls.__init__, _log=log, **kwargs):
+            _log.append(weakref.ref(self))
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    try:
+        _parse(argv)
+    except SystemExit:
+        pass
+    assert len(made) == built
+    assert len(actions) == (built >= FULL)
+    gc.collect()
+    assert not [ref for ref in made + actions if ref() is not None]
 
 
 def _readme_commands() -> dict:
