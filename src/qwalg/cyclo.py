@@ -138,7 +138,9 @@ class CoeffRing:
     def _init(self, group: ScalarGroup):
         self.group = group
         self.e = group.torsion_order
-        if self.e * _totient(self.e) > MAX_ROOT_TABLE:
+        # phi(e) >= 1, so e alone past the bound refuses before the totient's
+        # trial division, which takes sqrt(e) steps on a prime e.
+        if self.e > MAX_ROOT_TABLE or self.e * _totient(self.e) > MAX_ROOT_TABLE:
             raise ValueError(f"root order {self.e} is too large: its table of "
                              f"roots would need e * phi(e) > {MAX_ROOT_TABLE} entries")
         self.m = group.rank
@@ -174,9 +176,9 @@ class CoeffRing:
 
     def cy_inv(self, a: list) -> list:
         """Inverse in Q(zeta_e) of the dense coordinates a, by the extended
-        Euclidean algorithm; integral coordinates come back as ints."""
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero")
+        Euclidean algorithm; integral coordinates come back as ints.  a is
+        not zero: its one caller passes the leading field part of a non-zero
+        numerator."""
         # Invariant: s_i * a = r_i modulo Phi_e.  All Fractions, so no
         # division below meets two ints.
         r0, r1 = [Fraction(c) for c in self.phi_poly], [Fraction(c) for c in a]

@@ -162,8 +162,6 @@ def reduce_to_canonical(p: Presentation) -> tuple[CanonicalMixedAlgebra, Reducti
         nonlocal work
         if isinstance(op, Scale) and op.factor == 1:
             return
-        if isinstance(op, AddMultiple) and op.coeff == 0:
-            return
         work = apply_certificate(work, [op])
         ops.append(op)
 
@@ -351,7 +349,7 @@ class Equivalent(NamedTuple):
 
 
 class NotEquivalent(NamedTuple):
-    reason: str                # NEQ_GK | NEQ_WSUPDEG | NEQ_G | NEQ_TORUS | NEQ_E
+    reason: str                # NEQ_GK | NEQ_WSUPDEG | NEQ_G | NEQ_TORUS
     detail: str = ""
 
 
@@ -480,15 +478,15 @@ def _pigne_map(src: CanonicalMixedAlgebra, dst: CanonicalMixedAlgebra, h, hinv):
 
 def cross_equivalence_necessary(a: CanonicalMixedAlgebra, d: MixedWeylField):
     """Necessary separations between a canonical mixed algebra and a mixed
-    Weyl field: generator count, Weyl degree, the trace invariants E and G."""
+    Weyl field: generator count, Weyl degree and the trace invariant G.  The
+    trace invariant E (k exactly when there is a Weyl pair) needs no check
+    of its own: equal Weyl degrees give equal pair counts, so equal E."""
     gka = a.n + a.r
     gkd = 2 * d.m + 2 * d.n + d.t
     if gka != gkd:
         return NotEquivalent("NEQ_GK", f"gk {gka} vs {gkd}")
     if 2 * a.r != 2 * d.m:
         return NotEquivalent("NEQ_WSUPDEG", f"w-supdeg {2 * a.r} vs {2 * d.m}")
-    if (a.r >= 1) != (d.m >= 1):
-        return NotEquivalent("NEQ_E", "one side has Weyl pairs, the other does not")
     ga = g_invariant(a)
     gd = subgroup_canonical_form(d.group, list(d.qs))
     if ga != gd:

@@ -111,11 +111,6 @@ class ScalarGroup(Frozen):
             raise ValueError("group has no root of unity")
         return self.scalar(torsion=power)
 
-    def minus_one(self) -> "Scalar":
-        if self.torsion_order % 2 != 0:
-            raise ValueError("-1 requires an even torsion order")
-        return self.scalar(torsion=self.torsion_order // 2)
-
     def free_gen(self, name: str, power: int = 1) -> "Scalar":
         if name not in self.free_index:
             raise ValueError(f"{name!r} is not a free symbol of the scalar group")

@@ -37,7 +37,7 @@ def _ok(num, text):
 
 def relation_choices(group):
     q = group.free_gen("q")
-    m = group.minus_one()
+    m = group.scalar(torsion=group.torsion_order // 2)
     return ([Additive(w) for w in (-1, 0, 1, 2)]
             + [Multiplicative(s) for s in (q, q.inv(), q.pow(2), m)])
 
@@ -79,7 +79,7 @@ def test_criterion_1_admissibility_equals_confluence():
 def test_criterion_2_reduction_certificates():
     group = ScalarGroup(2, ("q",), "zeta")
     q = group.free_gen("q")
-    weights = [group.one(), q, q.inv(), q.pow(2), group.minus_one()]
+    weights = [group.one(), q, q.inv(), q.pow(2), group.scalar(torsion=1)]
     rng = random.Random(202)
     done = 0
     while done < 100:
@@ -179,7 +179,7 @@ def test_criterion_4_torus_simplicity():
     # the root-of-unity block example
     g2 = ScalarGroup(2, ("q",), "zeta")
     q = g2.free_gen("q")
-    m = g2.minus_one()
+    m = g2.scalar(torsion=1)
     one = g2.one()
     lam = [[one, q, one, one], [q.inv(), one, one, one],
            [one, one, one, m], [one, one, m, one]]
@@ -188,8 +188,8 @@ def test_criterion_4_torus_simplicity():
     assert is_simple(QuantumTorus(group, [[group.one(), group.free_gen("q")],
                                           [group.free_gen("q").inv(), group.one()]]))
     gm = ScalarGroup(2, (), "zeta")
-    assert not is_simple(QuantumTorus(gm, [[gm.one(), gm.minus_one()],
-                                           [gm.minus_one(), gm.one()]]))
+    assert not is_simple(QuantumTorus(gm, [[gm.one(), gm.scalar(torsion=1)],
+                                           [gm.scalar(torsion=1), gm.one()]]))
     _ok(4, f"kernel verdicts match bounded enumeration on {tori} uniparameter "
            f"tori (n <= 4, exponents in -2..2); block example has central "
            f"rank 2")
@@ -328,7 +328,7 @@ def test_criterion_7_reported_values():
                 assert inv.w_infdeg == inv.w_supdeg == 2 * m
                 assert inv.center_rank == t
     g2 = ScalarGroup(2, (), "zeta")
-    droot = MixedWeylField(g2, 1, 1, 1, (g2.minus_one(),))
+    droot = MixedWeylField(g2, 1, 1, 1, (g2.scalar(torsion=1),))
     assert mixed_weyl_invariants(droot).center_rank == 2  # torsion plane + central
     # the six-dimensional pair separated only by the Weyl degree
     f = MixedWeylField(group, 1, 2, 0, (q, q))

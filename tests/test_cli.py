@@ -96,6 +96,19 @@ def test_huge_root_order_fails_fast(tmp_path, capsys):
     assert main(["torus", "simple", str(f)]) == 0  # no coefficient ring needed
 
 
+def test_prime_root_order_past_the_table_bound_fails_fast(tmp_path):
+    """A prime e past the bound is refused before phi(e) is computed, whose
+    trial division would take sqrt(e) steps."""
+    f = tmp_path / "huge.qwa"
+    f.write_text("scalars { root z : 1000000000000000003 }\ngenerators a, b\n"
+                 "relations {\n  a b = z * b a\n}\n")
+    start = time.perf_counter()
+    assert cli_output(["check", str(f)]) == (
+        2, "", "error: root order 1000000000000000003 is too large: its table of "
+               "roots would need e * phi(e) > 400000 entries\n")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_reduce_triangle(capsys, tmp_path):
     out_path = tmp_path / "canon.qwa"
     rc = main(["reduce", corpus("weyl_triangle.qwa"), "--emit-qwa", str(out_path)])
@@ -206,6 +219,16 @@ def test_torus_morphism(capsys):
     assert block["isomorphism"] == "false"
 
 
+def test_torus_morphism_violation_names_its_pair():
+    a, b = corpus("torus_q2.qwa"), corpus("torus_d2.qwa")
+    assert cli_output(["torus", "morphism", "--matrix", "[[1,0],[0,1]]", a, b]) == (0, (
+        "matrix violates the weight equations at pair (1,2)\n"
+        "note: verdicts are relative to the declared scalar group: free symbols "
+        "are taken multiplicatively independent\n"
+        f"---\ncommand=torus.morphism\nfile_a={a}\nfile_b={b}\nmatrix=[[1,0],[0,1]]\n"
+        "verdict=violation\nat=(1,2)\nsemantics=generic-parameters\n"), "")
+
+
 def test_qweyl_commands(capsys):
     assert main(["qweyl", "localize", corpus("qweyl_a2.qwa")]) == 0
     block = machine_block(capsys.readouterr().out)
@@ -310,6 +333,125 @@ def test_equiv_command(capsys):
     block = machine_block(capsys.readouterr().out)
     assert block["verdict"] == "equivalent"
     assert block["reason"] == "EQ_SEMICLASSICAL"
+
+
+QWEYL2 = "qweyl {\n  n = 2\n  q = (q, q)\n  Lambda = [[1, 1], [1, 1]]\n}\n"
+# (file text, error message): refusals of a .qwa file that no other test
+# triggers through the CLI.
+REFUSED_FILES = [
+    ("generators a, b\nrelations\n", "line 2: expected '{' after 'relations'"),
+    ("scalars { root z : 2 ; root w : 3 }\ngenerators a\n",
+     "line 1: only one root of unity may be declared"),
+    ("scalars { root z : 0 }\ngenerators a\n", "line 1: root order must be >= 1"),
+    ("scalars { fre q }\ngenerators a\n", "line 1: bad scalars clause 'fre q'"),
+    ("scalars {\n  root q : 2\n  free q\n}\ngenerators a\n",
+     "line 1: scalar symbol names must be distinct"),
+    ("relations {\n  a b = b a + 1\n}\n", "line 1: relations block without a generators line"),
+    ("# a comment\nscalars { free q }\n",
+     "line 1: file declares neither generators nor a qweyl block"),
+    ("scalars { free q }\n" + QWEYL2.replace("(q, q)", "(q, )"), "line 4: empty scalar literal"),
+    ("scalars { free q }\n" + QWEYL2.replace("n = 2", "m = 2"),
+     "line 3: bad qweyl clause 'm = 2'"),
+    ("scalars { free q }\n" + QWEYL2.replace("n = 2", "n = 0"), "line 3: bad qweyl size '0'"),
+    ("scalars { free q }\n" + QWEYL2.replace("(q, q)", "q, q"),
+     "line 4: q list must be parenthesized"),
+    ("scalars { free q }\n" + QWEYL2.replace("[[1, 1], [1, 1]]", "[[1]]"),
+     "line 5: Lambda must be 2 x 2"),
+    ("scalars { free q }\n" + QWEYL2.replace("[[1, 1], [1, 1]]", "1"),
+     "line 5: matrix literal must be bracketed"),
+    ("scalars { free q }\n" + QWEYL2.replace("[[1, 1], [1, 1]]", "[[1, 1], 1]"),
+     "line 5: bad matrix row '[1, 1], 1'"),
+]
+
+
+@pytest.mark.parametrize("text,error", REFUSED_FILES, ids=[e for _, e in REFUSED_FILES])
+def test_refused_file_is_exit_2_with_its_line(tmp_path, text, error):
+    f = tmp_path / "bad.qwa"
+    f.write_text(text)
+    assert cli_output(["check", str(f)]) == (2, "", f"error: {error}\n")
+
+
+def test_embed_verify_refuses_a_map_file_without_a_map_block(tmp_path):
+    empty = tmp_path / "empty.map"
+    empty.write_text("# no map here\n")
+    assert cli_output(["embed", "verify", corpus("weyl_a1.qwa"), corpus("weyl_a1.qwa"),
+                       str(empty)]) == (2, "", "error: line 1: expected map { ... }\n")
+
+
+def test_embed_verify_refuses_a_target_with_no_ordered_basis(tmp_path):
+    bad = tmp_path / "bad.qwa"
+    bad.write_text("scalars { free q }\ngenerators a, b, c\nrelations {\n"
+                   "  a b = b a + 1\n  a c = q * c a\n  b c = q * c b\n}\n")
+    mp = tmp_path / "id.map"
+    mp.write_text("map { a -> a ; b -> b ; c -> c }\n")
+    assert cli_output(["embed", "verify", str(bad), str(bad), str(mp)]) == (
+        2, "", "error: presentation has no ordered-monomial basis; ambiguity at word c b a\n")
+
+
+def test_torus_morphism_zero_matrix_is_no_isomorphism(tmp_path):
+    """The zero matrix maps a commutative torus to itself; its determinant
+    is 0, found at the first column with no pivot."""
+    f = tmp_path / "comm2.qwa"
+    f.write_text("generators y1, y2\n")
+    rc, out, err = cli_output(["torus", "morphism", "--matrix", "[[0,0],[0,0]]", str(f), str(f)])
+    assert (rc, err) == (0, "")
+    assert machine_block(out) == {"command": "torus.morphism", "file_a": str(f),
+                                  "file_b": str(f), "matrix": "[[0,0],[0,0]]",
+                                  "verdict": "morphism", "isomorphism": "false",
+                                  "semantics": "generic-parameters"}
+
+
+PLANE4 = """\
+scalars { free q }
+generators y1, y2, y3, y4
+relations {
+  y1 y2 = q * y2 y1
+}
+"""
+
+# The canonical algebra with n = r = 2 and lambda_12 = q p: uniparameter in
+# neither symbol, with a simple torus.
+SEMICLASSICAL_QP = """\
+scalars { free q, p }
+generators y1, y2, x1, x2
+relations {
+  y1 y2 = q * p * y2 y1
+  x1 y1 = y1 x1 + 1
+  y2 x1 = q * p * x1 y2
+  x1 x2 = q * p * x2 x1
+  x2 y2 = y2 x2 + 1
+  y1 x2 = q^-1 * p^-1 * x2 y1
+}
+"""
+
+
+@pytest.mark.parametrize("files,options,detail", [
+    (("quantum_plane.qwa", "quantum_plane.qwa"), ["--matrix", "[[1,0],[0,1]]"],
+     "tori isomorphic; sufficiency is open for n > r"),
+    (("plane4.qwa", "planes4.qwa"), [],
+     "tori not isomorphic but not simple; no verdict"),
+    (("semiclassical_qp.qwa", "semiclassical_qp.qwa"), [],
+     "semiclassical with simple tori: equivalent exactly when the tori are "
+     "isomorphic; supply a matrix to decide"),
+], ids=["supplied-h-n>r", "not-iso-not-simple", "semiclassical-simple"])
+def test_equiv_inconclusive_verdicts(tmp_path, files, options, detail):
+    """The default output of each open case of ``equiv``, byte for byte."""
+    (tmp_path / "plane4.qwa").write_text(PLANE4)
+    (tmp_path / "planes4.qwa").write_text(PLANE4[:-2] + "  y3 y4 = q * y4 y3\n}\n")
+    (tmp_path / "semiclassical_qp.qwa").write_text(SEMICLASSICAL_QP)
+    a, b = (str(tmp_path / f) if (tmp_path / f).exists() else corpus(f) for f in files)
+    assert cli_output(["equiv", *options, a, b]) == (0, (
+        f"inconclusive: {detail}\n"
+        "note: verdicts are relative to the declared scalar group: free symbols "
+        "are taken multiplicatively independent\n"
+        f"---\ncommand=equiv\nfile_a={a}\nfile_b={b}\n"
+        "verdict=inconclusive\nreason=INCONCLUSIVE\nsemantics=generic-parameters\n"), "")
+
+
+def test_equiv_refuses_a_matrix_that_is_no_torus_isomorphism():
+    weyl = corpus("weyl_a1.qwa")
+    assert cli_output(["equiv", "--matrix", "[[2]]", weyl, weyl]) == (
+        2, "", "error: supplied matrix is not a torus isomorphism\n")
 
 
 PARAM_COMMANDS = [["torus", "iso", corpus("torus_q2.qwa"), corpus("torus_q2.qwa")],

@@ -156,9 +156,9 @@ def test_one_pass_matches_two_sided_on_corpus():
 def relation_choices(group):
     """Weights and scalars of a pair, or "w" for [g_i, g_j] = g_j (the
     Eulerian relation counted by the pair's first generator)."""
-    q = group.free_gen("q")
+    q, minus_one = group.free_gen("q"), group.scalar(torsion=group.torsion_order // 2)
     return ([Additive(w) for w in (-1, 0, 1, 2)]
-            + [Multiplicative(s) for s in (q, q.inv(), q.pow(2), group.minus_one())]
+            + [Multiplicative(s) for s in (q, q.inv(), q.pow(2), minus_one)]
             + ["w"])
 
 

@@ -141,3 +141,24 @@ def test_zero_and_equality_cross_denominators():
     b = q.add(Coeff.one(ring))                         # q + 1
     assert a == b
     assert a.sub(b).is_zero()
+
+
+def test_equality_across_different_denominators():
+    """1/(q-1) and (q+1)/(q^2-1) keep distinct atoms as denominators, so
+    equality cross-multiplies; so does the inequality with the second plus 1."""
+    g = ScalarGroup(1, ("q",))
+    ring = CoeffRing(g)
+    one = Coeff.one(ring)
+    q = Coeff.of_degree(ring, g.free_gen("q").degree())
+    a = q.sub(one).inv()
+    b = q.add(one).mul(q.mul(q).sub(one).inv())
+    assert len(a.den) == len(b.den) == 1 and a.den != b.den
+    assert a == b and b == a
+    c = b.add(one)
+    assert c.den == b.den
+    assert a != c and c != a
+
+
+def test_a_coefficient_equals_no_other_type():
+    ring = CoeffRing(ScalarGroup())
+    assert Coeff.one(ring) != 1 and not Coeff.one(ring) == 1

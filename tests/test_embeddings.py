@@ -55,6 +55,9 @@ def test_corrupted_map_fails_on_quantum_pair():
     assert isinstance(res, FailingRelation)
     assert res.pair == ("y1", "y2")
     assert not res.defect.is_zero()
+    with pytest.raises(presentation.VerificationError,
+                       match=r"^map failed verification: FailingRelation\(pair=\('y1', 'y2'\)"):
+        presentation.verified(gmap, "map")
 
 
 MAP_ERRORS = [
@@ -292,3 +295,18 @@ def test_reduced_images_match_raw_on_localizations(e, verified_maps):
             localize_to_mixed(a)
     assert verified_maps
     assert assert_reduced_images_match_raw(verified_maps) > 0
+
+
+def test_refusals():
+    g = ScalarGroup()
+    with pytest.raises(ValueError, match="^no Weyl pairs to witness$"):
+        weyl_lower_bound_witness(CanonicalMixedAlgebra(g, 1, 0, [[g.one()]]))
+    sys = certified_system(parse_presentation("generators a, b\n"))
+    src = parse_presentation("generators a\n")
+    two = Coeff.from_rational(sys.ring, 2)
+    for image, message in [(sys.word("a").add(sys.word("b")),
+                             "only single-word images are serializable"),
+                            (sys.word("a").scale(two), "image prefactor is not a scalar")]:
+        with pytest.raises(ValueError) as err:
+            format_generator_map(GeneratorMap(src, sys, {"a": image}))
+        assert str(err.value) == message

@@ -377,3 +377,20 @@ def test_skew_transform_times_inverse_is_identity():
         assert full_congruence(u, a) == f.canonical_matrix(), a
         assert il.matmul(u, w) == il.identity(n) == il.matmul(w, u), a
         assert w == il.matinv_unimodular(u), a
+
+
+def test_refusals_of_malformed_matrices():
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        il.matmul([[1, 2]], [[1, 2]])
+    with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+        il.det([[1, 2]])
+    with pytest.raises(ValueError, match="^modulus must be >= 1$"):
+        il.kernel_with_torsion([[1]], [], 0, 1)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        il.kernel_with_torsion([[1, 2]], [], 1, 3)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        il.lattice_intersect([[1, 2]], [[1]], 2)
+
+
+def test_det_of_the_empty_matrix_is_one():
+    assert il.det([]) == 1

@@ -177,7 +177,7 @@ def test_mixed_weyl_invariants_edge_cases(grp):
     inv = mixed_weyl_invariants(MixedWeylField(grp, 0, 0, 2, ()))
     assert (inv.gk_trdeg, inv.w_infdeg, inv.w_supdeg, inv.center_rank) == (2, 0, 0, 2)
     g2 = ScalarGroup(2, (), "zeta")
-    inv2 = mixed_weyl_invariants(MixedWeylField(g2, 0, 1, 0, (g2.minus_one(),)))
+    inv2 = mixed_weyl_invariants(MixedWeylField(g2, 0, 1, 0, (g2.scalar(torsion=1),)))
     assert inv2.center_rank == 1  # -1 is pure torsion
 
 
@@ -317,3 +317,17 @@ def test_center_sublattice_matches_lattice_intersection():
         assert center == (il.lattice_intersect(full, coord, n) if coord else [])
         nonzero += bool(center) and len(center) < len(full)
     assert nonzero > 10
+
+
+def test_refusals_of_malformed_algebras_and_fields():
+    g, gp = ScalarGroup(1, ("q",)), ScalarGroup(1, ("p",))
+    with pytest.raises(ValueError, match=r"^need n >= 1 and 0 <= r <= n$"):
+        CanonicalMixedAlgebra(g, 1, 2, [[g.one()]])
+    with pytest.raises(ValueError, match="^inconsistent mixed Weyl data$"):
+        MixedWeylField(g, 0, 1, 0, ())
+    with pytest.raises(ValueError, match="^plane weight outside the declared group$"):
+        MixedWeylField(g, 0, 1, 0, (gp.free_gen("p"),))
+    a, b = (CanonicalMixedAlgebra(h, 1, 0, [[h.one()]]) for h in (g, gp))
+    with pytest.raises(ValueError, match="^algebras must share a scalar group$"):
+        equivalence_decide(a, b)
+    assert a != "y1"

@@ -214,3 +214,52 @@ def test_eulerian_item_counts_with_its_first_index(grp):
     sys = certified_system(Presentation.build(grp, gens, [(2, 0, Eulerian(2))]))
     comm = sys.multiply(sys.word("z"), sys.word("x")).sub(sys.multiply(sys.word("x"), sys.word("z")))
     assert comm == sys.word("x")
+
+
+def test_build_refusals():
+    g = ScalarGroup(1, ("q",))
+    p_weight = Multiplicative(ScalarGroup(1, ("p",)).free_gen("p"))
+    for gens, items, message in [
+            (("a", "a"), [], "duplicate generator names"),
+            (("a", "b"), [(0, 0, Additive(1))], "self-relation on generator 'a'"),
+            (("a", "b"), [(0, 1, Additive(1)), (1, 0, Additive(2))],
+             "duplicate relation for pair (a, b)"),
+            (("a", "b"), [(0, 1, p_weight)], "weight scalar outside the declared group"),
+            (("a", "b"), [(0, 1, 1)], "unknown relation kind 1")]:
+        with pytest.raises(PresentationError) as err:
+            Presentation.build(g, gens, items)
+        assert str(err.value) == message
+
+
+def test_accessors_on_a_weyl_pair():
+    p = Presentation.build(ScalarGroup(), ("x", "y"), [(0, 1, Additive(1))])
+    with pytest.raises(PresentationError, match="^no self-relations$"):
+        p.rel(0, 0)
+    assert p.quantum_weight(0, 1) is None
+    assert p != "x"
+
+
+def test_subpresentation_keeps_the_counting_generator():
+    g = ScalarGroup()
+    p = Presentation.build(g, ("w", "y"), [(0, 1, Eulerian(0))])
+    assert subpresentation(p, ["w", "y"]) == p
+    assert subpresentation(p, ["y", "w"]) == Presentation.build(g, ("y", "w"),
+                                                                [(1, 0, Eulerian(1))])
+
+
+def test_apply_op_refusals():
+    p = parse_presentation(S22_TEXT)  # x1 x2 = q x2 x1: a quantum pair
+    for op, message in [(Permute((0, 0, 1, 2)), "permutation is not a bijection"),
+                        (Scale(0, Fraction(0)), "zero scale factor"),
+                        (AddMultiple(0, 0, 1), "cannot add a generator to itself"),
+                        (("bogus",), "unknown operation ('bogus',)")]:
+        with pytest.raises(OpError) as err:
+            apply_op(p, op)
+        assert str(err.value) == message
+    # A zero multiple changes nothing, even of a quantum pair.
+    assert apply_op(p, AddMultiple(0, 2, 0)) is p
+    with pytest.raises(OpError):
+        apply_op(p, AddMultiple(0, 2, 1))
+    eulerian = Presentation.build(ScalarGroup(), ("w", "y"), [(0, 1, Eulerian(0))])
+    with pytest.raises(EulerianNotSupported, match="^generator changes operate on"):
+        apply_op(eulerian, Permute((1, 0)))

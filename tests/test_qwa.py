@@ -129,7 +129,7 @@ def test_scalar_literal():
     s = parse_scalar_literal(g, "zeta^2 * q^-1 * p^3")
     assert s.torsion == 2 and s.free == (-1, 3)
     assert parse_scalar_literal(g, "1").is_one()
-    assert parse_scalar_literal(g, "-1") == g.minus_one()
+    assert parse_scalar_literal(g, "-1") == g.scalar(torsion=2)
     with pytest.raises(ParseError):
         parse_scalar_literal(ScalarGroup(3, (), "w"), "-1")
 
@@ -140,7 +140,7 @@ def test_minus_one_requires_even_order():
         parse_presentation(text)  # no scalars block: torsion order 1
     ok = "scalars { root zeta : 2 }\n" + text
     p = parse_presentation(ok)
-    assert p.rels[(0, 1)] == Multiplicative(p.group.minus_one())
+    assert p.rels[(0, 1)] == Multiplicative(p.group.scalar(torsion=1))
 
 
 def test_roundtrip_fixed_point():
@@ -234,3 +234,10 @@ def test_format_parse_round_trip(p):
     doc = parse_document(format_presentation(p))
     assert doc.group == p.group
     assert doc.presentation == p
+
+
+def test_torsion_without_a_root_symbol_is_not_printed():
+    g = ScalarGroup(4)
+    p = Presentation.build(g, ("a", "b"), [(0, 1, Multiplicative(g.scalar(1)))])
+    with pytest.raises(ValueError, match="^cannot print a torsion group without a named root$"):
+        format_presentation(p)

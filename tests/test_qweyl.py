@@ -148,7 +148,7 @@ def test_qweyl_invariants(grp):
 
 def test_qweyl_invariants_root_of_unity_gate():
     g = ScalarGroup(2, (), "zeta")
-    a = QuantumWeylAlgebra(g, 1, (g.minus_one(),), [[g.one()]])
+    a = QuantumWeylAlgebra(g, 1, (g.scalar(torsion=1),), [[g.one()]])
     assert qweyl_invariants(a).center_trivial is None
 
 
@@ -209,3 +209,11 @@ def test_system_is_built_on_first_use(monkeypatch):
     assert rc == 0
     assert "verified=true" in out.splitlines()
     assert len(built) == 1 and built[0].certified
+
+
+def test_constructor_refusals():
+    g = ScalarGroup(1, ("q",))
+    with pytest.raises(ValueError, match="^need n >= 1$"):
+        QuantumWeylAlgebra(g, 0, (), [])
+    with pytest.raises(ValueError, match="^need one quantization parameter per index$"):
+        QuantumWeylAlgebra(g, 1, (), [[g.one()]])

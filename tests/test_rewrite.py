@@ -368,3 +368,22 @@ def test_inverting_twice_is_refused():
     for name in ("z", "z^-1"):
         with pytest.raises(InverseError, match="already inverted"):
             loc.invert_generator(name)
+
+
+def test_inversion_refusals():
+    p = parse_presentation("scalars { free q }\ngenerators y1, y2\n"
+                           "relations {\n  y1 y2 = q * y2 y1\n}\n")
+    with pytest.raises(NotCertifiedError):
+        system_from_presentation(p).invert_generator("y1")
+    s = certified_system(p)
+    with pytest.raises(NotNormalError, match="^inverse of a scaled generator"):
+        s.adjoin_inverse(s.word("y1").scale(Coeff.from_rational(s.ring, 2)), "z^-1")
+    # b a -> 2 a b: the pair is neither a scalar twist nor counts a.
+    g = ScalarGroup()
+    ring = CoeffRing(g)
+    two_ab = Element(ring, {(0, 1): Coeff.from_rational(ring, 2)})
+    s = ReductionSystem(g, ("a", "b"), [Rule((1, 0), two_ab)])
+    assert isinstance(s.check_confluence(), Confluent)
+    with pytest.raises(NotNormalError,
+                       match="^cannot invert 'a': relation with 'b' is not a twist$"):
+        s.invert_generator("a")

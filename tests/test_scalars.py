@@ -17,7 +17,7 @@ def rnd_scalar(group, rng):
 
 def test_minus_one_squares_to_one():
     g = ScalarGroup(2, (), "zeta")
-    m = g.minus_one()
+    m = g.scalar(torsion=1)
     assert m.mul(m).is_one()
 
 
@@ -157,7 +157,7 @@ def test_subgroup_gcd():
 
 def test_subgroup_minus_one_and_q():
     g = ScalarGroup(2, ("q",), "zeta")
-    d = subgroup_canonical_form(g, [g.minus_one(), g.free_gen("q")])
+    d = subgroup_canonical_form(g, [g.scalar(torsion=1), g.free_gen("q")])
     assert d.torsion_order == 2
     assert d.free_basis == ((1,),)
     assert not d.is_trivial()
@@ -221,3 +221,14 @@ def test_format_scalar():
     assert format_scalar(g.one()) == "1"
     assert format_scalar(g.root(2)) == "-1"
     assert format_scalar(g.root().mul(g.free_gen("q", -2))) == "zeta * q^-2"
+
+
+def test_refusals_and_foreign_comparisons():
+    g = ScalarGroup(4, ("q",))  # torsion with no root symbol
+    with pytest.raises(ValueError, match="^group has torsion but no declared root symbol$"):
+        format_scalar(g.scalar(1))
+    with pytest.raises(GroupMismatch, match="^generator outside the declared group$"):
+        subgroup_canonical_form(g, [ScalarGroup(4, ("p",)).free_gen("p")])
+    with pytest.raises(AttributeError, match="^cannot delete field 'torsion'$"):
+        del g.one().torsion
+    assert not g == "g" and g != "g"

@@ -170,7 +170,7 @@ def test_commutative_torus_full_center(grp):
 
 def test_minus_one_torus():
     g = ScalarGroup(2, (), "zeta")
-    m = g.minus_one()
+    m = g.scalar(torsion=1)
     t = QuantumTorus(g, [[g.one(), m], [m, g.one()]])
     basis = central_lattice(t)
     assert not is_simple(t)
@@ -184,7 +184,7 @@ def test_counterexample_block_torus():
     # two coordinates
     g = ScalarGroup(2, ("q",), "zeta")
     q = g.free_gen("q")
-    m = g.minus_one()
+    m = g.scalar(torsion=1)
     one = g.one()
     lam = [[one, q, one, one],
            [q.inv(), one, one, one],
@@ -260,7 +260,7 @@ def test_uniparameter_exponents(grp):
     t2 = QuantumTorus(grp, [[one, q.pow(2)], [q.pow(-2), one]])
     assert uniparameter_exponents(t2, "q") == [[0, 2], [-2, 0]]
     g2 = ScalarGroup(2, ("q",), "zeta")
-    m = g2.minus_one()
+    m = g2.scalar(torsion=1)
     t3 = QuantumTorus(g2, [[g2.one(), m], [m, g2.one()]])
     assert uniparameter_exponents(t3, "q") is None
 
@@ -281,7 +281,7 @@ def test_iso_decide_divisors_differ(grp):
 
 def test_iso_decide_not_applicable():
     g = ScalarGroup(2, ("q",), "zeta")
-    m = g.minus_one()
+    m = g.scalar(torsion=1)
     t = QuantumTorus(g, [[g.one(), m], [m, g.one()]])
     assert isinstance(uniparameter_iso_decide(t, t, "q"), NotApplicable)
 
@@ -501,3 +501,18 @@ def test_uniparameter_exponents_with_torsion():
             assert (s is not None) == exact
             if s is not None:
                 assert QuantumTorus.uniparameter(g, name, s) == t
+
+
+def test_refusals_and_foreign_comparisons():
+    g, gp = ScalarGroup(1, ("q",)), ScalarGroup(1, ("p",))
+    one = g.one()
+    with pytest.raises(TorusError, match="^weight matrix must be square$"):
+        QuantumTorus(g, [[one, one]])
+    with pytest.raises(TorusError, match="^weight outside the declared group$"):
+        QuantumTorus(g, [[gp.one()]])
+    t1 = QuantumTorus(g, [[one]])
+    t2 = QuantumTorus.uniparameter(g, "q", [[0, 1], [-1, 0]])
+    assert t1 != "t1"
+    f, h = (check_morphism(t, t, il.identity(t.n)) for t in (t2, t1))
+    with pytest.raises(TorusError, match="^morphisms are not composable$"):
+        compose(f, h)
