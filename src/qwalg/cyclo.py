@@ -327,6 +327,12 @@ class Coeff:
         self.num = num
         self.den = den if num and den else _NO_DEN
 
+    def __repr__(self):
+        # Atoms by their polynomials, not by their ids: the ids depend on
+        # what the ring interned earlier.
+        den = sorted((lp_key(self.ring.atoms[a][0]), k) for a, k in self.den.items())
+        return f"Coeff({dict(lp_key(self.num))!r}, den={[(dict(p), k) for p, k in den]!r})"
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod

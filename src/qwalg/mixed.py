@@ -43,22 +43,11 @@ class CanonicalMixedAlgebra:
     def __init__(self, group: ScalarGroup, n: int, r: int, lam):
         if n < 1 or not (0 <= r <= n):
             raise ValueError("need n >= 1 and 0 <= r <= n")
-        self.group = group
-        self.n = n
-        self.r = r
-        self.lam = tuple(tuple(row) for row in lam)
-        if len(self.lam) != n or any(len(row) != n for row in self.lam):
+        self._torus = QuantumTorus(group, lam)
+        if self._torus.n != n:
             raise ValueError(f"Lambda must be {n} x {n}")
-        self._torus = QuantumTorus(group, self.lam)  # validates
-
-    @staticmethod
-    def of_torus(t: QuantumTorus, r: int) -> "CanonicalMixedAlgebra":
-        """The algebra with r Weyl pairs over a torus whose weights are
-        antisymmetric by construction: the torus is not checked again."""
-        a = CanonicalMixedAlgebra.__new__(CanonicalMixedAlgebra)
-        a.group, a.n, a.r, a._torus = t.group, t.n, r, t
-        a.lam = tuple(map(tuple, t.lam))
-        return a
+        self.group, self.n, self.r = group, n, r
+        self.lam = tuple(map(tuple, self._torus.lam))
 
     def torus(self) -> QuantumTorus:
         return self._torus

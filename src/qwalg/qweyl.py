@@ -37,13 +37,11 @@ class QuantumWeylAlgebra:
             raise ValueError("need one quantization parameter per index")
         if any(q.group != group for q in qs):
             raise ValueError("quantization parameter outside the declared group")
-        self.lam = tuple(tuple(row) for row in lam)
-        if len(self.lam) != n or any(len(row) != n for row in self.lam):
+        self._torus = QuantumTorus(group, lam)
+        if self._torus.n != n:
             raise ValueError(f"Lambda must be {n} x {n}")
-        self.group = group
-        self.n = n
-        self.qs = qs
-        QuantumTorus(group, self.lam)  # antisymmetry check
+        self.group, self.n, self.qs = group, n, qs
+        self.lam = tuple(map(tuple, self._torus.lam))
         self._system: ReductionSystem | None = None  # built by the first system()
 
     @staticmethod
@@ -107,9 +105,7 @@ def localized_lambda(a: QuantumWeylAlgebra) -> CanonicalMixedAlgebra:
     In the block order (z'-block, y-block) the weight matrix is
     [[1, M], [M', Lambda]] with M carrying q_{i_k} against y_{i_k} and M'
     its inverse transposed pattern; a final permutation lists the r
-    Weyl-paired y's first, then the z'-block, then the quantum y's.  The
-    block matrix is antisymmetric because Lambda is, which the constructor
-    checked, so its torus is not checked again.
+    Weyl-paired y's first, then the z'-block, then the quantum y's.
     """
     jj, ii = a.weyl_indices, a.quantum_indices
     nz, one = len(ii), a.group.one()
@@ -118,7 +114,7 @@ def localized_lambda(a: QuantumWeylAlgebra) -> CanonicalMixedAlgebra:
         lam[k][nz + i], lam[nz + i][k] = a.qs[i], a.qs[i].inv()
     perm = [nz + j for j in jj] + list(range(nz)) + [nz + i for i in ii]
     plam = [[lam[i][j] for j in perm] for i in perm]
-    return CanonicalMixedAlgebra.of_torus(QuantumTorus.of_weights(a.group, plam), len(jj))
+    return CanonicalMixedAlgebra(a.group, nz + a.n, len(jj), plam)
 
 
 class LocalizationResult(NamedTuple):

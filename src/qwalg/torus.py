@@ -22,19 +22,15 @@ def _congruent(a: int, b: int, mod: int) -> bool:
     return (a - b) % mod == 0 if mod else a == b
 
 
-def _exponents(group: ScalarGroup, lam) -> list:
-    """The exponent matrices of a weight matrix: torsion, then each free symbol."""
-    return [[[s.torsion for s in row] for row in lam]] + [
-        [[s.free[c] for s in row] for row in lam] for c in range(group.rank)]
-
-
 class QuantumTorus:
     """Laurent algebra on n generators with y_i y_j = lambda_{i,j} y_j y_i.
 
     A torus is its exponent matrices: ``exponents`` holds the torsion
     exponents of lambda (in [0, e)), then one matrix per free symbol, and
     ``moduli`` the matching modulus (e, then 0 for exact).  The constructor
-    checks a user matrix of scalars; ``lam`` is derived on first use."""
+    is the one check of a matrix of scalars: row by row, the diagonal, then
+    each pair (i, j) with j > i, as (j, i) with j < i was met on row j.
+    ``lam`` is derived on first use."""
 
     def __init__(self, group: ScalarGroup, lam: list[list[Scalar]]):
         n = len(lam)
@@ -44,13 +40,14 @@ class QuantumTorus:
             if any(s.group != group for s in row):
                 raise TorusError("weight outside the declared group")
         self.group, self.n, self._lam = group, n, [list(row) for row in lam]
-        self.exponents = _exponents(group, lam)
+        self.exponents = [[[s.torsion for s in row] for row in lam]] + [
+            [[s.free[c] for s in row] for row in lam] for c in range(group.rank)]
         coords = list(zip(self.exponents, self.moduli))
         for i in range(n):
             if any(s[i][i] for s in self.exponents):
                 raise TorusError("diagonal weights must be 1")
             if any(not _congruent(s[i][j], -s[j][i], mod)
-                   for s, mod in coords for j in range(n)):
+                   for s, mod in coords for j in range(i + 1, n)):
                 raise TorusError("weight matrix is not multiplicatively antisymmetric")
 
     @property
@@ -61,14 +58,6 @@ class QuantumTorus:
     def uniparameter(group: ScalarGroup, name: str, exponents) -> "QuantumTorus":
         return QuantumTorus(group, [[group.free_gen(name, k) for k in row]
                                     for row in exponents])
-
-    @staticmethod
-    def of_weights(group: ScalarGroup, lam: list[list[Scalar]]) -> "QuantumTorus":
-        """The torus of a square matrix of weights in ``group`` that is
-        antisymmetric by construction: unchecked."""
-        t = QuantumTorus.__new__(QuantumTorus)
-        t.group, t.n, t._lam, t.exponents = group, len(lam), lam, _exponents(group, lam)
-        return t
 
     @staticmethod
     def from_presentation(p: Presentation) -> "QuantumTorus":
@@ -166,8 +155,8 @@ def compose(f: TorusMorphism, g: TorusMorphism) -> TorusMorphism:
         raise TorusError("morphisms are not composable")
     h = intlattice.matmul(f.h, g.h)
     out = check_morphism(g.src, f.dst, h)
-    if isinstance(out, Violation):
-        raise AssertionError("composite of valid morphisms violated the equations")
+    if isinstance(out, Violation):  # nothing checks a TorusMorphism built by hand
+        raise TorusError("composite violates the weight equations: a factor is not a morphism")
     return out
 
 

@@ -162,3 +162,18 @@ def test_equality_across_different_denominators():
 def test_a_coefficient_equals_no_other_type():
     ring = CoeffRing(ScalarGroup())
     assert Coeff.one(ring) != 1 and not Coeff.one(ring) == 1
+
+
+def test_repr_reads_atoms_by_their_polynomials():
+    """Two rings that intern q - 1 and q + 1 in opposite orders give the two
+    atoms opposite ids, and print the same coefficient alike, numerator and
+    denominator atoms as sorted polynomials."""
+    reprs = []
+    for name, signs in (("repr_s", (-1, 1)), ("repr_t", (1, -1))):
+        ring = CoeffRing(ScalarGroup(1, (name,)))
+        one, q = Coeff.one(ring), Coeff.of_degree(ring, (0, 1))
+        inverses = [q.add(Coeff.from_rational(ring, s)).inv() for s in signs]
+        assert [next(iter(c.den)) for c in inverses] == [0, 1]
+        reprs.append(repr(inverses[0].mul(inverses[1]).mul(q.add(q).add(one))))
+    assert reprs[0] == reprs[1] == ("Coeff({(0, 0): 1, (1, 0): 2}, "
+                                    "den=[({(0, 0): -1, (1, 0): 1}, 1), ({(0, 0): 1, (1, 0): 1}, 1)])")

@@ -13,6 +13,7 @@ from qwalg.presentation import (Additive, Eulerian, Multiplicative, Presentation
                                 check_admissible, weyl_matrix)
 from qwalg.qwa import parse_presentation
 from qwalg.scalars import ScalarGroup
+from qwalg.torus import TorusError
 
 from support import scramble
 
@@ -107,12 +108,15 @@ def test_reduce_random_scrambles(grp):
 def test_a_lambda_that_is_not_n_by_n_is_refused(grp):
     """n = 2 with a 1 x 1 Lambda (whose presentation would index past it)
     and n = 1 with a 2 x 2 one (whose invariants would be those of a
-    two-generator torus) are refused, as ``QuantumWeylAlgebra`` refuses them."""
+    two-generator torus) are refused, as ``QuantumWeylAlgebra`` refuses them.
+    Lambda is checked as a torus first, so a ragged one is not square."""
     one = grp.one()
     with pytest.raises(ValueError, match=r"^Lambda must be 2 x 2$"):
         CanonicalMixedAlgebra(grp, 2, 1, [[one]])
     with pytest.raises(ValueError, match=r"^Lambda must be 1 x 1$"):
         CanonicalMixedAlgebra(grp, 1, 1, s22(grp).lam)
+    with pytest.raises(TorusError, match=r"^weight matrix must be square$"):
+        CanonicalMixedAlgebra(grp, 2, 1, [[one, one], [one]])
 
 
 def test_eulerian_presentation_shapes(grp):

@@ -9,7 +9,7 @@ from qwalg.qweyl import (QuantumWeylAlgebra, localize_to_mixed, localized_lambda
 from qwalg.rewrite import ReductionSystem
 from qwalg.scalars import ScalarGroup
 
-from support import cli_output, corpus, run
+from support import cli_output, corpus, qweyl_grid, run
 
 
 @pytest.fixture
@@ -40,8 +40,8 @@ def test_rule_count_n2(grp):
 def test_parameters_outside_the_group_and_a_wrongly_shaped_lambda_are_refused(grp):
     """n = 2 with a 3 x 3 Lambda, n = 3 with a 2 x 2 one, a q_i from another
     group and a Lambda that is not antisymmetric, refused before any system
-    is built.  The localization's block matrix is not checked again, so this
-    is the check that refuses such a Lambda."""
+    is built.  The Lambda checks are those of the algebra's ``QuantumTorus``,
+    which also checks the localization's block matrix."""
     q, p = grp.free_gen("q"), ScalarGroup(1, ("p",)).free_gen("p")
     lam2, lam3 = qweyl(grp, (1, 1)).lam, qweyl(grp, (1, 1, 1)).lam
     skew = qweyl(grp, (1, 1), 1).lam
@@ -108,6 +108,28 @@ def test_localize_block_formula(grp):
     assert c.lam[0][2] == l              # y_1 vs y_2
     assert c.lam[1][2] == q              # z'_2 vs y_2
     assert localized_lambda(a).lam == c.lam
+
+
+def test_localized_lambda_is_the_block_matrix_over_the_grid():
+    """In the canonical order (Weyl-paired y's, the z' chain, quantum y's),
+    y_i y_j carries lambda_{i,j}, z'_i y_i carries q_i, y_i z'_i its inverse,
+    and every other pair 1; the torus holds the exponents of those weights."""
+    for e in (1, 4):
+        for n in range(2, 6):
+            for a in qweyl_grid(e, n):
+                c = localized_lambda(a)
+                order = [("y", j) for j in a.weyl_indices] + \
+                    [(kind, i) for kind in "zy" for i in a.quantum_indices]
+                one = a.group.one()
+                weight = {("y", "y"): lambda i, j: a.lam[i][j],
+                          ("z", "z"): lambda i, j: one,
+                          ("z", "y"): lambda i, j: a.qs[i] if i == j else one,
+                          ("y", "z"): lambda i, j: a.qs[i].inv() if i == j else one}
+                lam = [[weight[u, v](i, j) for v, j in order] for u, i in order]
+                assert (c.n, c.r) == (len(order), len(a.weyl_indices))
+                assert c.lam == tuple(map(tuple, lam))
+                assert c.torus().exponents == [[[w.torsion for w in row] for row in lam]] + [
+                    [[w.free[k] for w in row] for row in lam] for k in range(a.group.rank)]
 
 
 def test_localize_purely_quantum(grp):

@@ -87,6 +87,55 @@ def test_validation(grp):
         QuantumTorus(grp, [[q]])  # diagonal not 1
 
 
+def pairwise_refusal(lam):
+    """The definition, row by row: a diagonal weight other than 1, then a
+    pair (i, j), for any j, with lambda_{i,j} lambda_{j,i} != 1; else None."""
+    for i, row in enumerate(lam):
+        if not row[i].is_one():
+            return "diagonal weights must be 1"
+        if any(not w.mul(lam[j][i]).is_one() for j, w in enumerate(row)):
+            return "weight matrix is not multiplicatively antisymmetric"
+    return None
+
+
+def test_constructor_check_matches_the_pairwise_definition():
+    """Drawn antisymmetric matrices with up to two entries redrawn.  Torsion
+    e/2 is drawn often: off the diagonal zeta^(e/2) zeta^(e/2) = 1 passes,
+    on it zeta^(e/2) is refused although 2 (e/2) = 0 mod e."""
+    rng = random.Random(34)
+    seen = {"accepted": 0, "half off the diagonal": 0, "half on the diagonal": 0}
+    for e in (1, 2, 4, 5, 6):
+        for rank in range(3):
+            g = ScalarGroup(e, ("p", "q")[:rank], "zeta" if e > 1 else None)
+            half = g.scalar(e // 2)
+
+            def weight():
+                t = rng.choice((0, e // 2, e // 2, rng.randrange(e)))
+                return g.scalar(t, tuple(rng.choice((-1, 0, 0, 1)) for _ in range(rank)))
+
+            for _ in range(40):
+                n = rng.randrange(1, 5)
+                lam = [[g.one()] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        lam[i][j] = weight()
+                        lam[j][i] = lam[i][j].inv()
+                for _ in range(rng.randrange(3)):
+                    lam[rng.randrange(n)][rng.randrange(n)] = weight()
+                expected = pairwise_refusal(lam)
+                if expected is None:
+                    assert QuantumTorus(g, lam).lam == lam
+                    seen["accepted"] += 1
+                    seen["half off the diagonal"] += e % 2 == 0 and any(
+                        w == half for row in lam for w in row)
+                else:
+                    with pytest.raises(TorusError, match=f"^{expected}$"):
+                        QuantumTorus(g, lam)
+                    seen["half on the diagonal"] += e % 2 == 0 and any(
+                        lam[i][i] == half for i in range(n))
+    assert all(count >= 20 for count in seen.values()), seen
+
+
 def random_presentation(rng, g, n):
     """Quantum relations in random orientations, some of weight 1, with
     torsion and negative free exponents."""
@@ -516,3 +565,8 @@ def test_refusals_and_foreign_comparisons():
     f, h = (check_morphism(t, t, il.identity(t.n)) for t in (t2, t1))
     with pytest.raises(TorusError, match="^morphisms are not composable$"):
         compose(f, h)
+    # Nothing checks a TorusMorphism built by hand: det 2 pulls q back to q^2.
+    f = TorusMorphism(t2, t2, ((2, 0), (0, 1)))
+    with pytest.raises(TorusError, match="^composite violates the weight equations: "
+                                         "a factor is not a morphism$"):
+        compose(f, f)
