@@ -50,10 +50,12 @@ def _read(path: str) -> str:
 
 
 # File kinds: the document part the file must hold (None for a generator
-# map, whose raw text the handler receives) and what the handler gets.
-KINDS = {"presentation": ("presentation", lambda p: p),
-         "torus": ("presentation", QuantumTorus.from_presentation),
-         "qweyl": ("qweyl", QuantumWeylAlgebra.from_spec),
+# map, whose raw text the handler receives) and what the handler gets, made
+# from the document; a torus file's relations go straight into exponents.
+KINDS = {"presentation": ("presentation", lambda doc: doc.presentation),
+         "torus": ("presentation",
+                   lambda doc: QuantumTorus.from_relations(doc.group, *doc.presentation)),
+         "qweyl": ("qweyl", lambda doc: QuantumWeylAlgebra.from_spec(doc.qweyl)),
          "map": (None, None)}
 
 
@@ -65,7 +67,7 @@ def _load(paths, kinds) -> list:
     for path, kind in zip(paths, kinds):
         texts.append(_read(path))
         part = KINDS[kind][0]
-        docs.append(parse_document(texts[-1]) if part else None)
+        docs.append(parse_document(texts[-1], torus=kind == "torus") if part else None)
         if part and getattr(docs[-1], part) is None:
             what = "a presentation" if part == "presentation" else "a qweyl block"
             raise CliError(f"{path} does not contain {what}")
@@ -74,8 +76,8 @@ def _load(paths, kinds) -> list:
     for doc, text, kind in zip(docs, texts, kinds):
         part, make = KINDS[kind]
         if doc and doc.group != group:
-            doc = parse_document(text, group)
-        out.append(make(getattr(doc, part)) if part else text)
+            doc = parse_document(text, group, torus=kind == "torus")
+        out.append(make(doc) if part else text)
     return out
 
 

@@ -5,11 +5,9 @@ the public functions. The Smith and skew normal forms return transforms
 that re-verify them by exact multiplication. The skew form checks its own,
 U^T A U = C, on the strict upper triangle alone (``congruence_upper``: both
 sides are antisymmetric), and also returns its transform's inverse, built
-operation by operation; the Hermite form returns H alone. Kernels (with or
-without congruences), lattice intersections and unimodular inverses are
-read off one Hermite form of an augmented matrix, except that a kernel is
-first tried modulo one large prime: full column rank there proves the
-kernel is 0 with no Hermite form.
+operation by operation; the Hermite form returns H alone. Lattice
+intersections and unimodular inverses are read off one Hermite form of an
+augmented matrix, and kernels off one fraction-free elimination.
 """
 from __future__ import annotations
 
@@ -224,56 +222,48 @@ def kernel(a, ncols: int | None = None) -> list[list[int]]:
     return kernel_with_torsion(a, [], 1, len(a[0]) if a else ncols)
 
 
-PRIME = (1 << 61) - 1
-
-
-def full_column_rank_mod_p(a, ncols: int) -> bool:
-    """Whether the rows of a have rank ncols modulo PRIME.
-
-    Rows are eliminated one at a time against the pivot rows kept so far,
-    each scaled to pivot 1, until the rank reaches ncols.  A True answer
-    proves that a has rank ncols over Q: the rows of a that gave a pivot
-    form a square minor that is non-zero mod PRIME, hence non-zero.  False
-    proves nothing over Q.
-    """
-    if len(a) < ncols:
-        return False
-    pivots: list[tuple[int, list[int]]] = []
-    for row in a:
-        if len(pivots) == ncols:
-            break
-        v = [x % PRIME for x in row]
-        for col, prow in pivots:
-            f = v[col]
-            if f:
-                v = [(x - f * y) % PRIME for x, y in zip(v, prow)]
-        col = next((j for j, x in enumerate(v) if x), None)
-        if col is not None:
-            inv = pow(v[col], -1, PRIME)
-            pivots.append((col, [x * inv % PRIME for x in v]))
-    return len(pivots) == ncols
-
-
 def kernel_with_torsion(a, b, e: int, ncols: int) -> list[list[int]]:
-    """Basis of {x in Z^ncols : a*x = 0 over Z and b*x = 0 mod e}.
+    """Hermite basis of {x in Z^ncols : a*x = 0 over Z and b*x = 0 mod e}.
 
-    When a has full column rank modulo PRIME, the set lies in ker_Z(a) = 0
-    and the basis is empty.  Otherwise it is the null block of the rows
-    (a^T b^T | I) and (0 e*I | 0): a combination with coefficients x on the
-    first rows has left block (a*x, b*x + e*k).
+    A Bareiss elimination of the rows of a, row by row until full rank,
+    ends on the minor D; each free column f gives the integral kernel vector
+    k_f with D at f, 0 at the other free columns (back substitution, each
+    division exact).  An integer x of ker_Q(a) is z*K/D, z its free part,
+    with z*K = 0 mod D at the pivots and z*K*b^T = 0 mod eD: W*z = 0 mod
+    N = e|D|, W the Hermite form of those rows (scaled to mod N) and N*I.
     """
     if e < 1:
         raise ValueError("modulus must be >= 1")
     for row in list(a) + list(b):
         if len(row) != ncols:
             raise ValueError("dimension mismatch")
-    if full_column_rank_mod_p(a, ncols):
-        return []
-    rows = [[r[j] for r in a] + [r[j] for r in b] + [int(i == j) for i in range(ncols)]
-            for j in range(ncols)]
-    rows += [[0] * len(a) + [e * (i == k) for i in range(len(b))] + [0] * ncols
-             for k in range(len(b))]
-    return _null_block(rows, len(a) + len(b))
+    pivots, d = [], 1
+    for v in a:
+        prev = 1
+        for c, r in pivots:
+            p, f = r[c], v[c]
+            v, prev = [(x * p - f * y) // prev for x, y in zip(v, r)], p
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is not None:
+            pivots.append((c, v))
+            d = v[c]
+            if len(pivots) == ncols:
+                return []
+    kern = []
+    for f in sorted(set(range(ncols)).difference(c for c, _ in pivots)):
+        x = [0] * ncols
+        x[f] = d
+        for c, r in reversed(pivots):
+            x[c] = -sum(map(operator.mul, r, x)) // r[c]
+        kern.append(x)
+    m, n = len(kern), e * abs(d)
+    scaled = [[n * x for x in row] for row in identity(m)]
+    w = hermite_nf([[e * k[c] for k in kern] for c, _ in pivots]
+                   + [[sum(map(operator.mul, t, k)) for k in kern] for t in b] + scaled)
+    z = _null_block([list(col) + row for col, row in zip(zip(*w[:m]), identity(m))]
+                    + [row + [0] * m for row in scaled], m)
+    return hermite_nf([[sum(map(operator.mul, zr, col)) // d for col in zip(*kern)]
+                       for zr in z])
 
 
 def lattice_intersect(basis1, basis2, dim: int) -> list[list[int]]:

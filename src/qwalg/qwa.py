@@ -16,6 +16,7 @@ describing a multiparameter quantum Weyl algebra; a map file holds one
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import NamedTuple
 
 from .cyclo import Coeff, coeff_degree
@@ -35,7 +36,6 @@ class ParseError(ValueError):
 NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _RE_WORD = re.compile(NAME)
 _RE_NAME = re.compile(rf"^{NAME}$")
-_RE_FACTOR = re.compile(rf"^({NAME})(?:\^(-?\d+))?$")
 _RE_ROOT = re.compile(rf"^root\s+({NAME})\s*:\s*(\d+)$")
 _RE_FREE = re.compile(r"^free\s+(.*)$")
 _RE_QWEYL = re.compile(r"^(n|q|Lambda)\s*=\s*(.+)$")
@@ -60,7 +60,7 @@ class QWeylSpec(NamedTuple):
 
 class Document(NamedTuple):
     group: ScalarGroup
-    presentation: Presentation | None
+    presentation: Presentation | tuple[int, list] | None  # the tuple read as a torus
     qweyl: QWeylSpec | None
 
 
@@ -118,8 +118,8 @@ def _names(text: str, ln: int, what: str) -> tuple[str, ...]:
     return names
 
 
-def parse_scalar_literal(group: ScalarGroup, text: str, line: int = 0) -> Scalar:
-    """Product of name^int factors, with the literals 1 and -1."""
+def _degree(group: ScalarGroup, text: str, line: int) -> tuple[int, ...]:
+    """The degree (torsion mod e, *free) of a scalar literal."""
     text = text.strip()
     if not text:
         raise ParseError(line, "empty scalar literal")
@@ -133,17 +133,24 @@ def parse_scalar_literal(group: ScalarGroup, text: str, line: int = 0) -> Scalar
                 raise ParseError(line, "-1 requires an even root-of-unity order")
             torsion += group.torsion_order // 2
             continue
-        m = _RE_FACTOR.match(factor)
-        if not m:
+        name, caret, exp = factor.partition("^")  # NAME is an ASCII identifier
+        if not (name.isascii() and name.isidentifier()) or (
+                caret and not exp.removeprefix("-").isdecimal()):
             raise ParseError(line, f"bad scalar factor {factor!r}")
-        name, exp = m.group(1), int(m.group(2) or 1)
+        k = int(exp) if caret else 1
         if name == group.root_symbol:
-            torsion += exp
+            torsion += k
         elif name in group.free_index:
-            free[group.free_index[name]] += exp
+            free[group.free_index[name]] += k
         else:
             raise ParseError(line, f"undeclared scalar symbol {name!r}")
-    return group.scalar(torsion=torsion, free=tuple(free))
+    return (torsion % group.torsion_order, *free)
+
+
+def parse_scalar_literal(group: ScalarGroup, text: str, line: int = 0) -> Scalar:
+    """Product of name^int factors, with the literals 1 and -1."""
+    d = _degree(group, text, line)
+    return Scalar(group, d[0], d[1:])
 
 
 def _parse_scalars_block(ln: int, items) -> ScalarGroup:
@@ -169,10 +176,14 @@ def _parse_scalars_block(ln: int, items) -> ScalarGroup:
         raise ParseError(ln, str(exc)) from None
 
 
-def parse_document(text: str, group: ScalarGroup | None = None) -> Document:
+def parse_document(text: str, group: ScalarGroup | None = None,
+                   torus: bool = False) -> Document:
     """Parse a .qwa file.  With ``group``, every scalar is built in that group,
     into which the file's declared group must embed (same-name symbols
-    identified); pair commands use this to compare two files."""
+    identified); pair commands use this to compare two files.  With
+    ``torus``, the generators and relations are read as a quantum torus:
+    ``presentation`` holds the arguments (n, weights) of
+    ``QuantumTorus.from_relations``, and no relation object is built."""
     found = read_statements(text, _QWA)
     declared = (_parse_scalars_block(*found["scalars"]) if "scalars" in found
                 else ScalarGroup())
@@ -181,11 +192,12 @@ def parse_document(text: str, group: ScalarGroup | None = None) -> Document:
     elif merge_groups(group, declared) != group:
         raise GroupMismatch("declared scalars do not embed in the given group")
 
-    literal = _literals(group)
+    literal = _cached(partial(parse_scalar_literal, group))
     presentation = qweyl = None
     if "generators" in found:
-        presentation = _build_presentation(
-            group, literal, *found["generators"], found.get("relations", (0, ()))[1])
+        args = (*found["generators"], found.get("relations", (0, ()))[1])
+        presentation = (_torus_weights(group, *args) if torus
+                        else _build_presentation(group, literal, *args))
     elif "relations" in found:
         raise ParseError(found["relations"][0],
                          "relations block without a generators line")
@@ -196,30 +208,28 @@ def parse_document(text: str, group: ScalarGroup | None = None) -> Document:
     return Document(group, presentation, qweyl)
 
 
-def _literals(group):
-    """``parse_scalar_literal`` in ``group``, each distinct text parsed once."""
-    parsed: dict[str, Scalar] = {}
+def _cached(parse):
+    """``parse(text, line)``, each distinct text parsed once."""
+    parsed: dict = {}
 
-    def literal(text: str, ln: int) -> Scalar:
+    def literal(text: str, ln: int):
         s = parsed.get(text)
         if s is None:
-            s = parsed[text] = parse_scalar_literal(group, text, ln)
+            s = parsed[text] = parse(text, ln)
         return s
     return literal
 
 
-def _build_presentation(group, literal, ln, rest, rel_lines) -> Presentation:
+def _relations(literal, ln, rest, rel_lines) -> tuple[tuple[str, ...], list]:
+    """The generator names, and each relation line as (a, b, k): k is None
+    for [g_a, g_b] = g_b, p for g_a g_b = g_b g_a + p, and ``literal(s, line)``
+    for g_a g_b = s * g_b g_a.  Each check of ``Presentation.build`` is made
+    here, in line order."""
     gens = _names(rest, ln, "generator")
     if len(set(gens)) != len(gens):
         raise ParseError(ln, "duplicate generator name")
     index = {g: k for k, g in enumerate(gens)}
-
-    def idx(name: str, ln: int) -> int:
-        if name not in index:
-            raise ParseError(ln, f"undeclared generator {name!r}")
-        return index[name]
-
-    rels = {}
+    seen, rels = set(), []
     for ln, s in rel_lines:
         m = _RE_RELATION.fullmatch(s)
         if m is None:
@@ -229,28 +239,41 @@ def _build_presentation(group, literal, ln, rest, rel_lines) -> Presentation:
             if rhs != y:
                 raise ParseError(ln, f"bracket relation must repeat its second "
                                      f"generator, got {rhs!r}")
-            a, b = idx(w, ln), idx(y, ln)
+            g1, g2 = w, y
         else:
             kind, right = ("Weyl", (w1, w2)) if lit is None else ("quantum", (q1, q2))
             if (g2, g1) != right:
                 raise ParseError(ln, f"sides of a {kind} relation must be the same "
                                      "pair in both orders")
-            a, b = idx(g1, ln), idx(g2, ln)
+        try:
+            a, b = index[g1], index[g2]
+        except KeyError as exc:
+            raise ParseError(ln, f"undeclared generator {exc.args[0]!r}") from None
         if a == b:
             raise ParseError(ln, f"self-relation on {gens[a]!r}")
-        key = (min(a, b), max(a, b))
-        if key in rels:
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
             raise ParseError(ln, f"duplicate relation for pair ({gens[key[0]]}, "
                                  f"{gens[key[1]]})")
-        if w is not None:
-            rel = Eulerian(a)
-        elif lit is None:
-            rel = Additive(int(p))
-        else:
-            rel = Multiplicative(literal(lit, ln))
-        rels[key] = normalized_relation(a, b, rel)
-    # Every check of Presentation.build was made above, with its line.
-    return Presentation(group, gens, {k: r for k, r in rels.items() if r is not None})
+        seen.add(key)
+        rels.append((a, b, None if w is not None else int(p) if lit is None
+                     else literal(lit, ln)))
+    return gens, rels
+
+
+def _build_presentation(group, literal, ln, rest, rel_lines) -> Presentation:
+    gens, rels = _relations(literal, ln, rest, rel_lines)
+    stored = {(min(a, b), max(a, b)): normalized_relation(
+        a, b, Eulerian(a) if k is None else Additive(k) if type(k) is int
+        else Multiplicative(k)) for a, b, k in rels}
+    return Presentation(group, gens, {k: r for k, r in stored.items() if r is not None})
+
+
+def _torus_weights(group, ln, rest, rel_lines) -> tuple[int, list]:
+    """n and each relation as (a, b, degree), the degree None for a relation
+    that is not quantum; g_a g_b = g_b g_a + 0 says the pair commutes."""
+    gens, rels = _relations(_cached(partial(_degree, group)), ln, rest, rel_lines)
+    return len(gens), [(a, b, k if type(k) is tuple else None) for a, b, k in rels if k != 0]
 
 
 def _build_qweyl(group, literal, ln, items) -> QWeylSpec:

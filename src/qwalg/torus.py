@@ -60,21 +60,27 @@ class QuantumTorus:
                                     for row in exponents])
 
     @staticmethod
-    def from_presentation(p: Presentation) -> "QuantumTorus":
-        """The torus of the weights at (i, j) and their inverses at (j, i):
-        ``Presentation.build`` refused self-relations and foreign weights."""
+    def from_relations(group: ScalarGroup, n: int, weights) -> "QuantumTorus":
+        """lambda_{a,b} of degree d (torsion in [0, e)) and lambda_{b,a} its
+        inverse for each (a, b, d), d None for a non-quantum relation; a parsed
+        file or a ``Presentation`` refused self-relations and repeated pairs."""
         t = QuantumTorus.__new__(QuantumTorus)
-        t.group, t.n, t._lam = p.group, p.n, None
+        t.group, t.n, t._lam = group, n, None
         moduli = t.moduli
-        t.exponents = [[[0] * p.n for _ in range(p.n)] for _ in moduli]
-        for (i, j), rel in p.rels.items():
-            if not isinstance(rel, Multiplicative):
+        t.exponents = [[[0] * n for _ in range(n)] for _ in moduli]
+        for a, b, d in weights:
+            if d is None:
                 raise TorusError("presentation has a non-quantum relation; "
                                  "not a torus")
-            w = rel.weight
-            for s, k, mod in zip(t.exponents, (w.torsion, *w.free), moduli):
-                s[i][j], s[j][i] = k, (-k % mod if mod else -k)
+            for s, k, mod in zip(t.exponents, d, moduli):
+                s[a][b], s[b][a] = k, (-k % mod if mod else -k)
         return t
+
+    @staticmethod
+    def from_presentation(p: Presentation) -> "QuantumTorus":
+        return QuantumTorus.from_relations(p.group, p.n, [
+            (i, j, rel.weight.degree() if isinstance(rel, Multiplicative) else None)
+            for (i, j), rel in p.rels.items()])
 
     @property
     def lam(self) -> list[list[Scalar]]:

@@ -157,8 +157,8 @@ def test_torus_simple_and_center(capsys):
 
 def test_large_torus_center_needs_no_hermite_form(tmp_path, monkeypatch, capsys):
     """A one-parameter torus on 100 generators with exponents in +-1000 has
-    a full-rank exponent matrix mod p, so its centre is 0 with no Hermite
-    form."""
+    a full-rank exponent matrix: the elimination stops at full rank, so its
+    centre is 0 with no Hermite form."""
     def refuse(a):
         raise AssertionError("hermite_nf called")
 
@@ -369,6 +369,43 @@ def test_refused_file_is_exit_2_with_its_line(tmp_path, text, error):
     f = tmp_path / "bad.qwa"
     f.write_text(text)
     assert cli_output(["check", str(f)]) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("text,error", REFUSED_FILES, ids=[e for _, e in REFUSED_FILES])
+def test_refused_file_is_exit_2_with_its_line_through_the_torus_reader(tmp_path, text, error):
+    """A torus command reads the file its own way and refuses it with the
+    same line, qweyl blocks included."""
+    f = tmp_path / "bad.qwa"
+    f.write_text(text)
+    assert cli_output(["torus", "center", str(f)]) == (2, "", f"error: {error}\n")
+
+
+def test_torus_refusals_and_their_precedence(tmp_path):
+    """A relation that is not quantum refuses the file as a torus, but only
+    once every file parsed: a parse error on a later line, or in the second
+    file of a pair, wins.  A file with a qweyl block alone holds no torus."""
+    weyl = tmp_path / "weyl.qwa"
+    weyl.write_text("generators a, b, c\nrelations {\n  a b = b a + 1\n}\n")
+    euler = tmp_path / "euler.qwa"
+    euler.write_text("generators a, b\nrelations {\n  [a, b] = b\n}\n")
+    not_torus = (2, "", "error: presentation has a non-quantum relation; not a torus\n")
+    for f in (weyl, euler):
+        assert cli_output(["torus", "center", str(f)]) == not_torus
+        assert cli_output(["torus", "simple", str(f)]) == not_torus
+    later = tmp_path / "later.qwa"
+    later.write_text("scalars { free q }\ngenerators a, b, c\nrelations {\n"
+                     "  a b = b a + 1\n  a c = q * c a\n  b d = q * d b\n}\n")
+    assert cli_output(["torus", "center", str(later)]) == (
+        2, "", "error: line 6: undeclared generator 'd'\n")
+    bad = tmp_path / "bad.qwa"
+    bad.write_text("scalars { free q }\ngenerators a, b\nrelations {\n  a b = r * b a\n}\n")
+    assert cli_output(["torus", "iso", str(weyl), str(bad), "--param", "q"]) == (
+        2, "", "error: line 4: undeclared scalar symbol 'r'\n")
+    assert cli_output(["torus", "iso", str(weyl), corpus("torus_q2.qwa"),
+                       "--param", "q"]) == not_torus
+    qweyl = corpus("qweyl_a1.qwa")
+    assert cli_output(["torus", "center", qweyl]) == (
+        2, "", f"error: {qweyl} does not contain a presentation\n")
 
 
 def test_embed_verify_refuses_a_map_file_without_a_map_block(tmp_path):

@@ -267,7 +267,8 @@ def test_matinv_rejects_non_unimodular(a):
 
 def hermite_route_kernel(a, b, e, ncols):
     """Reference: the kernel with torsion read off the Hermite form of the
-    rows (a^T b^T | I) and (0 e*I | 0) alone, with no modular certificate."""
+    rows (a^T b^T | I) and (0 e*I | 0), the route ``kernel_with_torsion``
+    took before its exact elimination."""
     rows = [[r[j] for r in a] + [r[j] for r in b] + [int(i == j) for i in range(ncols)]
             for j in range(ncols)]
     rows += [[0] * len(a) + [e * (i == k) for i in range(len(b))] + [0] * ncols
@@ -300,11 +301,10 @@ def with_determinant(n, d, rng):
                      random_unimodular(n, rng, 12))
 
 
-def test_mod_p_certificate_matches_hermite_route_and_fraction_rank():
-    """Full rank mod p implies full rank over Q, and every kernel equals the
-    Hermite-route reference: full-rank, rank-deficient (a repeated or
-    combined row) and odd-n antisymmetric matrices, with and without
-    torsion rows."""
+def test_exact_kernel_matches_hermite_route_and_fraction_rank():
+    """Every kernel equals the Hermite-route reference, and its rank is n
+    less the rank over Q: full-rank, rank-deficient (a repeated or combined
+    row) and odd-n antisymmetric matrices, with and without torsion rows."""
     rng = random.Random(37)
     full = deficient = 0
     for _ in range(300):
@@ -320,24 +320,45 @@ def test_mod_p_certificate_matches_hermite_route_and_fraction_rank():
             n = len(a)
         e = rng.choice([1, 2, 6])
         b = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(rng.randrange(0, 3))]
-        certified = il.full_column_rank_mod_p(a, n)
         rk = fraction_rank(a)
-        if certified:
-            assert rk == n, a
-            full += 1
+        full += rk == n
         deficient += rk < n
         assert il.kernel_with_torsion(a, b, e, n) == hermite_route_kernel(a, b, e, n), (a, b, e)
-        assert il.kernel(a, n) == hermite_route_kernel(a, [], 1, n), a
+        ker = il.kernel(a, n)
+        assert ker == hermite_route_kernel(a, [], 1, n) and len(ker) == n - rk, a
     assert full > 50 and deficient > 50
+
+
+def test_exact_kernel_matches_the_hermite_route_on_drawn_cases():
+    """2400 seeded cases against the Hermite form of (a^T b^T | I): empty a,
+    rank deficits from 0 to n, big entries, and torsion rows mod e."""
+    rng = random.Random(2026)
+    deficits, empty = set(), 0
+    for case in range(2400):
+        n = rng.randrange(1, 7)
+        e = rng.choice([1, 2, 3, 4, 6, 12])
+        rk = rng.randrange(0, n + 1) if case % 4 else 0
+        bound = rng.choice([3, 50, 10 ** 6])
+        base = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(rk)]
+        mix = [[rng.randrange(-3, 4) for _ in range(rk)] for _ in range(rng.randrange(0, n + 2))]
+        a = base + [[sum(c * r[j] for c, r in zip(m, base)) for j in range(n)] for m in mix]
+        rng.shuffle(a)
+        b = [[rng.randrange(-13, 14) for _ in range(n)] for _ in range(rng.randrange(0, 3))]
+        deficits.add(n - fraction_rank(a))
+        empty += not a
+        assert il.kernel_with_torsion(a, b, e, n) == hermite_route_kernel(a, b, e, n), (a, b, e)
+    assert {0, 1, 2, 3} <= deficits and empty > 50
+
+
+PRIME = (1 << 61) - 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_determinant_equal_to_the_prime_takes_the_exact_route(n):
-    """det a = PRIME: a has full rank over Q but not mod PRIME, so the
-    certificate proves nothing and the exact route still returns []."""
-    a = with_determinant(n, il.PRIME, random.Random(n))
-    assert il.det(a) == il.PRIME and fraction_rank(a) == n
-    assert not il.full_column_rank_mod_p(a, n)
+    """det a = 2^61 - 1, the prime of an earlier modular rank test that
+    proved nothing here: a has full rank over Q, so its kernel is 0."""
+    a = with_determinant(n, PRIME, random.Random(n))
+    assert il.det(a) == PRIME and fraction_rank(a) == n
     assert il.kernel_with_torsion(a, [], 1, n) == hermite_route_kernel(a, [], 1, n) == []
     assert il.kernel_with_torsion(a, [[1] * n], 3, n) == []
 

@@ -1,4 +1,6 @@
+import random
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -6,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from qwalg.presentation import (Additive, Eulerian, Multiplicative, Presentation,
                                 Verified, certified_system, verify_homomorphism)
-from qwalg.qwa import (ParseError, format_presentation, parse_document,
+from qwalg.cli import _load
+from qwalg.qwa import (ParseError, format_group_block, format_presentation, parse_document,
                        parse_generator_map, parse_presentation, parse_scalar_literal)
-from qwalg.scalars import GroupMismatch, ScalarGroup
+from qwalg.scalars import GroupMismatch, ScalarGroup, format_scalar
+from qwalg.torus import QuantumTorus
 
 from support import LL2_TARGET, S22_TEXT, T21_SOURCE
 
@@ -88,6 +92,8 @@ BAD_TEXTS = [
     ("generators x, y\nrelations {\n  (x y = y x + 1\n}\n", 3,
      "unrecognized relation '(x y = y x + 1'"),
     ("generators a, b\nrelations {\n  a c = c a + 1\n}\n", 3, "undeclared generator 'c'"),
+    ("generators a, b\nrelations {\n  d c = c d + 1\n}\n", 3, "undeclared generator 'd'"),
+    ("generators a, b\nrelations {\n  [c, a] = a\n}\n", 3, "undeclared generator 'c'"),
     ("generators a, b\nrelations {\n  [b, b] = b\n}\n", 3, "self-relation on 'b'"),
     ("generators a, b\nrelations {\n  a b = q * b a\n}\n", 3,
      "undeclared scalar symbol 'q'"),
@@ -102,8 +108,18 @@ BAD_TEXTS = [
 ]
 
 
-@pytest.mark.parametrize("text,line,words", BAD_TEXTS,
-                         ids=[words for *_, words in BAD_TEXTS])
+def case_ids(cases):
+    """Each case is named by the words it expects; a later case expecting the
+    same words as an earlier one is told apart by its place in the list."""
+    seen = set()
+    ids = []
+    for k, (*_, words) in enumerate(cases):
+        ids.append(words if words not in seen else f"{words} (case {k})")
+        seen.add(words)
+    return ids
+
+
+@pytest.mark.parametrize("text,line,words", BAD_TEXTS, ids=case_ids(BAD_TEXTS))
 def test_parse_errors_name_their_line(text, line, words):
     with pytest.raises(ParseError) as err:
         parse_document(text)
@@ -132,6 +148,50 @@ def test_scalar_literal():
     assert parse_scalar_literal(g, "-1") == g.scalar(torsion=2)
     with pytest.raises(ParseError):
         parse_scalar_literal(ScalarGroup(3, (), "w"), "-1")
+
+
+FACTOR = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+
+
+def regex_literal(group, text):
+    """Reference: a scalar literal read with one regular expression per
+    factor, as the parser did before it split factors at '^'."""
+    if not text.strip():
+        return "empty scalar literal"
+    torsion, free = 0, [0] * group.rank
+    for factor in (f.strip() for f in text.split("*")):
+        if factor in ("1", "-1"):
+            torsion += group.torsion_order // 2 if factor == "-1" else 0
+            continue
+        m = FACTOR.match(factor)
+        if not m:
+            return f"bad scalar factor {factor!r}"
+        name, exp = m.group(1), int(m.group(2) or 1)
+        if name == group.root_symbol:
+            torsion += exp
+        elif name in group.free_index:
+            free[group.free_index[name]] += exp
+        else:
+            return f"undeclared scalar symbol {name!r}"
+    return group.scalar(torsion, tuple(free))
+
+
+def test_scalar_literal_matches_the_regex_reading():
+    """Pinned factors past the syntax's edges, then 3000 seeded strings over
+    its alphabet, read alike by the parser and the regex reference."""
+    g = ScalarGroup(4, ("q", "p_2"), "zeta")
+    texts = ["q^+2", "q ^2", "q^", "q^-", "q^--1", "q^\u0663", "\u00e9", "_", "q^2^3",
+             "1^2", "zeta^-7", "q^0003 * p_2", "r^2", "r^x", "2q", " * q", "Q", "q^-0"]
+    rng = random.Random(5)
+    alphabet = ["q", "p_2", "zeta", "r", "^", "-", "2", "0", "1", " ", "*", "_", "x"]
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 9)))
+              for _ in range(3000)]
+    for text in texts:
+        try:
+            got = parse_scalar_literal(g, text)
+        except ParseError as exc:
+            got = exc.message
+        assert got == regex_literal(g, text), text
 
 
 def test_minus_one_requires_even_order():
@@ -205,6 +265,30 @@ def test_parse_into_given_group():
 NAMES = ("x", "y", "w", "x1", "y2", "t_3", "Gen", "a10")
 
 
+def relation_items(draw, group, n, kinds, weight):
+    """Per pair: no relation or one of ``kinds``, given in a random
+    orientation (a, b); ``weight`` draws the scalar of a quantum one."""
+    items = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = draw(st.sampled_from(((i, j), (j, i))))
+            kind = draw(st.sampled_from(("none",) + kinds))
+            if kind == "additive":
+                items.append((a, b, Additive(draw(st.integers(-3, 3)))))
+            elif kind == "multiplicative":
+                items.append((a, b, Multiplicative(draw(weight))))
+            elif kind == "eulerian":
+                items.append((a, b, Eulerian(a)))
+            elif kind == "commuting":
+                items.append((a, b, Additive(0)))
+    return items
+
+
+def weights(group):
+    free = st.tuples(*(st.integers(-3, 3) for _ in range(group.rank)))
+    return st.builds(group.scalar, st.integers(0, group.torsion_order - 1), free)
+
+
 @st.composite
 def presentations(draw):
     """A presentation over Z/e x Z^m: each pair gets no relation or one of the
@@ -213,18 +297,8 @@ def presentations(draw):
     m = draw(st.integers(0, 2))
     group = ScalarGroup(e, ("q", "p")[:m], "zeta" if e > 1 else None)
     gens = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5, unique=True))
-    items = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            a, b = draw(st.sampled_from(((i, j), (j, i))))
-            kind = draw(st.sampled_from(("none", "additive", "multiplicative", "eulerian")))
-            if kind == "additive":
-                items.append((a, b, Additive(draw(st.integers(-3, 3)))))
-            elif kind == "multiplicative":
-                free = tuple(draw(st.integers(-3, 3)) for _ in range(m))
-                items.append((a, b, Multiplicative(group.scalar(draw(st.integers(0, e - 1)), free))))
-            elif kind == "eulerian":
-                items.append((a, b, Eulerian(a)))
+    items = relation_items(draw, group, len(gens),
+                           ("additive", "multiplicative", "eulerian"), weights(group))
     return Presentation.build(group, gens, items)
 
 
@@ -234,6 +308,50 @@ def test_format_parse_round_trip(p):
     doc = parse_document(format_presentation(p))
     assert doc.group == p.group
     assert doc.presentation == p
+
+
+@st.composite
+def torus_files(draw):
+    """The text of a torus file: quantum relations in either orientation, with
+    the weights 1 and -1 among them, torsion spelled past [0, e) at times,
+    and Weyl lines with weight 0; and the drawn weight matrix Lambda."""
+    e = draw(st.sampled_from((1, 2, 4, 6)))
+    m = draw(st.integers(0, 2))
+    group = ScalarGroup(e, ("q", "p")[:m], "zeta" if e > 1 else None)
+    gens = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=6, unique=True))
+    signs = [group.one()] + ([group.scalar(e // 2)] if e % 2 == 0 else [])
+    weight = st.one_of(st.sampled_from(signs), weights(group))
+    items = relation_items(draw, group, len(gens), ("multiplicative", "commuting"), weight)
+    lam = [[group.one()] * len(gens) for _ in gens]
+    lines = []
+    for a, b, rel in items:
+        ga, gb = gens[a], gens[b]
+        if isinstance(rel, Multiplicative):
+            lam[a][b], lam[b][a] = rel.weight, rel.weight.inv()
+            lit = format_scalar(rel.weight)
+            if e > 1 and draw(st.booleans()):
+                lit += f" * zeta^{e * draw(st.integers(-2, 2))}"
+            lines.append(f"  {ga} {gb} = {lit} * {gb} {ga}")
+        else:
+            lines.append(f"  {ga} {gb} = {gb} {ga} + 0")
+    text = "\n".join([format_group_block(group) or "", "generators " + ", ".join(gens),
+                      "relations {", *lines, "}", ""])
+    return group, lam, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(torus_files())
+def test_torus_file_is_read_into_the_exponents_of_its_weights(drawn):
+    """The CLI reads a torus file straight into exponent matrices; they are
+    those of the drawn Lambda, and those the presentation route gives."""
+    group, lam, text = drawn
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "torus.qwa"
+        path.write_text(text)
+        t, = _load([str(path)], ["torus"])
+    assert t.group == group
+    assert t.exponents == QuantumTorus(group, lam).exponents
+    assert t.exponents == QuantumTorus.from_presentation(parse_presentation(text)).exponents
 
 
 def test_torsion_without_a_root_symbol_is_not_printed():
