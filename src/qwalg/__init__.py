@@ -15,8 +15,7 @@ from .presentation import (Additive, AddMultiple, AdmissibilityReport, Eulerian,
                            Presentation, PresentationError, Scale,
                            VerificationError, apply_certificate, apply_op,
                            certified_system, check_admissible, exchanged,
-                           subpresentation, system_from_presentation, verified,
-                           weyl_matrix)
+                           system_from_presentation, verified, weyl_matrix)
 from .qwa import (Document, ParseError, format_generator_map, format_presentation,
                   format_qweyl, parse_document, parse_generator_map,
                   parse_presentation, parse_scalar_literal)
@@ -31,7 +30,7 @@ from .mixed import (AlgebraInvariants, CanonicalMixedAlgebra, Equivalent,
                     MixedWeylInvariants, NotEquivalent, ReductionCertificate,
                     cross_equivalence_necessary, equivalence_decide,
                     eulerian_presentation, invariants, mixed_weyl_invariants,
-                    reduce_to_canonical, replay_certificate)
+                    reduce_to_canonical)
 from .qweyl import (LocalizationResult, QuantumWeylAlgebra, QWeylInvariants,
                     localize_to_mixed, localized_lambda,
                     qweyl_equivalence_necessary, qweyl_invariants)

@@ -19,13 +19,12 @@ from typing import NamedTuple
 
 from . import intlattice
 from .cyclo import Coeff
-from .presentation import (Additive, AddMultiple, Eulerian, GeneratorMap,
-                           Multiplicative, Op, Permute, Presentation,
-                           PresentationError, Scale, apply_certificate,
-                           certified_system, check_admissible, verified,
-                           weyl_matrix)
+from .presentation import (AddMultiple, Eulerian, GeneratorMap, Multiplicative,
+                           Op, Permute, Presentation, PresentationError, Scale,
+                           certified_system, change_generators, check_admissible,
+                           triangle_violation, verified)
 from .rewrite import Element
-from .scalars import ScalarGroup, SubgroupDescription, subgroup_canonical_form
+from .scalars import Scalar, ScalarGroup, SubgroupDescription, subgroup_canonical_form
 from .torus import (Iso, NotIso, QuantumTorus, Violation, central_lattice,
                     check_morphism, is_simple, uniparameter_exponents,
                     uniparameter_iso_decide)
@@ -59,18 +58,19 @@ class CanonicalMixedAlgebra:
     def to_presentation(self, names=None) -> Presentation:
         names = tuple(names) if names else self.gens()
         n, r = self.n, self.r
+        deg = [[s.degree() for s in row] for row in self.lam]
         items = []
         for i in range(n):
             for j in range(i + 1, n):
-                items.append((i, j, Multiplicative(self.lam[i][j])))
+                items.append((i, j, deg[i][j]))
         for i in range(r):
-            items.append((n + i, i, Additive(1)))  # x_i y_i = y_i x_i + 1
+            items.append((n + i, i, 1))  # x_i y_i = y_i x_i + 1
             for j in range(n):
                 if j != i:  # x_i y_j = lam_ij^-1 y_j x_i, read from y_j's side
-                    items.append((j, n + i, Multiplicative(self.lam[i][j])))
+                    items.append((j, n + i, deg[i][j]))
             for j in range(i + 1, r):
-                items.append((n + i, n + j, Multiplicative(self.lam[i][j])))
-        return Presentation.build(self.group, names, items)
+                items.append((n + i, n + j, deg[i][j]))
+        return Presentation.from_items(self.group, names, items)
 
     def __eq__(self, other):
         if not isinstance(other, CanonicalMixedAlgebra):
@@ -121,15 +121,6 @@ class ReductionCertificate(NamedTuple):
         return ";".join(out)
 
 
-def _weyl_degree(p: Presentation) -> list[int]:
-    deg = [0] * p.n
-    for (i, j), rel in p.rels.items():
-        if isinstance(rel, Additive) and rel.weight != 0:
-            deg[i] += 1
-            deg[j] += 1
-    return deg
-
-
 def reduce_to_canonical(p: Presentation) -> tuple[CanonicalMixedAlgebra, ReductionCertificate]:
     """Reduce an admissible presentation to its canonical mixed algebra.
 
@@ -138,20 +129,21 @@ def reduce_to_canonical(p: Presentation) -> tuple[CanonicalMixedAlgebra, Reducti
     a single gcd-weight edge, eliminates the rest, and detaches the
     resulting pair from the partner's remaining Weyl edges.  A final
     rational scaling normalizes all pair weights to 1, and a permutation
-    puts the generators in canonical order.
+    puts the generators in canonical order.  Every step changes one work
+    copy of the matrices in place (``change_generators``).
     """
     report = check_admissible(p)
     if not report.admissible:
         raise InadmissiblePresentation(report.triple(p.gens))
-    rank_in = intlattice.rank(weyl_matrix(p))
-    work = p
+    rank_in = intlattice.rank(p.weyl)
+    w, d, gens = [row[:] for row in p.weyl], [row[:] for row in p.degrees], list(p.gens)
+    size = p.n
     ops: list[Op] = []
 
     def do(op: Op):
-        nonlocal work
         if isinstance(op, Scale) and op.factor == 1:
             return
-        work = apply_certificate(work, [op])
+        change_generators(w, d, gens, op)
         ops.append(op)
 
     guard = 0
@@ -159,75 +151,64 @@ def reduce_to_canonical(p: Presentation) -> tuple[CanonicalMixedAlgebra, Reducti
         guard += 1
         if guard > 10 * p.n + 10:
             raise AssertionError("graph reduction failed to terminate")
-        deg = _weyl_degree(work)
-        isolated = set()
-        for (i, j), rel in work.rels.items():
-            if isinstance(rel, Additive) and rel.weight != 0 \
-                    and deg[i] == 1 and deg[j] == 1:
-                isolated.update((i, j))
-        candidates = [v for v in range(work.n) if deg[v] >= 1 and v not in isolated]
+        adj = [[t for t, wt in enumerate(row) if wt] for row in w]
+        # A vertex with one Weyl edge whose partner has no other is isolated.
+        candidates = [v for v in range(size) if adj[v] and not (
+            len(adj[v]) == 1 and len(adj[adj[v][0]]) == 1)]
         if not candidates:
             break
         x = candidates[0]
-        nbrs = [t for t in range(work.n)
-                if t != x and (work.additive_weight(x, t) or 0) != 0]
+        nbrs = adj[x]
         # Combine neighbors right-to-left until the first one carries the gcd.
         for k in range(len(nbrs) - 2, -1, -1):
             a, b = nbrs[k], nbrs[k + 1]
-            pa = work.additive_weight(x, a)
-            pb = work.additive_weight(x, b)
+            pa, pb = w[x][a], w[x][b]
             if pa % pb == 0:
                 nbrs[k], nbrs[k + 1] = b, a
                 continue
             if pb % pa == 0:
                 continue
-            d, u, v = _ext_gcd(pa, pb)
+            _, u, v = _ext_gcd(pa, pb)
             do(Scale(a, Fraction(u)))
             do(AddMultiple(a, b, v))
         # Eliminate every neighbor beyond the first.
         lead = nbrs[0]
-        p_lead = work.additive_weight(x, lead)
+        p_lead = w[x][lead]
         for t in nbrs[1:]:
-            pt = work.additive_weight(x, t)
-            if pt:
-                do(AddMultiple(t, lead, -(pt // p_lead)))
+            if w[x][t]:
+                do(AddMultiple(t, lead, -(w[x][t] // p_lead)))
         # Normalize the pair weight seen from x to +1, then strip the
         # partner's remaining Weyl edges.
-        do(Scale(x, Fraction(1, work.additive_weight(x, lead))))
-        for t in range(work.n):
-            if t in (x, lead):
-                continue
-            mt = work.additive_weight(lead, t)
-            if mt:
-                do(AddMultiple(t, x, mt))
+        do(Scale(x, Fraction(1, w[x][lead])))
+        for t in range(size):
+            if t not in (x, lead) and w[lead][t]:
+                do(AddMultiple(t, x, w[lead][t]))
 
     # Collect the isolated pairs, orient (x, y) with weight +1, scale to 1.
     pairs = []
-    for (i, j), rel in sorted(work.rels.items()):
-        if isinstance(rel, Additive) and rel.weight != 0:
-            xi, yi = (i, j) if rel.weight > 0 else (j, i)
-            w = abs(rel.weight)
-            if w != 1:
-                do(Scale(xi, Fraction(1, w)))
-            pairs.append((xi, yi))
+    for i, j in [(i, j) for i in range(size) for j in range(i + 1, size) if w[i][j]]:
+        xi, yi = (i, j) if w[i][j] > 0 else (j, i)
+        if abs(w[i][j]) != 1:
+            do(Scale(xi, Fraction(1, abs(w[i][j]))))
+        pairs.append((xi, yi))
     pairs.sort(key=lambda t: min(t))
     r = len(pairs)
-    n = work.n - r
-    others = [v for v in range(work.n) if all(v not in pr for pr in pairs)]
+    n = size - r
+    others = [v for v in range(size) if all(v not in pr for pr in pairs)]
     order = [y for _, y in pairs] + others + [x for x, _ in pairs]
     do(Permute(tuple(order)))
     one = p.group.one()
-    lam = [[one if i == j else work.quantum_weight(i, j) for j in range(n)]
-           for i in range(n)]
+    lam = [[one if d[i][j] is None else Scalar(p.group, d[i][j][0], d[i][j][1:])
+            for j in range(n)] for i in range(n)]
     algebra = CanonicalMixedAlgebra(p.group, n, r, lam)
     canon = algebra.to_presentation()
-    if work.rels != canon.rels:
+    if (w, d) != (canon.weyl, canon.degrees):
         raise AssertionError("reduced table does not match the canonical table")
     if 2 * r != rank_in:
         raise AssertionError("Weyl matrix rank does not match the pair count")
-    if not check_admissible(work).admissible:
+    if triangle_violation(w, d) is not None:
         raise AssertionError("reduced presentation lost admissibility")
-    pairing = tuple((work.gens[n + k], work.gens[k]) for k in range(r))
+    pairing = tuple((gens[n + k], gens[k]) for k in range(r))
     return algebra, ReductionCertificate(tuple(ops), pairing)
 
 
@@ -244,10 +225,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def replay_certificate(p: Presentation, cert: ReductionCertificate) -> Presentation:
-    return apply_certificate(p, cert.ops)
 
 
 # ---------------------------------------------------------------------------

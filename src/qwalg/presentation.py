@@ -4,17 +4,19 @@ A presentation is N generators plus one relation per unordered pair, of one
 of three kinds: a weighted commutator ``x y - y x = p`` (integer p), a
 scalar twist ``x y = s * y x`` (s a declared scalar, never 1 after
 normalization), or the derivation-counting relation ``[w, y] = y``.  Absent
-pairs commute.  Relations are stored for i < j only, with the weight
-adjusted when the input came in the opposite orientation.
+pairs commute.  A presentation holds the first two kinds as two
+antisymmetric matrices over the generators, the Weyl weights and the
+degrees of the twists, and the third kind as relation objects.  The
+admissibility test, the generator changes of a reduction and the rules of
+a twist or commuting pair read the matrices.
 
 ``exchanged`` is the one place the three kinds are read as algebra: it gives
 what g_j g_i equals under the relation of a pair i < j, and
 ``verify_homomorphism`` uses it to check a ``GeneratorMap`` relation by
-relation.  ``twist_degree`` is the one place a relation is read as the
-degree of a scalar twist: the reduction system of a presentation states
-the rule of a twisted or commuting pair by it (and takes ``exchanged`` as
-the rule of any other pair), and ``verify_homomorphism`` settles by it a
-relation whose images are single words.
+relation, on relation objects that ``Presentation.rel`` derives.
+``twist_degree`` reads such a relation as the degree of a scalar twist:
+``verify_homomorphism`` settles by it a relation whose images are single
+words.
 """
 from __future__ import annotations
 
@@ -63,29 +65,49 @@ class Eulerian(Frozen):
 Relation = Additive | Multiplicative | Eulerian
 
 
-def normalized_relation(a: int, b: int, rel: Relation) -> Relation | None:
-    """rel, read in the (a, b) orientation, as stored for the pair i < j;
-    None when the pair commutes (weight 0 or 1)."""
-    if isinstance(rel, Additive):
-        w = rel.weight if a < b else -rel.weight
-        return Additive(w) if w else None
-    if isinstance(rel, Multiplicative):
-        w = rel.weight if a < b else rel.weight.inv()
-        return None if w.is_one() else Multiplicative(w)
-    return rel
-
-
 class Presentation:
-    """Immutable presentation; relations normalized and keyed by i < j."""
+    """Immutable presentation: two antisymmetric matrices over the
+    generators, and the Eulerian pairs.
 
-    def __init__(self, group: ScalarGroup, gens: tuple[str, ...], rels: dict):
+    ``weyl[a][b]`` is the integer p with g_a g_b - g_b g_a = p.
+    ``degrees[a][b]`` is the degree (torsion mod e, *free) of the scalar s
+    with g_a g_b = s g_b g_a when s is not 1, so ``degrees[b][a]`` is its
+    inverse degree; None marks every other pair, the Weyl ones (commuting
+    pairs among them) and the Eulerian ones.  ``eulerian`` holds the
+    relation of each Eulerian pair, keyed i < j; such a pair is 0 in
+    ``weyl``.  Relation objects are derived on demand (``rel``, ``rels``).
+    """
+
+    def __init__(self, group: ScalarGroup, gens, weyl: list[list[int]],
+                 degrees: list[list[tuple | None]], eulerian: dict | None = None):
         self.group = group
         self.gens = tuple(gens)
-        self.rels = dict(rels)
+        self.weyl = weyl
+        self.degrees = degrees
+        self.eulerian = eulerian or {}
+
+    @staticmethod
+    def from_items(group: ScalarGroup, gens, items) -> "Presentation":
+        """The presentation of the relations (a, b, k) on distinct pairs,
+        unchecked: k is None for [g_a, g_b] = g_b, an int p for
+        g_a g_b - g_b g_a = p, and a degree for g_a g_b = s g_b g_a with s
+        of that degree (torsion in [0, e))."""
+        n = len(gens)
+        weyl = [[0] * n for _ in range(n)]
+        degrees: list[list] = [[None] * n for _ in range(n)]
+        eulerian = {}
+        for a, b, k in items:
+            if k is None:
+                eulerian[min(a, b), max(a, b)] = Eulerian(a)
+            elif type(k) is int:
+                weyl[a][b], weyl[b][a] = k, -k
+            elif any(k):
+                degrees[a][b], degrees[b][a] = k, group.inverse_degree(k)
+        return Presentation(group, gens, weyl, degrees, eulerian)
 
     @staticmethod
     def build(group: ScalarGroup, gens, rel_items) -> "Presentation":
-        """Normalizing constructor.
+        """Checking constructor.
 
         ``rel_items`` is a list of (a, b, relation) read in the (a, b)
         orientation: Additive(p) means g_a g_b - g_b g_a = p, Multiplicative(s)
@@ -94,28 +116,30 @@ class Presentation:
         gens = tuple(gens)
         if len(set(gens)) != len(gens):
             raise PresentationError("duplicate generator names")
-        rels: dict = {}
+        seen, items = set(), []
         for a, b, rel in rel_items:
             if a == b:
                 raise PresentationError(f"self-relation on generator {gens[a]!r}")
             i, j = min(a, b), max(a, b)
-            if (i, j) in rels:
+            if (i, j) in seen:
                 raise PresentationError(f"duplicate relation for pair "
                                         f"({gens[i]}, {gens[j]})")
+            seen.add((i, j))
             if isinstance(rel, Multiplicative):
                 if rel.weight.group != group:
                     raise PresentationError("weight scalar outside the declared group")
+                items.append((a, b, rel.weight.degree()))
             elif isinstance(rel, Eulerian):
                 if rel.w_index != a:
                     raise PresentationError(
                         f"Eulerian item ({gens[a]}, {gens[b]}) must count with "
                         f"its first generator, not index {rel.w_index}")
-            elif not isinstance(rel, Additive):
+                items.append((a, b, None))
+            elif isinstance(rel, Additive):
+                items.append((a, b, rel.weight))
+            else:
                 raise PresentationError(f"unknown relation kind {rel!r}")
-            stored = normalized_relation(a, b, rel)
-            if stored is not None:
-                rels[(i, j)] = stored
-        return Presentation(group, gens, rels)
+        return Presentation.from_items(group, gens, items)
 
     # -- accessors -------------------------------------------------------------
 
@@ -130,15 +154,16 @@ class Presentation:
         """Relation read in the (a, b) orientation; commuting pairs give Additive(0)."""
         if a == b:
             raise PresentationError("no self-relations")
-        i, j = min(a, b), max(a, b)
-        stored = self.rels.get((i, j))
-        if stored is None:
-            return Additive(0)
-        if isinstance(stored, Eulerian) or a == i:
-            return stored
-        if isinstance(stored, Additive):
-            return Additive(-stored.weight)
-        return Multiplicative(stored.weight.inv())
+        d = self.degrees[a][b]
+        if d is not None:
+            return Multiplicative(Scalar(self.group, d[0], d[1:]))
+        return self.eulerian.get((min(a, b), max(a, b))) or Additive(self.weyl[a][b])
+
+    @property
+    def rels(self) -> dict:
+        """The relation of each pair i < j that does not commute, read (i, j)."""
+        return {(i, j): rel for i in range(self.n) for j in range(i + 1, self.n)
+                for rel in [self.rel(i, j)] if rel != Additive(0)}
 
     def quantum_weight(self, a: int, b: int) -> Scalar | None:
         """Scalar s with g_a g_b = s g_b g_a, or None for a genuine Weyl/Eulerian pair."""
@@ -154,12 +179,13 @@ class Presentation:
         return r.weight if isinstance(r, Additive) else None
 
     def has_eulerian(self) -> bool:
-        return any(isinstance(r, Eulerian) for r in self.rels.values())
+        return bool(self.eulerian)
 
     def __eq__(self, other):
         if not isinstance(other, Presentation):
             return NotImplemented
-        return (self.group, self.gens, self.rels) == (other.group, other.gens, other.rels)
+        return (self.group, self.gens, self.weyl, self.degrees, self.eulerian) == \
+            (other.group, other.gens, other.weyl, other.degrees, other.eulerian)
 
     def __repr__(self):
         return f"Presentation(gens={self.gens!r}, rels={self.rels!r})"
@@ -182,22 +208,28 @@ def check_admissible(p: Presentation) -> AdmissibilityReport:
     if p.has_eulerian():
         raise EulerianNotSupported("admissibility is defined for quantum/Weyl "
                                    "presentations only")
-    n = p.n
-    for (i, j), rel in sorted(p.rels.items()):
-        if not isinstance(rel, Additive) or rel.weight == 0:
-            continue
-        for k in range(n):
-            if k in (i, j):
-                continue
-            rik, rjk = p.rel(i, k), p.rel(j, k)
-            if isinstance(rik, Additive) and isinstance(rjk, Additive):
-                continue  # both Weyl weighted (0 allowed): always fine
-            wik = rik.weight if isinstance(rik, Multiplicative) else None
-            wjk = rjk.weight if isinstance(rjk, Multiplicative) else None
-            if wik is not None and wjk is not None and wik.mul(wjk).is_one():
-                continue
-            return AdmissibilityReport(False, (i, j, k, rik, rjk))
-    return AdmissibilityReport(True)
+    hit = triangle_violation(p.weyl, p.degrees)
+    if hit is None:
+        return AdmissibilityReport(True)
+    i, j, k = hit
+    return AdmissibilityReport(False, (i, j, k, p.rel(i, k), p.rel(j, k)))
+
+
+def triangle_violation(weyl, degrees) -> tuple[int, int, int] | None:
+    """The first (i, j, k) with i < j a Weyl edge, in row order, and k a
+    generator that breaks the triangle test, or None.
+
+    The degrees of g_i g_k and g_j g_k sum to 0 exactly when
+    degrees[j][k] is the inverse degree degrees[k][i], and both are None
+    when both pairs are Weyl.  For k = i or j both sides are None."""
+    for i, row in enumerate(weyl):
+        for j in range(i + 1, len(row)):
+            if row[j]:
+                dj = degrees[j]
+                for k, dki in enumerate(r[i] for r in degrees):
+                    if dj[k] != dki:
+                        return i, j, k
+    return None
 
 
 def weyl_matrix(p: Presentation) -> list[list[int]]:
@@ -205,31 +237,7 @@ def weyl_matrix(p: Presentation) -> list[list[int]]:
     if p.has_eulerian():
         raise EulerianNotSupported("the Weyl matrix is defined for quantum/Weyl "
                                    "presentations only")
-    n = p.n
-    m = [[0] * n for _ in range(n)]
-    for (i, j), rel in p.rels.items():
-        if isinstance(rel, Additive):
-            m[i][j] = rel.weight
-            m[j][i] = -rel.weight
-    return m
-
-
-def subpresentation(p: Presentation, names) -> Presentation:
-    indices = [p.index(x) if isinstance(x, str) else x for x in names]
-    if not indices:
-        raise PresentationError("empty generator subset")
-    items = []
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            rel = p.rel(indices[a], indices[b])
-            if isinstance(rel, Eulerian):
-                if rel.w_index == indices[a]:
-                    items.append((a, b, Eulerian(a)))
-                else:
-                    items.append((b, a, Eulerian(b)))
-            else:
-                items.append((a, b, rel))
-    return Presentation.build(p.group, tuple(p.gens[i] for i in indices), items)
+    return [row[:] for row in p.weyl]
 
 
 # ---------------------------------------------------------------------------
@@ -260,66 +268,65 @@ class OpError(PresentationError):
     """Generator-change operation does not preserve the presentation shape."""
 
 
-def apply_op(p: Presentation, op: Op) -> Presentation:
-    if p.has_eulerian():
-        raise EulerianNotSupported("generator changes operate on quantum/Weyl "
-                                   "presentations only")
-    n = p.n
-    if isinstance(op, Permute):
-        if sorted(op.order) != list(range(n)):
-            raise OpError("permutation is not a bijection")
-        inv = [0] * n
-        for new, old in enumerate(op.order):
-            inv[old] = new
-        items = []
-        for (i, j), rel in p.rels.items():
-            items.append((inv[i], inv[j], rel))
-        return Presentation.build(p.group, tuple(p.gens[o] for o in op.order), items)
+def change_generators(weyl, degrees, gens: list[str], op: Op) -> None:
+    """Apply ``op`` in place to the matrices and generator names of a
+    quantum/Weyl presentation; on an OpError they are left part changed.
 
-    if isinstance(op, Scale):
+    A scaling rescales row and column i of ``weyl``.  g_i + c g_j needs the
+    rows i and j of ``degrees`` to agree (so it keeps every scalar twist of
+    g_i) and adds c times row and column j of ``weyl`` to row and column i.
+    A permutation re-indexes both matrices and the names."""
+    n = len(gens)
+    if isinstance(op, Permute):
+        order = op.order
+        if sorted(order) != list(range(n)):
+            raise OpError("permutation is not a bijection")
+        weyl[:] = [[weyl[a][b] for b in order] for a in order]
+        degrees[:] = [[degrees[a][b] for b in order] for a in order]
+        gens[:] = [gens[a] for a in order]
+    elif isinstance(op, Scale):
         c = Fraction(op.factor)
         if c == 0:
             raise OpError("zero scale factor")
-        items = []
-        for (i, j), rel in p.rels.items():
-            if isinstance(rel, Additive) and op.index in (i, j):
-                w = c * rel.weight
+        row = weyl[op.index]
+        for t, w in enumerate(row):
+            if w:
+                w = c * w
                 if w.denominator != 1:
                     raise OpError("scaling would produce a non-integer Weyl weight")
-                rel = Additive(int(w))
-            items.append((i, j, rel))
-        return Presentation.build(p.group, p.gens, items)
-
-    if isinstance(op, AddMultiple):
+                row[t], weyl[t][op.index] = int(w), -int(w)
+    elif isinstance(op, AddMultiple):
         i, j, c = op.index, op.other, op.coeff
         if i == j:
             raise OpError("cannot add a generator to itself")
         if c == 0:
-            return p
-        if p.additive_weight(i, j) is None:
+            return
+        if degrees[i][j] is not None:
             raise OpError("combined generators must form a Weyl (or commuting) pair")
-        items = []
-        for t in range(n):
-            if t in (i, j):
-                continue
-            rit, rjt = p.rel(i, t), p.rel(j, t)
-            if isinstance(rit, Additive) and isinstance(rjt, Additive):
-                new = Additive(rit.weight + c * rjt.weight)
-            elif isinstance(rit, Multiplicative) and isinstance(rjt, Multiplicative) \
-                    and rit.weight == rjt.weight:
-                new = rit
-            else:
+        di, dj = degrees[i], degrees[j]
+        for t in range(n):  # rows i and j agree at t = i and t = j: None
+            if di[t] != dj[t]:
                 raise OpError(f"generator change mixes incompatible relations "
-                              f"at third generator {p.gens[t]!r}")
-            items.append((i, t, new))
-        # Relations not involving i are untouched; the (i, j) weight is unchanged.
-        items.append((i, j, p.rel(i, j)))
-        for (a, b), rel in p.rels.items():
-            if i not in (a, b):
-                items.append((a, b, rel))
-        return Presentation.build(p.group, p.gens, items)
+                              f"at third generator {gens[t]!r}")
+        wi, wj = weyl[i], weyl[j]
+        for t in range(n):
+            if t != i:  # wj[j] = 0 keeps the weight of the pair (i, j)
+                wi[t] += c * wj[t]
+                weyl[t][i] = -wi[t]
+    else:
+        raise OpError(f"unknown operation {op!r}")
 
-    raise OpError(f"unknown operation {op!r}")
+
+def apply_op(p: Presentation, op: Op) -> Presentation:
+    """p after the generator change ``op``, or p itself when ``op`` changes
+    nothing."""
+    if p.has_eulerian():
+        raise EulerianNotSupported("generator changes operate on quantum/Weyl "
+                                   "presentations only")
+    weyl, degrees, gens = [r[:] for r in p.weyl], [r[:] for r in p.degrees], list(p.gens)
+    change_generators(weyl, degrees, gens, op)
+    out = Presentation(p.group, gens, weyl, degrees)
+    return p if out == p else out
 
 
 def apply_certificate(p: Presentation, ops) -> Presentation:
@@ -365,13 +372,19 @@ def twist_degree(rel: Relation, group: ScalarGroup) -> tuple | None:
 
 def system_from_presentation(p: Presentation) -> ReductionSystem:
     """One quadratic rule g_j g_i -> exchanged(...) per pair i < j, in
-    declaration order; a twist pair states its rule by the degree of the
-    scalar mu^-1 in g_j g_i = mu^-1 g_i g_j (``twist_degree``)."""
+    declaration order; a twist or commuting pair states its rule by the
+    degree degrees[j][i] of mu in g_j g_i = mu g_i g_j (0 when it commutes)."""
     ring = CoeffRing(p.group)
     letters = [Element.from_word(ring, (i,)) for i in range(p.n)]
-    rules = [Rule((j, i), exchanged(p.rel(i, j), i, letters[i], letters[j]) if d is None
-                  else p.group.inverse_degree(d))
-             for j in range(p.n) for i in range(j) for d in [twist_degree(p.rel(i, j), p.group)]]
+    zero = (0,) * (1 + p.group.rank)
+    rules = []
+    for j in range(p.n):
+        for i in range(j):
+            d = p.degrees[j][i]
+            if d is None and not p.weyl[i][j] and (i, j) not in p.eulerian:
+                d = zero
+            rules.append(Rule((j, i), d if d is not None
+                              else exchanged(p.rel(i, j), i, letters[i], letters[j])))
     return ReductionSystem(p.group, p.gens, rules)
 
 

@@ -20,8 +20,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .cyclo import Coeff, coeff_degree
-from .presentation import (Additive, Eulerian, GeneratorMap, Multiplicative,
-                           Presentation, normalized_relation)
+from .presentation import Additive, GeneratorMap, Multiplicative, Presentation
 from .rewrite import Element, ReductionSystem
 from .scalars import GroupMismatch, Scalar, ScalarGroup, format_scalar, merge_groups
 
@@ -180,10 +179,11 @@ def parse_document(text: str, group: ScalarGroup | None = None,
                    torus: bool = False) -> Document:
     """Parse a .qwa file.  With ``group``, every scalar is built in that group,
     into which the file's declared group must embed (same-name symbols
-    identified); pair commands use this to compare two files.  With
-    ``torus``, the generators and relations are read as a quantum torus:
-    ``presentation`` holds the arguments (n, weights) of
-    ``QuantumTorus.from_relations``, and no relation object is built."""
+    identified); pair commands use this to compare two files.  The
+    relations go straight into the matrices of a ``Presentation``, and no
+    relation object is built.  With ``torus``, the generators and relations
+    are read as a quantum torus: ``presentation`` holds the arguments
+    (n, weights) of ``QuantumTorus.from_relations``."""
     found = read_statements(text, _QWA)
     declared = (_parse_scalars_block(*found["scalars"]) if "scalars" in found
                 else ScalarGroup())
@@ -192,17 +192,18 @@ def parse_document(text: str, group: ScalarGroup | None = None,
     elif merge_groups(group, declared) != group:
         raise GroupMismatch("declared scalars do not embed in the given group")
 
-    literal = _cached(partial(parse_scalar_literal, group))
     presentation = qweyl = None
     if "generators" in found:
-        args = (*found["generators"], found.get("relations", (0, ()))[1])
-        presentation = (_torus_weights(group, *args) if torus
-                        else _build_presentation(group, literal, *args))
+        read = _relations(_cached(partial(_degree, group)), *found["generators"],
+                          found.get("relations", (0, ()))[1])
+        presentation = (_torus_weights(*read) if torus
+                        else Presentation.from_items(group, *read))
     elif "relations" in found:
         raise ParseError(found["relations"][0],
                          "relations block without a generators line")
     if "qweyl" in found:
-        qweyl = _build_qweyl(group, literal, *found["qweyl"])
+        qweyl = _build_qweyl(group, _cached(partial(parse_scalar_literal, group)),
+                             *found["qweyl"])
     if presentation is None and qweyl is None:
         raise ParseError(1, "file declares neither generators nor a qweyl block")
     return Document(group, presentation, qweyl)
@@ -261,18 +262,9 @@ def _relations(literal, ln, rest, rel_lines) -> tuple[tuple[str, ...], list]:
     return gens, rels
 
 
-def _build_presentation(group, literal, ln, rest, rel_lines) -> Presentation:
-    gens, rels = _relations(literal, ln, rest, rel_lines)
-    stored = {(min(a, b), max(a, b)): normalized_relation(
-        a, b, Eulerian(a) if k is None else Additive(k) if type(k) is int
-        else Multiplicative(k)) for a, b, k in rels}
-    return Presentation(group, gens, {k: r for k, r in stored.items() if r is not None})
-
-
-def _torus_weights(group, ln, rest, rel_lines) -> tuple[int, list]:
+def _torus_weights(gens, rels) -> tuple[int, list]:
     """n and each relation as (a, b, degree), the degree None for a relation
     that is not quantum; g_a g_b = g_b g_a + 0 says the pair commutes."""
-    gens, rels = _relations(_cached(partial(_degree, group)), ln, rest, rel_lines)
     return len(gens), [(a, b, k if type(k) is tuple else None) for a, b, k in rels if k != 0]
 
 
@@ -388,8 +380,7 @@ def format_presentation(p: Presentation) -> str:
         lines.append(block)
     lines.append("generators " + ", ".join(p.gens))
     rel_lines = []
-    for (i, j) in sorted(p.rels):
-        rel = p.rels[(i, j)]
+    for (i, j), rel in sorted(p.rels.items()):
         gi, gj = p.gens[i], p.gens[j]
         if isinstance(rel, Additive):
             if rel.weight >= 0:

@@ -17,8 +17,8 @@ from qwalg.cli import COMMANDS, HELP, OPTIONS, SUBS, TAKES, main
 from qwalg.cyclo import Coeff, coeff_degree
 from qwalg.embeddings import FailingRelation, GeneratorMap, Verified
 from qwalg.presentation import (AddMultiple, Additive, Eulerian, Multiplicative, Permute,
-                                Presentation, Scale, apply_op, certified_system, exchanged,
-                                system_from_presentation)
+                                Presentation, PresentationError, Scale, apply_op,
+                                certified_system, exchanged, system_from_presentation)
 from qwalg.qwa import ParseError, parse_presentation
 from qwalg.qweyl import QuantumWeylAlgebra
 from qwalg.rewrite import Confluent, Element, Failing, NotNormalError, ReductionSystem, Rule
@@ -407,6 +407,26 @@ def random_antisymmetric(n, rng, bound=4):
             a[i][j] = rng.randrange(-bound, bound + 1)
             a[j][i] = -a[i][j]
     return a
+
+
+def subpresentation(p: Presentation, names) -> Presentation:
+    """The presentation on the generators ``names`` (names or indices), in
+    that order, with the relations among them."""
+    indices = [p.index(x) if isinstance(x, str) else x for x in names]
+    if not indices:
+        raise PresentationError("empty generator subset")
+    items = []
+    for a in range(len(indices)):
+        for b in range(a + 1, len(indices)):
+            rel = p.rel(indices[a], indices[b])
+            if isinstance(rel, Eulerian):
+                if rel.w_index == indices[a]:
+                    items.append((a, b, Eulerian(a)))
+                else:
+                    items.append((b, a, Eulerian(b)))
+            else:
+                items.append((a, b, rel))
+    return Presentation.build(p.group, tuple(p.gens[i] for i in indices), items)
 
 
 def scramble(p, rng, steps=6):

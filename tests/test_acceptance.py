@@ -14,8 +14,8 @@ from qwalg.embeddings import (GeneratorMap, Verified, embed_mixed, embed_torus,
 from qwalg.mixed import (CanonicalMixedAlgebra, Equivalent, MixedWeylField,
                          NotEquivalent, cross_equivalence_necessary,
                          equivalence_decide, invariants, mixed_weyl_invariants,
-                         reduce_to_canonical, replay_certificate)
-from qwalg.presentation import (Additive, Multiplicative, Presentation,
+                         reduce_to_canonical)
+from qwalg.presentation import (Additive, Multiplicative, Presentation, apply_certificate,
                                 certified_system, check_admissible,
                                 system_from_presentation, weyl_matrix)
 from qwalg.qwa import format_presentation, parse_presentation
@@ -100,7 +100,7 @@ def test_criterion_2_reduction_certificates():
         assert out.n + out.r == p.n
         assert 2 * out.r == il.rank(weyl_matrix(p))
         assert (out.n, out.r) == (n, r)
-        replayed = replay_certificate(p, cert)
+        replayed = apply_certificate(p, cert.ops)
         assert replayed.rels == out.to_presentation().rels
         assert check_admissible(out.to_presentation()).admissible
         done += 1

@@ -7,10 +7,9 @@ from qwalg.mixed import (CanonicalMixedAlgebra, Equivalent, InadmissiblePresenta
                          Inconclusive, MixedWeylField, NotEquivalent,
                          center_lattices, cross_equivalence_necessary,
                          equivalence_decide, eulerian_presentation, invariants,
-                         mixed_weyl_invariants, reduce_to_canonical,
-                         replay_certificate)
+                         mixed_weyl_invariants, reduce_to_canonical)
 from qwalg.presentation import (Additive, Eulerian, Multiplicative, Presentation,
-                                check_admissible, weyl_matrix)
+                                apply_certificate, check_admissible, weyl_matrix)
 from qwalg.qwa import parse_presentation
 from qwalg.scalars import ScalarGroup
 from qwalg.torus import TorusError
@@ -47,7 +46,7 @@ relations {
     algebra, cert = reduce_to_canonical(p)
     assert (algebra.n, algebra.r) == (2, 1)
     assert all(s.is_one() for row in algebra.lam for s in row)
-    assert replay_certificate(p, cert).rels == \
+    assert apply_certificate(p, cert.ops).rels == \
         algebra.to_presentation().rels
 
 
@@ -68,7 +67,7 @@ def test_reduce_gcd_weights(grp):
     assert algebra.n + algebra.r == 4
     assert 2 * algebra.r == il.rank(weyl_matrix(p))
     assert algebra.r == 1
-    assert replay_certificate(p, cert).rels == \
+    assert apply_certificate(p, cert.ops).rels == \
         algebra.to_presentation().rels
 
 
@@ -99,7 +98,7 @@ def test_reduce_random_scrambles(grp):
         assert check_admissible(p).admissible
         out, cert = reduce_to_canonical(p)
         assert (out.n, out.r) == (n, r)
-        assert replay_certificate(p, cert).rels == \
+        assert apply_certificate(p, cert.ops).rels == \
             out.to_presentation().rels
         # invariants of the reduction do not depend on the scramble
         assert invariants(out).g_subgroup == invariants(algebra).g_subgroup
@@ -335,3 +334,28 @@ def test_refusals_of_malformed_algebras_and_fields():
     with pytest.raises(ValueError, match="^algebras must share a scalar group$"):
         equivalence_decide(a, b)
     assert a != "y1"
+
+
+# Weyl graphs over Z<q> on n generators, the last one commuting with all: an
+# item (a, b, c) reads g_a g_b - g_b g_a = c.  Each reduction is pinned by its
+# certificate, its pairing and (n, r) of the canonical algebra.
+CERTIFICATE_CASES = [
+    (4, [(0, 1, 1), (1, 2, -2)], "add(2,0,-2);permute(1,2,3,0)", (("g0", "g1"),), 3, 1),
+    (5, [(0, 1, 3), (0, 2, 2), (0, 3, -2), (1, 2, -2), (2, 3, 3)],
+     "scale(1,-1);add(1,3,-2);add(3,1,2);add(2,1,-2);add(2,0,8);scale(3,1/13);"
+     "permute(1,2,4,0,3)", (("g0", "g1"), ("g3", "g2")), 3, 2),
+    (5, [(0, 2, 2), (0, 3, -3), (1, 2, 3), (1, 3, 0), (2, 3, -3)],
+     "scale(2,-1);add(2,3,-1);add(3,2,3);add(1,0,3);add(3,0,3);scale(3,1/9);"
+     "permute(2,1,4,0,3)", (("g0", "g2"), ("g3", "g1")), 3, 2),
+    (6, [(0, 2, 1), (0, 3, -3), (0, 4, -3), (1, 2, 2), (1, 3, -1), (2, 4, 2), (3, 4, 3)],
+     "add(4,2,3);add(3,2,3);add(1,0,-2);add(4,0,2);scale(3,-1);add(3,4,1);add(4,3,-6);"
+     "add(4,1,-9);permute(2,3,4,5,0,1)", (("g0", "g2"), ("g1", "g3")), 4, 2),
+]
+
+
+@pytest.mark.parametrize("n, items, ops, pairing, out_n, out_r", CERTIFICATE_CASES)
+def test_weyl_graph_certificates_are_pinned(grp, n, items, ops, pairing, out_n, out_r):
+    p = Presentation.build(grp, tuple(f"g{k}" for k in range(n)),
+                           [(a, b, Additive(c)) for a, b, c in items])
+    algebra, cert = reduce_to_canonical(p)
+    assert (cert.describe(), cert.pairing, algebra.n, algebra.r) == (ops, pairing, out_n, out_r)

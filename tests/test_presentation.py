@@ -10,12 +10,11 @@ from qwalg.presentation import (Additive, AddMultiple, Eulerian,
                                 GeneratorMap, Multiplicative, OpError, Permute,
                                 Presentation, PresentationError, Scale, Verified, apply_op,
                                 certified_system, check_admissible,
-                                subpresentation, verify_homomorphism,
-                                weyl_matrix)
+                                verify_homomorphism, weyl_matrix)
 from qwalg.qwa import parse_document, parse_presentation
 from qwalg.scalars import ScalarGroup
 
-from support import CORPUS, S22_TEXT
+from support import CORPUS, S22_TEXT, subpresentation
 
 
 def triangle(group, rel12, rel13, rel23):
@@ -224,6 +223,9 @@ def test_build_refusals():
             (("a", "b"), [(0, 0, Additive(1))], "self-relation on generator 'a'"),
             (("a", "b"), [(0, 1, Additive(1)), (1, 0, Additive(2))],
              "duplicate relation for pair (a, b)"),
+            # A pair given a trivial relation is listed all the same.
+            (("a", "b"), [(0, 1, Additive(0)), (1, 0, Additive(2))],
+             "duplicate relation for pair (a, b)"),
             (("a", "b"), [(0, 1, p_weight)], "weight scalar outside the declared group"),
             (("a", "b"), [(0, 1, 1)], "unknown relation kind 1")]:
         with pytest.raises(PresentationError) as err:
@@ -263,3 +265,71 @@ def test_apply_op_refusals():
     eulerian = Presentation.build(ScalarGroup(), ("w", "y"), [(0, 1, Eulerian(0))])
     with pytest.raises(EulerianNotSupported, match="^generator changes operate on"):
         apply_op(eulerian, Permute((1, 0)))
+
+
+def test_apply_op_refusals_word_for_word(grp):
+    """Each refusal of a generator change, message and all."""
+    q = grp.free_gen("q")
+    s22 = parse_presentation(S22_TEXT)  # x1 x2 = q x2 x1: a quantum pair
+    mixed = triangle(grp, Additive(0), Multiplicative(q), Additive(1))
+    weights = triangle(grp, Additive(2), Additive(3), Additive(0))
+    for p, op, message in [
+            (s22, Permute((0, 1, 2, 2)), "permutation is not a bijection"),
+            (s22, Scale(1, Fraction(0)), "zero scale factor"),
+            (weights, Scale(0, Fraction(1, 2)),
+             "scaling would produce a non-integer Weyl weight"),
+            (s22, AddMultiple(0, 2, 1),
+             "combined generators must form a Weyl (or commuting) pair"),
+            # g1 += g2: the pair (g1, g3) is quantum but (g2, g3) is Weyl
+            (mixed, AddMultiple(0, 1, 1),
+             "generator change mixes incompatible relations at third generator 'g3'")]:
+        with pytest.raises(OpError) as err:
+            apply_op(p, op)
+        assert str(err.value) == message
+
+
+# Drawn with a seeded generator over Z/4 x Z<q> (zeta of order 4).  A case is
+# (n, items, witness).  An item (a, b, k) reads g_a g_b - g_b g_a = k for an
+# int k, and g_a g_b = zeta^t q^f g_b g_a for k = (t, f); absent pairs
+# commute.  The witness is (i, j, k, rel(i, k), rel(j, k)) in the same code:
+# the first violating triple in the scan order of the triangle test.
+WITNESS_CASES = [
+    (5, [(0, 1, 0), (3, 1, 2), (1, 4, (3, 0)), (2, 3, (0, -1)), (2, 4, (3, 0))],
+     (1, 3, 2, 0, (0, 1))),
+    (3, [(0, 1, (0, 1)), (0, 2, -2), (1, 2, (1, 0))], (0, 2, 1, (0, 1), (3, 0))),
+    (6, [(0, 2, (0, 1)), (0, 3, (1, 0)), (1, 5, 0), (2, 3, (1, -1)), (2, 4, (1, -1)),
+         (5, 2, -1), (3, 5, -2), (4, 5, (0, 1))], (2, 5, 0, (0, -1), 0)),
+    (5, [(0, 1, (2, 1)), (0, 2, (1, 0)), (3, 1, -1), (1, 4, (0, -1)), (2, 4, (1, -1)),
+         (3, 4, (1, -1))], (1, 3, 0, (2, -1), 0)),
+    (6, [(0, 1, (0, -1)), (0, 2, (0, 1)), (0, 3, (2, 1)), (0, 4, -2), (1, 2, (0, -1)),
+         (1, 3, (2, 1)), (1, 4, -2), (1, 5, 0), (2, 3, (2, 1)), (4, 2, -1), (2, 5, -2),
+         (3, 4, (0, -1)), (3, 5, (3, 0)), (4, 5, (3, 0))], (0, 4, 1, (0, -1), 2)),
+    (4, [(1, 0, -1), (0, 2, (2, 1)), (3, 0, 0), (1, 2, (3, 0)), (1, 3, (3, 0)),
+         (2, 3, -2)], (0, 1, 2, (2, 1), (3, 0))),
+    (4, [(1, 0, 2), (0, 2, (2, 1)), (1, 2, -2), (1, 3, (1, -1)), (3, 2, 0)],
+     (0, 1, 2, (2, 1), -2)),
+    (5, [(0, 1, (1, -1)), (0, 2, (0, 1)), (1, 2, 1), (3, 1, -1), (3, 2, 0), (2, 4, (1, 0)),
+         (3, 4, (1, 0))], (1, 2, 0, (3, 1), (0, -1))),
+    (6, [(0, 1, 0), (3, 0, 2), (0, 4, (2, 1)), (1, 2, (1, 0)), (1, 5, (1, -1)),
+         (2, 4, (3, 0)), (2, 5, (1, 0)), (4, 5, (3, 0))], (0, 3, 4, (2, 1), 0)),
+    (6, [(0, 1, (1, 0)), (0, 2, (0, -1)), (0, 5, (0, 1)), (1, 2, 0), (1, 4, -2),
+         (1, 5, (0, 1)), (2, 3, (2, 1)), (2, 4, (2, 1)), (2, 5, (1, -1)), (3, 4, (0, -1)),
+         (5, 3, 0)], (1, 4, 0, (3, 0), 0)),
+    (6, [(0, 1, (0, 1)), (0, 2, (0, -1)), (0, 3, (0, 1)), (0, 4, 1), (5, 0, 0),
+         (1, 2, (3, 0)), (1, 3, (1, 0)), (1, 4, (1, 0)), (1, 5, (1, 0)), (2, 4, (1, -1)),
+         (4, 3, 2), (3, 5, 0), (4, 5, (3, 0))], (0, 4, 1, (0, 1), (3, 0))),
+    (6, [(0, 1, (0, -1)), (0, 2, (2, 1)), (0, 4, (0, 1)), (0, 5, (1, 0)), (1, 2, -2),
+         (1, 3, (1, 0)), (1, 4, 1), (1, 5, (0, 1)), (2, 4, (0, -1)), (2, 5, (2, 1)),
+         (3, 4, (1, 0)), (4, 5, (1, 0))], (1, 2, 0, (0, 1), (2, -1))),
+]
+
+
+def test_the_triangle_test_names_the_first_violation_in_scan_order():
+    g = ScalarGroup(4, ("q",), "zeta")
+
+    def rel(k):
+        return Additive(k) if isinstance(k, int) else Multiplicative(g.scalar(k[0], k[1:]))
+    for n, items, (i, j, k, ik, jk) in WITNESS_CASES:
+        p = Presentation.build(g, tuple(f"g{t}" for t in range(n)),
+                               [(a, b, rel(c)) for a, b, c in items])
+        assert check_admissible(p) == (False, (i, j, k, rel(ik), rel(jk)))
