@@ -28,7 +28,6 @@ from .qwa import (format_generator_map, format_presentation, format_scalar_matri
                   parse_document, parse_generator_map)
 from .qweyl import (QuantumWeylAlgebra, localize_to_mixed,
                     qweyl_equivalence_necessary, qweyl_invariants)
-from .rewrite import Confluent
 from .scalars import merge_groups
 from .torus import (Iso, NotIso, QuantumTorus, Violation, central_lattice,
                     check_morphism, is_isomorphism, uniparameter_iso_decide)
@@ -127,8 +126,7 @@ def _subgroup_fields(prefix: str, sub) -> dict:
 
 def cmd_check(args, p):
     report = check_admissible(p)
-    verdict = system_from_presentation(p).check_confluence()
-    confluent = isinstance(verdict, Confluent)
+    confluent = system_from_presentation(p).certify()
     if report.admissible != confluent:
         raise CliError("internal disagreement between the triangle test and "
                        "the overlap resolution check")

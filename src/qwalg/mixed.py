@@ -15,6 +15,7 @@ changes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from . import intlattice
@@ -37,16 +38,21 @@ class InadmissiblePresentation(PresentationError):
 
 
 class CanonicalMixedAlgebra:
-    """The triple (n, r, Lambda) with Lambda multiplicatively antisymmetric."""
+    """The triple (n, r, Lambda) with Lambda multiplicatively antisymmetric,
+    given as a matrix of scalars or as a torus built from its exponents."""
 
     def __init__(self, group: ScalarGroup, n: int, r: int, lam):
         if n < 1 or not (0 <= r <= n):
             raise ValueError("need n >= 1 and 0 <= r <= n")
-        self._torus = QuantumTorus(group, lam)
+        self._torus = lam if isinstance(lam, QuantumTorus) else QuantumTorus(group, lam)
         if self._torus.n != n:
             raise ValueError(f"Lambda must be {n} x {n}")
         self.group, self.n, self.r = group, n, r
-        self.lam = tuple(map(tuple, self._torus.lam))
+
+    @cached_property
+    def lam(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Lambda, derived from the torus where it is printed or asked for."""
+        return tuple(map(tuple, self._torus.lam))
 
     def torus(self) -> QuantumTorus:
         return self._torus
@@ -58,7 +64,7 @@ class CanonicalMixedAlgebra:
     def to_presentation(self, names=None) -> Presentation:
         names = tuple(names) if names else self.gens()
         n, r = self.n, self.r
-        deg = [[s.degree() for s in row] for row in self.lam]
+        deg = self._torus.degrees()
         items = []
         for i in range(n):
             for j in range(i + 1, n):
@@ -75,8 +81,7 @@ class CanonicalMixedAlgebra:
     def __eq__(self, other):
         if not isinstance(other, CanonicalMixedAlgebra):
             return NotImplemented
-        return (self.group, self.n, self.r, self.lam) == \
-            (other.group, other.n, other.r, other.lam)
+        return (self.n, self.r, self._torus) == (other.n, other.r, other._torus)
 
 
 class MixedWeylField:
@@ -197,10 +202,9 @@ def reduce_to_canonical(p: Presentation) -> tuple[CanonicalMixedAlgebra, Reducti
     others = [v for v in range(size) if all(v not in pr for pr in pairs)]
     order = [y for _, y in pairs] + others + [x for x, _ in pairs]
     do(Permute(tuple(order)))
-    one = p.group.one()
-    lam = [[one if d[i][j] is None else Scalar(p.group, d[i][j][0], d[i][j][1:])
-            for j in range(n)] for i in range(n)]
-    algebra = CanonicalMixedAlgebra(p.group, n, r, lam)
+    zero = (0,) * (1 + p.group.rank)
+    algebra = CanonicalMixedAlgebra(p.group, n, r, QuantumTorus.from_relations(
+        p.group, n, [(i, j, d[i][j] or zero) for i in range(n) for j in range(i + 1, n)]))
     canon = algebra.to_presentation()
     if (w, d) != (canon.weyl, canon.degrees):
         raise AssertionError("reduced table does not match the canonical table")

@@ -13,10 +13,9 @@ a twist or commuting pair read the matrices.
 ``exchanged`` is the one place the three kinds are read as algebra: it gives
 what g_j g_i equals under the relation of a pair i < j, and
 ``verify_homomorphism`` uses it to check a ``GeneratorMap`` relation by
-relation, on relation objects that ``Presentation.rel`` derives.
-``twist_degree`` reads such a relation as the degree of a scalar twist:
-``verify_homomorphism`` settles by it a relation whose images are single
-words.
+relation, on relation objects that ``Presentation.rel`` derives.  The rules
+of a system and the pairs that ``verify_homomorphism`` settles by degrees
+read the matrices instead (``Presentation.twist``).
 """
 from __future__ import annotations
 
@@ -177,6 +176,14 @@ class Presentation:
     def additive_weight(self, a: int, b: int) -> int | None:
         r = self.rel(a, b)
         return r.weight if isinstance(r, Additive) else None
+
+    def twist(self, a: int, b: int) -> tuple | None:
+        """The degree of mu with g_a g_b = mu g_b g_a: ``degrees[a][b]``, 0
+        for a commuting pair, and None for a Weyl or an Eulerian pair."""
+        d = self.degrees[a][b]
+        if d is None and not self.weyl[a][b] and (min(a, b), max(a, b)) not in self.eulerian:
+            return (0,) * (1 + self.group.rank)
+        return d
 
     def has_eulerian(self) -> bool:
         return bool(self.eulerian)
@@ -359,32 +366,23 @@ def exchanged(rel: Relation, i: int, gi: Element, gj: Element) -> Element:
     return ij.add(gi)  # [g_j, g_i] = g_i
 
 
-def twist_degree(rel: Relation, group: ScalarGroup) -> tuple | None:
-    """The degree d of mu with g_i g_j = mu g_j g_i under ``rel``, the
-    stored relation of a pair i < j, for mu in ``group``, or None: a scalar
-    twist has its weight's degree, and a commuting pair (Additive(0)) 0."""
-    if isinstance(rel, Multiplicative) and rel.weight.group == group:
-        return rel.weight.degree()
-    if isinstance(rel, Additive) and not rel.weight:
-        return (0,) * (1 + group.rank)
-    return None
-
-
 def system_from_presentation(p: Presentation) -> ReductionSystem:
     """One quadratic rule g_j g_i -> exchanged(...) per pair i < j, in
-    declaration order; a twist or commuting pair states its rule by the
-    degree degrees[j][i] of mu in g_j g_i = mu g_i g_j (0 when it commutes)."""
+    declaration order.  A twist or commuting pair states its rule by the
+    degree ``p.twist(j, i)`` of mu in g_j g_i = mu g_i g_j, a Weyl pair
+    writes g_i g_j - w out from w = weyl[i][j], and only an Eulerian pair
+    goes through ``exchanged``."""
     ring = CoeffRing(p.group)
-    letters = [Element.from_word(ring, (i,)) for i in range(p.n)]
-    zero = (0,) * (1 + p.group.rank)
-    rules = []
+    one, rules = Coeff.one(ring), []
     for j in range(p.n):
         for i in range(j):
-            d = p.degrees[j][i]
-            if d is None and not p.weyl[i][j] and (i, j) not in p.eulerian:
-                d = zero
-            rules.append(Rule((j, i), d if d is not None
-                              else exchanged(p.rel(i, j), i, letters[i], letters[j])))
+            if (i, j) in p.eulerian:
+                rhs = exchanged(p.eulerian[i, j], i, Element.from_word(ring, (i,)),
+                                Element.from_word(ring, (j,)))
+            elif (rhs := p.twist(j, i)) is None:
+                rhs = Element.of_terms(ring, {(i, j): one,
+                                              (): Coeff.from_rational(ring, -p.weyl[i][j])})
+            rules.append(Rule((j, i), rhs))
     return ReductionSystem(p.group, p.gens, rules)
 
 
@@ -437,9 +435,10 @@ def verify_homomorphism(gmap: GeneratorMap) -> Verified | FailingRelation:
     only by a member of that ideal, which the normal form removes.
 
     A pair is settled by degrees, with no reduction, when both reduced
-    images are single words, a = alpha t and b = beta u, and the relation
-    is Multiplicative(s) or Additive(0) (s = 1), as ``twist_degree`` reads
-    it.  The defect is then
+    images are single words, a = alpha t and b = beta u, and the pair is a
+    twist g_i g_j = s g_j g_i of the target's scalar group or commutes
+    (s = 1), read off the source's matrices (``Presentation.twist``).  The
+    defect is then
     alpha beta (u t - s^-1 t u), and t u = nu u t in the target, with nu
     the twist-table degree ``exchange_degree(t, u)``; when nu is the degree
     of s, u t = s^-1 t u and the defect lies in the ideal, so its normal
@@ -452,27 +451,24 @@ def verify_homomorphism(gmap: GeneratorMap) -> Verified | FailingRelation:
     if not sys.certified:
         raise NotCertifiedError("confluence has not been certified for this system")
     images = [sys.normal_form(gmap.images[g]) for g in src.gens]
-    count = 0
+    same_group, count = src.group == sys.group, 0
     for i, a in enumerate(images):
         for j in range(i + 1, src.n):
             b = images[j]
-            rel = src.rel(i, j)
-            if not _settled_by_degrees(sys, rel, a, b):
-                defect = sys.normal_form(b.concat(a).sub(exchanged(rel, i, a, b)))
+            if not _settled_by_degrees(sys, src.twist(i, j) if same_group else None, a, b):
+                defect = sys.normal_form(b.concat(a).sub(exchanged(src.rel(i, j), i, a, b)))
                 if not defect.is_zero():
                     return FailingRelation((src.gens[i], src.gens[j]), defect)
             count += 1
     return Verified(count)
 
 
-def _settled_by_degrees(sys: ReductionSystem, rel: Relation, a: Element, b: Element) -> bool:
-    """Whether twist degrees prove that the defect of the reduced images a
-    and b has normal form zero (see ``verify_homomorphism``)."""
-    if len(a.terms) != 1 or len(b.terms) != 1:
-        return False
-    target = twist_degree(rel, sys.group)
-    (t,), (u,) = a.terms, b.terms
-    return target is not None and sys.exchange_degree(t, u) == target
+def _settled_by_degrees(sys: ReductionSystem, d: tuple | None, a: Element, b: Element) -> bool:
+    """Whether the twist degree d of a source pair proves that the defect of
+    the reduced images a and b has normal form zero (see
+    ``verify_homomorphism``)."""
+    return (d is not None and len(a.terms) == 1 == len(b.terms)
+            and sys.exchange_degree(*a.terms, *b.terms) == d)
 
 
 def verified(gmap: GeneratorMap, what: str) -> Verified:

@@ -16,6 +16,7 @@ Weyl pairs given by the indices with q_j = 1.
 """
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .cyclo import Coeff, CoeffRing
@@ -51,21 +52,28 @@ class QuantumWeylAlgebra:
     # Letter order: y1 < x1 < y2 < x2 < ..., so y_i is letter 2i and x_i is
     # 2i + 1 (from 0); every right-hand side is smaller.
     def _build_system(self) -> ReductionSystem:
+        """The system, with the terms of every z_i built once: the twist
+        rules are stated by the degrees of their scalars, read off the
+        torus exponents and the degrees of the q_i."""
         ring = CoeffRing(self.group)
+        one = Coeff.one(ring)
         letters = tuple(f"{c}{i+1}" for i in range(self.n) for c in "yx")
-        inverse = self.group.inverse_degree
-        # The twist rules, stated by the degrees of their scalars.
+        inverse, e = self.group.inverse_degree, self.group.torsion_order
+        deg, qd = self._torus.degrees(), [q.degree() for q in self.qs]
         rules = []
         for j in range(self.n):
             for i in range(j):
-                lam = self.lam[i][j].degree()
-                qlam = self.qs[i].mul(self.lam[i][j]).degree()
+                lam = deg[i][j]
+                qlam = ((qd[i][0] + lam[0]) % e, *map(add, qd[i][1:], lam[1:]))
                 yi, xi, yj, xj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
                 rules += [Rule((yj, yi), inverse(lam)), Rule((xj, xi), inverse(qlam)),
                           Rule((yj, xi), lam), Rule((xj, yi), qlam)]
+        z, self._z = {(): one}, []
         for j in range(self.n):  # x_j y_j = q_j y_j x_j + z_(j-1)
-            qj, z = Coeff.of_degree(ring, self.qs[j].degree()), self._z_terms(ring, j - 1)
+            qj = Coeff.of_degree(ring, qd[j])
             rules.append(Rule((2 * j + 1, 2 * j), Element(ring, {(2 * j, 2 * j + 1): qj, **z})))
+            z = {**z, (2 * j, 2 * j + 1): qj.sub(one)}  # zero ones included
+            self._z.append(z)
         sys = ReductionSystem(self.group, letters, rules)
         verdict = sys.check_confluence()
         if isinstance(verdict, Failing):
@@ -81,14 +89,10 @@ class QuantumWeylAlgebra:
         return self._system
 
     def z_element(self, sys: ReductionSystem, i: int) -> Element:
-        """z_i = 1 + sum_{k<=i} (q_k - 1) y_k x_k as an element of sys."""
-        return Element(sys.ring, self._z_terms(sys.ring, i))
-
-    def _z_terms(self, ring: CoeffRing, i: int) -> dict:
-        """The terms of z_i, zero ones included (``Element`` drops them)."""
-        one = Coeff.one(ring)
-        return {(): one, **{(2 * k, 2 * k + 1): Coeff.of_degree(ring, self.qs[k].degree()).sub(one)
-                            for k in range(i + 1)}}
+        """z_i = 1 + sum_{k<=i} (q_k - 1) y_k x_k as an element of sys, from
+        the terms that building the system made."""
+        self.system()
+        return Element(sys.ring, self._z[i])
 
     @property
     def weyl_indices(self) -> list[int]:
@@ -140,9 +144,9 @@ def localize_to_mixed(a: QuantumWeylAlgebra) -> LocalizationResult:
     for i in ii:
         ext, _ = sys.adjoin_inverse(a.z_element(sys, i), f"z{i+1}^-1")
         # The new letter Z equals z_i, so its twists are z_i's scalars.
-        z, group = len(sys.letters), a.group
-        normal_scalars[i] = {name: group.scalar(d[0], d[1:]) for g, name in enumerate(sys.letters)
-                             for d in [ext.exchange_degree((z,), (g,))]}
+        z, group, twists = len(sys.letters), a.group, ext.twists
+        normal_scalars[i] = {name: Scalar(group, d[0], d[1:]) for g, name in enumerate(sys.letters)
+                             for d in [twists[z, g]]}
         sys = ext
 
     def after_prev(j: int, letter: str) -> Element:

@@ -42,17 +42,19 @@ parent's certified normality of the element puts their difference in the
 ideal of smaller words.  A twist table holds the degree of mu (torsion
 exponent mod e, then free exponents) of each rule u h -> mu h u with mu a
 scalar, built from the rules alone, which may state mu by that degree
-(``_grow``).  Read either way round, with an inverse pair
-g g^-1 -> 1 <- g^-1 g of degree 0, it gives the degree nu of a letter x on
-a word t: x t = nu t x, so t x = nu^-1 x t.  One graded lemma settles most
-other overlaps: the first letter moves right or the last letter moves
-left, the same statement in the algebra and in its opposite, and words of
-another degree may leave a remainder that reduces to zero, reduced once
-per system.  Degrees also give normality scalars
+(``_grow``).  Such a rule is its table entry until a reduction uses it: its
+right side is built on first use (``right_side``), and the degree criterion
+settles its overlaps with no right side at all.  Read either way round,
+with an inverse pair g g^-1 -> 1 <- g^-1 g of degree 0, the table gives the
+degree nu of a letter x on a word t: x t = nu t x, so t x = nu^-1 x t.
+One graded lemma settles most other overlaps: the first letter moves right
+or the last letter moves left, the same statement in the algebra and in its
+opposite, and words of another degree may leave a remainder that reduces to
+zero, reduced once per system.  Degrees also give normality scalars
 (``commutation_with_generators``) and settle a relation of a generator map
 whose images are single words (``exchange_degree``).  They are the engine's
-form of a scalar: one becomes a coefficient once per rule, and a ``Scalar``
-only where a public method returns one.  Proofs are in
+form of a scalar: one becomes a coefficient once per rule that a reduction
+uses, and a ``Scalar`` only where a public method returns one.  Proofs are in
 ``check_confluence``.  Certification visits only the overlaps with a loose
 pair, read off an index: a rule outside the table or a descending letter
 pair with no twist rule.  ``adjoin_inverse`` appends its two letters in an
@@ -195,7 +197,8 @@ class ReductionSystem:
         self.letters: tuple[str, ...] = ()
         self.rules: list[Rule] = []
         self._certified = False
-        self._rhs: dict[Word, Element] = {}
+        # Left side -> right side; a twist's degree until ``right_side`` builds it.
+        self._rhs: dict[Word, Element | tuple] = {}
         self._pos: dict[Word, int] = {}  # left side -> index of its rule
         # Twist table (u, h) -> degree of mu per rule u h -> mu h u (see ``_grow``).
         self._twists: dict[Word, tuple] = {}
@@ -214,26 +217,33 @@ class ReductionSystem:
     def _grow(self, letters, rules: list[Rule]):
         """Append letters and rules, validating only the new rules, with the
         twist-table entries of the new rules and the inverse pairs they
-        complete.  A twist u h -> mu h u stated by the degree d of mu gets
-        its right side and its entry from d; a right side h u whose
-        coefficient is a scalar has its degree read off.  A rule is
-        validated before it gets an entry.
+        complete.  A twist u h -> mu h u stated by the degree d of mu becomes
+        its entry d and nothing more: it is validated by its letter order
+        (h before u), and its right side is built on first use
+        (``right_side``).  A right side h u whose coefficient is a scalar
+        has its degree read off.  A rule is validated before it gets an
+        entry.
         Table entries join only with new rules, so the loose pairs to index
         are those of the new rules and of the new letters.  (A pair with no
         rule that later gets a twist rule stays indexed: that only adds
         candidates, which the degree criterion settles.)"""
-        old, first, ring, tw = len(self.letters), len(self.rules), self.ring, self._twists
+        old, first, tw = len(self.letters), len(self.rules), self._twists
         self.letters += tuple(letters)
+        pos, rhs_of, out, e = self._pos, self._rhs, self.rules, self.group.torsion_order
         for lhs, rhs in rules:
-            if isinstance(rhs, tuple):
-                rhs, d = Element.of_terms(ring, {lhs[::-1]: Coeff.of_degree(ring, rhs)}), rhs
+            if rhs.__class__ is tuple:
+                # Its one word h u is below u h when h < u: only a rule that
+                # fails that or the shape is sent on, to raise its RuleError.
+                if len(lhs) != 2 or lhs[1] >= lhs[0] or lhs in rhs_of:
+                    self._validate_rule(lhs, (lhs[::-1],))
+                d = rhs
             else:
+                self._validate_rule(lhs, rhs.terms)
                 d = coeff_degree(rhs.terms[lhs[::-1]]) if rhs.terms.keys() == {lhs[::-1]} else None
-            self._validate_rule(lhs, rhs)
-            self._pos[lhs], self._rhs[lhs] = len(self.rules), rhs
-            self.rules.append(Rule(lhs, rhs))
+            pos[lhs], rhs_of[lhs] = len(out), rhs
+            out.append(Rule(lhs, rhs))
             if d is not None:
-                tw[lhs] = (d[0] % self.group.torsion_order, *d[1:])
+                tw[lhs] = (d[0] % e, *d[1:])
         new = self.rules[first:]
         loose = [r.lhs for r in new if r.lhs not in tw]
         loose += [(a, b) for a in range(old, len(self.letters)) for b in range(a)
@@ -247,7 +257,7 @@ class ReductionSystem:
             for x, ys in added.items():  # new sets: an extension shares the old ones
                 index[x] = index.get(x, frozenset()) | ys
         one = self.one()
-        units = [r.lhs for r in new if () in r.rhs.terms and r.rhs == one]
+        units = [r.lhs for r in new if r.rhs.__class__ is Element and r.rhs == one]
         self._inverses |= {p for lhs in units if self._rhs.get(lhs[::-1]) == one
                            for p in (lhs, lhs[::-1])}
 
@@ -267,13 +277,13 @@ class ReductionSystem:
 
     # -- construction helpers -------------------------------------------------
 
-    def _validate_rule(self, lhs: Word, rhs: Element):
+    def _validate_rule(self, lhs: Word, words):
         if len(lhs) != 2:
             raise RuleError(f"rule left-hand side {lhs} is not two letters")
         if lhs in self._rhs:
             raise RuleError(f"duplicate leading word {lhs}")
         key = deglex_key(lhs)
-        for w in rhs.terms:
+        for w in words:
             if deglex_key(w) >= key:
                 raise RuleError(f"rule does not decrease deglex order: {lhs} -> {w}")
 
@@ -292,6 +302,20 @@ class ReductionSystem:
     @property
     def certified(self) -> bool:
         return self._certified
+
+    @property
+    def twists(self) -> dict[Word, tuple]:
+        """The twist table: (u, h) -> the degree of mu per rule u h -> mu h u."""
+        return self._twists
+
+    def right_side(self, lhs: Word) -> Element:
+        """The right side of the rule on ``lhs``.  A twist stated by its
+        degree gets its ``Element`` here, on first use, and keeps it."""
+        rhs = self._rhs[lhs]
+        if rhs.__class__ is tuple:
+            rhs = self._rhs[lhs] = Element.of_terms(
+                self.ring, {lhs[::-1]: Coeff.of_degree(self.ring, rhs)})
+        return rhs
 
     # -- reduction -------------------------------------------------------------
 
@@ -332,6 +356,8 @@ class ReductionSystem:
                     # Words leave in decreasing order, so w is new here.
                     done[w] = c
                     continue
+                if rhs.__class__ is tuple:
+                    rhs = self.right_side(w[pos:pos + 2])
                 pre, post = w[:pos], w[pos + 2:]
                 for rw, rc in rhs.terms.items():
                     # Many rule coefficients are 1 (inverse pairs, commuting
@@ -448,22 +474,33 @@ class ReductionSystem:
         ambiguities among them stay resolvable once rules are added
         (Bergman), so they are skipped.
 
+        A twist rule stated by its degree needs no right side for any of
+        this: the degree criterion settles its overlaps from the table, and
+        its right side is built on first use, by a reduction or a one-step
+        result (``right_side``).
+
         On a failure every ambiguity of the full scan (``_candidates`` with
         ``full``) is reduced again, since a settled overlap may reduce to
         non-zero on a system that is not confluent: the Failing witness is
         the first ambiguity whose sides have different normal forms, with
-        both.
+        both.  ``certify`` gives the verdict alone.
         """
-        if next(self._unresolved(self._unsettled(known)), None) is None:
-            self._certified = True
+        if self.certify(known):
             return Confluent()
         word, a, b = next(self._unresolved(self._candidates(0, full=True)))
         return Failing(word, self._reduce_terms(a.terms), self._reduce_terms(b.terms))
 
+    def certify(self, known: int = 0) -> bool:
+        """Whether every ambiguity resolves, with no witness: the first pass
+        of ``check_confluence``, which certifies the system when it does."""
+        confluent = next(self._unresolved(self._unsettled(known)), None) is None
+        self._certified |= confluent
+        return confluent
+
     def _unsettled(self, known: int):
         """The candidate overlaps from ``known`` that neither the
         construction nor the degree criterion, on either side, settles, as
-        (u v w, right side of u v, of v w)."""
+        (u v w, right side of u v, of v w), each as its rule states it."""
         return ((word, rhs1, rhs2) for word, rhs1, rhs2 in self._candidates(known)
                 if not (word in self._by_construction or self._graded(word, rhs2, True)
                         or self._graded(word, rhs1, False)))
@@ -471,20 +508,23 @@ class ReductionSystem:
     def _unresolved(self, overlaps):
         """Each of the overlaps as (word, a, b) whose one-step results a and
         b reduce differently."""
-        for word, rhs1, rhs2 in overlaps:
-            a, b = self._one_step(word, rhs1, rhs2)
+        for word, _, _ in overlaps:
+            a, b = self._one_step(word)
             if self._reduced(a.sub(b).terms).terms:
                 yield word, a, b
 
-    def _graded(self, word: Word, rhs: Element, left: bool) -> bool:
+    def _graded(self, word: Word, rhs: Element | tuple, left: bool) -> bool:
         """Whether degrees settle the overlap u v w, moving x = u through the
         right side rhs of the rule v w on the left, x = w through that of
-        u v on the right (see ``check_confluence``)."""
+        u v on the right (see ``check_confluence``); a twist's degree stands
+        for its right side."""
         # x twists both letters of p = v w or u v: by u w and by the overlap's
         # other rule, u v on the left and v w on the right.
         x, p, other = (word[0], word[1:], word[:2]) if left else (word[2], word[:2], word[1:])
         if word[::2] not in self._twists or other not in self._twists:
             return False
+        if rhs.__class__ is tuple:  # one word, p turned round: of degree nu
+            return True
         nu = self._word_degree(x, p)
         rest = [(t, c) for t, c in rhs.terms.items() if self._word_degree(x, t) != nu]
         # A remainder with a degree on every word has never vanished.
@@ -575,9 +615,11 @@ class ReductionSystem:
             r1, r2 = rules[i], rules[j]
             yield (*r1.lhs, r2.lhs[1]), r1.rhs, r2.rhs
 
-    def _one_step(self, word: Word, rhs1: Element, rhs2: Element) -> tuple[Element, Element]:
-        """The one-step results rhs1 w and u rhs2 of the overlap u v w."""
+    def _one_step(self, word: Word) -> tuple[Element, Element]:
+        """The one-step results rhs1 w and u rhs2 of the overlap u v w, with
+        rhs1 and rhs2 the right sides of u v and v w."""
         u, _, w = word
+        rhs1, rhs2 = self.right_side(word[:2]), self.right_side(word[1:])
         return (Element.of_terms(self.ring, {t + (w,): c for t, c in rhs1.terms.items()}),
                 Element.of_terms(self.ring, {(u,) + t: c for t, c in rhs2.terms.items()}))
 

@@ -8,6 +8,7 @@ free symbols never satisfy accidental relations.
 """
 from __future__ import annotations
 
+from operator import neg
 from typing import NamedTuple
 
 from . import intlattice
@@ -120,7 +121,7 @@ class ScalarGroup(Frozen):
 
     def inverse_degree(self, d: tuple[int, ...]) -> tuple[int, ...]:
         """The degree of the inverse: every exponent negated, torsion mod e."""
-        return (-d[0] % self.torsion_order, *(-x for x in d[1:]))
+        return (-d[0] % self.torsion_order, *map(neg, d[1:]))
 
 
 class Scalar(Frozen):

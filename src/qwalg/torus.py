@@ -90,6 +90,10 @@ class QuantumTorus:
                           for j in range(self.n)] for i in range(self.n)]
         return self._lam
 
+    def degrees(self) -> list[list[tuple]]:
+        """The degree (torsion, *free) of each lambda_{i,j}, off the exponents."""
+        return [list(zip(*rows)) for rows in zip(*self.exponents)]
+
     def to_presentation(self, names=None) -> Presentation:
         names = tuple(names) if names else tuple(f"y{i+1}" for i in range(self.n))
         items = [(i, j, Multiplicative(self.lam[i][j]))

@@ -194,6 +194,33 @@ def count_reductions(monkeypatch) -> list:
     return calls
 
 
+# -- drawn presentations ---------------------------------------------------------
+
+
+def relation_items(draw, group, n, kinds, weight):
+    """Per pair: no relation or one of ``kinds``, given in a random
+    orientation (a, b); ``weight`` draws the scalar of a quantum one."""
+    items = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = draw(st.sampled_from(((i, j), (j, i))))
+            kind = draw(st.sampled_from(("none",) + kinds))
+            if kind == "additive":
+                items.append((a, b, Additive(draw(st.integers(-3, 3)))))
+            elif kind == "multiplicative":
+                items.append((a, b, Multiplicative(draw(weight))))
+            elif kind == "eulerian":
+                items.append((a, b, Eulerian(a)))
+            elif kind == "commuting":
+                items.append((a, b, Additive(0)))
+    return items
+
+
+def weights(group):
+    free = st.tuples(*(st.integers(-3, 3) for _ in range(group.rank)))
+    return st.builds(group.scalar, st.integers(0, group.torsion_order - 1), free)
+
+
 # -- quantum Weyl algebras and their localization chains -----------------------
 
 
@@ -268,17 +295,18 @@ def brute_force_ambiguities(s: ReductionSystem, known: int):
                 if (p == 0 and len(l2) >= len(l1)) or l1[p:p + len(l2)] != l2[:len(l1) - p]:
                     continue
                 word = l1 + l2[len(l1) - p:]
-                a = Element(s.ring, {w + word[len(l1):]: c for w, c in r1.rhs.terms.items()})
+                a = Element(s.ring, {w + word[len(l1):]: c
+                                     for w, c in s.right_side(l1).terms.items()})
                 b = Element(s.ring, {word[:p] + w + word[p + len(l2):]: c
-                                     for w, c in r2.rhs.terms.items()})
+                                     for w, c in s.right_side(l2).terms.items()})
                 yield word, a, b
 
 
 def two_sided(s: ReductionSystem) -> Confluent | Failing:
     """The reference resolution: reduce both sides of every ambiguity apart
     and compare the two normal forms."""
-    for word, r1, r2 in s._candidates(0, full=True):
-        a, b = (s._reduce_terms(x.terms) for x in s._one_step(word, r1, r2))
+    for word, _, _ in s._candidates(0, full=True):
+        a, b = (s._reduce_terms(x.terms) for x in s._one_step(word))
         if a != b:
             return Failing(word, a, b)
     return Confluent()

@@ -115,7 +115,7 @@ def assert_same_ambiguities(s: ReductionSystem):
     """The full scan yields the brute-force words; the one-step results
     built from its two rule right sides are the brute-force ones."""
     for known in sorted({0, 1, len(s.rules) // 2, len(s.rules)}):
-        got = [(w, *s._one_step(w, r1, r2)) for w, r1, r2 in s._candidates(known, full=True)]
+        got = [(w, *s._one_step(w)) for w, _, _ in s._candidates(known, full=True)]
         expected = list(brute_force_ambiguities(s, known))
         assert [w for w, _, _ in got] == [w for w, _, _ in expected]
         assert all(a == ea and b == eb for (_, a, b), (_, ea, eb) in zip(got, expected))
@@ -288,7 +288,8 @@ def opposite(s: ReductionSystem) -> ReductionSystem:
 
     def op(w: tuple) -> tuple:
         return tuple(n - 1 - i for i in reversed(w))
-    rules = [Rule(op(r.lhs), Element(s.ring, {op(t): c for t, c in r.rhs.terms.items()}))
+    rules = [Rule(op(r.lhs), Element(s.ring, {op(t): c
+                                              for t, c in s.right_side(r.lhs).terms.items()}))
              for r in s.rules]
     return ReductionSystem(s.group, s.letters[::-1], rules)
 
@@ -373,7 +374,7 @@ def test_identification_rule_with_z_on_the_right(e, extensions_with_known):
                 if all((u, h) in tw or (h, u) in tw for h in letters) and \
                         (u, word[1]) in tw and (u, word[2]) in tw:
                     assert ext._graded(word, r2, True)
-                    a, b = ext._one_step(word, r1, r2)
+                    a, b = ext._one_step(word)
                     assert ext._reduce_terms(a.terms) == ext._reduce_terms(b.terms)
                     seen += 1
     assert seen
@@ -435,7 +436,7 @@ def test_presentation_systems_state_the_twist_table_of_their_rules():
         gens = [s.word(name) for name in s.letters]
         for j in range(p.n):
             for i in range(j):
-                assert s._rhs[j, i] == exchanged(p.rel(i, j), i, gens[i], gens[j])
+                assert s.right_side((j, i)) == exchanged(p.rel(i, j), i, gens[i], gens[j])
     for s in corpus_systems():
         assert s._twists == fresh(s)._twists
 
@@ -599,7 +600,8 @@ def test_mirror_triangle_through_the_cli(tmp_path):
 def assert_same_as_fully_validated(ext: ReductionSystem):
     full = ReductionSystem(ext.group, ext.letters, ext.rules)
     assert full.rules == ext.rules
-    assert full._rhs == ext._rhs and list(full._rhs) == list(ext._rhs)
+    assert [full.right_side(lhs) for lhs in full._rhs] == \
+        [ext.right_side(lhs) for lhs in ext._rhs] and list(full._rhs) == list(ext._rhs)
     assert full._twists == ext._twists
     assert full._pos == ext._pos
     assert full._loose_first == ext._loose_first
@@ -654,8 +656,8 @@ def reference_reduce(s: ReductionSystem, el: Element) -> Element:
         w = max(pending, key=deglex_key)
         c = pending.pop(w)
         for pos in range(len(w) - 1):
-            rhs = s._rhs.get((w[pos], w[pos + 1]))
-            if rhs is not None:
+            if (w[pos], w[pos + 1]) in s._rhs:
+                rhs = s.right_side((w[pos], w[pos + 1]))
                 break
         else:
             done[w] = c

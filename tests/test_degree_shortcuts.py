@@ -95,13 +95,15 @@ def one_word_maps(draw):
 
 
 def pair_defects(gmap: GeneratorMap):
-    """(rel, a, b, reduced defect) for each source pair, on reduced images."""
+    """(rel, twist degree, a, b, reduced defect) for each source pair, on
+    reduced images."""
     src, sys = gmap.source, gmap.target
     images = [sys.normal_form(gmap.images[name]) for name in src.gens]
     for i in range(src.n):
         for j in range(i + 1, src.n):
             rel, a, b = src.rel(i, j), images[i], images[j]
-            yield rel, a, b, sys.normal_form(b.concat(a).sub(exchanged(rel, i, a, b)))
+            yield (rel, src.twist(i, j), a, b,
+                   sys.normal_form(b.concat(a).sub(exchanged(rel, i, a, b))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -112,8 +114,8 @@ def test_degree_settled_pairs_match_reductions(gmap):
     whose defect is zero, is settled."""
     assert verify_homomorphism(gmap) == raw_image_verify(gmap)
     sys = gmap.target
-    for rel, a, b, defect in pair_defects(gmap):
-        settled = _settled_by_degrees(sys, rel, a, b)
+    for rel, d, a, b, defect in pair_defects(gmap):
+        settled = _settled_by_degrees(sys, d, a, b)
         if settled:
             assert defect.is_zero()
         elif (defect.is_zero() and len(a.terms) == len(b.terms) == 1
@@ -129,8 +131,8 @@ def test_one_word_maps_reach_both_outcomes(outcome):
     """Some map has a pair settled by degrees; some map fails on a pair
     whose degrees disagree."""
     def settled(gmap):
-        return any(_settled_by_degrees(gmap.target, rel, a, b)
-                   for rel, a, b, _ in pair_defects(gmap))
+        return any(_settled_by_degrees(gmap.target, d, a, b)
+                   for _, d, a, b, _ in pair_defects(gmap))
 
     def fails_on_degrees(gmap):
         res = verify_homomorphism(gmap)
@@ -157,8 +159,8 @@ def test_localization_map_pairs_are_settled():
                 continue
             res = localize_to_mixed(a)
             sys = res.gmap.target
-            settled = [_settled_by_degrees(sys, rel, x, y)
-                       for rel, x, y, _ in pair_defects(res.gmap)
+            settled = [_settled_by_degrees(sys, d, x, y)
+                       for _, d, x, y, _ in pair_defects(res.gmap)
                        if len(x.terms) == len(y.terms) == 1
                        and sys.exchange_degree(*y.terms, *x.terms) is not None]
             assert len(settled) > res.relations_checked // 2 and all(settled)
@@ -173,8 +175,8 @@ def test_torsion_degrees_sum_mod_e():
                                                  [(0, 1, Multiplicative(g.root(1)))]))
     source = Presentation.build(g, ("a", "b"), [(0, 1, Multiplicative(g.root(2)))])
     gmap = GeneratorMap(source, target, {"a": target.word("x"), "b": target.word("y", "y")})
-    (rel, a, b, defect), = pair_defects(gmap)
-    assert defect.is_zero() and _settled_by_degrees(target, rel, a, b)
+    (_, d, a, b, defect), = pair_defects(gmap)
+    assert defect.is_zero() and _settled_by_degrees(target, d, a, b)
     assert verify_homomorphism(gmap) == raw_image_verify(gmap)
 
 
@@ -230,6 +232,6 @@ def test_turned_round_overlaps_reach_both_verdicts(verdict):
     """Some system with an overlap u v w settled on the left by turning
     round a one-letter word of v w above u (the Z) has the verdict."""
     find_graded(lambda s: any(s._graded(w, r2, True) and any(len(t) == 1 and t[0] > w[0]
-                                                             for t in r2.terms)
+                                                             for t in s.right_side(w[1:]).terms)
                               for w, _, r2 in s._candidates(0, full=True)),
                 verdict, hows=("appended",))

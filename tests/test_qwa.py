@@ -14,7 +14,7 @@ from qwalg.qwa import (ParseError, format_group_block, format_presentation, pars
 from qwalg.scalars import GroupMismatch, ScalarGroup, format_scalar
 from qwalg.torus import QuantumTorus
 
-from support import LL2_TARGET, S22_TEXT, T21_SOURCE
+from support import LL2_TARGET, S22_TEXT, T21_SOURCE, relation_items, weights
 
 def test_parse_s22():
     p = parse_presentation(S22_TEXT)
@@ -263,30 +263,6 @@ def test_parse_into_given_group():
 
 
 NAMES = ("x", "y", "w", "x1", "y2", "t_3", "Gen", "a10")
-
-
-def relation_items(draw, group, n, kinds, weight):
-    """Per pair: no relation or one of ``kinds``, given in a random
-    orientation (a, b); ``weight`` draws the scalar of a quantum one."""
-    items = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = draw(st.sampled_from(((i, j), (j, i))))
-            kind = draw(st.sampled_from(("none",) + kinds))
-            if kind == "additive":
-                items.append((a, b, Additive(draw(st.integers(-3, 3)))))
-            elif kind == "multiplicative":
-                items.append((a, b, Multiplicative(draw(weight))))
-            elif kind == "eulerian":
-                items.append((a, b, Eulerian(a)))
-            elif kind == "commuting":
-                items.append((a, b, Additive(0)))
-    return items
-
-
-def weights(group):
-    free = st.tuples(*(st.integers(-3, 3) for _ in range(group.rank)))
-    return st.builds(group.scalar, st.integers(0, group.torsion_order - 1), free)
 
 
 @st.composite
