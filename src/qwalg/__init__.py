@@ -10,12 +10,11 @@ __version__ = "0.1.0"
 
 from .scalars import (GroupMismatch, Scalar, ScalarGroup, SubgroupDescription,
                       format_scalar, subgroup_canonical_form)
-from .presentation import (Additive, AddMultiple, AdmissibilityReport, Eulerian,
-                           EulerianNotSupported, Multiplicative, Permute,
-                           Presentation, PresentationError, Scale,
+from .presentation import (AddMultiple, AdmissibilityReport, EulerianNotSupported,
+                           Permute, Presentation, PresentationError, Scale,
                            VerificationError, apply_certificate, apply_op,
                            certified_system, check_admissible, exchanged,
-                           system_from_presentation, verified, weyl_matrix)
+                           system_from_presentation, verified)
 from .qwa import (Document, ParseError, format_generator_map, format_presentation,
                   format_qweyl, parse_document, parse_generator_map,
                   parse_presentation, parse_scalar_literal)

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 from .mixed import CanonicalMixedAlgebra, MixedWeylField, eulerian_presentation
 from .presentation import (  # the map types and the check are re-exported
-    Eulerian, FailingRelation, GeneratorMap, Multiplicative, Presentation, Verified,
-    certified_system, verified, verify_homomorphism)
+    FailingRelation, GeneratorMap, Presentation, Verified, certified_system, verified,
+    verify_homomorphism)
 
 
 # ---------------------------------------------------------------------------
 # Plane embeddings: one quantum plane or commuting pair per generator pair.
 
 
-def _plane_embedding(source: Presentation, group, n: int, r: int, lam):
+def _plane_embedding(source: Presentation, group, n: int, r: int, deg):
     """Map y_1..y_n (and w_1..w_r) into r derivation pairs (t_i, a_i) with
     [t_i, a_i] = a_i, tensored with one plane (u_{i,j}, v_{i,j}) of weight
-    lambda_{i,j} per pair i < j (a commuting pair when the weight is 1).
+    lambda_{i,j} per pair i < j (a commuting pair when the weight is 1),
+    read off the degrees ``deg`` of a checked torus.
 
     y_i goes to a_i (for i <= r) times v_{1,i} ... v_{i-1,i} u_{i,i+1} ...
     u_{i,n}, one letter from each plane it meets, and w_i to t_i; this
@@ -33,20 +34,21 @@ def _plane_embedding(source: Presentation, group, n: int, r: int, lam):
     central variable z1.
     """
     if n == 1 and r == 0:
-        sys = certified_system(Presentation.build(group, ("z1",), []))
+        sys = certified_system(Presentation.from_items(group, ("z1",), []))
         gmap = GeneratorMap(source, sys, {"y1": sys.word("z1")})
         verified(gmap, "plane embedding")
         return gmap, MixedWeylField(group, 0, 0, 1, ())
     names, items = [], []
     for i in range(r):
-        items.append((len(names), len(names) + 1, Eulerian(len(names))))
+        items.append((len(names), len(names) + 1, None))
         names += [f"t{i+1}", f"a{i+1}"]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs, planes = [(i, j) for i in range(n) for j in range(i + 1, n)], []
     for (i, j) in pairs:
-        if not lam[i][j].is_one():
-            items.append((len(names), len(names) + 1, Multiplicative(lam[i][j])))
+        if any(deg[i][j]):
+            planes.append(deg[i][j])
+            items.append((len(names), len(names) + 1, deg[i][j]))
         names += [f"u{i+1}_{j+1}", f"v{i+1}_{j+1}"]
-    sys = certified_system(Presentation.build(group, tuple(names), items))
+    sys = certified_system(Presentation.from_items(group, tuple(names), items))
     images = {}
     for i in range(n):
         word = [f"a{i+1}"] if i < r else []
@@ -57,21 +59,23 @@ def _plane_embedding(source: Presentation, group, n: int, r: int, lam):
         images[f"w{i+1}"] = sys.word(f"t{i+1}")
     gmap = GeneratorMap(source, sys, images)
     verified(gmap, "plane embedding")
-    weights = [lam[i][j] for (i, j) in pairs if not lam[i][j].is_one()]
-    centrals = 2 * (len(pairs) - len(weights))
-    return gmap, MixedWeylField(group, r, len(weights), centrals, weights)
+    centrals = 2 * (len(pairs) - len(planes))
+    return gmap, MixedWeylField(group, r, len(planes), centrals,
+                                [group.scalar(d[0], d[1:]) for d in planes])
 
 
 def embed_torus(torus) -> tuple[GeneratorMap, MixedWeylField]:
     """Embed the quantum affine space of a weight matrix into a tensor product
     of quantum planes and central pairs (the plane embedding with r = 0)."""
-    return _plane_embedding(torus.to_presentation(), torus.group, torus.n, 0, torus.lam)
+    return _plane_embedding(torus.to_presentation(), torus.group, torus.n, 0,
+                            torus.degrees())
 
 
 def embed_mixed(s: CanonicalMixedAlgebra) -> tuple[GeneratorMap, MixedWeylField]:
     """Embed the derivation presentation of a canonical mixed algebra into a
     tensor product of r derivation pairs, quantum planes, and central pairs."""
-    return _plane_embedding(eulerian_presentation(s), s.group, s.n, s.r, s.lam)
+    return _plane_embedding(eulerian_presentation(s), s.group, s.n, s.r,
+                            s.torus().degrees())
 
 
 def weyl_lower_bound_witness(s: CanonicalMixedAlgebra) -> GeneratorMap:
@@ -87,14 +91,11 @@ def weyl_lower_bound_witness(s: CanonicalMixedAlgebra) -> GeneratorMap:
     n, r = s.n, s.r
     if r == 0:
         raise ValueError("no Weyl pairs to witness")
-    base = s.to_presentation()
-    names = list(base.gens) + [f"yt{i+1}" for i in range(n)]
-    items = [(i, j, rel) for (i, j), rel in base.rels.items()]
-    for i in range(n):
-        for j in range(i + 1, n):
-            items.append((n + r + i, n + r + j, Multiplicative(s.lam[j][i])))
-    target_p = Presentation.build(group, tuple(names), items)
-    sys = certified_system(target_p)
+    deg = s.torus().degrees()
+    names = s.gens() + tuple(f"yt{i+1}" for i in range(n))
+    items = s.relation_items() + [(n + r + i, n + r + j, deg[j][i])
+                                  for i in range(n) for j in range(i + 1, n)]
+    sys = certified_system(Presentation.from_items(group, names, items))
     for k in range(r):
         sys, _ = sys.invert_generator(f"yt{k+1}")
     ones = [[group.one() for _ in range(r)] for _ in range(r)]

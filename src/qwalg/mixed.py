@@ -20,10 +20,9 @@ from typing import NamedTuple
 
 from . import intlattice
 from .cyclo import Coeff
-from .presentation import (AddMultiple, Eulerian, GeneratorMap, Multiplicative,
-                           Op, Permute, Presentation, PresentationError, Scale,
-                           certified_system, change_generators, check_admissible,
-                           triangle_violation, verified)
+from .presentation import (AddMultiple, GeneratorMap, Op, Permute, Presentation,
+                           PresentationError, Scale, certified_system, change_generators,
+                           check_admissible, triangle_violation, verified)
 from .rewrite import Element
 from .scalars import Scalar, ScalarGroup, SubgroupDescription, subgroup_canonical_form
 from .torus import (Iso, NotIso, QuantumTorus, Violation, central_lattice,
@@ -62,7 +61,12 @@ class CanonicalMixedAlgebra:
             tuple(f"x{i+1}" for i in range(self.r))
 
     def to_presentation(self, names=None) -> Presentation:
-        names = tuple(names) if names else self.gens()
+        return Presentation.from_items(self.group, tuple(names) if names else self.gens(),
+                                       self.relation_items())
+
+    def relation_items(self) -> list[tuple]:
+        """The relations (a, b, k) of ``Presentation.from_items`` over the
+        generators y_1..y_n, x_1..x_r."""
         n, r = self.n, self.r
         deg = self._torus.degrees()
         items = []
@@ -76,7 +80,7 @@ class CanonicalMixedAlgebra:
                     items.append((j, n + i, deg[i][j]))
             for j in range(i + 1, r):
                 items.append((n + i, n + j, deg[i][j]))
-        return Presentation.from_items(self.group, names, items)
+        return items
 
     def __eq__(self, other):
         if not isinstance(other, CanonicalMixedAlgebra):
@@ -240,13 +244,10 @@ def eulerian_presentation(s: CanonicalMixedAlgebra) -> Presentation:
     y-relations; presents the same fraction field as s."""
     n, r = s.n, s.r
     names = tuple(f"y{i+1}" for i in range(n)) + tuple(f"w{i+1}" for i in range(r))
-    items = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            items.append((i, j, Multiplicative(s.lam[i][j])))
-    for i in range(r):
-        items.append((n + i, i, Eulerian(n + i)))
-    return Presentation.build(s.group, names, items)
+    deg = s.torus().degrees()
+    items = [(i, j, deg[i][j]) for i in range(n) for j in range(i + 1, n)]
+    items += [(n + i, i, None) for i in range(r)]  # [w_i, y_i] = y_i
+    return Presentation.from_items(s.group, names, items)
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,19 @@
 
 A presentation is N generators plus one relation per unordered pair, of one
 of three kinds: a weighted commutator ``x y - y x = p`` (integer p), a
-scalar twist ``x y = s * y x`` (s a declared scalar, never 1 after
-normalization), or the derivation-counting relation ``[w, y] = y``.  Absent
-pairs commute.  A presentation holds the first two kinds as two
-antisymmetric matrices over the generators, the Weyl weights and the
-degrees of the twists, and the third kind as relation objects.  The
-admissibility test, the generator changes of a reduction and the rules of
-a twist or commuting pair read the matrices.
+scalar twist ``x y = s * y x`` (s a declared scalar, never 1), or the
+derivation-counting relation ``[w, y] = y``.  Absent pairs commute.  A
+presentation holds the first two kinds as two antisymmetric matrices over
+the generators, the Weyl weights and the degrees of the twists, and the
+third as the counting generator of each Eulerian pair.  Every reader goes
+to the matrices: the admissibility test, the generator changes of a
+reduction, the rules of a system, the map check and the printed text.
 
 ``exchanged`` is the one place the three kinds are read as algebra: it gives
 what g_j g_i equals under the relation of a pair i < j, and
 ``verify_homomorphism`` uses it to check a ``GeneratorMap`` relation by
-relation, on relation objects that ``Presentation.rel`` derives.  The rules
-of a system and the pairs that ``verify_homomorphism`` settles by degrees
-read the matrices instead (``Presentation.twist``).
+relation, where a twist or commuting pair is not settled by degrees
+(``Presentation.twist``).
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from typing import NamedTuple
 
 from .rewrite import Element, Failing, NotCertifiedError, ReductionSystem, Rule
 from .cyclo import Coeff, CoeffRing
-from .scalars import Frozen, Scalar, ScalarGroup
+from .scalars import GroupMismatch, ScalarGroup
 
 
 class PresentationError(ValueError):
@@ -35,35 +34,6 @@ class EulerianNotSupported(PresentationError):
     """Operation applies only to quantum/Weyl presentations."""
 
 
-class Additive(Frozen):
-    """x y - y x = weight, an integer."""
-
-    __slots__ = ("weight",)
-
-    def __init__(self, weight: int):
-        object.__setattr__(self, "weight", weight)
-
-
-class Multiplicative(Frozen):
-    """x y = weight * y x, a declared scalar."""
-
-    __slots__ = ("weight",)
-
-    def __init__(self, weight: Scalar):
-        object.__setattr__(self, "weight", weight)
-
-
-class Eulerian(Frozen):
-    """[w, y] = y, with w the generator of index ``w_index``."""
-
-    __slots__ = ("w_index",)
-
-    def __init__(self, w_index: int):
-        object.__setattr__(self, "w_index", w_index)
-
-Relation = Additive | Multiplicative | Eulerian
-
-
 class Presentation:
     """Immutable presentation: two antisymmetric matrices over the
     generators, and the Eulerian pairs.
@@ -72,9 +42,9 @@ class Presentation:
     ``degrees[a][b]`` is the degree (torsion mod e, *free) of the scalar s
     with g_a g_b = s g_b g_a when s is not 1, so ``degrees[b][a]`` is its
     inverse degree; None marks every other pair, the Weyl ones (commuting
-    pairs among them) and the Eulerian ones.  ``eulerian`` holds the
-    relation of each Eulerian pair, keyed i < j; such a pair is 0 in
-    ``weyl``.  Relation objects are derived on demand (``rel``, ``rels``).
+    pairs among them) and the Eulerian ones.  ``eulerian`` maps each
+    Eulerian pair i < j to the index of its counting generator w in
+    [w, y] = y; such a pair is 0 in ``weyl``.
     """
 
     def __init__(self, group: ScalarGroup, gens, weyl: list[list[int]],
@@ -90,57 +60,20 @@ class Presentation:
         """The presentation of the relations (a, b, k) on distinct pairs,
         unchecked: k is None for [g_a, g_b] = g_b, an int p for
         g_a g_b - g_b g_a = p, and a degree for g_a g_b = s g_b g_a with s
-        of that degree (torsion in [0, e))."""
+        of that degree (torsion in [0, e)).  The parser is the checked way
+        in from text."""
         n = len(gens)
         weyl = [[0] * n for _ in range(n)]
         degrees: list[list] = [[None] * n for _ in range(n)]
         eulerian = {}
         for a, b, k in items:
             if k is None:
-                eulerian[min(a, b), max(a, b)] = Eulerian(a)
+                eulerian[min(a, b), max(a, b)] = a
             elif type(k) is int:
                 weyl[a][b], weyl[b][a] = k, -k
             elif any(k):
                 degrees[a][b], degrees[b][a] = k, group.inverse_degree(k)
         return Presentation(group, gens, weyl, degrees, eulerian)
-
-    @staticmethod
-    def build(group: ScalarGroup, gens, rel_items) -> "Presentation":
-        """Checking constructor.
-
-        ``rel_items`` is a list of (a, b, relation) read in the (a, b)
-        orientation: Additive(p) means g_a g_b - g_b g_a = p, Multiplicative(s)
-        means g_a g_b = s g_b g_a, Eulerian means [g_a, g_b] = g_b.
-        """
-        gens = tuple(gens)
-        if len(set(gens)) != len(gens):
-            raise PresentationError("duplicate generator names")
-        seen, items = set(), []
-        for a, b, rel in rel_items:
-            if a == b:
-                raise PresentationError(f"self-relation on generator {gens[a]!r}")
-            i, j = min(a, b), max(a, b)
-            if (i, j) in seen:
-                raise PresentationError(f"duplicate relation for pair "
-                                        f"({gens[i]}, {gens[j]})")
-            seen.add((i, j))
-            if isinstance(rel, Multiplicative):
-                if rel.weight.group != group:
-                    raise PresentationError("weight scalar outside the declared group")
-                items.append((a, b, rel.weight.degree()))
-            elif isinstance(rel, Eulerian):
-                if rel.w_index != a:
-                    raise PresentationError(
-                        f"Eulerian item ({gens[a]}, {gens[b]}) must count with "
-                        f"its first generator, not index {rel.w_index}")
-                items.append((a, b, None))
-            elif isinstance(rel, Additive):
-                items.append((a, b, rel.weight))
-            else:
-                raise PresentationError(f"unknown relation kind {rel!r}")
-        return Presentation.from_items(group, gens, items)
-
-    # -- accessors -------------------------------------------------------------
 
     @property
     def n(self) -> int:
@@ -148,34 +81,6 @@ class Presentation:
 
     def index(self, name: str) -> int:
         return self.gens.index(name)
-
-    def rel(self, a: int, b: int) -> Relation:
-        """Relation read in the (a, b) orientation; commuting pairs give Additive(0)."""
-        if a == b:
-            raise PresentationError("no self-relations")
-        d = self.degrees[a][b]
-        if d is not None:
-            return Multiplicative(Scalar(self.group, d[0], d[1:]))
-        return self.eulerian.get((min(a, b), max(a, b))) or Additive(self.weyl[a][b])
-
-    @property
-    def rels(self) -> dict:
-        """The relation of each pair i < j that does not commute, read (i, j)."""
-        return {(i, j): rel for i in range(self.n) for j in range(i + 1, self.n)
-                for rel in [self.rel(i, j)] if rel != Additive(0)}
-
-    def quantum_weight(self, a: int, b: int) -> Scalar | None:
-        """Scalar s with g_a g_b = s g_b g_a, or None for a genuine Weyl/Eulerian pair."""
-        r = self.rel(a, b)
-        if isinstance(r, Multiplicative):
-            return r.weight
-        if isinstance(r, Additive) and r.weight == 0:
-            return self.group.one()
-        return None
-
-    def additive_weight(self, a: int, b: int) -> int | None:
-        r = self.rel(a, b)
-        return r.weight if isinstance(r, Additive) else None
 
     def twist(self, a: int, b: int) -> tuple | None:
         """The degree of mu with g_a g_b = mu g_b g_a: ``degrees[a][b]``, 0
@@ -185,9 +90,6 @@ class Presentation:
             return (0,) * (1 + self.group.rank)
         return d
 
-    def has_eulerian(self) -> bool:
-        return bool(self.eulerian)
-
     def __eq__(self, other):
         if not isinstance(other, Presentation):
             return NotImplemented
@@ -195,16 +97,17 @@ class Presentation:
             (other.group, other.gens, other.weyl, other.degrees, other.eulerian)
 
     def __repr__(self):
-        return f"Presentation(gens={self.gens!r}, rels={self.rels!r})"
+        return (f"Presentation(gens={self.gens!r}, weyl={self.weyl!r}, "
+                f"degrees={self.degrees!r}, eulerian={self.eulerian!r})")
 
 
 class AdmissibilityReport(NamedTuple):
     admissible: bool
-    witness: tuple | None = None  # (i, j, k, rel_ik, rel_jk)
+    witness: tuple[int, int, int] | None = None
 
     def triple(self, gens) -> str:
         """The violating triple by generator names, as (a,b,c)."""
-        i, j, k = self.witness[:3]
+        i, j, k = self.witness
         return f"({gens[i]},{gens[j]},{gens[k]})"
 
 
@@ -212,14 +115,11 @@ def check_admissible(p: Presentation) -> AdmissibilityReport:
     """Triangle test: every pair carrying a nonzero Weyl weight forces each
     third generator to relate to both endpoints by weights multiplying to 1
     (or by Weyl weights on both sides)."""
-    if p.has_eulerian():
+    if p.eulerian:
         raise EulerianNotSupported("admissibility is defined for quantum/Weyl "
                                    "presentations only")
     hit = triangle_violation(p.weyl, p.degrees)
-    if hit is None:
-        return AdmissibilityReport(True)
-    i, j, k = hit
-    return AdmissibilityReport(False, (i, j, k, p.rel(i, k), p.rel(j, k)))
+    return AdmissibilityReport(hit is None, hit)
 
 
 def triangle_violation(weyl, degrees) -> tuple[int, int, int] | None:
@@ -237,14 +137,6 @@ def triangle_violation(weyl, degrees) -> tuple[int, int, int] | None:
                     if dj[k] != dki:
                         return i, j, k
     return None
-
-
-def weyl_matrix(p: Presentation) -> list[list[int]]:
-    """Antisymmetric integer matrix of the Weyl weights."""
-    if p.has_eulerian():
-        raise EulerianNotSupported("the Weyl matrix is defined for quantum/Weyl "
-                                   "presentations only")
-    return [row[:] for row in p.weyl]
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +219,7 @@ def change_generators(weyl, degrees, gens: list[str], op: Op) -> None:
 def apply_op(p: Presentation, op: Op) -> Presentation:
     """p after the generator change ``op``, or p itself when ``op`` changes
     nothing."""
-    if p.has_eulerian():
+    if p.eulerian:
         raise EulerianNotSupported("generator changes operate on quantum/Weyl "
                                    "presentations only")
     weyl, degrees, gens = [r[:] for r in p.weyl], [r[:] for r in p.degrees], list(p.gens)
@@ -346,24 +238,24 @@ def apply_certificate(p: Presentation, ops) -> Presentation:
 # Reduction systems from presentations.
 
 
-def exchanged(rel: Relation, i: int, gi: Element, gj: Element) -> Element:
-    """What g_j g_i equals under ``rel``, the stored relation of a pair i < j,
-    with gi and gj standing in for g_i and g_j.
+def exchanged(p: Presentation, i: int, j: int, gi: Element, gj: Element) -> Element:
+    """What g_j g_i equals under the relation of the pair i < j of p, with
+    gi and gj standing in for g_i and g_j.
 
     This is the one place the relation kinds are read as algebra: the
     reduction rule of the pair rewrites g_j g_i to it, and a generator map
     is checked by reducing image(g_j) image(g_i) minus it to zero.
     """
     ij = gi.concat(gj)
-    if isinstance(rel, Additive):  # g_i g_j - g_j g_i = p
-        if not rel.weight:
-            return ij
-        return ij.add(Element.from_word(ij.ring, (), Coeff.from_rational(ij.ring, -rel.weight)))
-    if isinstance(rel, Multiplicative):  # g_i g_j = s g_j g_i
-        return ij.scale(Coeff.of_degree(ij.ring, rel.weight.inv().degree()))
-    if rel.w_index == i:  # [g_i, g_j] = g_j
-        return ij.sub(gj)
-    return ij.add(gi)  # [g_j, g_i] = g_i
+    w = p.eulerian.get((i, j))
+    if w is not None:  # [g_i, g_j] = g_j or [g_j, g_i] = g_i
+        return ij.sub(gj) if w == i else ij.add(gi)
+    d = p.degrees[j][i]
+    if d is not None:  # g_j g_i = s^-1 g_i g_j, with s^-1 of degree d
+        return ij.scale(Coeff.of_degree(ij.ring, d))
+    if not p.weyl[i][j]:
+        return ij
+    return ij.add(Element.from_word(ij.ring, (), Coeff.from_rational(ij.ring, -p.weyl[i][j])))
 
 
 def system_from_presentation(p: Presentation) -> ReductionSystem:
@@ -377,7 +269,7 @@ def system_from_presentation(p: Presentation) -> ReductionSystem:
     for j in range(p.n):
         for i in range(j):
             if (i, j) in p.eulerian:
-                rhs = exchanged(p.eulerian[i, j], i, Element.from_word(ring, (i,)),
+                rhs = exchanged(p, i, j, Element.from_word(ring, (i,)),
                                 Element.from_word(ring, (j,)))
             elif (rhs := p.twist(j, i)) is None:
                 rhs = Element.of_terms(ring, {(i, j): one,
@@ -420,8 +312,9 @@ class FailingRelation(NamedTuple):
 
 
 def verify_homomorphism(gmap: GeneratorMap) -> Verified | FailingRelation:
-    """Reduce b a - exchanged(rel, i, a, b) to normal form for the images a, b
-    of every source pair i < j.
+    """Reduce b a - exchanged(source, i, j, a, b) to normal form for the
+    images a, b of every source pair i < j.  The source and the target
+    share one scalar group, or the map is refused with GroupMismatch.
 
     Absent pairs commute in the source, so their images must commute too;
     all pairs are checked, not only the listed ones.
@@ -436,27 +329,27 @@ def verify_homomorphism(gmap: GeneratorMap) -> Verified | FailingRelation:
 
     A pair is settled by degrees, with no reduction, when both reduced
     images are single words, a = alpha t and b = beta u, and the pair is a
-    twist g_i g_j = s g_j g_i of the target's scalar group or commutes
-    (s = 1), read off the source's matrices (``Presentation.twist``).  The
-    defect is then
+    twist g_i g_j = s g_j g_i or commutes (s = 1), read off the source's
+    matrices (``Presentation.twist``).  The defect is then
     alpha beta (u t - s^-1 t u), and t u = nu u t in the target, with nu
     the twist-table degree ``exchange_degree(t, u)``; when nu is the degree
     of s, u t = s^-1 t u and the defect lies in the ideal, so its normal
-    form is zero.  Any
-    other pair, one whose degrees disagree included, is reduced, so every
-    FailingRelation defect is a reduced one.  Either way a relation counts
-    as checked when its defect's normal form is zero.
+    form is zero.  Any other pair, one whose degrees disagree included, is
+    reduced, so every FailingRelation defect is a reduced one.  Either way
+    a relation counts as checked when its defect's normal form is zero.
     """
     src, sys = gmap.source, gmap.target
     if not sys.certified:
         raise NotCertifiedError("confluence has not been certified for this system")
+    if src.group != sys.group:
+        raise GroupMismatch("source and target scalar groups differ")
     images = [sys.normal_form(gmap.images[g]) for g in src.gens]
-    same_group, count = src.group == sys.group, 0
+    count = 0
     for i, a in enumerate(images):
         for j in range(i + 1, src.n):
             b = images[j]
-            if not _settled_by_degrees(sys, src.twist(i, j) if same_group else None, a, b):
-                defect = sys.normal_form(b.concat(a).sub(exchanged(src.rel(i, j), i, a, b)))
+            if not _settled_by_degrees(sys, src.twist(i, j), a, b):
+                defect = sys.normal_form(b.concat(a).sub(exchanged(src, i, j, a, b)))
                 if not defect.is_zero():
                     return FailingRelation((src.gens[i], src.gens[j]), defect)
             count += 1

@@ -20,7 +20,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .cyclo import Coeff, coeff_degree
-from .presentation import Additive, GeneratorMap, Multiplicative, Presentation
+from .presentation import GeneratorMap, Presentation
 from .rewrite import Element, ReductionSystem
 from .scalars import GroupMismatch, Scalar, ScalarGroup, format_scalar, merge_groups
 
@@ -180,10 +180,10 @@ def parse_document(text: str, group: ScalarGroup | None = None,
     """Parse a .qwa file.  With ``group``, every scalar is built in that group,
     into which the file's declared group must embed (same-name symbols
     identified); pair commands use this to compare two files.  The
-    relations go straight into the matrices of a ``Presentation``, and no
-    relation object is built.  With ``torus``, the generators and relations
-    are read as a quantum torus: ``presentation`` holds the arguments
-    (n, weights) of ``QuantumTorus.from_relations``."""
+    relations go straight into the matrices of a ``Presentation``.  With
+    ``torus``, the generators and relations are read as a quantum torus:
+    ``presentation`` holds the arguments (n, weights) of
+    ``QuantumTorus.from_relations``."""
     found = read_statements(text, _QWA)
     declared = (_parse_scalars_block(*found["scalars"]) if "scalars" in found
                 else ScalarGroup())
@@ -224,8 +224,9 @@ def _cached(parse):
 def _relations(literal, ln, rest, rel_lines) -> tuple[tuple[str, ...], list]:
     """The generator names, and each relation line as (a, b, k): k is None
     for [g_a, g_b] = g_b, p for g_a g_b = g_b g_a + p, and ``literal(s, line)``
-    for g_a g_b = s * g_b g_a.  Each check of ``Presentation.build`` is made
-    here, in line order."""
+    for g_a g_b = s * g_b g_a.  Every check of a presentation is made here,
+    in line order: distinct generator names, declared generators, no
+    self-relation and one relation per pair."""
     gens = _names(rest, ln, "generator")
     if len(set(gens)) != len(gens):
         raise ParseError(ln, "duplicate generator name")
@@ -380,18 +381,19 @@ def format_presentation(p: Presentation) -> str:
         lines.append(block)
     lines.append("generators " + ", ".join(p.gens))
     rel_lines = []
-    for (i, j), rel in sorted(p.rels.items()):
-        gi, gj = p.gens[i], p.gens[j]
-        if isinstance(rel, Additive):
-            if rel.weight >= 0:
-                rel_lines.append(f"  {gi} {gj} = {gj} {gi} + {rel.weight}")
-            else:
-                rel_lines.append(f"  {gj} {gi} = {gi} {gj} + {-rel.weight}")
-        elif isinstance(rel, Multiplicative):
-            rel_lines.append(f"  {gi} {gj} = {format_scalar(rel.weight)} * {gj} {gi}")
-        else:
-            w, y = (gi, gj) if rel.w_index == i else (gj, gi)
-            rel_lines.append(f"  [{w}, {y}] = {y}")
+    for i, gi in enumerate(p.gens):
+        for j in range(i + 1, p.n):
+            gj, w, d = p.gens[j], p.weyl[i][j], p.degrees[i][j]
+            if (i, j) in p.eulerian:
+                c, y = (gi, gj) if p.eulerian[i, j] == i else (gj, gi)
+                rel_lines.append(f"  [{c}, {y}] = {y}")
+            elif d is not None:
+                s = format_scalar(p.group.scalar(d[0], d[1:]))
+                rel_lines.append(f"  {gi} {gj} = {s} * {gj} {gi}")
+            elif w > 0:
+                rel_lines.append(f"  {gi} {gj} = {gj} {gi} + {w}")
+            elif w < 0:
+                rel_lines.append(f"  {gj} {gi} = {gi} {gj} + {-w}")
     if rel_lines:
         lines.append("relations {")
         lines.extend(rel_lines)

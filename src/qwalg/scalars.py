@@ -21,11 +21,10 @@ class GroupMismatch(ValueError):
 
 
 class Frozen:
-    """Base of the slotted value classes (``Scalar``, ``ScalarGroup``, the
-    relation kinds and ``Confluent``): ``__init__`` sets each field once,
-    nothing after.  The fields are the ``__slots__``: two values are equal
-    only within one class, when their fields are, and print as
-    ``Name(field=value, ...)``."""
+    """Base of the slotted value classes (``Scalar``, ``ScalarGroup`` and
+    ``Confluent``): ``__init__`` sets each field once, nothing after.  The
+    fields are the ``__slots__``: two values are equal only within one
+    class, when their fields are, and print as ``Name(field=value, ...)``."""
 
     __slots__ = ()
 

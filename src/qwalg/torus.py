@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import intlattice
-from .presentation import Multiplicative, Presentation
+from .presentation import Presentation
 from .scalars import GroupMismatch, Scalar, ScalarGroup
 
 
@@ -62,8 +62,8 @@ class QuantumTorus:
     @staticmethod
     def from_relations(group: ScalarGroup, n: int, weights) -> "QuantumTorus":
         """lambda_{a,b} of degree d (torsion in [0, e)) and lambda_{b,a} its
-        inverse for each (a, b, d), d None for a non-quantum relation; a parsed
-        file or a ``Presentation`` refused self-relations and repeated pairs."""
+        inverse for each (a, b, d), d None for a non-quantum relation; each
+        pair comes once and no generator with itself, as the parser checks."""
         t = QuantumTorus.__new__(QuantumTorus)
         t.group, t.n, t._lam = group, n, None
         moduli = t.moduli
@@ -75,12 +75,6 @@ class QuantumTorus:
             for s, k, mod in zip(t.exponents, d, moduli):
                 s[a][b], s[b][a] = k, (-k % mod if mod else -k)
         return t
-
-    @staticmethod
-    def from_presentation(p: Presentation) -> "QuantumTorus":
-        return QuantumTorus.from_relations(p.group, p.n, [
-            (i, j, rel.weight.degree() if isinstance(rel, Multiplicative) else None)
-            for (i, j), rel in p.rels.items()])
 
     @property
     def lam(self) -> list[list[Scalar]]:
@@ -96,9 +90,9 @@ class QuantumTorus:
 
     def to_presentation(self, names=None) -> Presentation:
         names = tuple(names) if names else tuple(f"y{i+1}" for i in range(self.n))
-        items = [(i, j, Multiplicative(self.lam[i][j]))
-                 for i in range(self.n) for j in range(i + 1, self.n)]
-        return Presentation.build(self.group, names, items)
+        deg = self.degrees()
+        return Presentation.from_items(self.group, names, [
+            (i, j, deg[i][j]) for i in range(self.n) for j in range(i + 1, self.n)])
 
     def __eq__(self, other):
         if not isinstance(other, QuantumTorus):

@@ -16,9 +16,9 @@ from qwalg import __version__, intlattice as il
 from qwalg.cli import COMMANDS, HELP, OPTIONS, SUBS, TAKES, main
 from qwalg.cyclo import Coeff, coeff_degree
 from qwalg.embeddings import FailingRelation, GeneratorMap, Verified
-from qwalg.presentation import (AddMultiple, Additive, Eulerian, Multiplicative, Permute,
-                                Presentation, PresentationError, Scale, apply_op,
-                                certified_system, exchanged, system_from_presentation)
+from qwalg.presentation import (AddMultiple, Permute, Presentation, PresentationError, Scale,
+                                apply_op, certified_system, exchanged,
+                                system_from_presentation)
 from qwalg.qwa import ParseError, parse_presentation
 from qwalg.qweyl import QuantumWeylAlgebra
 from qwalg.rewrite import Confluent, Element, Failing, NotNormalError, ReductionSystem, Rule
@@ -199,20 +199,21 @@ def count_reductions(monkeypatch) -> list:
 
 def relation_items(draw, group, n, kinds, weight):
     """Per pair: no relation or one of ``kinds``, given in a random
-    orientation (a, b); ``weight`` draws the scalar of a quantum one."""
+    orientation as an item (a, b, k) of ``Presentation.from_items``;
+    ``weight`` draws the scalar of a quantum one, whose degree is k."""
     items = []
     for i in range(n):
         for j in range(i + 1, n):
             a, b = draw(st.sampled_from(((i, j), (j, i))))
             kind = draw(st.sampled_from(("none",) + kinds))
             if kind == "additive":
-                items.append((a, b, Additive(draw(st.integers(-3, 3)))))
+                items.append((a, b, draw(st.integers(-3, 3))))
             elif kind == "multiplicative":
-                items.append((a, b, Multiplicative(draw(weight))))
+                items.append((a, b, draw(weight).degree()))
             elif kind == "eulerian":
-                items.append((a, b, Eulerian(a)))
+                items.append((a, b, None))
             elif kind == "commuting":
-                items.append((a, b, Additive(0)))
+                items.append((a, b, 0))
     return items
 
 
@@ -371,15 +372,15 @@ def assert_same_commutation(s: ReductionSystem, el: Element):
 
 
 def raw_image_verify(gmap: GeneratorMap) -> Verified | FailingRelation:
-    """The reference check: reduce b a - exchanged(rel, i, a, b) on the raw
-    images a, b of every source pair i < j."""
+    """The reference check: reduce b a - exchanged(src, i, j, a, b) on the
+    raw images a, b of every source pair i < j."""
     src, sys = gmap.source, gmap.target
     count = 0
     for i in range(src.n):
         a = gmap.images[src.gens[i]]
         for j in range(i + 1, src.n):
             b = gmap.images[src.gens[j]]
-            defect = sys.normal_form(b.concat(a).sub(exchanged(src.rel(i, j), i, a, b)))
+            defect = sys.normal_form(b.concat(a).sub(exchanged(src, i, j, a, b)))
             if not defect.is_zero():
                 return FailingRelation((src.gens[i], src.gens[j]), defect)
             count += 1
@@ -446,15 +447,13 @@ def subpresentation(p: Presentation, names) -> Presentation:
     items = []
     for a in range(len(indices)):
         for b in range(a + 1, len(indices)):
-            rel = p.rel(indices[a], indices[b])
-            if isinstance(rel, Eulerian):
-                if rel.w_index == indices[a]:
-                    items.append((a, b, Eulerian(a)))
-                else:
-                    items.append((b, a, Eulerian(b)))
+            i, j = indices[a], indices[b]
+            w = p.eulerian.get((min(i, j), max(i, j)))
+            if w is not None:  # counted by the first generator of the item
+                items.append((a, b, None) if w == i else (b, a, None))
             else:
-                items.append((a, b, rel))
-    return Presentation.build(p.group, tuple(p.gens[i] for i in indices), items)
+                items.append((a, b, p.degrees[i][j] or p.weyl[i][j]))
+    return Presentation.from_items(p.group, tuple(p.gens[i] for i in indices), items)
 
 
 def scramble(p, rng, steps=6):
@@ -485,20 +484,20 @@ def scramble(p, rng, steps=6):
 def hub_presentations(draw, hubs=("largest", "smallest")) -> Presentation:
     """The hub, the largest generator or the smallest (one of ``hubs``),
     twists each other one by zeta^a q^b (b over one or two free symbols);
-    among the rest only one pair has a relation: a weight, a scalar or "w"."""
+    among the rest only one pair has a relation: a Weyl weight, a twist or
+    [g_a, g_b] = g_b with a < b."""
     e, m = draw(st.sampled_from((3, 4, 6, 12))), draw(st.integers(1, 2))
     group = ScalarGroup(e, ("q", "p")[:m], "zeta")
     n = draw(st.integers(3, 5))
-    exps = st.tuples(st.integers(0, e - 1), st.tuples(*[st.integers(-1, 1)] * m))
+    degrees = st.tuples(st.integers(0, e - 1), *[st.integers(-1, 1)] * m)
     hub = n - 1 if draw(st.sampled_from(hubs)) == "largest" else 0
     others = [i for i in range(n) if i != hub]
-    items = [(i, hub, Multiplicative(group.scalar(*draw(exps)))) for i in others]
+    items = [(i, hub, draw(degrees)) for i in others]
     pair = tuple(sorted(draw(st.lists(st.sampled_from(others), min_size=2, max_size=2,
                                       unique=True))))
-    rel = draw(st.one_of(st.integers(-2, 2).filter(bool), st.just("w"), exps))
-    rel = (Additive(rel) if isinstance(rel, int) else Eulerian(pair[0]) if rel == "w"
-           else Multiplicative(group.scalar(*rel)))
-    return Presentation.build(group, tuple(f"g{k}" for k in range(n)), items + [(*pair, rel)])
+    rel = draw(st.one_of(st.integers(-2, 2).filter(bool), st.just(None), degrees))
+    return Presentation.from_items(group, tuple(f"g{k}" for k in range(n)),
+                                   items + [(*pair, rel)])
 
 
 def appended_letter(draw, base: ReductionSystem) -> ReductionSystem:

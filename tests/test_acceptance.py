@@ -15,9 +15,8 @@ from qwalg.mixed import (CanonicalMixedAlgebra, Equivalent, MixedWeylField,
                          NotEquivalent, cross_equivalence_necessary,
                          equivalence_decide, invariants, mixed_weyl_invariants,
                          reduce_to_canonical)
-from qwalg.presentation import (Additive, Multiplicative, Presentation, apply_certificate,
-                                certified_system, check_admissible,
-                                system_from_presentation, weyl_matrix)
+from qwalg.presentation import (Presentation, apply_certificate, certified_system,
+                                check_admissible, system_from_presentation)
 from qwalg.qwa import format_presentation, parse_presentation
 from qwalg.qweyl import QuantumWeylAlgebra, localize_to_mixed, qweyl_invariants
 from qwalg.rewrite import Confluent
@@ -36,10 +35,10 @@ def _ok(num, text):
 
 
 def relation_choices(group):
+    """Weyl weights and twist degrees, as the k of ``Presentation.from_items``."""
     q = group.free_gen("q")
     m = group.scalar(torsion=group.torsion_order // 2)
-    return ([Additive(w) for w in (-1, 0, 1, 2)]
-            + [Multiplicative(s) for s in (q, q.inv(), q.pow(2), m)])
+    return [-1, 0, 1, 2] + [s.degree() for s in (q, q.inv(), q.pow(2), m)]
 
 
 def agree(p):
@@ -54,8 +53,8 @@ def test_criterion_1_admissibility_equals_confluence():
     pairs3 = [(0, 1), (0, 2), (1, 2)]
     checked = 0
     for combo in itertools.product(choices, repeat=3):
-        p = Presentation.build(group, ("g1", "g2", "g3"),
-                               [(i, j, rel) for (i, j), rel in zip(pairs3, combo)])
+        p = Presentation.from_items(group, ("g1", "g2", "g3"),
+                                    [(i, j, rel) for (i, j), rel in zip(pairs3, combo)])
         assert agree(p), f"disagreement on {combo}"
         checked += 1
     assert checked == 512
@@ -65,7 +64,7 @@ def test_criterion_1_admissibility_equals_confluence():
         n = rng.choice([4, 5])
         items = [(i, j, rng.choice(choices))
                  for i in range(n) for j in range(i + 1, n)]
-        p = Presentation.build(group, tuple(f"g{k}" for k in range(n)), items)
+        p = Presentation.from_items(group, tuple(f"g{k}" for k in range(n)), items)
         assert agree(p), f"disagreement on random presentation {items}"
         randoms += 1
     _ok(1, f"triangle test agrees with overlap resolution on {checked} "
@@ -98,10 +97,10 @@ def test_criterion_2_reduction_certificates():
         assert check_admissible(p).admissible
         out, cert = reduce_to_canonical(p)
         assert out.n + out.r == p.n
-        assert 2 * out.r == il.rank(weyl_matrix(p))
+        assert 2 * out.r == il.rank(p.weyl)
         assert (out.n, out.r) == (n, r)
-        replayed = apply_certificate(p, cert.ops)
-        assert replayed.rels == out.to_presentation().rels
+        replayed, canonical = apply_certificate(p, cert.ops), out.to_presentation()
+        assert (replayed.weyl, replayed.degrees) == (canonical.weyl, canonical.degrees)
         assert check_admissible(out.to_presentation()).admissible
         done += 1
     _ok(2, f"{done} random admissible graphs reduced with exact certificate "

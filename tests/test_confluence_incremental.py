@@ -25,8 +25,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwalg.cyclo import Coeff, CoeffRing
-from qwalg.presentation import (Additive, Eulerian, Multiplicative, Presentation,
-                                certified_system, exchanged, system_from_presentation)
+from qwalg.presentation import (Presentation, certified_system, exchanged,
+                                system_from_presentation)
 from qwalg.qwa import ParseError, parse_presentation
 from qwalg.qweyl import localize_to_mixed
 from qwalg.rewrite import Confluent, Element, Failing, ReductionSystem, Rule, RuleError, deglex_key
@@ -154,16 +154,11 @@ def test_one_pass_matches_two_sided_on_corpus():
 
 
 def relation_choices(group):
-    """Weights and scalars of a pair, or "w" for [g_i, g_j] = g_j (the
-    Eulerian relation counted by the pair's first generator)."""
+    """Weights and twist degrees of a pair, or None for [g_i, g_j] = g_j (the
+    Eulerian relation counted by the pair's first generator): the k of an
+    item (i, j, k) of ``Presentation.from_items``."""
     q, minus_one = group.free_gen("q"), group.scalar(torsion=group.torsion_order // 2)
-    return ([Additive(w) for w in (-1, 0, 1, 2)]
-            + [Multiplicative(s) for s in (q, q.inv(), q.pow(2), minus_one)]
-            + ["w"])
-
-
-def item(i: int, j: int, rel):
-    return (i, j, Eulerian(i) if rel == "w" else rel)
+    return [-1, 0, 1, 2] + [s.degree() for s in (q, q.inv(), q.pow(2), minus_one)] + [None]
 
 
 def test_one_pass_matches_two_sided_on_random_presentations():
@@ -174,14 +169,14 @@ def test_one_pass_matches_two_sided_on_random_presentations():
     choices = relation_choices(group)
     verdicts = set()
     for combo in itertools.product(choices, repeat=3):
-        items = [item(i, j, rel) for (i, j), rel in zip(((0, 1), (0, 2), (1, 2)), combo)]
-        p = Presentation.build(group, ("g1", "g2", "g3"), items)
+        items = [(i, j, rel) for (i, j), rel in zip(((0, 1), (0, 2), (1, 2)), combo)]
+        p = Presentation.from_items(group, ("g1", "g2", "g3"), items)
         verdicts.add(type(assert_matches_two_sided(system_from_presentation(p))))
     rng = random.Random(14)
     for _ in range(60):
         n = rng.choice((4, 5))
-        items = [item(i, j, rng.choice(choices)) for i in range(n) for j in range(i + 1, n)]
-        p = Presentation.build(group, tuple(f"g{k}" for k in range(n)), items)
+        items = [(i, j, rng.choice(choices)) for i in range(n) for j in range(i + 1, n)]
+        p = Presentation.from_items(group, tuple(f"g{k}" for k in range(n)), items)
         verdicts.add(type(assert_matches_two_sided(system_from_presentation(p))))
     assert verdicts == {Confluent, Failing}
 
@@ -436,7 +431,7 @@ def test_presentation_systems_state_the_twist_table_of_their_rules():
         gens = [s.word(name) for name in s.letters]
         for j in range(p.n):
             for i in range(j):
-                assert s.right_side((j, i)) == exchanged(p.rel(i, j), i, gens[i], gens[j])
+                assert s.right_side((j, i)) == exchanged(p, i, j, gens[i], gens[j])
     for s in corpus_systems():
         assert s._twists == fresh(s)._twists
 

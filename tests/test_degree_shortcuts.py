@@ -17,9 +17,9 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from qwalg.cyclo import Coeff
-from qwalg.presentation import (Additive, Eulerian, FailingRelation, GeneratorMap,
-                                Multiplicative, Presentation, _settled_by_degrees,
-                                certified_system, exchanged, verify_homomorphism)
+from qwalg.presentation import (FailingRelation, GeneratorMap, Presentation,
+                                _settled_by_degrees, certified_system, exchanged,
+                                verify_homomorphism)
 from qwalg.qweyl import localize_to_mixed
 from qwalg.rewrite import Confluent, Element, Failing, ReductionSystem
 from qwalg.scalars import ScalarGroup
@@ -64,7 +64,7 @@ def unit(s: ReductionSystem, draw) -> Coeff:
 def one_word_maps(draw):
     """A map of 2-3 generators to scaled words of a target.  Each pair gets
     the relation its reduced images satisfy (when degrees give one), a
-    random scalar twist, Additive(0) or 1, or an Eulerian relation."""
+    random scalar twist, the Weyl weight 0 or 1, or an Eulerian relation."""
     s = draw(targets())
     k = draw(st.integers(2, 3))
     names = tuple(f"s{i}" for i in range(k))
@@ -81,29 +81,28 @@ def one_word_maps(draw):
                 (t,), (u,) = reduced[i].terms, reduced[j].terms
                 nu = s.exchange_degree(u, t)
                 if nu is not None:  # s^-1 of degree nu
-                    rel = Multiplicative(g.scalar(nu[0], nu[1:]).inv())
+                    rel = g.inverse_degree(nu)
             if rel is None and kind in ("match", "twist"):
-                rel = Multiplicative(g.scalar(draw(st.integers(0, g.torsion_order - 1)),
-                                              tuple(draw(st.integers(-2, 2))
-                                                    for _ in range(g.rank))))
+                rel = (draw(st.integers(0, g.torsion_order - 1)),
+                       *(draw(st.integers(-2, 2)) for _ in range(g.rank)))
             if kind == "w":
-                rel = Eulerian(i)
+                rel = None
             elif rel is None:
-                rel = Additive(0 if kind == "zero" else 1)
+                rel = 0 if kind == "zero" else 1
             items.append((i, j, rel))
-    return GeneratorMap(Presentation.build(g, names, items), s, images)
+    return GeneratorMap(Presentation.from_items(g, names, items), s, images)
 
 
 def pair_defects(gmap: GeneratorMap):
-    """(rel, twist degree, a, b, reduced defect) for each source pair, on
+    """(twist degree, a, b, reduced defect) for each source pair, on
     reduced images."""
     src, sys = gmap.source, gmap.target
     images = [sys.normal_form(gmap.images[name]) for name in src.gens]
     for i in range(src.n):
         for j in range(i + 1, src.n):
-            rel, a, b = src.rel(i, j), images[i], images[j]
-            yield (rel, src.twist(i, j), a, b,
-                   sys.normal_form(b.concat(a).sub(exchanged(rel, i, a, b))))
+            a, b = images[i], images[j]
+            yield (src.twist(i, j), a, b,
+                   sys.normal_form(b.concat(a).sub(exchanged(src, i, j, a, b))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -114,13 +113,11 @@ def test_degree_settled_pairs_match_reductions(gmap):
     whose defect is zero, is settled."""
     assert verify_homomorphism(gmap) == raw_image_verify(gmap)
     sys = gmap.target
-    for rel, d, a, b, defect in pair_defects(gmap):
+    for d, a, b, defect in pair_defects(gmap):
         settled = _settled_by_degrees(sys, d, a, b)
         if settled:
             assert defect.is_zero()
-        elif (defect.is_zero() and len(a.terms) == len(b.terms) == 1
-              and isinstance(rel, (Multiplicative, Additive))
-              and (isinstance(rel, Multiplicative) or not rel.weight)):
+        elif defect.is_zero() and len(a.terms) == len(b.terms) == 1 and d is not None:
             (t,), (u,) = a.terms, b.terms
             if sys.exchange_degree(u, t) is not None:
                 assert sys._reduce_terms({t + u: Coeff.one(sys.ring)}).is_zero()
@@ -132,7 +129,7 @@ def test_one_word_maps_reach_both_outcomes(outcome):
     whose degrees disagree."""
     def settled(gmap):
         return any(_settled_by_degrees(gmap.target, d, a, b)
-                   for _, d, a, b, _ in pair_defects(gmap))
+                   for d, a, b, _ in pair_defects(gmap))
 
     def fails_on_degrees(gmap):
         res = verify_homomorphism(gmap)
@@ -142,7 +139,7 @@ def test_one_word_maps_reach_both_outcomes(outcome):
         i, j = (src.gens.index(name) for name in res.pair)
         a, b = (sys.normal_form(gmap.images[src.gens[k]]) for k in (i, j))
         return (len(a.terms) == len(b.terms) == 1
-                and isinstance(src.rel(i, j), Multiplicative)
+                and src.degrees[i][j] is not None
                 and sys.exchange_degree(*b.terms, *a.terms) is not None)
 
     find(one_word_maps(), settled if outcome == "settled" else fails_on_degrees,
@@ -160,7 +157,7 @@ def test_localization_map_pairs_are_settled():
             res = localize_to_mixed(a)
             sys = res.gmap.target
             settled = [_settled_by_degrees(sys, d, x, y)
-                       for _, d, x, y, _ in pair_defects(res.gmap)
+                       for d, x, y, _ in pair_defects(res.gmap)
                        if len(x.terms) == len(y.terms) == 1
                        and sys.exchange_degree(*y.terms, *x.terms) is not None]
             assert len(settled) > res.relations_checked // 2 and all(settled)
@@ -171,11 +168,10 @@ def test_torsion_degrees_sum_mod_e():
     zeta^6 = zeta^2: the map a -> x, b -> y y of a b = zeta^2 b a is
     settled by degrees."""
     g = ScalarGroup(4, (), "zeta")
-    target = certified_system(Presentation.build(g, ("x", "y"),
-                                                 [(0, 1, Multiplicative(g.root(1)))]))
-    source = Presentation.build(g, ("a", "b"), [(0, 1, Multiplicative(g.root(2)))])
+    target = certified_system(Presentation.from_items(g, ("x", "y"), [(0, 1, (1,))]))
+    source = Presentation.from_items(g, ("a", "b"), [(0, 1, (2,))])
     gmap = GeneratorMap(source, target, {"a": target.word("x"), "b": target.word("y", "y")})
-    (_, d, a, b, defect), = pair_defects(gmap)
+    (d, a, b, defect), = pair_defects(gmap)
     assert defect.is_zero() and _settled_by_degrees(target, d, a, b)
     assert verify_homomorphism(gmap) == raw_image_verify(gmap)
 

@@ -8,13 +8,17 @@ from qwalg.mixed import (CanonicalMixedAlgebra, Equivalent, InadmissiblePresenta
                          center_lattices, cross_equivalence_necessary,
                          equivalence_decide, eulerian_presentation, invariants,
                          mixed_weyl_invariants, reduce_to_canonical)
-from qwalg.presentation import (Additive, Eulerian, Multiplicative, Presentation,
-                                apply_certificate, check_admissible, weyl_matrix)
+from qwalg.presentation import Presentation, apply_certificate, check_admissible
 from qwalg.qwa import parse_presentation
 from qwalg.scalars import ScalarGroup
 from qwalg.torus import TorusError
 
 from support import scramble
+
+
+def matrices(p):
+    """The relations of a quantum/Weyl presentation, its names left out."""
+    return p.weyl, p.degrees
 
 
 @pytest.fixture
@@ -46,8 +50,7 @@ relations {
     algebra, cert = reduce_to_canonical(p)
     assert (algebra.n, algebra.r) == (2, 1)
     assert all(s.is_one() for row in algebra.lam for s in row)
-    assert apply_certificate(p, cert.ops).rels == \
-        algebra.to_presentation().rels
+    assert matrices(apply_certificate(p, cert.ops)) == matrices(algebra.to_presentation())
 
 
 def test_reduce_already_canonical(grp):
@@ -60,22 +63,17 @@ def test_reduce_already_canonical(grp):
 
 def test_reduce_gcd_weights(grp):
     # one vertex Weyl-tied to two others with weights 2 and 3, plus a spectator
-    p = Presentation.build(grp, ("a", "b", "c", "d"), [
-        (0, 1, Additive(2)), (0, 2, Additive(3)),
-    ])
+    p = Presentation.from_items(grp, ("a", "b", "c", "d"), [(0, 1, 2), (0, 2, 3)])
     algebra, cert = reduce_to_canonical(p)
     assert algebra.n + algebra.r == 4
-    assert 2 * algebra.r == il.rank(weyl_matrix(p))
+    assert 2 * algebra.r == il.rank(p.weyl)
     assert algebra.r == 1
-    assert apply_certificate(p, cert.ops).rels == \
-        algebra.to_presentation().rels
+    assert matrices(apply_certificate(p, cert.ops)) == matrices(algebra.to_presentation())
 
 
 def test_reduce_rejects_inadmissible(grp):
-    q = grp.free_gen("q")
-    p = Presentation.build(grp, ("a", "b", "c"), [
-        (0, 1, Additive(1)), (0, 2, Multiplicative(q)), (1, 2, Multiplicative(q)),
-    ])
+    q = grp.free_gen("q").degree()
+    p = Presentation.from_items(grp, ("a", "b", "c"), [(0, 1, 1), (0, 2, q), (1, 2, q)])
     with pytest.raises(InadmissiblePresentation):
         reduce_to_canonical(p)
 
@@ -98,8 +96,7 @@ def test_reduce_random_scrambles(grp):
         assert check_admissible(p).admissible
         out, cert = reduce_to_canonical(p)
         assert (out.n, out.r) == (n, r)
-        assert apply_certificate(p, cert.ops).rels == \
-            out.to_presentation().rels
+        assert matrices(apply_certificate(p, cert.ops)) == matrices(out.to_presentation())
         # invariants of the reduction do not depend on the scramble
         assert invariants(out).g_subgroup == invariants(algebra).g_subgroup
 
@@ -122,15 +119,14 @@ def test_eulerian_presentation_shapes(grp):
     one = grp.one()
     u = eulerian_presentation(CanonicalMixedAlgebra(grp, 1, 1, [[one]]))
     assert u.gens == ("y1", "w1")
-    assert isinstance(u.rels[(0, 1)], Eulerian)
+    assert u.eulerian == {(0, 1): 1}
     torus_only = eulerian_presentation(CanonicalMixedAlgebra(
         grp, 2, 0, [[one, grp.free_gen("q")], [grp.free_gen("q").inv(), one]]))
     assert torus_only.gens == ("y1", "y2")
     t21 = eulerian_presentation(s21(grp))
     assert t21.gens == ("y1", "y2", "w1")
-    rel = t21.rels[(0, 2)]
-    assert isinstance(rel, Eulerian) and rel.w_index == 2
-    assert (1, 2) not in t21.rels  # w1 commutes with y2
+    assert t21.eulerian == {(0, 2): 2}
+    assert not any(t21.twist(1, 2))  # w1 commutes with y2
 
 
 def test_invariants_s22(grp):
@@ -355,7 +351,6 @@ CERTIFICATE_CASES = [
 
 @pytest.mark.parametrize("n, items, ops, pairing, out_n, out_r", CERTIFICATE_CASES)
 def test_weyl_graph_certificates_are_pinned(grp, n, items, ops, pairing, out_n, out_r):
-    p = Presentation.build(grp, tuple(f"g{k}" for k in range(n)),
-                           [(a, b, Additive(c)) for a, b, c in items])
+    p = Presentation.from_items(grp, tuple(f"g{k}" for k in range(n)), items)
     algebra, cert = reduce_to_canonical(p)
     assert (cert.describe(), cert.pairing, algebra.n, algebra.r) == (ops, pairing, out_n, out_r)

@@ -5,21 +5,24 @@ import pytest
 
 from qwalg import intlattice as il
 from qwalg.cyclo import Coeff
-from qwalg.presentation import (Additive, AddMultiple, Eulerian,
-                                EulerianNotSupported, FailingRelation,
-                                GeneratorMap, Multiplicative, OpError, Permute,
-                                Presentation, PresentationError, Scale, Verified, apply_op,
-                                certified_system, check_admissible,
-                                verify_homomorphism, weyl_matrix)
+from qwalg.presentation import (AddMultiple, EulerianNotSupported, FailingRelation,
+                                GeneratorMap, OpError, Permute, Presentation, Scale,
+                                Verified, apply_op, certified_system, check_admissible,
+                                verify_homomorphism)
 from qwalg.qwa import parse_document, parse_presentation
-from qwalg.scalars import ScalarGroup
+from qwalg.scalars import GroupMismatch, ScalarGroup
 
 from support import CORPUS, S22_TEXT, subpresentation
 
+# Degrees over the group Z<q> of the fixture grp: q, q^-1 and q^2.
+Q, QINV, Q2 = (0, 1), (0, -1), (0, 2)
 
-def triangle(group, rel12, rel13, rel23):
-    return Presentation.build(group, ("g1", "g2", "g3"),
-                              [(0, 1, rel12), (0, 2, rel13), (1, 2, rel23)])
+
+def triangle(group, k12, k13, k23):
+    """Three generators; each k is a Weyl weight or a twist degree, as an
+    item of ``Presentation.from_items``."""
+    return Presentation.from_items(group, ("g1", "g2", "g3"),
+                                   [(0, 1, k12), (0, 2, k13), (1, 2, k23)])
 
 
 @pytest.fixture
@@ -28,28 +31,25 @@ def grp():
 
 
 def test_admissible_ta3(grp):
-    q = grp.free_gen("q")
-    p = triangle(grp, Additive(1), Multiplicative(q), Multiplicative(q.inv()))
+    p = triangle(grp, 1, Q, QINV)
     assert check_admissible(p).admissible
 
 
 def test_inadmissible_case_three(grp):
-    q = grp.free_gen("q")
-    p = triangle(grp, Additive(1), Multiplicative(q), Multiplicative(q))
+    p = triangle(grp, 1, Q, Q)
     rep = check_admissible(p)
     assert not rep.admissible
-    assert rep.witness[:3] == (0, 1, 2)
+    assert rep.witness == (0, 1, 2)
 
 
 def test_all_weyl_admissible(grp):
-    p = triangle(grp, Additive(1), Additive(-3), Additive(7))
+    p = triangle(grp, 1, -3, 7)
     assert check_admissible(p).admissible
 
 
 def test_mixed_weyl_quantum_inadmissible(grp):
-    q = grp.free_gen("q")
     # one endpoint quantum, the other commuting: lemma forces rejection
-    p = triangle(grp, Additive(1), Multiplicative(q), Additive(0))
+    p = triangle(grp, 1, Q, 0)
     assert not check_admissible(p).admissible
 
 
@@ -57,38 +57,34 @@ def test_admissible_rejects_eulerian():
     p = parse_presentation("generators y, w\nrelations {\n  [w, y] = y\n}\n")
     with pytest.raises(EulerianNotSupported):
         check_admissible(p)
-    with pytest.raises(EulerianNotSupported):
-        weyl_matrix(p)
 
 
 def test_weyl_matrix_s22():
     p = parse_presentation(S22_TEXT)  # generator order x1, y1, x2, y2
-    assert weyl_matrix(p) == [[0, 1, 0, 0], [-1, 0, 0, 0],
-                              [0, 0, 0, 1], [0, 0, -1, 0]]
+    assert p.weyl == [[0, 1, 0, 0], [-1, 0, 0, 0],
+                      [0, 0, 0, 1], [0, 0, -1, 0]]
 
 
 def test_weyl_matrix_quantum_zero(grp):
-    q = grp.free_gen("q")
-    p = triangle(grp, Multiplicative(q), Multiplicative(q), Multiplicative(q))
-    assert weyl_matrix(p) == [[0] * 3 for _ in range(3)]
+    p = triangle(grp, Q, Q, Q)
+    assert p.weyl == [[0] * 3 for _ in range(3)]
 
 
 def test_weyl_matrix_triangle_rank(grp):
-    p = triangle(grp, Additive(1), Additive(1), Additive(1))
-    m = weyl_matrix(p)
-    assert m == [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
-    assert il.rank(m) == 2
+    p = triangle(grp, 1, 1, 1)
+    assert p.weyl == [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
+    assert il.rank(p.weyl) == 2
 
 
 def test_subpresentation_examples():
     p = parse_presentation(S22_TEXT)
     qp = subpresentation(p, ["y1", "y2"])
     assert qp.gens == ("y1", "y2")
-    assert qp.rels[(0, 1)] == Multiplicative(p.group.free_gen("q"))
+    assert qp.degrees == [[None, Q], [QINV, None]]
     single = subpresentation(p, ["y1"])
-    assert single.n == 1 and single.rels == {}
+    assert single == Presentation.from_items(p.group, ("y1",), [])
     pair = subpresentation(p, ["x1", "y1"])
-    assert pair.additive_weight(0, 1) == 1  # x1 y1 = y1 x1 + 1
+    assert pair.weyl[0][1] == 1  # x1 y1 = y1 x1 + 1
 
 
 def test_subpresentation_empty():
@@ -99,14 +95,12 @@ def test_subpresentation_empty():
 
 def test_admissibility_invariant_under_permutation(grp):
     rng = random.Random(23)
-    q = grp.free_gen("q")
-    kinds = [Additive(0), Additive(1), Additive(2), Additive(-1),
-             Multiplicative(q), Multiplicative(q.inv()), Multiplicative(q.pow(2))]
+    kinds = [0, 1, 2, -1, Q, QINV, Q2]
     for _ in range(80):
         n = rng.randrange(3, 6)
         items = [(i, j, rng.choice(kinds))
                  for i in range(n) for j in range(i + 1, n)]
-        p = Presentation.build(grp, tuple(f"g{k}" for k in range(n)), items)
+        p = Presentation.from_items(grp, tuple(f"g{k}" for k in range(n)), items)
         verdict = check_admissible(p).admissible
         order = list(range(n))
         rng.shuffle(order)
@@ -115,41 +109,36 @@ def test_admissibility_invariant_under_permutation(grp):
 
 
 def test_scale_op(grp):
-    p = triangle(grp, Additive(2), Additive(4), Additive(0))
+    p = triangle(grp, 2, 4, 0)
     p2 = apply_op(p, Scale(0, Fraction(1, 2)))
-    assert p2.additive_weight(0, 1) == 1
-    assert p2.additive_weight(0, 2) == 2
+    assert p2.weyl[0][1] == 1
+    assert p2.weyl[0][2] == 2
     with pytest.raises(OpError):
         apply_op(p, Scale(0, Fraction(1, 3)))  # weight 2/3 not integral
 
 
 def test_add_multiple_op(grp):
     # g2 += 3*g3 where both relate additively to g1
-    p = triangle(grp, Additive(2), Additive(3), Additive(0))
+    p = triangle(grp, 2, 3, 0)
     p2 = apply_op(p, AddMultiple(1, 2, 3))
-    assert p2.additive_weight(0, 1) == 2 + 3 * 3
-    assert p2.additive_weight(1, 2) == 0
+    assert p2.weyl[0][1] == 2 + 3 * 3
+    assert p2.weyl[1][2] == 0
 
 
 def test_add_multiple_rejects_mixed(grp):
-    q = grp.free_gen("q")
-    p = triangle(grp, Additive(0), Multiplicative(q), Additive(1))
+    p = triangle(grp, 0, Q, 1)
     # g1 += c*g2: g1-g3 is quantum but g2-g3 is Weyl
     with pytest.raises(OpError):
         apply_op(p, AddMultiple(0, 1, 1))
 
 
 def test_quantum_weights_survive_add(grp):
-    q = grp.free_gen("q")
-    p = Presentation.build(grp, ("a", "b", "c", "d"), [
-        (0, 1, Additive(1)), (0, 2, Additive(2)),
-        (1, 3, Multiplicative(q)), (2, 3, Multiplicative(q)),
-        (0, 3, Multiplicative(q.inv())),
-    ])
+    p = Presentation.from_items(grp, ("a", "b", "c", "d"), [
+        (0, 1, 1), (0, 2, 2), (1, 3, Q), (2, 3, Q), (0, 3, QINV)])
     assert check_admissible(p).admissible
     p2 = apply_op(p, AddMultiple(1, 2, 5))
-    assert p2.rel(1, 3) == Multiplicative(q)
-    assert p2.additive_weight(0, 1) == 11
+    assert p2.degrees[1][3] == Q
+    assert p2.weyl[0][1] == 11
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +163,7 @@ def _broken(grp, item, image):
     """The pair (x, z) carries the relation ``item`` and y commutes with both;
     returns the verification of the identity map and of the map changed by
     ``image``."""
-    p = Presentation.build(grp, ("x", "y", "z"), [item])
+    p = Presentation.from_items(grp, ("x", "y", "z"), [item])
     sys = certified_system(p)
     ident = {g: sys.word(g) for g in p.gens}
     return (verify_homomorphism(GeneratorMap(p, sys, ident)),
@@ -184,18 +173,16 @@ def _broken(grp, item, image):
 @pytest.mark.parametrize("kind", ["additive", "multiplicative",
                                   "eulerian_w_first", "eulerian_w_second"])
 def test_map_breaking_one_pair_names_it(grp, kind):
-    q = grp.free_gen("q")
     two = lambda sys, g: sys.word(g).scale(Coeff.from_rational(sys.ring, 2))
     item, image = {
         # [x, 2z] = 2 != 1
-        "additive": ((0, 2, Additive(1)), lambda sys: {"z": two(sys, "z")}),
+        "additive": ((0, 2, 1), lambda sys: {"z": two(sys, "z")}),
         # x z^2 = q^2 z^2 x != q z^2 x
-        "multiplicative": ((0, 2, Multiplicative(q)),
-                           lambda sys: {"z": sys.word("z", "z")}),
+        "multiplicative": ((0, 2, Q), lambda sys: {"z": sys.word("z", "z")}),
         # [2x, z] = 2z != z
-        "eulerian_w_first": ((0, 2, Eulerian(0)), lambda sys: {"x": two(sys, "x")}),
+        "eulerian_w_first": ((0, 2, None), lambda sys: {"x": two(sys, "x")}),
         # [2z, x] = 2x != x
-        "eulerian_w_second": ((2, 0, Eulerian(2)), lambda sys: {"z": two(sys, "z")}),
+        "eulerian_w_second": ((2, 0, None), lambda sys: {"z": two(sys, "z")}),
     }[kind]
     ok, bad = _broken(grp, item, image)
     assert ok == Verified(3)
@@ -205,48 +192,38 @@ def test_map_breaking_one_pair_names_it(grp, kind):
 
 
 
+def test_map_between_two_scalar_groups_is_refused(grp):
+    """The source's twist degrees are read in the target's group, so a map
+    whose source has another scalar group is refused, even where the
+    relations agree."""
+    text = "generators a, b\nrelations {\n  a b = q * b a\n}\n"
+    src = parse_presentation("scalars { free q }\n" + text)
+    sys = certified_system(parse_presentation("scalars { free p, q }\n" + text))
+    with pytest.raises(GroupMismatch, match="^source and target scalar groups differ$"):
+        verify_homomorphism(GeneratorMap(src, sys, {g: sys.word(g) for g in src.gens}))
+
+
 def test_eulerian_item_counts_with_its_first_index(grp):
     gens = ("x", "y", "z")
-    with pytest.raises(PresentationError, match="first generator"):
-        Presentation.build(grp, gens, [(0, 2, Eulerian(2))])
-    # (2, 0, Eulerian(2)) is [z, x] = x
-    sys = certified_system(Presentation.build(grp, gens, [(2, 0, Eulerian(2))]))
+    # (2, 0, None) is [z, x] = x
+    sys = certified_system(Presentation.from_items(grp, gens, [(2, 0, None)]))
     comm = sys.multiply(sys.word("z"), sys.word("x")).sub(sys.multiply(sys.word("x"), sys.word("z")))
     assert comm == sys.word("x")
 
 
-def test_build_refusals():
-    g = ScalarGroup(1, ("q",))
-    p_weight = Multiplicative(ScalarGroup(1, ("p",)).free_gen("p"))
-    for gens, items, message in [
-            (("a", "a"), [], "duplicate generator names"),
-            (("a", "b"), [(0, 0, Additive(1))], "self-relation on generator 'a'"),
-            (("a", "b"), [(0, 1, Additive(1)), (1, 0, Additive(2))],
-             "duplicate relation for pair (a, b)"),
-            # A pair given a trivial relation is listed all the same.
-            (("a", "b"), [(0, 1, Additive(0)), (1, 0, Additive(2))],
-             "duplicate relation for pair (a, b)"),
-            (("a", "b"), [(0, 1, p_weight)], "weight scalar outside the declared group"),
-            (("a", "b"), [(0, 1, 1)], "unknown relation kind 1")]:
-        with pytest.raises(PresentationError) as err:
-            Presentation.build(g, gens, items)
-        assert str(err.value) == message
-
-
 def test_accessors_on_a_weyl_pair():
-    p = Presentation.build(ScalarGroup(), ("x", "y"), [(0, 1, Additive(1))])
-    with pytest.raises(PresentationError, match="^no self-relations$"):
-        p.rel(0, 0)
-    assert p.quantum_weight(0, 1) is None
+    p = Presentation.from_items(ScalarGroup(), ("x", "y"), [(0, 1, 1)])
+    assert p.twist(0, 1) is None and p.twist(1, 0) is None
+    assert p.twist(0, 0) == (0,)
     assert p != "x"
 
 
 def test_subpresentation_keeps_the_counting_generator():
     g = ScalarGroup()
-    p = Presentation.build(g, ("w", "y"), [(0, 1, Eulerian(0))])
+    p = Presentation.from_items(g, ("w", "y"), [(0, 1, None)])
     assert subpresentation(p, ["w", "y"]) == p
-    assert subpresentation(p, ["y", "w"]) == Presentation.build(g, ("y", "w"),
-                                                                [(1, 0, Eulerian(1))])
+    assert subpresentation(p, ["y", "w"]) == Presentation.from_items(g, ("y", "w"),
+                                                                     [(1, 0, None)])
 
 
 def test_apply_op_refusals():
@@ -262,17 +239,16 @@ def test_apply_op_refusals():
     assert apply_op(p, AddMultiple(0, 2, 0)) is p
     with pytest.raises(OpError):
         apply_op(p, AddMultiple(0, 2, 1))
-    eulerian = Presentation.build(ScalarGroup(), ("w", "y"), [(0, 1, Eulerian(0))])
+    eulerian = Presentation.from_items(ScalarGroup(), ("w", "y"), [(0, 1, None)])
     with pytest.raises(EulerianNotSupported, match="^generator changes operate on"):
         apply_op(eulerian, Permute((1, 0)))
 
 
 def test_apply_op_refusals_word_for_word(grp):
     """Each refusal of a generator change, message and all."""
-    q = grp.free_gen("q")
     s22 = parse_presentation(S22_TEXT)  # x1 x2 = q x2 x1: a quantum pair
-    mixed = triangle(grp, Additive(0), Multiplicative(q), Additive(1))
-    weights = triangle(grp, Additive(2), Additive(3), Additive(0))
+    mixed = triangle(grp, 0, Q, 1)
+    weights = triangle(grp, 2, 3, 0)
     for p, op, message in [
             (s22, Permute((0, 1, 2, 2)), "permutation is not a bijection"),
             (s22, Scale(1, Fraction(0)), "zero scale factor"),
@@ -289,10 +265,11 @@ def test_apply_op_refusals_word_for_word(grp):
 
 
 # Drawn with a seeded generator over Z/4 x Z<q> (zeta of order 4).  A case is
-# (n, items, witness).  An item (a, b, k) reads g_a g_b - g_b g_a = k for an
-# int k, and g_a g_b = zeta^t q^f g_b g_a for k = (t, f); absent pairs
-# commute.  The witness is (i, j, k, rel(i, k), rel(j, k)) in the same code:
-# the first violating triple in the scan order of the triangle test.
+# (n, items, witness).  An item (a, b, k) of ``Presentation.from_items`` reads
+# g_a g_b - g_b g_a = k for an int k, and g_a g_b = zeta^t q^f g_b g_a for
+# k = (t, f); absent pairs commute.  The witness is (i, j, k), the first
+# violating triple in the scan order of the triangle test; then come the
+# relations of (i, k) and (j, k), read (i, k) and (j, k), in the same code.
 WITNESS_CASES = [
     (5, [(0, 1, 0), (3, 1, 2), (1, 4, (3, 0)), (2, 3, (0, -1)), (2, 4, (3, 0))],
      (1, 3, 2, 0, (0, 1))),
@@ -326,10 +303,7 @@ WITNESS_CASES = [
 
 def test_the_triangle_test_names_the_first_violation_in_scan_order():
     g = ScalarGroup(4, ("q",), "zeta")
-
-    def rel(k):
-        return Additive(k) if isinstance(k, int) else Multiplicative(g.scalar(k[0], k[1:]))
     for n, items, (i, j, k, ik, jk) in WITNESS_CASES:
-        p = Presentation.build(g, tuple(f"g{t}" for t in range(n)),
-                               [(a, b, rel(c)) for a, b, c in items])
-        assert check_admissible(p) == (False, (i, j, k, rel(ik), rel(jk)))
+        p = Presentation.from_items(g, tuple(f"g{t}" for t in range(n)), items)
+        assert check_admissible(p) == (False, (i, j, k))
+        assert [p.degrees[i][k] or p.weyl[i][k], p.degrees[j][k] or p.weyl[j][k]] == [ik, jk]

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import tempfile
@@ -6,41 +7,44 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwalg.presentation import (Additive, Eulerian, Multiplicative, Presentation,
-                                Verified, certified_system, verify_homomorphism)
+from qwalg.presentation import Presentation, Verified, certified_system, verify_homomorphism
 from qwalg.cli import _load
+from qwalg.mixed import eulerian_presentation, reduce_to_canonical
 from qwalg.qwa import (ParseError, format_group_block, format_presentation, parse_document,
                        parse_generator_map, parse_presentation, parse_scalar_literal)
 from qwalg.scalars import GroupMismatch, ScalarGroup, format_scalar
 from qwalg.torus import QuantumTorus
 
-from support import LL2_TARGET, S22_TEXT, T21_SOURCE, relation_items, weights
+from support import CORPUS, LL2_TARGET, S22_TEXT, T21_SOURCE, relation_items, weights
+
+PRINTED = Path(__file__).with_name("presentation_bytes.json")
+
 
 def test_parse_s22():
     p = parse_presentation(S22_TEXT)
     assert p.gens == ("x1", "y1", "x2", "y2")
-    assert len(p.rels) == 6
-    q = p.group.free_gen("q")
-    assert p.rel(p.index("x1"), p.index("y1")) == Additive(1)
-    assert p.rel(p.index("y1"), p.index("y2")) == Multiplicative(q)
+    q, qinv = (0, 1), (0, -1)  # degrees of q and q^-1
+    assert p.weyl == [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    assert p.degrees == [[None, None, q, qinv], [None, None, qinv, q],
+                         [qinv, q, None, None], [q, qinv, None, None]]
+    assert p.eulerian == {}
 
 
 def test_parse_empty_relations():
     p = parse_presentation("generators a, b, c\n")
-    assert p.n == 3 and p.rels == {}
-    assert p.rel(0, 2) == Additive(0)
+    assert p.n == 3 and p == Presentation.from_items(p.group, p.gens, [])
+    assert p.twist(0, 2) == (0,)
 
 
 def test_weight_one_normalized():
     p = parse_presentation("scalars { free q }\ngenerators x, y\n"
                            "relations {\n  x y = 1 * y x\n}\n")
-    assert p.rels == {}
+    assert p == Presentation.from_items(p.group, p.gens, [])
 
 
 def test_eulerian_relation():
     p = parse_presentation("generators y, w\nrelations {\n  [w, y] = y\n}\n")
-    rel = p.rels[(0, 1)]
-    assert isinstance(rel, Eulerian) and rel.w_index == p.index("w")
+    assert p.eulerian == {(0, 1): p.index("w")}
 
 
 def test_parse_errors_carry_line_numbers():
@@ -200,7 +204,25 @@ def test_minus_one_requires_even_order():
         parse_presentation(text)  # no scalars block: torsion order 1
     ok = "scalars { root zeta : 2 }\n" + text
     p = parse_presentation(ok)
-    assert p.rels[(0, 1)] == Multiplicative(p.group.scalar(torsion=1))
+    assert p.degrees[0][1] == p.group.scalar(torsion=1).degree()
+
+
+def test_printed_presentations_are_pinned():
+    """Every corpus presentation, the canonical presentation it reduces to
+    and that algebra's Eulerian presentation print byte for byte as pinned;
+    the Eulerian corpus file has no reduction."""
+    pinned = json.loads(PRINTED.read_text())
+    printed = {}
+    for f in sorted(CORPUS.glob("*.qwa")):
+        p = parse_document(f.read_text()).presentation
+        if p is None:
+            continue
+        printed[f.stem] = {"presentation": format_presentation(p)}
+        if not p.eulerian:
+            algebra, _ = reduce_to_canonical(p)
+            printed[f.stem]["canonical"] = format_presentation(algebra.to_presentation())
+            printed[f.stem]["eulerian"] = format_presentation(eulerian_presentation(algebra))
+    assert printed == pinned
 
 
 def test_roundtrip_fixed_point():
@@ -254,7 +276,7 @@ def test_parse_into_given_group():
     doc = parse_document(S22_TEXT, g)
     assert doc.group == g == doc.presentation.group
     y1, y2 = doc.presentation.index("y1"), doc.presentation.index("y2")
-    assert doc.presentation.rel(y1, y2) == Multiplicative(g.free_gen("q"))
+    assert doc.presentation.degrees[y1][y2] == g.free_gen("q").degree()
     for text in ("scalars { free r }\ngenerators a\n",
                  "scalars { root w : 4 }\ngenerators a\n",
                  "scalars { root zeta : 2 }\ngenerators a\n"):
@@ -275,7 +297,7 @@ def presentations(draw):
     gens = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5, unique=True))
     items = relation_items(draw, group, len(gens),
                            ("additive", "multiplicative", "eulerian"), weights(group))
-    return Presentation.build(group, gens, items)
+    return Presentation.from_items(group, gens, items)
 
 
 @settings(max_examples=300, deadline=None)
@@ -300,11 +322,12 @@ def torus_files(draw):
     items = relation_items(draw, group, len(gens), ("multiplicative", "commuting"), weight)
     lam = [[group.one()] * len(gens) for _ in gens]
     lines = []
-    for a, b, rel in items:
+    for a, b, k in items:
         ga, gb = gens[a], gens[b]
-        if isinstance(rel, Multiplicative):
-            lam[a][b], lam[b][a] = rel.weight, rel.weight.inv()
-            lit = format_scalar(rel.weight)
+        if k:  # the degree of a quantum relation; 0 says the pair commutes
+            w = group.scalar(k[0], k[1:])
+            lam[a][b], lam[b][a] = w, w.inv()
+            lit = format_scalar(w)
             if e > 1 and draw(st.booleans()):
                 lit += f" * zeta^{e * draw(st.integers(-2, 2))}"
             lines.append(f"  {ga} {gb} = {lit} * {gb} {ga}")
@@ -319,7 +342,8 @@ def torus_files(draw):
 @given(torus_files())
 def test_torus_file_is_read_into_the_exponents_of_its_weights(drawn):
     """The CLI reads a torus file straight into exponent matrices; they are
-    those of the drawn Lambda, and those the presentation route gives."""
+    those of the drawn Lambda, and their degrees are the twists of the
+    presentation the file holds."""
     group, lam, text = drawn
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "torus.qwa"
@@ -327,11 +351,12 @@ def test_torus_file_is_read_into_the_exponents_of_its_weights(drawn):
         t, = _load([str(path)], ["torus"])
     assert t.group == group
     assert t.exponents == QuantumTorus(group, lam).exponents
-    assert t.exponents == QuantumTorus.from_presentation(parse_presentation(text)).exponents
+    p = parse_presentation(text)
+    assert [[p.twist(i, j) for j in range(p.n)] for i in range(p.n)] == t.degrees()
 
 
 def test_torsion_without_a_root_symbol_is_not_printed():
     g = ScalarGroup(4)
-    p = Presentation.build(g, ("a", "b"), [(0, 1, Multiplicative(g.scalar(1)))])
+    p = Presentation.from_items(g, ("a", "b"), [(0, 1, (1,))])
     with pytest.raises(ValueError, match="^cannot print a torsion group without a named root$"):
         format_presentation(p)

@@ -6,7 +6,7 @@ import pytest
 from qwalg import intlattice as il
 from qwalg.cli import _load
 from qwalg.mixed import reduce_to_canonical
-from qwalg.presentation import Additive, Eulerian, Multiplicative, Presentation
+from qwalg.qwa import parse_document
 from qwalg.scalars import GroupMismatch, ScalarGroup
 from qwalg.torus import (Iso, NotApplicable, NotIso, QuantumTorus, TorusError,
                          TorusMorphism, Violation, central_lattice, check_morphism, compose,
@@ -136,24 +136,25 @@ def test_constructor_check_matches_the_pairwise_definition():
     assert all(count >= 20 for count in seen.values()), seen
 
 
-def random_presentation(rng, g, n):
-    """Quantum relations in random orientations, some of weight 1, with
-    torsion and negative free exponents."""
+def random_relations(rng, g, n):
+    """Quantum relations (a, b, w), g_a g_b = w g_b g_a, of a presentation
+    in random orientations, some of weight 1, with torsion and negative free
+    exponents."""
     items = []
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.7:
                 w = g.scalar(rng.randrange(g.torsion_order),
                              tuple(rng.randrange(-3, 4) for _ in range(g.rank)))
-                items.append((i, j, Multiplicative(w)) if rng.random() < 0.5
-                             else (j, i, Multiplicative(w)))
+                items.append((i, j, w) if rng.random() < 0.5 else (j, i, w))
     rng.shuffle(items)
-    return Presentation.build(g, [f"y{k}" for k in range(n)], items)
+    return items
 
 
 def test_from_presentation_matches_validated_path():
-    """Exponents read straight off the relations agree with the checked
-    constructor on the scalar matrix of the presentation's weights."""
+    """Exponents read straight off the relations of a presentation agree
+    with the checked constructor on the scalar matrix of its weights, and
+    the torus's presentation twists by the torus's degrees."""
     rng = random.Random(61)
     nonsimple = 0
     for e in (1, 2, 6, 12):
@@ -161,18 +162,20 @@ def test_from_presentation_matches_validated_path():
             g = ScalarGroup(e, ("p", "q")[:rank], "zeta" if e > 1 else None)
             for _ in range(15):
                 n = rng.randrange(1, 6)
-                p = random_presentation(rng, g, n)
-                lam = [[g.one() if i == j else p.quantum_weight(i, j) for j in range(n)]
-                       for i in range(n)]
-                ref = QuantumTorus(p.group, lam)
-                t = QuantumTorus.from_presentation(p)
+                items = random_relations(rng, g, n)
+                lam = [[g.one()] * n for _ in range(n)]
+                for a, b, w in items:
+                    lam[a][b], lam[b][a] = w, w.inv()
+                ref = QuantumTorus(g, lam)
+                t = QuantumTorus.from_relations(g, n, [(a, b, w.degree()) for a, b, w in items])
                 assert t.n == ref.n and t.group == ref.group
                 assert t.exponents == ref.exponents
                 assert t.moduli == ref.moduli
                 assert t.lam == ref.lam == lam
                 assert t == ref and ref == t
                 assert central_lattice(t) == central_lattice(ref)
-                assert QuantumTorus.from_presentation(t.to_presentation(p.gens)) == t
+                p = t.to_presentation([f"y{k}" for k in range(n)])
+                assert [[p.twist(i, j) for j in range(n)] for i in range(n)] == t.degrees()
                 nonsimple += not is_simple(t)
     assert nonsimple > 20
 
@@ -182,8 +185,7 @@ def test_from_presentation_equality():
     same exponents over another group is a different torus."""
     def plane(g, name):
         w = g.root().mul(g.free_gen(name))
-        return QuantumTorus.from_presentation(
-            Presentation.build(g, ("a", "b"), [(1, 0, Multiplicative(w))]))
+        return QuantumTorus.from_relations(g, 2, [(1, 0, w.degree())])
 
     g = ScalarGroup(4, ("q",), "zeta")
     one, z, q = g.one(), g.root(), g.free_gen("q")
@@ -195,13 +197,13 @@ def test_from_presentation_equality():
     assert other.exponents == t.exponents and other != t
 
 
-@pytest.mark.parametrize("rel", [Additive(1), Eulerian(0)])
+@pytest.mark.parametrize("rel", ["a b = b a + 1", "[a, b] = b"], ids=["rel0", "rel1"])
 def test_from_presentation_rejects_non_quantum(rel):
-    g = ScalarGroup(1, ("q",))
-    p = Presentation.build(g, ("a", "b", "c"),
-                           [(0, 2, Multiplicative(g.free_gen("q"))), (0, 1, rel)])
+    """A Weyl or an Eulerian relation in a file read as a torus."""
+    doc = parse_document("scalars { free q }\ngenerators a, b, c\n"
+                         f"relations {{\n  a c = q * c a\n  {rel}\n}}\n", torus=True)
     with pytest.raises(TorusError, match="non-quantum relation"):
-        QuantumTorus.from_presentation(p)
+        QuantumTorus.from_relations(doc.group, *doc.presentation)
 
 
 def test_simple_q_plane(grp):

@@ -61,7 +61,8 @@ def presentation_systems(draw):
     n = draw(st.integers(2, 5))
     items = relation_items(draw, group, n, ("additive", "multiplicative", "commuting", "eulerian"),
                            weights(group))
-    return system_from_presentation(Presentation.build(group, [f"g{i}" for i in range(n)], items))
+    return system_from_presentation(Presentation.from_items(group, [f"g{i}" for i in range(n)],
+                                                            items))
 
 
 @seed(3701)
