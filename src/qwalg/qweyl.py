@@ -132,7 +132,13 @@ def localize_to_mixed(a: QuantumWeylAlgebra) -> LocalizationResult:
     """Invert the z_i and verify the canonical mixed relations symbolically.
 
     Each z with q != 1 is confirmed scalar-normal, its inverse adjoined with
-    re-certified confluence, and every relation of the canonical
+    re-certified confluence.  A letter with one degree over the words of
+    z_i's normal form in the extension reads its normality scalar off the
+    twist table.  The others, among x_k and y_k for a quantum k <= i, are
+    proved in the base system, where z_i is its own normal form: for i < n they
+    read the remainder that certifying the overlap x_(i+1) y_(i+1) x_k or
+    x_(i+1) y_(i+1) y_k left, and for i = n they take the two products
+    there.  Every relation of the canonical
     presentation is checked on the generator images x'_j = z_(prev j)^{-1} x_j
     and z'_i = z_(prev i)^{-1} z_i: its defect has normal form zero.  The
     image of z_i is its letter Z_i, which the identification rule makes

@@ -50,12 +50,15 @@ degree nu of a letter x on a word t: x t = nu t x, so t x = nu^-1 x t.
 One graded lemma settles most other overlaps: the first letter moves right
 or the last letter moves left, the same statement in the algebra and in its
 opposite, and words of another degree may leave a remainder that reduces to
-zero, reduced once per system.  Degrees also give normality scalars
-(``commutation_with_generators``) and settle a relation of a generator map
-whose images are single words (``exchange_degree``).  They are the engine's
-form of a scalar: one becomes a coefficient once per rule that a reduction
-uses, and a ``Scalar`` only where a public method returns one.  Proofs are in
-``check_confluence``.  Certification visits only the overlaps with a loose
+zero, reduced once per system.  Degrees, and the remainders shown to
+vanish, also give normality scalars (``commutation_with_generators``): an
+extension takes from its base those that its own degrees do not give, and
+the base's certification has proved most of them.  Degrees settle a
+relation of a generator map whose images are single words
+(``exchange_degree``).  They are the engine's form of a scalar: one becomes
+a coefficient once per rule that a reduction uses, and a ``Scalar`` only
+where a public method returns one.  Proofs are in ``check_confluence``.
+Certification visits only the overlaps with a loose
 pair, read off an index: a rule outside the table or a descending letter
 pair with no twist rule.  ``adjoin_inverse`` appends its two letters in an
 extension that reuses the parent's rules, tables and index, and validates
@@ -105,6 +108,12 @@ def _add_term(terms: dict, w: Word, c: Coeff) -> None:
             del terms[w]
         else:
             terms[w] = c
+
+
+def _terms_key(terms) -> frozenset:
+    """The terms (t, c) as a key: each word with its coefficient's numerator
+    and denominator."""
+    return frozenset((t, frozenset(c.num.items()), frozenset(c.den.items())) for t, c in terms)
 
 
 class Element:
@@ -210,8 +219,9 @@ class ReductionSystem:
         self._inverses: frozenset = frozenset()  # (g, h) with g h -> 1 and h g -> 1
         # Overlap words settled by construction (see ``check_confluence``).
         self._by_construction: frozenset = frozenset()
-        # Remainders (side, x, nu, terms) shown to reduce to zero.
-        self._remainders: set = set()
+        # (side, x, terms) -> nu for the remainders shown to reduce to zero.
+        self._remainders: dict = {}
+        self._base: ReductionSystem | None = None  # the system an extension grew from
         self._grow(letters, rules)
 
     def _grow(self, letters, rules: list[Rule]):
@@ -271,7 +281,7 @@ class ReductionSystem:
         ext._twists = dict(self._twists)
         ext._loose_first, ext._loose_second = dict(self._loose_first), dict(self._loose_second)
         ext._degrees, ext._inverses, ext._by_construction = {}, self._inverses, frozenset()
-        ext._remainders = set()
+        ext._remainders, ext._base = {}, self._base or self
         ext._grow(letters, rules)
         return ext
 
@@ -436,20 +446,29 @@ class ReductionSystem:
         holds the new letter Z above u, and those Z'^-1 v w whose rule holds
         the earlier letter Z'.  A remainder is reduced once per side, x, nu
         and rest terms (with their coefficients' numerators and
-        denominators), and remembered when it vanishes: its words are below
-        every overlap that leaves it.  The side must be in the key, since
-        the right remainder for nu is -nu times the left one for nu^-1.  A
-        remainder whose words all have degrees has never vanished: it is not
-        tried, and the overlap is reduced.  An extension starts with an
-        empty memo: a remainder of one of its new overlaps holds a new
-        letter, as x or in a word of the new rule.
+        denominators), and remembered with its nu, keyed by the rest, when
+        it vanishes: its words are below every overlap that leaves it.  The
+        side must be in the key, since the right remainder for nu is -nu
+        times the left one for nu^-1.  A vanished right remainder is also
+        the identity sum_rest c_t (t x - nu x t) = 0 that
+        ``commutation_with_generators`` reads.  A remainder whose words all
+        have degrees has never vanished: it is not tried, and the overlap
+        is reduced.  An extension starts with an empty memo: a remainder of
+        one of its new overlaps holds a new letter, as x or in a word of the
+        new rule.
 
         Identification: in an extension by ``adjoin_inverse`` of a normal
         nf = c a b + tail, whose rule l: a b -> c^-1 (Z - tail) is new and
         whose letter Z has the rules Z h -> mu_h h Z with nf h = mu_h h nf
         in the parent, an overlap u a b with a parent rule u a and
         a b u < u a b, or a b w with a parent rule b w and w a b < a b w, is
-        settled by construction.  Proof, for u a b: E = nf u - mu_u u nf
+        settled by construction.  ``commutation_with_generators`` proves
+        nf h = mu_h h nf in the parent, or, for a letter h of the base the
+        parent grew from and the element el written in base letters,
+        el h = mu_h h el in the base; every rule of the base is a rule of
+        the parent, so mapping each letter to itself is a homomorphism
+        base -> parent, which carries the identity to the parent, where
+        el = nf.  Proof, for u a b: E = nf u - mu_u u nf
         is zero in the parent, and u a b is its largest word (the tail words
         t are below a b, and a b u < u a b puts t u below u a b).  E minus
         one rewrite of u a b by the rule u a,
@@ -536,15 +555,14 @@ class ReductionSystem:
         """Whether the remainder f of the terms (t, c_t) of ``rest`` on this
         side, with x t = nu t x on the left and t x = nu x t on the right,
         reduces to zero (see ``check_confluence``); memoized on success."""
-        key = (left, x, nu, frozenset((t, frozenset(c.num.items()), frozenset(c.den.items()))
-                                      for t, c in rest))
-        if key not in self._remainders:
+        key = (left, x, _terms_key(rest))
+        if self._remainders.get(key) != nu:
             xs, r = Element.from_word(self.ring, (x,)), Element(self.ring, dict(rest))
             a, b = (xs, r) if left else (r, xs)  # f = a b - nu b a
             f = a.concat(b).sub(b.concat(a).scale(Coeff.of_degree(self.ring, nu)))
             if self._reduce_terms(f.terms).terms:
                 return False
-            self._remainders.add(key)
+            self._remainders[key] = nu
         return True
 
     def _word_degree(self, x: int, t: Word) -> tuple | None:
@@ -631,72 +649,131 @@ class ReductionSystem:
         Every letter is covered, inverse letters included, in letter order.
         An inverse letter g^-1 (after g, with g g^-1 -> 1 and g^-1 g -> 1)
         gets the inverse of g's scalar: g el = mu^-1 el g conjugates to
-        el g^-1 = mu^-1 g^-1 el.  A letter g twisted either way round against
-        every letter of the normal form nf, with one degree nu over its
-        words, has g nf = nu nf g: its scalar is nu^-1 once nf g is known to
-        be non-zero.  That needs no reduction when no rule has the left side
-        g g, nor a pair of g with a letter of nf in the orientation that is
-        not its twist.  Proof: a word t of nf is irreducible, so reducing
-        t g only moves g to the left past the letters above g, by their
-        twist rules, and stops before the first letter that is not above g,
-        since neither pair beside g then has a rule.  So t g reduces to a
-        unit times t with g inserted, and t is read back off that word (g
-        sits before its longest suffix of letters above g): the terms of
-        nf g go to distinct words and cannot cancel.  Otherwise nf g is
-        shown non-zero.  Other letters take nf g and g nf apart; mu is read
-        off a word whose coefficients in both are scalar-group elements, as
-        the difference of their degrees, and otherwise as the ratio of the
-        coefficients at the first word.  Either way nf g = mu g nf is then
-        checked on every term, so the scalar does not depend on the word it
-        was read off.  A product whose words are all irreducible is not
-        reduced (``_reduced``).
+        el g^-1 = mu^-1 g^-1 el.  Another letter g reads mu off degrees
+        when it can, with the normal form nf: (a) g twisted either way
+        round against every letter of nf, with one degree nu over its
+        words, has g nf = nu nf g, so mu = nu^-1; (b) a right-side
+        remainder of g that certification reduced to zero, with the rest
+        terms sum c_t t and its nu (see ``check_confluence``), gives
+        sum c_t (t g - nu g t) = 0, and when the words of nf outside those
+        terms are none, or exactly its words of degree nu^-1, which satisfy
+        t g = nu g t, then nf g = nu g nf, so mu = nu.  Either way mu holds
+        once nf g is known to be non-zero.  That needs no reduction when
+        no rule has the left side g g, nor an ascending pair of g with a
+        letter of nf, and each descending pair that g passes from one side
+        has a twist rule: the letters above g from the right, those below
+        it from the left.  Proof, from the right: a word t of nf is
+        irreducible, so reducing t g only moves g to the left past letters
+        above g, by their twist rules, and stops before the first letter
+        with no rule before g; neither pair beside g then has a rule.  So
+        t g reduces to a unit times t with g inserted, and t is read back
+        off that word (g sits before its longest suffix of letters above
+        g): the terms of nf g go to distinct words and cannot cancel.  From
+        the left the same holds for g nf = mu^-1 nf g.  Otherwise nf g is
+        reduced and must be non-zero.  A letter with neither takes nf g and
+        g nf apart; mu is read off a word whose coefficients in both are
+        scalar-group elements, as the difference of their degrees, and
+        otherwise as the ratio of the coefficients at the first word.
+        Either way nf g = mu g nf is then checked on every term, so the
+        scalar does not depend on the word it was read off.  A product
+        whose words are all irreducible is not reduced (``_reduced``).
+
+        In an extension, and for el written in letters of the base that the
+        extension grew from, a base letter that neither (a) nor (b) settles
+        on nf takes mu from the base, by (a), (b) or the two products there
+        on el (a degree or a proof holds for any words, and z_i of a quantum
+        Weyl base is its own normal form): every rule of the base is a rule
+        of the extension, so el g = mu g el holds there too (see
+        ``check_confluence``), and only nf g != 0 is shown in the extension.
+        The base's certification has proved most of these identities: the
+        overlaps x_(i+1) y_(i+1) g of a quantum Weyl base leave, on the
+        right, the remainder of z_i for each letter g of a quantum index up
+        to i.  A letter that the base refuses takes the two products in the
+        extension, since base -> extension need not be injective.
         """
-        degrees = self._commutation(self.normal_form(el))
+        degrees = self._commutation(self.normal_form(el), el)
         return None if degrees is None else {name: self.group.scalar(d[0], d[1:])
                                               for name, d in zip(self.letters, degrees)}
 
-    def _commutation(self, nf: Element) -> list[tuple] | None:
+    def _commutation(self, nf: Element, el: Element) -> list[tuple] | None:
         """The degrees of the scalars of ``commutation_with_generators`` for
-        a normal form nf, in letter order."""
+        the normal form nf of el, in letter order."""
         if nf.is_zero():
             return None
-        e, inverse = self.group.torsion_order, self.group.inverse_degree
+        base, inverse = self._base or self, self.group.inverse_degree
+        if any(h >= len(base.letters) for t in el.terms for h in t):
+            base = self
+        bnf = nf if base is self else el  # degrees and proofs hold for any words
         terms, nf_letters = nf.terms.items(), {h for t in nf.terms for h in t}
         out: list[tuple] = []
         for g in range(len(self.letters)):
             if (g - 1, g) in self._inverses:
                 out.append(inverse(out[-1]))
                 continue
-            degrees = {self._word_degree(g, t) for t in nf.terms}
-            uniform = len(degrees) == 1 and None not in degrees
-            if not (uniform and self._moves_through(g, nf_letters)):
-                a = self._reduced({t + (g,): c for t, c in terms})
-                if not a.terms:
-                    return None
-            if uniform:
-                out.append(inverse(degrees.pop()))
-                continue
-            b = self._reduced({(g,) + t: c for t, c in terms})
-            if a.terms.keys() != b.terms.keys():
-                return None
-            mu = next((((da[0] - db[0]) % e, *map(sub, da[1:], db[1:]))
-                       for w, c in a.terms.items() if (da := coeff_degree(c)) is not None
-                       and (db := coeff_degree(b.terms[w])) is not None), None)
+            src, snf = (base, bnf) if g < len(base.letters) else (self, nf)
+            if (mu := self._proven_degree(g, nf)) is None and src is not self:
+                mu = src._proven_degree(g, snf)
             if mu is None:
-                w0 = next(iter(a.terms))
-                mu = coeff_degree(a.terms[w0].mul(b.terms[w0].inv()))
-            if mu is None or a != b.scale(Coeff.of_degree(self.ring, mu)):
+                mu = src._product_degree(g, snf)
+                if mu is None and src is not self:  # the base may refuse what self accepts
+                    src, mu = self, self._product_degree(g, nf)
+                if mu is None:
+                    return None
+                if src is self:  # nf g was reduced, and is non-zero
+                    out.append(mu)
+                    continue
+            if not (self._moves_through(g, nf_letters) or self._moves_through(g, nf_letters, False)
+                    or self._reduced({t + (g,): c for t, c in terms}).terms):
                 return None
             out.append(mu)
         return out
 
-    def _moves_through(self, g: int, letters: set) -> bool:
-        """Whether no rule has the left side g g, nor a pair of g with one of
-        the letters in the orientation that is not its twist (see
-        ``commutation_with_generators``)."""
-        rhs = self._rhs
+    def _proven_degree(self, g: int, nf: Element) -> tuple | None:
+        """The degree of mu with nf g = mu g nf from the degrees of g on the
+        words of nf: one degree d gives d^-1, and so does a class of degree d
+        whose complement is a remainder of g proven on the right for d^-1;
+        otherwise None (see ``commutation_with_generators``)."""
+        inverse = self.group.inverse_degree
+        degree = {t: self._word_degree(g, t) for t in nf.terms}
+        classes = set(degree.values())
+        if len(classes) == 1 and None not in classes:
+            return inverse(classes.pop())
+        # The words outside the remainder: none (False), or one class d.
+        for d in {False} | classes - {None}:
+            mu = self._remainders.get((False, g, _terms_key(
+                (t, c) for t, c in nf.terms.items() if degree[t] != d)))
+            if mu is not None and (d is False or mu == inverse(d)):
+                return mu
+        return None
+
+    def _product_degree(self, g: int, nf: Element) -> tuple | None:
+        """The degree of mu with nf g = mu g nf != 0 from the two reduced
+        products, or None (see ``commutation_with_generators``)."""
+        e, terms = self.group.torsion_order, nf.terms.items()
+        a = self._reduced({t + (g,): c for t, c in terms})
+        if not a.terms:
+            return None
+        b = self._reduced({(g,) + t: c for t, c in terms})
+        if a.terms.keys() != b.terms.keys():
+            return None
+        mu = next((((da[0] - db[0]) % e, *map(sub, da[1:], db[1:]))
+                   for w, c in a.terms.items() if (da := coeff_degree(c)) is not None
+                   and (db := coeff_degree(b.terms[w])) is not None), None)
+        if mu is None:
+            w0 = next(iter(a.terms))
+            mu = coeff_degree(a.terms[w0].mul(b.terms[w0].inv()))
+        return None if mu is None or a != b.scale(Coeff.of_degree(self.ring, mu)) else mu
+
+    def _moves_through(self, g: int, letters: set, right: bool = True) -> bool:
+        """Whether no rule has the left side g g, nor an ascending pair of g
+        with one of the letters, and the rule of each descending pair that g
+        passes is a twist: from the right of a word g passes the letters above
+        it, from the left those below it (see ``commutation_with_generators``)."""
+        rhs, tw = self._rhs, self._twists
         return (g, g) not in rhs and not any(
-            ((h, g) if h < g else (g, h)) in rhs for h in letters - {g})
+            ((h, g) if h < g else (g, h)) in rhs
+            or (h > g) == right and (p := (max(g, h), min(g, h))) in rhs and p not in tw
+            for h in letters - {g})
 
     def adjoin_inverse(self, el: Element, label: str) -> tuple["ReductionSystem", str]:
         """Extend the system with letters Z, Z^-1 representing a scalar-normal
@@ -709,15 +786,19 @@ class ReductionSystem:
         from those twists, as an inverted generator does; both letters are
         appended in one extension, certified once from the parent's rules.
         The scalars stay degrees (``_commutation``), which state Z's and
-        Z^-1's twist rules; each becomes a coefficient in its rule.
+        Z^-1's twist rules; each becomes a coefficient in its rule.  In an
+        extension, a letter of the base whose degrees over nf do not give
+        its scalar takes it from the base, most often off a remainder that
+        the base's certification proved (see
+        ``commutation_with_generators``).
         The overlaps of the identification rule a b with a parent rule u a
         (when a b u < u a b) or b w (when w a b < a b w) are settled by
-        construction from the parent's normality scalars, which Z's rules
+        construction from the element's normality scalars, which Z's rules
         carry (proof in ``check_confluence``).
         A plain generator gets only the inverse letter.
         """
         nf = self.normal_form(el)
-        degrees = self._commutation(nf)
+        degrees = self._commutation(nf, el)
         if degrees is None:
             raise NotNormalError("element does not commute with every generator "
                                  "up to a scalar")
