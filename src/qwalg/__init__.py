@@ -16,14 +16,12 @@ from .presentation import (AddMultiple, AdmissibilityReport, EulerianNotSupporte
                            certified_system, check_admissible, exchanged,
                            system_from_presentation, verified)
 from .qwa import (Document, ParseError, format_generator_map, format_presentation,
-                  format_qweyl, parse_document, parse_generator_map,
-                  parse_presentation, parse_scalar_literal)
+                  parse_document, parse_generator_map, parse_presentation)
 from .rewrite import (Confluent, Element, Failing, NotCertifiedError,
                       NotNormalError, ReductionSystem, Rule, RuleError)
 from .torus import (Iso, NotApplicable, NotIso, QuantumTorus, TorusMorphism,
-                    Violation, central_lattice, check_morphism, compose,
-                    is_isomorphism, is_simple, uniparameter_exponents,
-                    uniparameter_iso_decide)
+                    Violation, central_lattice, check_morphism, is_isomorphism,
+                    is_simple, uniparameter_exponents, uniparameter_iso_decide)
 from .mixed import (AlgebraInvariants, CanonicalMixedAlgebra, Equivalent,
                     InadmissiblePresentation, Inconclusive, MixedWeylField,
                     MixedWeylInvariants, NotEquivalent, ReductionCertificate,

@@ -14,6 +14,7 @@ from .mixed import CanonicalMixedAlgebra, MixedWeylField, eulerian_presentation
 from .presentation import (  # the map types and the check are re-exported
     FailingRelation, GeneratorMap, Presentation, Verified, certified_system, verified,
     verify_homomorphism)
+from .torus import QuantumTorus
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +61,7 @@ def _plane_embedding(source: Presentation, group, n: int, r: int, deg):
     gmap = GeneratorMap(source, sys, images)
     verified(gmap, "plane embedding")
     centrals = 2 * (len(pairs) - len(planes))
-    return gmap, MixedWeylField(group, r, len(planes), centrals,
-                                [group.scalar(d[0], d[1:]) for d in planes])
+    return gmap, MixedWeylField(group, r, len(planes), centrals, planes)
 
 
 def embed_torus(torus) -> tuple[GeneratorMap, MixedWeylField]:
@@ -98,7 +98,7 @@ def weyl_lower_bound_witness(s: CanonicalMixedAlgebra) -> GeneratorMap:
     sys = certified_system(Presentation.from_items(group, names, items))
     for k in range(r):
         sys, _ = sys.invert_generator(f"yt{k+1}")
-    ones = [[group.one() for _ in range(r)] for _ in range(r)]
+    ones = QuantumTorus.from_relations(group, r, [])
     source = CanonicalMixedAlgebra(group, r, r, ones).to_presentation(
         names=tuple(f"Y{k+1}" for k in range(r)) + tuple(f"X{k+1}" for k in range(r)))
     images = {}

@@ -15,7 +15,6 @@ changes.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from . import intlattice
@@ -24,7 +23,8 @@ from .presentation import (AddMultiple, GeneratorMap, Op, Permute, Presentation,
                            PresentationError, Scale, certified_system, change_generators,
                            check_admissible, triangle_violation, verified)
 from .rewrite import Element
-from .scalars import Scalar, ScalarGroup, SubgroupDescription, subgroup_canonical_form
+from .scalars import (GroupMismatch, Scalar, ScalarGroup, SubgroupDescription,
+                      subgroup_canonical_form)
 from .torus import (Iso, NotIso, QuantumTorus, Violation, central_lattice,
                     check_morphism, is_simple, uniparameter_exponents,
                     uniparameter_iso_decide)
@@ -37,21 +37,20 @@ class InadmissiblePresentation(PresentationError):
 
 
 class CanonicalMixedAlgebra:
-    """The triple (n, r, Lambda) with Lambda multiplicatively antisymmetric,
-    given as a matrix of scalars or as a torus built from its exponents."""
+    """The triple (n, r, Lambda), Lambda given as the quantum torus that
+    holds its exponents (and so is multiplicatively antisymmetric)."""
 
-    def __init__(self, group: ScalarGroup, n: int, r: int, lam):
+    def __init__(self, group: ScalarGroup, n: int, r: int, torus: QuantumTorus):
         if n < 1 or not (0 <= r <= n):
             raise ValueError("need n >= 1 and 0 <= r <= n")
-        self._torus = lam if isinstance(lam, QuantumTorus) else QuantumTorus(group, lam)
-        if self._torus.n != n:
+        if torus.n != n:
             raise ValueError(f"Lambda must be {n} x {n}")
-        self.group, self.n, self.r = group, n, r
+        self.group, self.n, self.r, self._torus = group, n, r, torus
 
-    @cached_property
-    def lam(self) -> tuple[tuple[Scalar, ...], ...]:
-        """Lambda, derived from the torus where it is printed or asked for."""
-        return tuple(map(tuple, self._torus.lam))
+    @property
+    def lam(self) -> list[list[Scalar]]:
+        """Lambda as scalars, derived from the torus for printing."""
+        return self._torus.lam
 
     def torus(self) -> QuantumTorus:
         return self._torus
@@ -90,16 +89,16 @@ class CanonicalMixedAlgebra:
 
 class MixedWeylField:
     """Fraction field data (m, n, t, qbar): m Weyl pairs, n quantum planes with
-    weights qbar (each != 1), t central variables."""
+    weights qbar (each != 1, given as its degree), t central variables."""
 
     def __init__(self, group: ScalarGroup, m: int, n: int, t: int, qs):
-        qs = tuple(qs)
+        qs = tuple(map(tuple, qs))
         if min(m, n, t) < 0 or len(qs) != n:
             raise ValueError("inconsistent mixed Weyl data")
         for q in qs:
-            if q.group != group:
+            if not group.has_degree(q):
                 raise ValueError("plane weight outside the declared group")
-            if q.is_one():
+            if not any(q):
                 raise ValueError("plane weights must differ from 1")
         self.group = group
         self.m = m
@@ -298,7 +297,7 @@ class MixedWeylInvariants(NamedTuple):
 
 
 def mixed_weyl_invariants(d: MixedWeylField) -> MixedWeylInvariants:
-    torsion_planes = sum(1 for q in d.qs if not any(q.free))
+    torsion_planes = sum(1 for q in d.qs if not any(q[1:]))
     return MixedWeylInvariants(
         gk_trdeg=2 * d.m + 2 * d.n + d.t,
         w_infdeg=2 * d.m,
@@ -329,8 +328,9 @@ class Inconclusive(NamedTuple):
 
 
 def g_invariant(s: CanonicalMixedAlgebra) -> SubgroupDescription:
+    deg = s.torus().degrees()
     return subgroup_canonical_form(
-        s.group, [s.lam[i][j] for i in range(s.n) for j in range(i + 1, s.n)])
+        s.group, [deg[i][j] for i in range(s.n) for j in range(i + 1, s.n)])
 
 
 def detect_uniparameter_symbol(a: CanonicalMixedAlgebra,
@@ -343,7 +343,7 @@ def detect_uniparameter_symbol(a: CanonicalMixedAlgebra,
 
 
 def _is_commutative(s: CanonicalMixedAlgebra) -> bool:
-    return all(s.lam[i][j].is_one() for i in range(s.n) for j in range(s.n))
+    return not any(any(map(any, m)) for m in s.torus().exponents)
 
 
 def equivalence_decide(a: CanonicalMixedAlgebra, b: CanonicalMixedAlgebra,
@@ -451,7 +451,10 @@ def cross_equivalence_necessary(a: CanonicalMixedAlgebra, d: MixedWeylField):
     """Necessary separations between a canonical mixed algebra and a mixed
     Weyl field: generator count, Weyl degree and the trace invariant G.  The
     trace invariant E (k exactly when there is a Weyl pair) needs no check
-    of its own: equal Weyl degrees give equal pair counts, so equal E."""
+    of its own: equal Weyl degrees give equal pair counts, so equal E.  The
+    two must share a scalar group, as G compares subgroups of it."""
+    if a.group != d.group:
+        raise GroupMismatch("algebra and field must share a scalar group")
     gka = a.n + a.r
     gkd = 2 * d.m + 2 * d.n + d.t
     if gka != gkd:

@@ -11,18 +11,20 @@
 
 A .qwa file holds either a presentation or a ``qweyl { ... }`` block
 describing a multiparameter quantum Weyl algebra; a map file holds one
-``map { ... }`` block.  Both are read by ``read_statements``.
+``map { ... }`` block.  Both are read by ``read_statements``.  Every scalar
+literal is read straight to its degree (torsion mod e, *free).
 """
 from __future__ import annotations
 
 import re
 from functools import partial
+from operator import add
 from typing import NamedTuple
 
 from .cyclo import Coeff, coeff_degree
 from .presentation import GeneratorMap, Presentation
 from .rewrite import Element, ReductionSystem
-from .scalars import GroupMismatch, Scalar, ScalarGroup, format_scalar, merge_groups
+from .scalars import GroupMismatch, ScalarGroup, format_scalar, merge_groups
 
 
 class ParseError(ValueError):
@@ -50,11 +52,12 @@ _QWA = {"scalars": True, "generators": False, "relations": True, "qweyl": True}
 
 
 class QWeylSpec(NamedTuple):
-    """Raw data of a qweyl block (resolved into an algebra by the qweyl module)."""
+    """Raw data of a qweyl block, every scalar as its degree (torsion mod e,
+    *free); the qweyl module checks it and builds the algebra."""
     group: ScalarGroup
     n: int
-    q: tuple[Scalar, ...]
-    lam: tuple[tuple[Scalar, ...], ...]
+    q: tuple[tuple[int, ...], ...]
+    lam: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class Document(NamedTuple):
@@ -118,7 +121,8 @@ def _names(text: str, ln: int, what: str) -> tuple[str, ...]:
 
 
 def _degree(group: ScalarGroup, text: str, line: int) -> tuple[int, ...]:
-    """The degree (torsion mod e, *free) of a scalar literal."""
+    """The degree (torsion mod e, *free) of a scalar literal: a product of
+    name^int factors, with the literals 1 and -1."""
     text = text.strip()
     if not text:
         raise ParseError(line, "empty scalar literal")
@@ -144,12 +148,6 @@ def _degree(group: ScalarGroup, text: str, line: int) -> tuple[int, ...]:
         else:
             raise ParseError(line, f"undeclared scalar symbol {name!r}")
     return (torsion % group.torsion_order, *free)
-
-
-def parse_scalar_literal(group: ScalarGroup, text: str, line: int = 0) -> Scalar:
-    """Product of name^int factors, with the literals 1 and -1."""
-    d = _degree(group, text, line)
-    return Scalar(group, d[0], d[1:])
 
 
 def _parse_scalars_block(ln: int, items) -> ScalarGroup:
@@ -183,7 +181,8 @@ def parse_document(text: str, group: ScalarGroup | None = None,
     relations go straight into the matrices of a ``Presentation``.  With
     ``torus``, the generators and relations are read as a quantum torus:
     ``presentation`` holds the arguments (n, weights) of
-    ``QuantumTorus.from_relations``."""
+    ``QuantumTorus.from_relations``.  One cached literal reader serves the
+    relations and the qweyl block."""
     found = read_statements(text, _QWA)
     declared = (_parse_scalars_block(*found["scalars"]) if "scalars" in found
                 else ScalarGroup())
@@ -193,8 +192,9 @@ def parse_document(text: str, group: ScalarGroup | None = None,
         raise GroupMismatch("declared scalars do not embed in the given group")
 
     presentation = qweyl = None
+    literal = _cached(partial(_degree, group))
     if "generators" in found:
-        read = _relations(_cached(partial(_degree, group)), *found["generators"],
+        read = _relations(literal, *found["generators"],
                           found.get("relations", (0, ()))[1])
         presentation = (_torus_weights(*read) if torus
                         else Presentation.from_items(group, *read))
@@ -202,8 +202,7 @@ def parse_document(text: str, group: ScalarGroup | None = None,
         raise ParseError(found["relations"][0],
                          "relations block without a generators line")
     if "qweyl" in found:
-        qweyl = _build_qweyl(group, _cached(partial(parse_scalar_literal, group)),
-                             *found["qweyl"])
+        qweyl = _build_qweyl(group, literal, *found["qweyl"])
     if presentation is None and qweyl is None:
         raise ParseError(1, "file declares neither generators nor a qweyl block")
     return Document(group, presentation, qweyl)
@@ -270,6 +269,8 @@ def _torus_weights(gens, rels) -> tuple[int, list]:
 
 
 def _build_qweyl(group, literal, ln, items) -> QWeylSpec:
+    """The clauses n, q and Lambda, each scalar read as its degree by
+    ``literal``; whether Lambda is a torus is the algebra's check."""
     fields = {}
     for at, item in items:
         m = _RE_QWEYL.match(item)
@@ -292,13 +293,13 @@ def _build_qweyl(group, literal, ln, items) -> QWeylSpec:
     if len(qs) != n:
         raise ParseError(ln, f"expected {n} quantization parameters, got {len(qs)}")
     ln, ltext = fields["Lambda"]
-    lam = _parse_scalar_matrix(literal, ltext, ln)
+    lam = _parse_matrix(literal, ltext, ln)
     if len(lam) != n or any(len(r) != n for r in lam):
         raise ParseError(ln, f"Lambda must be {n} x {n}")
     return QWeylSpec(group, n, qs, lam)
 
 
-def _parse_scalar_matrix(literal, text, ln) -> tuple[tuple[Scalar, ...], ...]:
+def _parse_matrix(literal, text, ln) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """``[[a, b],[c, d]]``: scalar literals hold no brackets, so rows part at
     '],' before '['."""
     if not (text.startswith("[") and text.endswith("]")):
@@ -338,7 +339,7 @@ def parse_generator_map(text: str, source: Presentation,
             raise ParseError(at, f"map names unknown source generator {name!r}")
         if name in images:
             raise ParseError(at, f"map gives a second image for {name!r}")
-        scalar = target.group.one()
+        deg = (0,) * (1 + target.group.rank)
         word: list[str] = []
         for f in rhs.split("*"):
             toks = f.split()
@@ -348,9 +349,9 @@ def parse_generator_map(text: str, source: Presentation,
                         raise ParseError(at, f"unknown target factor {tok!r}")
                 word += toks
             else:
-                scalar = scalar.mul(parse_scalar_literal(target.group, f, at))
+                deg = tuple(map(add, deg, _degree(target.group, f, at)))
         el = target.word(*word) if word else target.one()
-        images[name] = el.scale(Coeff.of_degree(target.ring, scalar.degree()))
+        images[name] = el.scale(Coeff.of_degree(target.ring, deg))
     missing = [g for g in source.gens if g not in images]
     if missing:
         raise ParseError(ln, f"map is missing images for {missing}")
@@ -401,22 +402,8 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_qweyl(spec: QWeylSpec) -> str:
-    lines = []
-    block = format_group_block(spec.group)
-    if block:
-        lines.append(block)
-    qlist = ", ".join(format_scalar(q) for q in spec.q)
-    lines.append("qweyl {")
-    lines.append(f"  n = {spec.n}")
-    lines.append(f"  q = ({qlist})")
-    lines.append(f"  Lambda = {format_scalar_matrix(spec.lam)}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def format_scalar_matrix(rows) -> str:
-    """``[[a, b],[c, d]]``, as a qweyl block's Lambda and the CLI's lambda key."""
+    """``[[a, b],[c, d]]``, the CLI's lambda key in a qweyl block's syntax."""
     return "[" + ",".join("[" + ", ".join(format_scalar(s) for s in row) + "]"
                           for row in rows) + "]"
 

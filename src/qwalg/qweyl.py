@@ -12,7 +12,8 @@ for i < j,
 The elements z_j = x_j y_j - y_j x_j = 1 + sum_{k<=j} (q_k - 1) y_k x_k are
 scalar-normal; inverting those with q_j != 1 produces generators satisfying
 the canonical mixed relations with 2n - r quantum generators and the r
-Weyl pairs given by the indices with q_j = 1.
+Weyl pairs given by the indices with q_j = 1.  Every parameter is held as
+its degree (torsion mod e, *free).
 """
 from __future__ import annotations
 
@@ -30,19 +31,22 @@ from .torus import QuantumTorus
 
 
 class QuantumWeylAlgebra:
+    """The algebra of (qbar, Lambda), each parameter given as its degree
+    (torsion mod e, *free), the form ``qs`` and ``lam`` keep; Lambda is
+    checked as a torus."""
+
     def __init__(self, group: ScalarGroup, n: int, qs, lam):
         if n < 1:
             raise ValueError("need n >= 1")
-        qs = tuple(qs)
+        qs = tuple(map(tuple, qs))
         if len(qs) != n:
             raise ValueError("need one quantization parameter per index")
-        if any(q.group != group for q in qs):
+        if not all(map(group.has_degree, qs)):
             raise ValueError("quantization parameter outside the declared group")
-        self._torus = QuantumTorus(group, lam)
-        if self._torus.n != n:
+        self.lam = QuantumTorus(group, lam).degrees()
+        if len(self.lam) != n:
             raise ValueError(f"Lambda must be {n} x {n}")
         self.group, self.n, self.qs = group, n, qs
-        self.lam = tuple(map(tuple, self._torus.lam))
         self._system: ReductionSystem | None = None  # built by the first system()
 
     @staticmethod
@@ -53,13 +57,13 @@ class QuantumWeylAlgebra:
     # 2i + 1 (from 0); every right-hand side is smaller.
     def _build_system(self) -> ReductionSystem:
         """The system, with the terms of every z_i built once: the twist
-        rules are stated by the degrees of their scalars, read off the
-        torus exponents and the degrees of the q_i."""
+        rules are stated by the degrees of their scalars, the entries of
+        Lambda and the q_i."""
         ring = CoeffRing(self.group)
         one = Coeff.one(ring)
         letters = tuple(f"{c}{i+1}" for i in range(self.n) for c in "yx")
         inverse, e = self.group.inverse_degree, self.group.torsion_order
-        deg, qd = self._torus.degrees(), [q.degree() for q in self.qs]
+        deg, qd = self.lam, self.qs
         rules = []
         for j in range(self.n):
             for i in range(j):
@@ -96,11 +100,11 @@ class QuantumWeylAlgebra:
 
     @property
     def weyl_indices(self) -> list[int]:
-        return [i for i in range(self.n) if self.qs[i].is_one()]
+        return [i for i in range(self.n) if not any(self.qs[i])]
 
     @property
     def quantum_indices(self) -> list[int]:
-        return [i for i in range(self.n) if not self.qs[i].is_one()]
+        return [i for i in range(self.n) if any(self.qs[i])]
 
 
 def localized_lambda(a: QuantumWeylAlgebra) -> CanonicalMixedAlgebra:
@@ -108,17 +112,17 @@ def localized_lambda(a: QuantumWeylAlgebra) -> CanonicalMixedAlgebra:
 
     In the block order (z'-block, y-block) the weight matrix is
     [[1, M], [M', Lambda]] with M carrying q_{i_k} against y_{i_k} and M'
-    its inverse transposed pattern; a final permutation lists the r
-    Weyl-paired y's first, then the z'-block, then the quantum y's.
+    its inverse transposed pattern.  The generators are listed in the
+    canonical order, the r Weyl-paired y's, then the z'-block, then the
+    quantum y's, and the torus is built from these relations in that order.
     """
     jj, ii = a.weyl_indices, a.quantum_indices
-    nz, one = len(ii), a.group.one()
-    lam = [[one] * (nz + a.n) for _ in ii] + [[one] * nz + list(row) for row in a.lam]
-    for k, i in enumerate(ii):
-        lam[k][nz + i], lam[nz + i][k] = a.qs[i], a.qs[i].inv()
-    perm = [nz + j for j in jj] + list(range(nz)) + [nz + i for i in ii]
-    plam = [[lam[i][j] for j in perm] for i in perm]
-    return CanonicalMixedAlgebra(a.group, nz + a.n, len(jj), plam)
+    r, nz, deg = len(jj), len(ii), a.lam
+    pos = {i: k for k, i in enumerate(jj)} | {i: r + nz + k for k, i in enumerate(ii)}
+    weights = [(r + k, pos[i], a.qs[i]) for k, i in enumerate(ii)]
+    weights += [(pos[i], pos[j], deg[i][j]) for i in range(a.n) for j in range(i + 1, a.n)]
+    return CanonicalMixedAlgebra(a.group, nz + a.n, r,
+                                 QuantumTorus.from_relations(a.group, nz + a.n, weights))
 
 
 class LocalizationResult(NamedTuple):
@@ -184,7 +188,7 @@ class QWeylInvariants(NamedTuple):
 
 def qweyl_invariants(a: QuantumWeylAlgebra) -> QWeylInvariants:
     r = len(a.weyl_indices)
-    applicable = all(q.is_one() or any(q.free) for q in a.qs)
+    applicable = all(not any(q) or any(q[1:]) for q in a.qs)
     center_trivial = None
     if applicable:
         _, center = center_lattices(localized_lambda(a))

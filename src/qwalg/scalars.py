@@ -118,6 +118,11 @@ class ScalarGroup(Frozen):
         v[self.free_index[name]] = power
         return self.scalar(free=tuple(v))
 
+    def has_degree(self, d) -> bool:
+        """d is the degree of an element: torsion in [0, e), then one
+        exponent per free symbol."""
+        return len(d) == 1 + self.rank and 0 <= d[0] < self.torsion_order
+
     def inverse_degree(self, d: tuple[int, ...]) -> tuple[int, ...]:
         """The degree of the inverse: every exponent negated, torsion mod e."""
         return (-d[0] % self.torsion_order, *map(neg, d[1:]))
@@ -217,19 +222,19 @@ class SubgroupDescription(NamedTuple):
 
 
 def subgroup_canonical_form(group: ScalarGroup, gens) -> SubgroupDescription:
-    """Canonical form of the subgroup generated by ``gens``.
+    """Canonical form of the subgroup generated by the degrees ``gens``.
 
-    Lifts the generators to the exponent rows (v_i, t_i), adds the relation
-    row (0, ..., 0, e) and reads everything off one Hermite normal form: the
-    rows with a free pivot give the free basis, and the one row without a
-    free pivot is (0, ..., 0, c), so the torsion part has order e / c.
+    Lifts each degree (t_i, *v_i) to the exponent row (v_i, t_i), adds the
+    relation row (0, ..., 0, e) and reads everything off one Hermite normal
+    form: the rows with a free pivot give the free basis, and the one row
+    without a free pivot is (0, ..., 0, c), so the torsion part has order
+    e / c.
     """
     gens = list(gens)
-    for g in gens:
-        if g.group != group:
-            raise GroupMismatch("generator outside the declared group")
+    if not all(map(group.has_degree, gens)):
+        raise GroupMismatch("generator outside the declared group")
     e, m = group.torsion_order, group.rank
-    rows = [list(g.free) + [g.torsion] for g in gens]
+    rows = [[*g[1:], g[0]] for g in gens]
     rows.append([0] * m + [e])
     full = tuple(tuple(r) for r in intlattice.hermite_nf(rows) if any(r))
     free = tuple(r[:m] for r in full[:-1])

@@ -6,6 +6,7 @@ matrix per coordinate of Z/e x Z^m (the torsion one mod e): the centre is an
 integer kernel, and a morphism with matrix h is S = h^T S' h in each one."""
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 from . import intlattice
@@ -28,20 +29,21 @@ class QuantumTorus:
     A torus is its exponent matrices: ``exponents`` holds the torsion
     exponents of lambda (in [0, e)), then one matrix per free symbol, and
     ``moduli`` the matching modulus (e, then 0 for exact).  The constructor
-    is the one check of a matrix of scalars: row by row, the diagonal, then
-    each pair (i, j) with j > i, as (j, i) with j < i was met on row j.
-    ``lam`` is derived on first use."""
+    takes the n x n matrix of degrees (torsion, *free), the form
+    ``degrees()`` returns, and is the one check of a matrix that comes from
+    outside the program: row by row, the diagonal, then each pair (i, j)
+    with j > i, as (j, i) with j < i was met on row j.  ``lam`` is derived
+    on first use."""
 
-    def __init__(self, group: ScalarGroup, lam: list[list[Scalar]]):
+    def __init__(self, group: ScalarGroup, lam):
         n = len(lam)
         for row in lam:
             if len(row) != n:
                 raise TorusError("weight matrix must be square")
-            if any(s.group != group for s in row):
+            if not all(map(group.has_degree, row)):
                 raise TorusError("weight outside the declared group")
-        self.group, self.n, self._lam = group, n, [list(row) for row in lam]
-        self.exponents = [[[s.torsion for s in row] for row in lam]] + [
-            [[s.free[c] for s in row] for row in lam] for c in range(group.rank)]
+        self.group, self.n = group, n
+        self.exponents = [[[d[c] for d in row] for row in lam] for c in range(1 + group.rank)]
         coords = list(zip(self.exponents, self.moduli))
         for i in range(n):
             if any(s[i][i] for s in self.exponents):
@@ -55,17 +57,13 @@ class QuantumTorus:
         return (self.group.torsion_order,) + (0,) * self.group.rank
 
     @staticmethod
-    def uniparameter(group: ScalarGroup, name: str, exponents) -> "QuantumTorus":
-        return QuantumTorus(group, [[group.free_gen(name, k) for k in row]
-                                    for row in exponents])
-
-    @staticmethod
     def from_relations(group: ScalarGroup, n: int, weights) -> "QuantumTorus":
         """lambda_{a,b} of degree d (torsion in [0, e)) and lambda_{b,a} its
         inverse for each (a, b, d), d None for a non-quantum relation; each
-        pair comes once and no generator with itself, as the parser checks."""
+        pair comes once and no generator with itself, as the parser checks.
+        Antisymmetric by construction, so nothing is checked again."""
         t = QuantumTorus.__new__(QuantumTorus)
-        t.group, t.n, t._lam = group, n, None
+        t.group, t.n = group, n
         moduli = t.moduli
         t.exponents = [[[0] * n for _ in range(n)] for _ in moduli]
         for a, b, d in weights:
@@ -76,13 +74,10 @@ class QuantumTorus:
                 s[a][b], s[b][a] = k, (-k % mod if mod else -k)
         return t
 
-    @property
+    @cached_property
     def lam(self) -> list[list[Scalar]]:
-        if self._lam is None:
-            tor, *free = self.exponents
-            self._lam = [[Scalar(self.group, tor[i][j], tuple(s[i][j] for s in free))
-                          for j in range(self.n)] for i in range(self.n)]
-        return self._lam
+        """The weights as scalars, for printing."""
+        return [[Scalar(self.group, d[0], d[1:]) for d in row] for row in self.degrees()]
 
     def degrees(self) -> list[list[tuple]]:
         """The degree (torsion, *free) of each lambda_{i,j}, off the exponents."""
@@ -151,17 +146,6 @@ def check_morphism(src: QuantumTorus, dst: QuantumTorus, h) -> TorusMorphism | V
             if any(not _congruent(p[i][j - i - 1], s[i][j], mod) for p, s, mod in coords):
                 return Violation(i, j)
     return TorusMorphism(src, dst, tuple(tuple(r) for r in h))
-
-
-def compose(f: TorusMorphism, g: TorusMorphism) -> TorusMorphism:
-    """f after g (matrices multiply)."""
-    if g.dst is not f.src and g.dst != f.src:
-        raise TorusError("morphisms are not composable")
-    h = intlattice.matmul(f.h, g.h)
-    out = check_morphism(g.src, f.dst, h)
-    if isinstance(out, Violation):  # nothing checks a TorusMorphism built by hand
-        raise TorusError("composite violates the weight equations: a factor is not a morphism")
-    return out
 
 
 def is_isomorphism(f: TorusMorphism) -> bool:

@@ -16,13 +16,15 @@ from qwalg import __version__, intlattice as il
 from qwalg.cli import COMMANDS, HELP, OPTIONS, SUBS, TAKES, main
 from qwalg.cyclo import Coeff, coeff_degree
 from qwalg.embeddings import FailingRelation, GeneratorMap, Verified
+from qwalg.mixed import CanonicalMixedAlgebra
 from qwalg.presentation import (AddMultiple, Permute, Presentation, PresentationError, Scale,
                                 apply_op, certified_system, exchanged,
                                 system_from_presentation)
 from qwalg.qwa import ParseError, parse_presentation
 from qwalg.qweyl import QuantumWeylAlgebra
 from qwalg.rewrite import Confluent, Element, Failing, NotNormalError, ReductionSystem, Rule
-from qwalg.scalars import ScalarGroup
+from qwalg.scalars import Scalar, ScalarGroup
+from qwalg.torus import QuantumTorus
 
 CORPUS = Path(resources.files("qwalg") / "corpus")
 
@@ -67,6 +69,37 @@ relations {
   [w1, y1] = y1
 }
 """
+
+
+# -- scalar parameters as degrees ------------------------------------------------
+
+
+def degrees(x):
+    """The degree of a ``Scalar``, or the degrees of a (nested) sequence of
+    them: the form the torus, algebra and field constructors take."""
+    return x.degree() if isinstance(x, Scalar) else [degrees(y) for y in x]
+
+
+def torus(group: ScalarGroup, lam) -> QuantumTorus:
+    """The torus of a matrix of ``Scalar``s."""
+    return QuantumTorus(group, degrees(lam))
+
+
+def canonical(group: ScalarGroup, n: int, r: int, lam) -> CanonicalMixedAlgebra:
+    """The canonical mixed algebra (n, r, Lambda) of a matrix of ``Scalar``s."""
+    return CanonicalMixedAlgebra(group, n, r, torus(group, lam))
+
+
+def qweyl_algebra(group: ScalarGroup, n: int, qs, lam) -> QuantumWeylAlgebra:
+    """The quantum Weyl algebra of ``Scalar`` parameters."""
+    return QuantumWeylAlgebra(group, n, degrees(qs), degrees(lam))
+
+
+def uniparameter(group: ScalarGroup, name: str, exponents) -> QuantumTorus:
+    """The torus with lambda_{i,j} = name^s_{i,j}, s the integer matrix
+    ``exponents``."""
+    return QuantumTorus(group, [[group.free_gen(name, k).degree() for k in row]
+                                for row in exponents])
 
 
 def corpus(name: str) -> str:
@@ -241,7 +274,7 @@ def qweyl_grid(e: int, n: int):
     for quantum in sorted(patterns):
         qs = tuple(params[i % len(params)] if i in quantum else one
                    for i in range(n))
-        yield QuantumWeylAlgebra(g, n, qs, lam)
+        yield qweyl_algebra(g, n, qs, lam)
 
 
 @st.composite
@@ -262,7 +295,7 @@ def qweyl_algebras(draw, min_quantum: int = 0) -> QuantumWeylAlgebra:
         for j in range(i + 1, n):
             lam[i][j] = draw(scalars)
             lam[j][i] = lam[i][j].inv()
-    return QuantumWeylAlgebra(g, n, qs, lam)
+    return qweyl_algebra(g, n, qs, lam)
 
 
 def localization_chain(a: QuantumWeylAlgebra) -> list:

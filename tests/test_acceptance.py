@@ -18,13 +18,13 @@ from qwalg.mixed import (CanonicalMixedAlgebra, Equivalent, MixedWeylField,
 from qwalg.presentation import (Presentation, apply_certificate, certified_system,
                                 check_admissible, system_from_presentation)
 from qwalg.qwa import format_presentation, parse_presentation
-from qwalg.qweyl import QuantumWeylAlgebra, localize_to_mixed, qweyl_invariants
+from qwalg.qweyl import localize_to_mixed, qweyl_invariants
 from qwalg.rewrite import Confluent
 from qwalg.scalars import ScalarGroup
-from qwalg.torus import QuantumTorus, central_lattice, is_simple
+from qwalg.torus import central_lattice, is_simple
 
-from support import (CORPUS, cli_output, corpus, random_antisymmetric, random_unimodular,
-                     scramble)
+from support import (CORPUS, cli_output, corpus, degrees, qweyl_algebra, random_antisymmetric,
+                     random_unimodular, scramble, torus, uniparameter)
 
 
 def _ok(num, text):
@@ -92,7 +92,7 @@ def test_criterion_2_reduction_certificates():
                 w = rng.choice(weights)
                 lam[i][j] = w
                 lam[j][i] = w.inv()
-        algebra = CanonicalMixedAlgebra(group, n, r, lam)
+        algebra = CanonicalMixedAlgebra(group, n, r, torus(group, lam))
         p = scramble(algebra.to_presentation(), rng, steps=8)
         assert check_admissible(p).admissible
         out, cert = reduce_to_canonical(p)
@@ -165,7 +165,7 @@ def test_criterion_4_torus_simplicity():
             for (i, j), e in zip(pairs, exps):
                 s[i][j] = e
                 s[j][i] = -e
-            t = QuantumTorus.uniparameter(group, "q", s)
+            t = uniparameter(group, "q", s)
             simple = is_simple(t)
             witness = box_witness_exists(s)
             if simple:
@@ -182,13 +182,13 @@ def test_criterion_4_torus_simplicity():
     one = g2.one()
     lam = [[one, q, one, one], [q.inv(), one, one, one],
            [one, one, one, m], [one, one, m, one]]
-    block = QuantumTorus(g2, lam)
+    block = torus(g2, lam)
     assert central_lattice(block) == [[0, 0, 2, 0], [0, 0, 0, 2]]
-    assert is_simple(QuantumTorus(group, [[group.one(), group.free_gen("q")],
-                                          [group.free_gen("q").inv(), group.one()]]))
+    assert is_simple(torus(group, [[group.one(), group.free_gen("q")],
+                                   [group.free_gen("q").inv(), group.one()]]))
     gm = ScalarGroup(2, (), "zeta")
-    assert not is_simple(QuantumTorus(gm, [[gm.one(), gm.scalar(torsion=1)],
-                                           [gm.scalar(torsion=1), gm.one()]]))
+    assert not is_simple(torus(gm, [[gm.one(), gm.scalar(torsion=1)],
+                                    [gm.scalar(torsion=1), gm.one()]]))
     _ok(4, f"kernel verdicts match bounded enumeration on {tori} uniparameter "
            f"tori (n <= 4, exponents in -2..2); block example has central "
            f"rank 2")
@@ -209,7 +209,7 @@ def qweyl_grid(n):
                                   for j in range(i + 1, n)), weights):
                 lam[i][j] = w
                 lam[j][i] = w.inv()
-            yield QuantumWeylAlgebra(group, n, pattern, lam)
+            yield qweyl_algebra(group, n, pattern, lam)
 
 
 def test_criterion_5_localization_grid():
@@ -243,7 +243,7 @@ def test_criterion_6_embeddings():
                     w = q.pow(rng.randrange(-1, 2))
                     lam[i][j] = w
                     lam[j][i] = w.inv()
-            gmap, field = embed_torus(QuantumTorus(group, lam))
+            gmap, field = embed_torus(torus(group, lam))
             if n == 1:
                 # the line: one central variable, not a constant
                 assert (field.n, field.t) == (0, 1)
@@ -267,7 +267,7 @@ def test_criterion_6_embeddings():
             for j in range(i + 1, n):
                 lam[i][j] = q
                 lam[j][i] = q.inv()
-        return CanonicalMixedAlgebra(group, n, r, lam)
+        return CanonicalMixedAlgebra(group, n, r, torus(group, lam))
 
     for n in (1, 2, 3):
         for r in range(n + 1):
@@ -295,13 +295,13 @@ def test_criterion_7_reported_values():
     q = group.free_gen("q")
     p = group.free_gen("p")
     one = group.one()
-    s22 = CanonicalMixedAlgebra(group, 2, 2, [[one, q], [q.inv(), one]])
+    s22 = CanonicalMixedAlgebra(group, 2, 2, torus(group, [[one, q], [q.inv(), one]]))
     assert invariants(s22).w_supdeg == 4
     # w-supdeg of the quantum Weyl algebras across the small grid
     for n in (1, 2, 3):
         for pattern in itertools.product((one, q), repeat=n):
             lam = [[one for _ in range(n)] for _ in range(n)]
-            a = QuantumWeylAlgebra(group, n, pattern, lam)
+            a = qweyl_algebra(group, n, pattern, lam)
             inv = qweyl_invariants(a)
             assert inv.gk_dim == 2 * n
             assert inv.w_supdeg == 2 * sum(1 for c in pattern if c.is_one())
@@ -309,29 +309,29 @@ def test_criterion_7_reported_values():
     for n in range(1, 5):
         for r in range(n + 1):
             s = CanonicalMixedAlgebra(group, n, r,
-                                      [[one for _ in range(n)] for _ in range(n)])
+                                      torus(group, [[one for _ in range(n)] for _ in range(n)]))
             assert invariants(s).gk_dim == n + r
     # trivial center for semiclassical algebras over simple tori
     assert invariants(s22).center_rank == 0
     lam3 = [[one, q, p], [q.inv(), one, one], [p.inv(), one, one]]
-    s33 = CanonicalMixedAlgebra(group, 3, 3, lam3)
+    s33 = CanonicalMixedAlgebra(group, 3, 3, torus(group, lam3))
     assert invariants(s33).torus_simple
     assert invariants(s33).center_rank == 0
     # mixed Weyl field invariants over the (m, n, t) <= (2, 2, 2) grid
     for m in range(3):
         for n in range(3):
             for t in range(3):
-                d = MixedWeylField(group, m, n, t, tuple(q for _ in range(n)))
+                d = MixedWeylField(group, m, n, t, degrees(q for _ in range(n)))
                 inv = mixed_weyl_invariants(d)
                 assert inv.gk_trdeg == 2 * m + 2 * n + t
                 assert inv.w_infdeg == inv.w_supdeg == 2 * m
                 assert inv.center_rank == t
     g2 = ScalarGroup(2, (), "zeta")
-    droot = MixedWeylField(g2, 1, 1, 1, (g2.scalar(torsion=1),))
+    droot = MixedWeylField(g2, 1, 1, 1, degrees((g2.scalar(torsion=1),)))
     assert mixed_weyl_invariants(droot).center_rank == 2  # torsion plane + central
     # the six-dimensional pair separated only by the Weyl degree
-    f = MixedWeylField(group, 1, 2, 0, (q, q))
-    fp = MixedWeylField(group, 2, 1, 0, (q,))
+    f = MixedWeylField(group, 1, 2, 0, degrees((q, q)))
+    fp = MixedWeylField(group, 2, 1, 0, degrees((q,)))
     i1, i2 = mixed_weyl_invariants(f), mixed_weyl_invariants(fp)
     assert i1.gk_trdeg == i2.gk_trdeg == 6
     assert i1.center_rank == i2.center_rank == 0
@@ -350,8 +350,7 @@ def test_criterion_8_equivalence():
 
     def from_skew(s):
         n = len(s)
-        return CanonicalMixedAlgebra(
-            group, n, n, [[q.pow(s[i][j]) for j in range(n)] for i in range(n)])
+        return CanonicalMixedAlgebra(group, n, n, uniparameter(group, "q", s))
 
     pairs = 0
     flips = 0
@@ -386,9 +385,9 @@ def test_criterion_8_equivalence():
     grid = [(m, n, t) for m in range(3) for n in range(3) for t in range(3)]
     crossed = 0
     s22 = CanonicalMixedAlgebra(group, 2, 2,
-                                [[group.one(), q], [q.inv(), group.one()]])
+                                torus(group, [[group.one(), q], [q.inv(), group.one()]]))
     for (m, n, t) in grid:
-        d = MixedWeylField(group, m, n, t, tuple(q for _ in range(n)))
+        d = MixedWeylField(group, m, n, t, degrees(q for _ in range(n)))
         verdict = cross_equivalence_necessary(s22, d)
         assert isinstance(verdict, NotEquivalent)
         crossed += 1

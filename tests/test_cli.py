@@ -380,6 +380,39 @@ def test_refused_file_is_exit_2_with_its_line_through_the_torus_reader(tmp_path,
     assert cli_output(["torus", "center", str(f)]) == (2, "", f"error: {error}\n")
 
 
+def qweyl_text(scalars: str, n: int, q: str, lam: str) -> str:
+    return f"scalars {{ {scalars} }}\nqweyl {{\n  n = {n}\n  q = {q}\n  Lambda = {lam}\n}}\n"
+
+
+# (qweyl block, refusal): every parameter of a qweyl block that can be wrong,
+# with the message the CLI gave before the parameters were read as degrees.
+QWEYL_REFUSALS = [
+    (qweyl_text("free q", 2, "(q, 1)", "[[1, q],[q, 1]]"),
+     "weight matrix is not multiplicatively antisymmetric"),
+    (qweyl_text("free q", 2, "(q, 1)", "[[q, 1],[1, 1]]"), "diagonal weights must be 1"),
+    (qweyl_text("free q", 2, "(q, 1)", "[[1]]"), "line 5: Lambda must be 2 x 2"),
+    (qweyl_text("free q", 2, "(q)", "[[1, q],[q^-1, 1]]"),
+     "line 4: expected 2 quantization parameters, got 1"),
+    (qweyl_text("free q", 2, "(q, p)", "[[1, q],[q^-1, 1]]"),
+     "line 4: undeclared scalar symbol 'p'"),
+    (qweyl_text("root w : 3", 1, "(-1)", "[[1]]"),
+     "line 4: -1 requires an even root-of-unity order"),
+]
+
+
+@pytest.mark.parametrize("text,error", QWEYL_REFUSALS, ids=[e for _, e in QWEYL_REFUSALS])
+def test_qweyl_refusals_are_exit_2_with_no_machine_block(tmp_path, text, error):
+    """Every qweyl command, and either side of ``qweyl equiv``, refuses the
+    block with exit 2, its message on stderr and nothing on stdout."""
+    bad = tmp_path / "bad.qwa"
+    bad.write_text(text)
+    bad, good = str(bad), str(tmp_path / "good.qwa")
+    Path(good).write_text(qweyl_text("free q", 2, "(q, 1)", "[[1, q],[q^-1, 1]]"))
+    for argv in (["localize", bad], ["invariants", bad], ["equiv", bad, good],
+                 ["equiv", good, bad]):
+        assert cli_output(["qweyl", *argv]) == (2, "", f"error: {error}\n")
+
+
 def test_torus_refusals_and_their_precedence(tmp_path):
     """A relation that is not quantum refuses the file as a torus, but only
     once every file parsed: a parse error on a later line, or in the second

@@ -13,9 +13,9 @@ from qwalg.qwa import (ParseError, format_generator_map, parse_generator_map,
                        parse_presentation)
 from qwalg.qweyl import localize_to_mixed
 from qwalg.scalars import ScalarGroup
-from qwalg.torus import QuantumTorus
 
-from support import LL2_TARGET, T21_SOURCE, qweyl_grid, raw_image_verify, run_corpus
+from support import (LL2_TARGET, T21_SOURCE, canonical, qweyl_grid, raw_image_verify,
+                     run_corpus, torus)
 
 @pytest.fixture
 def grp():
@@ -87,7 +87,7 @@ def test_embed_torus_images_n3(grp):
     q = grp.free_gen("q")
     one = grp.one()
     lam = [[one, q, q], [q.inv(), one, q], [q.inv(), q.inv(), one]]
-    t = QuantumTorus(grp, lam)
+    t = torus(grp, lam)
     gmap, field = embed_torus(t)
     sys = gmap.target
     assert gmap.images["y1"] == sys.word("u1_2", "u1_3")
@@ -98,7 +98,7 @@ def test_embed_torus_images_n3(grp):
 
 def test_embed_torus_commutative(grp):
     one = grp.one()
-    t = QuantumTorus(grp, [[one, one], [one, one]])
+    t = torus(grp, [[one, one], [one, one]])
     gmap, field = embed_torus(t)
     assert (field.m, field.n, field.t) == (0, 0, 2)
 
@@ -106,10 +106,10 @@ def test_embed_torus_commutative(grp):
 def test_embed_torus_plane(grp):
     q = grp.free_gen("q")
     one = grp.one()
-    t = QuantumTorus(grp, [[one, q], [q.inv(), one]])
+    t = torus(grp, [[one, q], [q.inv(), one]])
     gmap, field = embed_torus(t)
     assert (field.m, field.n, field.t) == (0, 1, 0)
-    assert field.qs == (q,)
+    assert field.qs == (q.degree(),)
 
 
 def test_embed_torus_sizes(grp):
@@ -123,7 +123,7 @@ def test_embed_torus_sizes(grp):
                 w = q.pow(rng.randrange(-1, 2))
                 lam[i][j] = w
                 lam[j][i] = w.inv()
-        _, field = embed_torus(QuantumTorus(grp, lam))
+        _, field = embed_torus(torus(grp, lam))
         if n == 1:
             # the line: one central variable, not a constant
             assert (field.n, field.t) == (0, 1)
@@ -139,7 +139,7 @@ def s(grp, n, r, weight_exp=1):
         for j in range(i + 1, n):
             lam[i][j] = q
             lam[j][i] = q.inv()
-    return CanonicalMixedAlgebra(grp, n, r, lam)
+    return canonical(grp, n, r, lam)
 
 
 def test_embed_mixed_s21(grp):
@@ -238,9 +238,9 @@ def test_embed_torus_is_embed_mixed_without_pairs(grp):
             for j in range(i + 1, n):
                 lam[i][j] = q.pow(rng.randrange(-2, 3))
                 lam[j][i] = lam[i][j].inv()
-        t = QuantumTorus(grp, lam)
+        t = torus(grp, lam)
         gt, ft = embed_torus(t)
-        gm, fm = embed_mixed(CanonicalMixedAlgebra(grp, n, 0, t.lam))
+        gm, fm = embed_mixed(CanonicalMixedAlgebra(grp, n, 0, t))
         assert gt.target.letters == gm.target.letters
         assert gt.images == gm.images
         assert (ft.m, ft.n, ft.t, ft.qs) == (fm.m, fm.n, fm.t, fm.qs)
@@ -301,7 +301,7 @@ def test_reduced_images_match_raw_on_localizations(e, verified_maps):
 def test_refusals():
     g = ScalarGroup()
     with pytest.raises(ValueError, match="^no Weyl pairs to witness$"):
-        weyl_lower_bound_witness(CanonicalMixedAlgebra(g, 1, 0, [[g.one()]]))
+        weyl_lower_bound_witness(canonical(g, 1, 0, [[g.one()]]))
     sys = certified_system(parse_presentation("generators a, b\n"))
     src = parse_presentation("generators a\n")
     two = Coeff.from_rational(sys.ring, 2)

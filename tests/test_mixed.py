@@ -3,17 +3,17 @@ import random
 import pytest
 
 from qwalg import intlattice as il
-from qwalg.mixed import (CanonicalMixedAlgebra, Equivalent, InadmissiblePresentation,
+from qwalg.mixed import (Equivalent, InadmissiblePresentation,
                          Inconclusive, MixedWeylField, NotEquivalent,
                          center_lattices, cross_equivalence_necessary,
                          equivalence_decide, eulerian_presentation, invariants,
                          mixed_weyl_invariants, reduce_to_canonical)
 from qwalg.presentation import Presentation, apply_certificate, check_admissible
 from qwalg.qwa import parse_presentation
-from qwalg.scalars import ScalarGroup
+from qwalg.scalars import GroupMismatch, ScalarGroup
 from qwalg.torus import TorusError
 
-from support import scramble
+from support import canonical, degrees, scramble
 
 
 def matrices(p):
@@ -29,13 +29,13 @@ def grp():
 def s22(grp, power=1):
     q = grp.free_gen("q", power)
     one = grp.one()
-    return CanonicalMixedAlgebra(grp, 2, 2, [[one, q], [q.inv(), one]])
+    return canonical(grp, 2, 2, [[one, q], [q.inv(), one]])
 
 
 def s21(grp):
     q = grp.free_gen("q")
     one = grp.one()
-    return CanonicalMixedAlgebra(grp, 2, 1, [[one, q], [q.inv(), one]])
+    return canonical(grp, 2, 1, [[one, q], [q.inv(), one]])
 
 
 def test_reduce_weyl_triangle(grp):
@@ -91,7 +91,7 @@ def test_reduce_random_scrambles(grp):
                 w = q.pow(rng.randrange(-2, 3))
                 lam[i][j] = w
                 lam[j][i] = w.inv()
-        algebra = CanonicalMixedAlgebra(grp, n, r, lam)
+        algebra = canonical(grp, n, r, lam)
         p = scramble(algebra.to_presentation(), rng)
         assert check_admissible(p).admissible
         out, cert = reduce_to_canonical(p)
@@ -108,19 +108,19 @@ def test_a_lambda_that_is_not_n_by_n_is_refused(grp):
     Lambda is checked as a torus first, so a ragged one is not square."""
     one = grp.one()
     with pytest.raises(ValueError, match=r"^Lambda must be 2 x 2$"):
-        CanonicalMixedAlgebra(grp, 2, 1, [[one]])
+        canonical(grp, 2, 1, [[one]])
     with pytest.raises(ValueError, match=r"^Lambda must be 1 x 1$"):
-        CanonicalMixedAlgebra(grp, 1, 1, s22(grp).lam)
+        canonical(grp, 1, 1, s22(grp).lam)
     with pytest.raises(TorusError, match=r"^weight matrix must be square$"):
-        CanonicalMixedAlgebra(grp, 2, 1, [[one, one], [one]])
+        canonical(grp, 2, 1, [[one, one], [one]])
 
 
 def test_eulerian_presentation_shapes(grp):
     one = grp.one()
-    u = eulerian_presentation(CanonicalMixedAlgebra(grp, 1, 1, [[one]]))
+    u = eulerian_presentation(canonical(grp, 1, 1, [[one]]))
     assert u.gens == ("y1", "w1")
     assert u.eulerian == {(0, 1): 1}
-    torus_only = eulerian_presentation(CanonicalMixedAlgebra(
+    torus_only = eulerian_presentation(canonical(
         grp, 2, 0, [[one, grp.free_gen("q")], [grp.free_gen("q").inv(), one]]))
     assert torus_only.gens == ("y1", "y2")
     t21 = eulerian_presentation(s21(grp))
@@ -141,7 +141,7 @@ def test_invariants_s22(grp):
 
 def test_invariants_commutative(grp):
     one = grp.one()
-    s = CanonicalMixedAlgebra(grp, 3, 0, [[one] * 3 for _ in range(3)])
+    s = canonical(grp, 3, 0, [[one] * 3 for _ in range(3)])
     inv = invariants(s)
     assert not inv.e_is_field
     assert inv.g_subgroup.is_trivial()
@@ -151,7 +151,7 @@ def test_invariants_commutative(grp):
 def test_invariants_weyl_over_poly(grp):
     one = grp.one()
     n, r = 4, 2
-    s = CanonicalMixedAlgebra(grp, n, r, [[one] * n for _ in range(n)])
+    s = canonical(grp, n, r, [[one] * n for _ in range(n)])
     inv = invariants(s)
     # center of the Weyl algebra over a polynomial ring: the free variables
     assert inv.center_rank == n - r
@@ -161,8 +161,8 @@ def test_invariants_weyl_over_poly(grp):
 
 def test_mixed_weyl_invariants_pair(grp):
     q = grp.free_gen("q")
-    f = MixedWeylField(grp, 1, 2, 0, (q, q))
-    fp = MixedWeylField(grp, 2, 1, 0, (q,))
+    f = MixedWeylField(grp, 1, 2, 0, degrees((q, q)))
+    fp = MixedWeylField(grp, 2, 1, 0, degrees((q,)))
     i1, i2 = mixed_weyl_invariants(f), mixed_weyl_invariants(fp)
     assert i1.gk_trdeg == i2.gk_trdeg == 6
     assert i1.center_rank == i2.center_rank == 0
@@ -176,13 +176,13 @@ def test_mixed_weyl_invariants_edge_cases(grp):
     inv = mixed_weyl_invariants(MixedWeylField(grp, 0, 0, 2, ()))
     assert (inv.gk_trdeg, inv.w_infdeg, inv.w_supdeg, inv.center_rank) == (2, 0, 0, 2)
     g2 = ScalarGroup(2, (), "zeta")
-    inv2 = mixed_weyl_invariants(MixedWeylField(g2, 0, 1, 0, (g2.scalar(torsion=1),)))
+    inv2 = mixed_weyl_invariants(MixedWeylField(g2, 0, 1, 0, degrees((g2.scalar(torsion=1),))))
     assert inv2.center_rank == 1  # -1 is pure torsion
 
 
 def test_mixed_weyl_rejects_weight_one(grp):
     with pytest.raises(ValueError):
-        MixedWeylField(grp, 0, 1, 0, (grp.one(),))
+        MixedWeylField(grp, 0, 1, 0, degrees((grp.one(),)))
 
 
 def test_equivalence_self(grp):
@@ -208,9 +208,9 @@ def test_equivalence_r_differs(grp):
 def test_equivalence_gk_differs(grp):
     one = grp.one()
     q = grp.free_gen("q")
-    a = CanonicalMixedAlgebra(grp, 2, 1, [[one, q], [q.inv(), one]])
+    a = canonical(grp, 2, 1, [[one, q], [q.inv(), one]])
     lam3 = [[one, q, one], [q.inv(), one, one], [one, one, one]]
-    b = CanonicalMixedAlgebra(grp, 3, 1, lam3)
+    b = canonical(grp, 3, 1, lam3)
     v = equivalence_decide(a, b)
     assert isinstance(v, NotEquivalent) and v.reason == "NEQ_GK"
 
@@ -221,7 +221,7 @@ def test_equivalence_divisor_mutation(grp):
 
     def from_skew(c):
         n = len(c)
-        return CanonicalMixedAlgebra(
+        return canonical(
             grp, n, n, [[q.pow(c[i][j]) for j in range(n)] for i in range(n)])
 
     c1 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]
@@ -239,7 +239,7 @@ def test_equivalence_nonsemiclassical_inconclusive(grp):
 
 def test_equivalence_commutative_weyl(grp):
     one = grp.one()
-    a = CanonicalMixedAlgebra(grp, 2, 2, [[one, one], [one, one]])
+    a = canonical(grp, 2, 2, [[one, one], [one, one]])
     v = equivalence_decide(a, a)
     assert isinstance(v, Equivalent)
 
@@ -273,9 +273,9 @@ def test_cross_equivalence_s22_chain(grp):
     q = grp.free_gen("q")
     a = s22(grp)
     # gk forces 2m+2n+t = 4; w-supdeg forces m = 2; then G separates
-    assert cross_equivalence_necessary(a, MixedWeylField(grp, 1, 1, 0, (q,))).reason \
+    assert cross_equivalence_necessary(a, MixedWeylField(grp, 1, 1, 0, degrees((q,)))).reason \
         == "NEQ_WSUPDEG"
-    assert cross_equivalence_necessary(a, MixedWeylField(grp, 2, 1, 0, (q,))).reason \
+    assert cross_equivalence_necessary(a, MixedWeylField(grp, 2, 1, 0, degrees((q,)))).reason \
         == "NEQ_GK"
     v = cross_equivalence_necessary(a, MixedWeylField(grp, 2, 0, 0, ()))
     assert isinstance(v, NotEquivalent) and v.reason == "NEQ_G"
@@ -283,7 +283,7 @@ def test_cross_equivalence_s22_chain(grp):
 
 def test_cross_equivalence_weyl_inconclusive(grp):
     one = grp.one()
-    a = CanonicalMixedAlgebra(grp, 2, 2, [[one, one], [one, one]])  # A_2
+    a = canonical(grp, 2, 2, [[one, one], [one, one]])  # A_2
     v = cross_equivalence_necessary(a, MixedWeylField(grp, 2, 0, 0, ()))
     assert isinstance(v, Inconclusive)
 
@@ -291,9 +291,23 @@ def test_cross_equivalence_weyl_inconclusive(grp):
 def test_cross_equivalence_quantum_plane_field(grp):
     q = grp.free_gen("q")
     one = grp.one()
-    a = CanonicalMixedAlgebra(grp, 2, 0, [[one, q], [q.inv(), one]])
-    v = cross_equivalence_necessary(a, MixedWeylField(grp, 0, 1, 0, (q,)))
+    a = canonical(grp, 2, 0, [[one, q], [q.inv(), one]])
+    v = cross_equivalence_necessary(a, MixedWeylField(grp, 0, 1, 0, degrees((q,))))
     assert isinstance(v, Inconclusive)
+
+
+def test_cross_equivalence_refuses_a_field_over_another_group(grp):
+    """The quantum plane over Z<q> against the field of its plane over
+    Z<q, p>: G compares subgroups of one declared group, so the pair is
+    refused, as ``equivalence_decide`` refuses one, and not separated by
+    NEQ_G.  Over Z<q> the same data is inconclusive."""
+    q, wide = grp.free_gen("q"), ScalarGroup(1, ("q", "p"))
+    a = canonical(grp, 2, 0, [[grp.one(), q], [q.inv(), grp.one()]])
+    field = MixedWeylField(wide, 0, 1, 0, degrees([wide.free_gen("q")]))
+    with pytest.raises(GroupMismatch, match="^algebra and field must share a scalar group$"):
+        cross_equivalence_necessary(a, field)
+    same = MixedWeylField(grp, 0, 1, 0, degrees([q]))
+    assert isinstance(cross_equivalence_necessary(a, same), Inconclusive)
 
 
 def test_center_sublattice_matches_lattice_intersection():
@@ -310,7 +324,7 @@ def test_center_sublattice_matches_lattice_intersection():
             for j in range(i + 1, n):
                 w = g.scalar(rng.randrange(e), [rng.randrange(-2, 3) for _ in range(g.rank)])
                 lam[i][j], lam[j][i] = w, w.inv()
-        s = CanonicalMixedAlgebra(g, n, rng.randrange(n + 1), lam)
+        s = canonical(g, n, rng.randrange(n + 1), lam)
         full, center = center_lattices(s)
         coord = il.identity(n)[s.r:]
         assert center == (il.lattice_intersect(full, coord, n) if coord else [])
@@ -321,12 +335,12 @@ def test_center_sublattice_matches_lattice_intersection():
 def test_refusals_of_malformed_algebras_and_fields():
     g, gp = ScalarGroup(1, ("q",)), ScalarGroup(1, ("p",))
     with pytest.raises(ValueError, match=r"^need n >= 1 and 0 <= r <= n$"):
-        CanonicalMixedAlgebra(g, 1, 2, [[g.one()]])
+        canonical(g, 1, 2, [[g.one()]])
     with pytest.raises(ValueError, match="^inconsistent mixed Weyl data$"):
         MixedWeylField(g, 0, 1, 0, ())
     with pytest.raises(ValueError, match="^plane weight outside the declared group$"):
-        MixedWeylField(g, 0, 1, 0, (gp.free_gen("p"),))
-    a, b = (CanonicalMixedAlgebra(h, 1, 0, [[h.one()]]) for h in (g, gp))
+        MixedWeylField(g, 0, 1, 0, [(0, 1, 0)])  # a degree of Z^2
+    a, b = (canonical(h, 1, 0, [[h.one()]]) for h in (g, gp))
     with pytest.raises(ValueError, match="^algebras must share a scalar group$"):
         equivalence_decide(a, b)
     assert a != "y1"

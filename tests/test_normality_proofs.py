@@ -21,7 +21,7 @@ from qwalg.qweyl import QuantumWeylAlgebra, localize_to_mixed
 from qwalg.rewrite import Element, NotNormalError, ReductionSystem, Rule, _terms_key
 from qwalg.scalars import ScalarGroup
 
-from support import reference_commutation
+from support import qweyl_algebra, reference_commutation
 
 
 @contextmanager
@@ -81,15 +81,15 @@ def quantum_weyl(draw, n=None, quantum=None):
         for j in range(i + 1, n):
             lam[i][j] = draw(scalars)
             lam[j][i] = lam[i][j].inv()
-    return QuantumWeylAlgebra(g, n, qs, lam)
+    return qweyl_algebra(g, n, qs, lam)
 
 
 def algebra(e, syms, qs, lam):
     g = ScalarGroup(e, syms, "zeta" if e > 1 else None)
     n = len(qs)
-    return QuantumWeylAlgebra(g, n, [g.scalar(*s) for s in qs],
-                              [[g.scalar(*lam[i][j]) if i < j else g.scalar(*lam[j][i]).inv()
-                                if i > j else g.one() for j in range(n)] for i in range(n)])
+    return qweyl_algebra(g, n, [g.scalar(*s) for s in qs],
+                         [[g.scalar(*lam[i][j]) if i < j else g.scalar(*lam[j][i]).inv()
+                           if i > j else g.one() for j in range(n)] for i in range(n)])
 
 
 ALL_QUANTUM_4 = algebra(12, ("q",), [(1, (1,)), (5, (0,)), (0, (-1,)), (3, (2,))],

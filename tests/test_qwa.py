@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from qwalg.presentation import Presentation, Verified, certified_system, verify_homomorphism
 from qwalg.cli import _load
 from qwalg.mixed import eulerian_presentation, reduce_to_canonical
-from qwalg.qwa import (ParseError, format_group_block, format_presentation, parse_document,
-                       parse_generator_map, parse_presentation, parse_scalar_literal)
+from qwalg.qwa import (ParseError, _degree, format_group_block, format_presentation,
+                       format_scalar_matrix, parse_document, parse_generator_map,
+                       parse_presentation)
 from qwalg.scalars import GroupMismatch, ScalarGroup, format_scalar
-from qwalg.torus import QuantumTorus
 
-from support import CORPUS, LL2_TARGET, S22_TEXT, T21_SOURCE, relation_items, weights
+from support import CORPUS, LL2_TARGET, S22_TEXT, T21_SOURCE, relation_items, torus, weights
 
 PRINTED = Path(__file__).with_name("presentation_bytes.json")
 
@@ -146,12 +146,11 @@ def test_readme_examples_parse():
 
 def test_scalar_literal():
     g = ScalarGroup(4, ("q", "p"), "zeta")
-    s = parse_scalar_literal(g, "zeta^2 * q^-1 * p^3")
-    assert s.torsion == 2 and s.free == (-1, 3)
-    assert parse_scalar_literal(g, "1").is_one()
-    assert parse_scalar_literal(g, "-1") == g.scalar(torsion=2)
+    assert _degree(g, "zeta^2 * q^-1 * p^3", 0) == (2, -1, 3)
+    assert _degree(g, "1", 0) == (0, 0, 0)
+    assert _degree(g, "-1", 0) == (2, 0, 0)
     with pytest.raises(ParseError):
-        parse_scalar_literal(ScalarGroup(3, (), "w"), "-1")
+        _degree(ScalarGroup(3, (), "w"), "-1", 0)
 
 
 FACTOR = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
@@ -177,7 +176,7 @@ def regex_literal(group, text):
             free[group.free_index[name]] += exp
         else:
             return f"undeclared scalar symbol {name!r}"
-    return group.scalar(torsion, tuple(free))
+    return group.scalar(torsion, tuple(free)).degree()
 
 
 def test_scalar_literal_matches_the_regex_reading():
@@ -192,7 +191,7 @@ def test_scalar_literal_matches_the_regex_reading():
               for _ in range(3000)]
     for text in texts:
         try:
-            got = parse_scalar_literal(g, text)
+            got = _degree(g, text, 0)
         except ParseError as exc:
             got = exc.message
         assert got == regex_literal(g, text), text
@@ -243,12 +242,22 @@ qweyl {
 """)
     spec = doc.qweyl
     assert spec.n == 2
-    assert spec.q[0].is_one() and spec.q[1] == doc.group.free_gen("q")
-    assert spec.lam[0][1] == doc.group.free_gen("l")
+    assert spec.q == ((0, 0, 0), (0, 1, 0))  # degrees over (q, l)
+    assert spec.lam[0][1] == (0, 0, 1)
+
+
+def format_qweyl(spec) -> str:
+    """A qweyl block in the .qwa syntax, each degree printed as its scalar."""
+    def scalar(d):
+        return spec.group.scalar(d[0], d[1:])
+    block = format_group_block(spec.group)
+    qlist = ", ".join(format_scalar(scalar(q)) for q in spec.q)
+    lam = format_scalar_matrix([[scalar(d) for d in row] for row in spec.lam])
+    return "\n".join([block] * bool(block) + [
+        "qweyl {", f"  n = {spec.n}", f"  q = ({qlist})", f"  Lambda = {lam}", "}"]) + "\n"
 
 
 def test_qweyl_roundtrip():
-    from qwalg.qwa import format_qweyl
     text = """\
 scalars { free q, l }
 qweyl {
@@ -350,7 +359,7 @@ def test_torus_file_is_read_into_the_exponents_of_its_weights(drawn):
         path.write_text(text)
         t, = _load([str(path)], ["torus"])
     assert t.group == group
-    assert t.exponents == QuantumTorus(group, lam).exponents
+    assert t.exponents == torus(group, lam).exponents
     p = parse_presentation(text)
     assert [[p.twist(i, j) for j in range(p.n)] for i in range(p.n)] == t.degrees()
 

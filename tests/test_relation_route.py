@@ -15,10 +15,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qwalg.mixed import CanonicalMixedAlgebra, _ext_gcd, invariants, reduce_to_canonical
+from qwalg.mixed import _ext_gcd, invariants, reduce_to_canonical
 from qwalg.presentation import (AddMultiple, OpError, Permute, Presentation, Scale,
                                 apply_certificate, apply_op, check_admissible)
 from qwalg.scalars import Scalar, ScalarGroup
+
+from support import canonical
 
 
 # -- the relation-object route ----------------------------------------------------
@@ -261,7 +263,7 @@ def scrambles(draw):
         items.append((n + i, i, Additive(1)))
         items += [(j, n + i, Multiplicative(lam[i][j])) for j in range(n) if j != i]
         items += [(n + i, n + j, Multiplicative(lam[i][j])) for j in range(i + 1, r)]
-    names = CanonicalMixedAlgebra(g, n, r, lam).gens()
+    names = canonical(g, n, r, lam).gens()
     return Relations(g, names, items), draw(st.lists(ops(n + r), max_size=12))
 
 
@@ -298,7 +300,7 @@ def assert_same_classification(ref: Relations):
     for op in ops:
         replayed = change(replayed, op)
     assert apply_certificate(p, cert.ops) == replayed.presentation()
-    assert invariants(algebra) == invariants(CanonicalMixedAlgebra(p.group, n, r, lam))
+    assert invariants(algebra) == invariants(canonical(p.group, n, r, lam))
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,13 +22,13 @@ from hypothesis import given, settings
 from qwalg.cyclo import Coeff
 from qwalg.presentation import certified_system, system_from_presentation
 from qwalg.qwa import parse_presentation
-from qwalg.qweyl import QuantumWeylAlgebra, localize_to_mixed
+from qwalg.qweyl import localize_to_mixed
 from qwalg.rewrite import Confluent, Element, Failing, NotNormalError, ReductionSystem, Rule
 from qwalg.scalars import ScalarGroup
 
 from support import (TRIANGLE, assert_matches_two_sided, count_reductions, identification_rules,
-                     localization_chain, qweyl_algebras, qweyl_grid, record_extensions,
-                     run_corpus)
+                     localization_chain, qweyl_algebra, qweyl_algebras, qweyl_grid,
+                     record_extensions, run_corpus)
 
 
 def settled_identification_overlaps(ext: ReductionSystem):
@@ -142,7 +142,7 @@ def quantum_weyl(group, n, qs, p):
     """The quantum Weyl algebra with Lambda = p above the diagonal."""
     one = group.one()
     lam = [[one if i == j else (p if i < j else p.inv()) for j in range(n)] for i in range(n)]
-    return QuantumWeylAlgebra(group, n, qs, lam)
+    return qweyl_algebra(group, n, qs, lam)
 
 
 def base_remainder(s: ReductionSystem, word):

@@ -4,7 +4,7 @@ import pytest
 
 from qwalg.cyclo import Coeff, CoeffRing
 from qwalg.presentation import certified_system, system_from_presentation
-from qwalg.qwa import parse_presentation, parse_scalar_literal
+from qwalg.qwa import _degree, parse_presentation
 from qwalg.rewrite import (Confluent, Element, Failing, InverseError,
                            NotCertifiedError, NotNormalError, ReductionSystem,
                            Rule, RuleError)
@@ -294,7 +294,7 @@ def _z4q():
 
 
 def _scalar(s, text):
-    return Coeff.of_degree(s.ring, parse_scalar_literal(s.group, text).degree())
+    return Coeff.of_degree(s.ring, _degree(s.group, text, 0))
 
 
 # (system, g, h, phi^-1(h) where g h = phi(h) g, as a function of the extension)

@@ -9,11 +9,11 @@ from qwalg.mixed import reduce_to_canonical
 from qwalg.qwa import parse_document
 from qwalg.scalars import GroupMismatch, ScalarGroup
 from qwalg.torus import (Iso, NotApplicable, NotIso, QuantumTorus, TorusError,
-                         TorusMorphism, Violation, central_lattice, check_morphism, compose,
+                         TorusMorphism, Violation, central_lattice, check_morphism,
                          is_isomorphism, is_simple, uniparameter_exponents,
                          uniparameter_iso_decide)
 from support import (corpus, full_congruence, lattice_member, random_antisymmetric,
-                     random_unimodular)
+                     random_unimodular, torus, uniparameter)
 
 
 def is_central(t, alpha):
@@ -67,7 +67,7 @@ def random_torus(rng, g, n):
                 w = g.scalar(rng.randrange(g.torsion_order),
                              tuple(rng.randrange(-2, 3) for _ in range(g.rank)))
                 lam[i][j], lam[j][i] = w, w.inv()
-    return QuantumTorus(g, lam)
+    return torus(g, lam)
 
 
 @pytest.fixture
@@ -76,15 +76,15 @@ def grp():
 
 
 def uni(grp, exps):
-    return QuantumTorus.uniparameter(grp, "q", exps)
+    return uniparameter(grp, "q", exps)
 
 
 def test_validation(grp):
     q = grp.free_gen("q")
     with pytest.raises(TorusError):
-        QuantumTorus(grp, [[grp.one(), q], [q, grp.one()]])  # not antisymmetric
+        torus(grp, [[grp.one(), q], [q, grp.one()]])  # not antisymmetric
     with pytest.raises(TorusError):
-        QuantumTorus(grp, [[q]])  # diagonal not 1
+        torus(grp, [[q]])  # diagonal not 1
 
 
 def pairwise_refusal(lam):
@@ -124,13 +124,13 @@ def test_constructor_check_matches_the_pairwise_definition():
                     lam[rng.randrange(n)][rng.randrange(n)] = weight()
                 expected = pairwise_refusal(lam)
                 if expected is None:
-                    assert QuantumTorus(g, lam).lam == lam
+                    assert torus(g, lam).lam == lam
                     seen["accepted"] += 1
                     seen["half off the diagonal"] += e % 2 == 0 and any(
                         w == half for row in lam for w in row)
                 else:
                     with pytest.raises(TorusError, match=f"^{expected}$"):
-                        QuantumTorus(g, lam)
+                        torus(g, lam)
                     seen["half on the diagonal"] += e % 2 == 0 and any(
                         lam[i][i] == half for i in range(n))
     assert all(count >= 20 for count in seen.values()), seen
@@ -166,7 +166,7 @@ def test_from_presentation_matches_validated_path():
                 lam = [[g.one()] * n for _ in range(n)]
                 for a, b, w in items:
                     lam[a][b], lam[b][a] = w, w.inv()
-                ref = QuantumTorus(g, lam)
+                ref = torus(g, lam)
                 t = QuantumTorus.from_relations(g, n, [(a, b, w.degree()) for a, b, w in items])
                 assert t.n == ref.n and t.group == ref.group
                 assert t.exponents == ref.exponents
@@ -191,8 +191,8 @@ def test_from_presentation_equality():
     one, z, q = g.one(), g.root(), g.free_gen("q")
     t = plane(g, "q")
     assert t.exponents == [[[0, 3], [1, 0]], [[0, -1], [1, 0]]]
-    assert t == QuantumTorus(g, [[one, z.inv().mul(q.inv())], [z.mul(q), one]])
-    assert t != QuantumTorus(g, [[one, z.inv()], [z, one]])
+    assert t == torus(g, [[one, z.inv().mul(q.inv())], [z.mul(q), one]])
+    assert t != torus(g, [[one, z.inv()], [z, one]])
     other = plane(ScalarGroup(4, ("p",), "zeta"), "p")
     assert other.exponents == t.exponents and other != t
 
@@ -214,7 +214,7 @@ def test_simple_q_plane(grp):
 
 
 def test_commutative_torus_full_center(grp):
-    t = QuantumTorus(grp, [[grp.one()] * 3 for _ in range(3)])
+    t = torus(grp, [[grp.one()] * 3 for _ in range(3)])
     assert central_lattice(t) == il.identity(3)
     assert not is_simple(t)
 
@@ -222,7 +222,7 @@ def test_commutative_torus_full_center(grp):
 def test_minus_one_torus():
     g = ScalarGroup(2, (), "zeta")
     m = g.scalar(torsion=1)
-    t = QuantumTorus(g, [[g.one(), m], [m, g.one()]])
+    t = torus(g, [[g.one(), m], [m, g.one()]])
     basis = central_lattice(t)
     assert not is_simple(t)
     assert lattice_member(basis, [2, 0])
@@ -241,7 +241,7 @@ def test_counterexample_block_torus():
            [q.inv(), one, one, one],
            [one, one, one, m],
            [one, one, m, one]]
-    t = QuantumTorus(g, lam)
+    t = torus(g, lam)
     basis = central_lattice(t)
     assert basis == [[0, 0, 2, 0], [0, 0, 0, 2]]
     brute = brute_force_central(t, 2)
@@ -253,7 +253,7 @@ def test_all_one_row_not_simple(grp):
     q = grp.free_gen("q")
     one = grp.one()
     lam = [[one, q, one], [q.inv(), one, one], [one, one, one]]
-    t = QuantumTorus(grp, lam)
+    t = torus(grp, lam)
     assert not is_simple(t)
     assert lattice_member(central_lattice(t), [0, 0, 1])
 
@@ -277,6 +277,16 @@ def test_check_morphism_square(grp):
     out = check_morphism(src, dst, [[2, 0], [0, 1]])
     assert not isinstance(out, Violation)
     assert not is_isomorphism(out)  # det 2
+
+
+def compose(f: TorusMorphism, g: TorusMorphism) -> TorusMorphism:
+    """f after g (matrices multiply)."""
+    if g.dst is not f.src and g.dst != f.src:
+        raise TorusError("morphisms are not composable")
+    out = check_morphism(g.src, f.dst, il.matmul(f.h, g.h))
+    if isinstance(out, Violation):  # nothing checks a TorusMorphism built by hand
+        raise TorusError("composite violates the weight equations: a factor is not a morphism")
+    return out
 
 
 def test_compose_and_iso(grp):
@@ -306,13 +316,13 @@ def test_compose_closure_random(grp):
 def test_uniparameter_exponents(grp):
     q = grp.free_gen("q")
     one = grp.one()
-    t = QuantumTorus(grp, [[one, q], [q.inv(), one]])
+    t = torus(grp, [[one, q], [q.inv(), one]])
     assert uniparameter_exponents(t, "q") == [[0, 1], [-1, 0]]
-    t2 = QuantumTorus(grp, [[one, q.pow(2)], [q.pow(-2), one]])
+    t2 = torus(grp, [[one, q.pow(2)], [q.pow(-2), one]])
     assert uniparameter_exponents(t2, "q") == [[0, 2], [-2, 0]]
     g2 = ScalarGroup(2, ("q",), "zeta")
     m = g2.scalar(torsion=1)
-    t3 = QuantumTorus(g2, [[g2.one(), m], [m, g2.one()]])
+    t3 = torus(g2, [[g2.one(), m], [m, g2.one()]])
     assert uniparameter_exponents(t3, "q") is None
 
 
@@ -333,7 +343,7 @@ def test_iso_decide_divisors_differ(grp):
 def test_iso_decide_not_applicable():
     g = ScalarGroup(2, ("q",), "zeta")
     m = g.scalar(torsion=1)
-    t = QuantumTorus(g, [[g.one(), m], [m, g.one()]])
+    t = torus(g, [[g.one(), m], [m, g.one()]])
     assert isinstance(uniparameter_iso_decide(t, t, "q"), NotApplicable)
 
 
@@ -432,7 +442,7 @@ def test_check_morphism_matches_scalar_products():
         n, np_ = rng.randrange(1, 5), rng.randrange(1, 5)
         dst = random_torus(rng, g, np_)
         h = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(np_)]
-        pulled = QuantumTorus(g, [[pullback_weight(dst, h, i, j) for j in range(n)]
+        pulled = torus(g, [[pullback_weight(dst, h, i, j) for j in range(n)]
                                   for i in range(n)])
         for src in (pulled, random_torus(rng, g, n)):
             out = check_morphism(src, dst, h)
@@ -451,7 +461,7 @@ def torus_of_exponents(g, exps):
     """The torus whose weight at (i, j) has torsion exps[0][i][j] (mod e) and
     free part exps[1:][.][i][j]."""
     n = len(exps[0])
-    return QuantumTorus(g, [[g.scalar(exps[0][i][j], tuple(s[i][j] for s in exps[1:]))
+    return torus(g, [[g.scalar(exps[0][i][j], tuple(s[i][j] for s in exps[1:]))
                              for j in range(n)] for i in range(n)])
 
 
@@ -521,7 +531,7 @@ def test_check_morphism_size_and_group_mismatch(grp):
     with pytest.raises(TorusError):
         check_morphism(t, t, [[1, 0, 0], [0, 1, 0]])
     g2 = ScalarGroup(2, ("q",), "zeta")
-    t2 = QuantumTorus.uniparameter(g2, "q", [[0, 1], [-1, 0]])
+    t2 = uniparameter(g2, "q", [[0, 1], [-1, 0]])
     with pytest.raises(GroupMismatch):
         check_morphism(t, t2, il.identity(2))
 
@@ -551,18 +561,20 @@ def test_uniparameter_exponents_with_torsion():
             exact = all(w == q.pow(w.free[k]) for row in t.lam for w in row)
             assert (s is not None) == exact
             if s is not None:
-                assert QuantumTorus.uniparameter(g, name, s) == t
+                assert uniparameter(g, name, s) == t
 
 
 def test_refusals_and_foreign_comparisons():
     g, gp = ScalarGroup(1, ("q",)), ScalarGroup(1, ("p",))
     one = g.one()
     with pytest.raises(TorusError, match="^weight matrix must be square$"):
-        QuantumTorus(g, [[one, one]])
+        torus(g, [[one, one]])
     with pytest.raises(TorusError, match="^weight outside the declared group$"):
-        QuantumTorus(g, [[gp.one()]])
-    t1 = QuantumTorus(g, [[one]])
-    t2 = QuantumTorus.uniparameter(g, "q", [[0, 1], [-1, 0]])
+        QuantumTorus(g, [[(0, 0, 0)]])  # a degree of Z^2
+    with pytest.raises(TorusError, match="^weight outside the declared group$"):
+        QuantumTorus(g, [[(1, 0)]])  # torsion 1 where e = 1
+    t1 = torus(g, [[one]])
+    t2 = uniparameter(g, "q", [[0, 1], [-1, 0]])
     assert t1 != "t1"
     f, h = (check_morphism(t, t, il.identity(t.n)) for t in (t2, t1))
     with pytest.raises(TorusError, match="^morphisms are not composable$"):
